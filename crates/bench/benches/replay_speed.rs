@@ -12,21 +12,15 @@ use tit_replay::acquisition::{acquire, CompilerOpt, Instrumentation};
 use tit_replay::emulator::Testbed;
 use tit_replay::netmodel::SharingPolicy;
 use tit_replay::prelude::*;
-use tit_replay::simkernel::FelImpl;
 
 fn config(engine: ReplayEngine, sharing: SharingPolicy) -> ReplayConfig {
     ReplayConfig {
         engine,
-        rate: 2e9,
-        placement: Placement::OnePerNode,
-        copy_model: None,
         sharing,
-        fel: FelImpl::default(),
         // Pinned sequential: these benches measure the single-thread
         // hot path regardless of the environment.
         threads: 1,
-        window_s: None,
-        collective_agg: false,
+        ..ReplayConfig::improved(2e9)
     }
 }
 

@@ -83,10 +83,6 @@ struct Baseline {
     /// window-barrier rounds, mailbox traffic, and wall time per thread
     /// count, with bit-identical results asserted at every count.
     pdes: Vec<PdesRow>,
-    /// Collective flow aggregation on vs off, with bit-identical
-    /// simulated results asserted per row; the sharing-churn and
-    /// live-entity reductions are the measured win.
-    agg: Vec<AggSpeedup>,
     /// Netmodel-level churn with per-cabinet sharing components.
     component_churn: Vec<ChurnSpeedup>,
     /// Trace ingestion throughput per path (text cold, text parallel,
@@ -310,42 +306,6 @@ struct PdesRow {
     simulated_s: f64,
 }
 
-/// Collective flow aggregation on vs off over one workload. The
-/// simulated time and per-rank times are asserted bit-identical before
-/// the row is emitted, so the counter columns measure pure bookkeeping
-/// savings, not a model change.
-#[derive(Debug, Serialize)]
-struct AggSpeedup {
-    /// Workload label.
-    workload: String,
-    /// Ranks replayed.
-    ranks: f64,
-    /// Simulated makespan — bit-identical with aggregation on or off.
-    simulated_s: f64,
-    /// Sharing churn (re-solves + rate updates) with aggregation off.
-    off_churn: f64,
-    /// Sharing churn with aggregation on.
-    on_churn: f64,
-    /// `off_churn / on_churn` — the headline reduction.
-    churn_reduction: f64,
-    /// High-water mark of live flows (identical both ways).
-    live_flow_hwm: f64,
-    /// High-water mark of live *entities* with aggregation on.
-    live_entity_hwm: f64,
-    /// `live_flow_hwm / live_entity_hwm` — the O(P)→O(1) collapse.
-    entity_reduction: f64,
-    /// Aggregate entities formed over the run.
-    agg_formed: f64,
-    /// Aggregates dissolved early by outside traffic.
-    agg_splits: f64,
-    /// Best-of-N wall time with aggregation off, seconds.
-    off_wall_s: f64,
-    /// Best-of-N wall time with aggregation on, seconds.
-    on_wall_s: f64,
-    /// `off_wall_s / on_wall_s`.
-    wall_speedup: f64,
-}
-
 /// Netmodel flow churn at a given live-flow count.
 #[derive(Debug, Serialize)]
 struct ChurnSpeedup {
@@ -440,15 +400,10 @@ fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
 fn replay_cfg(engine: ReplayEngine, sharing: SharingPolicy) -> ReplayConfig {
     ReplayConfig {
         engine,
-        rate: 2e9,
-        placement: Placement::OnePerNode,
-        copy_model: None,
         sharing,
-        fel: FelImpl::default(),
         // Pinned sequential; the `parallel` section opts in explicitly.
         threads: 1,
-        window_s: None,
-        collective_agg: false,
+        ..ReplayConfig::improved(2e9)
     }
 }
 
@@ -816,72 +771,6 @@ fn allreduce_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
         trace.push(rank, Action::Finalize);
     }
     trace
-}
-
-/// Measures one aggregation row: replays `trace` with `collective_agg`
-/// off and on, asserts bit-identical simulated results, and returns the
-/// counter comparison. `min_churn_reduction` / `min_entity_reduction`
-/// gate the row (1.0 = only "never worse").
-fn agg_row(
-    platform: &Platform,
-    trace: &Arc<Trace>,
-    workload: &str,
-    min_churn_reduction: f64,
-    min_entity_reduction: f64,
-) -> AggSpeedup {
-    use tit_replay::replay::replay_observed;
-    let off_cfg = replay_cfg(ReplayEngine::Smpi, SharingPolicy::Bottleneck);
-    let mut on_cfg = off_cfg.clone();
-    on_cfg.collective_agg = true;
-    let off = replay_observed(platform, trace, &off_cfg, false).unwrap();
-    let on = replay_observed(platform, trace, &on_cfg, false).unwrap();
-    assert_eq!(
-        off.result.time.to_bits(),
-        on.result.time.to_bits(),
-        "{workload}: aggregation changed the simulated time"
-    );
-    let off_bits: Vec<u64> = off.result.rank_times.iter().map(|t| t.to_bits()).collect();
-    let on_bits: Vec<u64> = on.result.rank_times.iter().map(|t| t.to_bits()).collect();
-    assert_eq!(
-        off_bits, on_bits,
-        "{workload}: aggregation changed per-rank completion times"
-    );
-    assert_eq!(
-        off.metrics.live_flow_hwm, on.metrics.live_flow_hwm,
-        "{workload}: aggregation changed the live-flow high-water mark"
-    );
-    let off_churn = (off.metrics.sharing_resolves + off.metrics.sharing_rate_updates) as f64;
-    let on_churn = (on.metrics.sharing_resolves + on.metrics.sharing_rate_updates) as f64;
-    let churn_reduction = off_churn / on_churn.max(1.0);
-    let entity_reduction =
-        on.metrics.live_flow_hwm as f64 / (on.metrics.live_entity_hwm as f64).max(1.0);
-    assert!(
-        churn_reduction >= min_churn_reduction,
-        "{workload}: expected >={min_churn_reduction}x churn reduction, got {churn_reduction:.2}x"
-    );
-    assert!(
-        entity_reduction >= min_entity_reduction,
-        "{workload}: expected >={min_entity_reduction}x entity reduction, got \
-         {entity_reduction:.2}x"
-    );
-    let off_wall_s = time_best(3, || replay(platform, trace, &off_cfg).unwrap());
-    let on_wall_s = time_best(3, || replay(platform, trace, &on_cfg).unwrap());
-    AggSpeedup {
-        workload: workload.into(),
-        ranks: trace.ranks() as f64,
-        simulated_s: off.result.time,
-        off_churn,
-        on_churn,
-        churn_reduction,
-        live_flow_hwm: on.metrics.live_flow_hwm as f64,
-        live_entity_hwm: on.metrics.live_entity_hwm as f64,
-        entity_reduction,
-        agg_formed: on.metrics.agg_formed as f64,
-        agg_splits: on.metrics.agg_splits as f64,
-        off_wall_s,
-        on_wall_s,
-        wall_speedup: off_wall_s / on_wall_s,
-    }
 }
 
 fn fel_section(showcase: &Platform, halo: &Arc<Trace>) -> FelSection {
@@ -1345,8 +1234,8 @@ fn smoke() {
         "PERF_SMOKE ok (counters sane, ladder steady state allocation-free, \
          disabled recorder cost-free, threads=1 dispatch cost-free, \
          parallel replay bit-identical, windowed PDES bit-identical and \
-         dispatch cost-free on coupled workloads, aggregation \
-         bit-identical and churn-free, service dedup single-execution \
+         dispatch cost-free on coupled workloads, collective \
+         phases batched whole, service dedup single-execution \
          and memo faster than cold, wall-clock profiling bit-identical \
          and cost-free when off)"
     );
@@ -1494,25 +1383,29 @@ fn pdes_smoke() {
     );
 }
 
-/// Aggregation gate: collective flow aggregation must be bit-identical
-/// to the constituent path and must never *increase* the sharing churn
-/// — on the collective-dense shape it must strictly reduce it and
-/// collapse the live entities.
+/// Aggregation gate: on the collective-dense shape every phase must be
+/// batched whole — each flow is rated exactly once (at the flush that
+/// follows its open; its phase retires together, leaving nobody to
+/// re-rate) and a phase's P flows count as one live entity.
 fn agg_smoke() {
-    let ar_platform = agg_flat_platform(16);
-    let ar_trace = Arc::new(allreduce_trace(16, 10, 1 << 16));
-    let row = agg_row(&ar_platform, &ar_trace, "allreduce-p16-iters10", 2.0, 4.0);
-    eprintln!(
-        "smoke    agg: allreduce churn {:.0} -> {:.0} ({:.1}x), entities {} -> {}",
-        row.off_churn, row.on_churn, row.churn_reduction, row.live_flow_hwm, row.live_entity_hwm
+    use tit_replay::replay::replay_observed;
+    let platform = agg_flat_platform(128);
+    let trace = Arc::new(allreduce_trace(128, 3, 1 << 16));
+    let cfg = replay_cfg(ReplayEngine::Smpi, SharingPolicy::Bottleneck);
+    let m = replay_observed(&platform, &trace, &cfg, false)
+        .unwrap()
+        .metrics;
+    assert_eq!(
+        m.sharing_rate_updates, m.flows_created,
+        "allreduce P=128: a collective flow was rated more than once"
     );
-    let lu = LuConfig::new(LuClass::S, 8).with_steps(4);
-    let trace = Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace);
-    let bordereau = tit_replay::platform::clusters::bordereau();
-    let row = agg_row(&bordereau, &trace, "lu-s8-steps4", 1.0, 1.0);
+    assert_eq!(
+        m.live_entity_hwm, 1,
+        "allreduce P=128: phases not aggregated"
+    );
     eprintln!(
-        "smoke    agg: LU churn {:.0} -> {:.0} ({:.2}x), bit-identical",
-        row.off_churn, row.on_churn, row.churn_reduction
+        "smoke    agg: allreduce P=128, {} flows rated once each in {} re-solves, 1 live entity",
+        m.flows_created, m.sharing_resolves
     );
 }
 
@@ -1693,10 +1586,8 @@ fn main() {
         &mut parallel,
     );
 
-    eprintln!("timing collective aggregation (allreduce P=128; LU C-64)...");
-    let ar_ranks = 128u32;
-    let ar_platform = agg_flat_platform(ar_ranks);
-    let ar_trace = Arc::new(allreduce_trace(ar_ranks, 50, 1 << 16));
+    let ar_platform = agg_flat_platform(128);
+    let ar_trace = Arc::new(allreduce_trace(128, 50, 1 << 16));
 
     eprintln!("timing windowed PDES (coupled ring on crossbar; LU C-64; allreduce P=128)...");
     let xbar = xbar_platform(16, 2e-4);
@@ -1726,21 +1617,6 @@ fn main() {
         false,
         &mut pdes,
     );
-    let agg = vec![
-        // The collective-dense showcase: O(P)→O(1), so the churn must
-        // shrink >=2x and the entity HWM by >=P/4.
-        agg_row(
-            &ar_platform,
-            &ar_trace,
-            "allreduce-p128-iters50",
-            2.0,
-            f64::from(ar_ranks) / 4.0,
-        ),
-        // The p2p-dominated end-to-end case: aggregation must never
-        // make anything worse.
-        agg_row(&graphene, &lu_c64_trace, "lu-c64-steps10", 1.0, 1.0),
-    ];
-
     eprintln!("timing component churn (16-cabinet cluster)...");
     let churn = component_churn();
 
@@ -1783,7 +1659,6 @@ fn main() {
         sharing,
         parallel,
         pdes,
-        agg,
         component_churn: churn,
         ingest,
         sweep_cells: cells,

@@ -5,7 +5,7 @@
 //! ```text
 //! titreplay [replay] --platform platform.json --trace trace.txt --ranks 8 \
 //!           --rate 2.05e9 [--engine smpi|msg] [--threads N] [--window-s W] \
-//!           [--collective-agg] [--validate] [--no-cache] \
+//!           [--validate] [--no-cache] \
 //!           [--sharing bottleneck|maxmin|maxmin-full] \
 //!           [--trace-out <out.json>] [--state-csv <out.csv>] \
 //!           [--metrics <out.json>] [--manifest <out.json>] \
@@ -64,7 +64,6 @@ struct Args {
     sharing: tit_replay::netmodel::SharingPolicy,
     threads: Option<usize>,
     window_s: Option<f64>,
-    collective_agg: bool,
     validate: bool,
     cache: bool,
     trace_out: Option<String>,
@@ -79,7 +78,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: titreplay [replay] --platform <platform.json> --trace <trace.txt|.desc|.titb> \
          --ranks <N> --rate <instr/s> [--engine smpi|msg] [--threads <N>] [--window-s <W>] \
-         [--sharing bottleneck|maxmin|maxmin-full] [--collective-agg] [--validate] [--no-cache]\n\
+         [--sharing bottleneck|maxmin|maxmin-full] [--validate] [--no-cache]\n\
          \x20          [--trace-out <chrome.json>] [--state-csv <states.csv>]\n\
          \x20          [--metrics <metrics.json>] [--manifest <manifest.json>]\n\
          \x20          [--critical-path [path.json]]\n\
@@ -152,7 +151,6 @@ fn parse_args(argv: &[String]) -> Args {
     let mut sharing = tit_replay::netmodel::SharingPolicy::Bottleneck;
     let mut threads = None;
     let mut window_s = None;
-    let mut collective_agg = false;
     let mut validate = false;
     let mut cache = true;
     let mut trace_out = None;
@@ -196,7 +194,6 @@ fn parse_args(argv: &[String]) -> Args {
                 }
                 window_s = Some(w);
             }
-            "--collective-agg" => collective_agg = true,
             "--validate" => validate = true,
             "--no-cache" => cache = false,
             "--trace-out" => trace_out = args.next().cloned(),
@@ -231,7 +228,6 @@ fn parse_args(argv: &[String]) -> Args {
             sharing,
             threads,
             window_s,
-            collective_agg,
             validate,
             cache,
             trace_out,
@@ -395,15 +391,8 @@ fn inspect_command(args: &[String]) -> ! {
             // simulated result is bit-identical to an unprofiled run.
             let run_threads = threads.unwrap_or_else(|| ReplayConfig::default_threads().max(2));
             let config = ReplayConfig {
-                engine: ReplayEngine::Smpi,
-                rate,
-                placement: Placement::OnePerNode,
-                copy_model: None,
-                sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-                fel: tit_replay::simkernel::FelImpl::default(),
                 threads: run_threads,
-                window_s: None,
-                collective_agg: false,
+                ..ReplayConfig::improved(rate)
             };
             let report = tit_replay::replay::replay_input_profiled(
                 &platform, &input, ranks, &config, false, true,
@@ -481,14 +470,10 @@ fn main() {
     }
     let config = ReplayConfig {
         engine: args.engine,
-        rate: args.rate,
-        placement: Placement::OnePerNode,
-        copy_model: None,
         sharing: args.sharing,
-        fel: tit_replay::simkernel::FelImpl::default(),
         threads: args.threads.unwrap_or_else(ReplayConfig::default_threads),
         window_s: args.window_s,
-        collective_agg: args.collective_agg,
+        ..ReplayConfig::improved(args.rate)
     };
     let record_spans = args.trace_out.is_some() || args.state_csv.is_some() || args.critical_path;
     let started = std::time::Instant::now();

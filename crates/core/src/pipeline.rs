@@ -226,7 +226,6 @@ impl<'a> Predictor<'a> {
         let rate = self.calibration.rate_for(instance);
         let config = ReplayConfig {
             engine: self.pipeline.engine,
-            rate,
             placement: self.testbed.placement,
             copy_model: self.pipeline.model_copy.then(|| {
                 // In a real deployment this constant comes from a memcpy
@@ -236,11 +235,7 @@ impl<'a> Predictor<'a> {
                     .copy
                     .expect("ground truth models the copy")
             }),
-            sharing: netmodel::SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(rate)
         };
         let sim = match self.cached_trace_path(instance, seed) {
             Some(path) if path.is_file() => {

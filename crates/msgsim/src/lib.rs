@@ -66,14 +66,6 @@ pub struct MsgConfig {
     /// not affect results (pop order is bit-identical across variants);
     /// exposed so benchmarks and differential tests can pin one.
     pub fel: simkernel::FelImpl,
-    /// Flow aggregation: network transfers take the network model's
-    /// deferred batch path, so same-instant flow batches (the legacy
-    /// model's mailbox-matched bursts) cost O(1) sharing solves and are
-    /// accounted as O(1) live entities. Does not affect results (the
-    /// batched re-solve is bit-identical to the per-flow sequence;
-    /// differential tests gate it); off by default to keep the
-    /// constituent path the reference.
-    pub collective_agg: bool,
 }
 
 impl MsgConfig {
@@ -87,7 +79,6 @@ impl MsgConfig {
             loopback_latency: 0.4e-6,
             sharing: SharingPolicy::Bottleneck,
             fel: simkernel::FelImpl::default(),
-            collective_agg: false,
         }
     }
 }

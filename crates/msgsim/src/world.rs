@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use netmodel::{FlowId, FlowNet, FLUSH_KEY};
+use netmodel::{FlowId, FlowNet};
 use platform::{HostId, LinkId, Platform};
 use simkernel::obs::{Counter, Recorder, SpanKind};
 use simkernel::{ActorId, Duration, Kernel, Wake};
@@ -165,12 +165,8 @@ impl MsgWorld {
                 .fold(f64::INFINITY, f64::min)
                 .min(1e12),
         };
-        let mut net = FlowNet::new(platform, cfg.sharing);
-        if cfg.collective_agg {
-            net.set_flush_actor(transport);
-        }
         MsgWorld {
-            net,
+            net: FlowNet::new(platform, cfg.sharing),
             cfg,
             hooks,
             stats: MsgStats::default(),
@@ -453,11 +449,7 @@ impl MsgWorld {
                 let t = self.tasks.expect_mut(task_id);
                 let flow = t.flow.take().expect("flow completion without flow");
                 let (src, dst, bytes) = (t.src, t.dst, t.bytes);
-                if self.cfg.collective_agg {
-                    self.net.close_deferred(kernel, flow);
-                } else {
-                    self.net.close(kernel, flow);
-                }
+                self.net.close(kernel, flow);
                 if let Some(r) = self.recorder.as_mut() {
                     r.flow_close(task_id.pack(), kernel.now().as_secs());
                 }
@@ -469,7 +461,6 @@ impl MsgWorld {
                         .effective_latency(bytes, self.pair_latency[pair]);
                 kernel.set_timer(self.transport, Duration::from_secs(lat), task_id.pack());
             }
-            Wake::Timer(FLUSH_KEY) => self.net.flush(kernel),
             Wake::Timer(key) => self.complete_delivery(kernel, Id::unpack(key)),
             Wake::Start | Wake::Signal(_) => {}
         }
@@ -491,11 +482,7 @@ impl MsgWorld {
                 .factors
                 .effective_bandwidth(bytes, self.pair_bandwidth[pair]);
             let route = std::mem::take(&mut self.routes[pair]);
-            let flow = if self.cfg.collective_agg {
-                self.net.open_deferred(kernel, &route, bytes as f64, cap)
-            } else {
-                self.net.open(kernel, &route, bytes as f64, cap)
-            };
+            let flow = self.net.open(kernel, &route, bytes as f64, cap);
             self.routes[pair] = route;
             let act = self.net.activity(flow);
             kernel.subscribe(act, self.transport);

@@ -188,15 +188,21 @@ pub struct FlowNet {
     flush_scheduled: bool,
     /// Flows opened deferred since the last flush.
     batch_opened: Vec<u32>,
-    /// Re-solve seeds from deferred closes: the survivors that shared a
-    /// link with each departing flow at its close (filtered for liveness
-    /// at flush — a seed may itself close later in the same batch).
-    batch_seeds: Vec<u32>,
+    /// Links whose occupancy a deferred open or close changed since the
+    /// last flush, each listed once (`link_dirty` is the membership mark).
+    /// The flush re-rates exactly the flows still on these links, so a
+    /// P-flow phase over a shared backbone examines O(P) indices.
+    batch_links: Vec<u32>,
+    link_dirty: Vec<bool>,
     /// Slab slots freed by deferred closes, returned to the free list at
     /// flush — never mid-batch, so batch indices stay unambiguous.
     batch_freed: Vec<u32>,
     /// Aggregate-entity bookkeeping (see [`sharing::AggregateLedger`]).
     ledger: sharing::AggregateLedger,
+    /// Flow indices the last flush read from `per_link` (regression
+    /// guard: must stay linear in the batch size).
+    #[cfg(test)]
+    flush_examined: usize,
 }
 
 impl FlowNet {
@@ -233,9 +239,12 @@ impl FlowNet {
             flush_actor: None,
             flush_scheduled: false,
             batch_opened: Vec::new(),
-            batch_seeds: Vec::new(),
+            batch_links: Vec::new(),
+            link_dirty: vec![false; nlinks],
             batch_freed: Vec::new(),
             ledger: sharing::AggregateLedger::new(),
+            #[cfg(test)]
+            flush_examined: 0,
         }
     }
 
@@ -304,6 +313,7 @@ impl FlowNet {
     ) -> FlowId {
         let id = self.register(kernel, route, bytes, cap);
         self.batch_opened.push(id.index);
+        self.mark_route_dirty(id.index);
         self.schedule_flush(kernel);
         id
     }
@@ -389,18 +399,28 @@ impl FlowNet {
 
     /// Closes a flow like [`FlowNet::close`] but defers the re-solve to
     /// [`FlowNet::flush`]: the flow leaves the tables immediately (so any
-    /// same-instant solve already sees the departure), its surviving
-    /// neighbors are recorded as re-solve seeds, and its slab slot is
-    /// quarantined until the flush. A whole collective phase retiring at
-    /// one instant thus costs O(1) solves instead of O(P).
+    /// same-instant solve already sees the departure), its route links
+    /// are marked dirty so the flush re-rates whoever is left on them,
+    /// and its slab slot is quarantined until the flush. A whole
+    /// collective phase retiring at one instant thus costs O(1) solves
+    /// instead of O(P).
     pub fn close_deferred(&mut self, kernel: &mut Kernel, id: FlowId) {
         self.unregister(kernel, id);
-        for li in 0..self.flows[id.index as usize].route.len() {
-            let lu = self.flows[id.index as usize].route[li].as_usize();
-            self.batch_seeds.extend(self.per_link[lu].iter().copied());
-        }
+        self.mark_route_dirty(id.index);
         self.batch_freed.push(id.index);
         self.schedule_flush(kernel);
+    }
+
+    /// Adds the links of `flow`'s route (kept in the slab past
+    /// `unregister`) to the dirty set of the current batch.
+    fn mark_route_dirty(&mut self, flow: u32) {
+        for l in &self.flows[flow as usize].route {
+            let lu = l.as_usize();
+            if !self.link_dirty[lu] {
+                self.link_dirty[lu] = true;
+                self.batch_links.push(lu as u32);
+            }
+        }
     }
 
     /// Removes a flow from the live tables without recycling its slab or
@@ -455,22 +475,24 @@ impl FlowNet {
     }
 
     /// Applies every deferred open/close recorded since the last flush:
-    /// one batched re-solve over the affected components of the
-    /// instant's final graph, rate pushes in flow-open order, then — if
-    /// the opened batch is uniform (bitwise-equal ceilings and solved
+    /// one batched re-solve over the flows on the batch's dirty links in
+    /// the instant's final graph, rate pushes in flow-open order, then —
+    /// if the opened batch is uniform (bitwise-equal ceilings and solved
     /// rates) and link-isolated from all other traffic — the batch is
     /// recorded as one aggregate entity. Quarantined slab slots return to
     /// the free list last, in close order, matching the sequential
     /// path's free-list state at the end of the instant.
     pub fn flush(&mut self, kernel: &mut Kernel) {
         self.flush_scheduled = false;
-        if self.batch_opened.is_empty()
-            && self.batch_seeds.is_empty()
-            && self.batch_freed.is_empty()
-        {
+        // Every deferred op dirties its (non-empty) route.
+        if self.batch_links.is_empty() {
             return;
         }
         self.stats.flush_batches += 1;
+        #[cfg(test)]
+        {
+            self.flush_examined = 0;
+        }
         match self.policy {
             SharingPolicy::Bottleneck => self.flush_bottleneck(kernel),
             SharingPolicy::MaxMin => self.flush_maxmin(kernel),
@@ -483,80 +505,62 @@ impl FlowNet {
             self.free_head = idx;
         }
         self.batch_freed.clear();
-        self.batch_seeds.clear();
+        for l in self.batch_links.drain(..) {
+            self.link_dirty[l as usize] = false;
+        }
         self.note_entity_hwm();
     }
 
-    /// Batched bottleneck re-solve: one recomputation over every flow
-    /// sharing a link with the batch's opens plus the recorded close
-    /// survivors — the exact set whose link occupancies changed. The
+    /// Batched bottleneck re-solve: one recomputation over every flow on
+    /// a dirty link — a superset of the flows whose link occupancies
+    /// changed (re-rating an unchanged flow is a kernel no-op). The
     /// bottleneck rate is a pure function of the final occupancies, so
     /// pushing it once per affected flow reproduces the sequential
     /// sequence's end-of-instant rates bitwise.
     fn flush_bottleneck(&mut self, kernel: &mut Kernel) {
+        self.ensure_marks();
+        self.epoch += 1;
         self.scratch.clear();
-        for i in 0..self.batch_opened.len() {
-            let f = self.batch_opened[i] as usize;
-            if !self.flows[f].live {
-                continue;
+        for &l in &self.batch_links {
+            #[cfg(test)]
+            {
+                self.flush_examined += self.per_link[l as usize].len();
             }
-            for li in 0..self.flows[f].route.len() {
-                let lu = self.flows[f].route[li].as_usize();
-                self.scratch.extend(self.per_link[lu].iter().copied());
-            }
-        }
-        self.scratch.extend(self.batch_seeds.iter().copied());
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.retain(|&f| self.flows[f as usize].live);
-        scratch.sort_unstable();
-        scratch.dedup();
-        for &f in &scratch {
-            if self.ledger.dissolve_member(f) {
-                self.stats.agg_splits += 1;
+            for &f in &self.per_link[l as usize] {
+                if self.flow_mark[f as usize] != self.epoch {
+                    self.flow_mark[f as usize] = self.epoch;
+                    self.scratch.push(f);
+                }
             }
         }
-        self.stats.resolves += 1;
-        self.stats.rate_updates += scratch.len() as u64;
-        // Push in open order, not slab-index order: see Flow::seq.
-        scratch.sort_unstable_by_key(|&i| self.flows[i as usize].seq);
-        for idx in &scratch {
-            let rate = self.bottleneck_rate(*idx);
-            kernel.set_rate(self.flows[*idx as usize].activity, rate);
-        }
-        scratch.clear();
-        self.scratch = scratch;
+        self.rerate_scratch(kernel);
     }
 
-    /// Batched max-min re-solve: every component reachable from a
-    /// batch-opened flow or a close survivor is solved once against the
-    /// final graph. A whole symmetric collective phase lands in O(1)
-    /// components regardless of P.
+    /// Batched max-min re-solve: every component holding a dirty link is
+    /// solved once against the final graph, seeded by any one flow on
+    /// that link (the solver's arithmetic depends on the component, not
+    /// on where its discovery started). A whole symmetric collective
+    /// phase lands in O(1) components regardless of P.
     fn flush_maxmin(&mut self, kernel: &mut Kernel) {
         self.ensure_marks();
         let start_epoch = self.epoch;
-        let mut seeds = std::mem::take(&mut self.scratch);
-        seeds.clear();
-        seeds.extend(self.batch_opened.iter().copied());
-        seeds.extend(self.batch_seeds.iter().copied());
-        seeds.retain(|&f| self.flows[f as usize].live);
-        seeds.sort_unstable();
-        seeds.dedup();
-        for &seed in &seeds {
-            if self.flow_mark[seed as usize] <= start_epoch {
-                if self.ledger.dissolve_member(seed) {
-                    self.stats.agg_splits += 1;
+        for i in 0..self.batch_links.len() {
+            let l = self.batch_links[i] as usize;
+            if self.link_mark[l] > start_epoch {
+                continue; // already inside a component solved by this flush
+            }
+            if let Some(&seed) = self.per_link[l].first() {
+                self.solve_component_of(seed);
+                #[cfg(test)]
+                {
+                    self.flush_examined += self
+                        .comp_links
+                        .iter()
+                        .map(|&l| self.per_link[l as usize].len())
+                        .sum::<usize>();
                 }
-                self.epoch += 1;
-                self.comp_flows.clear();
-                self.comp_links.clear();
-                self.flow_mark[seed as usize] = self.epoch;
-                self.comp_flows.push(seed);
-                self.expand_component();
-                self.solve_component();
             }
         }
-        seeds.clear();
-        self.scratch = seeds;
         self.flush_rates(kernel);
     }
 
@@ -600,7 +604,16 @@ impl FlowNet {
         }
         for &m in members {
             for l in &self.flows[m as usize].route {
-                for &g in &self.per_link[l.as_usize()] {
+                let lu = l.as_usize();
+                if self.link_mark[lu] == self.epoch {
+                    continue; // shared member link, already checked
+                }
+                self.link_mark[lu] = self.epoch;
+                #[cfg(test)]
+                {
+                    self.flush_examined += self.per_link[lu].len();
+                }
+                for &g in &self.per_link[lu] {
                     if self.flow_mark[g as usize] != self.epoch {
                         return false;
                     }
@@ -630,23 +643,7 @@ impl FlowNet {
             SharingPolicy::Bottleneck => {
                 // Affected flows: every flow sharing a link with the new one.
                 self.collect_neighbors(new_flow);
-                for i in 0..self.scratch.len() {
-                    let f = self.scratch[i];
-                    if self.ledger.dissolve_member(f) {
-                        self.stats.agg_splits += 1;
-                    }
-                }
-                self.stats.resolves += 1;
-                self.stats.rate_updates += self.scratch.len() as u64;
-                let mut scratch = std::mem::take(&mut self.scratch);
-                // Push in open order, not slab-index order: see Flow::seq.
-                scratch.sort_unstable_by_key(|&i| self.flows[i as usize].seq);
-                for idx in &scratch {
-                    let rate = self.bottleneck_rate(*idx);
-                    kernel.set_rate(self.flows[*idx as usize].activity, rate);
-                }
-                scratch.clear();
-                self.scratch = scratch;
+                self.rerate_scratch(kernel);
             }
             SharingPolicy::MaxMin => self.reshare_maxmin_open(kernel, new_flow),
             SharingPolicy::MaxMinFull => self.reshare_maxmin_full(kernel),
@@ -659,36 +656,16 @@ impl FlowNet {
                 // The closed flow's former route links gained head-room.
                 // Its neighbors are exactly the remaining flows on those
                 // links.
-                let route = self.flows[closed.index as usize].route.clone();
-                self.scratch.clear();
-                for l in &route {
-                    self.scratch.extend(self.per_link[l.as_usize()].iter());
-                }
-                self.scratch.sort_unstable();
-                self.scratch.dedup();
-                for i in 0..self.scratch.len() {
-                    let f = self.scratch[i];
-                    if self.ledger.dissolve_member(f) {
-                        self.stats.agg_splits += 1;
-                    }
-                }
-                self.stats.resolves += 1;
-                self.stats.rate_updates += self.scratch.len() as u64;
-                let mut scratch = std::mem::take(&mut self.scratch);
-                // Push in open order, not slab-index order: see Flow::seq.
-                scratch.sort_unstable_by_key(|&i| self.flows[i as usize].seq);
-                for idx in &scratch {
-                    let rate = self.bottleneck_rate(*idx);
-                    kernel.set_rate(self.flows[*idx as usize].activity, rate);
-                }
-                scratch.clear();
-                self.scratch = scratch;
+                self.collect_neighbors(closed.index);
+                self.rerate_scratch(kernel);
             }
             SharingPolicy::MaxMin => self.reshare_maxmin_close(kernel, closed.index),
             SharingPolicy::MaxMinFull => self.reshare_maxmin_full(kernel),
         }
     }
 
+    /// Collects into `scratch`, once each, the live flows on the links of
+    /// `flow`'s route (which the slab keeps past `unregister`).
     fn collect_neighbors(&mut self, flow: u32) {
         self.scratch.clear();
         for l in &self.flows[flow as usize].route {
@@ -696,6 +673,26 @@ impl FlowNet {
         }
         self.scratch.sort_unstable();
         self.scratch.dedup();
+    }
+
+    /// Bottleneck re-solve of the (deduplicated) flows in `scratch`.
+    fn rerate_scratch(&mut self, kernel: &mut Kernel) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for &f in &scratch {
+            if self.ledger.dissolve_member(f) {
+                self.stats.agg_splits += 1;
+            }
+        }
+        self.stats.resolves += 1;
+        self.stats.rate_updates += scratch.len() as u64;
+        // Push in open order, not slab-index order: see Flow::seq.
+        scratch.sort_unstable_by_key(|&i| self.flows[i as usize].seq);
+        for &idx in &scratch {
+            let rate = self.bottleneck_rate(idx);
+            kernel.set_rate(self.flows[idx as usize].activity, rate);
+        }
+        scratch.clear();
+        self.scratch = scratch;
     }
 
     fn bottleneck_rate(&self, flow: u32) -> f64 {
@@ -714,13 +711,7 @@ impl FlowNet {
     /// the new flow — solve exactly that and leave the rest untouched.
     fn reshare_maxmin_open(&mut self, kernel: &mut Kernel, new_flow: u32) {
         self.ensure_marks();
-        self.epoch += 1;
-        self.comp_flows.clear();
-        self.comp_links.clear();
-        self.flow_mark[new_flow as usize] = self.epoch;
-        self.comp_flows.push(new_flow);
-        self.expand_component();
-        self.solve_component();
+        self.solve_component_of(new_flow);
         self.flush_rates(kernel);
     }
 
@@ -731,29 +722,13 @@ impl FlowNet {
     fn reshare_maxmin_close(&mut self, kernel: &mut Kernel, closed_index: u32) {
         self.ensure_marks();
         let start_epoch = self.epoch;
-        let mut seeds = std::mem::take(&mut self.scratch);
-        seeds.clear();
-        for li in 0..self.flows[closed_index as usize].route.len() {
-            let lu = self.flows[closed_index as usize].route[li].as_usize();
-            seeds.extend(self.per_link[lu].iter().copied());
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
+        self.collect_neighbors(closed_index);
+        let seeds = std::mem::take(&mut self.scratch);
         for &seed in &seeds {
             if self.flow_mark[seed as usize] <= start_epoch {
-                if self.ledger.dissolve_member(seed) {
-                    self.stats.agg_splits += 1;
-                }
-                self.epoch += 1;
-                self.comp_flows.clear();
-                self.comp_links.clear();
-                self.flow_mark[seed as usize] = self.epoch;
-                self.comp_flows.push(seed);
-                self.expand_component();
-                self.solve_component();
+                self.solve_component_of(seed);
             }
         }
-        seeds.clear();
         self.scratch = seeds;
         self.flush_rates(kernel);
     }
@@ -768,19 +743,25 @@ impl FlowNet {
         let start_epoch = self.epoch;
         for idx in 0..self.flows.len() {
             if self.flows[idx].live && self.flow_mark[idx] <= start_epoch {
-                if self.ledger.dissolve_member(idx as u32) {
-                    self.stats.agg_splits += 1;
-                }
-                self.epoch += 1;
-                self.comp_flows.clear();
-                self.comp_links.clear();
-                self.flow_mark[idx] = self.epoch;
-                self.comp_flows.push(idx as u32);
-                self.expand_component();
-                self.solve_component();
+                self.solve_component_of(idx as u32);
             }
         }
         self.flush_rates(kernel);
+    }
+
+    /// Discovers the connected component of `seed` under a fresh epoch
+    /// and solves it.
+    fn solve_component_of(&mut self, seed: u32) {
+        if self.ledger.dissolve_member(seed) {
+            self.stats.agg_splits += 1;
+        }
+        self.epoch += 1;
+        self.comp_flows.clear();
+        self.comp_links.clear();
+        self.flow_mark[seed as usize] = self.epoch;
+        self.comp_flows.push(seed);
+        self.expand_component();
+        self.solve_component();
     }
 
     fn ensure_marks(&mut self) {
@@ -1157,6 +1138,55 @@ mod tests {
         assert_eq!(net.stats().agg_formed, 0, "not isolated from bg flow");
     }
 
+    /// The flush must read O(P) flow indices for a P-flow phase over a
+    /// shared backbone: 3P for the re-solve (P on the backbone plus one
+    /// per NIC link at either end) and 3P more for the aggregate
+    /// certificate. A per-flow seed list (P²/2 here) cannot come back
+    /// unnoticed.
+    #[test]
+    fn flush_work_is_linear_in_the_batch() {
+        for policy in [SharingPolicy::Bottleneck, SharingPolicy::MaxMin] {
+            for p in [64u32, 256, 1024] {
+                let plat = flat_cluster(&FlatClusterSpec {
+                    name: "lin".into(),
+                    nodes: p,
+                    host_speed: 1e9,
+                    cores: 1,
+                    cache_bytes: 1 << 20,
+                    link_bandwidth: 100.0,
+                    link_latency: 0.0,
+                    backbone_bandwidth: 150.0,
+                    backbone_latency: 0.0,
+                });
+                let mut net = FlowNet::new(&plat, policy);
+                let mut k = Kernel::new();
+                let flows: Vec<FlowId> = (0..p)
+                    .map(|i| net.open_deferred(&mut k, &route(&plat, i, (i + 1) % p), 1e6, 90.0))
+                    .collect();
+                net.flush(&mut k);
+                let bound = 8 * p as usize;
+                assert!(
+                    net.flush_examined <= bound,
+                    "{policy:?} P={p}: open flush examined {} > {bound}",
+                    net.flush_examined
+                );
+                assert_eq!(net.live_entities(), 1, "{policy:?} P={p}");
+                // Retire all but one, so the close flush has a survivor.
+                for f in &flows[1..] {
+                    net.close_deferred(&mut k, *f);
+                }
+                net.flush(&mut k);
+                assert!(
+                    net.flush_examined <= bound,
+                    "{policy:?} P={p}: close flush examined {} > {bound}",
+                    net.flush_examined
+                );
+                assert_eq!(net.live_flows(), 1);
+                assert_eq!(rate_of(&net, flows[0]), 90.0);
+            }
+        }
+    }
+
     #[test]
     fn flush_timer_reaches_the_installed_actor() {
         let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
@@ -1174,9 +1204,10 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use platform::topology::{flat_cluster, FlatClusterSpec};
+    use platform::topology::{cabinet_cluster, flat_cluster, CabinetClusterSpec, FlatClusterSpec};
     use platform::HostId;
     use proptest::prelude::*;
+    use simkernel::ActorId;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1233,6 +1264,26 @@ mod proptests {
             link_bandwidth: 100.0,
             link_latency: 0.0,
             backbone_bandwidth: 370.0,
+            backbone_latency: 0.0,
+        })
+    }
+
+    /// Two cabinets of four nodes: intra-cabinet flows share NIC links
+    /// only, so — unlike on the flat platform, where the backbone joins
+    /// everything — which links a batch dirtied decides who is re-rated.
+    fn cabinet_platform() -> Platform {
+        cabinet_cluster(&CabinetClusterSpec {
+            name: "cab".into(),
+            cabinets: 2,
+            nodes_per_cabinet: 4,
+            host_speed: 1e9,
+            cores: 1,
+            cache_bytes: 1,
+            link_bandwidth: 100.0,
+            link_latency: 0.0,
+            cabinet_bandwidth: 170.0,
+            cabinet_latency: 0.0,
+            backbone_bandwidth: 230.0,
             backbone_latency: 0.0,
         })
     }
@@ -1325,57 +1376,95 @@ mod proptests {
             }
         }
 
-        /// Differential: a schedule applied through the deferred batch
-        /// path (instant-grouped ops + one flush) ends every instant with
-        /// bitwise the allotments the per-op sequential path holds, for
-        /// all three policies. This is the exactness gate the collective
-        /// aggregation replay path rests on.
+        /// Differential: a schedule whose ops are a random mix of eager
+        /// `open`/`close` and deferred ones on shared links — what `smpi`
+        /// does with application traffic next to collective traffic —
+        /// ends every instant (one flush) with bitwise the allotments
+        /// the all-eager sequential path holds, for all three policies.
+        /// The flush re-rates every flow on a dirty link, a superset of
+        /// the flows whose allotment can have changed; this is the
+        /// exactness gate the always-on collective batching rests on.
         #[test]
         fn deferred_flush_is_bitwise_equal_to_sequential(
             instants in proptest::collection::vec(
                 proptest::collection::vec(
-                    (0u32..8, 0u32..8, 0usize..12, 1.0f64..200.0), 1..5),
+                    (0u32..8, 0u32..8, 0usize..12, 1.0f64..200.0, 0u8..4), 1..5),
                 1..16),
         ) {
-            let p = churn_platform();
-            for policy in [
-                SharingPolicy::Bottleneck,
-                SharingPolicy::MaxMin,
-                SharingPolicy::MaxMinFull,
-            ] {
-                let mut k_seq = Kernel::new();
-                let mut k_def = Kernel::new();
-                let mut seq = FlowNet::new(&p, policy);
-                let mut def = FlowNet::new(&p, policy);
-                let mut r = Vec::new();
-                let mut open: Vec<(FlowId, FlowId)> = Vec::new();
-                for ops in &instants {
-                    for (s, d, close_at, cap) in ops {
-                        if s != d {
-                            p.route(HostId(*s), HostId(*d), &mut r);
-                            open.push((
-                                seq.open(&mut k_seq, &r, 1e6, *cap),
-                                def.open_deferred(&mut k_def, &r, 1e6, *cap),
-                            ));
-                        }
-                        if *close_at < open.len() {
-                            let (fs, fd) = open.swap_remove(open.len() - 1 - close_at);
-                            seq.close(&mut k_seq, fs);
-                            def.close_deferred(&mut k_def, fd);
-                        }
-                    }
-                    def.flush(&mut k_def);
-                    for (fs, fd) in &open {
-                        let rs = seq.effective_rate(fs.index);
-                        let rd = def.effective_rate(fd.index);
-                        prop_assert!(
-                            rs.to_bits() == rd.to_bits(),
-                            "{policy:?}: sequential {rs} vs deferred {rd}"
-                        );
-                    }
-                    prop_assert!(seq.live_flows() == def.live_flows());
-                    prop_assert!(def.live_entities() <= def.live_flows());
+            for p in [churn_platform(), cabinet_platform()] {
+                for policy in [
+                    SharingPolicy::Bottleneck,
+                    SharingPolicy::MaxMin,
+                    SharingPolicy::MaxMinFull,
+                ] {
+                    assert_mixed_matches_sequential(&p, policy, &instants);
                 }
+            }
+        }
+    }
+
+    /// One instant's ops: `(src, dst, close_at, cap, mix)` — open a flow
+    /// src→dst (deferred when `mix & 1`), then close the flow opened
+    /// `close_at` steps ago (deferred when `mix & 2`).
+    type MixedOps = Vec<(u32, u32, usize, f64, u8)>;
+
+    fn assert_mixed_matches_sequential(p: &Platform, policy: SharingPolicy, instants: &[MixedOps]) {
+        let mut k_seq = Kernel::new();
+        let mut k_def = Kernel::new();
+        let mut seq = FlowNet::new(p, policy);
+        let mut def = FlowNet::new(p, policy);
+        let mut r = Vec::new();
+        // (sequential id, mixed id, opened deferred this instant)
+        let mut open: Vec<(FlowId, FlowId, bool)> = Vec::new();
+        for ops in instants {
+            for (s, d, close_at, cap, mix) in ops {
+                let (defer_open, defer_close) = (mix & 1 != 0, mix & 2 != 0);
+                if s != d {
+                    p.route(HostId(*s), HostId(*d), &mut r);
+                    let fd = if defer_open {
+                        def.open_deferred(&mut k_def, &r, 1e6, *cap)
+                    } else {
+                        def.open(&mut k_def, &r, 1e6, *cap)
+                    };
+                    open.push((seq.open(&mut k_seq, &r, 1e6, *cap), fd, defer_open));
+                }
+                if *close_at < open.len() {
+                    let (fs, fd, in_batch) = open.swap_remove(open.len() - 1 - close_at);
+                    seq.close(&mut k_seq, fs);
+                    // A flow of the pending batch may only leave deferred.
+                    if defer_close || in_batch {
+                        def.close_deferred(&mut k_def, fd);
+                    } else {
+                        def.close(&mut k_def, fd);
+                    }
+                }
+            }
+            def.flush(&mut k_def);
+            for (fs, fd, in_batch) in &mut open {
+                *in_batch = false;
+                let rs = seq.effective_rate(fs.index);
+                let rd = def.effective_rate(fd.index);
+                assert!(
+                    rs.to_bits() == rd.to_bits(),
+                    "{policy:?}: sequential {rs} vs mixed {rd}"
+                );
+            }
+            assert_eq!(seq.live_flows(), def.live_flows());
+            assert!(def.live_entities() <= def.live_flows());
+            // The kernels must have been told the same rates: let a
+            // second pass and compare what each flow has left (no flow
+            // can drain 1e6 bytes within the schedule).
+            for k in [&mut k_seq, &mut k_def] {
+                k.set_timer(ActorId(0), Duration::from_secs(1.0), 0);
+                assert!(k.next_wake().is_some());
+            }
+            for (fs, fd, _) in &open {
+                let ws = k_seq.remaining_work(seq.activity(*fs)).unwrap();
+                let wd = k_def.remaining_work(def.activity(*fd)).unwrap();
+                assert!(
+                    (ws - wd).abs() <= 1e-12 * ws,
+                    "{policy:?}: sequential has {ws} bytes left, mixed {wd}"
+                );
             }
         }
     }

@@ -81,12 +81,6 @@ pub struct ReplayConfig {
     /// forces windowed barrier stepping every `w` simulated seconds (a
     /// testing knob; results are identical either way).
     pub window_s: Option<f64>,
-    /// Collective flow aggregation in the network model: collective
-    /// phases take the deferred batch path, costing O(1) sharing solves
-    /// and O(1) live entities per phase instead of O(P). Results are
-    /// bit-identical with the flag on or off (differential tests gate
-    /// it); off by default to keep the constituent path the reference.
-    pub collective_agg: bool,
 }
 
 impl ReplayConfig {
@@ -106,12 +100,12 @@ impl ReplayConfig {
 
     /// A stable 64-bit digest of the *semantic* configuration — the
     /// fields that shape the simulated result: engine, rate, placement,
-    /// copy model, sharing policy, and collective aggregation. The
-    /// execution-strategy fields (`fel`, `threads`, `window_s`) are
-    /// deliberately excluded: results are bit-identical across them
-    /// (pinned by the differential suites), so two configs that differ
-    /// only there are the *same* what-if question and must share a memo
-    /// entry in the prediction service.
+    /// copy model, and sharing policy. The execution-strategy fields
+    /// (`fel`, `threads`, `window_s`) are deliberately excluded: results
+    /// are bit-identical across them (pinned by the differential
+    /// suites), so two configs that differ only there are the *same*
+    /// what-if question and must share a memo entry in the prediction
+    /// service.
     ///
     /// The digest is FNV-1a over a canonical field rendering with floats
     /// taken as their IEEE-754 bit patterns, so it is stable across
@@ -156,10 +150,6 @@ impl ReplayConfig {
                 netmodel::SharingPolicy::MaxMinFull => b"maxmin-full",
             },
         );
-        field(
-            "collective_agg",
-            if self.collective_agg { b"1" } else { b"0" },
-        );
         fnv.digest()
     }
 
@@ -167,14 +157,7 @@ impl ReplayConfig {
     pub fn legacy(rate: f64) -> ReplayConfig {
         ReplayConfig {
             engine: ReplayEngine::Msg,
-            rate,
-            placement: Placement::OnePerNode,
-            copy_model: None,
-            sharing: netmodel::SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(rate)
         }
     }
 
@@ -189,7 +172,6 @@ impl ReplayConfig {
             fel: simkernel::FelImpl::default(),
             threads: ReplayConfig::default_threads(),
             window_s: None,
-            collective_agg: false,
         }
     }
 
@@ -198,15 +180,8 @@ impl ReplayConfig {
     /// calibration of the target platform.
     pub fn improved_with_copy(rate: f64, copy: smpi::CopyCost) -> ReplayConfig {
         ReplayConfig {
-            engine: ReplayEngine::Smpi,
-            rate,
-            placement: Placement::OnePerNode,
             copy_model: Some(copy),
-            sharing: netmodel::SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(rate)
         }
     }
 
@@ -219,14 +194,7 @@ impl ReplayConfig {
     ) -> ReplayConfig {
         ReplayConfig {
             engine,
-            rate: calibration.rate_for(instance),
-            placement: Placement::OnePerNode,
-            copy_model: None,
-            sharing: netmodel::SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(calibration.rate_for(instance))
         }
     }
 }
@@ -537,7 +505,6 @@ fn run_engine(
             smpi_cfg.copy = config.copy_model;
             smpi_cfg.sharing = config.sharing;
             smpi_cfg.fel = config.fel;
-            smpi_cfg.collective_agg = config.collective_agg;
             let (r, obs) = smpi::run_smpi_observed(
                 platform,
                 hosts,
@@ -560,7 +527,6 @@ fn run_engine(
             let mut msg_cfg = msgsim::MsgConfig::legacy();
             msg_cfg.sharing = config.sharing;
             msg_cfg.fel = config.fel;
-            msg_cfg.collective_agg = config.collective_agg;
             let (r, obs) = msgsim::run_msg_observed(
                 platform,
                 hosts,
@@ -675,10 +641,6 @@ pub fn config_fields(config: &ReplayConfig) -> Vec<(String, String)> {
         ("sharing".into(), format!("{:?}", config.sharing)),
         ("fel".into(), format!("{:?}", config.fel)),
         ("threads".into(), format!("{}", config.threads)),
-        (
-            "collective_agg".into(),
-            format!("{}", config.collective_agg),
-        ),
     ]
 }
 
@@ -723,14 +685,7 @@ mod tests {
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let cfg = ReplayConfig {
                 engine,
-                rate: 2e9,
-                placement: Placement::OnePerNode,
-                copy_model: None,
-                sharing: netmodel::SharingPolicy::Bottleneck,
-                fel: simkernel::FelImpl::default(),
-                threads: ReplayConfig::default_threads(),
-                window_s: None,
-                collective_agg: false,
+                ..ReplayConfig::improved(2e9)
             };
             let r = replay(&p, &trace, &cfg).unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             assert!(r.time > 0.0, "{engine:?}");
@@ -830,14 +785,7 @@ mod tests {
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let cfg = ReplayConfig {
                 engine,
-                rate: 2e9,
-                placement: Placement::OnePerNode,
-                copy_model: None,
-                sharing: netmodel::SharingPolicy::Bottleneck,
-                fel: simkernel::FelImpl::default(),
-                threads: ReplayConfig::default_threads(),
-                window_s: None,
-                collective_agg: false,
+                ..ReplayConfig::improved(2e9)
             };
             let base = replay(&p, &trace, &cfg).unwrap();
             let inputs = [
@@ -931,9 +879,6 @@ mod tests {
         let mut v = base.clone();
         v.sharing = netmodel::SharingPolicy::MaxMin;
         variants.push(("sharing", v));
-        let mut v = base.clone();
-        v.collective_agg = true;
-        variants.push(("collective_agg", v));
         let mut seen = vec![base.canonical_hash()];
         for (field, variant) in &variants {
             let h = variant.canonical_hash();
@@ -1005,14 +950,8 @@ mod observability_tests {
     fn cfg(engine: ReplayEngine, fel: simkernel::FelImpl) -> ReplayConfig {
         ReplayConfig {
             engine,
-            rate: 2e9,
-            placement: Placement::OnePerNode,
-            copy_model: None,
-            sharing: netmodel::SharingPolicy::Bottleneck,
             fel,
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(2e9)
         }
     }
 

@@ -672,7 +672,6 @@ fn smpi_config(config: &ReplayConfig) -> smpi::SmpiConfig {
     smpi_cfg.copy = config.copy_model;
     smpi_cfg.sharing = config.sharing;
     smpi_cfg.fel = config.fel;
-    smpi_cfg.collective_agg = config.collective_agg;
     smpi_cfg
 }
 
@@ -702,7 +701,6 @@ fn prepare_island(
             let mut msg_cfg = msgsim::MsgConfig::legacy();
             msg_cfg.sharing = config.sharing;
             msg_cfg.fel = config.fel;
-            msg_cfg.collective_agg = config.collective_agg;
             EngineRun::Msg(msgsim::prepare_msg(
                 platform, hosts, sources, msg_cfg, hooks, recorder,
             ))

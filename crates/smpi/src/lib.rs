@@ -85,13 +85,6 @@ pub struct SmpiConfig {
     /// not affect results (pop order is bit-identical across variants);
     /// exposed so benchmarks and differential tests can pin one.
     pub fel: simkernel::FelImpl,
-    /// Collective flow aggregation: collective-internal transfers take
-    /// the network model's deferred batch path, so a P-flow collective
-    /// phase costs O(1) sharing solves and is accounted as O(1) live
-    /// entities. Does not affect results (the batched re-solve is
-    /// bit-identical to the per-flow sequence; differential tests gate
-    /// it); off by default to keep the constituent path the reference.
-    pub collective_agg: bool,
 }
 
 impl SmpiConfig {
@@ -108,7 +101,6 @@ impl SmpiConfig {
             loopback_latency: 0.4e-6,
             sharing: SharingPolicy::Bottleneck,
             fel: simkernel::FelImpl::default(),
-            collective_agg: false,
         }
     }
 

@@ -879,6 +879,80 @@ mod tests {
         );
     }
 
+    /// One replay of `progs` on a flat cluster; `eager_collectives`
+    /// flips the test-only switch that sends collective flows down the
+    /// per-flow path.
+    fn run_schedule(
+        progs: &[Vec<MpiOp>],
+        sharing: netmodel::SharingPolicy,
+        eager_collectives: bool,
+    ) -> SmpiResult {
+        let n = progs.len() as u32;
+        let sources = progs
+            .iter()
+            .map(|ops| Box::new(VecSource::new(ops.clone())) as Box<dyn workloads::OpSource>)
+            .collect();
+        let cfg = SmpiConfig {
+            sharing,
+            ..SmpiConfig::smpi_replay()
+        };
+        let hooks = Box::new(FixedRateHooks::uniform(1e9, n));
+        let mut run = prepare_smpi(&tiny_platform(n), &hosts(n), sources, cfg, hooks, None);
+        run.sim.world.eager_collectives = eager_collectives;
+        run.advance(Time::NEVER);
+        run.finalize().expect("schedule deadlocked").0
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Differential: random collective schedules — every rank runs
+        /// the same sequence of collectives (as MPI requires), sizes
+        /// straddling the eager threshold, rank-skewed compute and a
+        /// non-blocking application ring shift in between, so eager
+        /// application flows meet batched collective ones — end on the
+        /// same bits whether collective flows re-solve per flow or once
+        /// per instant, under every sharing policy.
+        #[test]
+        fn batched_collectives_match_the_per_flow_path(
+            ranks in 2u32..9,
+            schedule in proptest::collection::vec((0u8..5, 8u32..20, 1e3f64..1e6, 6u32..18), 1..8),
+        ) {
+            let progs: Vec<Vec<MpiOp>> = (0..ranks)
+                .map(|r| {
+                    let mut ops = vec![MpiOp::Init];
+                    for &(kind, log_bytes, compute, log_shift) in &schedule {
+                        ops.push(MpiOp::Compute(ComputeBlock::plain(compute * (1.0 + r as f64))));
+                        ops.push(MpiOp::Isend { dst: (r + 1) % ranks, bytes: 1 << log_shift });
+                        let bytes = 1u64 << log_bytes;
+                        ops.push(match kind {
+                            0 => MpiOp::Allreduce { bytes },
+                            1 => MpiOp::Bcast { bytes, root: 0 },
+                            2 => MpiOp::Reduce { bytes, root: 0 },
+                            3 => MpiOp::Alltoall { bytes },
+                            _ => MpiOp::Barrier,
+                        });
+                        ops.push(MpiOp::Recv { src: (r + ranks - 1) % ranks, bytes: 1 << log_shift });
+                        ops.push(MpiOp::Wait);
+                    }
+                    ops.push(MpiOp::Finalize);
+                    ops
+                })
+                .collect();
+            for sharing in [
+                netmodel::SharingPolicy::Bottleneck,
+                netmodel::SharingPolicy::MaxMin,
+                netmodel::SharingPolicy::MaxMinFull,
+            ] {
+                let per_flow = run_schedule(&progs, sharing, true);
+                let batched = run_schedule(&progs, sharing, false);
+                let bits = |r: &SmpiResult| r.rank_times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&per_flow), bits(&batched), "{:?}", sharing);
+                proptest::prop_assert_eq!(per_flow.stats, batched.stats, "{:?}", sharing);
+            }
+        }
+    }
+
     #[test]
     fn unmatched_recv_deadlocks_with_report() {
         let p = tiny_platform(2);

@@ -49,8 +49,9 @@ pub struct Msg {
     arrived: bool,
     /// Transfer started (eager always; rendezvous once matched).
     transferring: bool,
-    /// Collective-internal traffic ([`CH_COLL`]); eligible for the
-    /// deferred/aggregated network path.
+    /// Collective-internal traffic ([`CH_COLL`]): takes the network
+    /// model's deferred path, so a P-flow collective phase is re-solved
+    /// once per instant and accounted as one live entity.
     coll: bool,
     flow: Option<FlowId>,
     matched_post: Option<PostId>,
@@ -213,6 +214,10 @@ pub struct SmpiWorld {
     /// Receiver-side index from (channel, seq) to the ghost message an
     /// injected envelope created, consumed by the matching arrival.
     remote_pending: std::collections::HashMap<(usize, u64), MsgId>,
+    /// Differential-test switch: collective flows take the eager
+    /// per-flow path, the reference the batched one must reproduce.
+    #[cfg(test)]
+    pub(crate) eager_collectives: bool,
 }
 
 /// Initial capacity of each per-channel match queue. Unexpected/posted
@@ -259,11 +264,9 @@ impl SmpiWorld {
             }
         }
         let mut net = FlowNet::new(platform, cfg.sharing);
-        if cfg.collective_agg {
-            // Deferred collective batches flush off a zero-delay timer
-            // delivered to the transport daemon (see FLUSH_KEY).
-            net.set_flush_actor(transport);
-        }
+        // Deferred collective batches flush off a zero-delay timer
+        // delivered to the transport daemon (see FLUSH_KEY).
+        net.set_flush_actor(transport);
         SmpiWorld {
             net,
             cfg,
@@ -295,6 +298,8 @@ impl SmpiWorld {
             outbox_env: Vec::new(),
             outbox_arr: Vec::new(),
             remote_pending: std::collections::HashMap::new(),
+            #[cfg(test)]
+            eager_collectives: false,
         }
     }
 
@@ -673,7 +678,7 @@ impl SmpiWorld {
                 let flow = msg.flow.take().expect("flow completion without flow");
                 let (src, dst, bytes, coll) = (msg.src, msg.dst, msg.bytes, msg.coll);
                 let pair = self.pair(src, dst);
-                if self.cfg.collective_agg && coll {
+                if self.defers(coll) {
                     self.net.close_deferred(kernel, flow);
                 } else {
                     self.net.close(kernel, flow);
@@ -720,6 +725,16 @@ impl SmpiWorld {
     // Internals
     // ------------------------------------------------------------------
 
+    /// Whether a transfer's sharing re-solve is batched to the end of
+    /// the instant: collective-internal traffic, always.
+    fn defers(&self, coll: bool) -> bool {
+        #[cfg(test)]
+        if self.eager_collectives {
+            return false;
+        }
+        coll
+    }
+
     fn start_transfer(&mut self, kernel: &mut Kernel, msg_id: MsgId) {
         let msg = self.msgs.expect_mut(msg_id);
         msg.transferring = true;
@@ -738,7 +753,7 @@ impl SmpiWorld {
                 .factors
                 .effective_bandwidth(bytes, self.pair_bandwidth[pair]);
             let route = std::mem::take(&mut self.routes[pair]);
-            let flow = if self.cfg.collective_agg && coll {
+            let flow = if self.defers(coll) {
                 self.net.open_deferred(kernel, &route, bytes as f64, cap)
             } else {
                 self.net.open(kernel, &route, bytes as f64, cap)

@@ -5,7 +5,7 @@
 //! titserved query --server http://host:port --trace <trace> --platform <spec.json> \
 //!           --ranks <N> --rate <instr/s> [--engine smpi|msg] \
 //!           [--sharing bottleneck|maxmin|maxmin-full] [--threads N] \
-//!           [--window-s W] [--collective-agg]
+//!           [--window-s W]
 //! ```
 //!
 //! `serve` binds (port 0 = ephemeral), prints `listening http://ADDR`
@@ -26,7 +26,7 @@ fn usage() -> ! {
          \x20      titserved query --server <http://host:port> --trace <trace> \
          --platform <spec.json> --ranks <N> --rate <instr/s>\n\
          \x20          [--engine smpi|msg] [--sharing bottleneck|maxmin|maxmin-full]\n\
-         \x20          [--threads <N>] [--window-s <W>] [--collective-agg]"
+         \x20          [--threads <N>] [--window-s <W>]"
     );
     std::process::exit(2);
 }
@@ -82,7 +82,6 @@ fn query(args: &[String]) -> ! {
     let mut sharing = None;
     let mut threads: Option<usize> = None;
     let mut window_s: Option<f64> = None;
-    let mut collective_agg = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -95,7 +94,6 @@ fn query(args: &[String]) -> ! {
             "--sharing" => sharing = it.next().cloned(),
             "--threads" => threads = it.next().and_then(|v| v.parse().ok()),
             "--window-s" => window_s = it.next().and_then(|v| v.parse().ok()),
-            "--collective-agg" => collective_agg = true,
             _ => usage(),
         }
     }
@@ -118,9 +116,6 @@ fn query(args: &[String]) -> ! {
     }
     if let Some(w) = window_s {
         config.push_str(&format!(", \"window_s\": {w}"));
-    }
-    if collective_agg {
-        config.push_str(", \"collective_agg\": true");
     }
     let body = format!(
         "{{\"trace\": \"{}\", \"ranks\": {ranks}, \"platform\": {}, \"config\": {{{config}}}}}",

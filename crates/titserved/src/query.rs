@@ -98,17 +98,7 @@ fn parse_config(v: &Value) -> Result<ReplayConfig, String> {
         Value::Object(pairs) => pairs.as_slice(),
         _ => return Err("'config' must be an object".into()),
     };
-    let mut config = ReplayConfig {
-        engine: ReplayEngine::Smpi,
-        rate: 0.0,
-        placement: Placement::OnePerNode,
-        copy_model: None,
-        sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-        fel: tit_replay::simkernel::FelImpl::default(),
-        threads: ReplayConfig::default_threads(),
-        window_s: None,
-        collective_agg: false,
-    };
+    let mut config = ReplayConfig::improved(0.0);
     let mut rate = None;
     for (key, val) in obj {
         match key.as_str() {
@@ -145,10 +135,6 @@ fn parse_config(v: &Value) -> Result<ReplayConfig, String> {
                 }
                 config.window_s = Some(w);
             }
-            "collective_agg" => match val {
-                Value::Bool(b) => config.collective_agg = *b,
-                _ => return Err("'collective_agg' must be a boolean".into()),
-            },
             other => return Err(format!("unknown config field '{other}'")),
         }
     }

@@ -156,27 +156,35 @@ cmp <(norm_metrics "$ingest_dir/halo.metrics.1.json") \
     || { echo "parallel metrics export differs from sequential" >&2; exit 1; }
 echo "PARALLEL_SMOKE ok ($islands islands, simulated_time_s $h_seq identical at 1 and 4 threads)"
 
-# Collective-aggregation smoke: the LU class-B trace from the ingest
-# smoke replayed with --collective-agg on and off must produce the same
-# simulated time and byte-identical observability exports; only the
-# sharing-churn counters may differ (they are the measured win, gated
-# separately by perf_baseline --smoke).
-agg_replay() {
-    tag=$1; shift
-    "$rep" --platform "$plat" --ranks 8 --rate 2e9 --no-cache \
-        --trace "$ingest_dir/lu.trace" \
-        --trace-out "$ingest_dir/agg.chrome.$tag.json" \
-        --state-csv "$ingest_dir/agg.states.$tag.csv" "$@" 2>/dev/null \
-        | awk '$1 == "simulated_time_s" {print $2}'
-}
-a_off=$(agg_replay off)
-a_on=$(agg_replay on --collective-agg)
-[ -n "$a_off" ] && [ "$a_off" = "$a_on" ] \
-    || { echo "--collective-agg changed the simulated time ($a_on vs $a_off)" >&2; exit 1; }
-cmp "$ingest_dir/agg.chrome.off.json" "$ingest_dir/agg.chrome.on.json" \
-    && cmp "$ingest_dir/agg.states.off.csv" "$ingest_dir/agg.states.on.csv" \
-    || { echo "--collective-agg changed the observability exports" >&2; exit 1; }
-echo "AGG_SMOKE ok (simulated_time_s $a_off and exports identical with --collective-agg)"
+# Collective-aggregation smoke: a generated allreduce P=128 trace
+# replayed with default flags must batch every collective phase whole
+# (one live entity, a bounded number of kernel events per message) and
+# land on the simulated time the per-flow path computed before batching
+# became unconditional.
+"$gen" --workload allreduce --procs 128 --steps 3 --out "$ingest_dir/ar.trace" >/dev/null
+"$rep" --platform "$ingest_dir/ar.trace.platform.json" --trace "$ingest_dir/ar.trace" \
+    --ranks 128 --rate 2e9 --no-cache --metrics "$ingest_dir/ar.metrics.json" >/dev/null
+ar_field() { grep -oE "\"$1\": [0-9.e-]+" "$ingest_dir/ar.metrics.json" | awk '{printf "%s", $2}'; }
+a_time=$(ar_field simulated_time_s)
+a_hwm=$(ar_field live_entity_hwm)
+a_events=$(ar_field events_processed)
+a_msgs=$(ar_field messages)
+[ "$a_time" = "0.04674904320000039" ] \
+    || { echo "allreduce P=128 simulated time moved: $a_time" >&2; exit 1; }
+[ "$a_hwm" = 1 ] \
+    || { echo "allreduce P=128 live_entity_hwm is $a_hwm, expected 1" >&2; exit 1; }
+[ "$a_msgs" -gt 0 ] && [ "$a_events" -lt $((3 * a_msgs)) ] \
+    || { echo "allreduce P=128: $a_events events for $a_msgs messages" >&2; exit 1; }
+echo "AGG_SMOKE ok (simulated_time_s $a_time, 1 live entity, $a_events events / $a_msgs messages)"
+
+# Benchmark smoke, harness form: the benchmark's own output checks
+# (goldens, mirror = CLI) must pass on the workload this path carries.
+cargo run --release -p bench --bin titbench -- \
+    --workload allreduce-p128 --seed 1 --seconds 2 --trace 0 >"$ingest_dir/titbench.out"
+tail -n 1 "$ingest_dir/titbench.out" | grep -q '"correct": true' \
+    && tail -n 1 "$ingest_dir/titbench.out" | grep -q '"failed": 0' \
+    || { echo "titbench allreduce-p128: $(tail -n 1 "$ingest_dir/titbench.out")" >&2; exit 1; }
+echo "BENCH_SMOKE ok (titbench allreduce-p128 correct, 0 failed)"
 
 # Windowed-PDES smoke, two halves. (a) LU class B, 8 ranks: one coupled
 # island *with collectives*, so the windowed engine must fall back —

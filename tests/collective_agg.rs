@@ -1,16 +1,16 @@
-//! Differential tests of collective flow aggregation: with
-//! `ReplayConfig::collective_agg` on, the deferred/aggregated network
-//! path must be *bit-identical* to the constituent per-flow path —
-//! simulated end time, per-rank completion times, critical path, and
-//! the byte-for-byte observability exports — while the sharing-work
-//! counters (the point of the optimisation) are allowed to shrink.
+//! Collective flow aggregation is unconditional: `smpi` always batches a
+//! collective phase's sharing re-solve to the end of its instant. The
+//! differential gates against the eager per-flow path live where the
+//! fork still exists (`netmodel`'s mixed eager/deferred proptest and
+//! `smpi`'s test-only eager switch). What is pinned here is the result:
+//! simulated-time bits, messages and bytes recorded from the last commit
+//! that still had the per-flow path as its default (78bd05c, flag off),
+//! plus the reductions the batching exists for.
 
-use proptest::prelude::*;
 use std::sync::Arc;
 
 use tit_replay::platform::spec::SpecKind;
 use tit_replay::prelude::*;
-use tit_replay::replay::ReplayReport;
 use tit_replay::simkernel::FelImpl;
 
 /// A flat switched cluster: every rank on its own node, so each
@@ -33,17 +33,12 @@ fn flat(nodes: u32) -> Platform {
     .build()
 }
 
-fn cfg(engine: ReplayEngine, fel: FelImpl, threads: usize, agg: bool) -> ReplayConfig {
+fn cfg(engine: ReplayEngine, fel: FelImpl, threads: usize) -> ReplayConfig {
     ReplayConfig {
         engine,
-        rate: 2e9,
-        placement: Placement::OnePerNode,
-        copy_model: None,
-        sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
         fel,
         threads,
-        window_s: None,
-        collective_agg: agg,
+        ..ReplayConfig::improved(2e9)
     }
 }
 
@@ -62,198 +57,79 @@ fn allreduce_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
     trace
 }
 
-/// Asserts the aggregated replay is indistinguishable from the
-/// constituent one in every simulated-time quantity and export, with
-/// only the sharing-work and kernel-event counters allowed to differ
-/// (the deferred path schedules flush timers and batches re-solves —
-/// that *is* the measured win, not a divergence).
-fn assert_agg_identical(base: &ReplayReport, agg: &ReplayReport, what: &str) {
+/// What the per-flow path computed: simulated-time bits, messages, bytes.
+struct Golden(u64, u64, u64);
+
+fn assert_golden(m: &Metrics, golden: &Golden, what: &str) {
     assert_eq!(
-        base.result.time.to_bits(),
-        agg.result.time.to_bits(),
-        "{what}: simulated time differs"
+        m.simulated_time_s.to_bits(),
+        golden.0,
+        "{what}: simulated time {} moved",
+        m.simulated_time_s
     );
-    let base_bits: Vec<u64> = base.result.rank_times.iter().map(|t| t.to_bits()).collect();
-    let agg_bits: Vec<u64> = agg.result.rank_times.iter().map(|t| t.to_bits()).collect();
-    assert_eq!(base_bits, agg_bits, "{what}: rank times differ");
-    let mut agg_metrics = agg.metrics.clone();
-    agg_metrics.events_processed = base.metrics.events_processed;
-    agg_metrics.queue_compactions = base.metrics.queue_compactions;
-    agg_metrics.fel = base.metrics.fel;
-    agg_metrics.sharing_resolves = base.metrics.sharing_resolves;
-    agg_metrics.sharing_rate_updates = base.metrics.sharing_rate_updates;
-    agg_metrics.sharing_flushes = base.metrics.sharing_flushes;
-    agg_metrics.live_entity_hwm = base.metrics.live_entity_hwm;
-    agg_metrics.agg_formed = base.metrics.agg_formed;
-    agg_metrics.agg_members = base.metrics.agg_members;
-    agg_metrics.agg_splits = base.metrics.agg_splits;
-    assert_eq!(base.metrics, agg_metrics, "{what}: semantic metrics differ");
-    match (&base.spans, &agg.spans) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(
-                chrome_trace(a),
-                chrome_trace(b),
-                "{what}: chrome trace differs"
-            );
-            assert_eq!(state_csv(a), state_csv(b), "{what}: state csv differs");
-            let cp_a = critical_path(a, &base.result.rank_times);
-            let cp_b = critical_path(b, &agg.result.rank_times);
-            assert_eq!(
-                cp_a.to_json(),
-                cp_b.to_json(),
-                "{what}: critical path differs"
-            );
-        }
-        _ => panic!("{what}: span presence differs"),
-    }
+    assert_eq!(m.messages, golden.1, "{what}: messages");
+    assert_eq!(m.bytes, golden.2, "{what}: bytes");
 }
 
-/// The headline matrix: both engines, both FEL implementations, threads
-/// 1 and 4 — aggregation on vs off, indistinguishable everywhere.
+/// LU (p2p-dominated with interspersed collectives): application flows
+/// re-solve eagerly next to batched collective ones, on both engines and
+/// both FELs, and land on the per-flow path's bits.
 #[test]
-fn allreduce_aggregation_is_bit_identical_across_engines_fels_threads() {
-    let platform = flat(16);
-    let trace = Arc::new(allreduce_trace(16, 12, 1 << 16));
-    for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            for threads in [1, 4] {
-                let base =
-                    replay_observed(&platform, &trace, &cfg(engine, fel, threads, false), true)
-                        .unwrap();
-                let agg =
-                    replay_observed(&platform, &trace, &cfg(engine, fel, threads, true), true)
-                        .unwrap();
-                assert!(base.result.time > 0.0);
-                assert_agg_identical(
-                    &base,
-                    &agg,
-                    &format!("allreduce {engine:?} {fel:?} threads={threads}"),
-                );
-            }
-        }
-    }
-}
-
-/// Aggregation must actually *happen* on the collective-dense workload:
-/// entities collapse to O(1), sharing work shrinks, and nothing in the
-/// run ever increases.
-#[test]
-fn allreduce_aggregation_reduces_sharing_work() {
-    let platform = flat(16);
-    let trace = Arc::new(allreduce_trace(16, 12, 1 << 16));
-    let fel = FelImpl::default();
-    let base = replay_observed(
-        &platform,
-        &trace,
-        &cfg(ReplayEngine::Smpi, fel, 1, false),
-        false,
-    )
-    .unwrap();
-    let agg = replay_observed(
-        &platform,
-        &trace,
-        &cfg(ReplayEngine::Smpi, fel, 1, true),
-        false,
-    )
-    .unwrap();
-    assert!(agg.metrics.agg_formed > 0, "no aggregates formed");
-    assert!(
-        agg.metrics.live_entity_hwm < agg.metrics.live_flow_hwm,
-        "entity HWM {} should undercut flow HWM {}",
-        agg.metrics.live_entity_hwm,
-        agg.metrics.live_flow_hwm
-    );
-    assert!(
-        agg.metrics.sharing_resolves <= base.metrics.sharing_resolves,
-        "aggregation increased resolves: {} > {}",
-        agg.metrics.sharing_resolves,
-        base.metrics.sharing_resolves
-    );
-    assert!(
-        agg.metrics.sharing_rate_updates <= base.metrics.sharing_rate_updates,
-        "aggregation increased rate updates: {} > {}",
-        agg.metrics.sharing_rate_updates,
-        base.metrics.sharing_rate_updates
-    );
-    // The flat allreduce phases are perfectly uniform, so the O(P)→O(1)
-    // collapse is total: one live entity at the high-water mark.
-    assert_eq!(agg.metrics.live_entity_hwm, 1, "collapse should be total");
-    assert_eq!(agg.metrics.live_flow_hwm, 16);
-}
-
-/// LU end-to-end (p2p-dominated with interspersed collectives): the
-/// mixed traffic exercises aggregate splits and non-uniform batches,
-/// and must still be bit-identical across both engines and FELs.
-#[test]
-fn lu_aggregation_is_bit_identical() {
+fn lu_b8_matches_the_per_flow_goldens() {
     let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
     let trace =
         Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
     let platform = tit_replay::platform::clusters::graphene();
-    for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
+    for (engine, golden) in [
+        (
+            ReplayEngine::Smpi,
+            Golden(0x3ff2_a2e6_70ac_572a, 8319, 26_637_400),
+        ),
+        (
+            ReplayEngine::Msg,
+            Golden(0x3ff4_611d_ca3d_72f9, 8240, 26_634_240),
+        ),
+    ] {
         for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let base =
-                replay_observed(&platform, &trace, &cfg(engine, fel, 1, false), true).unwrap();
-            let agg = replay_observed(&platform, &trace, &cfg(engine, fel, 1, true), true).unwrap();
-            assert_agg_identical(&base, &agg, &format!("LU {engine:?} {fel:?}"));
+            let m = replay_observed(&platform, &trace, &cfg(engine, fel, 1), false)
+                .unwrap()
+                .metrics;
+            assert_golden(&m, &golden, &format!("LU B-8 {engine:?} {fel:?}"));
         }
     }
 }
 
-/// Strategy: a random collective schedule — every rank runs the same
-/// sequence of collectives (as MPI requires) drawn from the full op
-/// set, with random sizes straddling the eager threshold and random
-/// compute grain between them.
-fn arb_schedule() -> impl Strategy<Value = (u32, Vec<(u8, u64, f64)>)> {
-    let op = (0u8..5, 8u32..20, 1e3f64..1e6)
-        .prop_map(|(kind, log_bytes, compute)| (kind, 1u64 << log_bytes, compute));
-    (2u32..9, proptest::collection::vec(op, 1..8))
-}
-
-fn push_collective(trace: &mut Trace, rank: Rank, kind: u8, bytes: u64) {
-    let op = match kind {
-        0 => Action::Allreduce { bytes },
-        1 => Action::Bcast {
-            root: Rank(0),
-            bytes,
-        },
-        2 => Action::Reduce {
-            root: Rank(0),
-            bytes,
-        },
-        3 => Action::Alltoall { bytes },
-        _ => Action::Barrier,
-    };
-    trace.push(rank, op);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random collective schedules replay bit-identically with
-    /// aggregation on, for both engines.
-    #[test]
-    fn random_collective_schedules_are_agg_invariant(
-        (ranks, schedule) in arb_schedule(),
-        engine_pick in 0u8..2,
-    ) {
+/// The collective-dense shape, sequential and through the parallel
+/// engine: the per-flow path's bits, with every phase batched whole —
+/// one live entity, no aggregate split by outside traffic, and the
+/// kernel processing a bounded number of events per message instead of
+/// one rate change per (flow, neighbour) pair.
+#[test]
+fn allreduce_matches_the_per_flow_goldens_with_o1_entities() {
+    for (ranks, iters, golden) in [
+        (16, 12, Golden(0x3f97_2876_d2d6_624f, 5760, 23_592_960)),
+        (128, 3, Golden(0x3fa7_ef7d_9753_9b1f, 97_536, 49_938_432)),
+    ] {
         let platform = flat(ranks);
-        let mut trace = Trace::new(ranks);
-        for r in 0..ranks {
-            let rank = Rank(r);
-            trace.push(rank, Action::Init);
-            for &(kind, bytes, compute) in &schedule {
-                trace.push(rank, Action::Compute { amount: compute });
-                push_collective(&mut trace, rank, kind, bytes);
+        let trace = Arc::new(allreduce_trace(ranks, iters, 1 << 16));
+        for fel in [FelImpl::Heap, FelImpl::Ladder] {
+            for threads in [1, 4] {
+                let what = format!("allreduce P={ranks} {fel:?} threads={threads}");
+                let config = cfg(ReplayEngine::Smpi, fel, threads);
+                let m = replay_observed(&platform, &trace, &config, false)
+                    .unwrap()
+                    .metrics;
+                assert_golden(&m, &golden, &what);
+                assert_eq!(m.live_flow_hwm, u64::from(ranks), "{what}");
+                assert_eq!(m.live_entity_hwm, 1, "{what}: collapse should be total");
+                assert_eq!(m.agg_splits, 0, "{what}");
+                assert!(
+                    m.events_processed <= 3 * m.messages,
+                    "{what}: {} events for {} messages",
+                    m.events_processed,
+                    m.messages
+                );
             }
-            trace.push(rank, Action::Finalize);
         }
-        let trace = Arc::new(trace);
-        let engine = [ReplayEngine::Smpi, ReplayEngine::Msg][engine_pick as usize];
-        let fel = FelImpl::default();
-        let base = replay_observed(&platform, &trace, &cfg(engine, fel, 1, false), true).unwrap();
-        let agg = replay_observed(&platform, &trace, &cfg(engine, fel, 1, true), true).unwrap();
-        assert_agg_identical(&base, &agg, &format!("{engine:?} schedule"));
     }
 }

@@ -78,17 +78,7 @@ fn cli_manifest(trace_path: &Path, spec: &PlatformSpec, rate: f64) -> String {
     let signature = replay::trace_signature(&input, 4);
     let trace = tit_replay::titrace::stream::load_trace(&input, 4).unwrap();
     let input = TraceInput::Memory(Arc::new(trace));
-    let config = ReplayConfig {
-        engine: ReplayEngine::Smpi,
-        rate,
-        placement: Placement::OnePerNode,
-        copy_model: None,
-        sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-        fel: tit_replay::simkernel::FelImpl::default(),
-        threads: ReplayConfig::default_threads(),
-        window_s: None,
-        collective_agg: false,
-    };
+    let config = ReplayConfig::improved(rate);
     let report = replay_input_observed(&platform, &input, 4, &config, false).unwrap();
     replay::manifest(&platform, &signature, &config, &report, 0.0).to_json()
 }
@@ -300,6 +290,20 @@ fn inspect_healthz_and_errors() {
 
     let bad = client::predict(&addr, "{not json").unwrap();
     assert_eq!(bad.status, 400);
+    // Collective batching is no longer a question one can ask two ways
+    // (and memoise under two keys): the field is as unknown as any typo.
+    let stale = client::predict(
+        &addr,
+        &query_body(&trace, &spec(1e9), 2e9)
+            .replace("{\"rate\"", "{\"collective_agg\": true, \"rate\""),
+    )
+    .unwrap();
+    assert_eq!(stale.status, 400);
+    let body = String::from_utf8(stale.body).unwrap();
+    assert!(
+        body.contains("unknown config field 'collective_agg'"),
+        "stale field: {body}"
+    );
     let missing = client::predict(
         &addr,
         &query_body(Path::new("/nonexistent/x.trace"), &spec(1e9), 2e9),

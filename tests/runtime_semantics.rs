@@ -27,14 +27,7 @@ fn run(trace: Trace, engine: ReplayEngine) -> replay::ReplayResult {
         &Arc::new(trace),
         &ReplayConfig {
             engine,
-            rate: 1e9,
-            placement: Placement::OnePerNode,
-            copy_model: None,
-            sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-            fel: tit_replay::simkernel::FelImpl::default(),
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(1e9)
         },
     )
     .expect("replay failed")
@@ -332,15 +325,8 @@ fn packed_placement_uses_loopback() {
         &fat,
         &trace,
         &ReplayConfig {
-            engine: ReplayEngine::Smpi,
-            rate: 1e9,
             placement: Placement::PackCores,
-            copy_model: None,
-            sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-            fel: tit_replay::simkernel::FelImpl::default(),
-            threads: ReplayConfig::default_threads(),
-            window_s: None,
-            collective_agg: false,
+            ..ReplayConfig::improved(1e9)
         },
     )
     .unwrap();

@@ -90,22 +90,9 @@ proptest! {
         );
         let platform = tit_replay::platform::clusters::graphene();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let slow = replay(&platform, &trace, &ReplayConfig {
-                engine, rate: 1e9, placement: Placement::OnePerNode, copy_model: None,
-                sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-                fel: tit_replay::simkernel::FelImpl::default(),
-                threads: ReplayConfig::default_threads(),
-                window_s: None,
-                collective_agg: false,
-            }).unwrap();
-            let fast = replay(&platform, &trace, &ReplayConfig {
-                engine, rate: 4e9, placement: Placement::OnePerNode, copy_model: None,
-                sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-                fel: tit_replay::simkernel::FelImpl::default(),
-                threads: ReplayConfig::default_threads(),
-                window_s: None,
-                collective_agg: false,
-            }).unwrap();
+            let at = |rate| ReplayConfig { engine, ..ReplayConfig::improved(rate) };
+            let slow = replay(&platform, &trace, &at(1e9)).unwrap();
+            let fast = replay(&platform, &trace, &at(4e9)).unwrap();
             prop_assert!(slow.time > 0.0);
             prop_assert!(fast.time <= slow.time * (1.0 + 1e-9),
                 "{engine:?}: rate 4e9 slower ({} vs {})", fast.time, slow.time);

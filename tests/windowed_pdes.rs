@@ -33,14 +33,8 @@ fn direct(nodes: u32) -> Platform {
 fn cfg(engine: ReplayEngine, threads: usize) -> ReplayConfig {
     ReplayConfig {
         engine,
-        rate: 1e9,
-        placement: Placement::OnePerNode,
-        copy_model: None,
-        sharing: tit_replay::netmodel::SharingPolicy::Bottleneck,
-        fel: FelImpl::default(),
         threads,
-        window_s: None,
-        collective_agg: false,
+        ..ReplayConfig::improved(1e9)
     }
 }
 
