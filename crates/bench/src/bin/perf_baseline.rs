@@ -1228,6 +1228,7 @@ fn smoke() {
     parallel_smoke();
     pdes_smoke();
     agg_smoke();
+    reshare_smoke();
     serve_smoke();
     telemetry_smoke();
     println!(
@@ -1235,7 +1236,8 @@ fn smoke() {
          disabled recorder cost-free, threads=1 dispatch cost-free, \
          parallel replay bit-identical, windowed PDES bit-identical and \
          dispatch cost-free on coupled workloads, collective \
-         phases batched whole, service dedup single-execution \
+         phases batched whole, eager re-shares re-rating the recorded \
+         flows, service dedup single-execution \
          and memo faster than cold, wall-clock profiling bit-identical \
          and cost-free when off)"
     );
@@ -1406,6 +1408,35 @@ fn agg_smoke() {
     eprintln!(
         "smoke    agg: allreduce P=128, {} flows rated once each in {} re-solves, 1 live entity",
         m.flows_created, m.sharing_resolves
+    );
+}
+
+/// Re-share gate: LU B-8 with default flags must re-rate exactly the
+/// flows, and process exactly the events, recorded at db39a09 — a change
+/// to *which* neighbours an eager open or close re-rates (as opposed to
+/// how cheaply it finds them) trips here without a timing threshold.
+fn reshare_smoke() {
+    use tit_replay::replay::replay_observed;
+    let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
+    let trace =
+        Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
+    let cfg = replay_cfg(ReplayEngine::Smpi, SharingPolicy::Bottleneck);
+    let m = replay_observed(
+        &tit_replay::platform::clusters::graphene(),
+        &trace,
+        &cfg,
+        false,
+    )
+    .unwrap()
+    .metrics;
+    assert_eq!(
+        (m.sharing_rate_updates, m.events_processed),
+        (14_835, 36_603),
+        "LU B-8: the set of re-rated flows moved"
+    );
+    eprintln!(
+        "smoke  share: LU B-8, {} rate updates in {} re-solves, {} events",
+        m.sharing_rate_updates, m.sharing_resolves, m.events_processed
     );
 }
 

@@ -72,13 +72,15 @@ struct Flow {
     /// Per-flow rate ceiling (protocol-corrected nominal bandwidth).
     cap: f64,
     /// Last allotted rate (maintained by the max-min policies only; the
-    /// bottleneck policy derives rates from link occupancy on demand).
+    /// bottleneck policy derives rates from the links' cached
+    /// [`LinkState::share`] on demand).
     rate: f64,
     /// Monotonic open-order stamp. Slab indices are recycled through the
     /// free list, so index order says nothing about which flow opened
     /// first; rate pushes to the kernel are ordered by this stamp
     /// instead, keeping the kernel's event-insertion order a function of
     /// the flows' own history (open order) rather than of slab reuse.
+    /// Every `per_link` list is kept strictly increasing in it.
     seq: u64,
     generation: u32,
     live: bool,
@@ -88,7 +90,11 @@ struct Flow {
 #[derive(Debug, Clone, Copy)]
 struct LinkState {
     capacity: f64,
-    nflows: u32,
+    /// `capacity / per_link[l].len()`, refreshed whenever a flow joins or
+    /// leaves the link (infinite while the link is empty): the fair share
+    /// the bottleneck policy takes its minimum over, divided out once per
+    /// occupancy change instead of once per re-rated neighbour.
+    share: f64,
 }
 
 /// Borrowed view of the network tables handed to the max-min solver.
@@ -154,7 +160,8 @@ pub struct FlowNet {
     links: Vec<LinkState>,
     flows: Vec<Flow>,
     free_head: u32,
-    /// Flows crossing each link.
+    /// Flows crossing each link, in open order ([`Flow::seq`] strictly
+    /// increasing): `register` appends, `unregister` removes in place.
     per_link: Vec<Vec<u32>>,
     policy: SharingPolicy,
     scratch: Vec<u32>,
@@ -199,10 +206,8 @@ pub struct FlowNet {
     batch_freed: Vec<u32>,
     /// Aggregate-entity bookkeeping (see [`sharing::AggregateLedger`]).
     ledger: sharing::AggregateLedger,
-    /// Flow indices the last flush read from `per_link` (regression
-    /// guard: must stay linear in the batch size).
     #[cfg(test)]
-    flush_examined: usize,
+    probe: tests::Probe,
 }
 
 impl FlowNet {
@@ -213,7 +218,7 @@ impl FlowNet {
             .iter()
             .map(|l| LinkState {
                 capacity: l.bandwidth,
-                nflows: 0,
+                share: f64::INFINITY,
             })
             .collect::<Vec<_>>();
         let per_link = links.iter().map(|_| Vec::new()).collect();
@@ -244,7 +249,7 @@ impl FlowNet {
             batch_freed: Vec::new(),
             ledger: sharing::AggregateLedger::new(),
             #[cfg(test)]
-            flush_examined: 0,
+            probe: tests::Probe::default(),
         }
     }
 
@@ -361,8 +366,8 @@ impl FlowNet {
             index
         };
         for l in route {
-            self.links[l.as_usize()].nflows += 1;
             self.per_link[l.as_usize()].push(index);
+            self.refresh_share(l.as_usize());
         }
         self.next_seq += 1;
         self.live_count += 1;
@@ -435,19 +440,24 @@ impl FlowNet {
         self.ledger.dissolve_member(id.index);
         let route = std::mem::take(&mut self.flows[id.index as usize].route);
         for l in &route {
-            let ls = &mut self.links[l.as_usize()];
-            ls.nflows -= 1;
+            // Closes mostly retire the oldest flows, so the scan ends
+            // near the front; the ordered `remove` keeps open order.
             let v = &mut self.per_link[l.as_usize()];
             let pos = v
                 .iter()
                 .position(|x| *x == id.index)
                 .expect("flow missing from link index");
-            v.swap_remove(pos);
+            v.remove(pos);
+            self.refresh_share(l.as_usize());
         }
         self.live_count -= 1;
         self.stats.flows_closed += 1;
         let f = &mut self.flows[id.index as usize];
         f.route = route; // keep the allocation for reuse
+    }
+
+    fn refresh_share(&mut self, link: usize) {
+        self.links[link].share = self.links[link].capacity / self.per_link[link].len() as f64;
     }
 
     /// Installs the actor that owns the deferred-flush timer. The engines
@@ -491,7 +501,7 @@ impl FlowNet {
         self.stats.flush_batches += 1;
         #[cfg(test)]
         {
-            self.flush_examined = 0;
+            self.probe.flush_examined = 0;
         }
         match self.policy {
             SharingPolicy::Bottleneck => self.flush_bottleneck(kernel),
@@ -518,22 +528,33 @@ impl FlowNet {
     /// pushing it once per affected flow reproduces the sequential
     /// sequence's end-of-instant rates bitwise.
     fn flush_bottleneck(&mut self, kernel: &mut Kernel) {
+        self.begin_sweep();
+        for i in 0..self.batch_links.len() {
+            let l = self.batch_links[i] as usize;
+            #[cfg(test)]
+            {
+                self.probe.flush_examined += self.per_link[l].len();
+            }
+            self.sweep_link(l);
+        }
+        self.rerate_scratch(kernel);
+    }
+
+    /// Starts a deduplicating sweep into `scratch` under a fresh epoch.
+    fn begin_sweep(&mut self) {
         self.ensure_marks();
         self.epoch += 1;
         self.scratch.clear();
-        for &l in &self.batch_links {
-            #[cfg(test)]
-            {
-                self.flush_examined += self.per_link[l as usize].len();
-            }
-            for &f in &self.per_link[l as usize] {
-                if self.flow_mark[f as usize] != self.epoch {
-                    self.flow_mark[f as usize] = self.epoch;
-                    self.scratch.push(f);
-                }
+    }
+
+    /// Appends to `scratch` the flows on `link` this sweep has not seen.
+    fn sweep_link(&mut self, link: usize) {
+        for &f in &self.per_link[link] {
+            if self.flow_mark[f as usize] != self.epoch {
+                self.flow_mark[f as usize] = self.epoch;
+                self.scratch.push(f);
             }
         }
-        self.rerate_scratch(kernel);
     }
 
     /// Batched max-min re-solve: every component holding a dirty link is
@@ -553,7 +574,7 @@ impl FlowNet {
                 self.solve_component_of(seed);
                 #[cfg(test)]
                 {
-                    self.flush_examined += self
+                    self.probe.flush_examined += self
                         .comp_links
                         .iter()
                         .map(|&l| self.per_link[l as usize].len())
@@ -611,7 +632,7 @@ impl FlowNet {
                 self.link_mark[lu] = self.epoch;
                 #[cfg(test)]
                 {
-                    self.flush_examined += self.per_link[lu].len();
+                    self.probe.flush_examined += self.per_link[lu].len();
                 }
                 for &g in &self.per_link[lu] {
                     if self.flow_mark[g as usize] != self.epoch {
@@ -665,31 +686,56 @@ impl FlowNet {
     }
 
     /// Collects into `scratch`, once each, the live flows on the links of
-    /// `flow`'s route (which the slab keeps past `unregister`).
+    /// `flow`'s route (which the slab keeps past `unregister`), longest
+    /// list first: every list is in open order, so whenever that list
+    /// contains the others (a flat cluster's backbone) `scratch` is too.
     fn collect_neighbors(&mut self, flow: u32) {
-        self.scratch.clear();
-        for l in &self.flows[flow as usize].route {
-            self.scratch.extend(self.per_link[l.as_usize()].iter());
+        #[cfg(test)]
+        if self.probe.reference_collect {
+            return self.collect_neighbors_reference(flow);
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
+        self.begin_sweep();
+        let longest = (self.flows[flow as usize].route.iter())
+            .map(|l| l.as_usize())
+            .max_by_key(|&l| self.per_link[l].len())
+            .expect("routes are never empty");
+        self.sweep_link(longest);
+        for i in 0..self.flows[flow as usize].route.len() {
+            let l = self.flows[flow as usize].route[i].as_usize();
+            if l != longest {
+                self.sweep_link(l);
+            }
+        }
     }
 
     /// Bottleneck re-solve of the (deduplicated) flows in `scratch`.
     fn rerate_scratch(&mut self, kernel: &mut Kernel) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        for &f in &scratch {
-            if self.ledger.dissolve_member(f) {
-                self.stats.agg_splits += 1;
+        if self.ledger.surplus() > 0 {
+            for &f in &scratch {
+                if self.ledger.dissolve_member(f) {
+                    self.stats.agg_splits += 1;
+                }
             }
         }
         self.stats.resolves += 1;
         self.stats.rate_updates += scratch.len() as u64;
-        // Push in open order, not slab-index order: see Flow::seq.
-        scratch.sort_unstable_by_key(|&i| self.flows[i as usize].seq);
+        // Push in open order, not slab-index order: see Flow::seq. A
+        // sweep over nested lists arrives in it; only a route whose lists
+        // do not nest, or a multi-link flush, has to be sorted.
+        let seq = |i: u32| self.flows[i as usize].seq;
+        if !scratch.windows(2).all(|w| seq(w[0]) < seq(w[1])) {
+            #[cfg(test)]
+            {
+                self.probe.fallback_sorts += 1;
+            }
+            scratch.sort_unstable_by_key(|&i| seq(i));
+        }
         for &idx in &scratch {
-            let rate = self.bottleneck_rate(idx);
-            kernel.set_rate(self.flows[idx as usize].activity, rate);
+            let (activity, rate) = (self.flows[idx as usize].activity, self.bottleneck_rate(idx));
+            #[cfg(test)]
+            self.probe.rate_log.push((activity, rate));
+            kernel.set_rate(activity, rate);
         }
         scratch.clear();
         self.scratch = scratch;
@@ -699,9 +745,8 @@ impl FlowNet {
         let f = &self.flows[flow as usize];
         let mut rate = f.cap;
         for l in &f.route {
-            let ls = &self.links[l.as_usize()];
-            debug_assert!(ls.nflows > 0);
-            rate = rate.min(ls.capacity / ls.nflows as f64);
+            debug_assert!(!self.per_link[l.as_usize()].is_empty());
+            rate = rate.min(self.links[l.as_usize()].share);
         }
         rate
     }
@@ -720,9 +765,10 @@ impl FlowNet {
     /// of the *current* graph; solving per component keeps every solve
     /// bitwise equal to what a full recompute would produce.
     fn reshare_maxmin_close(&mut self, kernel: &mut Kernel, closed_index: u32) {
-        self.ensure_marks();
-        let start_epoch = self.epoch;
         self.collect_neighbors(closed_index);
+        // Snapshot after the collect: its sweep stamped the seeds with
+        // this very epoch, and every solve below moves past it.
+        let start_epoch = self.epoch;
         let seeds = std::mem::take(&mut self.scratch);
         for &seed in &seeds {
             if self.flow_mark[seed as usize] <= start_epoch {
@@ -832,6 +878,8 @@ impl FlowNet {
             let f = self.pending[i] as usize;
             let rate = self.solver.rate(self.pending[i]);
             self.flows[f].rate = rate;
+            #[cfg(test)]
+            self.probe.rate_log.push((self.flows[f].activity, rate));
             kernel.set_rate(self.flows[f].activity, rate);
         }
         self.pending.clear();
@@ -863,6 +911,36 @@ mod tests {
     use super::*;
     use platform::topology::{flat_cluster, FlatClusterSpec};
     use platform::HostId;
+
+    /// Test-only instrumentation carried by every [`FlowNet`].
+    #[derive(Debug, Default)]
+    pub(super) struct Probe {
+        /// Flow indices the last flush read from `per_link` (regression
+        /// guard: must stay linear in the batch size).
+        pub flush_examined: usize,
+        /// Times `rerate_scratch` found its input out of open order.
+        pub fallback_sorts: usize,
+        /// Every `(activity, rate)` pushed to the kernel, in push order.
+        pub rate_log: Vec<(ActivityId, f64)>,
+        /// Routes `collect_neighbors` through the reference below.
+        pub reference_collect: bool,
+    }
+
+    impl FlowNet {
+        /// The parent design's neighbour collection — concatenate, sort and
+        /// dedup by slab index — kept as the reference the sweep is tested
+        /// against (`rerate_scratch` then finds it out of open order and
+        /// sorts, as the parent always did).
+        pub(super) fn collect_neighbors_reference(&mut self, flow: u32) {
+            self.ensure_marks();
+            self.scratch.clear();
+            for l in &self.flows[flow as usize].route {
+                self.scratch.extend(self.per_link[l.as_usize()].iter());
+            }
+            self.scratch.sort_unstable();
+            self.scratch.dedup();
+        }
+    }
 
     fn net(policy: SharingPolicy) -> (Platform, FlowNet, Kernel) {
         let p = flat_cluster(&FlatClusterSpec {
@@ -1166,9 +1244,9 @@ mod tests {
                 net.flush(&mut k);
                 let bound = 8 * p as usize;
                 assert!(
-                    net.flush_examined <= bound,
+                    net.probe.flush_examined <= bound,
                     "{policy:?} P={p}: open flush examined {} > {bound}",
-                    net.flush_examined
+                    net.probe.flush_examined
                 );
                 assert_eq!(net.live_entities(), 1, "{policy:?} P={p}");
                 // Retire all but one, so the close flush has a survivor.
@@ -1177,9 +1255,9 @@ mod tests {
                 }
                 net.flush(&mut k);
                 assert!(
-                    net.flush_examined <= bound,
+                    net.probe.flush_examined <= bound,
                     "{policy:?} P={p}: close flush examined {} > {bound}",
-                    net.flush_examined
+                    net.probe.flush_examined
                 );
                 assert_eq!(net.live_flows(), 1);
                 assert_eq!(rate_of(&net, flows[0]), 90.0);
@@ -1384,6 +1462,10 @@ mod proptests {
         /// The flush re-rates every flow on a dirty link, a superset of
         /// the flows whose allotment can have changed; this is the
         /// exactness gate the always-on collective batching rests on.
+        /// Along the way every link table must stay in open order, and
+        /// a third net whose neighbour collection is the parent design's
+        /// concat + sort + dedup must push the very same
+        /// `(activity, rate)` sequence to its kernel as the sweep.
         #[test]
         fn deferred_flush_is_bitwise_equal_to_sequential(
             instants in proptest::collection::vec(
@@ -1408,11 +1490,43 @@ mod proptests {
     /// `close_at` steps ago (deferred when `mix & 2`).
     type MixedOps = Vec<(u32, u32, usize, f64, u8)>;
 
+    /// Every `per_link[l]` is strictly increasing in `Flow::seq`, holds
+    /// exactly the live flows routed over `l`, and `share` is the
+    /// division `bottleneck_rate` used to perform per neighbour.
+    fn assert_link_tables(net: &FlowNet) {
+        for (l, list) in net.per_link.iter().enumerate() {
+            let seq = |f: u32| net.flows[f as usize].seq;
+            assert!(
+                list.windows(2).all(|w| seq(w[0]) < seq(w[1])),
+                "link {l} out of open order: {list:?}"
+            );
+            let mut live: Vec<u32> = (0..net.flows.len() as u32)
+                .filter(|&f| {
+                    let f = &net.flows[f as usize];
+                    f.live && f.route.iter().any(|x| x.as_usize() == l)
+                })
+                .collect();
+            live.sort_unstable_by_key(|&f| seq(f));
+            assert_eq!(*list, live, "link {l} does not hold its live flows");
+            let share = net.links[l].capacity / list.len() as f64;
+            assert_eq!(net.links[l].share.to_bits(), share.to_bits(), "link {l}");
+        }
+    }
+
+    fn rate_log_bits(net: &mut FlowNet) -> Vec<(ActivityId, u64)> {
+        let log = std::mem::take(&mut net.probe.rate_log);
+        log.into_iter().map(|(a, r)| (a, r.to_bits())).collect()
+    }
+
     fn assert_mixed_matches_sequential(p: &Platform, policy: SharingPolicy, instants: &[MixedOps]) {
         let mut k_seq = Kernel::new();
         let mut k_def = Kernel::new();
+        let mut k_ref = Kernel::new();
         let mut seq = FlowNet::new(p, policy);
         let mut def = FlowNet::new(p, policy);
+        // Same ops as `def`, hence the same `FlowId`s.
+        let mut reference = FlowNet::new(p, policy);
+        reference.probe.reference_collect = true;
         let mut r = Vec::new();
         // (sequential id, mixed id, opened deferred this instant)
         let mut open: Vec<(FlowId, FlowId, bool)> = Vec::new();
@@ -1421,25 +1535,37 @@ mod proptests {
                 let (defer_open, defer_close) = (mix & 1 != 0, mix & 2 != 0);
                 if s != d {
                     p.route(HostId(*s), HostId(*d), &mut r);
-                    let fd = if defer_open {
-                        def.open_deferred(&mut k_def, &r, 1e6, *cap)
-                    } else {
-                        def.open(&mut k_def, &r, 1e6, *cap)
-                    };
+                    let [fd, fr] =
+                        [(&mut def, &mut k_def), (&mut reference, &mut k_ref)].map(|(net, k)| {
+                            match defer_open {
+                                true => net.open_deferred(k, &r, 1e6, *cap),
+                                false => net.open(k, &r, 1e6, *cap),
+                            }
+                        });
+                    assert_eq!(fd, fr);
                     open.push((seq.open(&mut k_seq, &r, 1e6, *cap), fd, defer_open));
                 }
                 if *close_at < open.len() {
                     let (fs, fd, in_batch) = open.swap_remove(open.len() - 1 - close_at);
                     seq.close(&mut k_seq, fs);
                     // A flow of the pending batch may only leave deferred.
-                    if defer_close || in_batch {
-                        def.close_deferred(&mut k_def, fd);
-                    } else {
-                        def.close(&mut k_def, fd);
+                    for (net, k) in [(&mut def, &mut k_def), (&mut reference, &mut k_ref)] {
+                        match defer_close || in_batch {
+                            true => net.close_deferred(k, fd),
+                            false => net.close(k, fd),
+                        }
                     }
                 }
+                assert_link_tables(&seq);
+                assert_link_tables(&def);
             }
             def.flush(&mut k_def);
+            reference.flush(&mut k_ref);
+            assert_eq!(
+                rate_log_bits(&mut def),
+                rate_log_bits(&mut reference),
+                "{policy:?}: sweep and reference collection pushed different rates"
+            );
             for (fs, fd, in_batch) in &mut open {
                 *in_batch = false;
                 let rs = seq.effective_rate(fs.index);
@@ -1467,5 +1593,46 @@ mod proptests {
                 );
             }
         }
+    }
+
+    /// Eager LU-shaped churn under the bottleneck policy: every step
+    /// each node of a 2x4 grid sends east and south, and the oldest
+    /// flows retire once 12 are live. Returns the number of fallback
+    /// sorts and everything pushed to the kernel.
+    fn lu_churn(p: &Platform, reference: bool) -> (usize, Vec<(ActivityId, u64)>) {
+        let mut k = Kernel::new();
+        let mut net = FlowNet::new(p, SharingPolicy::Bottleneck);
+        net.probe.reference_collect = reference;
+        let mut r = Vec::new();
+        let mut open = std::collections::VecDeque::new();
+        for _step in 0..20 {
+            for node in 0..8u32 {
+                let east = node / 4 * 4 + (node + 1) % 4;
+                let south = (node + 4) % 8;
+                for peer in [east, south] {
+                    p.route(HostId(node), HostId(peer), &mut r);
+                    open.push_back(net.open(&mut k, &r, 1e6, 90.0));
+                    if open.len() > 12 {
+                        net.close(&mut k, open.pop_front().unwrap());
+                    }
+                }
+            }
+        }
+        (net.probe.fallback_sorts, rate_log_bits(&mut net))
+    }
+
+    /// The sort-free path must be the one LU takes on a flat cluster
+    /// (every NIC list nests in the backbone's), and the sorting
+    /// fallback must stay exercised — with the reference's results —
+    /// where lists do not nest: neither can silently change sides.
+    #[test]
+    fn nested_routes_never_sort_and_cabinet_routes_do() {
+        let (flat, cab) = (churn_platform(), cabinet_platform());
+        let (flat_sorts, flat_log) = lu_churn(&flat, false);
+        assert_eq!(flat_sorts, 0, "flat cluster fell back to sorting");
+        assert_eq!(flat_log, lu_churn(&flat, true).1);
+        let (cab_sorts, cab_log) = lu_churn(&cab, false);
+        assert!(cab_sorts > 0, "two-cabinet churn never took the fallback");
+        assert_eq!(cab_log, lu_churn(&cab, true).1);
     }
 }

@@ -340,26 +340,40 @@ pub fn trace_sources(trace: &Arc<Trace>) -> Vec<Box<dyn OpSource>> {
 /// (I/O error, parse error, corrupt block) is parked in a slot shared
 /// with the other ranks and the stream ends; [`replay_sources`] checks
 /// the slot and surfaces the first fault instead of the engine's
-/// secondary deadlock diagnosis.
+/// secondary deadlock diagnosis. An action naming a peer the trace does
+/// not have is such a fault too: the engines index by peer rank.
 pub struct StreamOpSource {
     inner: Box<dyn ActionSource>,
     rank: Rank,
+    ranks: u32,
     fault: Arc<Mutex<Option<(Rank, SourceError)>>>,
 }
 
 impl OpSource for StreamOpSource {
     fn next_op(&mut self) -> Option<MpiOp> {
-        match self.inner.next_action() {
-            Ok(Some(a)) => Some(action_to_op(&a)),
-            Ok(None) => None,
-            Err(e) => {
-                let mut slot = self.fault.lock().expect("fault slot poisoned");
-                if slot.is_none() {
-                    *slot = Some((self.rank, e));
+        let fault = match self.inner.next_action() {
+            Ok(Some(a)) => match a {
+                Action::Send { dst: peer, .. }
+                | Action::Isend { dst: peer, .. }
+                | Action::Recv { src: peer, .. }
+                | Action::Irecv { src: peer, .. }
+                    if peer.0 >= self.ranks =>
+                {
+                    SourceError::PeerOutOfRange {
+                        peer,
+                        ranks: self.ranks,
+                    }
                 }
-                None
-            }
+                _ => return Some(action_to_op(&a)),
+            },
+            Ok(None) => return None,
+            Err(e) => e,
+        };
+        let mut slot = self.fault.lock().expect("fault slot poisoned");
+        if slot.is_none() {
+            *slot = Some((self.rank, fault));
         }
+        None
     }
 }
 
@@ -407,6 +421,7 @@ pub fn replay_sources_observed(
             Box::new(StreamOpSource {
                 inner,
                 rank: Rank(r as u32),
+                ranks,
                 fault: Arc::clone(&fault),
             }) as Box<dyn OpSource>
         })
@@ -838,6 +853,42 @@ mod tests {
             "fault not surfaced: {err}"
         );
         assert!(err.contains("p1"), "fault should name the rank: {err}");
+    }
+
+    /// An action of a trace *input* naming a rank the trace does not have
+    /// is reported, not indexed with: on both engines, and at
+    /// `threads >= 2` too, where the coupling scan stops at the
+    /// collective and never sees it.
+    #[test]
+    fn out_of_range_peer_is_an_error_not_a_panic() {
+        let mut trace = Trace::new(2);
+        for r in [Rank(0), Rank(1)] {
+            trace.push(r, Action::Init);
+            trace.push(r, Action::Barrier);
+        }
+        trace.push(
+            Rank(1),
+            Action::Send {
+                dst: Rank(9),
+                bytes: 64,
+            },
+        );
+        let input = TraceInput::Memory(Arc::new(trace));
+        let p = platform::clusters::bordereau();
+        for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
+            for threads in [1, 2] {
+                let config = ReplayConfig {
+                    engine,
+                    threads,
+                    ..ReplayConfig::improved(2e9)
+                };
+                let err = replay_input(&p, &input, 2, &config).unwrap_err();
+                assert!(
+                    err.contains("p1") && err.contains("peer p9 outside 0..2"),
+                    "{engine:?} threads={threads}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use workloads::{MpiOp, OpSource};
 use simkernel::telemetry::Stopwatch;
 
 use crate::partition::{
-    island_links, partition_ranks, plan_subshards, scan_sources, CommScan, Island,
+    island_links, partition_ranks, plan_subshards, scan_until_collective, CommScan, Island,
 };
 use crate::profile::{ReplayProfile, WorkerProfile};
 use crate::{action_to_op, PdesStats, ReplayConfig, ReplayEngine, ReplayReport, ReplayResult};
@@ -75,7 +75,7 @@ pub(crate) fn replay_input_parallel(
     };
     let scan = {
         let sources = titrace::stream::open_sources(input, ranks).map_err(|e| e.to_string())?;
-        scan_sources(sources)?
+        scan_until_collective(sources)?
     };
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let part = partition_ranks(&scan, platform, &hosts);

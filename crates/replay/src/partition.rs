@@ -49,6 +49,20 @@ pub struct CommScan {
 /// Fails on a cursor fault (I/O, parse, decode) or an out-of-range peer
 /// rank.
 pub fn scan_sources(sources: Vec<Box<dyn ActionSource>>) -> Result<CommScan, String> {
+    scan(sources, false)
+}
+
+/// [`scan_sources`] for a caller that only partitions: it returns at the
+/// first collective, which already forces one island and an
+/// uncertifiable sub-shard plan — the counts and edges gathered up to
+/// there are partial and nothing downstream reads them.
+pub(crate) fn scan_until_collective(
+    sources: Vec<Box<dyn ActionSource>>,
+) -> Result<CommScan, String> {
+    scan(sources, true)
+}
+
+fn scan(sources: Vec<Box<dyn ActionSource>>, stop_at_collective: bool) -> Result<CommScan, String> {
     let ranks = sources.len() as u32;
     let mut actions_per_rank = vec![0u64; ranks as usize];
     let mut edges = std::collections::BTreeMap::new();
@@ -62,7 +76,7 @@ pub fn scan_sources(sources: Vec<Box<dyn ActionSource>>) -> Result<CommScan, Str
         }
         Ok(peer.0)
     };
-    for (r, mut source) in sources.into_iter().enumerate() {
+    'ranks: for (r, mut source) in sources.into_iter().enumerate() {
         let r = r as u32;
         while let Some(action) = source
             .next_action()
@@ -84,7 +98,12 @@ pub fn scan_sources(sources: Vec<Box<dyn ActionSource>>) -> Result<CommScan, Str
                 | Action::Allreduce { .. }
                 | Action::Alltoall { .. }
                 | Action::Gather { .. }
-                | Action::Allgather { .. } => has_collective = true,
+                | Action::Allgather { .. } => {
+                    has_collective = true;
+                    if stop_at_collective {
+                        break 'ranks;
+                    }
+                }
                 Action::Init | Action::Finalize | Action::Compute { .. } => {}
                 Action::Wait | Action::WaitAll => {}
             }
@@ -618,6 +637,36 @@ mod tests {
         trace.push(Rank(0), Action::Allreduce { bytes: 8 });
         let scan = scan_trace(trace);
         assert!(scan.has_collective);
+        let part = partition_ranks(&scan, &p, &hosts(cabs * per));
+        assert_eq!(part.islands.len(), 1);
+    }
+
+    /// The partition-only scan stops reading at the first collective and
+    /// still yields the one-island partition of the full scan; without a
+    /// collective it is the full scan.
+    #[test]
+    fn partition_scan_stops_at_the_first_collective() {
+        let (cabs, per) = (2, 2);
+        let open = |trace: &Trace| {
+            let input = TraceInput::Memory(Arc::new(trace.clone()));
+            titrace::stream::open_sources(&input, cabs * per).unwrap()
+        };
+        let mut trace = ring_trace(cabs, per);
+        let free = scan_until_collective(open(&trace)).unwrap();
+        assert!(!free.has_collective);
+        assert_eq!(free.edges, scan_trace(trace.clone()).edges);
+        let before = free.actions_per_rank[0];
+        trace.push(Rank(0), Action::Allreduce { bytes: 8 });
+        trace.push(Rank(0), Action::Compute { amount: 1.0 });
+        let scan = scan_until_collective(open(&trace)).unwrap();
+        assert!(scan.has_collective);
+        assert_eq!(
+            scan.actions_per_rank[0],
+            before + 1,
+            "read past the collective"
+        );
+        assert!(scan.actions_per_rank[1..].iter().all(|&n| n == 0));
+        let p = cabinets(cabs, per);
         let part = partition_ranks(&scan, &p, &hosts(cabs * per));
         assert_eq!(part.islands.len(), 1);
     }

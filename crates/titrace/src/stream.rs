@@ -377,6 +377,13 @@ pub enum SourceError {
         /// 1-based line number.
         line: usize,
     },
+    /// An action names a peer rank the trace does not have.
+    PeerOutOfRange {
+        /// Rank named by the action.
+        peer: Rank,
+        /// Number of ranks in the trace.
+        ranks: u32,
+    },
 }
 
 impl std::fmt::Display for SourceError {
@@ -395,6 +402,9 @@ impl std::fmt::Display for SourceError {
                 "{}: line {line} belongs to rank {found} but the file is assigned to rank {expected}",
                 path.display()
             ),
+            SourceError::PeerOutOfRange { peer, ranks } => {
+                write!(f, "an action references peer {peer} outside 0..{ranks}")
+            }
         }
     }
 }

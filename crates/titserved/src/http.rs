@@ -16,6 +16,11 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 /// below this). Oversized requests are refused, not buffered.
 pub const MAX_BODY: usize = 4 << 20;
 
+/// Largest accepted request head (request line plus headers). The head
+/// is read through a [`Read::take`] of this many bytes, so a client that
+/// never sends a newline is refused instead of growing a `String`.
+pub const MAX_HEAD: usize = 16 << 10;
+
 /// A parsed HTTP request: method, path, lower-cased headers, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -33,9 +38,9 @@ pub struct Request {
 /// before any bytes (client connected and left), `Err` on malformed or
 /// oversized input.
 pub fn read_request<R: Read>(stream: R) -> io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream).take(MAX_HEAD as u64);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if head_line(&mut reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -46,7 +51,7 @@ pub fn read_request<R: Read>(stream: R) -> io::Result<Option<Request>> {
     let mut headers = HashMap::new();
     loop {
         let mut hline = String::new();
-        if reader.read_line(&mut hline)? == 0 {
+        if head_line(&mut reader, &mut hline)? == 0 {
             return Err(bad("eof inside headers"));
         }
         let trimmed = hline.trim_end_matches(['\r', '\n']);
@@ -57,6 +62,7 @@ pub fn read_request<R: Read>(stream: R) -> io::Result<Option<Request>> {
             headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
         }
     }
+    let mut reader = reader.into_inner();
     let len: usize = headers
         .get("content-length")
         .map(|v| v.parse().map_err(|_| bad("bad content-length")))
@@ -94,16 +100,21 @@ pub fn write_response<W: Write>(
         500 => "Internal Server Error",
         _ => "Unknown",
     };
+    // One buffer, one write: when a refused request is closed unread the
+    // kernel resets the connection and drops whatever it had not sent
+    // yet, which would be every piece after the first small write.
+    let mut out = Vec::with_capacity(256 + body.len());
     write!(
-        stream,
+        out,
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n",
         body.len()
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(out, "{name}: {value}\r\n")?;
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -169,6 +180,16 @@ pub fn read_response<R: Read>(stream: R) -> io::Result<Response> {
     })
 }
 
+/// Reads one line of a request head; a line cut short by the
+/// [`MAX_HEAD`] limit is an error, not a truncated header.
+fn head_line<R: BufRead>(head: &mut io::Take<R>, line: &mut String) -> io::Result<usize> {
+    let n = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(bad("request head too large"));
+    }
+    Ok(n)
+}
+
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -208,6 +229,28 @@ mod tests {
             MAX_BODY + 1
         );
         assert!(read_request(raw.as_bytes()).is_err());
+    }
+
+    /// A head that never ends is refused after at most [`MAX_HEAD`] bytes
+    /// (plus one buffer of read-ahead), whether it is one endless line or
+    /// endless headers; a head of exactly the limit still parses.
+    #[test]
+    fn oversized_head_is_refused_without_reading_it_all() {
+        let endless_line = vec![b'A'; 1 << 20];
+        let mut endless_headers = b"GET / HTTP/1.1\r\n".to_vec();
+        endless_headers.extend(b"x: y\r\n".repeat(1 << 18));
+        for raw in [endless_line, endless_headers] {
+            let mut stream = &raw[..];
+            let err = read_request(&mut stream).unwrap_err();
+            assert_eq!(err.to_string(), "request head too large");
+            let consumed = raw.len() - stream.len();
+            assert!(consumed <= MAX_HEAD + (8 << 10), "read {consumed} bytes");
+        }
+        let mut exact = b"GET /stats HTTP/1.1\r\nx: ".to_vec();
+        exact.resize(MAX_HEAD - 4, b'y');
+        exact.extend(b"\r\n\r\n");
+        assert_eq!(exact.len(), MAX_HEAD);
+        assert_eq!(read_request(&exact[..]).unwrap().unwrap().path, "/stats");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tit_replay::querykey::QueryKey;
 use tit_replay::simkernel::telemetry::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S};
@@ -442,7 +442,16 @@ impl Server {
     }
 }
 
+/// How long one socket read or write may stall before the connection is
+/// dropped, so an idle or stuck client cannot pin its thread forever.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
 fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, addr: SocketAddr) {
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let request = match http::read_request(&mut stream) {
         Ok(Some(r)) => r,
         Ok(None) => return,

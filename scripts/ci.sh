@@ -178,13 +178,16 @@ a_msgs=$(ar_field messages)
 echo "AGG_SMOKE ok (simulated_time_s $a_time, 1 live entity, $a_events events / $a_msgs messages)"
 
 # Benchmark smoke, harness form: the benchmark's own output checks
-# (goldens, mirror = CLI) must pass on the workload this path carries.
-cargo run --release -p bench --bin titbench -- \
-    --workload allreduce-p128 --seed 1 --seconds 2 --trace 0 >"$ingest_dir/titbench.out"
-tail -n 1 "$ingest_dir/titbench.out" | grep -q '"correct": true' \
-    && tail -n 1 "$ingest_dir/titbench.out" | grep -q '"failed": 0' \
-    || { echo "titbench allreduce-p128: $(tail -n 1 "$ingest_dir/titbench.out")" >&2; exit 1; }
-echo "BENCH_SMOKE ok (titbench allreduce-p128 correct, 0 failed)"
+# (goldens, mirror = CLI) must pass on the workloads the two sharing
+# paths carry — batched collectives and eager point-to-point re-shares.
+for w in allreduce-p128 lu-c64.titb; do
+    cargo run --release -p bench --bin titbench -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 >"$ingest_dir/titbench.out"
+    tail -n 1 "$ingest_dir/titbench.out" | grep -q '"correct": true' \
+        && tail -n 1 "$ingest_dir/titbench.out" | grep -q '"failed": 0' \
+        || { echo "titbench $w: $(tail -n 1 "$ingest_dir/titbench.out")" >&2; exit 1; }
+done
+echo "BENCH_SMOKE ok (titbench allreduce-p128 and lu-c64.titb correct, 0 failed)"
 
 # Windowed-PDES smoke, two halves. (a) LU class B, 8 ranks: one coupled
 # island *with collectives*, so the windowed engine must fall back —
@@ -287,7 +290,7 @@ echo "TELEMETRY_SMOKE ok ($prof_workers profiled workers, simulated time unchang
 # default, so every differential test also exercises the worker pool.
 TITR_REPLAY_THREADS=4 cargo test -q -p tit-replay \
     --test parallel_replay --test runtime_semantics --test trace_roundtrip \
-    --test observability --test collective_agg --test windowed_pdes
+    --test observability --test collective_batching --test windowed_pdes
 TITR_REPLAY_THREADS=4 cargo run --release -p bench --bin perf_baseline -- --smoke
 echo "PARALLEL_SUITE ok (replay tests + perf smoke at TITR_REPLAY_THREADS=4)"
 

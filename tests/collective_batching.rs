@@ -5,7 +5,8 @@
 //! `smpi`'s test-only eager switch). What is pinned here is the result:
 //! simulated-time bits, messages and bytes recorded from the last commit
 //! that still had the per-flow path as its default (78bd05c, flag off),
-//! plus the reductions the batching exists for.
+//! plus the reductions the batching exists for; the LU goldens also pin
+//! the sharing counters under all three policies (recorded at db39a09).
 
 use std::sync::Arc;
 
@@ -72,29 +73,57 @@ fn assert_golden(m: &Metrics, golden: &Golden, what: &str) {
 }
 
 /// LU (p2p-dominated with interspersed collectives): application flows
-/// re-solve eagerly next to batched collective ones, on both engines and
-/// both FELs, and land on the per-flow path's bits.
+/// re-solve eagerly next to batched collective ones. Under every sharing
+/// policy, on both engines and both FELs, the run lands on the bits and
+/// the counters recorded at db39a09 — the last commit whose link tables
+/// were in slab-swap order, which fed `flush_maxmin`'s seed choice and
+/// `expand_component`'s discovery order. Messages and bytes are the
+/// per-flow path's from 78bd05c; they do not depend on the policy.
 #[test]
-fn lu_b8_matches_the_per_flow_goldens() {
+fn lu_b8_matches_the_goldens_under_every_policy() {
+    use tit_replay::netmodel::SharingPolicy::{Bottleneck, MaxMin, MaxMinFull};
     let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
     let trace =
         Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
     let platform = tit_replay::platform::clusters::graphene();
-    for (engine, golden) in [
+    // (engine, policy, time bits, events, re-solves, rate updates)
+    let smpi = (ReplayEngine::Smpi, 8319, 26_637_400);
+    let msg = (ReplayEngine::Msg, 8240, 26_634_240);
+    for ((engine, messages, bytes), sharing, time, events, resolves, updates) in [
         (
-            ReplayEngine::Smpi,
-            Golden(0x3ff2_a2e6_70ac_572a, 8319, 26_637_400),
+            smpi,
+            Bottleneck,
+            0x3ff2_a2e6_70ac_572a,
+            36_603,
+            16_594,
+            14_835,
         ),
+        (smpi, MaxMin, 0x3ff2_a2cf_a1f9_0239, 33_340, 11_453, 8351),
         (
-            ReplayEngine::Msg,
-            Golden(0x3ff4_611d_ca3d_72f9, 8240, 26_634_240),
+            smpi,
+            MaxMinFull,
+            0x3ff2_a2cf_a1f9_0239,
+            33_340,
+            14_217,
+            8351,
         ),
+        (msg, Bottleneck, 0x3ff4_611d_ca3d_72f9, 33_278, 16_480, 8450),
+        (msg, MaxMin, 0x3ff4_611d_ca3d_72f9, 33_278, 8345, 8450),
+        (msg, MaxMinFull, 0x3ff4_611d_ca3d_72f9, 33_278, 14_162, 8450),
     ] {
         for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let m = replay_observed(&platform, &trace, &cfg(engine, fel, 1), false)
+            let what = format!("LU B-8 {engine:?} {sharing:?} {fel:?}");
+            let config = ReplayConfig {
+                sharing,
+                ..cfg(engine, fel, 1)
+            };
+            let m = replay_observed(&platform, &trace, &config, false)
                 .unwrap()
                 .metrics;
-            assert_golden(&m, &golden, &format!("LU B-8 {engine:?} {fel:?}"));
+            assert_golden(&m, &Golden(time, messages, bytes), &what);
+            assert_eq!(m.events_processed, events, "{what}: events");
+            assert_eq!(m.sharing_resolves, resolves, "{what}: re-solves");
+            assert_eq!(m.sharing_rate_updates, updates, "{what}: rate updates");
         }
     }
 }

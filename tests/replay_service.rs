@@ -291,17 +291,18 @@ fn inspect_healthz_and_errors() {
     let bad = client::predict(&addr, "{not json").unwrap();
     assert_eq!(bad.status, 400);
     // Collective batching is no longer a question one can ask two ways
-    // (and memoise under two keys): the field is as unknown as any typo.
+    // (and memoise under two keys): a switch for it is as unknown as
+    // any typo.
     let stale = client::predict(
         &addr,
         &query_body(&trace, &spec(1e9), 2e9)
-            .replace("{\"rate\"", "{\"collective_agg\": true, \"rate\""),
+            .replace("{\"rate\"", "{\"batch_collectives\": true, \"rate\""),
     )
     .unwrap();
     assert_eq!(stale.status, 400);
     let body = String::from_utf8(stale.body).unwrap();
     assert!(
-        body.contains("unknown config field 'collective_agg'"),
+        body.contains("unknown config field 'batch_collectives'"),
         "stale field: {body}"
     );
     let missing = client::predict(
@@ -313,6 +314,55 @@ fn inspect_healthz_and_errors() {
     let nowhere = client::get(&addr, "/nope").unwrap();
     assert_eq!(nowhere.status, 404);
 
+    client::post(&addr, "/shutdown", "").unwrap();
+    handle.join().unwrap();
+}
+
+/// Fail closed on what a stranger can send: a request head that never
+/// ends is answered 400 after a bounded read and the connection closed,
+/// a client that connects and says nothing is dropped once the socket
+/// timeout passes, and the service keeps answering throughout.
+#[test]
+fn endless_heads_and_idle_clients_are_cut_off() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let (addr, handle) = start_server(1);
+    let connect = || {
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+
+    let mut flood = connect();
+    // The server stops reading long before 1 MiB; once it has closed,
+    // the rest of the write fails, which is the point.
+    let _ = flood.write_all(&vec![b'A'; 1 << 20]);
+    let refused = titserved::http::read_response(&flood).unwrap();
+    assert_eq!(refused.status, 400);
+    let body = String::from_utf8(refused.body).unwrap();
+    assert!(body.contains("request head too large"), "flood: {body}");
+    let mut rest = Vec::new();
+    let closed = flood.read_to_end(&mut rest);
+    assert!(
+        matches!(closed, Ok(0) | Err(_)),
+        "connection left open after the refusal: {closed:?}"
+    );
+
+    let mut idle = connect();
+    let since = Instant::now();
+    let mut reply = Vec::new();
+    // Ends when the server hangs up; the client's own 30 s timeout would
+    // surface as an error instead.
+    idle.read_to_end(&mut reply).unwrap();
+    assert!(since.elapsed() < Duration::from_secs(20));
+    assert!(reply.starts_with(b"HTTP/1.1 400"), "idle: {reply:?}");
+
+    let health = client::get(&addr, "/healthz").unwrap();
+    assert_eq!(health.status, 200);
     client::post(&addr, "/shutdown", "").unwrap();
     handle.join().unwrap();
 }
