@@ -36,11 +36,6 @@ fn trace_ingest(c: &mut Criterion) {
     g.bench_function("text_sequential", |b| {
         b.iter(|| stream::parse_merged_bytes(text.as_bytes(), 16).expect("parse"))
     });
-    for workers in [2usize, 4] {
-        g.bench_function(format!("text_parallel_{workers}"), |b| {
-            b.iter(|| stream::parse_merged_parallel(text.as_bytes(), 16, workers).expect("parse"))
-        });
-    }
     g.bench_function("pack", |b| b.iter(|| binfmt::encode(&trace)));
     g.bench_function("unpack", |b| {
         b.iter(|| binfmt::decode(&packed).expect("decode"))

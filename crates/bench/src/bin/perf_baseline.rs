@@ -85,8 +85,8 @@ struct Baseline {
     pdes: Vec<PdesRow>,
     /// Netmodel-level churn with per-cabinet sharing components.
     component_churn: Vec<ChurnSpeedup>,
-    /// Trace ingestion throughput per path (text cold, text parallel,
-    /// `.titb` binary) on a P=64 LU trace.
+    /// Trace ingestion throughput per path (text cold, `.titb` binary)
+    /// on a P=64 LU trace.
     ingest: Vec<IngestSpeed>,
     /// Wall time per experiment cell of a small accuracy sweep.
     sweep_cells: Vec<SweepCell>,
@@ -324,7 +324,7 @@ struct ChurnSpeedup {
 /// Throughput of one ingestion path over the same trace.
 #[derive(Debug, Serialize)]
 struct IngestSpeed {
-    /// Ingestion path: "text-cold", "text-parallel-N", or "titb".
+    /// Ingestion path: "text-cold" or "titb".
     path: String,
     /// Workload label.
     workload: String,
@@ -979,18 +979,8 @@ fn ingest_speeds() -> Vec<IngestSpeed> {
     };
 
     let mut rows = Vec::new();
-    let cold = time_best(3, || {
-        let bytes = std::fs::read(&text_path).unwrap();
-        stream::parse_merged_bytes(&bytes, ranks).unwrap()
-    });
+    let cold = time_best(3, || stream::load_merged(&text_path, ranks).unwrap());
     rows.push(row("text-cold".into(), text_bytes, cold));
-    for workers in [2usize, 4, 8] {
-        let wall = time_best(3, || {
-            let bytes = std::fs::read(&text_path).unwrap();
-            stream::parse_merged_parallel(&bytes, ranks, workers).unwrap()
-        });
-        rows.push(row(format!("text-parallel-{workers}"), text_bytes, wall));
-    }
     let titb = time_best(3, || {
         let bytes = std::fs::read(&bin_path).unwrap();
         binfmt::decode(&bytes).unwrap()
@@ -998,8 +988,7 @@ fn ingest_speeds() -> Vec<IngestSpeed> {
     rows.push(row("titb".into(), bin_bytes, titb));
 
     // The paths must be interchangeable: same trace, same replay, same
-    // bits. (Determinism across worker counts is covered by titrace's
-    // own tests.)
+    // bits.
     let from_bin = binfmt::read_file(&bin_path).expect("read binary trace");
     assert_eq!(from_bin, trace, "binary round-trip changed the trace");
     let cfg = replay_cfg(ReplayEngine::Smpi, SharingPolicy::Bottleneck);

@@ -437,7 +437,7 @@ pub fn replay_sources_observed(
 
 /// Replays a trace directly from its on-disk (or in-memory) form,
 /// choosing the streaming path that fits the layout: merged text is
-/// decoded in parallel, split fragments and `.titb` blocks are streamed
+/// decoded up front, split fragments and `.titb` blocks are streamed
 /// per rank.
 ///
 /// # Errors

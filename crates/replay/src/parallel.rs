@@ -44,6 +44,9 @@ use crate::partition::{
 use crate::profile::{ReplayProfile, WorkerProfile};
 use crate::{action_to_op, PdesStats, ReplayConfig, ReplayEngine, ReplayReport, ReplayResult};
 
+/// Hands out a fresh set of per-rank cursors over one trace.
+type OpenSources<'a> = dyn Fn() -> Result<Vec<Box<dyn ActionSource>>, String> + 'a;
+
 /// Replays `input` under `config.threads` workers, falling back to the
 /// sequential path when the trace yields a single island (e.g. any
 /// workload with collectives) — the sequential path *is* the correct
@@ -62,21 +65,23 @@ pub(crate) fn replay_input_parallel(
     profile: bool,
 ) -> Result<ReplayReport, String> {
     let run_sw = Stopwatch::start(profile);
-    // Merged text would otherwise be parsed twice (scan + replay);
-    // materialise it once up front.
-    let materialised;
-    let input = match input {
+    // The sources are opened twice (scan, then replay): decode merged
+    // text, and read and verify a `.titb`, once up front.
+    let open: Box<OpenSources> = match input {
         TraceInput::MergedText(_) => {
             let trace = titrace::stream::load_trace(input, ranks).map_err(|e| e.to_string())?;
-            materialised = TraceInput::Memory(Arc::new(trace));
-            &materialised
+            let trace = Arc::new(trace);
+            Box::new(move || Ok(titrace::stream::memory_sources(&trace)))
         }
-        other => other,
+        TraceInput::Binary(path) => {
+            let image = titrace::binfmt::Image::open(path, ranks).map_err(|e| e.to_string())?;
+            Box::new(move || Ok(image.cursors()))
+        }
+        other => {
+            Box::new(move || titrace::stream::open_sources(other, ranks).map_err(|e| e.to_string()))
+        }
     };
-    let scan = {
-        let sources = titrace::stream::open_sources(input, ranks).map_err(|e| e.to_string())?;
-        scan_until_collective(sources)?
-    };
+    let scan = scan_until_collective(open()?)?;
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let part = partition_ranks(&scan, platform, &hosts);
     if part.islands.len() <= 1 || config.threads <= 1 {
@@ -88,7 +93,7 @@ pub(crate) fn replay_input_parallel(
         if config.threads > 1 {
             if let Some(report) = try_replay_windowed(
                 platform,
-                input,
+                &open,
                 ranks,
                 &scan,
                 &hosts,
@@ -99,8 +104,7 @@ pub(crate) fn replay_input_parallel(
                 return Ok(report);
             }
         }
-        let sources = titrace::stream::open_sources(input, ranks).map_err(|e| e.to_string())?;
-        let mut report = crate::replay_sources_observed(platform, sources, config, record_spans)?;
+        let mut report = crate::replay_sources_observed(platform, open()?, config, record_spans)?;
         if profile {
             report.profile = Some(ReplayProfile::sequential(
                 run_sw.elapsed_s(),
@@ -124,12 +128,7 @@ pub(crate) fn replay_input_parallel(
     }
 
     // Distribute the per-rank cursors to their islands.
-    let mut cursors: Vec<Option<Box<dyn ActionSource>>> =
-        titrace::stream::open_sources(input, ranks)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(Some)
-            .collect();
+    let mut cursors: Vec<Option<Box<dyn ActionSource>>> = open()?.into_iter().map(Some).collect();
     let fault: Arc<Mutex<Option<(Rank, SourceError)>>> = Arc::new(Mutex::new(None));
     // `dyn OpSource` is not `Send`, so jobs carry the raw `ActionSource`
     // cursors (whose trait requires `Send`) and each worker wraps them
@@ -361,7 +360,7 @@ pub(crate) fn replay_input_parallel(
 #[allow(clippy::too_many_arguments)]
 fn try_replay_windowed(
     platform: &Platform,
-    input: &TraceInput,
+    open: &OpenSources,
     ranks: u32,
     scan: &CommScan,
     hosts: &[HostId],
@@ -388,12 +387,7 @@ fn try_replay_windowed(
         None => plan.lookahead_s / 2.0,
     };
     let nshards = plan.shards.len();
-    let mut cursors: Vec<Option<Box<dyn ActionSource>>> =
-        titrace::stream::open_sources(input, ranks)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(Some)
-            .collect();
+    let mut cursors: Vec<Option<Box<dyn ActionSource>>> = open()?.into_iter().map(Some).collect();
     let all_ranks: Arc<Vec<u32>> = Arc::new((0..ranks).collect());
     let fault: Arc<Mutex<Option<(Rank, SourceError)>>> = Arc::new(Mutex::new(None));
 

@@ -686,43 +686,70 @@ pub fn read_file(path: &Path) -> Result<Trace, FileError> {
     decode(&bytes).map_err(|e| FileError::Bin(path.to_path_buf(), e))
 }
 
-/// Opens one incremental [`ActionSource`] per rank over a `.titb` file.
-/// The encoded bytes are read once and shared; actions decode on the
-/// fly as the replay pulls them, so no `Vec<Vec<Action>>` is ever
-/// materialised. The payload checksum is verified up front.
+/// A `.titb` file read into memory once, its payload checksum verified.
+/// Any number of cursor sets can be handed out over the same bytes (a
+/// parallel replay scans the trace, then replays it).
+pub struct Image {
+    bytes: Arc<Vec<u8>>,
+    header: Header,
+    path: std::path::PathBuf,
+}
+
+impl Image {
+    /// Reads and verifies `path`.
+    ///
+    /// # Errors
+    /// I/O and decode failures, or a rank-count mismatch.
+    pub fn open(path: &Path, ranks: u32) -> Result<Image, FileError> {
+        let bytes = std::fs::read(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
+        let header = read_header(&bytes).map_err(|e| FileError::Bin(path.to_path_buf(), e))?;
+        if header.ranks != ranks {
+            return Err(FileError::Description(
+                path.to_path_buf(),
+                format!(
+                    "binary trace holds {} ranks, {ranks} requested",
+                    header.ranks
+                ),
+            ));
+        }
+        verify_checksum(&bytes, &header).map_err(|e| FileError::Bin(path.to_path_buf(), e))?;
+        Ok(Image {
+            bytes: Arc::new(bytes),
+            header,
+            path: path.to_path_buf(),
+        })
+    }
+
+    /// One incremental [`ActionSource`] per rank, each at the start of
+    /// its block. Actions decode on the fly as the replay pulls them, so
+    /// no `Vec<Vec<Action>>` is ever materialised.
+    pub fn cursors(&self) -> Vec<Box<dyn ActionSource>> {
+        let payload_start = self.header.payload_start();
+        self.header
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(r, block)| {
+                Box::new(BlockCursor {
+                    bytes: Arc::clone(&self.bytes),
+                    path: self.path.clone(),
+                    rank: r as u32,
+                    pos: payload_start + block.offset as usize,
+                    end: payload_start + (block.offset + block.len) as usize,
+                    remaining: block.count,
+                }) as Box<dyn ActionSource>
+            })
+            .collect()
+    }
+}
+
+/// Opens one incremental [`ActionSource`] per rank over a `.titb` file:
+/// [`Image::open`] then [`Image::cursors`].
 ///
 /// # Errors
 /// I/O and decode failures, or a rank-count mismatch.
 pub fn open_cursors(path: &Path, ranks: u32) -> Result<Vec<Box<dyn ActionSource>>, FileError> {
-    let bytes = std::fs::read(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-    let header = read_header(&bytes).map_err(|e| FileError::Bin(path.to_path_buf(), e))?;
-    if header.ranks != ranks {
-        return Err(FileError::Description(
-            path.to_path_buf(),
-            format!(
-                "binary trace holds {} ranks, {ranks} requested",
-                header.ranks
-            ),
-        ));
-    }
-    verify_checksum(&bytes, &header).map_err(|e| FileError::Bin(path.to_path_buf(), e))?;
-    let payload_start = header.payload_start();
-    let shared: Arc<Vec<u8>> = Arc::new(bytes);
-    Ok(header
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(r, block)| {
-            Box::new(BlockCursor {
-                bytes: Arc::clone(&shared),
-                path: path.to_path_buf(),
-                rank: r as u32,
-                pos: payload_start + block.offset as usize,
-                end: payload_start + (block.offset + block.len) as usize,
-                remaining: block.count,
-            }) as Box<dyn ActionSource>
-        })
-        .collect())
+    Ok(Image::open(path, ranks)?.cursors())
 }
 
 /// Incremental decoder over one rank's block of a shared `.titb` image.

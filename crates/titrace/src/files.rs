@@ -91,8 +91,8 @@ pub fn write_split(trace: &Trace, dir: &Path, stem: &str) -> Result<PathBuf, Fil
     Ok(desc_path)
 }
 
-/// Loads a merged trace file for `ranks` processes (zero-copy parallel
-/// decode — see [`stream::load_merged`]).
+/// Loads a merged trace file for `ranks` processes (the streaming
+/// decoder — see [`stream::load_merged`]).
 ///
 /// # Errors
 /// Propagates I/O and parse failures.

@@ -1,18 +1,21 @@
-//! Streaming and parallel trace ingestion.
+//! Streaming trace ingestion.
 //!
-//! The original ingestion path read every trace file with
-//! `fs::read_to_string` and materialised the full `Vec<Vec<Action>>`
-//! before the first simulated event fired. This module provides the
-//! scalable alternatives:
-//!
-//! * a **zero-copy byte decoder** ([`parse_line_bytes`],
-//!   [`parse_merged_bytes`]) that tokenises `&[u8]` slices directly —
-//!   no per-line `String`, no up-front UTF-8 validation pass;
-//! * a **chunked parallel decoder** ([`parse_merged_parallel`]) that
-//!   splits a merged file at line boundaries, demultiplexes each chunk
-//!   into per-rank action lists on a scoped worker pool, and stitches
-//!   the per-rank lists back in chunk order — byte-identical to the
-//!   sequential parse at any worker count;
+//! * **One text grammar.** [`parse_line_bytes`] is the only definition of
+//!   the format and of its errors (≈ 75–90 ns per line).
+//! * **One merged-text decoder.** [`load_merged`] makes a single pass over
+//!   the file through a fixed 1 MiB buffer (`decode_reader`). *Carry
+//!   invariant:* between refills the buffer holds only the unterminated
+//!   start of the next line, so resident memory is the decoded [`Trace`]
+//!   plus the buffer, never the file. *Fast path defers:* each line first
+//!   goes to `fast_line`, byte loops for the lines `write` emits (≈ 40
+//!   ns per line with the demultiplexing, ≈ 60 when it carries a float);
+//!   whatever it does not recognise it rejects without building an error,
+//!   and that one line goes to [`parse_line_bytes`]. A line longer than
+//!   [`MAX_LINE`] is an error, not an allocation. [`parse_merged_bytes`]
+//!   is the same per-line function looped over a slice. Decoding runs on
+//!   the calling thread: the chunk-parallel decoder of PRs 2–14 was
+//!   removed on measurement — read DESIGN.md "Trace formats & ingestion"
+//!   before adding one back.
 //! * an [`ActionSource`] **cursor abstraction** that lets the replay
 //!   engines pull actions per rank incrementally, bounding resident
 //!   memory to O(ranks · window) for split text files and to the
@@ -20,10 +23,6 @@
 //! * an automatic **binary side-car cache** ([`load_merged_cached`]):
 //!   parsing a merged text trace drops a `.titb` next to it, keyed on
 //!   the source's size + mtime, and later loads hit the binary path.
-//!
-//! Worker counts follow the `TITR_SWEEP_THREADS` convention used by the
-//! experiment sweeps: the variable forces a count (1 = sequential),
-//! otherwise the machine's available parallelism is used.
 
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
@@ -34,7 +33,7 @@ use crate::parse::ParseError;
 use crate::{binfmt, Action, Rank, Trace};
 
 // ----------------------------------------------------------------------
-// Zero-copy text decoding
+// Text decoding
 // ----------------------------------------------------------------------
 
 fn err(line: usize, message: impl Into<String>) -> ParseError {
@@ -44,72 +43,63 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// Iterator over ASCII-whitespace-separated tokens of a byte slice.
-struct Tokens<'a> {
-    rest: &'a [u8],
+/// What follows a verb and how its action is built.
+enum Shape {
+    Bare(Action),
+    Amount,
+    /// Peer then size; the string names the peer in errors.
+    Peer(&'static str, fn(Rank, u64) -> Action),
+    Sized(fn(u64) -> Action),
+    /// Size then root.
+    Rooted(fn(u64, Rank) -> Action),
 }
 
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let start = self.rest.iter().position(|b| !b.is_ascii_whitespace())?;
-        let rest = &self.rest[start..];
-        let end = rest
-            .iter()
-            .position(u8::is_ascii_whitespace)
-            .unwrap_or(rest.len());
-        self.rest = &rest[end..];
-        Some(&rest[..end])
-    }
-}
-
-/// A token as UTF-8 text (tokens are almost always pure ASCII; the
-/// conversion validates without copying).
-fn token_str<'a>(tok: &'a [u8], line: usize, what: &str) -> Result<&'a str, ParseError> {
-    std::str::from_utf8(tok).map_err(|_| {
-        err(
-            line,
-            format!("invalid {what} `{}`", String::from_utf8_lossy(tok)),
-        )
+/// The one table of the format's verbs, read by [`parse_line_bytes`] and
+/// by the fast path. Commonest first: the arms are tried in order.
+#[inline(always)]
+fn shape(verb: &[u8]) -> Option<Shape> {
+    Some(match verb {
+        b"compute" => Shape::Amount,
+        b"send" => Shape::Peer("destination", |dst, bytes| Action::Send { dst, bytes }),
+        b"recv" => Shape::Peer("source", |src, bytes| Action::Recv { src, bytes }),
+        b"isend" => Shape::Peer("destination", |dst, bytes| Action::Isend { dst, bytes }),
+        b"irecv" => Shape::Peer("source", |src, bytes| Action::Irecv { src, bytes }),
+        b"wait" => Shape::Bare(Action::Wait),
+        b"waitall" => Shape::Bare(Action::WaitAll),
+        b"init" => Shape::Bare(Action::Init),
+        b"finalize" => Shape::Bare(Action::Finalize),
+        b"barrier" => Shape::Bare(Action::Barrier),
+        b"bcast" => Shape::Rooted(|bytes, root| Action::Bcast { bytes, root }),
+        b"reduce" => Shape::Rooted(|bytes, root| Action::Reduce { bytes, root }),
+        b"gather" => Shape::Rooted(|bytes, root| Action::Gather { bytes, root }),
+        b"allreduce" => Shape::Sized(|bytes| Action::Allreduce { bytes }),
+        b"alltoall" => Shape::Sized(|bytes| Action::Alltoall { bytes }),
+        b"allgather" => Shape::Sized(|bytes| Action::Allgather { bytes }),
+        _ => return None,
     })
 }
 
+/// A token through `str::parse` (UTF-8 validated here, without copying).
+fn parse_tok<T: std::str::FromStr>(tok: &[u8]) -> Option<T> {
+    std::str::from_utf8(tok).ok()?.parse().ok()
+}
+
+fn invalid(what: &str, tok: &[u8], line: usize) -> ParseError {
+    let tok = String::from_utf8_lossy(tok);
+    err(line, format!("invalid {what} `{tok}`"))
+}
+
 fn parse_rank_tok(tok: &[u8], line: usize) -> Result<Rank, ParseError> {
-    let digits = tok.strip_prefix(b"p").unwrap_or(tok);
-    token_str(digits, line, "rank token")
-        .ok()
-        .and_then(|s| s.parse::<u32>().ok())
-        .map(Rank)
-        .ok_or_else(|| {
-            err(
-                line,
-                format!("invalid rank token `{}`", String::from_utf8_lossy(tok)),
-            )
-        })
+    let rank = parse_tok(tok.strip_prefix(b"p").unwrap_or(tok)).map(Rank);
+    rank.ok_or_else(|| invalid("rank token", tok, line))
 }
 
 fn parse_bytes_tok(tok: &[u8], line: usize) -> Result<u64, ParseError> {
-    token_str(tok, line, "byte count")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| {
-            err(
-                line,
-                format!("invalid byte count `{}`", String::from_utf8_lossy(tok)),
-            )
-        })
+    parse_tok(tok).ok_or_else(|| invalid("byte count", tok, line))
 }
 
 fn parse_amount_tok(tok: &[u8], line: usize) -> Result<f64, ParseError> {
-    let v: f64 = token_str(tok, line, "compute amount")?
-        .parse()
-        .map_err(|_| {
-            err(
-                line,
-                format!("invalid compute amount `{}`", String::from_utf8_lossy(tok)),
-            )
-        })?;
+    let v: f64 = parse_tok(tok).ok_or_else(|| invalid("compute amount", tok, line))?;
     if !v.is_finite() || v < 0.0 {
         return Err(err(line, format!("compute amount out of range: {v}")));
     }
@@ -121,7 +111,9 @@ fn parse_amount_tok(tok: &[u8], line: usize) -> Result<f64, ParseError> {
 /// parser — [`crate::parse::parse_line`] delegates here — and it never
 /// allocates on the success path.
 pub fn parse_line_bytes(raw: &[u8], line: usize) -> Result<Option<(Rank, Action)>, ParseError> {
-    let mut toks = Tokens { rest: raw };
+    let mut toks = raw
+        .split(u8::is_ascii_whitespace)
+        .filter(|tok| !tok.is_empty());
     let Some(rank_tok) = toks.next() else {
         return Ok(None);
     };
@@ -132,155 +124,221 @@ pub fn parse_line_bytes(raw: &[u8], line: usize) -> Result<Option<(Rank, Action)
     let verb = toks
         .next()
         .ok_or_else(|| err(line, "missing action verb"))?;
+    let quoted = || String::from_utf8_lossy(verb);
     let mut next = |what: &str| {
-        toks.next().ok_or_else(|| {
-            err(
-                line,
-                format!("missing {what} for `{}`", String::from_utf8_lossy(verb)),
-            )
-        })
+        toks.next()
+            .ok_or_else(|| err(line, format!("missing {what} for `{}`", quoted())))
     };
-    let action = match verb {
-        b"init" => Action::Init,
-        b"finalize" => Action::Finalize,
-        b"compute" => Action::Compute {
+    let action = match shape(verb) {
+        Some(Shape::Bare(action)) => action,
+        Some(Shape::Amount) => Action::Compute {
             amount: parse_amount_tok(next("amount")?, line)?,
         },
-        b"send" | b"isend" => {
-            let dst = parse_rank_tok(next("destination")?, line)?;
+        Some(Shape::Peer(peer, make)) => {
+            let peer = parse_rank_tok(next(peer)?, line)?;
+            make(peer, parse_bytes_tok(next("size")?, line)?)
+        }
+        Some(Shape::Sized(make)) => make(parse_bytes_tok(next("size")?, line)?),
+        Some(Shape::Rooted(make)) => {
             let bytes = parse_bytes_tok(next("size")?, line)?;
-            if verb == b"send" {
-                Action::Send { dst, bytes }
-            } else {
-                Action::Isend { dst, bytes }
-            }
+            make(bytes, parse_rank_tok(next("root")?, line)?)
         }
-        b"recv" | b"irecv" => {
-            let src = parse_rank_tok(next("source")?, line)?;
-            let bytes = parse_bytes_tok(next("size")?, line)?;
-            if verb == b"recv" {
-                Action::Recv { src, bytes }
-            } else {
-                Action::Irecv { src, bytes }
-            }
-        }
-        b"wait" => Action::Wait,
-        b"waitall" => Action::WaitAll,
-        b"barrier" => Action::Barrier,
-        b"bcast" => Action::Bcast {
-            bytes: parse_bytes_tok(next("size")?, line)?,
-            root: parse_rank_tok(next("root")?, line)?,
-        },
-        b"reduce" => Action::Reduce {
-            bytes: parse_bytes_tok(next("size")?, line)?,
-            root: parse_rank_tok(next("root")?, line)?,
-        },
-        b"allreduce" => Action::Allreduce {
-            bytes: parse_bytes_tok(next("size")?, line)?,
-        },
-        b"alltoall" => Action::Alltoall {
-            bytes: parse_bytes_tok(next("size")?, line)?,
-        },
-        b"gather" => Action::Gather {
-            bytes: parse_bytes_tok(next("size")?, line)?,
-            root: parse_rank_tok(next("root")?, line)?,
-        },
-        b"allgather" => Action::Allgather {
-            bytes: parse_bytes_tok(next("size")?, line)?,
-        },
-        other => {
-            return Err(err(
-                line,
-                format!("unknown action verb `{}`", String::from_utf8_lossy(other)),
-            ))
-        }
+        None => return Err(err(line, format!("unknown action verb `{}`", quoted()))),
     };
     if let Some(extra) = toks.next() {
-        return Err(err(
-            line,
-            format!(
-                "trailing token `{}` after `{}`",
-                String::from_utf8_lossy(extra),
-                String::from_utf8_lossy(verb)
-            ),
-        ));
+        let extra = String::from_utf8_lossy(extra);
+        let message = format!("trailing token `{extra}` after `{}`", quoted());
+        return Err(err(line, message));
     }
     Ok(Some((rank, action)))
 }
 
-/// Output of decoding one chunk of a merged file.
-struct ChunkOut {
-    /// Actions demultiplexed by rank, in chunk line order.
-    per_rank: Vec<Vec<Action>>,
-    /// Newlines in the chunk (for global line-number accounting).
-    newlines: usize,
+/// Longest line the merged-text decoders accept, without its `\n`: a
+/// file with no newline cannot make them buffer more than this.
+pub const MAX_LINE: usize = 64 * 1024;
+
+/// Read size of [`load_merged`].
+const READ_BUF: usize = 1 << 20;
+
+/// Digits the fast path converts itself: 18 cannot overflow a `u64`.
+const FAST_DIGITS: usize = 18;
+
+/// The fast path's cursor: the rest of the buffer, from inside a line.
+struct Fast<'a>(&'a [u8]);
+
+impl<'a> Fast<'a> {
+    /// Consumes the token `self.0[..n]` and the blanks (whitespace other
+    /// than `\n`) after it; `None` if it is empty, runs on into another
+    /// byte, or the buffer ends before the next token or `\n`.
+    fn token(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (tok, rest) = self.0.split_at(n);
+        let blanks = rest
+            .iter()
+            .position(|&b| b == b'\n' || !b.is_ascii_whitespace())?;
+        self.0 = &rest[blanks..];
+        (n > 0 && (blanks > 0 || rest[0] == b'\n')).then_some(tok)
+    }
+
+    fn word(&mut self) -> Option<&'a [u8]> {
+        self.token(self.0.iter().position(u8::is_ascii_whitespace)?)
+    }
+
+    fn uint(&mut self) -> Option<u64> {
+        let digits = self.0.iter().take_while(|b| b.is_ascii_digit());
+        let (v, n) = digits.fold((0u64, 0), |(v, n), b| {
+            (v.wrapping_mul(10).wrapping_add(u64::from(b - b'0')), n + 1)
+        });
+        (n <= FAST_DIGITS && self.token(n).is_some()).then_some(v)
+    }
+
+    fn rank(&mut self) -> Option<Rank> {
+        self.0 = self.0.strip_prefix(b"p")?;
+        u32::try_from(self.uint()?).ok().map(Rank)
+    }
 }
 
-/// Decodes one chunk of a merged trace. Errors carry chunk-local line
-/// numbers; the caller rebases them.
-fn decode_chunk(bytes: &[u8], ranks: u32) -> Result<ChunkOut, ParseError> {
-    let mut per_rank: Vec<Vec<Action>> = (0..ranks).map(|_| Vec::new()).collect();
-    let mut line = 0usize;
-    for raw in bytes.split(|&b| b == b'\n') {
-        line += 1;
-        if let Some((rank, action)) = parse_line_bytes(raw, line)? {
-            if rank.0 >= ranks {
-                return Err(err(
-                    line,
-                    format!("rank {rank} out of range (trace has {ranks} ranks)"),
-                ));
-            }
-            per_rank[rank.as_usize()].push(action);
+/// Decodes the `\n`-terminated line at the start of `buf` if it is one
+/// `write` could have emitted, and returns its length and value. `None`
+/// ("not mine") for anything else — blank, comment, bare rank, sign, more
+/// than [`FAST_DIGITS`] digits, unknown verb, missing or trailing token,
+/// no `\n` yet — which the caller hands to [`parse_line_bytes`]; a
+/// `Some` here is always the value that function returns.
+fn fast_line(buf: &[u8]) -> Option<(usize, Rank, Action)> {
+    let mut f = Fast(buf);
+    let rank = f.rank()?;
+    let action = match shape(f.word()?)? {
+        Shape::Bare(action) => action,
+        Shape::Amount => {
+            let amount = parse_tok(f.word()?).filter(|v: &f64| v.is_finite() && *v >= 0.0)?;
+            Action::Compute { amount }
+        }
+        Shape::Peer(_, make) => make(f.rank()?, f.uint()?),
+        Shape::Sized(make) => make(f.uint()?),
+        Shape::Rooted(make) => make(f.uint()?, f.rank()?),
+    };
+    (f.0.first() == Some(&b'\n')).then(|| (buf.len() - f.0.len(), rank, action))
+}
+
+/// Per-rank action lists under construction, with the count of lines
+/// consumed so far: every error carries its global 1-based line number.
+struct Demux {
+    per_rank: Vec<Vec<Action>>,
+    line: usize,
+}
+
+impl Demux {
+    fn new(ranks: u32) -> Demux {
+        let per_rank = vec![Vec::new(); ranks as usize];
+        Demux { per_rank, line: 0 }
+    }
+
+    /// The error for the line after the last one consumed.
+    fn too_long(&self) -> ParseError {
+        err(self.line + 1, format!("line exceeds {MAX_LINE} bytes"))
+    }
+
+    /// Decodes every `\n`-terminated line of `bytes`; returns where the
+    /// unterminated rest starts.
+    fn push_lines(&mut self, bytes: &[u8]) -> Result<usize, ParseError> {
+        let mut start = 0;
+        loop {
+            let rest = &bytes[start..];
+            let (len, fast) = match fast_line(rest) {
+                Some((len, rank, action)) => (len, Some((rank, action))),
+                None => match rest.iter().position(|&b| b == b'\n') {
+                    Some(len) => (len, None),
+                    None => return Ok(start),
+                },
+            };
+            self.push_line(&rest[..len], fast)?;
+            start += len + 1;
         }
     }
-    let newlines = bytes.iter().filter(|&&b| b == b'\n').count();
-    Ok(ChunkOut { per_rank, newlines })
+
+    /// Files the action of one line (`raw`, without its `\n`), decoding
+    /// it with [`parse_line_bytes`] unless the fast path already has.
+    fn push_line(&mut self, raw: &[u8], fast: Option<(Rank, Action)>) -> Result<(), ParseError> {
+        if raw.len() > MAX_LINE {
+            return Err(self.too_long());
+        }
+        self.line += 1;
+        let parsed = match fast {
+            None => parse_line_bytes(raw, self.line)?,
+            some => some,
+        };
+        if let Some((rank, action)) = parsed {
+            let ranks = self.per_rank.len();
+            let list = self.per_rank.get_mut(rank.as_usize()).ok_or_else(|| {
+                let message = format!("rank {rank} out of range (trace has {ranks} ranks)");
+                err(self.line, message)
+            })?;
+            list.push(action);
+        }
+        Ok(())
+    }
+
+    /// Decodes the unterminated last line, if any, and builds the trace.
+    fn finish(mut self, last: &[u8]) -> Result<Trace, ParseError> {
+        if !last.is_empty() {
+            self.push_line(last, None)?;
+        }
+        Ok(Trace::from_actions(self.per_rank))
+    }
 }
 
-/// Parses a merged trace directly from bytes — the zero-copy equivalent
-/// of [`crate::parse::parse_merged`], which delegates here.
+/// Parses a merged trace directly from bytes — the in-memory form of
+/// [`load_merged`], and what [`crate::parse::parse_merged`] delegates to.
 ///
 /// # Errors
 /// Returns the first line that fails to parse.
 pub fn parse_merged_bytes(bytes: &[u8], ranks: u32) -> Result<Trace, ParseError> {
-    decode_chunk(bytes, ranks).map(|c| Trace::from_actions(c.per_rank))
+    let mut demux = Demux::new(ranks);
+    let rest = demux.push_lines(bytes)?;
+    demux.finish(&bytes[rest..])
 }
 
-/// Splits `bytes` into at most `parts` non-empty chunks, cutting only
-/// immediately after a newline so no line straddles two chunks.
-fn split_at_lines(bytes: &[u8], parts: usize) -> Vec<&[u8]> {
-    let mut chunks = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 1..parts {
-        let target = (bytes.len() * i) / parts;
-        if target <= start {
-            continue;
-        }
-        // Advance to just past the next newline at or after `target`.
-        let cut = match bytes[target..].iter().position(|&b| b == b'\n') {
-            Some(off) => target + off + 1,
-            None => bytes.len(),
+/// Decodes a merged trace from `reader` in one pass through a buffer of
+/// `buf_len` bytes, which grows only while it is smaller than a line and
+/// never past [`MAX_LINE`]` + 1`. Between refills `buf[..carried]` is the
+/// unterminated start of the next line.
+///
+/// # Errors
+/// The outer error is the reader's; the inner one is the first line
+/// that fails to parse, exactly as [`parse_merged_bytes`] reports it.
+pub(crate) fn decode_reader(
+    mut reader: impl io::Read,
+    ranks: u32,
+    buf_len: usize,
+) -> io::Result<Result<Trace, ParseError>> {
+    let mut demux = Demux::new(ranks);
+    let mut buf = vec![0u8; buf_len.max(1)];
+    let mut carried = 0;
+    loop {
+        let end = match reader.read(&mut buf[carried..]) {
+            Ok(0) => return Ok(demux.finish(&buf[..carried])),
+            Ok(n) => carried + n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        if cut > start && cut < bytes.len() {
-            chunks.push(&bytes[start..cut]);
-            start = cut;
+        let rest = match demux.push_lines(&buf[..end]) {
+            Ok(rest) => rest,
+            Err(e) => return Ok(Err(e)),
+        };
+        buf.copy_within(rest..end, 0);
+        carried = end - rest;
+        if carried > MAX_LINE {
+            return Ok(Err(demux.too_long()));
+        }
+        if carried == buf.len() {
+            buf.resize((2 * carried).min(MAX_LINE + 1), 0);
         }
     }
-    if start < bytes.len() {
-        chunks.push(&bytes[start..]);
-    }
-    if chunks.is_empty() {
-        chunks.push(bytes);
-    }
-    chunks
 }
 
-/// Below this size a parallel parse is all overhead.
-const PARALLEL_MIN_BYTES: usize = 64 * 1024;
-
-/// Chooses the ingest worker count for `items` independent work units:
-/// `TITR_SWEEP_THREADS` when set (1 forces sequential), otherwise the
-/// machine's available parallelism, never more than `items`.
+/// Chooses the worker count for `items` independent work units (split
+/// per-rank files, sweep cells): `TITR_SWEEP_THREADS` when set (1 forces
+/// sequential), otherwise the machine's available parallelism, never
+/// more than `items`.
 pub fn worker_count(items: usize) -> usize {
     let workers = std::env::var("TITR_SWEEP_THREADS")
         .ok()
@@ -288,69 +346,6 @@ pub fn worker_count(items: usize) -> usize {
         .filter(|&n| n > 0)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     workers.min(items).max(1)
-}
-
-/// Parses a merged trace from bytes on `workers` threads: the buffer is
-/// chunked at line boundaries, each chunk is demultiplexed into
-/// per-rank lists independently, and the lists are stitched back in
-/// chunk order — so each rank's relative order (= line order) is
-/// preserved and the result equals [`parse_merged_bytes`] exactly.
-///
-/// # Errors
-/// Returns the earliest failing line, with its global line number.
-pub fn parse_merged_parallel(
-    bytes: &[u8],
-    ranks: u32,
-    workers: usize,
-) -> Result<Trace, ParseError> {
-    if workers <= 1 || bytes.len() < PARALLEL_MIN_BYTES {
-        return parse_merged_bytes(bytes, ranks);
-    }
-    let chunks = split_at_lines(bytes, workers);
-    if chunks.len() <= 1 {
-        return parse_merged_bytes(bytes, ranks);
-    }
-    let results: Vec<Result<ChunkOut, ParseError>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| s.spawn(move |_| decode_chunk(chunk, ranks)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest worker panicked"))
-            .collect()
-    })
-    .expect("ingest scope failed");
-
-    // Rebase the earliest error (if any) to its global line number. All
-    // chunks before the failing one parsed fully, so their newline
-    // counts are exact.
-    let mut lines_before = 0usize;
-    let mut outs = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(out) => {
-                lines_before += out.newlines;
-                outs.push(out);
-            }
-            Err(e) => {
-                return Err(err(lines_before + e.line, e.message));
-            }
-        }
-    }
-    // Stitch: concatenate each rank's sub-lists in chunk order.
-    let mut per_rank: Vec<Vec<Action>> = (0..ranks as usize)
-        .map(|r| {
-            let total: usize = outs.iter().map(|o| o.per_rank[r].len()).sum();
-            Vec::with_capacity(total)
-        })
-        .collect();
-    for out in outs {
-        for (r, mut list) in out.per_rank.into_iter().enumerate() {
-            per_rank[r].append(&mut list);
-        }
-    }
-    Ok(Trace::from_actions(per_rank))
 }
 
 // ----------------------------------------------------------------------
@@ -571,8 +566,7 @@ impl TraceInput {
 /// Split description files and binary traces stream (split files keep a
 /// one-line window per rank; binary cursors decode on the fly from the
 /// encoded bytes). Merged text cannot be streamed per rank without one
-/// scan per rank, so it is decoded in parallel up front and served from
-/// memory.
+/// scan per rank, so it is decoded up front and served from memory.
 ///
 /// # Errors
 /// Propagates I/O, parse, and layout failures.
@@ -622,14 +616,16 @@ pub fn load_trace(input: &TraceInput, ranks: u32) -> Result<Trace, FileError> {
     }
 }
 
-/// Loads a merged text trace with the parallel decoder.
+/// Loads a merged text trace with the streaming decoder: the file is
+/// never held, only 1 MiB of it at a time.
 ///
 /// # Errors
 /// Propagates I/O and parse failures.
 pub fn load_merged(path: &Path, ranks: u32) -> Result<Trace, FileError> {
-    let bytes = std::fs::read(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-    let workers = worker_count(usize::MAX);
-    parse_merged_parallel(&bytes, ranks, workers)
+    let io_err = |e| FileError::Io(path.to_path_buf(), e);
+    let file = std::fs::File::open(path).map_err(io_err)?;
+    decode_reader(file, ranks, READ_BUF)
+        .map_err(io_err)?
         .map_err(|e| FileError::Parse(path.to_path_buf(), e))
 }
 
@@ -677,7 +673,7 @@ pub enum CacheOutcome {
 /// Loads a merged text trace through its binary side-car cache: a
 /// `.titb` next to the source whose header matches the source's
 /// size+mtime signature is decoded instead of the text; otherwise the
-/// text is parsed (in parallel) and, when `cache` is set, the side-car
+/// text is parsed and, when `cache` is set, the side-car
 /// is (re)written for next time.
 ///
 /// # Errors
@@ -749,41 +745,109 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn parallel_parse_equals_sequential_at_any_worker_count() {
-        let text = sample_text(8, 400); // > PARALLEL_MIN_BYTES
-        assert!(text.len() > PARALLEL_MIN_BYTES);
-        let sequential = parse_merged_bytes(text.as_bytes(), 8).unwrap();
-        for workers in [2, 3, 7, 16] {
-            let parallel = parse_merged_parallel(text.as_bytes(), 8, workers).unwrap();
-            assert_eq!(parallel, sequential, "workers={workers}");
-        }
+    /// Texts that exercise every branch of the line loop — deferred lines
+    /// (comments, blanks, bare ranks, tabs), CRLF, a missing final
+    /// newline, the empty file, each kind of first error — with the rank
+    /// count and the first error, if one is expected.
+    fn reader_cases() -> Vec<(String, u32, Option<ParseError>)> {
+        let good = sample_text(2, 30);
+        let after_good = good.lines().count() + 1;
+        let mut no_final_newline = sample_text(5, 9);
+        no_final_newline.pop();
+        let odd = "# header\n\n0 init\np1\tinit\n  p1 compute 1e3  \np0 send p1 +7\n\np1 wait";
+        let too_long = format!("line exceeds {MAX_LINE} bytes");
+        let fails = |line: usize, message: &str| Some(err(line, message));
+        vec![
+            (sample_text(4, 50), 4, None),
+            (sample_text(3, 40).replace('\n', "\r\n"), 3, None),
+            (no_final_newline, 5, None),
+            (odd.to_string(), 2, None),
+            (String::new(), 2, None),
+            ("\n".to_string(), 1, None),
+            (format!("#{}\np0 init", "x".repeat(MAX_LINE - 1)), 1, None),
+            (
+                format!("{good}p0 teleport 3\n{good}"),
+                2,
+                fails(after_good, "unknown action verb `teleport`"),
+            ),
+            (
+                format!("{good}p2 wait\np0 teleport\n"),
+                2,
+                fails(after_good, "rank p2 out of range (trace has 2 ranks)"),
+            ),
+            (
+                format!("{good}p0 send p1"),
+                2,
+                fails(after_good, "missing size for `send`"),
+            ),
+            (
+                format!("p0 init\n#{}\np0 teleport\n", "x".repeat(MAX_LINE)),
+                1,
+                fails(2, &too_long),
+            ),
+            (
+                format!("p0 init\n{}", "A".repeat(MAX_LINE + 1)),
+                1,
+                fails(2, &too_long),
+            ),
+        ]
     }
 
     #[test]
-    fn parallel_parse_reports_global_line_numbers() {
-        let mut text = sample_text(2, 2000);
-        assert!(text.len() > PARALLEL_MIN_BYTES);
-        text.push_str("p0 teleport 3\n");
-        let total_lines = text.lines().count();
-        for workers in [1, 2, 5] {
-            let e = parse_merged_parallel(text.as_bytes(), 2, workers).unwrap_err();
-            assert_eq!(e.line, total_lines, "workers={workers}");
-            assert!(e.message.contains("teleport"));
-        }
-    }
-
-    #[test]
-    fn split_at_lines_covers_the_buffer_without_splitting_lines() {
-        let text = sample_text(3, 100);
-        for parts in [1, 2, 4, 9] {
-            let chunks = split_at_lines(text.as_bytes(), parts);
-            let total: usize = chunks.iter().map(|c| c.len()).sum();
-            assert_eq!(total, text.len());
-            for c in &chunks[..chunks.len() - 1] {
-                assert_eq!(*c.last().unwrap(), b'\n', "chunk must end at a line");
+    fn reader_equals_slice_decoder_at_any_buffer_size() {
+        for (i, (text, ranks, error)) in reader_cases().into_iter().enumerate() {
+            let whole = parse_merged_bytes(text.as_bytes(), ranks);
+            assert_eq!(whole.as_ref().err(), error.as_ref(), "case {i}");
+            for buf_len in [1, 2, 3, 7, 64, 4096, READ_BUF] {
+                let streamed = decode_reader(text.as_bytes(), ranks, buf_len).unwrap();
+                assert_eq!(streamed, whole, "case {i}, buf_len {buf_len}");
             }
         }
+    }
+
+    #[test]
+    fn errors_past_the_first_refill_keep_global_line_numbers() {
+        let mut text = String::new();
+        for i in 0..70_000 {
+            text.push_str(if i % 2 == 0 {
+                "p0 compute 956140\n"
+            } else {
+                "p1 recv p0 1240\n"
+            });
+        }
+        assert!(text.len() > READ_BUF, "the bad line must sit past a refill");
+        for (bad, what) in [
+            ("p0 teleport 3\n", "teleport"),
+            ("p7 wait\n", "rank p7 out of range"),
+        ] {
+            let text = format!("{text}{bad}p0 wait\n");
+            let e = decode_reader(text.as_bytes(), 2, READ_BUF)
+                .unwrap()
+                .unwrap_err();
+            assert_eq!(e.line, 70_001);
+            assert!(e.message.contains(what), "{}", e.message);
+        }
+    }
+
+    #[test]
+    fn every_line_write_emits_takes_the_fast_path() {
+        let text = "p0 init\np12 compute 956140\np0 compute 4.4378401532216393e5\n\
+                    p0 send p1 1240\np1 recv p0 1240\np0 isend p1 7\np1 irecv p0 7\n\
+                    p0 wait\np0 waitall\np0 barrier\np0 bcast 40 p0\np0 reduce 40 p1\n\
+                    p0 allreduce 40\np0 alltoall 8\np0 gather 8 p0\np0 allgather 8\n\
+                    p0 finalize\np3\tsend  p4 999999999999999999 \r\n";
+        let mut rest = text.as_bytes();
+        while !rest.is_empty() {
+            let (len, rank, action) = fast_line(rest).expect("fast path deferred a plain line");
+            let canonical = parse_line_bytes(&rest[..len], 1).unwrap();
+            assert_eq!(canonical, Some((rank, action)));
+            rest = &rest[len + 1..];
+        }
+        assert_eq!(
+            fast_line(b"p0 wait"),
+            None,
+            "no newline: not a whole line yet"
+        );
     }
 
     #[test]
@@ -910,5 +974,140 @@ mod tests {
             TraceInput::detect(&bin).unwrap(),
             TraceInput::Binary(_)
         ));
+    }
+}
+
+/// Differential test of the fast path against the canonical parser.
+#[cfg(test)]
+mod fast_path_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The line `write` emits for the `verb`-th action kind.
+    fn line_for(verb: usize, rank: u32, peer: u32, bytes: u64, amount: f64) -> String {
+        let peer = Rank(peer);
+        let action = match verb {
+            0 => Action::Init,
+            1 => Action::Finalize,
+            2 => Action::Compute { amount },
+            3 => Action::Send { dst: peer, bytes },
+            4 => Action::Isend { dst: peer, bytes },
+            5 => Action::Recv { src: peer, bytes },
+            6 => Action::Irecv { src: peer, bytes },
+            7 => Action::Wait,
+            8 => Action::WaitAll,
+            9 => Action::Barrier,
+            10 => Action::Bcast { bytes, root: peer },
+            11 => Action::Reduce { bytes, root: peer },
+            12 => Action::Allreduce { bytes },
+            13 => Action::Alltoall { bytes },
+            14 => Action::Gather { bytes, root: peer },
+            _ => Action::Allgather { bytes },
+        };
+        let mut line = String::new();
+        crate::write::format_action(Rank(rank), &action, &mut line);
+        line
+    }
+
+    const MUTATIONS: usize = 19;
+
+    /// Damages token `pick % tokens` of `line` (or its spacing) in the
+    /// `kind`-th way; kind 0 leaves it alone.
+    fn mutate(line: &str, kind: usize, pick: usize) -> Vec<u8> {
+        let mut toks: Vec<Vec<u8>> = line.split(' ').map(|t| t.as_bytes().to_vec()).collect();
+        let i = pick % toks.len();
+        let (mut sep, mut tail): (&[u8], &[u8]) = (b" ", b"");
+        match kind {
+            0 => {}
+            1 | 2 => {
+                let at = usize::from(toks[i][0] == b'p');
+                toks[i].insert(at, if kind == 1 { b'+' } else { b'-' });
+            }
+            3 => toks[i] = "9".repeat(19 + pick % 7).into_bytes(),
+            4 => toks[i] = u64::MAX.to_string().into_bytes(),
+            5 => toks[i] = b"18446744073709551616".to_vec(),
+            6 => toks[i] = (u64::MAX - 1).to_string().into_bytes(),
+            7 => {
+                toks[i].remove(0);
+            }
+            8 => toks[i].insert(0, b'p'),
+            9 => toks[i].make_ascii_uppercase(),
+            10 | 11 => {
+                let at = pick % (toks[i].len() + 1);
+                let junk = if kind == 10 { "\0" } else { "é" };
+                toks[i].splice(at..at, junk.bytes());
+            }
+            12 => toks.push(b"extra".to_vec()),
+            13 => sep = b"\t",
+            14 => tail = b"\r",
+            15 => {
+                toks.pop();
+            }
+            16 => (sep, tail) = (b" \t ", b" \x0C\r"),
+            17 => toks[0].insert(0, b'#'),
+            _ => toks.insert(0, Vec::new()),
+        }
+        let mut out = toks.join(sep);
+        out.extend_from_slice(tail);
+        out
+    }
+
+    fn same_bits(a: Action, b: Action) -> bool {
+        match (a, b) {
+            (Action::Compute { amount: x }, Action::Compute { amount: y }) => {
+                x.to_bits() == y.to_bits()
+            }
+            _ => a == b,
+        }
+    }
+
+    fn arb_bytes() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..100_000,
+            0u64..=u64::MAX,
+            Just(999_999_999_999_999_999),
+            Just(1_000_000_000_000_000_000),
+        ]
+    }
+
+    fn arb_amount() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..=1 << 53).prop_map(|a| a as f64),
+            (0u64..=1 << 60).prop_map(|a| a as f64 / 8.0),
+            // Any finite non-negative double, by bit pattern.
+            (0u64..0x7FF0_0000_0000_0000).prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Whatever the line, the fast path either defers or returns
+        /// exactly what the canonical parser returns.
+        #[test]
+        fn fast_path_defers_or_agrees(
+            verb in 0usize..16,
+            ranks in (0u32..300, prop_oneof![0u32..300, Just(u32::MAX)]),
+            bytes in arb_bytes(),
+            amount in arb_amount(),
+            kind in 0usize..MUTATIONS,
+            pick in 0usize..1000,
+        ) {
+            let plain = line_for(verb, ranks.0, ranks.1, bytes, amount);
+            let line = mutate(&plain, kind, pick);
+            let mut buf = line.clone();
+            buf.extend_from_slice(b"\np0 wait\n");
+            match fast_line(&buf) {
+                Some((len, rank, action)) => {
+                    prop_assert_eq!(len, line.len());
+                    let Ok(Some((r, a))) = parse_line_bytes(&line, 1) else {
+                        panic!("fast path accepted what the parser rejects: {:?}", plain);
+                    };
+                    prop_assert!(rank == r && same_bits(action, a), "{:?}", plain);
+                }
+                // The writer's own lines must not all be deferred.
+                None => prop_assert!(kind != 0 || bytes >= 1_000_000_000_000_000_000),
+            }
+        }
     }
 }

@@ -16,8 +16,10 @@ cargo bench -p bench -- --test
 cargo run --release -p bench --bin perf_baseline -- --smoke
 
 # Ingest smoke: generate an LU class-B trace, pack it, and check that
-# text (sequential and parallel) and binary ingestion replay to the
-# same simulated time, and that pack -> unpack round-trips the text.
+# text, a CRLF copy of it without a final newline, and binary ingestion
+# replay to the same simulated time, that the copy packs to the same
+# checksum, table and payload, and that pack -> unpack round-trips the
+# text.
 ingest_dir="$(mktemp -d)"
 trap 'rm -rf "$ingest_dir"' EXIT
 gen=target/release/titrace-gen
@@ -28,8 +30,12 @@ rep=target/release/titreplay
 cmp "$ingest_dir/lu.trace" "$ingest_dir/lu.unpacked.trace"
 plat="$ingest_dir/lu.trace.platform.json"
 run_replay() { "$rep" --platform "$plat" --ranks 8 --rate 2e9 "$@" | awk '{print $2}'; }
-t_text=$(TITR_SWEEP_THREADS=1 run_replay --trace "$ingest_dir/lu.trace" --no-cache)
-t_par=$(TITR_SWEEP_THREADS=4 run_replay --trace "$ingest_dir/lu.trace" --no-cache)
+t_text=$(run_replay --trace "$ingest_dir/lu.trace" --no-cache)
+sed 's/$/\r/' "$ingest_dir/lu.trace" | head -c -1 >"$ingest_dir/lu.crlf.trace"
+t_crlf=$(run_replay --trace "$ingest_dir/lu.crlf.trace" --no-cache)
+"$rep" trace pack "$ingest_dir/lu.crlf.trace" "$ingest_dir/lu.crlf.titb" --ranks 8
+# Bytes 12..28 of a .titb record the source file's (length, mtime).
+cmp -i 28 "$ingest_dir/lu.titb" "$ingest_dir/lu.crlf.titb"
 t_bin=$(run_replay --trace "$ingest_dir/lu.titb")
 # First cached run stores the side-car, second must hit it.
 t_store=$(run_replay --trace "$ingest_dir/lu.trace")
@@ -38,13 +44,13 @@ t_cache=$("$rep" --platform "$plat" --ranks 8 --rate 2e9 --trace "$ingest_dir/lu
     2>"$ingest_dir/cache.log" | awk '{print $2}')
 grep -q "trace cache: hit" "$ingest_dir/cache.log" \
     || { echo "side-car cache not hit on second run" >&2; exit 1; }
-for t in "$t_par" "$t_bin" "$t_store" "$t_cache"; do
+for t in "$t_crlf" "$t_bin" "$t_store" "$t_cache"; do
     [ "$t" = "$t_text" ] || {
         echo "ingestion paths disagree: $t_text vs $t" >&2
         exit 1
     }
 done
-echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/parallel/titb/cache)"
+echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache)"
 
 # Observability smoke: replay an LU class-S trace with the recorder
 # enabled, check that the exported artifacts are valid JSON, and that
@@ -179,15 +185,16 @@ echo "AGG_SMOKE ok (simulated_time_s $a_time, 1 live entity, $a_events events / 
 
 # Benchmark smoke, harness form: the benchmark's own output checks
 # (goldens, mirror = CLI) must pass on the workloads the two sharing
-# paths carry — batched collectives and eager point-to-point re-shares.
-for w in allreduce-p128 lu-c64.titb; do
+# paths carry — batched collectives and eager point-to-point re-shares —
+# and on the one that decodes the most text.
+for w in allreduce-p128 lu-c64.titb halo-p128.text; do
     cargo run --release -p bench --bin titbench -- \
         --workload "$w" --seed 1 --seconds 2 --trace 0 >"$ingest_dir/titbench.out"
     tail -n 1 "$ingest_dir/titbench.out" | grep -q '"correct": true' \
         && tail -n 1 "$ingest_dir/titbench.out" | grep -q '"failed": 0' \
         || { echo "titbench $w: $(tail -n 1 "$ingest_dir/titbench.out")" >&2; exit 1; }
 done
-echo "BENCH_SMOKE ok (titbench allreduce-p128 and lu-c64.titb correct, 0 failed)"
+echo "BENCH_SMOKE ok (titbench allreduce-p128, lu-c64.titb and halo-p128.text correct, 0 failed)"
 
 # Windowed-PDES smoke, two halves. (a) LU class B, 8 ranks: one coupled
 # island *with collectives*, so the windowed engine must fall back —

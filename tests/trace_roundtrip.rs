@@ -30,22 +30,13 @@ proptest! {
     }
 
     /// text ⇄ binary ⇄ Trace agree on any acquired trace: the binary
-    /// encoding is lossless, and parallel text decode at any worker
-    /// count equals the sequential parse.
+    /// encoding is lossless.
     #[test]
-    fn acquired_trace_survives_binary_and_parallel_ingestion(
-        lu in arb_lu(),
-        seed in 0u64..1000,
-        workers in 2usize..9,
-    ) {
+    fn acquired_trace_survives_binary_ingestion(lu in arb_lu(), seed in 0u64..1000) {
         let acq = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, seed);
         let from_bin = binfmt::decode(&binfmt::encode(&acq.trace)).unwrap();
         prop_assert_eq!(&from_bin, &acq.trace);
-        let text = write::to_string(&acq.trace);
-        let parallel =
-            stream::parse_merged_parallel(text.as_bytes(), lu.procs, workers).unwrap();
-        prop_assert_eq!(&parallel, &acq.trace);
-        prop_assert_eq!(write::to_string(&from_bin), text);
+        prop_assert_eq!(write::to_string(&from_bin), write::to_string(&acq.trace));
     }
 
     /// Replay is bit-identical whether the trace is ingested from
@@ -123,4 +114,31 @@ proptest! {
         prop_assert_eq!(a.time, b.time);
         prop_assert_eq!(a.rank_times, b.rank_times);
     }
+}
+
+/// `write_to` → streaming decode gives back every `compute` amount of
+/// LU B-8 with the same bits: the decoder's fast path must round the
+/// 17-digit mantissas exactly as `f64::from_str` does.
+#[test]
+fn lu_compute_amounts_survive_the_text_format_bit_for_bit() {
+    let lu = LuConfig::new(LuClass::B, 8).with_steps(10);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+    let path = std::env::temp_dir().join(format!("titr-rt-bits-{}.trace", std::process::id()));
+    let mut file = std::fs::File::create(&path).unwrap();
+    write::write_to(&trace, &mut file).unwrap();
+    drop(file);
+    let back = stream::load_merged(&path, lu.procs).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let amounts = |t: &Trace| -> Vec<u64> {
+        t.iter()
+            .flat_map(|(_, actions)| actions)
+            .filter_map(|a| match a {
+                Action::Compute { amount } => Some(amount.to_bits()),
+                _ => None,
+            })
+            .collect()
+    };
+    assert!(amounts(&trace).len() > 1000);
+    assert_eq!(amounts(&back), amounts(&trace));
+    assert_eq!(back, trace);
 }
