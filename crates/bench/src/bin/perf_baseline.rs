@@ -1400,10 +1400,11 @@ fn agg_smoke() {
     );
 }
 
-/// Re-share gate: LU B-8 with default flags must re-rate exactly the
-/// flows, and process exactly the events, recorded at db39a09 — a change
-/// to *which* neighbours an eager open or close re-rates (as opposed to
-/// how cheaply it finds them) trips here without a timing threshold.
+/// Re-share gate: LU B-8 with default flags must push exactly these
+/// rate changes, recompute exactly this many rates to find them, and
+/// process exactly the events recorded at db39a09 — a change to *which*
+/// neighbours an eager open or close examines or re-rates (as opposed
+/// to how cheaply it finds them) trips here without a timing threshold.
 fn reshare_smoke() {
     use tit_replay::replay::replay_observed;
     let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
@@ -1419,13 +1420,17 @@ fn reshare_smoke() {
     .unwrap()
     .metrics;
     assert_eq!(
-        (m.sharing_rate_updates, m.events_processed),
-        (14_835, 36_603),
-        "LU B-8: the set of re-rated flows moved"
+        (
+            m.sharing_rate_updates,
+            m.sharing_examined,
+            m.events_processed
+        ),
+        (11_614, 14_832, 36_603),
+        "LU B-8: the set of examined or re-rated flows moved"
     );
     eprintln!(
-        "smoke  share: LU B-8, {} rate updates in {} re-solves, {} events",
-        m.sharing_rate_updates, m.sharing_resolves, m.events_processed
+        "smoke  share: LU B-8, {} rate updates of {} examined in {} re-solves, {} events",
+        m.sharing_rate_updates, m.sharing_examined, m.sharing_resolves, m.events_processed
     );
 }
 

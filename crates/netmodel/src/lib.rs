@@ -9,15 +9,19 @@
 //!   protocol ceiling. This is the fast model used for large simulations;
 //!   it guarantees no link is oversubscribed but does not redistribute
 //!   head-room (same family of approximation as SimGrid's fast default
-//!   without cross-traffic).
+//!   without cross-traffic). An open or close examines only the flows on
+//!   links where some flow's rate can move (see `LinkState::hi`).
 //! * [`SharingPolicy::MaxMin`] — exact progressive-filling max-min
 //!   fairness, recomputed incrementally: an arrival or departure
 //!   re-solves only the connected component of the flow/link graph it
-//!   touches, and only rate changes reach the kernel.
+//!   touches.
 //! * [`SharingPolicy::MaxMinFull`] — the same solver run over every
 //!   component on every change. Reference for the incremental path; the
 //!   two are bit-identical in both rates and kernel event sequence, which
 //!   the tests enforce.
+//!
+//! Under every policy a flow remembers the last rate pushed to the kernel
+//! and only a bitwise different one is pushed again.
 //!
 //! For collective traffic there is additionally a **deferred** open/close
 //! path ([`FlowNet::open_deferred`] / [`FlowNet::close_deferred`]): the
@@ -71,9 +75,10 @@ struct Flow {
     activity: ActivityId,
     /// Per-flow rate ceiling (protocol-corrected nominal bandwidth).
     cap: f64,
-    /// Last allotted rate (maintained by the max-min policies only; the
-    /// bottleneck policy derives rates from the links' cached
-    /// [`LinkState::share`] on demand).
+    /// Last rate pushed to the kernel (0 until the first push): what the
+    /// flow's activity runs at, under every policy. A re-share compares a
+    /// recomputed rate against it bitwise and calls the kernel only on a
+    /// difference.
     rate: f64,
     /// Monotonic open-order stamp. Slab indices are recycled through the
     /// free list, so index order says nothing about which flow opened
@@ -95,6 +100,16 @@ struct LinkState {
     /// the bottleneck policy takes its minimum over, divided out once per
     /// occupancy change instead of once per re-rated neighbour.
     share: f64,
+    /// `min(share before, share after)` of the link's last occupancy
+    /// change (routes cross a link once). A flow on the link whose cached
+    /// rate is below it was not bound by this link before the change and
+    /// is not bound by it after: the change cannot move its rate.
+    floor: f64,
+    /// Upper bound on the cached [`Flow::rate`] of every live flow on the
+    /// link: raised by every push to a flow crossing it, recomputed
+    /// exactly whenever the link is swept. `hi < floor` proves that no
+    /// flow on the link can move, so the eager re-share skips its list.
+    hi: f64,
 }
 
 /// Borrowed view of the network tables handed to the max-min solver.
@@ -134,8 +149,11 @@ pub struct NetStats {
     /// Sharing re-solves: bottleneck neighbor recomputations or max-min
     /// component solves.
     pub resolves: u64,
-    /// Rate changes pushed to the kernel.
+    /// Rate changes pushed to the kernel (a flow's first rate included).
     pub rate_updates: u64,
+    /// Flows whose rate a re-solve recomputed — the cost driver of the
+    /// sharing layer; `rate_updates` of them came out different.
+    pub examined: u64,
     /// High-water mark of concurrently live flows.
     pub live_flow_hwm: u64,
     /// High-water mark of live *entities* — an aggregate counts once —
@@ -219,6 +237,8 @@ impl FlowNet {
             .map(|l| LinkState {
                 capacity: l.bandwidth,
                 share: f64::INFINITY,
+                floor: f64::INFINITY,
+                hi: 0.0,
             })
             .collect::<Vec<_>>();
         let per_link = links.iter().map(|_| Vec::new()).collect();
@@ -457,7 +477,10 @@ impl FlowNet {
     }
 
     fn refresh_share(&mut self, link: usize) {
-        self.links[link].share = self.links[link].capacity / self.per_link[link].len() as f64;
+        let l = &mut self.links[link];
+        let old = l.share;
+        l.share = l.capacity / self.per_link[link].len() as f64;
+        l.floor = old.min(l.share);
     }
 
     /// Installs the actor that owns the deferred-flush timer. The engines
@@ -523,10 +546,9 @@ impl FlowNet {
 
     /// Batched bottleneck re-solve: one recomputation over every flow on
     /// a dirty link — a superset of the flows whose link occupancies
-    /// changed (re-rating an unchanged flow is a kernel no-op). The
-    /// bottleneck rate is a pure function of the final occupancies, so
-    /// pushing it once per affected flow reproduces the sequential
-    /// sequence's end-of-instant rates bitwise.
+    /// changed. The bottleneck rate is a pure function of the final
+    /// occupancies, so pushing it once per flow it moved reproduces the
+    /// sequential sequence's end-of-instant rates bitwise.
     fn flush_bottleneck(&mut self, kernel: &mut Kernel) {
         self.begin_sweep();
         for i in 0..self.batch_links.len() {
@@ -547,14 +569,21 @@ impl FlowNet {
         self.scratch.clear();
     }
 
-    /// Appends to `scratch` the flows on `link` this sweep has not seen.
+    /// Appends to `scratch` the flows on `link` this sweep has not seen,
+    /// and tightens the link's `hi` to the largest rate cached on it.
     fn sweep_link(&mut self, link: usize) {
+        let mut hi = 0.0;
         for &f in &self.per_link[link] {
+            let rate = self.flows[f as usize].rate;
+            if rate > hi {
+                hi = rate;
+            }
             if self.flow_mark[f as usize] != self.epoch {
                 self.flow_mark[f as usize] = self.epoch;
                 self.scratch.push(f);
             }
         }
+        self.links[link].hi = hi;
     }
 
     /// Batched max-min re-solve: every component holding a dirty link is
@@ -607,13 +636,11 @@ impl FlowNet {
         if members.len() < 2 {
             return false;
         }
-        let cap0 = self.flows[members[0] as usize].cap.to_bits();
-        let rate0 = self.effective_rate(members[0]).to_bits();
+        let first = &self.flows[members[0] as usize];
+        let (cap0, rate0) = (first.cap.to_bits(), first.rate.to_bits());
         for &m in members {
-            if self.flows[m as usize].cap.to_bits() != cap0 {
-                return false;
-            }
-            if self.effective_rate(m).to_bits() != rate0 {
+            let f = &self.flows[m as usize];
+            if f.cap.to_bits() != cap0 || f.rate.to_bits() != rate0 {
                 return false;
             }
         }
@@ -644,14 +671,6 @@ impl FlowNet {
         true
     }
 
-    /// The rate a live flow currently receives under the active policy.
-    fn effective_rate(&self, flow: u32) -> f64 {
-        match self.policy {
-            SharingPolicy::Bottleneck => self.bottleneck_rate(flow),
-            SharingPolicy::MaxMin | SharingPolicy::MaxMinFull => self.flows[flow as usize].rate,
-        }
-    }
-
     fn note_entity_hwm(&mut self) {
         let entities = (self.live_count - self.ledger.surplus()) as u64;
         if entities > self.stats.live_entity_hwm {
@@ -662,8 +681,11 @@ impl FlowNet {
     fn reshare_after_change(&mut self, kernel: &mut Kernel, new_flow: u32) {
         match self.policy {
             SharingPolicy::Bottleneck => {
-                // Affected flows: every flow sharing a link with the new one.
-                self.collect_neighbors(new_flow);
+                self.collect_neighbors(new_flow, self.caches_exact());
+                // The new flow has no rate yet, whatever its links say.
+                if self.flow_mark[new_flow as usize] != self.epoch {
+                    self.scratch.push(new_flow); // youngest: open order holds
+                }
                 self.rerate_scratch(kernel);
             }
             SharingPolicy::MaxMin => self.reshare_maxmin_open(kernel, new_flow),
@@ -675,9 +697,7 @@ impl FlowNet {
         match self.policy {
             SharingPolicy::Bottleneck => {
                 // The closed flow's former route links gained head-room.
-                // Its neighbors are exactly the remaining flows on those
-                // links.
-                self.collect_neighbors(closed.index);
+                self.collect_neighbors(closed.index, self.caches_exact());
                 self.rerate_scratch(kernel);
             }
             SharingPolicy::MaxMin => self.reshare_maxmin_close(kernel, closed.index),
@@ -685,24 +705,40 @@ impl FlowNet {
         }
     }
 
+    /// Whether every live flow's cached rate is its bottleneck rate, so
+    /// that a link's `hi < floor` proves its flows cannot move. A pending
+    /// deferred batch leaves the flows on its dirty links stale until the
+    /// flush; and while an aggregate is live every neighbour is visited
+    /// anyway, because touching a member is what dissolves it.
+    fn caches_exact(&self) -> bool {
+        self.batch_links.is_empty() && self.ledger.surplus() == 0
+    }
+
     /// Collects into `scratch`, once each, the live flows on the links of
     /// `flow`'s route (which the slab keeps past `unregister`), longest
     /// list first: every list is in open order, so whenever that list
     /// contains the others (a flat cluster's backbone) `scratch` is too.
-    fn collect_neighbors(&mut self, flow: u32) {
+    /// With `movable_only`, links whose flows the occupancy change on
+    /// this route provably cannot move (`hi < floor`) are left out.
+    fn collect_neighbors(&mut self, flow: u32, movable_only: bool) {
         #[cfg(test)]
         if self.probe.reference_collect {
             return self.collect_neighbors_reference(flow);
         }
         self.begin_sweep();
-        let longest = (self.flows[flow as usize].route.iter())
+        let swept =
+            |net: &FlowNet, l: usize| !movable_only || net.links[l].hi >= net.links[l].floor;
+        let Some(longest) = (self.flows[flow as usize].route.iter())
             .map(|l| l.as_usize())
+            .filter(|&l| swept(self, l))
             .max_by_key(|&l| self.per_link[l].len())
-            .expect("routes are never empty");
+        else {
+            return;
+        };
         self.sweep_link(longest);
         for i in 0..self.flows[flow as usize].route.len() {
             let l = self.flows[flow as usize].route[i].as_usize();
-            if l != longest {
+            if l != longest && swept(self, l) {
                 self.sweep_link(l);
             }
         }
@@ -719,7 +755,20 @@ impl FlowNet {
             }
         }
         self.stats.resolves += 1;
-        self.stats.rate_updates += scratch.len() as u64;
+        self.stats.examined += scratch.len() as u64;
+        // Keep the flows whose rate moved, caching the new one.
+        let mut moved = 0;
+        for i in 0..scratch.len() {
+            let idx = scratch[i];
+            let rate = self.bottleneck_rate(idx);
+            let f = &mut self.flows[idx as usize];
+            if rate.to_bits() != f.rate.to_bits() {
+                f.rate = rate;
+                scratch[moved] = idx;
+                moved += 1;
+            }
+        }
+        scratch.truncate(moved);
         // Push in open order, not slab-index order: see Flow::seq. A
         // sweep over nested lists arrives in it; only a route whose lists
         // do not nest, or a multi-link flush, has to be sorted.
@@ -732,13 +781,26 @@ impl FlowNet {
             scratch.sort_unstable_by_key(|&i| seq(i));
         }
         for &idx in &scratch {
-            let (activity, rate) = (self.flows[idx as usize].activity, self.bottleneck_rate(idx));
-            #[cfg(test)]
-            self.probe.rate_log.push((activity, rate));
-            kernel.set_rate(activity, rate);
+            self.push_rate(kernel, idx);
         }
         scratch.clear();
         self.scratch = scratch;
+    }
+
+    /// Pushes flow `idx`'s freshly cached rate to the kernel — the one
+    /// place a rate leaves this crate — and raises `hi` on its route.
+    fn push_rate(&mut self, kernel: &mut Kernel, idx: u32) {
+        let f = &self.flows[idx as usize];
+        for l in &f.route {
+            let hi = &mut self.links[l.as_usize()].hi;
+            if f.rate > *hi {
+                *hi = f.rate;
+            }
+        }
+        self.stats.rate_updates += 1;
+        #[cfg(test)]
+        self.probe.rate_log.push((f.activity, f.rate));
+        kernel.set_rate(f.activity, f.rate);
     }
 
     fn bottleneck_rate(&self, flow: u32) -> f64 {
@@ -765,7 +827,7 @@ impl FlowNet {
     /// of the *current* graph; solving per component keeps every solve
     /// bitwise equal to what a full recompute would produce.
     fn reshare_maxmin_close(&mut self, kernel: &mut Kernel, closed_index: u32) {
-        self.collect_neighbors(closed_index);
+        self.collect_neighbors(closed_index, false);
         // Snapshot after the collect: its sweep stamped the seeds with
         // this very epoch, and every solve below moves past it.
         let start_epoch = self.epoch;
@@ -849,6 +911,7 @@ impl FlowNet {
             return;
         }
         self.stats.resolves += 1;
+        self.stats.examined += self.comp_flows.len() as u64;
         self.comp_flows.sort_unstable();
         let view = NetView {
             links: &self.links,
@@ -870,17 +933,13 @@ impl FlowNet {
     /// components were discovered in nor on slab-index recycling (see
     /// [`Flow::seq`]).
     fn flush_rates(&mut self, kernel: &mut Kernel) {
-        self.stats.rate_updates += self.pending.len() as u64;
         let flows = &self.flows;
         self.pending
             .sort_unstable_by_key(|&i| flows[i as usize].seq);
         for i in 0..self.pending.len() {
-            let f = self.pending[i] as usize;
-            let rate = self.solver.rate(self.pending[i]);
-            self.flows[f].rate = rate;
-            #[cfg(test)]
-            self.probe.rate_log.push((self.flows[f].activity, rate));
-            kernel.set_rate(self.flows[f].activity, rate);
+            let f = self.pending[i];
+            self.flows[f as usize].rate = self.solver.rate(f);
+            self.push_rate(kernel, f);
         }
         self.pending.clear();
     }
@@ -894,12 +953,7 @@ impl FlowNet {
                     index: idx as u32,
                     generation: f.generation,
                 };
-                let rate = match self.policy {
-                    SharingPolicy::Bottleneck => self.bottleneck_rate(idx as u32),
-                    // The max-min policies maintain the allotment.
-                    SharingPolicy::MaxMin | SharingPolicy::MaxMinFull => f.rate,
-                };
-                out.push((id, rate));
+                out.push((id, f.rate));
             }
         }
         out
@@ -939,6 +993,10 @@ mod tests {
             }
             self.scratch.sort_unstable();
             self.scratch.dedup();
+            self.epoch += 1;
+            for &f in &self.scratch {
+                self.flow_mark[f as usize] = self.epoch;
+            }
         }
     }
 
@@ -1018,11 +1076,7 @@ mod tests {
 
     #[test]
     fn stats_count_opens_closes_and_resolves() {
-        for policy in [
-            SharingPolicy::Bottleneck,
-            SharingPolicy::MaxMin,
-            SharingPolicy::MaxMinFull,
-        ] {
+        for policy in POLICIES {
             let (p, mut net, mut k) = net(policy);
             let f1 = net.open(&mut k, &route(&p, 0, 1), 1e6, 1e9);
             let f2 = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
@@ -1073,6 +1127,127 @@ mod tests {
         assert!((k.now().as_secs() - 11.0).abs() < 1e-9);
     }
 
+    const POLICIES: [SharingPolicy; 3] = [
+        SharingPolicy::Bottleneck,
+        SharingPolicy::MaxMin,
+        SharingPolicy::MaxMinFull,
+    ];
+
+    /// Closed form, no code shared with the sweep: N equal flows opened
+    /// together between disjoint host pairs meet only on the backbone,
+    /// get `capacity / N` each and all complete at `N * bytes /
+    /// capacity` (powers of two, so every operation is exact).
+    #[test]
+    fn equal_flows_on_one_backbone_finish_together() {
+        for policy in POLICIES {
+            for n in [2u32, 4, 8] {
+                let p = flat_cluster(&FlatClusterSpec {
+                    name: "bb".into(),
+                    nodes: 2 * n,
+                    host_speed: 1e9,
+                    cores: 1,
+                    cache_bytes: 1 << 20,
+                    link_bandwidth: 128.0,
+                    link_latency: 0.0,
+                    backbone_bandwidth: 64.0,
+                    backbone_latency: 0.0,
+                });
+                let mut net = FlowNet::new(&p, policy);
+                let mut k = Kernel::new();
+                let flows: Vec<FlowId> = (0..n)
+                    .map(|i| net.open(&mut k, &route(&p, i, i + n), 1024.0, 1e9))
+                    .collect();
+                for (i, f) in flows.iter().enumerate() {
+                    k.subscribe(net.activity(*f), simkernel::ActorId(i as u32));
+                }
+                let want = f64::from(n) * 1024.0 / 64.0;
+                for _ in 0..n {
+                    let (actor, _) = k.next_wake().expect("a flow never completed");
+                    assert_eq!(k.now().as_secs(), want, "{policy:?} N={n}");
+                    net.close(&mut k, flows[actor.0 as usize]);
+                }
+                assert!(k.next_wake().is_none());
+            }
+        }
+    }
+
+    /// Worked by hand: f1 (1000 B) runs alone on host 0's NIC at 100 B/s;
+    /// at t=4 f2 (300 B) joins the NIC and both drop to 50 B/s. f2 is
+    /// done at 4 + 300/50 = 10, when f1 has 1000 - 400 - 300 = 300 B left
+    /// and the NIC to itself again: done at 10 + 300/100 = 13.
+    #[test]
+    fn staggered_pair_completes_at_the_hand_worked_instants() {
+        for policy in POLICIES {
+            let (p, mut net, mut k) = net(policy);
+            let f1 = net.open(&mut k, &route(&p, 0, 1), 1000.0, 1e9);
+            k.subscribe(net.activity(f1), simkernel::ActorId(1));
+            k.set_timer(simkernel::ActorId(9), Duration::from_secs(4.0), 0);
+            assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(9));
+            let f2 = net.open(&mut k, &route(&p, 0, 2), 300.0, 1e9);
+            k.subscribe(net.activity(f2), simkernel::ActorId(2));
+            assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(2));
+            assert_eq!(k.now().as_secs(), 10.0, "{policy:?}");
+            net.close(&mut k, f2);
+            assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(1));
+            assert_eq!(k.now().as_secs(), 13.0, "{policy:?}");
+        }
+    }
+
+    /// A cap-bound bystander crosses the backbone while `k` other flows
+    /// open and close around it at awkward instants, none of them taking
+    /// its share below its cap. Its rate never changes, so nothing may
+    /// touch its progress: left alone it completes at exactly `bytes /
+    /// cap`; squeezed onto a shared NIC at `t` it has `bytes - t * cap`
+    /// left — rounded once, not once per passer-by — and completes at
+    /// `t + (bytes - t * cap) / 50`. Both to the bit (settling at each
+    /// of these fourteen visits would land the second 4 ulp late).
+    #[test]
+    fn cap_bound_bystander_is_untouched_by_passing_reshares() {
+        use simkernel::{ActorId, Time};
+        let (bytes, cap, passers) = (1234.5, 73.0, 7);
+        for squeeze in [false, true] {
+            let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+            let bystander = net.open(&mut k, &route(&p, 0, 1), bytes, cap);
+            k.subscribe(net.activity(bystander), ActorId(0));
+            // One passer at a time: 150 / 2 = 75 >= 73 on the backbone.
+            let mut at = 0.0;
+            for i in 0..passers {
+                at += 0.1 + 0.013 * f64::from(i);
+                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
+                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+                let passer = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
+                at += 0.07;
+                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
+                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+                net.close(&mut k, passer);
+                assert_eq!(rate_of(&net, bystander), cap);
+            }
+            let mut want = bytes / cap;
+            if squeeze {
+                at += 0.3;
+                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
+                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+                let _squeezer = net.open(&mut k, &route(&p, 0, 2), 1e6, 1e9);
+                assert_eq!(rate_of(&net, bystander), 50.0);
+                want = at + (bytes - at * cap) / 50.0;
+            }
+            assert_eq!(k.next_wake().unwrap().0, ActorId(0));
+            assert_eq!(
+                k.now().as_secs().to_bits(),
+                want.to_bits(),
+                "squeeze={squeeze}: {} vs {want}",
+                k.now().as_secs()
+            );
+            // Each passer ran at its 75 B/s backbone share, so its close
+            // sweeps the backbone and examines the bystander — pushing
+            // nothing to it, and tightening `hi` back to 73 so that the
+            // next passer's open (share 75) skips the backbone again.
+            let (s, squeezed) = (net.stats(), u64::from(squeeze) * 2);
+            assert_eq!(s.rate_updates, 1 + passers as u64 + squeezed);
+            assert_eq!(s.examined, 1 + 2 * passers as u64 + squeezed);
+        }
+    }
+
     #[test]
     fn maxmin_redistributes_headroom() {
         let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
@@ -1111,18 +1286,14 @@ mod tests {
         let _ = net.activity(f2); // must not panic
     }
 
-    /// The observed rate of a flow under either maintenance scheme.
+    /// The rate a flow currently runs at (its cached allotment).
     fn rate_of(net: &FlowNet, id: FlowId) -> f64 {
-        net.effective_rate(id.index)
+        net.flows[id.index as usize].rate
     }
 
     #[test]
     fn deferred_batch_matches_sequential_rates() {
-        for policy in [
-            SharingPolicy::Bottleneck,
-            SharingPolicy::MaxMin,
-            SharingPolicy::MaxMinFull,
-        ] {
+        for policy in POLICIES {
             let (p, mut seq, mut k_seq) = net(policy);
             let mut def = FlowNet::new(&p, policy);
             let mut k_def = Kernel::new();
@@ -1184,16 +1355,20 @@ mod tests {
 
     #[test]
     fn outside_traffic_splits_an_aggregate() {
-        let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
-        let _f1 = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 90.0);
-        let _f2 = net.open_deferred(&mut k, &route(&p, 2, 3), 1e6, 90.0);
-        net.flush(&mut k);
-        assert_eq!(net.live_entities(), 1);
-        // A normal open crossing member links dissolves the aggregate.
-        let _x = net.open(&mut k, &route(&p, 0, 2), 1e6, 1e9);
-        let s = net.stats();
-        assert_eq!(s.agg_splits, 1);
-        assert_eq!(net.live_entities(), 3);
+        for policy in POLICIES {
+            let (p, mut net, mut k) = net(policy);
+            // Cap-bound members: no link's share comes down to their
+            // rate, so only an unfiltered sweep meets them.
+            let _f1 = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 40.0);
+            let _f2 = net.open_deferred(&mut k, &route(&p, 2, 3), 1e6, 40.0);
+            net.flush(&mut k);
+            assert_eq!(net.live_entities(), 1);
+            // A normal open crossing member links dissolves the aggregate.
+            let _x = net.open(&mut k, &route(&p, 0, 2), 1e6, 1e9);
+            let s = net.stats();
+            assert_eq!(s.agg_splits, 1, "{policy:?}");
+            assert_eq!(net.live_entities(), 3, "{policy:?}");
+        }
     }
 
     #[test]
@@ -1462,10 +1637,14 @@ mod proptests {
         /// The flush re-rates every flow on a dirty link, a superset of
         /// the flows whose allotment can have changed; this is the
         /// exactness gate the always-on collective batching rests on.
-        /// Along the way every link table must stay in open order, and
-        /// a third net whose neighbour collection is the parent design's
-        /// concat + sort + dedup must push the very same
-        /// `(activity, rate)` sequence to its kernel as the sweep.
+        /// Along the way every link table must stay in open order with
+        /// `hi` above every rate cached on it, caches must be exact
+        /// whenever nothing is pending, and a third net whose neighbour
+        /// collection is the unfiltered concat + sort + dedup of every
+        /// route link must push the very same `(activity, rate)`
+        /// sequence to its kernel as the filtered sweep, dissolve the
+        /// same aggregates, and — when the surviving flows are finally
+        /// left to drain — pop the same completions at the same bits.
         #[test]
         fn deferred_flush_is_bitwise_equal_to_sequential(
             instants in proptest::collection::vec(
@@ -1491,8 +1670,9 @@ mod proptests {
     type MixedOps = Vec<(u32, u32, usize, f64, u8)>;
 
     /// Every `per_link[l]` is strictly increasing in `Flow::seq`, holds
-    /// exactly the live flows routed over `l`, and `share` is the
-    /// division `bottleneck_rate` used to perform per neighbour.
+    /// exactly the live flows routed over `l`, `share` is the division
+    /// `bottleneck_rate` used to perform per neighbour, and `hi` bounds
+    /// every rate cached on the link.
     fn assert_link_tables(net: &FlowNet) {
         for (l, list) in net.per_link.iter().enumerate() {
             let seq = |f: u32| net.flows[f as usize].seq;
@@ -1510,7 +1690,45 @@ mod proptests {
             assert_eq!(*list, live, "link {l} does not hold its live flows");
             let share = net.links[l].capacity / list.len() as f64;
             assert_eq!(net.links[l].share.to_bits(), share.to_bits(), "link {l}");
+            for &f in list {
+                let rate = net.flows[f as usize].rate;
+                assert!(net.links[l].hi >= rate, "link {l}: hi below {rate}");
+            }
         }
+    }
+
+    /// With nothing pending, every live flow's cached rate is its
+    /// bottleneck rate — what the `hi < floor` skip rests on.
+    fn assert_caches_exact(net: &FlowNet) {
+        if net.policy != SharingPolicy::Bottleneck || !net.batch_links.is_empty() {
+            return;
+        }
+        for (idx, f) in net.flows.iter().enumerate().filter(|(_, f)| f.live) {
+            let derived = net.bottleneck_rate(idx as u32);
+            assert!(
+                f.rate.to_bits() == derived.to_bits(),
+                "flow {idx}: cached {} vs derived {derived}",
+                f.rate
+            );
+        }
+    }
+
+    /// Closes each flow as it completes until the kernel runs dry;
+    /// returns the completions in pop order with their instants' bits.
+    fn drain(net: &mut FlowNet, k: &mut Kernel, open: &[FlowId]) -> Vec<(ActivityId, u64)> {
+        for f in open {
+            k.subscribe(net.activity(*f), ActorId(1));
+        }
+        let mut popped = Vec::new();
+        while let Some((_, wake)) = k.next_wake() {
+            let simkernel::Wake::Activity(a) = wake else {
+                panic!("unexpected {wake:?}")
+            };
+            popped.push((a, k.now().as_secs().to_bits()));
+            let done = open.iter().find(|f| net.activity(**f) == a).unwrap();
+            net.close(k, *done);
+        }
+        popped
     }
 
     fn rate_log_bits(net: &mut FlowNet) -> Vec<(ActivityId, u64)> {
@@ -1556,20 +1774,30 @@ mod proptests {
                         }
                     }
                 }
-                assert_link_tables(&seq);
-                assert_link_tables(&def);
+                for net in [&seq, &def, &reference] {
+                    assert_link_tables(net);
+                    assert_caches_exact(net);
+                }
             }
             def.flush(&mut k_def);
             reference.flush(&mut k_ref);
+            assert_caches_exact(&def);
             assert_eq!(
                 rate_log_bits(&mut def),
                 rate_log_bits(&mut reference),
                 "{policy:?}: sweep and reference collection pushed different rates"
             );
+            // Skipping a link must not spare an aggregate member either.
+            let examined_apart = |net: &FlowNet| NetStats {
+                examined: 0,
+                ..net.stats()
+            };
+            assert_eq!(examined_apart(&def), examined_apart(&reference));
+            assert!(def.stats().examined <= reference.stats().examined);
             for (fs, fd, in_batch) in &mut open {
                 *in_batch = false;
-                let rs = seq.effective_rate(fs.index);
-                let rd = def.effective_rate(fd.index);
+                let rs = seq.flows[fs.index as usize].rate;
+                let rd = def.flows[fd.index as usize].rate;
                 assert!(
                     rs.to_bits() == rd.to_bits(),
                     "{policy:?}: sequential {rs} vs mixed {rd}"
@@ -1580,7 +1808,7 @@ mod proptests {
             // The kernels must have been told the same rates: let a
             // second pass and compare what each flow has left (no flow
             // can drain 1e6 bytes within the schedule).
-            for k in [&mut k_seq, &mut k_def] {
+            for k in [&mut k_seq, &mut k_def, &mut k_ref] {
                 k.set_timer(ActorId(0), Duration::from_secs(1.0), 0);
                 assert!(k.next_wake().is_some());
             }
@@ -1593,6 +1821,15 @@ mod proptests {
                 );
             }
         }
+        let mixed: Vec<FlowId> = open.iter().map(|o| o.1).collect();
+        assert_eq!(
+            drain(&mut def, &mut k_def, &mixed),
+            drain(&mut reference, &mut k_ref, &mixed),
+            "{policy:?}: sweep and reference collection drained differently"
+        );
+        assert_eq!(rate_log_bits(&mut def), rate_log_bits(&mut reference));
+        assert_eq!(k_def.events_processed(), k_ref.events_processed());
+        assert_eq!(def.live_flows(), 0);
     }
 
     /// Eager LU-shaped churn under the bottleneck policy: every step

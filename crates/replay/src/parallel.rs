@@ -752,6 +752,7 @@ fn merge_islands(
         metrics.flows_resolved += m.flows_resolved;
         metrics.sharing_resolves += m.sharing_resolves;
         metrics.sharing_rate_updates += m.sharing_rate_updates;
+        metrics.sharing_examined += m.sharing_examined;
         metrics.sharing_flushes += m.sharing_flushes;
         // High-water marks are per-island maxima: islands run their own
         // network models, so the global figure is a fold, not a sum (and

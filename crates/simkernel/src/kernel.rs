@@ -202,23 +202,25 @@ impl Kernel {
     /// Changes the rate of a running activity, settling its remaining work
     /// at the current instant first. A rate of zero suspends the activity.
     ///
+    /// Setting the rate an activity already has is a true no-op: nothing
+    /// is settled, queued or counted. `remaining` is therefore rounded
+    /// once per *change* of rate, so an activity's float trajectory — and
+    /// its completion instant — is a function of its own rate history and
+    /// not of how many re-shares of its neighbours happened to visit it.
+    ///
     /// Calling this on a completed or cancelled activity is a no-op, since
     /// resource re-sharing commonly races with completions within the same
     /// instant.
     pub fn set_rate(&mut self, id: ActivityId, rate: f64) {
         assert!(rate.is_finite() && rate >= 0.0, "invalid rate: {rate}");
+        let now = self.now;
         let Some(slot) = self.slot_mut(id) else {
             return;
         };
-        if slot.state != ActivityState::Running {
-            return;
-        }
-        let now = self.now;
-        let slot = &mut self.slots[id.index as usize];
-        slot.settle(now);
         if slot.rate == rate {
             return;
         }
+        slot.settle(now);
         slot.rate = rate;
         slot.sched = slot.sched.wrapping_add(1);
         self.orphan_queued(id.index);
@@ -557,6 +559,51 @@ mod tests {
         assert_eq!(actor, ActorId(0));
         assert_eq!(wake, Wake::Activity(a));
         assert_eq!(k.now(), Time::from_secs(6.0));
+    }
+
+    /// Same-rate `set_rate` calls are true no-ops: a kernel that receives
+    /// any number of them, at any instants, is indistinguishable from one
+    /// that receives none — remaining work, queued events, events
+    /// processed, and the completion instant after a later real change.
+    #[test]
+    fn same_rate_set_rate_is_a_true_no_op() {
+        let mut plain = Kernel::new();
+        let mut visited = Kernel::new();
+        let (a, b) = (
+            plain.start_activity(1234.5, 73.0),
+            visited.start_activity(1234.5, 73.0),
+        );
+        assert_eq!(a, b);
+        let mut at = 0.0;
+        for i in 0..14u32 {
+            at += [0.1 + 0.013 * f64::from(i / 2), 0.07][i as usize % 2];
+            for k in [&mut plain, &mut visited] {
+                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
+                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+            }
+            for _ in 0..=i % 3 {
+                visited.set_rate(a, 73.0);
+            }
+            assert_eq!(
+                plain.remaining_work(a).map(f64::to_bits),
+                visited.remaining_work(a).map(f64::to_bits)
+            );
+            assert_eq!(plain.queue.len(), visited.queue.len());
+            assert_eq!(plain.pending_events(), visited.pending_events());
+            assert_eq!(plain.events_processed(), visited.events_processed());
+        }
+        // A real change now settles once, from the same history.
+        for k in [&mut plain, &mut visited] {
+            k.set_rate(a, 50.0);
+            k.subscribe(a, ActorId(0));
+            assert_eq!(k.next_wake(), Some((ActorId(0), Wake::Activity(a))));
+        }
+        assert_eq!(plain.now(), visited.now());
+        assert_eq!(
+            plain.now().as_secs().to_bits(),
+            (at + (1234.5 - at * 73.0) / 50.0).to_bits()
+        );
+        assert_eq!(plain.events_processed(), visited.events_processed());
     }
 
     #[test]

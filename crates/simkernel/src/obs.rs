@@ -427,6 +427,8 @@ pub struct Metrics {
     pub sharing_resolves: u64,
     /// Flow-rate changes pushed to the kernel by the sharing solver.
     pub sharing_rate_updates: u64,
+    /// Flows whose rate the sharing solver recomputed (changed or not).
+    pub sharing_examined: u64,
     /// Deferred-batch flushes performed by the network model (0 when
     /// collective aggregation is off).
     pub sharing_flushes: u64,
@@ -514,11 +516,13 @@ impl Metrics {
         ));
         out.push_str(&format!(
             "  \"network\": {{\"flows_created\": {}, \"flows_resolved\": {}, \
-             \"sharing_resolves\": {}, \"sharing_rate_updates\": {}}},\n",
+             \"sharing_resolves\": {}, \"sharing_rate_updates\": {}, \
+             \"sharing_examined\": {}}},\n",
             self.flows_created,
             self.flows_resolved,
             self.sharing_resolves,
-            self.sharing_rate_updates
+            self.sharing_rate_updates,
+            self.sharing_examined
         ));
         out.push_str(&format!(
             "  \"aggregation\": {{\"sharing_flushes\": {}, \"live_flow_hwm\": {}, \

@@ -292,6 +292,7 @@ impl SmpiRun {
         metrics.flows_resolved = net.flows_closed;
         metrics.sharing_resolves = net.resolves;
         metrics.sharing_rate_updates = net.rate_updates;
+        metrics.sharing_examined = net.examined;
         metrics.live_flow_hwm = net.live_flow_hwm;
         metrics.live_entity_hwm = net.live_entity_hwm;
         metrics.agg_formed = net.agg_formed;

@@ -186,15 +186,25 @@ echo "AGG_SMOKE ok (simulated_time_s $a_time, 1 live entity, $a_events events / 
 # Benchmark smoke, harness form: the benchmark's own output checks
 # (goldens, mirror = CLI) must pass on the workloads the two sharing
 # paths carry — batched collectives and eager point-to-point re-shares —
-# and on the one that decodes the most text.
-for w in allreduce-p128 lu-c64.titb halo-p128.text; do
+# on the one that decodes the most text, and on the msg engine's.
+for w in allreduce-p128 lu-c64.titb halo-p128.text lu-b64.msg; do
     cargo run --release -p bench --bin titbench -- \
         --workload "$w" --seed 1 --seconds 2 --trace 0 >"$ingest_dir/titbench.out"
     tail -n 1 "$ingest_dir/titbench.out" | grep -q '"correct": true' \
         && tail -n 1 "$ingest_dir/titbench.out" | grep -q '"failed": 0' \
         || { echo "titbench $w: $(tail -n 1 "$ingest_dir/titbench.out")" >&2; exit 1; }
 done
-echo "BENCH_SMOKE ok (titbench allreduce-p128, lu-c64.titb and halo-p128.text correct, 0 failed)"
+echo "BENCH_SMOKE ok (titbench allreduce-p128, lu-c64.titb, halo-p128.text and lu-b64.msg correct, 0 failed)"
+
+# Paper contract: the accuracy results are a correctness contract too.
+# Regenerate every table and figure of the paper at the recorded length
+# and fail on any byte that differs from results/ (~3 min on 2 vCPUs).
+for exp in fig1 fig2 fig3 fig4 fig5 fig6 fig7 table1 table2 ablation; do
+    "target/release/$exp" --steps 50 >"$ingest_dir/$exp.txt" 2>/dev/null
+    cmp "$ingest_dir/$exp.txt" "results/$exp.txt" \
+        || { echo "PAPER_CONTRACT: $exp differs from results/$exp.txt" >&2; exit 1; }
+done
+echo "PAPER_CONTRACT ok (fig1..7, table1..2, ablation byte-identical to results/ at --steps 50)"
 
 # Windowed-PDES smoke, two halves. (a) LU class B, 8 ranks: one coupled
 # island *with collectives*, so the windowed engine must fall back —
