@@ -237,77 +237,6 @@ pub mod sweep {
     }
 }
 
-/// Workloads and platforms shared by the Criterion benches and the
-/// `perf_baseline` binary, so `BENCH_replay.json` and the bench reports
-/// measure the same thing.
-pub mod perfwork {
-    use tit_replay::platform::topology::{cabinet_cluster, CabinetClusterSpec};
-    use tit_replay::platform::Platform;
-    use tit_replay::titrace::{Action, Rank, Trace};
-
-    /// Cabinets in [`showcase_platform`].
-    pub const CABINETS: u32 = 16;
-    /// Nodes per cabinet in [`showcase_platform`].
-    pub const PER_CAB: u32 = 8;
-
-    /// The incremental-sharing showcase platform: a 16x8 cabinet
-    /// cluster. Intra-cabinet routes are `up -> down` and never touch
-    /// the backbone, so intra-cabinet traffic decomposes into one
-    /// sharing component per cabinet — incremental recomputation
-    /// re-solves a single component where the full reference re-solves
-    /// every live flow.
-    pub fn showcase_platform() -> Platform {
-        cabinet_cluster(&CabinetClusterSpec {
-            name: "cc".into(),
-            cabinets: CABINETS,
-            nodes_per_cabinet: PER_CAB,
-            host_speed: 1e9,
-            cores: 1,
-            cache_bytes: 1 << 20,
-            link_bandwidth: 1.25e8,
-            link_latency: 1e-5,
-            cabinet_bandwidth: 1.25e9,
-            cabinet_latency: 2e-6,
-            backbone_bandwidth: 2.5e9,
-            backbone_latency: 1e-6,
-        })
-    }
-
-    /// A communication-bound halo-exchange trace for `ranks` processes
-    /// placed one per node on [`showcase_platform`]: each iteration,
-    /// every rank exchanges `bytes` with both ring neighbours *inside
-    /// its own cabinet*, then computes briefly. All ranks communicate
-    /// concurrently, so up to `2 * ranks` flows are live at once —
-    /// split across `ranks / PER_CAB` disjoint sharing components.
-    pub fn halo_exchange_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
-        assert!(
-            ranks.is_multiple_of(PER_CAB),
-            "ranks must fill whole cabinets"
-        );
-        let mut trace = Trace::new(ranks);
-        let neighbour = |r: u32, step: u32| {
-            let cab = r / PER_CAB;
-            cab * PER_CAB + (r % PER_CAB + step) % PER_CAB
-        };
-        for r in 0..ranks {
-            let rank = Rank(r);
-            let right = Rank(neighbour(r, 1));
-            let left = Rank(neighbour(r, PER_CAB - 1));
-            trace.push(rank, Action::Init);
-            for _ in 0..iters {
-                trace.push(rank, Action::Irecv { src: left, bytes });
-                trace.push(rank, Action::Irecv { src: right, bytes });
-                trace.push(rank, Action::Isend { dst: right, bytes });
-                trace.push(rank, Action::Isend { dst: left, bytes });
-                trace.push(rank, Action::WaitAll);
-                trace.push(rank, Action::Compute { amount: 1e5 });
-            }
-            trace.push(rank, Action::Finalize);
-        }
-        trace
-    }
-}
-
 /// Emits each cell's buffered log to stderr in grid order and unwraps
 /// the records.
 fn collect_cells(cells: Vec<(ExperimentRecord, String)>) -> Vec<ExperimentRecord> {

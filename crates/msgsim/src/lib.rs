@@ -62,10 +62,6 @@ pub struct MsgConfig {
     pub loopback_latency: f64,
     /// Bandwidth-sharing policy.
     pub sharing: SharingPolicy,
-    /// Future-event-list implementation of the simulation kernel. Does
-    /// not affect results (pop order is bit-identical across variants);
-    /// exposed so benchmarks and differential tests can pin one.
-    pub fel: simkernel::FelImpl,
 }
 
 impl MsgConfig {
@@ -78,7 +74,6 @@ impl MsgConfig {
             loopback_bandwidth: 3.0e9,
             loopback_latency: 0.4e-6,
             sharing: SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
         }
     }
 }

@@ -352,7 +352,6 @@ pub fn prepare_msg(
     assert!(ranks > 0);
     assert_eq!(hosts.len(), ranks);
     let transport = ActorId(ranks as u32);
-    let fel = cfg.fel;
     let mut world = MsgWorld::new(platform, hosts, cfg, hooks, transport);
     if let Some(recorder) = recorder {
         world.set_recorder(recorder);
@@ -360,7 +359,7 @@ pub fn prepare_msg(
     // Same pre-sizing heuristic as the SMPI runner (see
     // `simkernel::replay_sizing`).
     let (activities, events) = simkernel::replay_sizing(ranks);
-    let mut sim = Sim::with_capacity_fel(world, activities, events, fel);
+    let mut sim = Sim::with_capacity(world, activities, events);
     for (r, source) in sources.into_iter().enumerate() {
         let me = ActorId(r as u32);
         let id = sim.spawn(Box::new(MsgRankActor::new(r as u32, me, source)));

@@ -62,10 +62,6 @@ pub struct ReplayConfig {
     /// paper's published behaviour; the max-min policies trade speed for
     /// exact progressive-filling fairness.
     pub sharing: netmodel::SharingPolicy,
-    /// Future-event-list implementation of the simulation kernel,
-    /// forwarded to whichever back-end runs. Pop order is bit-identical
-    /// across variants, so this only affects replay wall time.
-    pub fel: simkernel::FelImpl,
     /// Worker threads for the partitioned parallel replay engine
     /// (see [`partition`] / `parallel`). `1` (the default) runs the
     /// unchanged sequential path; `>= 2` partitions the ranks into
@@ -169,7 +165,6 @@ impl ReplayConfig {
             placement: Placement::OnePerNode,
             copy_model: None,
             sharing: netmodel::SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
             threads: ReplayConfig::default_threads(),
             window_s: None,
         }
@@ -519,7 +514,6 @@ fn run_engine(
             let mut smpi_cfg = smpi::SmpiConfig::smpi_replay();
             smpi_cfg.copy = config.copy_model;
             smpi_cfg.sharing = config.sharing;
-            smpi_cfg.fel = config.fel;
             let (r, obs) = smpi::run_smpi_observed(
                 platform,
                 hosts,
@@ -541,7 +535,6 @@ fn run_engine(
         ReplayEngine::Msg => {
             let mut msg_cfg = msgsim::MsgConfig::legacy();
             msg_cfg.sharing = config.sharing;
-            msg_cfg.fel = config.fel;
             let (r, obs) = msgsim::run_msg_observed(
                 platform,
                 hosts,
@@ -654,7 +647,6 @@ pub fn config_fields(config: &ReplayConfig) -> Vec<(String, String)> {
             },
         ),
         ("sharing".into(), format!("{:?}", config.sharing)),
-        ("fel".into(), format!("{:?}", config.fel)),
         ("threads".into(), format!("{}", config.threads)),
     ]
 }
@@ -828,31 +820,39 @@ mod tests {
     fn cursor_fault_is_surfaced_with_rank_and_cause() {
         // Corrupt one split fragment mid-stream: the engine sees a
         // truncated rank (deadlock), but the reported error must be the
-        // root cause from the failing cursor.
+        // root cause from the failing cursor — an unknown verb, or a line
+        // over the decoder's bound (refused, not buffered).
         let trace = small_trace();
-        let dir = std::env::temp_dir().join(format!("replay-fault-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let desc = titrace::files::write_split(&trace, &dir, "lu").unwrap();
-        let frag = dir.join("lu.rank1.trace");
-        let mut text = std::fs::read_to_string(&frag).unwrap();
-        let mid = text.len() / 2;
-        let cut = text[..mid].rfind('\n').map_or(0, |i| i + 1);
-        text.insert_str(cut, "p1 teleport 3\n");
-        std::fs::write(&frag, text).unwrap();
-        let p = platform::clusters::bordereau();
-        let err = replay_input(
-            &p,
-            &TraceInput::Description(desc),
-            trace.ranks(),
-            &ReplayConfig::improved(2e9),
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("trace stream failed") && err.contains("teleport"),
-            "fault not surfaced: {err}"
-        );
-        assert!(err.contains("p1"), "fault should name the rank: {err}");
+        let overlong = format!("#{}\n", "x".repeat(titrace::stream::MAX_LINE));
+        for (bad_line, cause) in [
+            ("p1 teleport 3\n", "unknown action verb `teleport`"),
+            (overlong.as_str(), "line exceeds 65536 bytes"),
+        ] {
+            let dir = std::env::temp_dir().join(format!("replay-fault-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let desc = titrace::files::write_split(&trace, &dir, "lu").unwrap();
+            let frag = dir.join("lu.rank1.trace");
+            let mut text = std::fs::read_to_string(&frag).unwrap();
+            let mid = text.len() / 2;
+            let cut = text[..mid].rfind('\n').map_or(0, |i| i + 1);
+            text.insert_str(cut, bad_line);
+            std::fs::write(&frag, text).unwrap();
+            let p = platform::clusters::bordereau();
+            let err = replay_input(
+                &p,
+                &TraceInput::Description(desc),
+                trace.ranks(),
+                &ReplayConfig::improved(2e9),
+            )
+            .unwrap_err();
+            assert!(
+                err.starts_with("rank p1 trace stream failed: ")
+                    && err.contains("lu.rank1.trace")
+                    && err.ends_with(cause),
+                "fault not surfaced: {err}"
+            );
+        }
     }
 
     /// An action of a trace *input* naming a rank the trace does not have
@@ -900,9 +900,8 @@ mod tests {
         // Execution-strategy knobs never change the simulated result
         // (bit-identity is enforced by the differential suites), so they
         // must not change the hash either: the same question asked with
-        // a different FEL or thread count shares the memo entry.
+        // a different thread count or window shares the memo entry.
         let mut strategy = base.clone();
-        strategy.fel = simkernel::FelImpl::Heap;
         strategy.threads = 7;
         strategy.window_s = Some(0.25);
         assert_eq!(base.canonical_hash(), strategy.canonical_hash());
@@ -998,26 +997,23 @@ mod observability_tests {
         Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace)
     }
 
-    fn cfg(engine: ReplayEngine, fel: simkernel::FelImpl) -> ReplayConfig {
+    fn cfg(engine: ReplayEngine) -> ReplayConfig {
         ReplayConfig {
             engine,
-            fel,
             ..ReplayConfig::improved(2e9)
         }
     }
 
     #[test]
-    fn chrome_trace_is_byte_identical_across_runs_and_fel_impls() {
+    fn chrome_trace_is_byte_identical_across_runs() {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let mut exports = Vec::new();
-            for fel in [simkernel::FelImpl::Heap, simkernel::FelImpl::Ladder] {
-                for _ in 0..2 {
-                    let report = replay_observed(&p, &trace, &cfg(engine, fel), true).unwrap();
-                    let log = report.spans.as_ref().expect("spans recorded");
-                    exports.push(chrome_trace(log));
-                }
+            for _ in 0..2 {
+                let report = replay_observed(&p, &trace, &cfg(engine), true).unwrap();
+                let log = report.spans.as_ref().expect("spans recorded");
+                exports.push(chrome_trace(log));
             }
             for e in &exports[1..] {
                 assert_eq!(
@@ -1035,13 +1031,7 @@ mod observability_tests {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let report = replay_observed(
-                &p,
-                &trace,
-                &cfg(engine, simkernel::FelImpl::default()),
-                true,
-            )
-            .unwrap();
+            let report = replay_observed(&p, &trace, &cfg(engine), true).unwrap();
             let log = report.spans.as_ref().unwrap();
             assert_eq!(log.open_flows(), 0, "{engine:?}: flows left open");
             assert!(log.total_spans() > 0, "{engine:?}: nothing recorded");
@@ -1079,13 +1069,7 @@ mod observability_tests {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let report = replay_observed(
-                &p,
-                &trace,
-                &cfg(engine, simkernel::FelImpl::default()),
-                true,
-            )
-            .unwrap();
+            let report = replay_observed(&p, &trace, &cfg(engine), true).unwrap();
             let path = report.critical_path().expect("spans recorded");
             assert_eq!(
                 path.end_s.to_bits(),
@@ -1112,7 +1096,7 @@ mod observability_tests {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let c = cfg(engine, simkernel::FelImpl::default());
+            let c = cfg(engine);
             let plain = replay(&p, &trace, &c).unwrap();
             let observed = replay_observed(&p, &trace, &c, true).unwrap();
             assert_eq!(
@@ -1129,13 +1113,7 @@ mod observability_tests {
     fn metrics_fold_replay_and_network_counters() {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
-        let report = replay_observed(
-            &p,
-            &trace,
-            &cfg(ReplayEngine::Smpi, simkernel::FelImpl::default()),
-            false,
-        )
-        .unwrap();
+        let report = replay_observed(&p, &trace, &cfg(ReplayEngine::Smpi), false).unwrap();
         let m = &report.metrics;
         assert_eq!(m.engine, "smpi");
         assert_eq!(m.ranks, 8);
@@ -1154,13 +1132,7 @@ mod observability_tests {
     fn exporters_cover_all_recorded_state() {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
-        let report = replay_observed(
-            &p,
-            &trace,
-            &cfg(ReplayEngine::Smpi, simkernel::FelImpl::default()),
-            true,
-        )
-        .unwrap();
+        let report = replay_observed(&p, &trace, &cfg(ReplayEngine::Smpi), true).unwrap();
         let log = report.spans.as_ref().unwrap();
         let json = chrome_trace(log);
         assert!(json.contains("\"traceEvents\""));
@@ -1181,7 +1153,7 @@ mod observability_tests {
     fn manifest_embeds_config_and_signature() {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
-        let c = cfg(ReplayEngine::Smpi, simkernel::FelImpl::default());
+        let c = cfg(ReplayEngine::Smpi);
         let report = replay_observed(&p, &trace, &c, false).unwrap();
         let input = TraceInput::Memory(Arc::clone(&trace));
         let sig = trace_signature(&input, trace.ranks());

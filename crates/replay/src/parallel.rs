@@ -665,7 +665,6 @@ fn smpi_config(config: &ReplayConfig) -> smpi::SmpiConfig {
     let mut smpi_cfg = smpi::SmpiConfig::smpi_replay();
     smpi_cfg.copy = config.copy_model;
     smpi_cfg.sharing = config.sharing;
-    smpi_cfg.fel = config.fel;
     smpi_cfg
 }
 
@@ -694,7 +693,6 @@ fn prepare_island(
         ReplayEngine::Msg => {
             let mut msg_cfg = msgsim::MsgConfig::legacy();
             msg_cfg.sharing = config.sharing;
-            msg_cfg.fel = config.fel;
             EngineRun::Msg(msgsim::prepare_msg(
                 platform, hosts, sources, msg_cfg, hooks, recorder,
             ))
@@ -733,8 +731,6 @@ fn merge_islands(
         events += d.events;
         let m = &d.obs.metrics;
         metrics.events_processed += m.events_processed;
-        metrics.queue_compactions += m.queue_compactions;
-        metrics.fel_profile_enabled |= m.fel_profile_enabled;
         metrics.fel.scheduled += m.fel.scheduled;
         metrics.fel.superseded += m.fel.superseded;
         metrics.fel.popped += m.fel.popped;
@@ -763,7 +759,6 @@ fn merge_islands(
         metrics.agg_formed += m.agg_formed;
         metrics.agg_members += m.agg_members;
         metrics.agg_splits += m.agg_splits;
-        metrics.match_depth_tracked |= m.match_depth_tracked;
         metrics.max_unexpected_depth = metrics.max_unexpected_depth.max(m.max_unexpected_depth);
         metrics.max_posted_depth = metrics.max_posted_depth.max(m.max_posted_depth);
     }

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use crate::activity::{ActivityId, ActivityState, Slot};
 use crate::actor::{ActorId, Wake};
-use crate::queue::{EventKind, EventQueue, FelImpl, FelProfile};
+use crate::queue::{EventKind, EventQueue, FelProfile};
 use crate::time::{Duration, Time};
 
 const NO_FREE: u32 = u32::MAX;
@@ -56,7 +56,6 @@ pub struct Kernel {
     ready: VecDeque<(ActorId, Wake)>,
     live_activities: usize,
     events_processed: u64,
-    compactions: u64,
     /// Reusable buffer swapped with a completing activity's waiter list,
     /// so completions recycle capacity instead of allocating.
     wake_scratch: Vec<u32>,
@@ -75,28 +74,20 @@ impl Kernel {
     }
 
     /// Creates a kernel pre-sized for `activities` concurrent activities
-    /// and `events` pending events, so the hot slab and heap never
+    /// and `events` pending events, so the hot slab and event queue never
     /// reallocate during steady-state replay. Callers that know their
     /// workload (e.g. a trace replayer with `P` ranks and a bounded number
     /// of in-flight transfers per rank) should use this; see
     /// [`replay_sizing`] for the replay runners' shared heuristic.
     pub fn with_capacity(activities: usize, events: usize) -> Self {
-        Self::with_capacity_fel(activities, events, FelImpl::default())
-    }
-
-    /// [`Kernel::with_capacity`] with an explicit future-event-list
-    /// implementation (see [`FelImpl`]). Both implementations deliver
-    /// bit-identical event orders; `fel` only selects the cost profile.
-    pub fn with_capacity_fel(activities: usize, events: usize, fel: FelImpl) -> Self {
         Kernel {
             now: Time::ZERO,
-            queue: EventQueue::with_capacity_fel(events, fel),
+            queue: EventQueue::with_capacity(events),
             slots: Vec::with_capacity(activities),
             free_head: NO_FREE,
             ready: VecDeque::new(),
             live_activities: 0,
             events_processed: 0,
-            compactions: 0,
             wake_scratch: Vec::new(),
         }
     }
@@ -124,30 +115,15 @@ impl Kernel {
         self.queue.live_len()
     }
 
-    /// Number of times the event queue was compacted to shed superseded
-    /// entries (a diagnostic for re-sharing-heavy workloads).
-    pub fn queue_compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Which future-event-list implementation backs this kernel.
-    pub fn fel(&self) -> FelImpl {
-        self.queue.fel()
-    }
-
-    /// The event queue's hot-path counters (all zero unless the `profile`
-    /// cargo feature is enabled).
+    /// The event queue's hot-path counters.
     pub fn queue_profile(&self) -> FelProfile {
         self.queue.profile()
     }
 
     /// Fills the kernel-owned fields of a metrics snapshot: events
-    /// processed, queue compactions, and the FEL profile together with
-    /// whether its counters were compiled in.
+    /// processed and the FEL profile.
     pub fn observe(&self, metrics: &mut crate::obs::Metrics) {
         metrics.events_processed = self.events_processed();
-        metrics.queue_compactions = self.queue_compactions();
-        metrics.fel_profile_enabled = crate::queue::profile_enabled();
         metrics.fel = self.queue_profile();
     }
 
@@ -507,7 +483,6 @@ impl Kernel {
                 }
                 EventKind::Timer { .. } => true,
             });
-            self.compactions += 1;
         }
     }
 
@@ -721,7 +696,7 @@ mod tests {
         }
         assert_eq!(k.pending_events(), 64, "one live completion per activity");
         assert!(
-            k.queue_compactions() > 0,
+            k.queue_profile().compactions > 0,
             "sustained churn must trigger compaction"
         );
         assert!(
@@ -808,15 +783,18 @@ mod tests {
         assert_eq!(events, 2 * activities);
     }
 
-    /// The kernel-level differential check: an identical churn-heavy
-    /// workload (rate changes, timers, cancellations, compactions) run
-    /// under both FEL implementations must produce the same wake sequence
-    /// at bit-identical times.
+    /// The kernel-level differential check: a churn-heavy workload (rate
+    /// changes, timers, cancellations, compactions) run on a queue
+    /// shadowed by the binary-heap referee, which asserts on every pop
+    /// that the ladder delivered the heap's entry (see `queue.rs`'s
+    /// test-module docs). The refereed run must also equal a plain one.
     #[test]
     fn heap_and_ladder_kernels_agree_under_churn() {
-        let run = |fel: FelImpl| {
-            let mut k = Kernel::with_capacity_fel(0, 0, fel);
-            assert_eq!(k.fel(), fel);
+        let run = |refereed: bool| {
+            let mut k = Kernel::new();
+            if refereed {
+                k.queue = EventQueue::refereed();
+            }
             let acts: Vec<_> = (0..48)
                 .map(|i| k.start_activity(1e6 + f64::from(i as u32), 1.0))
                 .collect();
@@ -844,9 +822,12 @@ mod tests {
             while let Some((actor, _)) = k.next_wake() {
                 trace.push((actor.0, k.now().as_secs()));
             }
-            assert!(k.queue_compactions() > 0, "churn must trigger compaction");
+            assert!(
+                k.queue_profile().compactions > 0,
+                "churn must trigger compaction"
+            );
             (trace, k.now().as_secs().to_bits(), k.events_processed())
         };
-        assert_eq!(run(FelImpl::Heap), run(FelImpl::Ladder));
+        assert_eq!(run(true), run(false));
     }
 }

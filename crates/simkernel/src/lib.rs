@@ -41,7 +41,7 @@ pub mod time;
 pub use activity::{ActivityId, ActivityState};
 pub use actor::{Actor, ActorId, Status, Wake};
 pub use kernel::{replay_sizing, Kernel, KernelStep, IN_FLIGHT_PER_RANK};
-pub use queue::{profile_enabled, FelImpl, FelProfile};
+pub use queue::FelProfile;
 pub use rng::DetRng;
 pub use sim::{Sim, SimOutcome, SimStep};
 pub use time::{Duration, Time};

@@ -107,8 +107,8 @@ pub struct FlowSpan {
 }
 
 /// Event counters a recorder accumulates alongside spans. These cover
-/// signals that are otherwise invisible without recompiling (the
-/// `profile` feature tracks only high-water marks of the match queues).
+/// signals that are otherwise invisible (the run metrics carry only
+/// high-water marks of the match queues).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// smpi: messages queued as unexpected (send before recv).
@@ -388,7 +388,7 @@ impl Recorder for SpanLog {
 // ---------------------------------------------------------------------
 
 /// One run's counters, unified across engines: kernel event-core
-/// figures, the (feature-gated) FEL profile, protocol counters, and
+/// figures, the FEL profile, protocol counters, and
 /// network-sharing work. Produced by the `*_observed` runners; exported
 /// with [`Metrics::to_json`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -401,13 +401,8 @@ pub struct Metrics {
     pub simulated_time_s: f64,
     /// Kernel events processed.
     pub events_processed: u64,
-    /// FEL compactions triggered by lazy-cancellation pressure.
-    pub queue_compactions: u64,
-    /// Whether the `profile` cargo feature compiled the FEL counters in.
-    /// When `false`, [`Metrics::fel`] holds zeros that mean "not
-    /// measured", and the JSON says so explicitly.
-    pub fel_profile_enabled: bool,
-    /// FEL hot-path counters (all zero when compiled out).
+    /// FEL hot-path counters; `compactions` are the purges triggered by
+    /// lazy-cancellation pressure.
     pub fel: FelProfile,
     /// Point-to-point messages created.
     pub messages: u64,
@@ -444,11 +439,10 @@ pub struct Metrics {
     pub agg_members: u64,
     /// Aggregates dissolved early by outside traffic touching a member.
     pub agg_splits: u64,
-    /// Whether match-queue depths were tracked (the `profile` feature).
-    pub match_depth_tracked: bool,
-    /// High-water unexpected-queue depth (0 when untracked).
+    /// High-water unexpected-queue depth (0 for the MSG back-end, which
+    /// has no match queues).
     pub max_unexpected_depth: u64,
-    /// High-water posted-queue depth (0 when untracked).
+    /// High-water posted-queue depth (0 for the MSG back-end).
     pub max_posted_depth: u64,
     /// Recorder event counters, present when a span recorder ran.
     pub recorder_counts: Option<[u64; COUNTERS]>,
@@ -464,8 +458,8 @@ impl Metrics {
         }
     }
 
-    /// Folds the kernel's own counters in (events, compactions, FEL
-    /// profile and whether it was compiled in). See [`Kernel::observe`].
+    /// Folds the kernel's own counters in (events and the FEL profile).
+    /// See [`Kernel::observe`].
     pub fn fold_kernel(&mut self, kernel: &Kernel) {
         kernel.observe(self);
     }
@@ -482,29 +476,22 @@ impl Metrics {
         ));
         out.push_str(&format!(
             "  \"kernel\": {{\"events_processed\": {}, \"queue_compactions\": {}}},\n",
-            self.events_processed, self.queue_compactions
+            self.events_processed, self.fel.compactions
         ));
-        if self.fel_profile_enabled {
-            out.push_str(&format!(
-                "  \"fel_profile\": {{\"enabled\": true, \"scheduled\": {}, \"superseded\": {}, \
-                 \"popped\": {}, \"stale_popped\": {}, \"fired\": {}, \"spills\": {}, \
-                 \"bucket_sorts\": {}, \"reseeds\": {}, \"compactions\": {}}},\n",
-                self.fel.scheduled,
-                self.fel.superseded,
-                self.fel.popped,
-                self.fel.stale_popped,
-                self.fel.fired(),
-                self.fel.spills,
-                self.fel.bucket_sorts,
-                self.fel.reseeds,
-                self.fel.compactions
-            ));
-        } else {
-            out.push_str(
-                "  \"fel_profile\": {\"enabled\": false, \
-                 \"note\": \"compiled out; rebuild with --features profile\"},\n",
-            );
-        }
+        out.push_str(&format!(
+            "  \"fel_profile\": {{\"scheduled\": {}, \"superseded\": {}, \
+             \"popped\": {}, \"stale_popped\": {}, \"fired\": {}, \"spills\": {}, \
+             \"bucket_sorts\": {}, \"reseeds\": {}, \"compactions\": {}}},\n",
+            self.fel.scheduled,
+            self.fel.superseded,
+            self.fel.popped,
+            self.fel.stale_popped,
+            self.fel.fired(),
+            self.fel.spills,
+            self.fel.bucket_sorts,
+            self.fel.reseeds,
+            self.fel.compactions
+        ));
         out.push_str(&format!(
             "  \"replay\": {{\"messages\": {}, \"eager_messages\": {}, \
              \"rendezvous_messages\": {}, \"bytes\": {}, \"collectives\": {}}},\n",
@@ -535,18 +522,11 @@ impl Metrics {
             self.agg_members,
             self.agg_splits
         ));
-        if self.match_depth_tracked {
-            out.push_str(&format!(
-                "  \"match_queues\": {{\"tracked\": true, \"max_unexpected_depth\": {}, \
-                 \"max_posted_depth\": {}}},\n",
-                self.max_unexpected_depth, self.max_posted_depth
-            ));
-        } else {
-            out.push_str(
-                "  \"match_queues\": {\"tracked\": false, \
-                 \"note\": \"compiled out; rebuild with --features profile\"},\n",
-            );
-        }
+        out.push_str(&format!(
+            "  \"match_queues\": {{\"max_unexpected_depth\": {}, \
+             \"max_posted_depth\": {}}},\n",
+            self.max_unexpected_depth, self.max_posted_depth
+        ));
         match &self.recorder_counts {
             Some(counts) => {
                 out.push_str("  \"recorder\": {");
@@ -1200,17 +1180,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_marks_compiled_out_profile() {
+    fn metrics_json_carries_fel_and_match_queue_counts() {
         let mut m = Metrics::new("smpi", 4);
-        m.fel_profile_enabled = crate::queue::profile_enabled();
+        m.fel.scheduled = 7;
+        m.fel.compactions = 2;
+        m.max_posted_depth = 3;
         let json = m.to_json();
-        if crate::queue::profile_enabled() {
-            assert!(json.contains("\"enabled\": true"));
-            assert!(json.contains("\"scheduled\""));
-        } else {
-            assert!(json.contains("\"enabled\": false"));
-            assert!(json.contains("compiled out"));
-        }
+        assert!(json.contains("\"queue_compactions\": 2}"));
+        assert!(json.contains("\"fel_profile\": {\"scheduled\": 7,"));
+        assert!(json.contains("\"compactions\": 2}"));
+        assert!(json
+            .contains("\"match_queues\": {\"max_unexpected_depth\": 0, \"max_posted_depth\": 3}"));
         assert!(json.contains("\"recorder\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -1,6 +1,6 @@
 //! The future event list: a deterministic priority queue of timestamped
-//! events with lazy cancellation, available in two implementations behind
-//! one API.
+//! events with lazy cancellation, implemented as a ladder (calendar)
+//! queue.
 //!
 //! Events are ordered by `(time, sequence)`: the sequence number is assigned
 //! at insertion, so simultaneous events fire in insertion order. Cancellation
@@ -9,19 +9,14 @@
 //! the standard technique for activities whose completion time is
 //! rescheduled every time resource sharing changes.
 //!
-//! Two implementations are selected by [`FelImpl`]:
-//!
-//! * [`FelImpl::Heap`] — a binary heap, `O(log n)` push and pop. Kept as
-//!   the reference implementation; the differential tests in this module
-//!   prove the ladder pops the exact same `(time, seq)` sequence.
-//! * [`FelImpl::Ladder`] — the default: a ladder (calendar) queue. Events
-//!   land in one of [`LADDER_BUCKETS`] unsorted buckets partitioning the
-//!   current *epoch* of simulated time, `O(1)` per push; each bucket is
-//!   sorted once, when the simulation clock reaches it. Far-future events
-//!   wait in an overflow list that reseeds the next epoch. Because the
-//!   buckets partition time and `(time, seq)` is a unique total key, the
-//!   concatenation of per-bucket sorts reproduces the heap's pop order bit
-//!   for bit.
+//! Events land in one of [`LADDER_BUCKETS`] unsorted buckets partitioning
+//! the current *epoch* of simulated time, `O(1)` per push; each bucket is
+//! sorted once, when the simulation clock reaches it. Far-future events
+//! wait in an overflow list that reseeds the next epoch. Because the
+//! buckets partition time and `(time, seq)` is a unique total key, the
+//! concatenation of per-bucket sorts is the one total order of the keys —
+//! the order a binary heap pops. The tests keep such a heap as the
+//! referee (see the test-module docs).
 //!
 //! Lazy cancellation has a pathology: workloads that re-share rates much
 //! more often than activities complete (large max-min components under
@@ -31,17 +26,13 @@
 //! ([`EventQueue::note_superseded`]) and supports an explicit purge
 //! ([`EventQueue::compact`]) that the owner triggers once stale entries
 //! form a strict majority of a queue at least [`MIN_COMPACT_LEN`] entries
-//! long ([`EventQueue::should_compact`]). For the heap this is an `O(n)`
-//! rebuild; the ladder instead drops dead entries in place at bucket
-//! granularity (`Vec::retain` per bucket), never re-sorting survivors.
+//! long ([`EventQueue::should_compact`]). The purge drops dead entries in
+//! place at bucket granularity (`Vec::retain` per bucket), never re-sorting
+//! survivors.
 //!
-//! With the `profile` cargo feature enabled the queue additionally counts
-//! scheduling traffic (events scheduled / superseded / popped, ladder
-//! bucket sorts, epoch reseeds, overflow spills, compactions) in a
-//! [`FelProfile`]; without the feature the counters compile to nothing.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The queue counts its scheduling traffic (events scheduled / superseded
+//! / popped, bucket sorts, epoch reseeds, overflow spills, compactions) in
+//! a [`FelProfile`]; the counters are plain increments and always on.
 
 use crate::time::Time;
 
@@ -86,59 +77,20 @@ impl Entry {
     }
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Once the queue holds at least this many entries, a *strict majority* of
 /// stale ones triggers [`EventQueue::should_compact`]. Below this floor,
 /// compaction would churn memory without a measurable win. DESIGN.md §4
 /// ("Performance model") documents the same constant.
 pub const MIN_COMPACT_LEN: usize = 64;
 
-/// Number of rung buckets in the ladder implementation. Each epoch of
-/// simulated time is split evenly across this many unsorted buckets;
-/// events past the epoch wait in an overflow list.
+/// Number of rung buckets in the ladder. Each epoch of simulated time is
+/// split evenly across this many unsorted buckets; events past the epoch
+/// wait in an overflow list.
 pub const LADDER_BUCKETS: usize = 64;
 
-/// Selects the future-event-list implementation backing an
-/// [`EventQueue`]. Both implementations pop the exact same `(time, seq)`
-/// sequence for the same pushes; they differ only in cost profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FelImpl {
-    /// Binary heap: `O(log n)` push/pop. The reference implementation.
-    Heap,
-    /// Ladder (calendar) queue: `O(1)` amortized push, one unstable sort
-    /// per bucket as the clock reaches it. The default.
-    #[default]
-    Ladder,
-}
-
 /// Hot-path counters for the event core, surfaced by
-/// [`EventQueue::profile`] and aggregated into `BENCH_replay.json` by the
-/// bench harness. All increments are compiled out unless the `profile`
-/// cargo feature is enabled, so shipping the fields costs nothing on the
-/// replay hot path.
+/// [`EventQueue::profile`] and reported in the run manifest's
+/// `fel_profile` object.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FelProfile {
     /// Events pushed.
@@ -150,12 +102,11 @@ pub struct FelProfile {
     pub popped: u64,
     /// Popped entries the owner reported as stale skips.
     pub stale_popped: u64,
-    /// Ladder pushes that landed past the current epoch (overflow
-    /// spills).
+    /// Pushes that landed past the current epoch (overflow spills).
     pub spills: u64,
-    /// Ladder buckets sorted into the consumption buffer.
+    /// Buckets sorted into the consumption buffer.
     pub bucket_sorts: u64,
-    /// Ladder epoch reseeds from the overflow list.
+    /// Epoch reseeds from the overflow list.
     pub reseeds: u64,
     /// Explicit compactions performed.
     pub compactions: u64,
@@ -168,31 +119,16 @@ impl FelProfile {
     }
 }
 
-/// Whether the `profile` cargo feature compiled the FEL counters in.
-/// Lets consumers (the `obs::Metrics` snapshot, reports) distinguish
-/// "zero events" from "not measured" without recompiling.
-pub const fn profile_enabled() -> bool {
-    cfg!(feature = "profile")
-}
-
-/// Increments a profile counter; compiles to nothing without the
-/// `profile` feature.
-#[inline(always)]
-fn bump(_counter: &mut u64) {
-    #[cfg(feature = "profile")]
-    {
-        *_counter += 1;
-    }
-}
-
-/// The ladder queue. `bottom` holds the already-reached part of the
-/// epoch, sorted *descending* by `(time, seq)` so the next event pops
-/// from the back; `buckets[cur..]` partition the rest of the epoch into
-/// unsorted time slices; `overflow` holds everything past the epoch and
-/// seeds the next one. All buffers are recycled (swap + `drain`), so a
-/// warmed-up ladder performs no allocation.
+/// Deterministic future event list. See the [module docs](self).
+///
+/// `bottom` holds the already-reached part of the epoch, sorted
+/// *descending* by `(time, seq)` so the next event pops from the back;
+/// `buckets[cur..]` partition the rest of the epoch into unsorted time
+/// slices; `overflow` holds everything past the epoch and seeds the next
+/// one. All buffers are recycled (swap + `drain`), so a warmed-up queue
+/// performs no allocation.
 #[derive(Debug)]
-struct Ladder {
+pub struct EventQueue {
     bottom: Vec<Entry>,
     buckets: Vec<Vec<Entry>>,
     /// First bucket not yet drained into `bottom`.
@@ -205,11 +141,31 @@ struct Ladder {
     /// Reusable reseed buffer.
     scratch: Vec<Entry>,
     len: usize,
+    next_seq: u64,
+    /// Entries still queued that the owner has reported superseded.
+    stale: usize,
+    profile: FelProfile,
+    /// Shadow binary heap fed every push and compaction, against which
+    /// every pop is checked (see the test-module docs).
+    #[cfg(test)]
+    referee: Option<std::collections::BinaryHeap<Entry>>,
 }
 
-impl Ladder {
-    fn with_capacity(capacity: usize) -> Ladder {
-        Ladder {
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventQueue {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue with room for `capacity` events.
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
             bottom: Vec::new(),
             buckets: std::iter::repeat_with(Vec::new)
                 .take(LADDER_BUCKETS)
@@ -220,7 +176,17 @@ impl Ladder {
             overflow: Vec::with_capacity(capacity),
             scratch: Vec::new(),
             len: 0,
+            next_seq: 0,
+            stale: 0,
+            profile: FelProfile::default(),
+            #[cfg(test)]
+            referee: None,
         }
+    }
+
+    /// The hot-path counters gathered so far.
+    pub fn profile(&self) -> FelProfile {
+        self.profile
     }
 
     /// Bucket index of `t` under the current epoch. The `f64 → usize`
@@ -234,7 +200,18 @@ impl Ladder {
         ((t - self.epoch_start) / self.width) as usize
     }
 
-    fn push(&mut self, e: Entry, profile: &mut FelProfile) {
+    /// Schedules `kind` to fire at `at`. Events scheduled for the same
+    /// instant fire in the order they were pushed.
+    pub fn push(&mut self, at: Time, kind: EventKind) {
+        debug_assert!(!at.is_never(), "cannot schedule an event at NEVER");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.profile.scheduled += 1;
+        let e = Entry { at, seq, kind };
+        #[cfg(test)]
+        if let Some(heap) = &mut self.referee {
+            heap.push(e);
+        }
         self.len += 1;
         if self.width == 0.0 {
             // No epoch yet: everything collects in overflow until the
@@ -253,12 +230,30 @@ impl Ladder {
         } else if s < LADDER_BUCKETS {
             self.buckets[s].push(e);
         } else {
-            bump(&mut profile.spills);
+            self.profile.spills += 1;
             self.overflow.push(e);
         }
     }
 
-    fn pop(&mut self, profile: &mut FelProfile) -> Option<Entry> {
+    /// Removes and returns the earliest event, or `None` if the queue is
+    /// empty. Stale entries are returned like any other; the owner detects
+    /// them (generation/schedule mismatch) and must report the skip with
+    /// [`EventQueue::note_stale_popped`].
+    pub fn pop(&mut self) -> Option<(Time, EventKind)> {
+        #[cfg(test)]
+        self.assert_referee_agrees();
+        let e = self.pop_entry();
+        #[cfg(test)]
+        if let Some(heap) = &mut self.referee {
+            let key = |e: Entry| (e.key(), e.kind);
+            assert_eq!(e.map(key), heap.pop().map(key), "ladder vs heap pop");
+        }
+        let e = e?;
+        self.profile.popped += 1;
+        Some((e.at, e.kind))
+    }
+
+    fn pop_entry(&mut self) -> Option<Entry> {
         loop {
             if let Some(e) = self.bottom.pop() {
                 self.len -= 1;
@@ -277,7 +272,7 @@ impl Ladder {
                 // stability is irrelevant. Descending: pop from the back.
                 self.bottom
                     .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                bump(&mut profile.bucket_sorts);
+                self.profile.bucket_sorts += 1;
                 break;
             }
             if !self.bottom.is_empty() {
@@ -286,7 +281,7 @@ impl Ladder {
             if self.overflow.is_empty() {
                 return None;
             }
-            self.reseed(profile);
+            self.reseed();
         }
     }
 
@@ -295,7 +290,7 @@ impl Ladder {
     /// progress; entries the placement formula still puts past the last
     /// bucket (at most a rounding fringe) stay in overflow for the epoch
     /// after.
-    fn reseed(&mut self, profile: &mut FelProfile) {
+    fn reseed(&mut self) {
         debug_assert!(self.bottom.is_empty());
         debug_assert!(self.buckets.iter().all(Vec::is_empty));
         let mut min = f64::INFINITY;
@@ -325,13 +320,15 @@ impl Ladder {
                 self.overflow.push(e);
             }
         }
-        bump(&mut profile.reseeds);
+        self.profile.reseeds += 1;
     }
 
-    /// Earliest pending time. Bottom answers in `O(1)`; otherwise the
+    /// The timestamp of the earliest pending entry — a *lower bound* on the
+    /// next live event's time, since the earliest entry may be a stale one
+    /// that will be skipped. The bottom answers in `O(1)`; otherwise the
     /// first non-empty segment is scanned (segments are ordered by time,
     /// so its minimum is the global minimum).
-    fn peek_time(&self) -> Option<Time> {
+    pub fn peek_time(&self) -> Option<Time> {
         if let Some(e) = self.bottom.last() {
             return Some(e.at);
         }
@@ -343,136 +340,11 @@ impl Ladder {
         self.overflow.iter().map(|e| e.at).min()
     }
 
-    /// Drops dead entries in place, bucket by bucket. `Vec::retain`
-    /// preserves relative order (and the bottom's sortedness), so
-    /// survivors keep their exact pop ranks without any re-sort.
-    fn compact(&mut self, keep: &mut impl FnMut(&EventKind) -> bool) {
-        self.bottom.retain(|e| keep(&e.kind));
-        for b in &mut self.buckets {
-            b.retain(|e| keep(&e.kind));
-        }
-        self.overflow.retain(|e| keep(&e.kind));
-        self.len = self.bottom.len()
-            + self.buckets.iter().map(Vec::len).sum::<usize>()
-            + self.overflow.len();
-    }
-}
-
-#[derive(Debug)]
-enum Fel {
-    Heap(BinaryHeap<Entry>),
-    Ladder(Ladder),
-}
-
-/// Deterministic future event list. See the [module docs](self).
-#[derive(Debug)]
-pub struct EventQueue {
-    fel: Fel,
-    next_seq: u64,
-    /// Entries still queued that the owner has reported superseded.
-    stale: usize,
-    profile: FelProfile,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventQueue {
-    /// Creates an empty queue with the default implementation
-    /// ([`FelImpl::Ladder`]).
-    pub fn new() -> Self {
-        Self::with_fel(FelImpl::default())
-    }
-
-    /// Creates an empty queue backed by `fel`.
-    pub fn with_fel(fel: FelImpl) -> Self {
-        Self::with_capacity_fel(0, fel)
-    }
-
-    /// Creates an empty queue with room for `capacity` events, using the
-    /// default implementation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_fel(capacity, FelImpl::default())
-    }
-
-    /// Creates an empty queue with room for `capacity` events, backed by
-    /// `fel`.
-    pub fn with_capacity_fel(capacity: usize, fel: FelImpl) -> Self {
-        let fel = match fel {
-            FelImpl::Heap => Fel::Heap(BinaryHeap::with_capacity(capacity)),
-            FelImpl::Ladder => Fel::Ladder(Ladder::with_capacity(capacity)),
-        };
-        EventQueue {
-            fel,
-            next_seq: 0,
-            stale: 0,
-            profile: FelProfile::default(),
-        }
-    }
-
-    /// Which implementation backs this queue.
-    pub fn fel(&self) -> FelImpl {
-        match self.fel {
-            Fel::Heap(_) => FelImpl::Heap,
-            Fel::Ladder(_) => FelImpl::Ladder,
-        }
-    }
-
-    /// The hot-path counters gathered so far (all zero unless the
-    /// `profile` cargo feature is enabled).
-    pub fn profile(&self) -> FelProfile {
-        self.profile
-    }
-
-    /// Schedules `kind` to fire at `at`. Events scheduled for the same
-    /// instant fire in the order they were pushed.
-    pub fn push(&mut self, at: Time, kind: EventKind) {
-        debug_assert!(!at.is_never(), "cannot schedule an event at NEVER");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        bump(&mut self.profile.scheduled);
-        let e = Entry { at, seq, kind };
-        match &mut self.fel {
-            Fel::Heap(h) => h.push(e),
-            Fel::Ladder(l) => l.push(e, &mut self.profile),
-        }
-    }
-
-    /// Removes and returns the earliest event, or `None` if the queue is
-    /// empty. Stale entries are returned like any other; the owner detects
-    /// them (generation/schedule mismatch) and must report the skip with
-    /// [`EventQueue::note_stale_popped`].
-    pub fn pop(&mut self) -> Option<(Time, EventKind)> {
-        let e = match &mut self.fel {
-            Fel::Heap(h) => h.pop(),
-            Fel::Ladder(l) => l.pop(&mut self.profile),
-        }?;
-        bump(&mut self.profile.popped);
-        Some((e.at, e.kind))
-    }
-
-    /// The timestamp of the earliest pending entry — a *lower bound* on the
-    /// next live event's time, since the earliest entry may be a stale one
-    /// that will be skipped. `O(1)` for the heap; the ladder may scan its
-    /// first non-empty segment.
-    pub fn peek_time(&self) -> Option<Time> {
-        match &self.fel {
-            Fel::Heap(h) => h.peek().map(|e| e.at),
-            Fel::Ladder(l) => l.peek_time(),
-        }
-    }
-
     /// Number of pending entries, *including* superseded (stale) ones that
     /// will be skipped when popped. Use [`EventQueue::live_len`] for the
     /// number of events that will actually fire.
     pub fn len(&self) -> usize {
-        match &self.fel {
-            Fel::Heap(h) => h.len(),
-            Fel::Ladder(l) => l.len,
-        }
+        self.len
     }
 
     /// Number of pending entries that are still live (will fire), assuming
@@ -499,7 +371,7 @@ impl EventQueue {
     pub fn note_superseded(&mut self) {
         debug_assert!(self.stale < self.len(), "more stale entries than entries");
         self.stale += 1;
-        bump(&mut self.profile.superseded);
+        self.profile.superseded += 1;
     }
 
     /// Records that a popped entry turned out to be stale (the owner
@@ -510,7 +382,7 @@ impl EventQueue {
             "stale pop without a matching note_superseded"
         );
         self.stale = self.stale.saturating_sub(1);
-        bump(&mut self.profile.stale_popped);
+        self.profile.stale_popped += 1;
     }
 
     /// `true` when stale entries form a strict majority of a queue at
@@ -523,19 +395,89 @@ impl EventQueue {
     /// Drops every entry for which `keep` returns `false` and resets the
     /// stale count. Pop order of the survivors is unchanged — it is fully
     /// determined by each entry's `(time, sequence)` key, which compaction
-    /// does not touch. `O(n)` for the heap (bulk re-heapify); the ladder
-    /// retains in place at bucket granularity without re-sorting.
+    /// does not touch: `Vec::retain` preserves relative order (and the
+    /// bottom's sortedness), so survivors keep their exact pop ranks
+    /// without any re-sort.
     pub fn compact(&mut self, mut keep: impl FnMut(&EventKind) -> bool) {
-        match &mut self.fel {
-            Fel::Heap(h) => {
-                let mut entries = std::mem::take(h).into_vec();
-                entries.retain(|e| keep(&e.kind));
-                *h = BinaryHeap::from(entries);
-            }
-            Fel::Ladder(l) => l.compact(&mut keep),
+        self.bottom.retain(|e| keep(&e.kind));
+        for b in &mut self.buckets {
+            b.retain(|e| keep(&e.kind));
         }
+        self.overflow.retain(|e| keep(&e.kind));
+        self.len = self.bottom.len()
+            + self.buckets.iter().map(Vec::len).sum::<usize>()
+            + self.overflow.len();
         self.stale = 0;
-        bump(&mut self.profile.compactions);
+        self.profile.compactions += 1;
+        #[cfg(test)]
+        if let Some(heap) = &mut self.referee {
+            heap.retain(|e| keep(&e.kind));
+            self.assert_referee_agrees();
+        }
+    }
+}
+
+/// The binary heap the ladder is refereed against. A queue built with
+/// [`EventQueue::refereed`] feeds every push and compaction to a shadow
+/// `BinaryHeap` and asserts on every pop that the ladder returned exactly
+/// the heap's entry (time bits, sequence, payload), and that length and
+/// `peek_time` agree. Every pop-order test below runs refereed, and so
+/// does `kernel.rs`'s churn test.
+///
+/// This replaces the heap-vs-ladder axis that the end-to-end suites
+/// (`tests/{runtime_semantics,parallel_replay,windowed_pdes,
+/// collective_batching}.rs` and `replay`'s unit tests) used to carry: the
+/// kernel is a deterministic function of its inputs and the FEL's pop
+/// sequence, so pop-order identity here implies bit-identical replays
+/// there.
+#[cfg(test)]
+mod referee {
+    use super::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    impl PartialEq for Entry {
+        fn eq(&self, other: &Self) -> bool {
+            self.key() == other.key()
+        }
+    }
+    impl Eq for Entry {}
+
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert so the earliest (time, seq)
+            // pops first.
+            other.key().cmp(&self.key())
+        }
+    }
+
+    impl EventQueue {
+        /// An empty queue shadowed by the heap referee.
+        pub(crate) fn refereed() -> EventQueue {
+            EventQueue {
+                referee: Some(BinaryHeap::new()),
+                ..EventQueue::new()
+            }
+        }
+
+        /// Asserts the ladder and its referee (if any) agree on length and
+        /// earliest pending time.
+        pub(crate) fn assert_referee_agrees(&self) {
+            if let Some(heap) = &self.referee {
+                assert_eq!(self.len(), heap.len(), "ladder vs heap len");
+                assert_eq!(
+                    self.peek_time(),
+                    heap.peek().map(|e| e.at),
+                    "ladder vs heap peek_time"
+                );
+            }
+        }
     }
 }
 
@@ -557,60 +499,45 @@ mod tests {
     }
 
     #[test]
-    fn default_impl_is_ladder() {
-        assert_eq!(EventQueue::new().fel(), FelImpl::Ladder);
-        assert_eq!(EventQueue::with_capacity(16).fel(), FelImpl::Ladder);
-        assert_eq!(FelImpl::default(), FelImpl::Ladder);
-    }
-
-    #[test]
     fn pops_in_time_order() {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut q = EventQueue::with_fel(fel);
-            q.push(Time::from_secs(3.0), timer(0, 3));
-            q.push(Time::from_secs(1.0), timer(0, 1));
-            q.push(Time::from_secs(2.0), timer(0, 2));
-            assert_eq!(drain_keys(&mut q), vec![1, 2, 3], "{fel:?}");
-        }
+        let mut q = EventQueue::refereed();
+        q.push(Time::from_secs(3.0), timer(0, 3));
+        q.push(Time::from_secs(1.0), timer(0, 1));
+        q.push(Time::from_secs(2.0), timer(0, 2));
+        assert_eq!(drain_keys(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_fire_in_insertion_order() {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut q = EventQueue::with_fel(fel);
-            let t = Time::from_secs(5.0);
-            for key in 0..10u64 {
-                q.push(t, timer(0, key));
-            }
-            assert_eq!(drain_keys(&mut q), (0..10).collect::<Vec<_>>(), "{fel:?}");
+        let mut q = EventQueue::refereed();
+        let t = Time::from_secs(5.0);
+        for key in 0..10u64 {
+            q.push(t, timer(0, key));
         }
+        assert_eq!(drain_keys(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_matches_pop() {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut q = EventQueue::with_fel(fel);
-            q.push(Time::from_secs(2.0), timer(0, 0));
-            q.push(Time::from_secs(1.0), timer(0, 1));
-            assert_eq!(q.peek_time(), Some(Time::from_secs(1.0)), "{fel:?}");
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, Time::from_secs(1.0));
-            assert_eq!(q.peek_time(), Some(Time::from_secs(2.0)), "{fel:?}");
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::refereed();
+        q.push(Time::from_secs(2.0), timer(0, 0));
+        q.push(Time::from_secs(1.0), timer(0, 1));
+        assert_eq!(q.peek_time(), Some(Time::from_secs(1.0)));
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, Time::from_secs(1.0));
+        assert_eq!(q.peek_time(), Some(Time::from_secs(2.0)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn empty_queue_behaviour() {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut q = EventQueue::with_fel(fel);
-            assert!(q.pop().is_none());
-            assert!(q.peek_time().is_none());
-            assert!(q.is_empty());
-            assert_eq!(q.live_len(), 0);
-            assert_eq!(q.stale_len(), 0);
-        }
+        let mut q = EventQueue::refereed();
+        assert!(q.pop().is_none());
+        assert!(q.peek_time().is_none());
+        assert!(q.is_empty());
+        assert_eq!(q.live_len(), 0);
+        assert_eq!(q.stale_len(), 0);
     }
 
     #[test]
@@ -631,27 +558,53 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_only_filtered_entries_and_preserves_order() {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut q = EventQueue::with_fel(fel);
-            // Interleave keepers (keys divisible by 3) and stale entries at
-            // identical timestamps so FIFO order is exercised across a
-            // purge.
-            for key in 0..99u64 {
-                q.push(Time::from_secs((key / 10) as f64), timer(0, key));
-                if key % 3 != 0 {
-                    q.note_superseded();
-                }
-            }
-            assert!(q.should_compact(), "2/3 stale is a strict majority");
-            q.compact(|k| matches!(k, EventKind::Timer { key, .. } if key % 3 == 0));
-            assert_eq!(q.len(), 33);
-            assert_eq!(q.live_len(), 33);
-            assert_eq!(q.stale_len(), 0);
-            assert!(!q.should_compact());
-            let expect: Vec<u64> = (0..99).filter(|k| k % 3 == 0).collect();
-            assert_eq!(drain_keys(&mut q), expect, "{fel:?}");
+    fn profile_counts_scheduling_traffic() {
+        let mut q = EventQueue::new();
+        for key in 0..4u64 {
+            q.push(Time::from_secs(key as f64), timer(0, key));
         }
+        q.note_superseded();
+        let _ = q.pop();
+        q.note_stale_popped();
+        let _ = q.pop();
+        // Epoch is [0, 3]; a push far past it spills to overflow.
+        q.push(Time::from_secs(1e6), timer(0, 4));
+        q.compact(|_| true);
+        let p = q.profile();
+        assert_eq!(
+            (
+                p.scheduled,
+                p.superseded,
+                p.popped,
+                p.stale_popped,
+                p.fired()
+            ),
+            (5, 1, 2, 1, 1)
+        );
+        assert_eq!((p.reseeds, p.spills, p.compactions), (1, 1, 1));
+        assert!(p.bucket_sorts >= 1);
+    }
+
+    #[test]
+    fn compact_drops_only_filtered_entries_and_preserves_order() {
+        let mut q = EventQueue::refereed();
+        // Interleave keepers (keys divisible by 3) and stale entries at
+        // identical timestamps so FIFO order is exercised across a
+        // purge.
+        for key in 0..99u64 {
+            q.push(Time::from_secs((key / 10) as f64), timer(0, key));
+            if key % 3 != 0 {
+                q.note_superseded();
+            }
+        }
+        assert!(q.should_compact(), "2/3 stale is a strict majority");
+        q.compact(|k| matches!(k, EventKind::Timer { key, .. } if key % 3 == 0));
+        assert_eq!(q.len(), 33);
+        assert_eq!(q.live_len(), 33);
+        assert_eq!(q.stale_len(), 0);
+        assert!(!q.should_compact());
+        let expect: Vec<u64> = (0..99).filter(|k| k % 3 == 0).collect();
+        assert_eq!(drain_keys(&mut q), expect);
     }
 
     #[test]
@@ -671,7 +624,7 @@ mod tests {
     fn ladder_reseeds_across_sparse_epochs() {
         // Clusters of events separated by huge gaps force epoch turnover:
         // every cluster past the first starts life in overflow.
-        let mut q = EventQueue::with_fel(FelImpl::Ladder);
+        let mut q = EventQueue::refereed();
         let mut expect = Vec::new();
         let mut key = 0u64;
         for cluster in 0..5 {
@@ -698,7 +651,7 @@ mod tests {
         // Pop half an epoch, then push events earlier than everything
         // still queued (but later than the last pop): they must merge into
         // the bottom and pop next.
-        let mut q = EventQueue::with_fel(FelImpl::Ladder);
+        let mut q = EventQueue::refereed();
         for key in 0..100u64 {
             q.push(Time::from_secs(key as f64), timer(0, key));
         }
@@ -727,23 +680,21 @@ mod proptests {
 
     proptest! {
         /// Popping yields a non-decreasing sequence of times regardless of
-        /// insertion order, for both implementations.
+        /// insertion order.
         #[test]
         fn pop_order_is_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..200)) {
-            for fel in [FelImpl::Heap, FelImpl::Ladder] {
-                let mut q = EventQueue::with_fel(fel);
-                for (i, t) in times.iter().enumerate() {
-                    q.push(Time::from_secs(*t), EventKind::Timer { actor: 0, key: i as u64 });
-                }
-                let mut last = Time::ZERO;
-                let mut n = 0;
-                while let Some((t, _)) = q.pop() {
-                    prop_assert!(t >= last);
-                    last = t;
-                    n += 1;
-                }
-                prop_assert_eq!(n, times.len());
+            let mut q = EventQueue::refereed();
+            for (i, t) in times.iter().enumerate() {
+                q.push(Time::from_secs(*t), EventKind::Timer { actor: 0, key: i as u64 });
             }
+            let mut last = Time::ZERO;
+            let mut n = 0;
+            while let Some((t, _)) = q.pop() {
+                prop_assert!(t >= last);
+                last = t;
+                n += 1;
+            }
+            prop_assert_eq!(n, times.len());
         }
 
         /// Compacting away a random subset of entries never perturbs the
@@ -752,81 +703,71 @@ mod proptests {
         fn compact_preserves_survivor_order(
             entries in proptest::collection::vec((0.0f64..100.0, proptest::prelude::any::<bool>()), 1..300),
         ) {
-            for fel in [FelImpl::Heap, FelImpl::Ladder] {
-                let mut q = EventQueue::with_fel(fel);
-                let mut reference = EventQueue::with_fel(fel);
-                for (i, (t, live)) in entries.iter().enumerate() {
-                    q.push(Time::from_secs(*t), EventKind::Timer { actor: u32::from(*live), key: i as u64 });
-                    if *live {
-                        reference.push(Time::from_secs(*t), EventKind::Timer { actor: 1, key: i as u64 });
-                    } else {
-                        q.note_superseded();
-                    }
+            let mut q = EventQueue::refereed();
+            let mut reference = EventQueue::refereed();
+            for (i, (t, live)) in entries.iter().enumerate() {
+                q.push(Time::from_secs(*t), EventKind::Timer { actor: u32::from(*live), key: i as u64 });
+                if *live {
+                    reference.push(Time::from_secs(*t), EventKind::Timer { actor: 1, key: i as u64 });
+                } else {
+                    q.note_superseded();
                 }
-                q.compact(|k| matches!(k, EventKind::Timer { actor: 1, .. }));
-                prop_assert_eq!(q.stale_len(), 0);
-                while let Some((t, EventKind::Timer { key, .. })) = q.pop() {
-                    // The reference queue saw the live entries pushed in the
-                    // same relative order, so (time, seq) ranks them
-                    // identically.
-                    let (rt, EventKind::Timer { key: rkey, .. }) = reference.pop().unwrap() else {
-                        unreachable!()
-                    };
-                    prop_assert_eq!(t, rt);
-                    prop_assert_eq!(key, rkey);
-                }
-                prop_assert!(reference.is_empty());
             }
+            q.compact(|k| matches!(k, EventKind::Timer { actor: 1, .. }));
+            prop_assert_eq!(q.stale_len(), 0);
+            while let Some((t, EventKind::Timer { key, .. })) = q.pop() {
+                // The reference queue saw the live entries pushed in the
+                // same relative order, so (time, seq) ranks them
+                // identically.
+                let (rt, EventKind::Timer { key: rkey, .. }) = reference.pop().unwrap() else {
+                    unreachable!()
+                };
+                prop_assert_eq!(t, rt);
+                prop_assert_eq!(key, rkey);
+            }
+            prop_assert!(reference.is_empty());
         }
 
         /// FIFO among equal timestamps holds for any partition of keys into
         /// timestamp groups.
         #[test]
         fn fifo_within_groups(groups in proptest::collection::vec(0u8..4, 1..100)) {
-            for fel in [FelImpl::Heap, FelImpl::Ladder] {
-                let mut q = EventQueue::with_fel(fel);
-                for (i, g) in groups.iter().enumerate() {
-                    q.push(Time::from_secs(*g as f64), EventKind::Timer { actor: 0, key: i as u64 });
+            let mut q = EventQueue::refereed();
+            for (i, g) in groups.iter().enumerate() {
+                q.push(Time::from_secs(*g as f64), EventKind::Timer { actor: 0, key: i as u64 });
+            }
+            let mut seen_per_group: [Option<u64>; 4] = [None; 4];
+            while let Some((t, EventKind::Timer { key, .. })) = q.pop() {
+                let g = t.as_secs() as usize;
+                if let Some(prev) = seen_per_group[g] {
+                    prop_assert!(key > prev, "FIFO violated in group {}", g);
                 }
-                let mut seen_per_group: [Option<u64>; 4] = [None; 4];
-                while let Some((t, EventKind::Timer { key, .. })) = q.pop() {
-                    let g = t.as_secs() as usize;
-                    if let Some(prev) = seen_per_group[g] {
-                        prop_assert!(key > prev, "FIFO violated in group {}", g);
-                    }
-                    seen_per_group[g] = Some(key);
-                }
+                seen_per_group[g] = Some(key);
             }
         }
 
         /// The differential acceptance test for the ladder: any random
         /// interleaving of pushes (including time clusters far apart and
         /// duplicate timestamps), pops, supersedes, and compactions
-        /// produces a pop sequence bit-identical to the binary heap's.
+        /// produces a pop sequence bit-identical to the binary heap's —
+        /// the refereed queue asserts it on every pop, and length and
+        /// `peek_time` agreement is asserted after every operation.
         #[test]
         fn fel_heap_vs_ladder_identical(
             ops in proptest::collection::vec((0u8..12, 0u32..4, 0.0f64..100.0), 1..400),
         ) {
-            let mut heap = EventQueue::with_fel(FelImpl::Heap);
-            let mut ladder = EventQueue::with_fel(FelImpl::Ladder);
+            let mut q = EventQueue::refereed();
             // Keys pushed and not yet popped, oldest first, plus the set
-            // already marked superseded — the "owner" state driving both
-            // queues identically.
+            // already marked superseded — the "owner" state driving the
+            // queue.
             let mut pending: Vec<u64> = Vec::new();
             let mut dead: HashSet<u64> = HashSet::new();
             let mut next_key = 0u64;
-            let pop_both = |heap: &mut EventQueue,
-                            ladder: &mut EventQueue,
-                            pending: &mut Vec<u64>,
-                            dead: &mut HashSet<u64>| {
-                let a = heap.pop();
-                let b = ladder.pop();
-                prop_assert_eq!(a, b, "heap and ladder disagree");
-                if let Some((_, EventKind::Timer { key, .. })) = a {
+            let pop = |q: &mut EventQueue, pending: &mut Vec<u64>, dead: &mut HashSet<u64>| {
+                if let Some((_, EventKind::Timer { key, .. })) = q.pop() {
                     pending.retain(|k| *k != key);
                     if dead.remove(&key) {
-                        heap.note_stale_popped();
-                        ladder.note_stale_popped();
+                        q.note_stale_popped();
                     }
                 }
             };
@@ -838,39 +779,32 @@ mod proptests {
                         let at = Time::from_secs(f64::from(cluster) * 1e9 + t);
                         let key = next_key;
                         next_key += 1;
-                        heap.push(at, EventKind::Timer { actor: 0, key });
-                        ladder.push(at, EventKind::Timer { actor: 0, key });
+                        q.push(at, EventKind::Timer { actor: 0, key });
                         pending.push(key);
                     }
                     // Pop and compare.
-                    6..=8 => {
-                        pop_both(&mut heap, &mut ladder, &mut pending, &mut dead);
-                    }
+                    6..=8 => pop(&mut q, &mut pending, &mut dead),
                     // Supersede the oldest still-live pending entry.
                     9..=10 => {
                         if let Some(&key) = pending.iter().find(|k| !dead.contains(k)) {
                             dead.insert(key);
-                            heap.note_superseded();
-                            ladder.note_superseded();
+                            q.note_superseded();
                         }
                     }
-                    // Compact both, dropping the dead set.
+                    // Compact, dropping the dead set.
                     _ => {
-                        prop_assert_eq!(heap.should_compact(), ladder.should_compact());
-                        heap.compact(|k| matches!(k, EventKind::Timer { key, .. } if !dead.contains(key)));
-                        ladder.compact(|k| matches!(k, EventKind::Timer { key, .. } if !dead.contains(key)));
+                        q.compact(|k| matches!(k, EventKind::Timer { key, .. } if !dead.contains(key)));
                         pending.retain(|k| !dead.contains(k));
                         dead.clear();
                     }
                 }
-                prop_assert_eq!(heap.len(), ladder.len());
-                prop_assert_eq!(heap.live_len(), ladder.live_len());
-                prop_assert_eq!(heap.peek_time(), ladder.peek_time());
+                q.assert_referee_agrees();
+                prop_assert_eq!(q.live_len(), pending.len() - dead.len());
             }
-            while !heap.is_empty() || !ladder.is_empty() {
-                pop_both(&mut heap, &mut ladder, &mut pending, &mut dead);
+            while !q.is_empty() {
+                pop(&mut q, &mut pending, &mut dead);
             }
-            prop_assert!(heap.pop().is_none() && ladder.pop().is_none());
+            prop_assert!(q.pop().is_none() && pending.is_empty());
         }
     }
 }

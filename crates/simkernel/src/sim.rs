@@ -3,7 +3,6 @@
 
 use crate::actor::{Actor, ActorId, Status, Wake};
 use crate::kernel::{Kernel, KernelStep};
-use crate::queue::FelImpl;
 use crate::time::Time;
 
 /// Why [`Sim::step_until`] returned.
@@ -66,18 +65,12 @@ impl<W> Sim<W> {
     }
 
     /// Creates a simulation around `world` with the kernel's activity slab
-    /// and event heap pre-sized (see [`Kernel::with_capacity`]). Runners
+    /// and event queue pre-sized (see [`Kernel::with_capacity`]). Runners
     /// that know the rank count and a per-rank in-flight bound should use
     /// this to avoid reallocation during replay.
     pub fn with_capacity(world: W, activities: usize, events: usize) -> Self {
-        Self::with_capacity_fel(world, activities, events, FelImpl::default())
-    }
-
-    /// [`Sim::with_capacity`] with an explicit future-event-list
-    /// implementation (see [`FelImpl`]).
-    pub fn with_capacity_fel(world: W, activities: usize, events: usize, fel: FelImpl) -> Self {
         Sim {
-            kernel: Kernel::with_capacity_fel(activities, events, fel),
+            kernel: Kernel::with_capacity(activities, events),
             world,
             actors: Vec::new(),
             states: Vec::new(),

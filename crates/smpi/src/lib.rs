@@ -81,10 +81,6 @@ pub struct SmpiConfig {
     pub loopback_latency: f64,
     /// Bandwidth-sharing policy of the network model.
     pub sharing: SharingPolicy,
-    /// Future-event-list implementation of the simulation kernel. Does
-    /// not affect results (pop order is bit-identical across variants);
-    /// exposed so benchmarks and differential tests can pin one.
-    pub fel: simkernel::FelImpl,
 }
 
 impl SmpiConfig {
@@ -100,7 +96,6 @@ impl SmpiConfig {
             loopback_bandwidth: 3.0e9,
             loopback_latency: 0.4e-6,
             sharing: SharingPolicy::Bottleneck,
-            fel: simkernel::FelImpl::default(),
         }
     }
 

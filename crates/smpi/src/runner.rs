@@ -126,7 +126,6 @@ pub fn prepare_smpi(
     assert!(ranks > 0, "no ranks to run");
     assert_eq!(hosts.len(), ranks, "one host per rank required");
     let transport = ActorId(ranks as u32);
-    let fel = cfg.fel;
     let mut world = SmpiWorld::new(platform, hosts, cfg, hooks, transport);
     if let Some(recorder) = recorder {
         world.set_recorder(recorder);
@@ -134,7 +133,7 @@ pub fn prepare_smpi(
     // Pre-size the kernel's hot collections from the workload shape (see
     // `simkernel::replay_sizing` for the heuristic).
     let (activities, events) = simkernel::replay_sizing(ranks);
-    let mut sim = Sim::with_capacity_fel(world, activities, events, fel);
+    let mut sim = Sim::with_capacity(world, activities, events);
     for (r, source) in sources.into_iter().enumerate() {
         let me = ActorId(r as u32);
         let id = sim.spawn(Box::new(RankActor::new(r as u32, me, source)));
@@ -177,11 +176,10 @@ pub fn prepare_smpi_shard(
     );
     assert!(!sources.is_empty(), "no local ranks in shard");
     let transport = ActorId(sources.len() as u32);
-    let fel = cfg.fel;
     let mut world = SmpiWorld::new(platform, hosts, cfg, hooks, transport);
     world.set_locality(local);
     let (activities, events) = simkernel::replay_sizing(sources.len());
-    let mut sim = Sim::with_capacity_fel(world, activities, events, fel);
+    let mut sim = Sim::with_capacity(world, activities, events);
     for (i, (rank, source)) in local_ranks.iter().zip(sources).enumerate() {
         let me = ActorId(i as u32);
         let id = sim.spawn(Box::new(RankActor::new(*rank, me, source)));
@@ -284,7 +282,6 @@ impl SmpiRun {
         metrics.rendezvous_messages = stats.messages - stats.eager_messages;
         metrics.bytes = stats.bytes;
         metrics.collectives = stats.collective_participations;
-        metrics.match_depth_tracked = simkernel::profile_enabled();
         metrics.max_unexpected_depth = stats.max_unexpected_depth;
         metrics.max_posted_depth = stats.max_posted_depth;
         let net = sim.world.net.stats();

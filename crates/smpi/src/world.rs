@@ -165,10 +165,8 @@ pub struct WorldStats {
     /// Collective operations executed (counted once per rank).
     pub collective_participations: u64,
     /// High-water depth of any per-channel unexpected-message queue.
-    /// Only tracked with the `profile` feature; 0 otherwise.
     pub max_unexpected_depth: u64,
     /// High-water depth of any per-channel posted-receive queue.
-    /// Only tracked with the `profile` feature; 0 otherwise.
     pub max_posted_depth: u64,
 }
 
@@ -226,15 +224,10 @@ pub struct SmpiWorld {
 /// of slack mean the match path never regrows mid-replay.
 const CHAN_DEPTH: usize = 4;
 
-/// Records a queue-depth high-water mark. Compiles to nothing without
-/// the `profile` feature, so the match path pays for no bookkeeping.
+/// Records a queue-depth high-water mark.
 #[inline(always)]
-#[allow(unused_variables)]
 fn track_depth(max: &mut u64, depth: usize) {
-    #[cfg(feature = "profile")]
-    {
-        *max = (*max).max(depth as u64);
-    }
+    *max = (*max).max(depth as u64);
 }
 
 impl SmpiWorld {

@@ -153,9 +153,15 @@ pub fn parse_line_bytes(raw: &[u8], line: usize) -> Result<Option<(Rank, Action)
     Ok(Some((rank, action)))
 }
 
-/// Longest line the merged-text decoders accept, without its `\n`: a
-/// file with no newline cannot make them buffer more than this.
+/// Longest line the text decoders (merged and split per-rank) accept,
+/// without its `\n`: a file with no newline cannot make them buffer more
+/// than this.
 pub const MAX_LINE: usize = 64 * 1024;
+
+/// The error for a `line` longer than [`MAX_LINE`].
+fn too_long(line: usize) -> ParseError {
+    err(line, format!("line exceeds {MAX_LINE} bytes"))
+}
 
 /// Read size of [`load_merged`].
 const READ_BUF: usize = 1 << 20;
@@ -232,11 +238,6 @@ impl Demux {
         Demux { per_rank, line: 0 }
     }
 
-    /// The error for the line after the last one consumed.
-    fn too_long(&self) -> ParseError {
-        err(self.line + 1, format!("line exceeds {MAX_LINE} bytes"))
-    }
-
     /// Decodes every `\n`-terminated line of `bytes`; returns where the
     /// unterminated rest starts.
     fn push_lines(&mut self, bytes: &[u8]) -> Result<usize, ParseError> {
@@ -259,7 +260,7 @@ impl Demux {
     /// it with [`parse_line_bytes`] unless the fast path already has.
     fn push_line(&mut self, raw: &[u8], fast: Option<(Rank, Action)>) -> Result<(), ParseError> {
         if raw.len() > MAX_LINE {
-            return Err(self.too_long());
+            return Err(too_long(self.line + 1));
         }
         self.line += 1;
         let parsed = match fast {
@@ -327,7 +328,7 @@ pub(crate) fn decode_reader(
         buf.copy_within(rest..end, 0);
         carried = end - rest;
         if carried > MAX_LINE {
-            return Ok(Err(demux.too_long()));
+            return Ok(Err(too_long(demux.line + 1)));
         }
         if carried == buf.len() {
             buf.resize((2 * carried).min(MAX_LINE + 1), 0);
@@ -463,7 +464,8 @@ pub fn memory_sources(trace: &Arc<Trace>) -> Vec<Box<dyn ActionSource>> {
 }
 
 /// An [`ActionSource`] streaming one rank's split text file through a
-/// buffered reader — resident memory is one line window, not the file.
+/// buffered reader — resident memory is one line of at most [`MAX_LINE`]
+/// bytes, not the file.
 pub struct TextFileSource {
     path: PathBuf,
     reader: io::BufReader<std::fs::File>,
@@ -493,14 +495,16 @@ impl ActionSource for TextFileSource {
     fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
         loop {
             self.buf.clear();
-            let n = self
-                .reader
+            let n = io::Read::take(&mut self.reader, MAX_LINE as u64 + 1)
                 .read_until(b'\n', &mut self.buf)
                 .map_err(|e| SourceError::Io(self.path.clone(), e))?;
             if n == 0 {
                 return Ok(None);
             }
             self.line += 1;
+            if n > MAX_LINE && self.buf.last() != Some(&b'\n') {
+                return Err(SourceError::Parse(self.path.clone(), too_long(self.line)));
+            }
             match parse_line_bytes(&self.buf, self.line) {
                 Ok(None) => continue,
                 Ok(Some((rank, action))) => {
@@ -884,6 +888,33 @@ mod tests {
             src.next_action(),
             Err(SourceError::WrongRank { found: Rank(0), .. })
         ));
+
+        // The merged decoder's line bound, case for case: a comment of
+        // exactly MAX_LINE bytes passes, one byte more is the same error
+        // with the same line number, terminated or not.
+        let too_long = format!("line exceeds {MAX_LINE} bytes");
+        for (text, expect) in [
+            (format!("#{}\np1 init", "x".repeat(MAX_LINE - 1)), None),
+            (
+                format!("p1 init\n#{}\np1 teleport\n", "x".repeat(MAX_LINE)),
+                Some(err(2, &too_long)),
+            ),
+            (
+                format!("p1 init\n{}", "A".repeat(MAX_LINE + 1)),
+                Some(err(2, &too_long)),
+            ),
+        ] {
+            std::fs::write(&p, text).unwrap();
+            let mut src = TextFileSource::open(&p, Rank(1)).unwrap();
+            assert_eq!(src.next_action().unwrap(), Some(Action::Init));
+            match (src.next_action(), expect) {
+                (Ok(None), None) => {}
+                (Err(SourceError::Parse(path, e)), Some(expect)) => {
+                    assert_eq!((path, e), (p.clone(), expect));
+                }
+                (got, expect) => panic!("{got:?}, expected {expect:?}"),
+            }
+        }
     }
 
     #[test]

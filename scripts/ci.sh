@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build, test, lint, smoke-run the benches, and exercise the
-# trace ingestion paths end to end.
+# CI gate: build, test, lint, and exercise the trace ingestion, replay,
+# benchmark, paper-contract and serve paths end to end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,12 +8,6 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
-# Smoke mode: each bench target runs its bodies once, no sampling.
-cargo bench -p bench -- --test
-
-# FEL smoke: scaled-down heap-vs-ladder churn pass; asserts the profile
-# counters are coherent and the ladder steady state allocation-free.
-cargo run --release -p bench --bin perf_baseline -- --smoke
 
 # Ingest smoke: generate an LU class-B trace, pack it, and check that
 # text, a CRLF copy of it without a final newline, and binary ingestion
@@ -147,8 +141,8 @@ for kind in chrome.json states.csv; do
     cmp "$ingest_dir/$name.1.$ext" "$ingest_dir/$name.4.$ext" \
         || { echo "parallel $kind export differs from sequential" >&2; exit 1; }
 done
-# Metrics compare with the ladder's profile-gated *restructuring*
-# counters normalized away: one merged FEL and N island FELs
+# Metrics compare with the ladder's *restructuring* counters
+# normalized away: one merged FEL and N island FELs
 # legitimately restructure at different points (same exemption as the
 # differential tests); the live-flow/entity high-water marks are also
 # per-network-model occupancy figures (sequential sees every island's
@@ -183,6 +177,16 @@ a_msgs=$(ar_field messages)
     || { echo "allreduce P=128: $a_events events for $a_msgs messages" >&2; exit 1; }
 echo "AGG_SMOKE ok (simulated_time_s $a_time, 1 live entity, $a_events events / $a_msgs messages)"
 
+# One build: the workspace build above and the package build the
+# benchmark makes write the same target/release/titreplay, so they must
+# be the same program — byte-identical --metrics on the same input.
+cargo build --release -p tit-replay -p titserved
+"$rep" --platform "$ingest_dir/ar.trace.platform.json" --trace "$ingest_dir/ar.trace" \
+    --ranks 128 --rate 2e9 --no-cache --metrics "$ingest_dir/ar.metrics.pkg.json" >/dev/null
+cmp "$ingest_dir/ar.metrics.json" "$ingest_dir/ar.metrics.pkg.json" \
+    || { echo "ONE_BUILD: workspace and package builds of titreplay report different metrics" >&2; exit 1; }
+echo "ONE_BUILD ok (workspace and -p tit-replay -p titserved builds give byte-identical --metrics)"
+
 # Benchmark smoke, harness form: the benchmark's own output checks
 # (goldens, mirror = CLI) must pass on the workloads the two sharing
 # paths carry — batched collectives and eager point-to-point re-shares —
@@ -198,13 +202,14 @@ echo "BENCH_SMOKE ok (titbench allreduce-p128, lu-c64.titb, halo-p128.text and l
 
 # Paper contract: the accuracy results are a correctness contract too.
 # Regenerate every table and figure of the paper at the recorded length
-# and fail on any byte that differs from results/ (~3 min on 2 vCPUs).
-for exp in fig1 fig2 fig3 fig4 fig5 fig6 fig7 table1 table2 ablation; do
+# and the future-work evaluation at the recorded length and fail on any
+# byte that differs from results/ (~4 min on 2 vCPUs).
+for exp in fig1 fig2 fig3 fig4 fig5 fig6 fig7 table1 table2 ablation futurework; do
     "target/release/$exp" --steps 50 >"$ingest_dir/$exp.txt" 2>/dev/null
     cmp "$ingest_dir/$exp.txt" "results/$exp.txt" \
         || { echo "PAPER_CONTRACT: $exp differs from results/$exp.txt" >&2; exit 1; }
 done
-echo "PAPER_CONTRACT ok (fig1..7, table1..2, ablation byte-identical to results/ at --steps 50)"
+echo "PAPER_CONTRACT ok (fig1..7, table1..2, ablation, futurework byte-identical to results/ at --steps 50)"
 
 # Windowed-PDES smoke, two halves. (a) LU class B, 8 ranks: one coupled
 # island *with collectives*, so the windowed engine must fall back —
@@ -308,8 +313,7 @@ echo "TELEMETRY_SMOKE ok ($prof_workers profiled workers, simulated time unchang
 TITR_REPLAY_THREADS=4 cargo test -q -p tit-replay \
     --test parallel_replay --test runtime_semantics --test trace_roundtrip \
     --test observability --test collective_batching --test windowed_pdes
-TITR_REPLAY_THREADS=4 cargo run --release -p bench --bin perf_baseline -- --smoke
-echo "PARALLEL_SUITE ok (replay tests + perf smoke at TITR_REPLAY_THREADS=4)"
+echo "PARALLEL_SUITE ok (replay tests at TITR_REPLAY_THREADS=4)"
 
 # Serve smoke: start titserved on an ephemeral port, issue the same
 # what-if query twice — the first must execute, the second must be

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use tit_replay::platform::spec::SpecKind;
 use tit_replay::prelude::*;
-use tit_replay::simkernel::FelImpl;
 
 /// A flat switched cluster: every rank on its own node, so each
 /// collective phase puts P uniform flows through the shared backbone —
@@ -34,10 +33,9 @@ fn flat(nodes: u32) -> Platform {
     .build()
 }
 
-fn cfg(engine: ReplayEngine, fel: FelImpl, threads: usize) -> ReplayConfig {
+fn cfg(engine: ReplayEngine, threads: usize) -> ReplayConfig {
     ReplayConfig {
         engine,
-        fel,
         threads,
         ..ReplayConfig::improved(2e9)
     }
@@ -74,14 +72,16 @@ fn assert_golden(m: &Metrics, golden: &Golden, what: &str) {
 
 /// LU (p2p-dominated with interspersed collectives): application flows
 /// re-solve eagerly next to batched collective ones. Under every sharing
-/// policy, on both engines and both FELs, the run lands on the bits and
+/// policy, on both engines, the run lands on the bits and
 /// the counters recorded at db39a09 — the last commit whose link tables
 /// were in slab-swap order, which fed `flush_maxmin`'s seed choice and
 /// `expand_component`'s discovery order. Messages and bytes are the
 /// per-flow path's from 78bd05c; they do not depend on the policy. One
 /// counter is younger: smpi/Bottleneck `rate updates` was 14 835 while
 /// the bottleneck path counted every flow it visited; it now counts
-/// pushes, like the max-min rows always did.
+/// pushes, like the max-min rows always did. The `rates examined` column
+/// (recorded at 1ab30f8) pins *which* neighbours an open or close visits,
+/// as opposed to how cheaply it finds them.
 #[test]
 fn lu_b8_matches_the_goldens_under_every_policy() {
     use tit_replay::netmodel::SharingPolicy::{Bottleneck, MaxMin, MaxMinFull};
@@ -89,10 +89,11 @@ fn lu_b8_matches_the_goldens_under_every_policy() {
     let trace =
         Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
     let platform = tit_replay::platform::clusters::graphene();
-    // (engine, policy, time bits, events, re-solves, rate updates)
+    // (engine, policy, time bits, events, re-solves, rate updates, rates
+    // examined)
     let smpi = (ReplayEngine::Smpi, 8319, 26_637_400);
     let msg = (ReplayEngine::Msg, 8240, 26_634_240);
-    for ((engine, messages, bytes), sharing, time, events, resolves, updates) in [
+    for ((engine, messages, bytes), sharing, time, events, resolves, updates, examined) in [
         (
             smpi,
             Bottleneck,
@@ -100,8 +101,17 @@ fn lu_b8_matches_the_goldens_under_every_policy() {
             36_603,
             16_594,
             11_614,
+            14_832,
         ),
-        (smpi, MaxMin, 0x3ff2_a2cf_a1f9_0239, 33_340, 11_453, 8351),
+        (
+            smpi,
+            MaxMin,
+            0x3ff2_a2cf_a1f9_0239,
+            33_340,
+            11_453,
+            8351,
+            14_907,
+        ),
         (
             smpi,
             MaxMinFull,
@@ -109,25 +119,41 @@ fn lu_b8_matches_the_goldens_under_every_policy() {
             33_340,
             14_217,
             8351,
+            18_355,
         ),
-        (msg, Bottleneck, 0x3ff4_611d_ca3d_72f9, 33_278, 16_480, 8450),
-        (msg, MaxMin, 0x3ff4_611d_ca3d_72f9, 33_278, 8345, 8450),
-        (msg, MaxMinFull, 0x3ff4_611d_ca3d_72f9, 33_278, 14_162, 8450),
+        (
+            msg,
+            Bottleneck,
+            0x3ff4_611d_ca3d_72f9,
+            33_278,
+            16_480,
+            8450,
+            8450,
+        ),
+        (msg, MaxMin, 0x3ff4_611d_ca3d_72f9, 33_278, 8345, 8450, 8450),
+        (
+            msg,
+            MaxMinFull,
+            0x3ff4_611d_ca3d_72f9,
+            33_278,
+            14_162,
+            8450,
+            14_358,
+        ),
     ] {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let what = format!("LU B-8 {engine:?} {sharing:?} {fel:?}");
-            let config = ReplayConfig {
-                sharing,
-                ..cfg(engine, fel, 1)
-            };
-            let m = replay_observed(&platform, &trace, &config, false)
-                .unwrap()
-                .metrics;
-            assert_golden(&m, &Golden(time, messages, bytes), &what);
-            assert_eq!(m.events_processed, events, "{what}: events");
-            assert_eq!(m.sharing_resolves, resolves, "{what}: re-solves");
-            assert_eq!(m.sharing_rate_updates, updates, "{what}: rate updates");
-        }
+        let what = format!("LU B-8 {engine:?} {sharing:?}");
+        let config = ReplayConfig {
+            sharing,
+            ..cfg(engine, 1)
+        };
+        let m = replay_observed(&platform, &trace, &config, false)
+            .unwrap()
+            .metrics;
+        assert_golden(&m, &Golden(time, messages, bytes), &what);
+        assert_eq!(m.events_processed, events, "{what}: events");
+        assert_eq!(m.sharing_resolves, resolves, "{what}: re-solves");
+        assert_eq!(m.sharing_rate_updates, updates, "{what}: rate updates");
+        assert_eq!(m.sharing_examined, examined, "{what}: rates examined");
     }
 }
 
@@ -144,24 +170,26 @@ fn allreduce_matches_the_per_flow_goldens_with_o1_entities() {
     ] {
         let platform = flat(ranks);
         let trace = Arc::new(allreduce_trace(ranks, iters, 1 << 16));
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            for threads in [1, 4] {
-                let what = format!("allreduce P={ranks} {fel:?} threads={threads}");
-                let config = cfg(ReplayEngine::Smpi, fel, threads);
-                let m = replay_observed(&platform, &trace, &config, false)
-                    .unwrap()
-                    .metrics;
-                assert_golden(&m, &golden, &what);
-                assert_eq!(m.live_flow_hwm, u64::from(ranks), "{what}");
-                assert_eq!(m.live_entity_hwm, 1, "{what}: collapse should be total");
-                assert_eq!(m.agg_splits, 0, "{what}");
-                assert!(
-                    m.events_processed <= 3 * m.messages,
-                    "{what}: {} events for {} messages",
-                    m.events_processed,
-                    m.messages
-                );
-            }
+        for threads in [1, 4] {
+            let what = format!("allreduce P={ranks} threads={threads}");
+            let config = cfg(ReplayEngine::Smpi, threads);
+            let m = replay_observed(&platform, &trace, &config, false)
+                .unwrap()
+                .metrics;
+            assert_golden(&m, &golden, &what);
+            assert_eq!(m.live_flow_hwm, u64::from(ranks), "{what}");
+            assert_eq!(m.live_entity_hwm, 1, "{what}: collapse should be total");
+            assert_eq!(
+                m.sharing_rate_updates, m.flows_created,
+                "{what}: a collective flow was rated more than once"
+            );
+            assert_eq!(m.agg_splits, 0, "{what}");
+            assert!(
+                m.events_processed <= 3 * m.messages,
+                "{what}: {} events for {} messages",
+                m.events_processed,
+                m.messages
+            );
         }
     }
 }

@@ -109,8 +109,24 @@ fn cli_replay_emits_observability_artifacts() {
     assert!(csv.lines().count() > 8);
     let metrics = std::fs::read_to_string(&metrics_out).unwrap();
     assert!(metrics.contains("\"engine\": \"smpi\""));
-    assert!(metrics.contains("\"fel_profile\""));
     assert!(metrics.contains("\"network\""));
+    // The shipped binary carries real counts, not a "compiled out" marker.
+    for gone in ["\"enabled\"", "\"tracked\"", "compiled out"] {
+        assert!(!metrics.contains(gone), "{gone} in --metrics:\n{metrics}");
+    }
+    let json: serde::Value = serde_json::from_str(&metrics).unwrap();
+    let count = |object: &str, key: &str| {
+        let v = json.get(object).and_then(|o| o.get(key));
+        v.and_then(serde::Value::as_f64)
+            .unwrap_or_else(|| panic!("no count {object}.{key} in --metrics:\n{metrics}"))
+    };
+    let events = count("kernel", "events_processed");
+    assert!(events > 0.0);
+    assert!(count("fel_profile", "scheduled") >= events);
+    // The kernel counts every pop as an event, stale skips included.
+    assert_eq!(count("fel_profile", "popped"), events);
+    assert!(count("fel_profile", "fired") <= events);
+    assert!(count("match_queues", "max_posted_depth") >= 1.0);
     let manifest = std::fs::read_to_string(&manifest_out).unwrap();
     assert!(manifest.contains("\"trace_signature\""));
     assert!(manifest.contains("\"wall_time_s\""));

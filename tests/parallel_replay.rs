@@ -9,7 +9,6 @@ use std::sync::Arc;
 use tit_replay::platform::topology::{cabinet_cluster, CabinetClusterSpec};
 use tit_replay::prelude::*;
 use tit_replay::replay::{replay_observed, ReplayReport};
-use tit_replay::simkernel::FelImpl;
 
 /// A cabinet cluster whose intra-cabinet traffic decomposes into one
 /// coupling island per cabinet (intra-cabinet routes don't share
@@ -84,8 +83,7 @@ fn assert_identical(base: &ReplayReport, other: &ReplayReport, what: &str) {
     // The ladder's restructuring counters (spills, bucket sorts,
     // reseeds) measure the *data structure*, not the simulation: one
     // merged FEL and N island FELs legitimately restructure at
-    // different points. They are compiled in only under the opt-in
-    // `profile` feature; every semantic counter must still match.
+    // different points. Every semantic counter must still match.
     let mut other_metrics = other.metrics.clone();
     other_metrics.fel.spills = base.metrics.fel.spills;
     other_metrics.fel.bucket_sorts = base.metrics.fel.bucket_sorts;
@@ -259,23 +257,20 @@ fn parallel_replay_reports_partition_deadlock() {
 
 /// LU end-to-end: collectives couple all ranks into one island, so any
 /// thread count takes the sequential fallback — and must be
-/// indistinguishable from it, across both FEL implementations.
+/// indistinguishable from it.
 #[test]
-fn lu_replay_is_identical_across_threads_and_fels() {
+fn lu_replay_is_identical_across_threads() {
     let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
     let trace =
         Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
     let platform = tit_replay::platform::clusters::graphene();
-    for fel in [FelImpl::Heap, FelImpl::Ladder] {
-        let mut base_cfg = cfg(ReplayEngine::Smpi, 1);
-        base_cfg.fel = fel;
-        let base = replay_observed(&platform, &trace, &base_cfg, true).unwrap();
-        for threads in [2, 4] {
-            let mut par_cfg = base_cfg.clone();
-            par_cfg.threads = threads;
-            let par = replay_observed(&platform, &trace, &par_cfg, true).unwrap();
-            assert_identical(&base, &par, &format!("LU {fel:?} threads={threads}"));
-        }
+    let base_cfg = cfg(ReplayEngine::Smpi, 1);
+    let base = replay_observed(&platform, &trace, &base_cfg, true).unwrap();
+    for threads in [2, 4] {
+        let mut par_cfg = base_cfg.clone();
+        par_cfg.threads = threads;
+        let par = replay_observed(&platform, &trace, &par_cfg, true).unwrap();
+        assert_identical(&base, &par, &format!("LU threads={threads}"));
     }
 }
 

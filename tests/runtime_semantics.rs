@@ -377,59 +377,3 @@ fn fast_sharing_model_bounds_the_exact_one() {
         gap * 100.0
     );
 }
-
-/// The ladder-queue FEL must not change results at all: an LU B-8
-/// replay's simulated times, per-rank finish times, and event counts are
-/// bit-identical to the binary-heap FEL on both back-ends.
-#[test]
-fn lu_b8_replay_is_bit_identical_across_fel_impls() {
-    use tit_replay::msgsim::{run_msg, MsgConfig};
-    use tit_replay::simkernel::FelImpl;
-    use tit_replay::smpi::{run_smpi, FixedRateHooks, SmpiConfig};
-
-    let p = tit_replay::platform::clusters::graphene();
-    let hosts: Vec<tit_replay::platform::HostId> =
-        (0..8).map(tit_replay::platform::HostId).collect();
-    let lu = LuConfig::new(LuClass::B, 8).with_steps(2);
-    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<u64>>();
-
-    let smpi_with = |fel| {
-        let cfg = SmpiConfig {
-            fel,
-            ..SmpiConfig::smpi_replay()
-        };
-        run_smpi(
-            &p,
-            &hosts,
-            lu.sources(),
-            cfg,
-            Box::new(FixedRateHooks::uniform(2e9, 8)),
-        )
-        .unwrap()
-    };
-    let heap = smpi_with(FelImpl::Heap);
-    let ladder = smpi_with(FelImpl::Ladder);
-    assert_eq!(heap.total_time.to_bits(), ladder.total_time.to_bits());
-    assert_eq!(bits(&heap.rank_times), bits(&ladder.rank_times));
-    assert_eq!(heap.events, ladder.events);
-
-    let msg_with = |fel| {
-        let cfg = MsgConfig {
-            fel,
-            ..MsgConfig::legacy()
-        };
-        run_msg(
-            &p,
-            &hosts,
-            lu.sources(),
-            cfg,
-            Box::new(FixedRateHooks::uniform(2e9, 8)),
-        )
-        .unwrap()
-    };
-    let heap = msg_with(FelImpl::Heap);
-    let ladder = msg_with(FelImpl::Ladder);
-    assert_eq!(heap.total_time.to_bits(), ladder.total_time.to_bits());
-    assert_eq!(bits(&heap.rank_times), bits(&ladder.rank_times));
-    assert_eq!(heap.events, ladder.events);
-}

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use tit_replay::platform::topology::{direct_cluster, DirectClusterSpec};
 use tit_replay::prelude::*;
 use tit_replay::replay::replay_observed;
-use tit_replay::simkernel::FelImpl;
 
 /// A non-blocking crossbar: every route is a dedicated NIC-link pair,
 /// so a ring trace certifies a sub-shard plan (no shared fabric links,
@@ -90,7 +89,7 @@ fn assert_identical(base: &ReplayReport, other: &ReplayReport, what: &str) {
     other_metrics.fel.reseeds = base.metrics.fel.reseeds;
     other_metrics.live_flow_hwm = base.metrics.live_flow_hwm;
     other_metrics.live_entity_hwm = base.metrics.live_entity_hwm;
-    // Match-queue depth HWMs (profile builds only): the windowed engine
+    // Match-queue depth HWMs: the windowed engine
     // injects cross envelopes at the window boundary, not at their
     // simulated arrival instant, so an envelope can transiently sit
     // unexpected where the merged run matched it directly. The matching
@@ -142,31 +141,28 @@ fn coupled_ring_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Bit-identity holds across both FEL implementations and a
-/// user-tightened window (a wider user window must be clamped to the
-/// safe half-lookahead, never widening the horizon).
+/// Bit-identity holds under a user-tightened window (a wider user
+/// window must be clamped to the safe half-lookahead, never widening
+/// the horizon).
 #[test]
-fn windowed_ring_is_identical_across_fels_and_windows() {
+fn windowed_ring_is_identical_across_windows() {
     let platform = direct(6);
     let trace = Arc::new(ring_trace(6, 8, 1 << 12));
-    for fel in [FelImpl::Heap, FelImpl::Ladder] {
-        let mut base_cfg = cfg(ReplayEngine::Smpi, 1);
-        base_cfg.fel = fel;
-        let base = replay_observed(&platform, &trace, &base_cfg, false).unwrap();
-        for window_s in [None, Some(1e-6), Some(10.0)] {
-            let mut par_cfg = base_cfg.clone();
-            par_cfg.threads = 3;
-            par_cfg.window_s = window_s;
-            let par = replay_observed(&platform, &trace, &par_cfg, false).unwrap();
-            assert_identical(&base, &par, &format!("{fel:?} window={window_s:?}"));
-            let pdes = par.pdes.expect("windowed engine should engage");
-            assert!(
-                pdes.window_s <= pdes.lookahead_s / 2.0 + 1e-18,
-                "window {} exceeds safe bound {}",
-                pdes.window_s,
-                pdes.lookahead_s / 2.0
-            );
-        }
+    let base_cfg = cfg(ReplayEngine::Smpi, 1);
+    let base = replay_observed(&platform, &trace, &base_cfg, false).unwrap();
+    for window_s in [None, Some(1e-6), Some(10.0)] {
+        let mut par_cfg = base_cfg.clone();
+        par_cfg.threads = 3;
+        par_cfg.window_s = window_s;
+        let par = replay_observed(&platform, &trace, &par_cfg, false).unwrap();
+        assert_identical(&base, &par, &format!("window={window_s:?}"));
+        let pdes = par.pdes.expect("windowed engine should engage");
+        assert!(
+            pdes.window_s <= pdes.lookahead_s / 2.0 + 1e-18,
+            "window {} exceeds safe bound {}",
+            pdes.window_s,
+            pdes.lookahead_s / 2.0
+        );
     }
 }
 
@@ -234,33 +230,30 @@ fn windowed_deadlock_is_reported() {
 }
 
 /// LU (collectives ⇒ certificate fails) must take the byte-identical
-/// fallback at every thread count, on both engines and both FELs —
-/// including the observability exports and the critical path.
+/// fallback at every thread count, on both engines — including the
+/// observability exports and the critical path.
 #[test]
-fn lu_falls_back_identically_across_engines_fels_threads() {
+fn lu_falls_back_identically_across_engines_threads() {
     let lu = LuConfig::new(LuClass::B, 8).with_steps(3);
     let trace =
         Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
     let platform = tit_replay::platform::clusters::graphene();
     for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut base_cfg = cfg(engine, 1);
-            base_cfg.fel = fel;
-            let base = replay_observed(&platform, &trace, &base_cfg, true).unwrap();
-            let base_cp = base.critical_path().expect("spans recorded");
-            for threads in [2, 4, 7] {
-                let mut par_cfg = base_cfg.clone();
-                par_cfg.threads = threads;
-                let par = replay_observed(&platform, &trace, &par_cfg, true).unwrap();
-                assert_identical(&base, &par, &format!("LU {engine:?} {fel:?} t={threads}"));
-                assert!(par.pdes.is_none(), "collectives must gate the engine");
-                let par_cp = par.critical_path().expect("spans recorded");
-                assert_eq!(
-                    format!("{base_cp:?}"),
-                    format!("{par_cp:?}"),
-                    "critical path differs"
-                );
-            }
+        let base_cfg = cfg(engine, 1);
+        let base = replay_observed(&platform, &trace, &base_cfg, true).unwrap();
+        let base_cp = base.critical_path().expect("spans recorded");
+        for threads in [2, 4, 7] {
+            let mut par_cfg = base_cfg.clone();
+            par_cfg.threads = threads;
+            let par = replay_observed(&platform, &trace, &par_cfg, true).unwrap();
+            assert_identical(&base, &par, &format!("LU {engine:?} t={threads}"));
+            assert!(par.pdes.is_none(), "collectives must gate the engine");
+            let par_cp = par.critical_path().expect("spans recorded");
+            assert_eq!(
+                format!("{base_cp:?}"),
+                format!("{par_cp:?}"),
+                "critical path differs"
+            );
         }
     }
 }
@@ -288,21 +281,14 @@ fn allreduce_128_falls_back_identically() {
     let trace = Arc::new(trace);
     let platform = tit_replay::platform::clusters::graphene();
     for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
-        for fel in [FelImpl::Heap, FelImpl::Ladder] {
-            let mut base_cfg = cfg(engine, 1);
-            base_cfg.fel = fel;
-            let base = replay_observed(&platform, &trace, &base_cfg, true).unwrap();
-            for threads in [2, 4, 7] {
-                let mut par_cfg = base_cfg.clone();
-                par_cfg.threads = threads;
-                let par = replay_observed(&platform, &trace, &par_cfg, true).unwrap();
-                assert_identical(
-                    &base,
-                    &par,
-                    &format!("allreduce {engine:?} {fel:?} t={threads}"),
-                );
-                assert!(par.pdes.is_none(), "collectives must gate the engine");
-            }
+        let base_cfg = cfg(engine, 1);
+        let base = replay_observed(&platform, &trace, &base_cfg, true).unwrap();
+        for threads in [2, 4, 7] {
+            let mut par_cfg = base_cfg.clone();
+            par_cfg.threads = threads;
+            let par = replay_observed(&platform, &trace, &par_cfg, true).unwrap();
+            assert_identical(&base, &par, &format!("allreduce {engine:?} t={threads}"));
+            assert!(par.pdes.is_none(), "collectives must gate the engine");
         }
     }
 }
