@@ -8,8 +8,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-use std::sync::Arc;
-
 use tit_replay::acquisition::{mean_rank_counters, CompilerOpt, Instrumentation};
 use tit_replay::emulator::Testbed;
 use tit_replay::metrics::ExperimentRecord;
@@ -370,16 +368,4 @@ pub fn accuracy_figure(
         (record, log)
     });
     collect_cells(cells)
-}
-
-/// Replays one already-acquired trace and returns the error against a
-/// given real time (used by the crossover/what-if examples).
-pub fn replay_error(
-    platform: &Platform,
-    trace: &Arc<Trace>,
-    config: &ReplayConfig,
-    real_seconds: f64,
-) -> f64 {
-    let sim = replay(platform, trace, config).expect("replay failed");
-    (sim.time - real_seconds) / real_seconds * 100.0
 }

@@ -360,19 +360,17 @@ fn inspect_command(args: &[String]) -> ! {
             }
         }
         if profile {
-            // One profiled replay at the requested (or inferred) thread
-            // count. Wall-clock figures live only in the profile; the
-            // simulated result is bit-identical to an unprofiled run.
+            // One replay at the requested (or inferred) thread count;
+            // print its wall-clock profile. Wall-clock figures live only
+            // in the profile, never in the simulated result.
             let run_threads = threads.unwrap_or_else(|| ReplayConfig::default_threads().max(2));
             let config = ReplayConfig {
                 threads: run_threads,
                 ..ReplayConfig::improved(rate)
             };
-            let report = tit_replay::replay::replay_input_profiled(
-                &platform, &input, ranks, &config, false, true,
-            )
-            .unwrap_or_else(|e| fail(&e));
-            let prof = report.profile.expect("profiled run must carry a profile");
+            let report = replay_input_observed(&platform, &input, ranks, &config, false)
+                .unwrap_or_else(|e| fail(&e));
+            let prof = report.profile;
             println!("profile_threads {run_threads}");
             println!("profile_simulated_time_s {:.9}", report.result.time);
             print!("{}", prof.render_text());

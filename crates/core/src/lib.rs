@@ -84,10 +84,7 @@ pub mod prelude {
     pub use calibrate::{calibrate, Calibration, CalibrationMethod};
     pub use emulator::Testbed;
     pub use platform::{Placement, Platform, PlatformSpec};
-    pub use replay::{
-        replay, replay_input, replay_input_observed, replay_observed, replay_sources,
-        replay_sources_observed, ReplayConfig, ReplayEngine, ReplayReport,
-    };
+    pub use replay::{replay_input_observed, ReplayConfig, ReplayEngine, ReplayReport};
     pub use simkernel::obs::{chrome_trace, critical_path, state_csv, CriticalPath, Metrics};
     pub use simkernel::stats::{relative_percent, Summary};
     pub use titrace::{Action, ActionSource, Rank, SourceError, Trace, TraceInput};

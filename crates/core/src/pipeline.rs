@@ -13,7 +13,7 @@ use std::sync::Arc;
 use acquisition::{acquire, CompilerOpt, Instrumentation};
 use calibrate::{calibrate, Calibration, CalibrationMethod};
 use emulator::Testbed;
-use replay::{replay, replay_input, ReplayConfig, ReplayEngine};
+use replay::{replay_input_observed, ReplayConfig, ReplayEngine};
 use titrace::TraceInput;
 use workloads::lu::{LuClass, LuConfig};
 
@@ -237,18 +237,11 @@ impl<'a> Predictor<'a> {
             }),
             ..ReplayConfig::improved(rate)
         };
-        let sim = match self.cached_trace_path(instance, seed) {
-            Some(path) if path.is_file() => {
-                // Streamed straight from the binary cache: the trace is
-                // never materialised whole (replay results are
-                // bit-identical across ingestion paths).
-                replay_input(
-                    &self.testbed.platform,
-                    &TraceInput::Binary(path),
-                    instance.procs,
-                    &config,
-                )?
-            }
+        let input = match self.cached_trace_path(instance, seed) {
+            // Streamed straight from the binary cache: the trace is never
+            // materialised whole (replay results are bit-identical across
+            // ingestion paths).
+            Some(path) if path.is_file() => TraceInput::Binary(path),
             cache_path => {
                 let acq = acquire(
                     instance.sources(),
@@ -265,9 +258,17 @@ impl<'a> Predictor<'a> {
                     }
                     let _ = titrace::binfmt::write_file(&trace, &path, None);
                 }
-                replay(&self.testbed.platform, &trace, &config)?
+                TraceInput::Memory(trace)
             }
         };
+        let sim = replay_input_observed(
+            &self.testbed.platform,
+            &input,
+            instance.procs,
+            &config,
+            false,
+        )?
+        .result;
         Ok(Prediction {
             instance: instance.label(),
             real_seconds: real.time,

@@ -121,7 +121,9 @@ impl Testbed {
             sources,
             SmpiConfig::ground_truth(),
             Box::new(hooks),
-        )?;
+            false,
+        )?
+        .0;
         Ok(EmulationResult {
             time: result.total_time,
             rank_times: result.rank_times,

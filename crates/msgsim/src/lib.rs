@@ -33,7 +33,7 @@
 pub mod runner;
 pub mod world;
 
-pub use runner::{prepare_msg, run_msg, run_msg_observed, run_msg_traced, MsgResult, MsgRun};
+pub use runner::{prepare_msg, run_msg, MsgResult, MsgRun};
 pub use world::MsgWorld;
 
 use netmodel::{PiecewiseFactors, SharingPolicy};

@@ -262,46 +262,15 @@ pub struct MsgResult {
     pub events: u64,
 }
 
-/// Runs `sources` on `hosts` under the MSG back-end.
+/// Runs `sources` on `hosts` under the MSG back-end, returning the
+/// result with the unified observation: the [`Metrics`] snapshot always,
+/// and the recorded [`SpanLog`] (same structure the SMPI runner
+/// produces) when `record_spans` is set.
 ///
 /// # Errors
-/// Returns the blocked ranks on deadlock.
+/// Returns the blocked ranks on deadlock, and the leaked counts if the
+/// run ends with unmatched records (see [`MsgRun::finalize`]).
 pub fn run_msg(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: MsgConfig,
-    hooks: Box<dyn smpi::ExecHooks>,
-) -> Result<MsgResult, String> {
-    run_inner(platform, hosts, sources, cfg, hooks, None).map(|(r, _)| r)
-}
-
-/// Like [`run_msg`], with per-rank span recording enabled; returns the
-/// Gantt data (same structure the SMPI runner produces) alongside the
-/// result.
-///
-/// # Errors
-/// See [`run_msg`].
-pub fn run_msg_traced(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: MsgConfig,
-    hooks: Box<dyn smpi::ExecHooks>,
-) -> Result<(MsgResult, smpi::Timeline), String> {
-    run_msg_observed(platform, hosts, sources, cfg, hooks, true).map(|(r, obs)| {
-        let log = obs.spans.expect("span recording was enabled");
-        (r, smpi::Timeline::from_spans(&log))
-    })
-}
-
-/// Like [`run_msg`], returning the unified observation alongside the
-/// result: the [`Metrics`] snapshot always, and the recorded
-/// [`SpanLog`] when `record_spans` is set.
-///
-/// # Errors
-/// See [`run_msg`].
-pub fn run_msg_observed(
     platform: &Platform,
     hosts: &[HostId],
     sources: Vec<Box<dyn OpSource>>,
@@ -311,17 +280,6 @@ pub fn run_msg_observed(
 ) -> Result<(MsgResult, RunObservation), String> {
     let recorder: Option<Box<dyn Recorder>> =
         record_spans.then(|| Box::new(SpanLog::new(sources.len() as u32)) as Box<dyn Recorder>);
-    run_inner(platform, hosts, sources, cfg, hooks, recorder)
-}
-
-fn run_inner(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: MsgConfig,
-    hooks: Box<dyn smpi::ExecHooks>,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<(MsgResult, RunObservation), String> {
     let mut run = prepare_msg(platform, hosts, sources, cfg, hooks, recorder);
     run.run();
     run.finalize()
@@ -330,7 +288,7 @@ fn run_inner(
 /// A fully assembled MSG simulation that has not run yet; the msgsim
 /// counterpart of [`smpi::runner::SmpiRun`]. `prepare`, then
 /// [`MsgRun::run`], then [`MsgRun::finalize`] is exactly
-/// [`run_msg_observed`].
+/// [`run_msg`].
 pub struct MsgRun {
     sim: Sim<MsgWorld>,
     ranks: usize,
@@ -385,7 +343,8 @@ impl MsgRun {
     /// Extracts the result and observation after the run has quiesced.
     ///
     /// # Errors
-    /// See [`run_msg`].
+    /// A deadlock (the blocked ranks), or a run that finished with
+    /// records alive (see [`MsgWorld::check_drained`]).
     pub fn finalize(mut self) -> Result<(MsgResult, RunObservation), String> {
         let ranks = self.ranks;
         let sim = &mut self.sim;
@@ -401,6 +360,7 @@ impl MsgRun {
         let rank_times: Vec<f64> = (0..ranks)
             .map(|r| sim.finish_time(ActorId(r as u32)).as_secs())
             .collect();
+        sim.world.check_drained()?;
         let total_time = rank_times.iter().copied().fold(0.0, f64::max);
         let stats = sim.world.stats;
         let mut metrics = Metrics::new("msg", ranks as u32);
@@ -475,8 +435,10 @@ mod tests {
             sources,
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, n)),
+            false,
         )
         .expect("run failed")
+        .0
     }
 
     #[test]
@@ -627,8 +589,10 @@ mod tests {
             cfg.sources(),
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, 4)),
+            false,
         )
-        .expect("LU under MSG failed");
+        .expect("LU under MSG failed")
+        .0;
         assert!(r.total_time > 0.0);
         assert!(r.stats.messages > 100);
     }
@@ -648,8 +612,10 @@ mod tests {
             cfg.sources(),
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, 8)),
+            false,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let mut smpi_cfg = smpi::SmpiConfig::ground_truth();
         smpi_cfg.factors = netmodel::PiecewiseFactors::raw();
         smpi_cfg.copy = None;
@@ -659,8 +625,10 @@ mod tests {
             cfg.sources(),
             smpi_cfg,
             Box::new(FixedRateHooks::uniform(1e9, 8)),
+            false,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(
             msg.total_time > sm.total_time,
             "MSG {} should exceed SMPI {}",
@@ -705,8 +673,10 @@ mod more_tests {
             sources,
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, n)),
+            false,
         )
         .expect("run failed")
+        .0
     }
 
     #[test]
@@ -768,7 +738,7 @@ mod more_tests {
                 bytes: 1000,
             }])),
         ];
-        let (r, obs) = run_msg_observed(
+        let (r, obs) = run_msg(
             &p,
             &hosts,
             sources,
@@ -813,14 +783,16 @@ mod more_tests {
                 bytes: 1000,
             }])),
         ];
-        let (r, timeline) = run_msg_traced(
+        let (r, obs) = run_msg(
             &p,
             &hosts,
             sources,
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            true,
         )
         .unwrap();
+        let timeline = smpi::Timeline::from_spans(&obs.spans.expect("spans recorded"));
         assert!((timeline.total(0, smpi::SegmentKind::Compute) - 1.0).abs() < 1e-9);
         assert!(timeline.total(1, smpi::SegmentKind::Wait) > 0.99);
         let chart = timeline.render(40, r.total_time);
@@ -844,15 +816,18 @@ mod more_tests {
         };
         let p = tiny(2);
         let hosts: Vec<HostId> = (0..2).map(HostId).collect();
-        let plain = run_msg(
+        // The recorder must not perturb the run.
+        let recorded = run_msg(
             &p,
             &hosts,
             mk(),
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            true,
         )
-        .unwrap();
-        let (r, obs) = run_msg_observed(
+        .unwrap()
+        .0;
+        let (r, obs) = run_msg(
             &p,
             &hosts,
             mk(),
@@ -861,8 +836,8 @@ mod more_tests {
             false,
         )
         .unwrap();
-        assert_eq!(plain.rank_times, r.rank_times);
-        assert_eq!(plain.events, r.events);
+        assert_eq!(recorded.rank_times, r.rank_times);
+        assert_eq!(recorded.events, r.events);
         assert!(obs.spans.is_none());
         assert!(obs.metrics.recorder_counts.is_none());
     }
@@ -881,9 +856,37 @@ mod more_tests {
             progs,
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            false,
         )
         .unwrap_err();
         assert!(err.contains("deadlock"), "{err}");
+    }
+
+    /// An asynchronous send nobody receives lets every rank finish; the
+    /// run is still an error, naming what leaked and where.
+    #[test]
+    fn msg_unmatched_send_is_reported() {
+        let p = tiny(3);
+        let hosts: Vec<HostId> = (0..3).map(HostId).collect();
+        let progs: Vec<Box<dyn OpSource>> = vec![
+            Box::new(VecSource::new(vec![MpiOp::Finalize])),
+            Box::new(VecSource::new(vec![MpiOp::Send { dst: 2, bytes: 8 }])),
+            Box::new(VecSource::new(vec![MpiOp::Finalize])),
+        ];
+        let err = run_msg(
+            &p,
+            &hosts,
+            progs,
+            MsgConfig::legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, 3)),
+            false,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "replay finished with unmatched records: 1 messages, 0 posts, 0 requests \
+             (first unreceived message: rank 1 -> rank 2)"
+        );
     }
 
     #[test]
@@ -913,8 +916,10 @@ mod more_tests {
                 sources,
                 cfg,
                 Box::new(FixedRateHooks::uniform(1e9, 2)),
+                false,
             )
             .unwrap()
+            .0
             .rank_times[1]
         };
         let base = run_with(1.0);
@@ -939,8 +944,10 @@ mod more_tests {
             sources,
             MsgConfig::legacy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            false,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(r.rank_times[1] < 1e-5, "{}", r.rank_times[1]);
     }
 }

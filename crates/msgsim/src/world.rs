@@ -517,9 +517,21 @@ impl MsgWorld {
         self.tasks.remove(task_id);
     }
 
-    /// Live record counts (diagnostics).
-    pub fn live_records(&self) -> (usize, usize, usize) {
-        (self.tasks.len(), self.recvs.len(), self.reqs.len())
+    /// Fails when records outlive the run: a task nobody received, a
+    /// receive nobody matched, a request nobody waited for.
+    ///
+    /// # Errors
+    /// The [`smpi::world::leak_report`] of the live records.
+    pub fn check_drained(&self) -> Result<(), String> {
+        let live = (self.tasks.len(), self.recvs.len(), self.reqs.len());
+        if live == (0, 0, 0) {
+            return Ok(());
+        }
+        let first = self.mailbox.iter().position(|q| !q.is_empty()).map(|i| {
+            let slot = i as u32; // `mbox(src, dst)` layout
+            (slot % self.ranks, slot / self.ranks)
+        });
+        Err(smpi::world::leak_report(live, first))
     }
 }
 

@@ -1,0 +1,262 @@
+//! The one translation of a [`ReplayConfig`] into an engine run, and the
+//! one op source that feeds it. The sequential path prepares a single
+//! run over every rank; the island engine ([`crate::parallel`]) prepares
+//! one per coupling island — with the same configuration and the same
+//! input checks either way.
+
+use std::sync::{Arc, Mutex};
+
+use platform::{HostId, LinkId, Platform};
+use simkernel::obs::{Recorder, RunObservation};
+use titrace::{Action, ActionSource, Rank, SourceError};
+use workloads::{MpiOp, OpSource};
+
+use crate::{action_to_op, ReplayConfig, ReplayEngine, ReplayResult};
+
+/// The first fault any rank's op source hit, with the rank (global id).
+pub(crate) type FaultSlot = Arc<Mutex<Option<(Rank, SourceError)>>>;
+
+/// The parked fault, if any, as the replay's error. Checked before the
+/// engine's own outcome: a fault truncates its rank's stream, which the
+/// engine can only see as early termination or deadlock.
+pub(crate) fn check_fault(fault: &FaultSlot) -> Result<(), String> {
+    match fault.lock().expect("fault slot poisoned").take() {
+        Some((rank, e)) => Err(format!("rank {rank} trace stream failed: {e}")),
+        None => Ok(()),
+    }
+}
+
+/// One prepared simulation, unified over the two back-ends.
+pub(crate) enum EngineRun {
+    Smpi(smpi::SmpiRun),
+    Msg(msgsim::MsgRun),
+}
+
+impl EngineRun {
+    /// Assembles the engine `config` selects over `sources` placed on
+    /// `hosts`. `recorder` receives observations with the run's rank ids
+    /// (`0..sources.len()`).
+    pub(crate) fn prepare(
+        platform: &Platform,
+        hosts: &[HostId],
+        sources: Vec<Box<dyn OpSource>>,
+        config: &ReplayConfig,
+        recorder: Option<Box<dyn Recorder>>,
+    ) -> EngineRun {
+        let hooks = Box::new(smpi::FixedRateHooks::uniform(
+            config.rate,
+            hosts.len() as u32,
+        ));
+        match config.engine {
+            ReplayEngine::Smpi => {
+                let cfg = smpi::SmpiConfig {
+                    copy: config.copy_model,
+                    sharing: config.sharing,
+                    ..smpi::SmpiConfig::smpi_replay()
+                };
+                EngineRun::Smpi(smpi::prepare_smpi(
+                    platform, hosts, sources, cfg, hooks, recorder,
+                ))
+            }
+            ReplayEngine::Msg => {
+                let cfg = msgsim::MsgConfig {
+                    sharing: config.sharing,
+                    ..msgsim::MsgConfig::legacy()
+                };
+                EngineRun::Msg(msgsim::prepare_msg(
+                    platform, hosts, sources, cfg, hooks, recorder,
+                ))
+            }
+        }
+    }
+
+    /// Restricts the run's network to an island's links.
+    pub(crate) fn restrict_links(&mut self, links: &[LinkId]) {
+        match self {
+            EngineRun::Smpi(r) => r.restrict_links(links),
+            EngineRun::Msg(r) => r.restrict_links(links),
+        }
+    }
+
+    /// Runs to quiescence.
+    pub(crate) fn run(&mut self) {
+        match self {
+            EngineRun::Smpi(r) => r.run(),
+            EngineRun::Msg(r) => r.run(),
+        }
+    }
+
+    /// The result and observation of the quiesced run.
+    pub(crate) fn finalize(self) -> Result<(ReplayResult, RunObservation), String> {
+        let (time, rank_times, messages, events, obs) = match self {
+            EngineRun::Smpi(r) => {
+                let (r, obs) = r.finalize()?;
+                (r.total_time, r.rank_times, r.stats.messages, r.events, obs)
+            }
+            EngineRun::Msg(r) => {
+                let (r, obs) = r.finalize()?;
+                (r.total_time, r.rank_times, r.stats.messages, r.events, obs)
+            }
+        };
+        let result = ReplayResult {
+            time,
+            rank_times,
+            messages,
+            events,
+        };
+        Ok((result, obs))
+    }
+}
+
+/// The [`OpSource`] of every replay: pulls one rank's actions from its
+/// [`ActionSource`] cursor and rejects what the runtimes cannot execute
+/// — the streaming form of `titrace::validate` rules 1 and 3: a peer or
+/// collective root outside the trace, a message to oneself, a `wait`
+/// with no outstanding `isend`/`irecv`, requests still outstanding when
+/// the stream ends. On the island path it also remaps peers from global
+/// to island-local rank ids.
+///
+/// `OpSource::next_op` is infallible, so a fault — a rejected action or
+/// the cursor's own I/O, parse or decode error — is parked in the slot
+/// shared with the other ranks, naming the action's index in this rank's
+/// stream, and the stream ends (see [`check_fault`]).
+pub(crate) struct ReplayOps {
+    inner: Box<dyn ActionSource>,
+    /// Global rank, for the checks and fault attribution.
+    rank: Rank,
+    /// Ranks in the trace.
+    ranks: u32,
+    /// The island's members (global ids, ascending) on the island path.
+    island: Option<Arc<Vec<u32>>>,
+    /// Actions pulled so far.
+    index: u64,
+    /// `isend`/`irecv` requests not yet waited for.
+    outstanding: u64,
+    fault: FaultSlot,
+}
+
+impl ReplayOps {
+    /// Wraps the cursors of `members` (global ids, in cursor order) of a
+    /// `ranks`-rank trace; `island` is `Some(members)` on the island path.
+    pub(crate) fn wrap(
+        cursors: Vec<Box<dyn ActionSource>>,
+        members: impl Iterator<Item = u32>,
+        ranks: u32,
+        island: Option<&Arc<Vec<u32>>>,
+        fault: &FaultSlot,
+    ) -> Vec<Box<dyn OpSource>> {
+        cursors
+            .into_iter()
+            .zip(members)
+            .map(|(inner, rank)| {
+                Box::new(ReplayOps {
+                    inner,
+                    rank: Rank(rank),
+                    ranks,
+                    island: island.cloned(),
+                    index: 0,
+                    outstanding: 0,
+                    fault: Arc::clone(fault),
+                }) as Box<dyn OpSource>
+            })
+            .collect()
+    }
+
+    fn check(&mut self, action: &Action) -> Result<(), SourceError> {
+        let index = self.index;
+        let peer = match *action {
+            Action::Isend { dst: peer, .. } | Action::Irecv { src: peer, .. } => {
+                self.outstanding += 1;
+                peer
+            }
+            Action::Send { dst: peer, .. } | Action::Recv { src: peer, .. } => peer,
+            Action::Bcast { root, .. }
+            | Action::Reduce { root, .. }
+            | Action::Gather { root, .. } => {
+                return self.in_range(root);
+            }
+            Action::Wait => {
+                self.outstanding = (self.outstanding.checked_sub(1))
+                    .ok_or(SourceError::WaitWithoutRequest { index })?;
+                return Ok(());
+            }
+            Action::WaitAll => {
+                self.outstanding = 0;
+                return Ok(());
+            }
+            _ => return Ok(()),
+        };
+        if peer == self.rank {
+            return Err(SourceError::SelfMessage { index });
+        }
+        self.in_range(peer)
+    }
+
+    fn in_range(&self, peer: Rank) -> Result<(), SourceError> {
+        if peer.0 < self.ranks {
+            Ok(())
+        } else {
+            Err(SourceError::PeerOutOfRange {
+                index: self.index,
+                peer,
+                ranks: self.ranks,
+            })
+        }
+    }
+
+    /// Rewrites point-to-point peers to island-local ids. Collectives
+    /// never get here: any collective couples every rank into one island,
+    /// which takes the sequential path.
+    fn localise(&self, op: MpiOp) -> MpiOp {
+        let Some(island) = &self.island else {
+            return op;
+        };
+        let local = |global: u32| {
+            island
+                .binary_search(&global)
+                .expect("peer rank outside its island — partitioning bug") as u32
+        };
+        match op {
+            MpiOp::Send { dst, bytes } => MpiOp::Send {
+                dst: local(dst),
+                bytes,
+            },
+            MpiOp::Isend { dst, bytes } => MpiOp::Isend {
+                dst: local(dst),
+                bytes,
+            },
+            MpiOp::Recv { src, bytes } => MpiOp::Recv {
+                src: local(src),
+                bytes,
+            },
+            MpiOp::Irecv { src, bytes } => MpiOp::Irecv {
+                src: local(src),
+                bytes,
+            },
+            other => other,
+        }
+    }
+}
+
+impl OpSource for ReplayOps {
+    fn next_op(&mut self) -> Option<MpiOp> {
+        let fault = match self.inner.next_action() {
+            Ok(Some(action)) => match self.check(&action) {
+                Ok(()) => {
+                    self.index += 1;
+                    return Some(self.localise(action_to_op(&action)));
+                }
+                Err(e) => e,
+            },
+            Ok(None) if self.outstanding == 0 => return None,
+            Ok(None) => SourceError::PendingAtEnd {
+                actions: self.index,
+                pending: self.outstanding,
+            },
+            Err(e) => e,
+        };
+        let mut slot = self.fault.lock().expect("fault slot poisoned");
+        slot.get_or_insert((self.rank, fault));
+        None
+    }
+}

@@ -15,22 +15,26 @@
 //! The user-facing workflow mirrors the paper's Section 3.3 `smpirun`
 //! invocation: a platform description, a host list, one trace, one
 //! calibrated rate — and a simulated execution time out.
+//! [`replay_input_observed`] is that invocation, and the only way in.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod engine;
 mod parallel;
 pub mod partition;
 pub mod profile;
 
-use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use calibrate::Calibration;
 use platform::{HostId, Placement, Platform};
-use simkernel::obs::{CriticalPath, Manifest, Metrics, RunObservation, SpanLog};
-use smpi::FixedRateHooks;
-use titrace::{Action, ActionSource, Rank, SourceError, Trace, TraceInput};
-use workloads::{ComputeBlock, MpiOp, OpSource};
+use simkernel::obs::{CriticalPath, Manifest, Metrics, Recorder, SpanLog};
+use titrace::{Action, ActionSource, Rank, TraceInput};
+use workloads::{ComputeBlock, MpiOp};
+
+use engine::{check_fault, EngineRun, FaultSlot, ReplayOps};
+use profile::ReplayProfile;
 
 /// Which simulation back-end executes the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,22 +203,22 @@ pub struct ReplayResult {
     pub events: u64,
 }
 
-/// Outcome of an observed replay: the engine result plus the unified
-/// observability payload (see [`simkernel::obs`]).
+/// Outcome of a replay: the engine result plus the unified
+/// observability payload (see [`simkernel::obs`]) and the wall-clock
+/// profile.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// The engine result, identical to what the plain entry points
-    /// return.
+    /// Simulated times and counts.
     pub result: ReplayResult,
     /// Unified counter snapshot.
     pub metrics: Metrics,
     /// Recorded simulated-time spans (present iff span recording was
     /// requested).
     pub spans: Option<SpanLog>,
-    /// Wall-clock execution profile (present iff profiling was requested
-    /// via [`replay_input_profiled`]). Purely diagnostic: simulated
-    /// results carry no trace of whether it was collected.
-    pub profile: Option<profile::ReplayProfile>,
+    /// Where the host spent wall-clock time. Purely diagnostic: it never
+    /// enters the metrics or the manifest, and no simulated output
+    /// depends on it.
+    pub profile: ReplayProfile,
 }
 
 impl ReplayReport {
@@ -224,24 +228,6 @@ impl ReplayReport {
         self.spans
             .as_ref()
             .map(|log| simkernel::obs::critical_path(log, &self.result.rank_times))
-    }
-}
-
-/// An [`OpSource`] reading one rank of a shared trace.
-pub struct TraceSource {
-    trace: Arc<Trace>,
-    rank: Rank,
-    next: usize,
-}
-
-impl TraceSource {
-    /// A source over `rank` of `trace`.
-    pub fn new(trace: Arc<Trace>, rank: Rank) -> TraceSource {
-        TraceSource {
-            trace,
-            rank,
-            next: 0,
-        }
     }
 }
 
@@ -280,146 +266,21 @@ pub fn action_to_op(action: &Action) -> MpiOp {
     }
 }
 
-impl OpSource for TraceSource {
-    fn next_op(&mut self) -> Option<MpiOp> {
-        let actions = self.trace.actions(self.rank);
-        let action = actions.get(self.next)?;
-        self.next += 1;
-        Some(action_to_op(action))
-    }
-}
-
-/// Builds per-rank sources over a shared trace.
-pub fn trace_sources(trace: &Arc<Trace>) -> Vec<Box<dyn OpSource>> {
-    (0..trace.ranks())
-        .map(|r| Box::new(TraceSource::new(Arc::clone(trace), Rank(r))) as Box<dyn OpSource>)
-        .collect()
-}
-
-/// An [`OpSource`] that pulls actions incrementally from an
-/// [`ActionSource`] cursor (streamed from a split text file or a
-/// `.titb` block), so the full per-rank action list never has to be
-/// materialised. `OpSource::next_op` is infallible, so a cursor failure
-/// (I/O error, parse error, corrupt block) is parked in a slot shared
-/// with the other ranks and the stream ends; [`replay_sources`] checks
-/// the slot and surfaces the first fault instead of the engine's
-/// secondary deadlock diagnosis. An action naming a peer the trace does
-/// not have is such a fault too: the engines index by peer rank.
-pub struct StreamOpSource {
-    inner: Box<dyn ActionSource>,
-    rank: Rank,
-    ranks: u32,
-    fault: Arc<Mutex<Option<(Rank, SourceError)>>>,
-}
-
-impl OpSource for StreamOpSource {
-    fn next_op(&mut self) -> Option<MpiOp> {
-        let fault = match self.inner.next_action() {
-            Ok(Some(a)) => match a {
-                Action::Send { dst: peer, .. }
-                | Action::Isend { dst: peer, .. }
-                | Action::Recv { src: peer, .. }
-                | Action::Irecv { src: peer, .. }
-                    if peer.0 >= self.ranks =>
-                {
-                    SourceError::PeerOutOfRange {
-                        peer,
-                        ranks: self.ranks,
-                    }
-                }
-                _ => return Some(action_to_op(&a)),
-            },
-            Ok(None) => return None,
-            Err(e) => e,
-        };
-        let mut slot = self.fault.lock().expect("fault slot poisoned");
-        if slot.is_none() {
-            *slot = Some((self.rank, fault));
-        }
-        None
-    }
-}
-
-/// Replays per-rank streaming action cursors (from
-/// [`titrace::stream::open_sources`]) on `platform` under `config`.
-/// Resident memory stays bounded by the cursors' read windows instead
-/// of the whole trace.
+/// Replays `ranks` ranks of `input` on `platform` under `config` — the
+/// one replay entry. Merged text is decoded up front; split fragments and
+/// `.titb` blocks stream per rank, so resident memory stays bounded by
+/// the cursors' read windows; an in-memory trace must have exactly
+/// `ranks` ranks. `config.threads >= 2` replays coupling islands
+/// concurrently (bit-identical results). The report carries the metrics
+/// always, the spans when `record_spans` is set, and the wall-clock
+/// profile.
 ///
 /// # Errors
-/// Fails on placement errors, a deadlocked replay, or a cursor fault
-/// (I/O / parse / decode error discovered mid-replay).
-pub fn replay_sources(
-    platform: &Platform,
-    action_sources: Vec<Box<dyn ActionSource>>,
-    config: &ReplayConfig,
-) -> Result<ReplayResult, String> {
-    replay_sources_observed(platform, action_sources, config, false).map(|r| r.result)
-}
-
-/// Like [`replay_sources`], returning the unified observation (metrics
-/// always, spans when `record_spans` is set) alongside the result.
-///
-/// Always runs the sequential engine regardless of `config.threads`:
-/// the caller-provided cursors are single-use, and the parallel engine
-/// needs a re-openable [`TraceInput`] for its scan pass — use
-/// [`replay_input_observed`] (or [`replay_observed`]) for parallel
-/// replay.
-///
-/// # Errors
-/// See [`replay_sources`].
-pub fn replay_sources_observed(
-    platform: &Platform,
-    action_sources: Vec<Box<dyn ActionSource>>,
-    config: &ReplayConfig,
-    record_spans: bool,
-) -> Result<ReplayReport, String> {
-    let ranks = action_sources.len() as u32;
-    assert!(ranks > 0, "empty source list");
-    let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
-    let fault: Arc<Mutex<Option<(Rank, SourceError)>>> = Arc::new(Mutex::new(None));
-    let sources: Vec<Box<dyn OpSource>> = action_sources
-        .into_iter()
-        .enumerate()
-        .map(|(r, inner)| {
-            Box::new(StreamOpSource {
-                inner,
-                rank: Rank(r as u32),
-                ranks,
-                fault: Arc::clone(&fault),
-            }) as Box<dyn OpSource>
-        })
-        .collect();
-    let outcome = run_engine(platform, &hosts, sources, config, record_spans);
-    // A cursor fault truncates its rank's stream, which the engine can
-    // only see as early termination or deadlock — report the root cause.
-    if let Some((rank, e)) = fault.lock().expect("fault slot poisoned").take() {
-        return Err(format!("rank {rank} trace stream failed: {e}"));
-    }
-    outcome
-}
-
-/// Replays a trace directly from its on-disk (or in-memory) form,
-/// choosing the streaming path that fits the layout: merged text is
-/// decoded up front, split fragments and `.titb` blocks are streamed
-/// per rank.
-///
-/// # Errors
-/// Fails on I/O, parse, or decode errors, placement errors, or a
-/// deadlocked replay.
-pub fn replay_input(
-    platform: &Platform,
-    input: &TraceInput,
-    ranks: u32,
-    config: &ReplayConfig,
-) -> Result<ReplayResult, String> {
-    replay_input_observed(platform, input, ranks, config, false).map(|r| r.result)
-}
-
-/// Like [`replay_input`], returning the unified observation (metrics
-/// always, spans when `record_spans` is set) alongside the result.
-///
-/// # Errors
-/// See [`replay_input`].
+/// Fails on I/O, parse, or decode errors, an action the runtimes cannot
+/// execute (peer or root outside the trace, message to oneself, `wait`
+/// with nothing outstanding, requests never waited for — naming the rank
+/// and the action's index), placement errors, a deadlocked replay, or
+/// one that ends with unmatched messages.
 pub fn replay_input_observed(
     platform: &Platform,
     input: &TraceInput,
@@ -427,150 +288,50 @@ pub fn replay_input_observed(
     config: &ReplayConfig,
     record_spans: bool,
 ) -> Result<ReplayReport, String> {
-    replay_input_profiled(platform, input, ranks, config, record_spans, false)
-}
-
-/// Like [`replay_input_observed`], additionally measuring where the
-/// host spends wall-clock time when `profile` is set: per-worker work and
-/// wall time on [`ReplayReport::profile`]. With `profile` false this is exactly
-/// [`replay_input_observed`] — no host clock is read, and either way
-/// every deterministic output (simulated times, metrics, spans,
-/// manifests) is byte-identical to the unprofiled run.
-///
-/// # Errors
-/// See [`replay_input`].
-pub fn replay_input_profiled(
-    platform: &Platform,
-    input: &TraceInput,
-    ranks: u32,
-    config: &ReplayConfig,
-    record_spans: bool,
-    profile: bool,
-) -> Result<ReplayReport, String> {
+    let started = Instant::now();
+    if ranks == 0 {
+        return Err("a replay needs at least one rank".into());
+    }
+    if let TraceInput::Memory(trace) = input {
+        if trace.ranks() != ranks {
+            return Err(format!(
+                "the in-memory trace has {} ranks, not {ranks}",
+                trace.ranks()
+            ));
+        }
+    }
     if config.threads > 1 {
-        return parallel::replay_input_parallel(
-            platform,
-            input,
-            ranks,
-            config,
-            record_spans,
-            profile,
-        );
+        return parallel::replay_islands(platform, input, ranks, config, record_spans, started);
     }
-    let sw = simkernel::telemetry::Stopwatch::start(profile);
     let sources = titrace::stream::open_sources(input, ranks).map_err(|e| e.to_string())?;
-    let mut report = replay_sources_observed(platform, sources, config, record_spans)?;
-    if profile {
-        report.profile = Some(profile::ReplayProfile::sequential(
-            sw.elapsed_s(),
-            ranks as usize,
-        ));
-    }
-    Ok(report)
+    replay_sequential(platform, sources, config, record_spans, started)
 }
 
-fn run_engine(
+/// The sequential replay: one engine over every rank, prepared, run and
+/// finalized on the caller's thread.
+fn replay_sequential(
     platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
+    cursors: Vec<Box<dyn ActionSource>>,
     config: &ReplayConfig,
     record_spans: bool,
+    started: Instant,
 ) -> Result<ReplayReport, String> {
-    let (result, obs): (ReplayResult, RunObservation) = match config.engine {
-        ReplayEngine::Smpi => {
-            let mut smpi_cfg = smpi::SmpiConfig::smpi_replay();
-            smpi_cfg.copy = config.copy_model;
-            smpi_cfg.sharing = config.sharing;
-            let (r, obs) = smpi::run_smpi_observed(
-                platform,
-                hosts,
-                sources,
-                smpi_cfg,
-                hooks_for(config, hosts),
-                record_spans,
-            )?;
-            (
-                ReplayResult {
-                    time: r.total_time,
-                    rank_times: r.rank_times,
-                    messages: r.stats.messages,
-                    events: r.events,
-                },
-                obs,
-            )
-        }
-        ReplayEngine::Msg => {
-            let mut msg_cfg = msgsim::MsgConfig::legacy();
-            msg_cfg.sharing = config.sharing;
-            let (r, obs) = msgsim::run_msg_observed(
-                platform,
-                hosts,
-                sources,
-                msg_cfg,
-                hooks_for(config, hosts),
-                record_spans,
-            )?;
-            (
-                ReplayResult {
-                    time: r.total_time,
-                    rank_times: r.rank_times,
-                    messages: r.stats.messages,
-                    events: r.events,
-                },
-                obs,
-            )
-        }
-    };
+    let ranks = cursors.len() as u32;
+    let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
+    let fault = FaultSlot::default();
+    let sources = ReplayOps::wrap(cursors, 0..ranks, ranks, None, &fault);
+    let recorder = record_spans.then(|| Box::new(SpanLog::new(ranks)) as Box<dyn Recorder>);
+    let mut run = EngineRun::prepare(platform, &hosts, sources, config, recorder);
+    run.run();
+    let outcome = run.finalize();
+    check_fault(&fault)?;
+    let (result, obs) = outcome?;
     Ok(ReplayReport {
         result,
         metrics: obs.metrics,
         spans: obs.spans,
-        profile: None,
+        profile: ReplayProfile::sequential(started.elapsed().as_secs_f64(), ranks as usize),
     })
-}
-
-fn hooks_for(config: &ReplayConfig, hosts: &[HostId]) -> Box<FixedRateHooks> {
-    Box::new(FixedRateHooks::uniform(config.rate, hosts.len() as u32))
-}
-
-/// Replays `trace` on `platform` under `config`.
-///
-/// # Errors
-/// Fails on placement errors or a deadlocked replay (malformed trace).
-pub fn replay(
-    platform: &Platform,
-    trace: &Arc<Trace>,
-    config: &ReplayConfig,
-) -> Result<ReplayResult, String> {
-    replay_observed(platform, trace, config, false).map(|r| r.result)
-}
-
-/// Like [`replay`], returning the unified observation (metrics always,
-/// spans when `record_spans` is set) alongside the result.
-///
-/// # Errors
-/// See [`replay`].
-pub fn replay_observed(
-    platform: &Platform,
-    trace: &Arc<Trace>,
-    config: &ReplayConfig,
-    record_spans: bool,
-) -> Result<ReplayReport, String> {
-    let ranks = trace.ranks();
-    assert!(ranks > 0, "empty trace");
-    if config.threads > 1 {
-        let input = TraceInput::Memory(Arc::clone(trace));
-        return parallel::replay_input_parallel(
-            platform,
-            &input,
-            ranks,
-            config,
-            record_spans,
-            false,
-        );
-    }
-    let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
-    run_engine(platform, &hosts, trace_sources(trace), config, record_spans)
 }
 
 /// A compact, deterministic identity string for a trace input: its
@@ -639,11 +400,25 @@ pub fn manifest(
     }
 }
 
+/// [`replay_input_observed`] over a whole in-memory trace.
+#[cfg(test)]
+fn replay_memory(
+    platform: &Platform,
+    trace: &std::sync::Arc<titrace::Trace>,
+    config: &ReplayConfig,
+    record_spans: bool,
+) -> Result<ReplayReport, String> {
+    let input = TraceInput::Memory(std::sync::Arc::clone(trace));
+    replay_input_observed(platform, &input, trace.ranks(), config, record_spans)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use acquisition::{acquire, CompilerOpt, Instrumentation};
     use emulator::Testbed;
+    use std::sync::Arc;
+    use titrace::Trace;
     use workloads::lu::{LuClass, LuConfig};
 
     fn small_trace() -> Arc<Trace> {
@@ -660,7 +435,9 @@ mod tests {
                 engine,
                 ..ReplayConfig::improved(2e9)
             };
-            let r = replay(&p, &trace, &cfg).unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+            let r = replay_memory(&p, &trace, &cfg, false)
+                .unwrap_or_else(|e| panic!("{engine:?}: {e}"))
+                .result;
             assert!(r.time > 0.0, "{engine:?}");
             assert_eq!(r.rank_times.len(), 4);
             assert!(r.messages > 0);
@@ -671,8 +448,12 @@ mod tests {
     fn msg_replay_is_slower_on_small_message_floods() {
         let trace = small_trace();
         let p = platform::clusters::bordereau();
-        let msg = replay(&p, &trace, &ReplayConfig::legacy(2e9)).unwrap();
-        let smpi = replay(&p, &trace, &ReplayConfig::improved(2e9)).unwrap();
+        let msg = replay_memory(&p, &trace, &ReplayConfig::legacy(2e9), false)
+            .unwrap()
+            .result;
+        let smpi = replay_memory(&p, &trace, &ReplayConfig::improved(2e9), false)
+            .unwrap()
+            .result;
         assert!(
             msg.time > smpi.time,
             "MSG {} !> SMPI {}",
@@ -685,8 +466,12 @@ mod tests {
     fn higher_rate_is_never_slower() {
         let trace = small_trace();
         let p = platform::clusters::graphene();
-        let slow = replay(&p, &trace, &ReplayConfig::improved(1e9)).unwrap();
-        let fast = replay(&p, &trace, &ReplayConfig::improved(4e9)).unwrap();
+        let slow = replay_memory(&p, &trace, &ReplayConfig::improved(1e9), false)
+            .unwrap()
+            .result;
+        let fast = replay_memory(&p, &trace, &ReplayConfig::improved(4e9), false)
+            .unwrap()
+            .result;
         assert!(fast.time <= slow.time);
     }
 
@@ -695,8 +480,8 @@ mod tests {
         let trace = small_trace();
         let p = platform::clusters::bordereau();
         let cfg = ReplayConfig::improved(2e9);
-        let a = replay(&p, &trace, &cfg).unwrap();
-        let b = replay(&p, &trace, &cfg).unwrap();
+        let a = replay_memory(&p, &trace, &cfg, false).unwrap().result;
+        let b = replay_memory(&p, &trace, &cfg, false).unwrap().result;
         assert_eq!(a, b);
     }
 
@@ -708,8 +493,12 @@ mod tests {
         let bordereau = platform::clusters::bordereau();
         let graphene = platform::clusters::graphene();
         let cfg = ReplayConfig::improved(2e9);
-        let tb = replay(&bordereau, &trace, &cfg).unwrap();
-        let tg = replay(&graphene, &trace, &cfg).unwrap();
+        let tb = replay_memory(&bordereau, &trace, &cfg, false)
+            .unwrap()
+            .result;
+        let tg = replay_memory(&graphene, &trace, &cfg, false)
+            .unwrap()
+            .result;
         assert!(tb.time > 0.0 && tg.time > 0.0);
         assert_ne!(tb.time, tg.time, "different networks, different times");
     }
@@ -730,7 +519,9 @@ mod tests {
         // S-4 blocks are tiny: cache-resident, so the true rate is the
         // base speed.
         let rate = platform::clusters::BORDEREAU_SPEED;
-        let sim = replay(&tb.platform, &trace, &ReplayConfig::improved(rate)).unwrap();
+        let sim = replay_memory(&tb.platform, &trace, &ReplayConfig::improved(rate), false)
+            .unwrap()
+            .result;
         let err = (sim.time - truth.time) / truth.time * 100.0;
         assert!(
             err.abs() < 15.0,
@@ -760,7 +551,7 @@ mod tests {
                 engine,
                 ..ReplayConfig::improved(2e9)
             };
-            let base = replay(&p, &trace, &cfg).unwrap();
+            let base = replay_memory(&p, &trace, &cfg, false).unwrap().result;
             let inputs = [
                 TraceInput::Memory(Arc::clone(&trace)),
                 TraceInput::MergedText(merged.clone()),
@@ -768,8 +559,9 @@ mod tests {
                 TraceInput::Binary(bin.clone()),
             ];
             for input in &inputs {
-                let r = replay_input(&p, input, trace.ranks(), &cfg)
-                    .unwrap_or_else(|e| panic!("{engine:?} {input:?}: {e}"));
+                let r = replay_input_observed(&p, input, trace.ranks(), &cfg, false)
+                    .unwrap_or_else(|e| panic!("{engine:?} {input:?}: {e}"))
+                    .result;
                 assert_eq!(
                     r.time.to_bits(),
                     base.time.to_bits(),
@@ -805,11 +597,12 @@ mod tests {
             text.insert_str(cut, bad_line);
             std::fs::write(&frag, text).unwrap();
             let p = platform::clusters::bordereau();
-            let err = replay_input(
+            let err = replay_input_observed(
                 &p,
                 &TraceInput::Description(desc),
                 trace.ranks(),
                 &ReplayConfig::improved(2e9),
+                false,
             )
             .unwrap_err();
             assert!(
@@ -848,12 +641,74 @@ mod tests {
                     threads,
                     ..ReplayConfig::improved(2e9)
                 };
-                let err = replay_input(&p, &input, 2, &config).unwrap_err();
+                let err = replay_input_observed(&p, &input, 2, &config, false).unwrap_err();
                 assert!(
                     err.contains("p1") && err.contains("peer p9 outside 0..2"),
                     "{engine:?} threads={threads}: {err}"
                 );
             }
+        }
+    }
+
+    /// Traces the runtimes cannot execute are errors naming the rank —
+    /// never a panic — on both engines, sequential and island path.
+    #[test]
+    fn hostile_traces_are_errors_naming_the_rank() {
+        let cases = [
+            (
+                "p0 init\np0 wait\np1 init\n",
+                "rank p0 trace stream failed: action 1 waits with no outstanding request",
+            ),
+            (
+                "p0 bcast 8 p7\np1 bcast 8 p7\n",
+                "trace stream failed: action 0 references peer p7 outside 0..2",
+            ),
+            (
+                "p0 init\np0 send p0 8\np1 init\n",
+                "rank p0 trace stream failed: action 1 addresses its own rank",
+            ),
+            (
+                "p0 isend p1 8\np1 recv p0 8\n",
+                "rank p0 trace stream failed: stream ends after 1 actions with 1 request(s) \
+                 never waited for",
+            ),
+            (
+                "p0 send p1 8\np1 init\n",
+                "replay finished with unmatched records: 1 messages, 0 posts, 0 requests \
+                 (first unreceived message: rank 0 -> rank 1)",
+            ),
+        ];
+        let p = platform::clusters::bordereau();
+        for (text, want) in cases {
+            let trace = titrace::stream::parse_merged_bytes(text.as_bytes(), 2).unwrap();
+            let input = TraceInput::Memory(Arc::new(trace));
+            for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
+                for threads in [1, 2] {
+                    let config = ReplayConfig {
+                        engine,
+                        threads,
+                        ..ReplayConfig::improved(2e9)
+                    };
+                    let err = replay_input_observed(&p, &input, 2, &config, false).unwrap_err();
+                    assert!(err.contains(want), "{engine:?} threads={threads}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_input_must_have_the_requested_rank_count() {
+        let input = TraceInput::Memory(small_trace());
+        let p = platform::clusters::bordereau();
+        for threads in [1, 2] {
+            let config = ReplayConfig {
+                threads,
+                ..ReplayConfig::improved(2e9)
+            };
+            let err = replay_input_observed(&p, &input, 8, &config, false).unwrap_err();
+            assert_eq!(err, "the in-memory trace has 4 ranks, not 8");
+            let err = replay_input_observed(&p, &input, 0, &config, false).unwrap_err();
+            assert_eq!(err, "a replay needs at least one rank");
         }
     }
 
@@ -955,6 +810,8 @@ mod observability_tests {
     use super::*;
     use acquisition::{acquire, CompilerOpt, Instrumentation};
     use simkernel::obs::{chrome_trace, state_csv, SpanKind};
+    use std::sync::Arc;
+    use titrace::Trace;
     use workloads::lu::{LuClass, LuConfig};
 
     fn lu_s8_trace() -> Arc<Trace> {
@@ -976,7 +833,7 @@ mod observability_tests {
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let mut exports = Vec::new();
             for _ in 0..2 {
-                let report = replay_observed(&p, &trace, &cfg(engine), true).unwrap();
+                let report = replay_memory(&p, &trace, &cfg(engine), true).unwrap();
                 let log = report.spans.as_ref().expect("spans recorded");
                 exports.push(chrome_trace(log));
             }
@@ -996,7 +853,7 @@ mod observability_tests {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let report = replay_observed(&p, &trace, &cfg(engine), true).unwrap();
+            let report = replay_memory(&p, &trace, &cfg(engine), true).unwrap();
             let log = report.spans.as_ref().unwrap();
             assert_eq!(log.open_flows(), 0, "{engine:?}: flows left open");
             assert!(log.total_spans() > 0, "{engine:?}: nothing recorded");
@@ -1034,7 +891,7 @@ mod observability_tests {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let report = replay_observed(&p, &trace, &cfg(engine), true).unwrap();
+            let report = replay_memory(&p, &trace, &cfg(engine), true).unwrap();
             let path = report.critical_path().expect("spans recorded");
             assert_eq!(
                 path.end_s.to_bits(),
@@ -1062,8 +919,8 @@ mod observability_tests {
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let c = cfg(engine);
-            let plain = replay(&p, &trace, &c).unwrap();
-            let observed = replay_observed(&p, &trace, &c, true).unwrap();
+            let plain = replay_memory(&p, &trace, &c, false).unwrap().result;
+            let observed = replay_memory(&p, &trace, &c, true).unwrap();
             assert_eq!(
                 plain.time.to_bits(),
                 observed.result.time.to_bits(),
@@ -1078,7 +935,7 @@ mod observability_tests {
     fn metrics_fold_replay_and_network_counters() {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
-        let report = replay_observed(&p, &trace, &cfg(ReplayEngine::Smpi), false).unwrap();
+        let report = replay_memory(&p, &trace, &cfg(ReplayEngine::Smpi), false).unwrap();
         let m = &report.metrics;
         assert_eq!(m.engine, "smpi");
         assert_eq!(m.ranks, 8);
@@ -1097,7 +954,7 @@ mod observability_tests {
     fn exporters_cover_all_recorded_state() {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
-        let report = replay_observed(&p, &trace, &cfg(ReplayEngine::Smpi), true).unwrap();
+        let report = replay_memory(&p, &trace, &cfg(ReplayEngine::Smpi), true).unwrap();
         let log = report.spans.as_ref().unwrap();
         let json = chrome_trace(log);
         assert!(json.contains("\"traceEvents\""));
@@ -1119,7 +976,7 @@ mod observability_tests {
         let trace = lu_s8_trace();
         let p = platform::clusters::bordereau();
         let c = cfg(ReplayEngine::Smpi);
-        let report = replay_observed(&p, &trace, &c, false).unwrap();
+        let report = replay_memory(&p, &trace, &c, false).unwrap();
         let input = TraceInput::Memory(Arc::clone(&trace));
         let sig = trace_signature(&input, trace.ranks());
         assert!(sig.starts_with("memory:8 ranks"));
@@ -1146,9 +1003,18 @@ mod copy_model_tests {
             acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace,
         );
         let p = platform::clusters::graphene();
-        let plain = replay(&p, &trace, &ReplayConfig::improved(2e9)).unwrap();
+        let plain = replay_memory(&p, &trace, &ReplayConfig::improved(2e9), false)
+            .unwrap()
+            .result;
         let copy = smpi::SmpiConfig::ground_truth().copy.unwrap();
-        let with_copy = replay(&p, &trace, &ReplayConfig::improved_with_copy(2e9, copy)).unwrap();
+        let with_copy = replay_memory(
+            &p,
+            &trace,
+            &ReplayConfig::improved_with_copy(2e9, copy),
+            false,
+        )
+        .unwrap()
+        .result;
         assert!(
             with_copy.time > plain.time,
             "copy model must add time: {} !> {}",
@@ -1173,7 +1039,9 @@ mod copy_model_tests {
         );
         let rate = platform::clusters::GRAPHENE_SPEED;
         let err = |config: &ReplayConfig| {
-            let sim = replay(&tb.platform, &trace, config).unwrap();
+            let sim = replay_memory(&tb.platform, &trace, config, false)
+                .unwrap()
+                .result;
             ((sim.time - real.time) / real.time * 100.0).abs()
         };
         let without = err(&ReplayConfig::improved(rate));

@@ -24,20 +24,33 @@
 //! tests assert.
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use platform::{HostId, LinkId, Platform};
-use simkernel::obs::{merge_span_logs, Metrics, RankMappedRecorder, Recorder, RunObservation};
-use titrace::{ActionSource, Rank, SourceError, TraceInput};
-use workloads::{MpiOp, OpSource};
+use simkernel::obs::{
+    merge_span_logs, Metrics, RankMappedRecorder, Recorder, RunObservation, SpanLog,
+};
+use titrace::{ActionSource, TraceInput};
 
-use simkernel::telemetry::Stopwatch;
-
+use crate::engine::{check_fault, EngineRun, FaultSlot, ReplayOps};
 use crate::partition::{island_links, partition_ranks, scan_until_collective, Island};
 use crate::profile::{ReplayProfile, WorkerProfile};
-use crate::{action_to_op, ReplayConfig, ReplayEngine, ReplayReport, ReplayResult};
+use crate::{ReplayConfig, ReplayEngine, ReplayReport, ReplayResult};
 
 /// Hands out a fresh set of per-rank cursors over one trace.
 type OpenSources<'a> = dyn Fn() -> Result<Vec<Box<dyn ActionSource>>, String> + 'a;
+
+/// One island's share of the work, handed to a worker thread. `dyn
+/// OpSource` is not `Send`, so a job carries the raw `ActionSource`
+/// cursors (whose trait requires `Send`) and the worker wraps them on
+/// its own thread.
+struct IslandJob {
+    index: usize,
+    ranks: Arc<Vec<u32>>,
+    hosts: Vec<HostId>,
+    links: Vec<LinkId>,
+    cursors: Vec<Box<dyn ActionSource>>,
+}
 
 /// Replays `input` under `config.threads` workers, falling back to the
 /// sequential path when the trace yields a single island (e.g. any
@@ -45,19 +58,19 @@ type OpenSources<'a> = dyn Fn() -> Result<Vec<Box<dyn ActionSource>>, String> + 
 /// degenerate schedule, so a coupled trace replays byte for byte as it
 /// does at one thread. (Splitting one coupled component across threads
 /// was tried and removed; DESIGN.md "Parallel replay" records why.)
+/// `started` is when the replay began, for the profile's wall time.
 ///
 /// # Errors
-/// Fails on I/O/parse/decode errors, placement errors, or a deadlocked
-/// replay.
-pub(crate) fn replay_input_parallel(
+/// Fails on I/O/parse/decode errors, rejected actions, placement errors,
+/// or a deadlocked or leaking island.
+pub(crate) fn replay_islands(
     platform: &Platform,
     input: &TraceInput,
     ranks: u32,
     config: &ReplayConfig,
     record_spans: bool,
-    profile: bool,
+    started: Instant,
 ) -> Result<ReplayReport, String> {
-    let run_sw = Stopwatch::start(profile);
     // The sources are opened twice (scan, then replay): decode merged
     // text, and read and verify a `.titb`, once up front.
     let open: Box<OpenSources> = match input {
@@ -77,272 +90,128 @@ pub(crate) fn replay_input_parallel(
     let scan = scan_until_collective(open()?)?;
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let part = partition_ranks(&scan, platform, &hosts);
-    if part.islands.len() <= 1 || config.threads <= 1 {
-        let mut report = crate::replay_sources_observed(platform, open()?, config, record_spans)?;
-        if profile {
-            report.profile = Some(ReplayProfile::sequential(
-                run_sw.elapsed_s(),
-                ranks as usize,
-            ));
-        }
-        return Ok(report);
+    if part.islands.len() <= 1 {
+        return crate::replay_sequential(platform, open()?, config, record_spans, started);
     }
 
-    // Longest-processing-time-first island assignment. Deterministic,
-    // and irrelevant to the output: merging happens in island order.
+    // Longest-processing-time-first island assignment, handing each
+    // island its rank cursors. Deterministic, and irrelevant to the
+    // output: merging happens in island order.
     let workers = config.threads.min(part.islands.len());
     let mut order: Vec<usize> = (0..part.islands.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(part.islands[i].actions), i));
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut load = vec![0u64; workers];
-    for i in order {
-        let w = (0..workers).min_by_key(|&w| (load[w], w)).unwrap();
-        assignment[w].push(i);
-        load[w] += part.islands[i].actions.max(1);
-    }
-
-    // Distribute the per-rank cursors to their islands.
     let mut cursors: Vec<Option<Box<dyn ActionSource>>> = open()?.into_iter().map(Some).collect();
-    let fault: Arc<Mutex<Option<(Rank, SourceError)>>> = Arc::new(Mutex::new(None));
-    // `dyn OpSource` is not `Send`, so jobs carry the raw `ActionSource`
-    // cursors (whose trait requires `Send`) and each worker wraps them
-    // into op sources on its own thread.
-    struct IslandJob {
-        index: usize,
-        ranks: Arc<Vec<u32>>,
-        hosts: Vec<HostId>,
-        links: Vec<LinkId>,
-        cursors: Vec<Box<dyn ActionSource>>,
-    }
-    let mut jobs: Vec<Option<IslandJob>> = Vec::with_capacity(part.islands.len());
-    for (index, island) in part.islands.iter().enumerate() {
-        let island_ranks = Arc::new(island.ranks.clone());
-        let island_cursors = island
-            .ranks
-            .iter()
-            .map(|&r| cursors[r as usize].take().expect("rank in two islands"))
-            .collect();
-        jobs.push(Some(IslandJob {
+    let mut assignment: Vec<Vec<IslandJob>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut load = vec![0u64; workers];
+    for index in order {
+        let island = &part.islands[index];
+        let w = (0..workers).min_by_key(|&w| (load[w], w)).unwrap();
+        load[w] += island.actions.max(1);
+        assignment[w].push(IslandJob {
             index,
-            ranks: island_ranks,
+            ranks: Arc::new(island.ranks.clone()),
             hosts: island.ranks.iter().map(|&r| hosts[r as usize]).collect(),
             links: island_links(platform, &hosts, island),
-            cursors: island_cursors,
-        }));
+            cursors: island
+                .ranks
+                .iter()
+                .map(|&r| cursors[r as usize].take().expect("rank in two islands"))
+                .collect(),
+        });
     }
 
-    let total = part.islands.len();
-    let results: Mutex<Vec<(usize, Result<IslandDone, String>)>> =
-        Mutex::new(Vec::with_capacity(total));
+    let fault = FaultSlot::default();
+    type Finished = Result<(ReplayResult, RunObservation), String>;
+    let results: Mutex<Vec<(usize, Finished)>> = Mutex::new(Vec::with_capacity(part.islands.len()));
     let profiles: Mutex<Vec<WorkerProfile>> = Mutex::new(Vec::with_capacity(workers));
     std::thread::scope(|s| {
-        for (windex, worker_islands) in assignment.iter().enumerate() {
-            let jobs_for_worker: Vec<IslandJob> = worker_islands
-                .iter()
-                .map(|&i| jobs[i].take().expect("island assigned twice"))
-                .collect();
-            let (results, profiles) = (&results, &profiles);
-            let fault = Arc::clone(&fault);
+        for (worker, jobs) in assignment.into_iter().enumerate() {
+            let (results, profiles, fault) = (&results, &profiles, &fault);
             s.spawn(move || {
-                let wall = Stopwatch::start(profile);
-                let mut work_s = 0.0f64;
-                struct WorkerRun {
-                    index: usize,
-                    ranks: Arc<Vec<u32>>,
-                    run: EngineRun,
-                }
-                let prep = Stopwatch::start(profile);
-                let mut runs: Vec<WorkerRun> = jobs_for_worker
+                let wall = Instant::now();
+                let islands = jobs.len();
+                let ranks_run = jobs.iter().map(|j| j.ranks.len()).sum();
+                let mut runs: Vec<(usize, Arc<Vec<u32>>, EngineRun)> = jobs
                     .into_iter()
                     .map(|job| {
                         let recorder: Option<Box<dyn Recorder>> = record_spans.then(|| {
                             Box::new(RankMappedRecorder::new(ranks, job.ranks.to_vec()))
                                 as Box<dyn Recorder>
                         });
-                        let sources: Vec<Box<dyn OpSource>> = job
-                            .cursors
-                            .into_iter()
-                            .zip(job.ranks.iter())
-                            .map(|(inner, &r)| {
-                                Box::new(PartitionOpSource {
-                                    inner,
-                                    rank: Rank(r),
-                                    island_ranks: Arc::clone(&job.ranks),
-                                    fault: Arc::clone(&fault),
-                                }) as Box<dyn OpSource>
-                            })
-                            .collect();
+                        let members = job.ranks.iter().copied();
+                        let sources =
+                            ReplayOps::wrap(job.cursors, members, ranks, Some(&job.ranks), fault);
                         let mut run =
-                            prepare_island(platform, &job.hosts, sources, config, recorder);
+                            EngineRun::prepare(platform, &job.hosts, sources, config, recorder);
                         run.restrict_links(&job.links);
-                        WorkerRun {
-                            index: job.index,
-                            ranks: job.ranks,
-                            run,
-                        }
+                        (job.index, job.ranks, run)
                     })
                     .collect();
-                work_s += prep.elapsed_s();
                 // Unbounded lookahead: run each island straight to
                 // quiescence, no synchronization at all.
-                for r in &mut runs {
-                    let sw = Stopwatch::start(profile);
-                    r.run.run();
-                    work_s += sw.elapsed_s();
+                for (_, _, run) in &mut runs {
+                    run.run();
                 }
-                let islands_run = runs.len();
-                let ranks_run: usize = runs.iter().map(|r| r.ranks.len()).sum();
-                let fin = Stopwatch::start(profile);
-                for r in runs {
-                    let (index, island_ranks) = (r.index, r.ranks);
-                    let outcome = r.run.finalize().map_err(|e| {
-                        // The engine reports partition-local rank ids;
-                        // give the island's global ranks for context.
-                        format!("partition {index} (global ranks {island_ranks:?}): {e}")
-                    });
-                    results
-                        .lock()
-                        .expect("results poisoned")
-                        .push((index, outcome));
-                }
-                work_s += fin.elapsed_s();
-                if profile {
-                    profiles
-                        .lock()
-                        .expect("profiles poisoned")
-                        .push(WorkerProfile {
-                            worker: windex,
-                            islands: islands_run,
-                            ranks: ranks_run,
-                            work_s,
-                            wall_s: wall.elapsed_s(),
+                let done: Vec<(usize, Finished)> = runs
+                    .into_iter()
+                    .map(|(index, island_ranks, run)| {
+                        // The engine reports island-local rank ids; give
+                        // the island's global ranks for context.
+                        let outcome = run.finalize().map_err(|e| {
+                            format!("partition {index} (global ranks {island_ranks:?}): {e}")
                         });
-                }
+                        (index, outcome)
+                    })
+                    .collect();
+                let work_s = wall.elapsed().as_secs_f64();
+                results.lock().expect("results poisoned").extend(done);
+                profiles
+                    .lock()
+                    .expect("profiles poisoned")
+                    .push(WorkerProfile {
+                        worker,
+                        islands,
+                        ranks: ranks_run,
+                        work_s,
+                        wall_s: wall.elapsed().as_secs_f64(),
+                    });
             });
         }
     });
 
-    // A cursor fault truncates its rank's stream; report the root cause
-    // rather than the engine's secondary deadlock diagnosis.
-    if let Some((rank, e)) = fault.lock().expect("fault slot poisoned").take() {
-        return Err(format!("rank {rank} trace stream failed: {e}"));
-    }
+    check_fault(&fault)?;
     let mut done = results.into_inner().expect("results poisoned");
     done.sort_by_key(|(i, _)| *i);
-    let mut islands_done = Vec::with_capacity(total);
-    for (_, outcome) in done {
-        islands_done.push(outcome?);
-    }
-    let mut report = merge_islands(config, ranks, &part.islands, islands_done);
-    if profile {
-        let mut worker_profiles = profiles.into_inner().expect("profiles poisoned");
-        worker_profiles.sort_by_key(|w| w.worker);
-        report.profile = Some(ReplayProfile {
+    let done = done
+        .into_iter()
+        .map(|(_, outcome)| outcome)
+        .collect::<Result<Vec<_>, String>>()?;
+    let (result, metrics, spans) = merge_islands(config, ranks, &part.islands, done);
+    let mut workers = profiles.into_inner().expect("profiles poisoned");
+    workers.sort_by_key(|w| w.worker);
+    Ok(ReplayReport {
+        result,
+        metrics,
+        spans,
+        profile: ReplayProfile {
             mode: "islands",
-            wall_s: run_sw.elapsed_s(),
-            workers: worker_profiles,
-        });
-    }
-    Ok(report)
-}
-
-/// What finishing one island yields before the deterministic merge.
-struct IslandDone {
-    /// Per-rank finish times, island-local order.
-    rank_times: Vec<f64>,
-    messages: u64,
-    events: u64,
-    obs: RunObservation,
-}
-
-/// One island's engine run, unified over the two back-ends.
-enum EngineRun {
-    Smpi(smpi::runner::SmpiRun),
-    Msg(msgsim::runner::MsgRun),
-}
-
-impl EngineRun {
-    fn restrict_links(&mut self, links: &[LinkId]) {
-        match self {
-            EngineRun::Smpi(r) => r.restrict_links(links),
-            EngineRun::Msg(r) => r.restrict_links(links),
-        }
-    }
-
-    fn run(&mut self) {
-        match self {
-            EngineRun::Smpi(r) => r.run(),
-            EngineRun::Msg(r) => r.run(),
-        }
-    }
-
-    fn finalize(self) -> Result<IslandDone, String> {
-        match self {
-            EngineRun::Smpi(r) => {
-                let (res, obs) = r.finalize()?;
-                Ok(IslandDone {
-                    rank_times: res.rank_times,
-                    messages: res.stats.messages,
-                    events: res.events,
-                    obs,
-                })
-            }
-            EngineRun::Msg(r) => {
-                let (res, obs) = r.finalize()?;
-                Ok(IslandDone {
-                    rank_times: res.rank_times,
-                    messages: res.stats.messages,
-                    events: res.events,
-                    obs,
-                })
-            }
-        }
-    }
-}
-
-/// Prepares one island's simulation with the same engine configuration
-/// the sequential [`crate::run_engine`] would build.
-fn prepare_island(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    config: &ReplayConfig,
-    recorder: Option<Box<dyn Recorder>>,
-) -> EngineRun {
-    let hooks = Box::new(smpi::FixedRateHooks::uniform(
-        config.rate,
-        hosts.len() as u32,
-    ));
-    match config.engine {
-        ReplayEngine::Smpi => {
-            let mut smpi_cfg = smpi::SmpiConfig::smpi_replay();
-            smpi_cfg.copy = config.copy_model;
-            smpi_cfg.sharing = config.sharing;
-            EngineRun::Smpi(smpi::prepare_smpi(
-                platform, hosts, sources, smpi_cfg, hooks, recorder,
-            ))
-        }
-        ReplayEngine::Msg => {
-            let mut msg_cfg = msgsim::MsgConfig::legacy();
-            msg_cfg.sharing = config.sharing;
-            EngineRun::Msg(msgsim::prepare_msg(
-                platform, hosts, sources, msg_cfg, hooks, recorder,
-            ))
-        }
-    }
+            wall_s: started.elapsed().as_secs_f64(),
+            workers,
+        },
+    })
 }
 
 /// Merges per-island outcomes — always in island-index order, never
-/// worker or completion order — into the exact report the sequential
-/// path produces.
+/// worker or completion order — into the exact result, metrics and spans
+/// the sequential path produces.
 fn merge_islands(
     config: &ReplayConfig,
     ranks: u32,
     islands: &[Island],
-    done: Vec<IslandDone>,
-) -> ReplayReport {
+    done: Vec<(ReplayResult, RunObservation)>,
+) -> (ReplayResult, Metrics, Option<SpanLog>) {
     let mut rank_times = vec![0.0f64; ranks as usize];
-    for (island, d) in islands.iter().zip(&done) {
+    for (island, (d, _)) in islands.iter().zip(&done) {
         for (&r, &t) in island.ranks.iter().zip(&d.rank_times) {
             rank_times[r as usize] = t;
         }
@@ -358,10 +227,10 @@ fn merge_islands(
     metrics.simulated_time_s = total_time;
     let mut messages = 0u64;
     let mut events = 0u64;
-    for d in &done {
+    for (d, obs) in &done {
         messages += d.messages;
         events += d.events;
-        let m = &d.obs.metrics;
+        let m = &obs.metrics;
         metrics.events_processed += m.events_processed;
         metrics.fel.scheduled += m.fel.scheduled;
         metrics.fel.superseded += m.fel.superseded;
@@ -395,7 +264,7 @@ fn merge_islands(
         metrics.max_posted_depth = metrics.max_posted_depth.max(m.max_posted_depth);
     }
     let spans = {
-        let logs: Vec<_> = done.into_iter().filter_map(|d| d.obs.spans).collect();
+        let logs: Vec<_> = done.into_iter().filter_map(|(_, obs)| obs.spans).collect();
         if logs.is_empty() {
             None
         } else {
@@ -403,88 +272,11 @@ fn merge_islands(
         }
     };
     metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
-    ReplayReport {
-        result: ReplayResult {
-            time: total_time,
-            rank_times,
-            messages,
-            events,
-        },
-        metrics,
-        spans,
-        profile: None,
-    }
-}
-
-/// An [`OpSource`] over one rank's [`ActionSource`] cursor that remaps
-/// global peer ranks to the island-local ids the engine runs under.
-/// Cursor faults park in the shared slot, exactly like the sequential
-/// [`crate::StreamOpSource`].
-struct PartitionOpSource {
-    inner: Box<dyn ActionSource>,
-    /// Global rank, for fault attribution.
-    rank: Rank,
-    /// The island's member ranks, ascending (global ids).
-    island_ranks: Arc<Vec<u32>>,
-    fault: Arc<Mutex<Option<(Rank, SourceError)>>>,
-}
-
-impl OpSource for PartitionOpSource {
-    fn next_op(&mut self) -> Option<MpiOp> {
-        match self.inner.next_action() {
-            Ok(Some(a)) => Some(remap_op(action_to_op(&a), &self.island_ranks)),
-            Ok(None) => None,
-            Err(e) => {
-                let mut slot = self.fault.lock().expect("fault slot poisoned");
-                if slot.is_none() {
-                    *slot = Some((self.rank, e));
-                }
-                None
-            }
-        }
-    }
-}
-
-fn local_rank(island_ranks: &[u32], global: u32) -> u32 {
-    island_ranks
-        .binary_search(&global)
-        .expect("peer rank outside its island — partitioning bug") as u32
-}
-
-/// Rewrites an op's peer ranks from global to island-local ids.
-/// Collectives cannot appear here (any collective collapses the trace to
-/// a single island, which takes the sequential path), but roots are
-/// remapped anyway for defence in depth.
-fn remap_op(op: MpiOp, island_ranks: &[u32]) -> MpiOp {
-    match op {
-        MpiOp::Send { dst, bytes } => MpiOp::Send {
-            dst: local_rank(island_ranks, dst),
-            bytes,
-        },
-        MpiOp::Isend { dst, bytes } => MpiOp::Isend {
-            dst: local_rank(island_ranks, dst),
-            bytes,
-        },
-        MpiOp::Recv { src, bytes } => MpiOp::Recv {
-            src: local_rank(island_ranks, src),
-            bytes,
-        },
-        MpiOp::Irecv { src, bytes } => MpiOp::Irecv {
-            src: local_rank(island_ranks, src),
-            bytes,
-        },
-        MpiOp::Bcast { bytes, root } => MpiOp::Bcast {
-            bytes,
-            root: local_rank(island_ranks, root),
-        },
-        MpiOp::Reduce { bytes, root } => MpiOp::Reduce {
-            bytes,
-            root: local_rank(island_ranks, root),
-        },
-        MpiOp::Gather { bytes, root } => MpiOp::Gather {
-            bytes,
-            root: local_rank(island_ranks, root),
-        },
-        other => other,
-    }
+    let result = ReplayResult {
+        time: total_time,
+        rank_times,
+        messages,
+        events,
+    };
+    (result, metrics, spans)
 }

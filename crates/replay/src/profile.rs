@@ -3,11 +3,9 @@
 //! Where [`simkernel::obs`] answers "what did the *simulated* machine
 //! do", this module answers "where did the *host* spend wall time while
 //! computing that answer": per-worker work time and the load-imbalance
-//! ratio across workers. None of it feeds back into simulated times,
-//! metrics, manifests, or exports — a profiled run's deterministic
-//! outputs are byte-identical to an unprofiled run's (the differential
-//! tests assert this), and when profiling is off no host clock is read
-//! at all (see [`simkernel::telemetry::Stopwatch`]).
+//! ratio across workers. Every replay carries one — the sequential path
+//! reads the clock twice, an island worker three times — and none of it
+//! feeds back into simulated times, metrics, manifests, or exports.
 
 /// Wall-time breakdown of one replay worker thread.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,8 +25,7 @@ pub struct WorkerProfile {
     pub wall_s: f64,
 }
 
-/// Wall-clock profile of one replay run, attached to
-/// [`crate::ReplayReport::profile`] by the profiled entry points.
+/// Wall-clock profile of one replay run ([`crate::ReplayReport::profile`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayProfile {
     /// Which execution path ran: `"sequential"` or `"islands"`.

@@ -425,8 +425,8 @@ impl EventQueue {
 /// does `kernel.rs`'s churn test.
 ///
 /// This replaces the heap-vs-ladder axis that the end-to-end suites
-/// (`tests/{runtime_semantics,parallel_replay,windowed_pdes,
-/// collective_batching}.rs` and `replay`'s unit tests) used to carry: the
+/// (`tests/{runtime_semantics,parallel_replay,collective_batching}.rs`
+/// and `replay`'s unit tests) used to carry: the
 /// kernel is a deterministic function of its inputs and the FEL's pop
 /// sequence, so pop-order identity here implies bit-identical replays
 /// there.

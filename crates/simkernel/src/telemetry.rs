@@ -14,9 +14,8 @@
 //!
 //! * **No dependencies** — plain `std::sync::atomic` plus hand-written
 //!   Prometheus text rendering.
-//! * **Zero cost when disabled** — instrumentation sites either hold an
-//!   `Option` of a metric handle or consult a [`Stopwatch`] started with
-//!   `enabled = false`, which never reads the host clock.
+//! * **Zero cost when disabled** — instrumentation sites hold an
+//!   `Option` of a metric handle.
 //! * **Lock-free hot path** — recording is a relaxed atomic add; only
 //!   registration (done once at startup) allocates.
 //!
@@ -343,34 +342,6 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Wall-clock stopwatch that is a no-op (never reads the host clock) when
-/// started disabled. The enabled/disabled decision is the single branch
-/// instrumentation sites pay on the disabled path.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Option<std::time::Instant>);
-
-impl Stopwatch {
-    /// Starts the stopwatch; when `enabled` is false no clock is read and
-    /// [`Stopwatch::elapsed_s`] always returns zero.
-    pub fn start(enabled: bool) -> Self {
-        Self(if enabled {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        })
-    }
-
-    /// Seconds since start (zero when disabled).
-    pub fn elapsed_s(&self) -> f64 {
-        self.0.map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0)
-    }
-
-    /// Whether the stopwatch is live.
-    pub fn enabled(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,15 +429,5 @@ mod tests {
         assert_eq!(fmt_f64(10.0), "10");
         assert_eq!(fmt_f64(0.0005), "0.0005");
         assert!(!fmt_f64(1e-7).contains('e'));
-    }
-
-    #[test]
-    fn disabled_stopwatch_reads_zero() {
-        let sw = Stopwatch::start(false);
-        assert!(!sw.enabled());
-        assert_eq!(sw.elapsed_s(), 0.0);
-        let live = Stopwatch::start(true);
-        assert!(live.enabled());
-        assert!(live.elapsed_s() >= 0.0);
     }
 }

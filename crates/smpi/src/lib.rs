@@ -37,7 +37,7 @@ pub mod timeline;
 pub mod world;
 
 pub use hooks::{ComputePlan, ExecHooks, FixedRateHooks};
-pub use runner::{prepare_smpi, run_smpi, run_smpi_observed, run_smpi_traced, SmpiResult, SmpiRun};
+pub use runner::{prepare_smpi, run_smpi, SmpiResult, SmpiRun};
 pub use timeline::{Segment, SegmentKind, Timeline};
 pub use world::{SmpiWorld, WorldStats};
 

@@ -34,46 +34,16 @@ impl SmpiResult {
 }
 
 /// Runs `sources` (one op stream per rank) placed on `hosts` of
-/// `platform`, under protocol `cfg` and local-cost `hooks`.
+/// `platform`, under protocol `cfg` and local-cost `hooks`. Returns the
+/// result with the unified observation: the [`Metrics`] snapshot
+/// always, and the recorded [`SpanLog`] when `record_spans` is set
+/// (`crate::Timeline::from_spans` renders it as a Gantt chart).
 ///
 /// # Errors
-/// Returns the list of blocked ranks if the execution deadlocks (which,
-/// for validated traces, indicates a runtime bug rather than bad input).
+/// Returns the list of blocked ranks if the execution deadlocks, and the
+/// leaked counts if it ends with unmatched protocol records (see
+/// [`SmpiRun::finalize`]).
 pub fn run_smpi(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: SmpiConfig,
-    hooks: Box<dyn ExecHooks>,
-) -> Result<SmpiResult, String> {
-    run_inner(platform, hosts, sources, cfg, hooks, None).map(|(r, _)| r)
-}
-
-/// Like [`run_smpi`], with per-rank timeline recording enabled; returns
-/// the Gantt data alongside the result.
-///
-/// # Errors
-/// See [`run_smpi`].
-pub fn run_smpi_traced(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: SmpiConfig,
-    hooks: Box<dyn ExecHooks>,
-) -> Result<(SmpiResult, crate::timeline::Timeline), String> {
-    run_smpi_observed(platform, hosts, sources, cfg, hooks, true).map(|(r, obs)| {
-        let log = obs.spans.expect("span recording was enabled");
-        (r, crate::timeline::Timeline::from_spans(&log))
-    })
-}
-
-/// Like [`run_smpi`], returning the unified observation alongside the
-/// result: the [`Metrics`] snapshot always, and the recorded
-/// [`SpanLog`] when `record_spans` is set.
-///
-/// # Errors
-/// See [`run_smpi`].
-pub fn run_smpi_observed(
     platform: &Platform,
     hosts: &[HostId],
     sources: Vec<Box<dyn OpSource>>,
@@ -83,17 +53,6 @@ pub fn run_smpi_observed(
 ) -> Result<(SmpiResult, RunObservation), String> {
     let recorder: Option<Box<dyn Recorder>> =
         record_spans.then(|| Box::new(SpanLog::new(sources.len() as u32)) as Box<dyn Recorder>);
-    run_inner(platform, hosts, sources, cfg, hooks, recorder)
-}
-
-fn run_inner(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: SmpiConfig,
-    hooks: Box<dyn ExecHooks>,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<(SmpiResult, RunObservation), String> {
     let mut run = prepare_smpi(platform, hosts, sources, cfg, hooks, recorder);
     run.run();
     run.finalize()
@@ -101,7 +60,7 @@ fn run_inner(
 
 /// A fully assembled SMPI simulation that has not run yet. Produced by
 /// [`prepare_smpi`]; `prepare`, then [`SmpiRun::run`], then
-/// [`SmpiRun::finalize`] is exactly [`run_smpi_observed`]. The
+/// [`SmpiRun::finalize`] is exactly [`run_smpi`]. The
 /// island-parallel replay engine restricts each island's links before
 /// the run.
 pub struct SmpiRun {
@@ -159,7 +118,10 @@ impl SmpiRun {
     /// Extracts the result and observation after the run has quiesced.
     ///
     /// # Errors
-    /// See [`run_smpi`].
+    /// A deadlock (the blocked ranks), or a run that finished with
+    /// protocol records alive — a message nobody received, a receive
+    /// nobody matched, a request nobody waited for (see
+    /// [`SmpiWorld::check_drained`]).
     pub fn finalize(mut self) -> Result<(SmpiResult, RunObservation), String> {
         let ranks = self.ranks;
         let sim = &mut self.sim;
@@ -175,12 +137,7 @@ impl SmpiRun {
         let rank_times: Vec<f64> = (0..ranks)
             .map(|r| sim.finish_time(ActorId(r as u32)).as_secs())
             .collect();
-        let (live_msgs, live_posts, live_reqs) = sim.world.live_records();
-        debug_assert_eq!(
-            (live_msgs, live_posts, live_reqs),
-            (0, 0, 0),
-            "protocol records leaked"
-        );
+        sim.world.check_drained()?;
         let total_time = rank_times.iter().copied().fold(0.0, f64::max);
         let stats = sim.world.stats;
         let mut metrics = Metrics::new("smpi", ranks as u32);
@@ -258,8 +215,10 @@ mod tests {
             sources,
             cfg,
             Box::new(FixedRateHooks::uniform(1e9, n)),
+            false,
         )
         .expect("run failed")
+        .0
     }
 
     fn cfg_no_copy() -> SmpiConfig {
@@ -476,8 +435,10 @@ mod tests {
             cfg.sources(),
             SmpiConfig::ground_truth(),
             Box::new(FixedRateHooks::uniform(1e9, 4)),
+            false,
         )
-        .expect("LU S-4 failed");
+        .expect("LU S-4 failed")
+        .0;
         assert!(r.total_time > 0.0);
         assert!(r.stats.messages > 100);
         assert!(r.stats.eager_messages > 0);
@@ -495,8 +456,10 @@ mod tests {
                 cfg.sources(),
                 SmpiConfig::ground_truth(),
                 Box::new(FixedRateHooks::uniform(1e9, procs)),
+                false,
             )
-            .unwrap_or_else(|e| panic!("LU S-{procs}: {e}"));
+            .unwrap_or_else(|e| panic!("LU S-{procs}: {e}"))
+            .0;
             assert!(r.total_time > 0.0);
         }
     }
@@ -513,8 +476,10 @@ mod tests {
                 cfg.sources(),
                 SmpiConfig::ground_truth(),
                 Box::new(FixedRateHooks::uniform(rate, 4)),
+                false,
             )
             .unwrap()
+            .0
             .total_time
         };
         assert!(run_at(2e9) <= run_at(1e9));
@@ -544,8 +509,10 @@ mod tests {
             sources,
             cfg_no_copy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            false,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(r.stats.flows, 0);
         assert!(r.rank_times[1] < 1e-5, "{}", r.rank_times[1]);
     }
@@ -571,14 +538,16 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let (r, timeline) = run_smpi_traced(
+        let (r, obs) = run_smpi(
             &p,
             &hosts(2),
             sources,
             cfg_no_copy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            true,
         )
         .unwrap();
+        let timeline = crate::Timeline::from_spans(&obs.spans.expect("spans recorded"));
         // Rank 0 computed ~1s; rank 1 waited ~1s for the message.
         assert!((timeline.total(0, SegmentKind::Compute) - 1.0).abs() < 1e-9);
         assert!(timeline.total(1, SegmentKind::Wait) > 0.99);
@@ -607,7 +576,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let (r, obs) = run_smpi_observed(
+        let (r, obs) = run_smpi(
             &p,
             &hosts(2),
             sources,
@@ -655,15 +624,18 @@ mod tests {
                 .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
                 .collect::<Vec<_>>()
         };
-        let plain = run_smpi(
+        // The recorder must not perturb the run.
+        let recorded = run_smpi(
             &p,
             &hosts(2),
             mk(),
             cfg_no_copy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            true,
         )
-        .unwrap();
-        let (r, obs) = run_smpi_observed(
+        .unwrap()
+        .0;
+        let (r, obs) = run_smpi(
             &p,
             &hosts(2),
             mk(),
@@ -672,8 +644,8 @@ mod tests {
             false,
         )
         .unwrap();
-        assert_eq!(plain.rank_times, r.rank_times);
-        assert_eq!(plain.events, r.events);
+        assert_eq!(recorded.rank_times, r.rank_times);
+        assert_eq!(recorded.events, r.events);
         assert!(obs.spans.is_none());
         assert!(obs.metrics.recorder_counts.is_none());
     }
@@ -769,9 +741,40 @@ mod tests {
             sources,
             cfg_no_copy(),
             Box::new(FixedRateHooks::uniform(1e9, 2)),
+            false,
         )
         .unwrap_err();
         assert!(err.contains("deadlock"), "{err}");
         assert!(err.contains('0'), "{err}");
+    }
+
+    /// A detached send nobody receives lets every rank finish; the run is
+    /// still an error, in every build, naming what leaked and where.
+    #[test]
+    fn unmatched_send_is_reported() {
+        let p = tiny_platform(3);
+        let progs = vec![
+            vec![MpiOp::Finalize],
+            vec![MpiOp::Send { dst: 2, bytes: 8 }],
+            vec![MpiOp::Finalize],
+        ];
+        let sources: Vec<Box<dyn workloads::OpSource>> = progs
+            .into_iter()
+            .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
+            .collect();
+        let err = run_smpi(
+            &p,
+            &hosts(3),
+            sources,
+            cfg_no_copy(),
+            Box::new(FixedRateHooks::uniform(1e9, 3)),
+            false,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "replay finished with unmatched records: 1 messages, 0 posts, 0 requests \
+             (first unreceived message: rank 1 -> rank 2)"
+        );
     }
 }

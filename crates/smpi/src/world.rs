@@ -619,10 +619,39 @@ impl SmpiWorld {
         self.msgs.remove(id);
     }
 
-    /// Live protocol records (diagnostics; must be 0 after a clean run).
-    pub fn live_records(&self) -> (usize, usize, usize) {
-        (self.msgs.len(), self.posts.len(), self.reqs.len())
+    /// Fails when protocol records outlive the run: a message nobody
+    /// received, a receive nobody matched, a request nobody waited for.
+    ///
+    /// # Errors
+    /// The [`leak_report`] of the live records.
+    pub fn check_drained(&self) -> Result<(), String> {
+        let live = (self.msgs.len(), self.posts.len(), self.reqs.len());
+        if live == (0, 0, 0) {
+            return Ok(());
+        }
+        let first = self.unexpected.iter().position(|q| !q.is_empty()).map(|i| {
+            let pair = (i / CHANNELS) as u32; // `chan(dst, src, _)` layout
+            (pair % self.ranks, pair / self.ranks)
+        });
+        Err(leak_report(live, first))
     }
+}
+
+/// The error either runtime reports for `(messages, posts, requests)`
+/// records alive at the end of a run, naming the `(src, dst)` ranks of
+/// the first message still waiting for its receive.
+pub fn leak_report(
+    (messages, posts, requests): (usize, usize, usize),
+    first_unreceived: Option<(u32, u32)>,
+) -> String {
+    let mut report = format!(
+        "replay finished with unmatched records: {messages} messages, {posts} posts, \
+         {requests} requests"
+    );
+    if let Some((src, dst)) = first_unreceived {
+        report += &format!(" (first unreceived message: rank {src} -> rank {dst})");
+    }
+    report
 }
 
 /// `recv_req` presence means an irecv committed to the message.

@@ -130,8 +130,10 @@ fn run_on(platform: &platform::Platform, progs: Vec<Vec<MpiOp>>) -> smpi::SmpiRe
         sources,
         SmpiConfig::ground_truth(),
         Box::new(FixedRateHooks::uniform(1e9, n)),
+        false,
     )
     .expect("random program deadlocked")
+    .0
 }
 
 fn clamp_events(ranks: u8, events: Vec<Event>) -> Vec<Event> {
@@ -210,8 +212,9 @@ proptest! {
                 sources,
                 SmpiConfig { sharing, ..SmpiConfig::ground_truth() },
                 Box::new(FixedRateHooks::uniform(1e9, n)),
+                false,
             )
-            .expect("random program deadlocked")
+            .expect("random program deadlocked").0
         };
         let inc = run_with(progs.clone(), SharingPolicy::MaxMin);
         let full = run_with(progs, SharingPolicy::MaxMinFull);

@@ -373,12 +373,34 @@ pub enum SourceError {
         /// 1-based line number.
         line: usize,
     },
-    /// An action names a peer rank the trace does not have.
+    /// Action `index` (0-based, in its rank's stream) names a peer or
+    /// collective root the trace does not have.
     PeerOutOfRange {
+        /// Position of the action in its rank's stream.
+        index: u64,
         /// Rank named by the action.
         peer: Rank,
         /// Number of ranks in the trace.
         ranks: u32,
+    },
+    /// Action `index` sends to or receives from its own rank.
+    SelfMessage {
+        /// Position of the action in its rank's stream.
+        index: u64,
+    },
+    /// Action `index` is a `wait` with no outstanding non-blocking
+    /// request.
+    WaitWithoutRequest {
+        /// Position of the action in its rank's stream.
+        index: u64,
+    },
+    /// The stream ended after `actions` actions with `pending`
+    /// non-blocking requests never waited for.
+    PendingAtEnd {
+        /// Actions in the stream.
+        actions: u64,
+        /// Requests left outstanding.
+        pending: u64,
     },
 }
 
@@ -398,9 +420,19 @@ impl std::fmt::Display for SourceError {
                 "{}: line {line} belongs to rank {found} but the file is assigned to rank {expected}",
                 path.display()
             ),
-            SourceError::PeerOutOfRange { peer, ranks } => {
-                write!(f, "an action references peer {peer} outside 0..{ranks}")
+            SourceError::PeerOutOfRange { index, peer, ranks } => {
+                write!(f, "action {index} references peer {peer} outside 0..{ranks}")
             }
+            SourceError::SelfMessage { index } => {
+                write!(f, "action {index} addresses its own rank")
+            }
+            SourceError::WaitWithoutRequest { index } => {
+                write!(f, "action {index} waits with no outstanding request")
+            }
+            SourceError::PendingAtEnd { actions, pending } => write!(
+                f,
+                "stream ends after {actions} actions with {pending} request(s) never waited for"
+            ),
         }
     }
 }

@@ -20,15 +20,14 @@ fn main() {
     println!("workload: {} ({} steps)", instance.label(), instance.steps);
 
     // Acquire once, from anywhere (acquisition is platform-independent).
-    let trace = Arc::new(
-        acquire(
-            instance.sources(),
-            Instrumentation::Minimal,
-            CompilerOpt::O3,
-            7,
-        )
-        .trace,
-    );
+    let trace = acquire(
+        instance.sources(),
+        Instrumentation::Minimal,
+        CompilerOpt::O3,
+        7,
+    )
+    .trace;
+    let input = TraceInput::Memory(Arc::new(trace));
 
     // Candidate configurations: cpu speed (instr/s) × NIC bandwidth, with
     // a toy price model.
@@ -61,7 +60,9 @@ fn main() {
             // possible, so the quoted CPU speed is used as the rate (a
             // what-if study, exactly how the paper frames this use).
             let config = ReplayConfig::improved(cpu);
-            let sim = replay(&platform, &trace, &config).expect("replay failed");
+            let sim = replay_input_observed(&platform, &input, instance.procs, &config, false)
+                .expect("replay failed")
+                .result;
             let price = 64.0 * (cpu_price + nic_price);
             let ok = sim.time <= target_seconds;
             println!(

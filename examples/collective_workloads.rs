@@ -70,13 +70,16 @@ fn report(
     let real = testbed
         .run(truth_sources, Instrumentation::None, CompilerOpt::O3)
         .expect("emulation failed");
-    let trace =
-        Arc::new(acquire(trace_sources, Instrumentation::Minimal, CompilerOpt::O3, 5).trace);
+    let trace = acquire(trace_sources, Instrumentation::Minimal, CompilerOpt::O3, 5).trace;
+    let ranks = trace.ranks();
+    let input = TraceInput::Memory(Arc::new(trace));
     for (name, config) in [
         ("legacy/MSG", ReplayConfig::legacy(rate)),
         ("improved/SMPI", ReplayConfig::improved(rate)),
     ] {
-        let sim = replay(&testbed.platform, &trace, &config).expect("replay failed");
+        let sim = replay_input_observed(&testbed.platform, &input, ranks, &config, false)
+            .expect("replay failed")
+            .result;
         let err = (sim.time - real.time) / real.time * 100.0;
         println!(
             "  {name:<14} simulated {:>8.3}s   real {:>8.3}s   error {err:>+7.2}%",

@@ -18,16 +18,20 @@ fn main() {
     println!("instance: {}", instance.label());
 
     // One acquisition...
-    let trace = Arc::new(
-        acquire(
-            instance.sources(),
-            Instrumentation::Minimal,
-            CompilerOpt::O3,
-            11,
-        )
-        .trace,
-    );
+    let trace = acquire(
+        instance.sources(),
+        Instrumentation::Minimal,
+        CompilerOpt::O3,
+        11,
+    )
+    .trace;
     println!("acquired one trace: {} actions\n", trace.len());
+    let input = TraceInput::Memory(Arc::new(trace));
+    let predict = |platform: &Platform, config: &ReplayConfig| {
+        replay_input_observed(platform, &input, instance.procs, config, false)
+            .expect("replay failed")
+            .result
+    };
 
     // ...predicts any platform.
     for testbed in [Testbed::bordereau(), Testbed::graphene()] {
@@ -41,7 +45,7 @@ fn main() {
         )
         .expect("calibration failed");
         let config = ReplayConfig::improved(calibration.rate_for(&instance));
-        let sim = replay(&testbed.platform, &trace, &config).expect("replay failed");
+        let sim = predict(&testbed.platform, &config);
         let real = testbed
             .run_lu(&instance, Instrumentation::None, CompilerOpt::O3)
             .expect("emulation failed");
@@ -73,7 +77,7 @@ fn main() {
     };
     let fast = spec.build();
     let config = ReplayConfig::improved(tit_replay::platform::clusters::GRAPHENE_SPEED);
-    let sim_fast = replay(&fast, &trace, &config).expect("replay failed");
+    let sim_fast = predict(&fast, &config);
     spec.name = "graphene-10g".into();
     println!("  predicted: {:.3}s", sim_fast.time);
 }

@@ -9,7 +9,7 @@
 
 use tit_replay::acquisition::{CompilerOpt, Instrumentation, InstrumentedHooks};
 use tit_replay::prelude::*;
-use tit_replay::smpi::{run_smpi_traced, SegmentKind, SmpiConfig};
+use tit_replay::smpi::{run_smpi, SegmentKind, SmpiConfig, Timeline};
 
 fn main() {
     let lu = LuConfig::new(LuClass::S, 8).with_steps(2);
@@ -21,14 +21,16 @@ fn main() {
         Instrumentation::None,
         CompilerOpt::O3,
     );
-    let (result, timeline) = run_smpi_traced(
+    let (result, obs) = run_smpi(
         &testbed.platform,
         &hosts,
         lu.sources(),
         SmpiConfig::ground_truth(),
         Box::new(hooks),
+        true,
     )
     .expect("run failed");
+    let timeline = Timeline::from_spans(&obs.spans.expect("spans recorded"));
 
     println!(
         "LU {} on {}: {:.4}s  (# = compute, . = wait, o = overhead)\n",

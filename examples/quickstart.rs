@@ -75,9 +75,11 @@ fn main() {
     // ------------------------------------------------------------------
     // Step 3 — replay the trace on the simulated platform.
     // ------------------------------------------------------------------
-    let trace = Arc::new(acq.trace);
+    let input = TraceInput::Memory(Arc::new(acq.trace));
     let config = ReplayConfig::improved(calibration.rate_for(&instance));
-    let sim = replay(&testbed.platform, &trace, &config).expect("replay failed");
+    let sim = replay_input_observed(&testbed.platform, &input, instance.procs, &config, false)
+        .expect("replay failed")
+        .result;
     println!(
         "simulated time: {:.3}s ({} messages replayed)",
         sim.time, sim.messages

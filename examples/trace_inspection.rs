@@ -74,8 +74,10 @@ p2 finalize
         },
     };
     let platform = spec.build();
-    let sim =
-        replay(&platform, &Arc::new(trace), &ReplayConfig::improved(1e9)).expect("replay failed");
+    let input = TraceInput::Memory(Arc::new(trace));
+    let sim = replay_input_observed(&platform, &input, 3, &ReplayConfig::improved(1e9), false)
+        .expect("replay failed")
+        .result;
     println!(
         "simulated on `{}`: {:.6}s ({} events)",
         platform.name, sim.time, sim.events

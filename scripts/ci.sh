@@ -301,11 +301,43 @@ grep -q '"mode": "islands"' "$ingest_dir/halo.profile.json" \
     || { echo "profile JSON missing islands mode" >&2; exit 1; }
 echo "TELEMETRY_SMOKE ok ($prof_workers profiled workers, simulated time unchanged)"
 
+# Hostile smoke: traces the runtimes cannot execute — a wait with nothing
+# outstanding, a collective root outside the trace, a send to oneself, a
+# send nobody receives — must exit non-zero naming the rank, never
+# panic, on both engines, on the sequential and the island path.
+"$gen" --class S --procs 2 --steps 2 --out "$ingest_dir/s2.trace"
+printf 'p0 init\np0 wait\np1 init\n' >"$ingest_dir/hostile-wait.trace"
+printf 'p0 bcast 8 p7\np1 bcast 8 p7\n' >"$ingest_dir/hostile-root.trace"
+printf 'p0 send p0 8\np1 init\n' >"$ingest_dir/hostile-self.trace"
+printf 'p0 send p1 8\np1 init\n' >"$ingest_dir/hostile-unmatched.trace"
+hostile_runs=0
+for kind in wait root self unmatched; do
+    for engine in smpi msg; do
+        for threads in 1 2; do
+            what="hostile $kind trace at --engine $engine --threads $threads"
+            if "$rep" --platform "$ingest_dir/s2.trace.platform.json" --ranks 2 --rate 2e9 \
+                --trace "$ingest_dir/hostile-$kind.trace" --no-cache \
+                --engine "$engine" --threads "$threads" >/dev/null 2>"$ingest_dir/hostile.err"; then
+                echo "$what replayed successfully" >&2
+                exit 1
+            fi
+            if grep -q panicked "$ingest_dir/hostile.err" \
+                || ! grep -qE 'rank p?[0-9]' "$ingest_dir/hostile.err"; then
+                echo "$what: wanted an error naming the rank, got:" >&2
+                cat "$ingest_dir/hostile.err" >&2
+                exit 1
+            fi
+            hostile_runs=$((hostile_runs + 1))
+        done
+    done
+done
+echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank, none panicked)"
+
 # Re-run the replay-facing suites with parallel replay as the ambient
 # default, so every differential test also exercises the worker pool.
 TITR_REPLAY_THREADS=4 cargo test -q -p tit-replay \
     --test parallel_replay --test runtime_semantics --test trace_roundtrip \
-    --test observability --test collective_batching --test windowed_pdes
+    --test observability --test collective_batching
 echo "PARALLEL_SUITE ok (replay tests at TITR_REPLAY_THREADS=4)"
 
 # Serve smoke: start titserved on an ephemeral port, issue the same

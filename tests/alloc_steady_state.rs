@@ -109,35 +109,50 @@ fn ladder_steady_state_does_not_allocate() {
     assert_eq!(steady, 0, "ladder steady state allocated");
 }
 
-/// The observed entry point with recording off may pay a per-run constant
-/// over the plain one (the metrics snapshot), but the difference must not
-/// grow with the workload — that would mean the disabled recorder
-/// allocates per event.
+/// The replay entry with recording off may pay a per-run constant over
+/// the bare engine it assembles (placement, cursors, op sources, the
+/// profile), but the difference must not grow with the workload — that
+/// would mean the op source or the disabled recorder allocates per event.
 #[test]
 fn disabled_recorder_allocation_overhead_is_a_per_run_constant() {
+    use tit_replay::smpi::{run_smpi, FixedRateHooks, SmpiConfig};
+    use tit_replay::workloads::{OpSource, VecSource};
+
     let platform = tit_replay::platform::clusters::bordereau();
     let cfg = ReplayConfig {
         threads: 1,
         ..ReplayConfig::improved(2e9)
     };
+    let hosts = cfg.placement.assign(&platform, 8).unwrap();
     let deltas: Vec<i64> = [2u32, 8]
         .into_iter()
         .map(|steps| {
             let lu = LuConfig::new(LuClass::S, 8).with_steps(steps);
-            let trace =
-                Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace);
+            let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+            let sources: Vec<Box<dyn OpSource>> = trace
+                .iter()
+                .map(|(_, actions)| {
+                    let ops = actions.iter().map(tit_replay::replay::action_to_op);
+                    Box::new(VecSource::new(ops.collect())) as Box<dyn OpSource>
+                })
+                .collect();
+            let hooks = Box::new(FixedRateHooks::uniform(cfg.rate, 8));
+            let input = TraceInput::Memory(Arc::new(trace));
             // Warm-up so the counted runs see steady-state behaviour only.
-            replay(&platform, &trace, &cfg).unwrap();
-            let (plain, plain_allocs) = allocations(|| replay(&platform, &trace, &cfg).unwrap());
-            let (report, observed_allocs) =
-                allocations(|| replay_observed(&platform, &trace, &cfg, false).unwrap());
+            replay_input_observed(&platform, &input, 8, &cfg, false).unwrap();
+            let ((bare, _), bare_allocs) = allocations(|| {
+                let smpi_cfg = SmpiConfig::smpi_replay();
+                run_smpi(&platform, &hosts, sources, smpi_cfg, hooks, false).unwrap()
+            });
+            let (report, entry_allocs) =
+                allocations(|| replay_input_observed(&platform, &input, 8, &cfg, false).unwrap());
             assert!(report.spans.is_none(), "disabled recorder produced spans");
-            assert_eq!(plain.time.to_bits(), report.result.time.to_bits());
-            observed_allocs as i64 - plain_allocs as i64
+            assert_eq!(bare.total_time.to_bits(), report.result.time.to_bits());
+            entry_allocs as i64 - bare_allocs as i64
         })
         .collect();
     assert_eq!(
         deltas[0], deltas[1],
-        "disabled-recorder allocation overhead scales with the workload"
+        "replay-entry allocation overhead scales with the workload"
     );
 }

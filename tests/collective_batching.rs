@@ -86,8 +86,8 @@ fn assert_golden(m: &Metrics, golden: &Golden, what: &str) {
 fn lu_b8_matches_the_goldens_under_every_policy() {
     use tit_replay::netmodel::SharingPolicy::{Bottleneck, MaxMin, MaxMinFull};
     let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
-    let trace =
-        Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace;
+    let input = TraceInput::Memory(Arc::new(trace));
     let platform = tit_replay::platform::clusters::graphene();
     // (engine, policy, time bits, events, re-solves, rate updates, rates
     // examined)
@@ -146,7 +146,7 @@ fn lu_b8_matches_the_goldens_under_every_policy() {
             sharing,
             ..cfg(engine, 1)
         };
-        let m = replay_observed(&platform, &trace, &config, false)
+        let m = replay_input_observed(&platform, &input, 8, &config, false)
             .unwrap()
             .metrics;
         assert_golden(&m, &Golden(time, messages, bytes), &what);
@@ -169,11 +169,11 @@ fn allreduce_matches_the_per_flow_goldens_with_o1_entities() {
         (128, 3, Golden(0x3fa7_ef7d_9753_9b1f, 97_536, 49_938_432)),
     ] {
         let platform = flat(ranks);
-        let trace = Arc::new(allreduce_trace(ranks, iters, 1 << 16));
+        let input = TraceInput::Memory(Arc::new(allreduce_trace(ranks, iters, 1 << 16)));
         for threads in [1, 4] {
             let what = format!("allreduce P={ranks} threads={threads}");
             let config = cfg(ReplayEngine::Smpi, threads);
-            let m = replay_observed(&platform, &trace, &config, false)
+            let m = replay_input_observed(&platform, &input, ranks, &config, false)
                 .unwrap()
                 .metrics;
             assert_golden(&m, &golden, &what);

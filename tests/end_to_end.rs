@@ -83,8 +83,12 @@ fn trace_file_roundtrip_preserves_replay_time() {
     let parsed = tit_replay::titrace::parse::parse_merged(&text, 8).unwrap();
     let platform = tit_replay::platform::clusters::graphene();
     let cfg = ReplayConfig::improved(2e9);
-    let a = replay(&platform, &Arc::new(acq.trace), &cfg).unwrap();
-    let b = replay(&platform, &Arc::new(parsed), &cfg).unwrap();
+    let [a, b] = [acq.trace, parsed].map(|trace| {
+        let input = TraceInput::Memory(Arc::new(trace));
+        replay_input_observed(&platform, &input, 8, &cfg, false)
+            .unwrap()
+            .result
+    });
     assert_eq!(a.time, b.time);
 }
 
@@ -138,7 +142,9 @@ fn platform_spec_json_drives_a_replay() {
     }"#;
     let platform = PlatformSpec::from_json(json).unwrap().build();
     let lu = small(LuClass::S, 8);
-    let trace = Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace);
-    let sim = replay(&platform, &trace, &ReplayConfig::improved(2.0e9)).unwrap();
-    assert!(sim.time > 0.0);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+    let input = TraceInput::Memory(Arc::new(trace));
+    let config = ReplayConfig::improved(2.0e9);
+    let sim = replay_input_observed(&platform, &input, 8, &config, false).unwrap();
+    assert!(sim.result.time > 0.0);
 }

@@ -241,10 +241,11 @@ fn cli_rejects_retired_flags() {
 #[test]
 fn prelude_exposes_observed_replay() {
     let lu = LuConfig::new(LuClass::S, 4).with_steps(3);
-    let trace = Arc::new(acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+    let input = TraceInput::Memory(Arc::new(trace));
     let p = tit_replay::platform::clusters::bordereau();
     let cfg = ReplayConfig::improved(2e9);
-    let report: ReplayReport = replay_observed(&p, &trace, &cfg, true).unwrap();
+    let report: ReplayReport = replay_input_observed(&p, &input, 4, &cfg, true).unwrap();
     assert_eq!(report.metrics.engine, "smpi");
     let path: CriticalPath = report.critical_path().unwrap();
     assert_eq!(path.end_s.to_bits(), report.result.time.to_bits());

@@ -329,6 +329,51 @@ fn inspect_healthz_and_errors() {
     handle.join().unwrap();
 }
 
+/// Fail closed on a trace the runtimes cannot execute: the replay is an
+/// error, not a panic on the connection thread, so the failed execution
+/// releases its worker permit and memo slot — a repeat gets the error
+/// again instead of joining a slot nobody will ever publish, and the
+/// service keeps answering.
+#[test]
+fn hostile_traces_fail_every_time_and_the_service_keeps_answering() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let dir = temp_dir("hostile");
+    let hostile = dir.join("wait.trace");
+    std::fs::write(&hostile, "p0 init\np0 wait\np1 init\np2 init\np3 init\n").unwrap();
+    let good = trace_file(&dir);
+    let (addr, handle) = start_server(1);
+    let predict = |trace: &Path| {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        // A hang surfaces as a read error instead of a stuck test.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let body = query_body(trace, &spec(1e9), 2e9);
+        write!(
+            stream,
+            "POST /predict HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        titserved::http::read_response(&stream).expect("no response within the read timeout")
+    };
+    for attempt in 0..2 {
+        let refused = predict(&hostile);
+        let body = String::from_utf8(refused.body).unwrap();
+        assert_eq!(refused.status, 500, "attempt {attempt}: {body}");
+        assert!(
+            body.contains("rank p0") && body.contains("waits with no outstanding request"),
+            "attempt {attempt}: {body}"
+        );
+    }
+    assert_eq!(predict(&good).status, 200);
+    client::post(&addr, "/shutdown", "").unwrap();
+    handle.join().unwrap();
+}
+
 /// Fail closed on what a stranger can send: a request head that never
 /// ends is answered 400 after a bounded read and the connection closed,
 /// a client that connects and says nothing is dropped once the socket

@@ -21,16 +21,26 @@ fn platform() -> Platform {
     .build()
 }
 
+fn replay_on(
+    platform: &Platform,
+    trace: Trace,
+    config: &ReplayConfig,
+) -> Result<replay::ReplayResult, String> {
+    let ranks = trace.ranks();
+    let input = TraceInput::Memory(Arc::new(trace));
+    replay_input_observed(platform, &input, ranks, config, false).map(|r| r.result)
+}
+
+fn run_on(platform: &Platform, trace: Trace, config: ReplayConfig) -> replay::ReplayResult {
+    replay_on(platform, trace, &config).expect("replay failed")
+}
+
 fn run(trace: Trace, engine: ReplayEngine) -> replay::ReplayResult {
-    replay(
-        &platform(),
-        &Arc::new(trace),
-        &ReplayConfig {
-            engine,
-            ..ReplayConfig::improved(1e9)
-        },
-    )
-    .expect("replay failed")
+    let config = ReplayConfig {
+        engine,
+        ..ReplayConfig::improved(1e9)
+    };
+    run_on(&platform(), trace, config)
 }
 
 /// The defining divergence (Section 3.3): a small message sent long
@@ -266,7 +276,7 @@ fn cyclic_rendezvous_deadlock_is_reported() {
             bytes,
         },
     );
-    let err = replay(&platform(), &Arc::new(t), &ReplayConfig::improved(1e9)).unwrap_err();
+    let err = replay_on(&platform(), t, &ReplayConfig::improved(1e9)).unwrap_err();
     assert!(err.contains("deadlock"), "{err}");
 }
 
@@ -306,9 +316,7 @@ fn packed_placement_uses_loopback() {
             },
         );
     }
-    let trace = Arc::new(t);
-    let p = platform();
-    let spread = replay(&p, &trace, &ReplayConfig::improved(1e9)).unwrap();
+    let spread = run_on(&platform(), t.clone(), ReplayConfig::improved(1e9));
     // A dual-core node lets PackCores co-locate both ranks.
     let fat = PlatformSpec::from_json(
         r#"{
@@ -321,15 +329,14 @@ fn packed_placement_uses_loopback() {
     )
     .unwrap()
     .build();
-    let packed = replay(
+    let packed = run_on(
         &fat,
-        &trace,
-        &ReplayConfig {
+        t,
+        ReplayConfig {
             placement: Placement::PackCores,
             ..ReplayConfig::improved(1e9)
         },
-    )
-    .unwrap();
+    );
     assert!(
         packed.time < spread.time,
         "loopback {} should beat network {}",
@@ -360,8 +367,10 @@ fn fast_sharing_model_bounds_the_exact_one() {
             lu.sources(),
             cfg,
             Box::new(FixedRateHooks::uniform(2e9, 8)),
+            false,
         )
         .unwrap()
+        .0
         .total_time
     };
     let fast = time_with(SharingPolicy::Bottleneck);
@@ -564,10 +573,6 @@ fn ring_shift(ranks: u32, bytes: u64) -> Trace {
         t.push(rank, Action::Wait);
     }
     t
-}
-
-fn run_on(platform: &Platform, trace: Trace, config: ReplayConfig) -> replay::ReplayResult {
-    replay(platform, &Arc::new(trace), &config).expect("replay failed")
 }
 
 /// Golden 3: a ring shift on the crossbar under SMPI — P uncontended

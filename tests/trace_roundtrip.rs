@@ -57,14 +57,17 @@ proptest! {
         binfmt::write_file(&trace, &bin, None).unwrap();
         let platform = tit_replay::platform::clusters::graphene();
         let cfg = ReplayConfig::improved(2e9);
-        let base = replay(&platform, &trace, &cfg).unwrap();
+        let ranks = trace.ranks();
+        let run = |input: &TraceInput| {
+            replay_input_observed(&platform, input, ranks, &cfg, false).unwrap().result
+        };
+        let base = run(&TraceInput::Memory(Arc::clone(&trace)));
         for input in [
-            TraceInput::Memory(Arc::clone(&trace)),
             TraceInput::MergedText(merged),
             TraceInput::Description(desc),
             TraceInput::Binary(bin),
         ] {
-            let r = replay_input(&platform, &input, trace.ranks(), &cfg).unwrap();
+            let r = run(&input);
             prop_assert_eq!(r.time.to_bits(), base.time.to_bits(),
                 "{:?}: {} != {}", input, r.time, base.time);
             prop_assert_eq!(&r.rank_times, &base.rank_times, "{:?}", input);
@@ -76,14 +79,15 @@ proptest! {
     /// engines, and higher calibrated rates never slow it down.
     #[test]
     fn replay_terminates_and_is_monotone(lu in arb_lu(), seed in 0u64..1000) {
-        let trace = Arc::new(
-            acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, seed).trace,
-        );
+        let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, seed).trace;
+        let input = TraceInput::Memory(Arc::new(trace));
         let platform = tit_replay::platform::clusters::graphene();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
-            let at = |rate| ReplayConfig { engine, ..ReplayConfig::improved(rate) };
-            let slow = replay(&platform, &trace, &at(1e9)).unwrap();
-            let fast = replay(&platform, &trace, &at(4e9)).unwrap();
+            let at = |rate| {
+                let config = ReplayConfig { engine, ..ReplayConfig::improved(rate) };
+                replay_input_observed(&platform, &input, lu.procs, &config, false).unwrap().result
+            };
+            let (slow, fast) = (at(1e9), at(4e9));
             prop_assert!(slow.time > 0.0);
             prop_assert!(fast.time <= slow.time * (1.0 + 1e-9),
                 "{engine:?}: rate 4e9 slower ({} vs {})", fast.time, slow.time);
