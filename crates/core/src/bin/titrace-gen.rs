@@ -47,7 +47,7 @@ fn halo_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
 /// A collective-dense synthetic workload: every rank alternates a
 /// compute block with an `MPI_Allreduce` of `bytes`, the shape that
 /// stresses the network model with P simultaneous uniform flows per
-/// phase — the worst case collective flow aggregation collapses to O(1).
+/// phase — the worst case collective batching re-solves once per phase.
 fn allreduce_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
     let mut trace = Trace::new(ranks);
     for r in 0..ranks {

@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use platform::{HostId, Platform};
-use simkernel::obs::{Metrics, Recorder, RunObservation, SpanKind, SpanLog};
+use simkernel::obs::{Metrics, RunObservation, SpanKind, SpanLog};
 use simkernel::{Actor, ActorId, Duration, Kernel, Sim, SimOutcome, Status, Wake};
 use workloads::{MpiOp, OpSource};
 
@@ -191,7 +191,7 @@ impl MsgRankActor {
             collective => {
                 let index = self.coll_index;
                 self.coll_index += 1;
-                if world.enter_collective(kernel, index, &collective) {
+                if world.enter_collective(kernel, self.rank, index, collective) {
                     self.waiting = Waiting::Collective;
                     self.note_block(SpanKind::Collective, None);
                 }
@@ -278,9 +278,7 @@ pub fn run_msg(
     hooks: Box<dyn smpi::ExecHooks>,
     record_spans: bool,
 ) -> Result<(MsgResult, RunObservation), String> {
-    let recorder: Option<Box<dyn Recorder>> =
-        record_spans.then(|| Box::new(SpanLog::new(sources.len() as u32)) as Box<dyn Recorder>);
-    let mut run = prepare_msg(platform, hosts, sources, cfg, hooks, recorder);
+    let mut run = prepare_msg(platform, hosts, sources, cfg, hooks, record_spans);
     run.run();
     run.finalize()
 }
@@ -295,24 +293,22 @@ pub struct MsgRun {
 }
 
 /// Assembles an MSG simulation: world, pre-sized kernel, one rank actor
-/// per source, and the transport daemon. The optional `recorder`
-/// receives observations with *local* rank ids `0..sources.len()`.
+/// per source, and the transport daemon. With `record_spans`, the run
+/// records a [`SpanLog`] over its own rank ids `0..sources.len()`.
 pub fn prepare_msg(
     platform: &Platform,
     hosts: &[HostId],
     sources: Vec<Box<dyn OpSource>>,
     cfg: MsgConfig,
     hooks: Box<dyn smpi::ExecHooks>,
-    recorder: Option<Box<dyn Recorder>>,
+    record_spans: bool,
 ) -> MsgRun {
     let ranks = sources.len();
     assert!(ranks > 0);
     assert_eq!(hosts.len(), ranks);
     let transport = ActorId(ranks as u32);
     let mut world = MsgWorld::new(platform, hosts, cfg, hooks, transport);
-    if let Some(recorder) = recorder {
-        world.set_recorder(recorder);
-    }
+    world.spans = record_spans.then(|| SpanLog::new(ranks as u32));
     // Same pre-sizing heuristic as the SMPI runner (see
     // `simkernel::replay_sizing`).
     let (activities, events) = simkernel::replay_sizing(ranks);
@@ -373,19 +369,8 @@ impl MsgRun {
         metrics.rendezvous_messages = stats.messages - stats.async_messages;
         metrics.bytes = stats.bytes;
         metrics.collectives = stats.collectives;
-        let net = sim.world.net.stats();
-        metrics.flows_created = net.flows_opened;
-        metrics.flows_resolved = net.flows_closed;
-        metrics.sharing_resolves = net.resolves;
-        metrics.sharing_rate_updates = net.rate_updates;
-        metrics.sharing_examined = net.examined;
-        metrics.sharing_flushes = net.flush_batches;
-        metrics.live_flow_hwm = net.live_flow_hwm;
-        metrics.live_entity_hwm = net.live_entity_hwm;
-        metrics.agg_formed = net.agg_formed;
-        metrics.agg_members = net.agg_members;
-        metrics.agg_splits = net.agg_splits;
-        let spans = sim.world.recorder.take().and_then(|r| r.finish());
+        metrics.net = sim.world.net.stats();
+        let spans = sim.world.spans.take();
         metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
         Ok((
             MsgResult {
@@ -755,8 +740,8 @@ mod more_tests {
         );
         assert_eq!(obs.metrics.messages, 1);
         assert_eq!(obs.metrics.eager_messages, 1);
-        assert_eq!(obs.metrics.flows_created, 1);
-        assert_eq!(obs.metrics.flows_resolved, 1);
+        assert_eq!(obs.metrics.net.flows_opened, 1);
+        assert_eq!(obs.metrics.net.flows_closed, 1);
         let log = obs.spans.expect("spans recorded");
         assert_eq!(log.open_flows(), 0);
         assert_eq!(log.flows().len(), 1);

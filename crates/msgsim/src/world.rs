@@ -11,9 +11,10 @@ use std::collections::VecDeque;
 
 use netmodel::{FlowId, FlowNet};
 use platform::{HostId, LinkId, Platform};
-use simkernel::obs::{Counter, Recorder, SpanKind};
+use simkernel::obs::{Counter, SpanKind, SpanLog};
 use simkernel::{ActorId, Duration, Kernel, Wake};
 use smpi::slab::{ActivityMap, Id, Slab, Waiters};
+use smpi::world::{note_size_mismatch, CollectiveOrder};
 
 use crate::{CollectiveModel, MsgConfig};
 
@@ -59,13 +60,6 @@ pub type RecvId = Id<PendingRecv>;
 /// Handle to a [`Req`].
 pub type ReqId = Id<Req>;
 
-/// Synchronisation record of one monolithic collective occurrence.
-#[derive(Debug)]
-struct CollSync {
-    arrived: u32,
-    op: workloads::MpiOp,
-}
-
 /// Outcome of a send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgSendResult {
@@ -109,10 +103,14 @@ pub struct MsgWorld {
     pub stats: MsgStats,
     /// Per-rank compute seconds.
     pub compute_seconds: Vec<f64>,
-    /// Optional observation sink (off by default; see [`simkernel::obs`]).
-    /// When `None`, every recording call site is a branch on this option
-    /// and nothing else — the disabled path allocates nothing.
-    pub recorder: Option<Box<dyn Recorder>>,
+    /// The span log when recording is on (see [`simkernel::obs`]). When
+    /// `None`, every recording call site is a branch on this option and
+    /// nothing else — the disabled path allocates nothing.
+    pub spans: Option<SpanLog>,
+    /// The first disagreement between matched ranks — a receive sized
+    /// differently from its task, or a collective entered as different
+    /// ops — which [`MsgWorld::check_drained`] reports.
+    mismatch: Option<String>,
     ranks: u32,
     routes: Vec<Vec<LinkId>>,
     pair_latency: Vec<f64>,
@@ -123,7 +121,7 @@ pub struct MsgWorld {
     mailbox: Vec<VecDeque<TaskId>>,
     pending: Vec<VecDeque<RecvId>>,
     flow_task: ActivityMap<TaskId>,
-    colls: Vec<CollSync>,
+    colls: CollectiveOrder,
     coll_model: CollectiveModel,
     transport: ActorId,
 }
@@ -171,7 +169,8 @@ impl MsgWorld {
             hooks,
             stats: MsgStats::default(),
             compute_seconds: vec![0.0; n],
-            recorder: None,
+            spans: None,
+            mismatch: None,
             ranks,
             routes,
             pair_latency,
@@ -185,7 +184,7 @@ impl MsgWorld {
             mailbox: (0..n * n).map(|_| VecDeque::with_capacity(4)).collect(),
             pending: (0..n * n).map(|_| VecDeque::with_capacity(4)).collect(),
             flow_task: ActivityMap::with_capacity(simkernel::replay_sizing(n).0),
-            colls: Vec::new(),
+            colls: CollectiveOrder::default(),
             coll_model,
             transport,
         }
@@ -196,17 +195,7 @@ impl MsgWorld {
         self.ranks
     }
 
-    /// Installs an observation sink for this run.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// `true` when an observation sink is installed.
-    pub fn recording(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Records one simulated-time span, if a sink is installed.
+    /// Records one simulated-time span, if recording is on.
     pub fn record_span(
         &mut self,
         rank: u32,
@@ -215,8 +204,8 @@ impl MsgWorld {
         kind: SpanKind,
         peer: Option<u32>,
     ) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.span(rank, start, end, kind, peer);
+        if let Some(log) = self.spans.as_mut() {
+            log.span(rank, start, end, kind, peer);
         }
     }
 
@@ -274,7 +263,7 @@ impl MsgWorld {
         let slot = self.mbox(src, dst);
         if let Some(recv_id) = self.pending[slot].pop_front() {
             let pr = self.recvs.expect_mut(recv_id);
-            assert_eq!(pr.bytes, bytes, "task size mismatch {src}->{dst}");
+            note_size_mismatch(&mut self.mismatch, src, dst, bytes, pr.bytes);
             pr.matched = Some(task_id);
             let (req, waiter) = (pr.req, pr.waiter);
             let t = self.tasks.expect_mut(task_id);
@@ -286,8 +275,8 @@ impl MsgWorld {
             self.start_transfer(kernel, task_id);
         } else {
             self.mailbox[slot].push_back(task_id);
-            if let Some(r) = self.recorder.as_mut() {
-                r.count(Counter::MailboxEnqueued, 1);
+            if let Some(log) = self.spans.as_mut() {
+                log.count(Counter::MailboxEnqueued, 1);
             }
         }
         if blocking {
@@ -320,7 +309,7 @@ impl MsgWorld {
         let slot = self.mbox(src, dst);
         if let Some(task_id) = self.mailbox[slot].pop_front() {
             let t = self.tasks.expect_mut(task_id);
-            assert_eq!(t.bytes, bytes, "task size mismatch {src}->{dst}");
+            note_size_mismatch(&mut self.mismatch, src, dst, t.bytes, bytes);
             let req = if blocking {
                 t.waiters.push(actor);
                 None
@@ -342,8 +331,8 @@ impl MsgWorld {
                 matched: None,
             });
             self.pending[slot].push_back(recv_id);
-            if let Some(r) = self.recorder.as_mut() {
-                r.count(Counter::PendingEnqueued, 1);
+            if let Some(log) = self.spans.as_mut() {
+                log.count(Counter::PendingEnqueued, 1);
             }
             let req = if blocking {
                 None
@@ -363,32 +352,29 @@ impl MsgWorld {
     // Monolithic collectives
     // ------------------------------------------------------------------
 
-    /// Registers `rank`'s arrival at its `index`-th collective. When the
-    /// last rank arrives, every participant is released after the
-    /// closed-form duration. Returns `true` if the caller must block.
+    /// Registers `rank`'s arrival at its `index`-th collective, entered
+    /// as `op`. When the last rank arrives, every participant is released
+    /// after the closed-form duration of the op the first rank entered
+    /// (see [`CollectiveOrder::enter`]). Returns `true` if the caller
+    /// must block.
     pub fn enter_collective(
         &mut self,
         kernel: &mut Kernel,
+        rank: u32,
         index: usize,
-        op: &workloads::MpiOp,
+        op: workloads::MpiOp,
     ) -> bool {
         if self.ranks == 1 {
             return false;
         }
-        if index == self.colls.len() {
-            self.colls.push(CollSync {
-                arrived: 0,
-                op: *op,
-            });
-        }
-        let sync = &mut self.colls[index];
-        assert_eq!(&sync.op, op, "ranks disagree on collective {index}");
-        sync.arrived += 1;
-        if sync.arrived == self.ranks {
+        let (op, last) = self
+            .colls
+            .enter(index, rank, op, self.ranks, &mut self.mismatch);
+        if last {
             self.stats.collectives += 1;
             let duration = self
                 .coll_model
-                .duration(op, self.ranks)
+                .duration(&op, self.ranks)
                 .expect("non-collective entered collective sync");
             for r in 0..self.ranks {
                 kernel.set_timer(ActorId(r), Duration::from_secs(duration), COLL_RELEASE_KEY);
@@ -450,8 +436,8 @@ impl MsgWorld {
                 let flow = t.flow.take().expect("flow completion without flow");
                 let (src, dst, bytes) = (t.src, t.dst, t.bytes);
                 self.net.close(kernel, flow);
-                if let Some(r) = self.recorder.as_mut() {
-                    r.flow_close(task_id.pack(), kernel.now().as_secs());
+                if let Some(log) = self.spans.as_mut() {
+                    log.flow_close(task_id.pack(), kernel.now().as_secs());
                 }
                 let pair = self.pair(src, dst);
                 let lat = self.cfg.latency_multiplier
@@ -473,8 +459,8 @@ impl MsgWorld {
         if self.routes[pair].is_empty() {
             let d = self.cfg.loopback_latency + bytes as f64 / self.cfg.loopback_bandwidth;
             kernel.set_timer(self.transport, Duration::from_secs(d), task_id.pack());
-            if let Some(r) = self.recorder.as_mut() {
-                r.count(Counter::LoopbackTransfers, 1);
+            if let Some(log) = self.spans.as_mut() {
+                log.count(Counter::LoopbackTransfers, 1);
             }
         } else {
             let cap = self
@@ -488,8 +474,8 @@ impl MsgWorld {
             kernel.subscribe(act, self.transport);
             self.flow_task.insert(act, task_id);
             self.tasks.expect_mut(task_id).flow = Some(flow);
-            if let Some(r) = self.recorder.as_mut() {
-                r.flow_open(task_id.pack(), src, dst, bytes, kernel.now().as_secs());
+            if let Some(log) = self.spans.as_mut() {
+                log.flow_open(task_id.pack(), src, dst, bytes, kernel.now().as_secs());
             }
         }
     }
@@ -517,12 +503,17 @@ impl MsgWorld {
         self.tasks.remove(task_id);
     }
 
-    /// Fails when records outlive the run: a task nobody received, a
-    /// receive nobody matched, a request nobody waited for.
+    /// Fails when matched ranks disagreed on a size or a collective, or
+    /// records outlive the run: a task nobody received, a receive nobody
+    /// matched, a request nobody waited for.
     ///
     /// # Errors
-    /// The [`smpi::world::leak_report`] of the live records.
+    /// The recorded mismatch, else the [`smpi::world::leak_report`] of
+    /// the live records.
     pub fn check_drained(&self) -> Result<(), String> {
+        if let Some(mismatch) = &self.mismatch {
+            return Err(mismatch.clone());
+        }
         let live = (self.tasks.len(), self.recvs.len(), self.reqs.len());
         if live == (0, 0, 0) {
             return Ok(());

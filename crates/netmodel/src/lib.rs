@@ -31,10 +31,7 @@
 //! completion time, and the flush re-solves each affected component on
 //! the instant's *final* graph — the same state the per-op sequence ends
 //! in — so allotments stay bit-identical while a P-flow collective phase
-//! costs O(1) solves instead of O(P). When a flushed batch turns out to
-//! be uniform and link-isolated, it is recorded as ONE aggregate entity
-//! ([`sharing::AggregateLedger`]), which is what the live-entity counters
-//! report: O(1) entities per collective phase instead of O(P).
+//! costs O(1) solves instead of O(P). [`NetStats`] counts the work.
 //!
 //! [`piecewise::PiecewiseFactors`] implements SMPI's piece-wise linear
 //! correction of nominal latency/bandwidth by message size — the paper's
@@ -49,6 +46,7 @@ pub mod sharing;
 
 pub use piecewise::PiecewiseFactors;
 pub use sharing::SharingPolicy;
+pub use simkernel::obs::NetStats;
 
 use platform::{LinkId, Platform};
 use simkernel::{ActivityId, ActorId, Duration, Kernel};
@@ -137,41 +135,6 @@ impl sharing::SharingProblem for NetView<'_> {
     }
 }
 
-/// Always-on counters of the sharing solver's administrative work.
-/// Plain integer increments on the (cold) open/close/re-solve paths —
-/// they cannot perturb simulated times and need no feature gate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Flows opened.
-    pub flows_opened: u64,
-    /// Flows closed.
-    pub flows_closed: u64,
-    /// Sharing re-solves: bottleneck neighbor recomputations or max-min
-    /// component solves.
-    pub resolves: u64,
-    /// Rate changes pushed to the kernel (a flow's first rate included).
-    pub rate_updates: u64,
-    /// Flows whose rate a re-solve recomputed — the cost driver of the
-    /// sharing layer; `rate_updates` of them came out different.
-    pub examined: u64,
-    /// High-water mark of concurrently live flows.
-    pub live_flow_hwm: u64,
-    /// High-water mark of live *entities* — an aggregate counts once —
-    /// sampled at settle points (after per-op re-solves and batch
-    /// flushes). Without aggregation this equals the flow mark.
-    pub live_entity_hwm: u64,
-    /// Aggregate entities formed from uniform deferred batches.
-    pub agg_formed: u64,
-    /// Member flows covered by the formed aggregates.
-    pub agg_members: u64,
-    /// Aggregates dissolved because a re-solve touched a member (outside
-    /// traffic arrived); dissolution at member close — the phase ending —
-    /// is not counted.
-    pub agg_splits: u64,
-    /// Deferred batches flushed.
-    pub flush_batches: u64,
-}
-
 /// The live network: link occupancies and flow allotments.
 #[derive(Debug)]
 pub struct FlowNet {
@@ -211,8 +174,6 @@ pub struct FlowNet {
     flush_actor: Option<ActorId>,
     /// Whether a flush timer is already pending for the current instant.
     flush_scheduled: bool,
-    /// Flows opened deferred since the last flush.
-    batch_opened: Vec<u32>,
     /// Links whose occupancy a deferred open or close changed since the
     /// last flush, each listed once (`link_dirty` is the membership mark).
     /// The flush re-rates exactly the flows still on these links, so a
@@ -222,8 +183,6 @@ pub struct FlowNet {
     /// Slab slots freed by deferred closes, returned to the free list at
     /// flush — never mid-batch, so batch indices stay unambiguous.
     batch_freed: Vec<u32>,
-    /// Aggregate-entity bookkeeping (see [`sharing::AggregateLedger`]).
-    ledger: sharing::AggregateLedger,
     #[cfg(test)]
     probe: tests::Probe,
 }
@@ -263,11 +222,9 @@ impl FlowNet {
             allowed: None,
             flush_actor: None,
             flush_scheduled: false,
-            batch_opened: Vec::new(),
             batch_links: Vec::new(),
             link_dirty: vec![false; nlinks],
             batch_freed: Vec::new(),
-            ledger: sharing::AggregateLedger::new(),
             #[cfg(test)]
             probe: tests::Probe::default(),
         }
@@ -313,7 +270,6 @@ impl FlowNet {
     pub fn open(&mut self, kernel: &mut Kernel, route: &[LinkId], bytes: f64, cap: f64) -> FlowId {
         let id = self.register(kernel, route, bytes, cap);
         self.reshare_after_change(kernel, id.index);
-        self.note_entity_hwm();
         id
     }
 
@@ -337,7 +293,6 @@ impl FlowNet {
         cap: f64,
     ) -> FlowId {
         let id = self.register(kernel, route, bytes, cap);
-        self.batch_opened.push(id.index);
         self.mark_route_dirty(id.index);
         self.schedule_flush(kernel);
         id
@@ -392,7 +347,6 @@ impl FlowNet {
         self.next_seq += 1;
         self.live_count += 1;
         self.stats.flows_opened += 1;
-        self.ledger.ensure_flows(self.flows.len());
         if self.live_count as u64 > self.stats.live_flow_hwm {
             self.stats.live_flow_hwm = self.live_count as u64;
         }
@@ -419,7 +373,6 @@ impl FlowNet {
         f.next_free = self.free_head;
         self.free_head = id.index;
         self.reshare_after_close(kernel, &id);
-        self.note_entity_hwm();
     }
 
     /// Closes a flow like [`FlowNet::close`] but defers the re-solve to
@@ -449,15 +402,13 @@ impl FlowNet {
     }
 
     /// Removes a flow from the live tables without recycling its slab or
-    /// solving. Its aggregate, if any, dissolves — the phase is ending —
-    /// which is not counted as a split.
+    /// solving.
     fn unregister(&mut self, kernel: &mut Kernel, id: FlowId) {
         let f = &mut self.flows[id.index as usize];
         assert_eq!(f.generation, id.generation, "stale FlowId");
         assert!(f.live, "double close of flow {id:?}");
         f.live = false;
         kernel.cancel(f.activity); // no-op when already completed
-        self.ledger.dissolve_member(id.index);
         let route = std::mem::take(&mut self.flows[id.index as usize].route);
         for l in &route {
             // Closes mostly retire the oldest flows, so the scan ends
@@ -492,11 +443,6 @@ impl FlowNet {
         self.flush_actor = Some(actor);
     }
 
-    /// Live entities: live flows, with each aggregate counted once.
-    pub fn live_entities(&self) -> usize {
-        self.live_count - self.ledger.surplus()
-    }
-
     fn schedule_flush(&mut self, kernel: &mut Kernel) {
         if self.flush_scheduled {
             return;
@@ -509,12 +455,10 @@ impl FlowNet {
 
     /// Applies every deferred open/close recorded since the last flush:
     /// one batched re-solve over the flows on the batch's dirty links in
-    /// the instant's final graph, rate pushes in flow-open order, then —
-    /// if the opened batch is uniform (bitwise-equal ceilings and solved
-    /// rates) and link-isolated from all other traffic — the batch is
-    /// recorded as one aggregate entity. Quarantined slab slots return to
-    /// the free list last, in close order, matching the sequential
-    /// path's free-list state at the end of the instant.
+    /// the instant's final graph, rate pushes in flow-open order.
+    /// Quarantined slab slots return to the free list last, in close
+    /// order, matching the sequential path's free-list state at the end
+    /// of the instant.
     pub fn flush(&mut self, kernel: &mut Kernel) {
         self.flush_scheduled = false;
         // Every deferred op dirties its (non-empty) route.
@@ -531,7 +475,6 @@ impl FlowNet {
             SharingPolicy::MaxMin => self.flush_maxmin(kernel),
             SharingPolicy::MaxMinFull => self.reshare_maxmin_full(kernel),
         }
-        self.try_form_aggregate();
         for i in 0..self.batch_freed.len() {
             let idx = self.batch_freed[i];
             self.flows[idx as usize].next_free = self.free_head;
@@ -541,7 +484,6 @@ impl FlowNet {
         for l in self.batch_links.drain(..) {
             self.link_dirty[l as usize] = false;
         }
-        self.note_entity_hwm();
     }
 
     /// Batched bottleneck re-solve: one recomputation over every flow on
@@ -614,70 +556,6 @@ impl FlowNet {
         self.flush_rates(kernel);
     }
 
-    /// Records the just-flushed opens as one aggregate entity if every
-    /// still-live member carries the same ceiling, landed on the same
-    /// solved rate (bitwise), and no outside flow shares any member
-    /// link. Those are exactly the conditions under which the batch will
-    /// keep behaving as one entity until something touches it — at which
-    /// point it dissolves (see [`NetStats::agg_splits`]).
-    fn try_form_aggregate(&mut self) {
-        let mut members = std::mem::take(&mut self.batch_opened);
-        members.retain(|&f| self.flows[f as usize].live);
-        if self.certify_uniform_batch(&members) {
-            self.ledger.form(&members);
-            self.stats.agg_formed += 1;
-            self.stats.agg_members += members.len() as u64;
-        }
-        members.clear();
-        self.batch_opened = members;
-    }
-
-    fn certify_uniform_batch(&mut self, members: &[u32]) -> bool {
-        if members.len() < 2 {
-            return false;
-        }
-        let first = &self.flows[members[0] as usize];
-        let (cap0, rate0) = (first.cap.to_bits(), first.rate.to_bits());
-        for &m in members {
-            let f = &self.flows[m as usize];
-            if f.cap.to_bits() != cap0 || f.rate.to_bits() != rate0 {
-                return false;
-            }
-        }
-        // Link isolation: every flow on every member link is a member.
-        self.ensure_marks();
-        self.epoch += 1;
-        for &m in members {
-            self.flow_mark[m as usize] = self.epoch;
-        }
-        for &m in members {
-            for l in &self.flows[m as usize].route {
-                let lu = l.as_usize();
-                if self.link_mark[lu] == self.epoch {
-                    continue; // shared member link, already checked
-                }
-                self.link_mark[lu] = self.epoch;
-                #[cfg(test)]
-                {
-                    self.probe.flush_examined += self.per_link[lu].len();
-                }
-                for &g in &self.per_link[lu] {
-                    if self.flow_mark[g as usize] != self.epoch {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn note_entity_hwm(&mut self) {
-        let entities = (self.live_count - self.ledger.surplus()) as u64;
-        if entities > self.stats.live_entity_hwm {
-            self.stats.live_entity_hwm = entities;
-        }
-    }
-
     fn reshare_after_change(&mut self, kernel: &mut Kernel, new_flow: u32) {
         match self.policy {
             SharingPolicy::Bottleneck => {
@@ -708,10 +586,9 @@ impl FlowNet {
     /// Whether every live flow's cached rate is its bottleneck rate, so
     /// that a link's `hi < floor` proves its flows cannot move. A pending
     /// deferred batch leaves the flows on its dirty links stale until the
-    /// flush; and while an aggregate is live every neighbour is visited
-    /// anyway, because touching a member is what dissolves it.
+    /// flush.
     fn caches_exact(&self) -> bool {
-        self.batch_links.is_empty() && self.ledger.surplus() == 0
+        self.batch_links.is_empty()
     }
 
     /// Collects into `scratch`, once each, the live flows on the links of
@@ -747,13 +624,6 @@ impl FlowNet {
     /// Bottleneck re-solve of the (deduplicated) flows in `scratch`.
     fn rerate_scratch(&mut self, kernel: &mut Kernel) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        if self.ledger.surplus() > 0 {
-            for &f in &scratch {
-                if self.ledger.dissolve_member(f) {
-                    self.stats.agg_splits += 1;
-                }
-            }
-        }
         self.stats.resolves += 1;
         self.stats.examined += scratch.len() as u64;
         // Keep the flows whose rate moved, caching the new one.
@@ -860,9 +730,6 @@ impl FlowNet {
     /// Discovers the connected component of `seed` under a fresh epoch
     /// and solves it.
     fn solve_component_of(&mut self, seed: u32) {
-        if self.ledger.dissolve_member(seed) {
-            self.stats.agg_splits += 1;
-        }
         self.epoch += 1;
         self.comp_flows.clear();
         self.comp_links.clear();
@@ -893,9 +760,6 @@ impl FlowNet {
                     for &g in &self.per_link[lu] {
                         if self.flow_mark[g as usize] != self.epoch {
                             self.flow_mark[g as usize] = self.epoch;
-                            if self.ledger.dissolve_member(g) {
-                                self.stats.agg_splits += 1;
-                            }
                             self.comp_flows.push(g);
                         }
                     }
@@ -1330,72 +1194,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn uniform_isolated_batch_forms_one_aggregate() {
-        let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
-        // Two disjoint pairs, identical caps: a recursive-doubling round.
-        let f1 = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 90.0);
-        let f2 = net.open_deferred(&mut k, &route(&p, 2, 3), 1e6, 90.0);
-        net.flush(&mut k);
-        let s = net.stats();
-        assert_eq!(s.agg_formed, 1);
-        assert_eq!(s.agg_members, 2);
-        assert_eq!(s.flush_batches, 1);
-        assert_eq!(s.live_flow_hwm, 2);
-        assert_eq!(s.live_entity_hwm, 1, "aggregate counts once");
-        assert_eq!(net.live_entities(), 1);
-        // Phase retires: dissolution at close is not a split.
-        net.close_deferred(&mut k, f1);
-        net.close_deferred(&mut k, f2);
-        net.flush(&mut k);
-        let s = net.stats();
-        assert_eq!(s.agg_splits, 0);
-        assert_eq!(net.live_entities(), 0);
-    }
-
-    #[test]
-    fn outside_traffic_splits_an_aggregate() {
-        for policy in POLICIES {
-            let (p, mut net, mut k) = net(policy);
-            // Cap-bound members: no link's share comes down to their
-            // rate, so only an unfiltered sweep meets them.
-            let _f1 = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 40.0);
-            let _f2 = net.open_deferred(&mut k, &route(&p, 2, 3), 1e6, 40.0);
-            net.flush(&mut k);
-            assert_eq!(net.live_entities(), 1);
-            // A normal open crossing member links dissolves the aggregate.
-            let _x = net.open(&mut k, &route(&p, 0, 2), 1e6, 1e9);
-            let s = net.stats();
-            assert_eq!(s.agg_splits, 1, "{policy:?}");
-            assert_eq!(net.live_entities(), 3, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn non_uniform_batch_is_not_aggregated() {
-        let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
-        let _f1 = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 90.0);
-        let _f2 = net.open_deferred(&mut k, &route(&p, 2, 3), 1e6, 40.0);
-        net.flush(&mut k);
-        assert_eq!(net.stats().agg_formed, 0);
-        assert_eq!(net.live_entities(), 2);
-    }
-
-    #[test]
-    fn batch_sharing_links_with_outsiders_is_not_aggregated() {
-        let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
-        let _bg = net.open(&mut k, &route(&p, 0, 3), 1e6, 1e9);
-        let _f1 = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 90.0);
-        let _f2 = net.open_deferred(&mut k, &route(&p, 2, 3), 1e6, 90.0);
-        net.flush(&mut k);
-        assert_eq!(net.stats().agg_formed, 0, "not isolated from bg flow");
-    }
-
     /// The flush must read O(P) flow indices for a P-flow phase over a
     /// shared backbone: 3P for the re-solve (P on the backbone plus one
-    /// per NIC link at either end) and 3P more for the aggregate
-    /// certificate. A per-flow seed list (P²/2 here) cannot come back
-    /// unnoticed.
+    /// per NIC link at either end). A per-flow seed list (P²/2 here) or a
+    /// second P-flow sweep cannot come back unnoticed.
     #[test]
     fn flush_work_is_linear_in_the_batch() {
         for policy in [SharingPolicy::Bottleneck, SharingPolicy::MaxMin] {
@@ -1417,13 +1219,12 @@ mod tests {
                     .map(|i| net.open_deferred(&mut k, &route(&plat, i, (i + 1) % p), 1e6, 90.0))
                     .collect();
                 net.flush(&mut k);
-                let bound = 8 * p as usize;
+                let bound = 4 * p as usize;
                 assert!(
                     net.probe.flush_examined <= bound,
                     "{policy:?} P={p}: open flush examined {} > {bound}",
                     net.probe.flush_examined
                 );
-                assert_eq!(net.live_entities(), 1, "{policy:?} P={p}");
                 // Retire all but one, so the close flush has a survivor.
                 for f in &flows[1..] {
                     net.close_deferred(&mut k, *f);
@@ -1642,8 +1443,8 @@ mod proptests {
         /// whenever nothing is pending, and a third net whose neighbour
         /// collection is the unfiltered concat + sort + dedup of every
         /// route link must push the very same `(activity, rate)`
-        /// sequence to its kernel as the filtered sweep, dissolve the
-        /// same aggregates, and — when the surviving flows are finally
+        /// sequence to its kernel as the filtered sweep, keep every other
+        /// counter equal, and — when the surviving flows are finally
         /// left to drain — pop the same completions at the same bits.
         #[test]
         fn deferred_flush_is_bitwise_equal_to_sequential(
@@ -1787,7 +1588,7 @@ mod proptests {
                 rate_log_bits(&mut reference),
                 "{policy:?}: sweep and reference collection pushed different rates"
             );
-            // Skipping a link must not spare an aggregate member either.
+            // Skipping a link saves examinations and nothing else.
             let examined_apart = |net: &FlowNet| NetStats {
                 examined: 0,
                 ..net.stats()
@@ -1804,7 +1605,6 @@ mod proptests {
                 );
             }
             assert_eq!(seq.live_flows(), def.live_flows());
-            assert!(def.live_entities() <= def.live_flows());
             // The kernels must have been told the same rates: let a
             // second pass and compare what each flow has left (no flow
             // can drain 1e6 bytes within the schedule).

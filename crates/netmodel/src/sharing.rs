@@ -240,168 +240,12 @@ impl MaxMinSolver {
     }
 }
 
-/// Sentinel in [`AggregateLedger`]'s per-flow table: not aggregated.
-pub const NO_AGG: u32 = u32::MAX;
-
-/// Entity bookkeeping for collective flow aggregation.
-///
-/// A collective phase opens O(P) constituent flows that are symmetric by
-/// construction: same protocol ceiling, one common max-min rate, and no
-/// link shared with outside traffic. The ledger records such a batch as
-/// ONE aggregate entity, so entity counts (and the solver work the
-/// deferred-flush path performs per phase) drop from O(P) to O(1) while
-/// the per-flow tables — routes, per-link membership, kernel activities —
-/// stay exactly as the constituent replay builds them. Aggregation is
-/// therefore pure accounting: rates always come from the canonical
-/// solver, which is what keeps the aggregated replay bit-identical.
-///
-/// An aggregate dissolves the moment reality diverges from the formation
-/// certificate: any member closing (the phase is ending) or any re-solve
-/// touching a member (outside traffic arrived on its links).
-#[derive(Debug, Default)]
-pub struct AggregateLedger {
-    /// Aggregate slot per flow slab index; [`NO_AGG`] when unaggregated.
-    agg_of: Vec<u32>,
-    /// Member flow indices per aggregate slot; empty slots are free.
-    members: Vec<Vec<u32>>,
-    /// Free aggregate slots (their member vecs are kept for reuse).
-    free: Vec<u32>,
-    /// Sum over live aggregates of `members - 1`: how many fewer
-    /// entities exist than live flows.
-    surplus: usize,
-}
-
-impl AggregateLedger {
-    /// An empty ledger.
-    pub fn new() -> AggregateLedger {
-        AggregateLedger::default()
-    }
-
-    /// Grows the per-flow table to cover `nflows` slab slots.
-    pub fn ensure_flows(&mut self, nflows: usize) {
-        if self.agg_of.len() < nflows {
-            self.agg_of.resize(nflows, NO_AGG);
-        }
-    }
-
-    /// Whether `flow` currently belongs to an aggregate.
-    pub fn is_aggregated(&self, flow: u32) -> bool {
-        self.agg_of[flow as usize] != NO_AGG
-    }
-
-    /// Records `flows` as one aggregate entity. The caller has already
-    /// verified the uniformity certificate (equal ceilings, one common
-    /// solved rate, link-isolation from non-members).
-    pub fn form(&mut self, flows: &[u32]) -> u32 {
-        assert!(flows.len() >= 2, "an aggregate needs at least two flows");
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.members.push(Vec::new());
-                (self.members.len() - 1) as u32
-            }
-        };
-        let list = &mut self.members[slot as usize];
-        debug_assert!(list.is_empty(), "reused aggregate slot not empty");
-        for &f in flows {
-            debug_assert_eq!(self.agg_of[f as usize], NO_AGG, "flow in two aggregates");
-            self.agg_of[f as usize] = slot;
-        }
-        list.extend_from_slice(flows);
-        self.surplus += flows.len() - 1;
-        slot
-    }
-
-    /// Dissolves the aggregate containing `flow` back into its
-    /// constituent entities. Returns `true` if one was dissolved; a
-    /// second call for another member of the same (former) aggregate is
-    /// a no-op, so a re-solve touching several members dissolves — and
-    /// counts — once.
-    pub fn dissolve_member(&mut self, flow: u32) -> bool {
-        let slot = self.agg_of[flow as usize];
-        if slot == NO_AGG {
-            return false;
-        }
-        let list = std::mem::take(&mut self.members[slot as usize]);
-        self.surplus -= list.len() - 1;
-        for f in &list {
-            self.agg_of[*f as usize] = NO_AGG;
-        }
-        // Hand the emptied vec back to the slot so `form` can reuse its
-        // allocation.
-        self.members[slot as usize] = {
-            let mut v = list;
-            v.clear();
-            v
-        };
-        self.free.push(slot);
-        true
-    }
-
-    /// How many fewer entities are live than flows.
-    pub fn surplus(&self) -> usize {
-        self.surplus
-    }
-
-    /// Number of live aggregates.
-    pub fn live_aggregates(&self) -> usize {
-        self.members.len() - self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn l(ids: &[u32]) -> Vec<LinkId> {
         ids.iter().map(|i| LinkId(*i)).collect()
-    }
-
-    #[test]
-    fn ledger_forms_and_dissolves() {
-        let mut ledger = AggregateLedger::new();
-        ledger.ensure_flows(8);
-        assert_eq!(ledger.surplus(), 0);
-        assert_eq!(ledger.live_aggregates(), 0);
-
-        ledger.form(&[1, 3, 5, 7]);
-        assert_eq!(ledger.surplus(), 3);
-        assert_eq!(ledger.live_aggregates(), 1);
-        assert!(ledger.is_aggregated(3));
-        assert!(!ledger.is_aggregated(0));
-
-        // First member touch dissolves; the second is a no-op.
-        assert!(ledger.dissolve_member(5));
-        assert!(!ledger.dissolve_member(7));
-        assert_eq!(ledger.surplus(), 0);
-        assert_eq!(ledger.live_aggregates(), 0);
-        assert!(!ledger.is_aggregated(1));
-    }
-
-    #[test]
-    fn ledger_reuses_slots() {
-        let mut ledger = AggregateLedger::new();
-        ledger.ensure_flows(6);
-        let a = ledger.form(&[0, 1]);
-        ledger.dissolve_member(0);
-        let b = ledger.form(&[2, 3, 4]);
-        assert_eq!(a, b, "freed slot not reused");
-        assert_eq!(ledger.surplus(), 2);
-        assert_eq!(ledger.live_aggregates(), 1);
-        let c = ledger.form(&[0, 5]);
-        assert_ne!(b, c);
-        assert_eq!(ledger.surplus(), 3);
-        assert_eq!(ledger.live_aggregates(), 2);
-    }
-
-    #[test]
-    fn ledger_dissolve_of_unaggregated_flow_is_noop() {
-        let mut ledger = AggregateLedger::new();
-        ledger.ensure_flows(4);
-        assert!(!ledger.dissolve_member(2));
-        ledger.form(&[0, 1]);
-        assert!(!ledger.dissolve_member(3));
-        assert_eq!(ledger.surplus(), 1);
     }
 
     #[test]

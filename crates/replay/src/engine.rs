@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use platform::{HostId, LinkId, Platform};
-use simkernel::obs::{Recorder, RunObservation};
+use simkernel::obs::RunObservation;
 use titrace::{Action, ActionSource, Rank, SourceError};
 use workloads::{MpiOp, OpSource};
 
@@ -34,14 +34,14 @@ pub(crate) enum EngineRun {
 
 impl EngineRun {
     /// Assembles the engine `config` selects over `sources` placed on
-    /// `hosts`. `recorder` receives observations with the run's rank ids
-    /// (`0..sources.len()`).
+    /// `hosts`; with `record_spans` it records spans under the run's own
+    /// rank ids (`0..sources.len()`).
     pub(crate) fn prepare(
         platform: &Platform,
         hosts: &[HostId],
         sources: Vec<Box<dyn OpSource>>,
         config: &ReplayConfig,
-        recorder: Option<Box<dyn Recorder>>,
+        record_spans: bool,
     ) -> EngineRun {
         let hooks = Box::new(smpi::FixedRateHooks::uniform(
             config.rate,
@@ -55,7 +55,12 @@ impl EngineRun {
                     ..smpi::SmpiConfig::smpi_replay()
                 };
                 EngineRun::Smpi(smpi::prepare_smpi(
-                    platform, hosts, sources, cfg, hooks, recorder,
+                    platform,
+                    hosts,
+                    sources,
+                    cfg,
+                    hooks,
+                    record_spans,
                 ))
             }
             ReplayEngine::Msg => {
@@ -64,7 +69,12 @@ impl EngineRun {
                     ..msgsim::MsgConfig::legacy()
                 };
                 EngineRun::Msg(msgsim::prepare_msg(
-                    platform, hosts, sources, cfg, hooks, recorder,
+                    platform,
+                    hosts,
+                    sources,
+                    cfg,
+                    hooks,
+                    record_spans,
                 ))
             }
         }

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use calibrate::Calibration;
 use platform::{HostId, Placement, Platform};
-use simkernel::obs::{CriticalPath, Manifest, Metrics, Recorder, SpanLog};
+use simkernel::obs::{CriticalPath, Manifest, Metrics, SpanLog};
 use titrace::{Action, ActionSource, Rank, TraceInput};
 use workloads::{ComputeBlock, MpiOp};
 
@@ -63,8 +63,8 @@ pub struct ReplayConfig {
     pub copy_model: Option<smpi::CopyCost>,
     /// Bandwidth-sharing policy of the network model, applied to either
     /// back-end. [`netmodel::SharingPolicy::Bottleneck`] reproduces the
-    /// paper's published behaviour; the max-min policies trade speed for
-    /// exact progressive-filling fairness.
+    /// paper's published behaviour; [`netmodel::SharingPolicy::MaxMin`]
+    /// trades speed for exact progressive-filling fairness.
     pub sharing: netmodel::SharingPolicy,
     /// Worker threads for the partitioned parallel replay engine
     /// (see [`partition`] / `parallel`). `1` (the default) runs the
@@ -320,8 +320,7 @@ fn replay_sequential(
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let fault = FaultSlot::default();
     let sources = ReplayOps::wrap(cursors, 0..ranks, ranks, None, &fault);
-    let recorder = record_spans.then(|| Box::new(SpanLog::new(ranks)) as Box<dyn Recorder>);
-    let mut run = EngineRun::prepare(platform, &hosts, sources, config, recorder);
+    let mut run = EngineRun::prepare(platform, &hosts, sources, config, record_spans);
     run.run();
     let outcome = run.finalize();
     check_fault(&fault)?;
@@ -677,6 +676,15 @@ mod tests {
                 "replay finished with unmatched records: 1 messages, 0 posts, 0 requests \
                  (first unreceived message: rank 0 -> rank 1)",
             ),
+            (
+                "p0 send p1 8\np1 recv p0 16\n",
+                "message size mismatch: rank 0 sent 8 bytes to rank 1, which expects 16",
+            ),
+            (
+                "p0 allreduce 8\np1 bcast 8 p0\n",
+                "collective mismatch: rank 1 entered Bcast { bytes: 8, root: 0 } as collective \
+                 0, rank 0 entered Allreduce { bytes: 8 }",
+            ),
         ];
         let p = platform::clusters::bordereau();
         for (text, want) in cases {
@@ -942,9 +950,9 @@ mod observability_tests {
         assert_eq!(m.messages, report.result.messages);
         assert_eq!(m.messages, m.eager_messages + m.rendezvous_messages);
         assert_eq!(m.events_processed, report.result.events);
-        assert!(m.flows_created > 0);
-        assert_eq!(m.flows_created, m.flows_resolved);
-        assert!(m.sharing_resolves > 0);
+        assert!(m.net.flows_opened > 0);
+        assert_eq!(m.net.flows_opened, m.net.flows_closed);
+        assert!(m.net.resolves > 0);
         let json = m.to_json();
         assert!(json.contains("\"engine\": \"smpi\""));
         assert!(json.contains("\"network\""));

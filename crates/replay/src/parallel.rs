@@ -27,9 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use platform::{HostId, LinkId, Platform};
-use simkernel::obs::{
-    merge_span_logs, Metrics, RankMappedRecorder, Recorder, RunObservation, SpanLog,
-};
+use simkernel::obs::{Metrics, RunObservation, SpanLog};
 use titrace::{ActionSource, TraceInput};
 
 use crate::engine::{check_fault, EngineRun, FaultSlot, ReplayOps};
@@ -134,15 +132,11 @@ pub(crate) fn replay_islands(
                 let mut runs: Vec<(usize, Arc<Vec<u32>>, EngineRun)> = jobs
                     .into_iter()
                     .map(|job| {
-                        let recorder: Option<Box<dyn Recorder>> = record_spans.then(|| {
-                            Box::new(RankMappedRecorder::new(ranks, job.ranks.to_vec()))
-                                as Box<dyn Recorder>
-                        });
                         let members = job.ranks.iter().copied();
                         let sources =
                             ReplayOps::wrap(job.cursors, members, ranks, Some(&job.ranks), fault);
                         let mut run =
-                            EngineRun::prepare(platform, &job.hosts, sources, config, recorder);
+                            EngineRun::prepare(platform, &job.hosts, sources, config, record_spans);
                         run.restrict_links(&job.links);
                         (job.index, job.ranks, run)
                     })
@@ -203,74 +197,40 @@ pub(crate) fn replay_islands(
 
 /// Merges per-island outcomes — always in island-index order, never
 /// worker or completion order — into the exact result, metrics and spans
-/// the sequential path produces.
+/// the sequential path produces: island-local ranks map back through
+/// `island.ranks`. High-water marks fold per-island maxima (see
+/// [`Metrics::merge`]), which legitimately differ from a sequential
+/// replay's, where one network model sees every island's flows.
 fn merge_islands(
     config: &ReplayConfig,
     ranks: u32,
     islands: &[Island],
     done: Vec<(ReplayResult, RunObservation)>,
 ) -> (ReplayResult, Metrics, Option<SpanLog>) {
-    let mut rank_times = vec![0.0f64; ranks as usize];
-    for (island, (d, _)) in islands.iter().zip(&done) {
-        for (&r, &t) in island.ranks.iter().zip(&d.rank_times) {
-            rank_times[r as usize] = t;
-        }
-    }
-    // Same fold, in the same global rank order, as the sequential
-    // runners — bit-identical total.
-    let total_time = rank_times.iter().copied().fold(0.0, f64::max);
     let engine_name = match config.engine {
         ReplayEngine::Smpi => "smpi",
         ReplayEngine::Msg => "msg",
     };
     let mut metrics = Metrics::new(engine_name, ranks);
-    metrics.simulated_time_s = total_time;
-    let mut messages = 0u64;
-    let mut events = 0u64;
-    for (d, obs) in &done {
+    let mut spans: Option<SpanLog> = None;
+    let mut rank_times = vec![0.0f64; ranks as usize];
+    let (mut messages, mut events) = (0, 0);
+    for (island, (d, obs)) in islands.iter().zip(done) {
+        for (&r, &t) in island.ranks.iter().zip(&d.rank_times) {
+            rank_times[r as usize] = t;
+        }
         messages += d.messages;
         events += d.events;
-        let m = &obs.metrics;
-        metrics.events_processed += m.events_processed;
-        metrics.fel.scheduled += m.fel.scheduled;
-        metrics.fel.superseded += m.fel.superseded;
-        metrics.fel.popped += m.fel.popped;
-        metrics.fel.stale_popped += m.fel.stale_popped;
-        metrics.fel.spills += m.fel.spills;
-        metrics.fel.bucket_sorts += m.fel.bucket_sorts;
-        metrics.fel.reseeds += m.fel.reseeds;
-        metrics.fel.compactions += m.fel.compactions;
-        metrics.messages += m.messages;
-        metrics.eager_messages += m.eager_messages;
-        metrics.rendezvous_messages += m.rendezvous_messages;
-        metrics.bytes += m.bytes;
-        metrics.collectives += m.collectives;
-        metrics.flows_created += m.flows_created;
-        metrics.flows_resolved += m.flows_resolved;
-        metrics.sharing_resolves += m.sharing_resolves;
-        metrics.sharing_rate_updates += m.sharing_rate_updates;
-        metrics.sharing_examined += m.sharing_examined;
-        metrics.sharing_flushes += m.sharing_flushes;
-        // High-water marks are per-island maxima: islands run their own
-        // network models, so the global figure is a fold, not a sum (and
-        // legitimately differs from a sequential replay's, which sees all
-        // islands' flows in one model).
-        metrics.live_flow_hwm = metrics.live_flow_hwm.max(m.live_flow_hwm);
-        metrics.live_entity_hwm = metrics.live_entity_hwm.max(m.live_entity_hwm);
-        metrics.agg_formed += m.agg_formed;
-        metrics.agg_members += m.agg_members;
-        metrics.agg_splits += m.agg_splits;
-        metrics.max_unexpected_depth = metrics.max_unexpected_depth.max(m.max_unexpected_depth);
-        metrics.max_posted_depth = metrics.max_posted_depth.max(m.max_posted_depth);
-    }
-    let spans = {
-        let logs: Vec<_> = done.into_iter().filter_map(|(_, obs)| obs.spans).collect();
-        if logs.is_empty() {
-            None
-        } else {
-            Some(merge_span_logs(logs))
+        metrics.merge(&obs.metrics);
+        if let Some(part) = obs.spans {
+            let log = spans.get_or_insert_with(|| SpanLog::new(ranks));
+            log.place(part, &island.ranks);
         }
-    };
+    }
+    // Same fold, in the same global rank order, as the sequential
+    // runners — bit-identical total.
+    let total_time = rank_times.iter().copied().fold(0.0, f64::max);
+    metrics.simulated_time_s = total_time;
     metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
     let result = ReplayResult {
         time: total_time,

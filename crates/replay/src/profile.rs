@@ -7,6 +7,8 @@
 //! reads the clock twice, an island worker three times — and none of it
 //! feeds back into simulated times, metrics, manifests, or exports.
 
+use simkernel::obs::json_f64;
+
 /// Wall-time breakdown of one replay worker thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerProfile {
@@ -118,15 +120,6 @@ impl ReplayProfile {
             ));
         }
         out
-    }
-}
-
-/// Finite plain-decimal float rendering for the profile JSON.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -5,10 +5,9 @@
 //! Gantt charts, per-process distributions — not just end-to-end times.
 //! This module gives every back-end the same vocabulary for doing so:
 //!
-//! * a [`Recorder`] trait the runtimes call at state transitions
-//!   (zero-cost when no recorder is installed: worlds hold an
-//!   `Option<Box<dyn Recorder>>` and skip the call when `None`);
-//! * [`SpanLog`], the concrete recorder, storing per-rank simulated-time
+//! * [`SpanLog`], which the runtimes record into at state transitions
+//!   (zero-cost when recording is off: worlds hold an `Option<SpanLog>`
+//!   and skip the call when `None`), storing per-rank simulated-time
 //!   [`Span`]s and per-flow network activity;
 //! * exporters: [`chrome_trace`] (Chrome/Perfetto JSON) and
 //!   [`state_csv`] (flat state timeline);
@@ -16,18 +15,17 @@
 //!   reports the chain of actions determining the makespan plus a
 //!   per-rank compute/communication breakdown;
 //! * [`Metrics`], the unified counter snapshot (kernel, FEL profile,
-//!   protocol, network sharing) every runner can fill;
+//!   protocol, and the network model's [`NetStats`]) every runner fills;
 //! * [`Manifest`], the per-run provenance record.
 //!
 //! Everything here is dependency-free: JSON is emitted by hand through
 //! `f64`'s `Display` (shortest round-trip representation), so exports are
 //! byte-deterministic whenever the underlying simulation is.
 
-use crate::kernel::Kernel;
 use crate::queue::FelProfile;
 
 // ---------------------------------------------------------------------
-// Spans and the recorder trait
+// Spans and the span log
 // ---------------------------------------------------------------------
 
 /// What a rank was doing during a recorded interval.
@@ -106,7 +104,7 @@ pub struct FlowSpan {
     pub end: f64,
 }
 
-/// Event counters a recorder accumulates alongside spans. These cover
+/// Event counters a span log accumulates alongside spans. These cover
 /// signals that are otherwise invisible (the run metrics carry only
 /// high-water marks of the match queues).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,25 +157,8 @@ pub const COUNTER_LIST: [Counter; COUNTERS] = [
     Counter::LoopbackTransfers,
 ];
 
-/// Sink for simulated-time observations. Runtimes call these methods at
-/// state transitions; installing no recorder costs nothing (the call
-/// sites check an `Option`).
-pub trait Recorder {
-    /// Records a closed per-rank interval. Zero-length intervals may be
-    /// dropped by implementations.
-    fn span(&mut self, rank: u32, start: f64, end: f64, kind: SpanKind, peer: Option<u32>);
-    /// A network flow opened. `key` must be unique among open flows and
-    /// match the later [`Recorder::flow_close`].
-    fn flow_open(&mut self, key: u64, src: u32, dst: u32, bytes: u64, at: f64);
-    /// The flow opened under `key` drained.
-    fn flow_close(&mut self, key: u64, at: f64);
-    /// Bumps an event counter.
-    fn count(&mut self, counter: Counter, delta: u64);
-    /// Consumes the recorder, yielding its span log if it kept one.
-    fn finish(self: Box<Self>) -> Option<SpanLog>;
-}
-
-/// The standard recorder: per-rank span vectors plus flow lifetimes.
+/// What a run records when span recording is on: per-rank span vectors
+/// plus flow lifetimes and event counters.
 #[derive(Debug, Clone, Default)]
 pub struct SpanLog {
     per_rank: Vec<Vec<Span>>,
@@ -242,109 +223,9 @@ impl SpanLog {
     pub fn counts(&self) -> [u64; COUNTERS] {
         self.counts
     }
-}
 
-/// What an observed run yields besides its engine result: the unified
-/// metrics snapshot and, when span recording was requested, the span
-/// log itself.
-#[derive(Debug, Clone, Default)]
-pub struct RunObservation {
-    /// Unified counter snapshot.
-    pub metrics: Metrics,
-    /// Recorded spans (present iff a [`SpanLog`] recorder was installed).
-    pub spans: Option<SpanLog>,
-}
-
-/// A [`Recorder`] adapter for partitioned replay: the wrapped engine
-/// records with partition-local rank ids while the inner [`SpanLog`] is
-/// sized for the global rank count; `map[local]` gives the global rank.
-/// Flow keys pass through unchanged (each partition closes only flows it
-/// opened, and the inner log is per-partition, so keys never collide).
-#[derive(Debug)]
-pub struct RankMappedRecorder {
-    inner: SpanLog,
-    map: Vec<u32>,
-}
-
-impl RankMappedRecorder {
-    /// A recorder over `global_ranks` lanes; local rank `i` of the
-    /// wrapped engine records into global lane `map[i]`.
-    pub fn new(global_ranks: u32, map: Vec<u32>) -> RankMappedRecorder {
-        RankMappedRecorder {
-            inner: SpanLog::new(global_ranks),
-            map,
-        }
-    }
-}
-
-impl Recorder for RankMappedRecorder {
-    fn span(&mut self, rank: u32, start: f64, end: f64, kind: SpanKind, peer: Option<u32>) {
-        let peer = peer.map(|p| self.map[p as usize]);
-        Recorder::span(
-            &mut self.inner,
-            self.map[rank as usize],
-            start,
-            end,
-            kind,
-            peer,
-        );
-    }
-
-    fn flow_open(&mut self, key: u64, src: u32, dst: u32, bytes: u64, at: f64) {
-        self.inner.flow_open(
-            key,
-            self.map[src as usize],
-            self.map[dst as usize],
-            bytes,
-            at,
-        );
-    }
-
-    fn flow_close(&mut self, key: u64, at: f64) {
-        self.inner.flow_close(key, at);
-    }
-
-    fn count(&mut self, counter: Counter, delta: u64) {
-        self.inner.count(counter, delta);
-    }
-
-    fn finish(self: Box<Self>) -> Option<SpanLog> {
-        Some(self.inner)
-    }
-}
-
-/// Merges the per-partition span logs of a partitioned replay into one
-/// global log. All parts must be sized for the global rank count (see
-/// [`RankMappedRecorder`]) and each rank's lane must be populated by at
-/// most one part (its owning partition). Flows are concatenated in part
-/// order; the exporters order flow records canonically, so the merged
-/// log exports byte-identically to a sequential run's log. Counters sum.
-pub fn merge_span_logs(parts: Vec<SpanLog>) -> SpanLog {
-    let mut parts = parts.into_iter();
-    let mut merged = parts.next().expect("merge_span_logs needs >= 1 part");
-    for mut part in parts {
-        assert_eq!(
-            merged.per_rank.len(),
-            part.per_rank.len(),
-            "span logs sized for different rank counts"
-        );
-        for (lane, other) in merged.per_rank.iter_mut().zip(part.per_rank.iter_mut()) {
-            if !other.is_empty() {
-                assert!(lane.is_empty(), "rank recorded by more than one partition");
-                std::mem::swap(lane, other);
-            }
-        }
-        merged.flows.append(&mut part.flows);
-        merged.open.append(&mut part.open);
-        for (c, d) in merged.counts.iter_mut().zip(part.counts.iter()) {
-            *c += d;
-        }
-    }
-    merged
-}
-
-impl Recorder for SpanLog {
-    fn span(&mut self, rank: u32, start: f64, end: f64, kind: SpanKind, peer: Option<u32>) {
+    /// Records a closed per-rank interval; zero-length ones are dropped.
+    pub fn span(&mut self, rank: u32, start: f64, end: f64, kind: SpanKind, peer: Option<u32>) {
         if end > start {
             self.per_rank[rank as usize].push(Span {
                 start,
@@ -355,7 +236,9 @@ impl Recorder for SpanLog {
         }
     }
 
-    fn flow_open(&mut self, key: u64, src: u32, dst: u32, bytes: u64, at: f64) {
+    /// A network flow opened. `key` must be unique among open flows and
+    /// match the later [`SpanLog::flow_close`].
+    pub fn flow_open(&mut self, key: u64, src: u32, dst: u32, bytes: u64, at: f64) {
         let index = self.flows.len() as u32;
         self.flows.push(FlowSpan {
             src,
@@ -367,20 +250,89 @@ impl Recorder for SpanLog {
         self.open.push((key, index));
     }
 
-    fn flow_close(&mut self, key: u64, at: f64) {
+    /// The flow opened under `key` drained.
+    pub fn flow_close(&mut self, key: u64, at: f64) {
         if let Some(pos) = self.open.iter().position(|(k, _)| *k == key) {
             let (_, index) = self.open.swap_remove(pos);
             self.flows[index as usize].end = at;
         }
     }
 
-    fn count(&mut self, counter: Counter, delta: u64) {
+    /// Bumps an event counter.
+    pub fn count(&mut self, counter: Counter, delta: u64) {
         self.counts[counter.index()] += delta;
     }
 
-    fn finish(self: Box<Self>) -> Option<SpanLog> {
-        Some(*self)
+    /// Places the log of an island replayed on its own, recorded with
+    /// island-local rank ids, into this log of the whole trace: local
+    /// rank `i` — as a lane, a span's peer or a flow endpoint — becomes
+    /// `ranks[i]`, and counters add. The exporters order flows
+    /// canonically, so the placed log exports byte-identically to a
+    /// sequential run's.
+    ///
+    /// # Panics
+    /// If a rank's lane was already recorded by another island.
+    pub fn place(&mut self, island: SpanLog, ranks: &[u32]) {
+        let global = |local: u32| ranks[local as usize];
+        for (local, mut spans) in island.per_rank.into_iter().enumerate() {
+            if spans.is_empty() {
+                continue;
+            }
+            let lane = &mut self.per_rank[ranks[local] as usize];
+            assert!(lane.is_empty(), "rank recorded by more than one partition");
+            for s in &mut spans {
+                s.peer = s.peer.map(global);
+            }
+            *lane = spans;
+        }
+        let base = self.flows.len() as u32;
+        self.flows
+            .extend(island.flows.into_iter().map(|f| FlowSpan {
+                src: global(f.src),
+                dst: global(f.dst),
+                ..f
+            }));
+        let open = island.open.into_iter().map(|(key, i)| (key, base + i));
+        self.open.extend(open);
+        for (c, d) in self.counts.iter_mut().zip(island.counts) {
+            *c += d;
+        }
     }
+}
+
+/// What an observed run yields besides its engine result: the unified
+/// metrics snapshot and, when span recording was requested, the span
+/// log itself.
+#[derive(Debug, Clone, Default)]
+pub struct RunObservation {
+    /// Unified counter snapshot.
+    pub metrics: Metrics,
+    /// Recorded spans (present iff span recording was on).
+    pub spans: Option<SpanLog>,
+}
+
+/// Always-on counters of the network model's sharing work, kept by
+/// `netmodel::FlowNet` and carried whole in [`Metrics::net`]. Plain
+/// integer increments on the open/close/re-solve paths — they cannot
+/// perturb simulated times.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Flows opened.
+    pub flows_opened: u64,
+    /// Flows closed.
+    pub flows_closed: u64,
+    /// Sharing re-solves: bottleneck neighbor recomputations or max-min
+    /// component solves.
+    pub resolves: u64,
+    /// Rate changes pushed to the kernel (a flow's first rate included).
+    pub rate_updates: u64,
+    /// Flows whose rate a re-solve recomputed — the cost driver of the
+    /// sharing layer; `rate_updates` of them came out different.
+    pub examined: u64,
+    /// High-water mark of concurrently live flows.
+    pub live_flow_hwm: u64,
+    /// Deferred (collective) batches flushed.
+    pub flush_batches: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -388,9 +340,9 @@ impl Recorder for SpanLog {
 // ---------------------------------------------------------------------
 
 /// One run's counters, unified across engines: kernel event-core
-/// figures, the FEL profile, protocol counters, and
-/// network-sharing work. Produced by the `*_observed` runners; exported
-/// with [`Metrics::to_json`].
+/// figures, the FEL profile, protocol counters, and network-sharing
+/// work. Filled by the engines' runners; exported with
+/// [`Metrics::to_json`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Back-end name (`"smpi"` or `"msg"`).
@@ -414,37 +366,14 @@ pub struct Metrics {
     pub bytes: u64,
     /// Collective operations (smpi: participations; msg: occurrences).
     pub collectives: u64,
-    /// Network flows opened.
-    pub flows_created: u64,
-    /// Network flows closed.
-    pub flows_resolved: u64,
-    /// Bandwidth-sharing re-solves performed by the network model.
-    pub sharing_resolves: u64,
-    /// Flow-rate changes pushed to the kernel by the sharing solver.
-    pub sharing_rate_updates: u64,
-    /// Flows whose rate the sharing solver recomputed (changed or not).
-    pub sharing_examined: u64,
-    /// Deferred-batch flushes performed by the network model (0 when
-    /// collective aggregation is off).
-    pub sharing_flushes: u64,
-    /// High-water mark of concurrently live flows.
-    pub live_flow_hwm: u64,
-    /// High-water mark of live *entities* — flows, minus the surplus
-    /// members folded into aggregates. Equals `live_flow_hwm` when
-    /// aggregation is off; the aggregation win is the gap between them.
-    pub live_entity_hwm: u64,
-    /// Aggregate entities formed from uniform deferred batches.
-    pub agg_formed: u64,
-    /// Total member flows folded into aggregates.
-    pub agg_members: u64,
-    /// Aggregates dissolved early by outside traffic touching a member.
-    pub agg_splits: u64,
+    /// The network model's sharing counters.
+    pub net: NetStats,
     /// High-water unexpected-queue depth (0 for the MSG back-end, which
     /// has no match queues).
     pub max_unexpected_depth: u64,
     /// High-water posted-queue depth (0 for the MSG back-end).
     pub max_posted_depth: u64,
-    /// Recorder event counters, present when a span recorder ran.
+    /// Span-log event counters, present when spans were recorded.
     pub recorder_counts: Option<[u64; COUNTERS]>,
 }
 
@@ -458,10 +387,43 @@ impl Metrics {
         }
     }
 
-    /// Folds the kernel's own counters in (events and the FEL profile).
-    /// See [`Kernel::observe`].
-    pub fn fold_kernel(&mut self, kernel: &Kernel) {
-        kernel.observe(self);
+    /// Folds in the counters of a run over other ranks of the same
+    /// replay (an island): counts add, high-water marks take the larger —
+    /// each island runs its own network model and match queues. Identity
+    /// fields and `recorder_counts` are left to the caller.
+    pub fn merge(&mut self, other: &Metrics) {
+        let (fel, net) = (&other.fel, &other.net);
+        for (sum, add) in [
+            (&mut self.events_processed, other.events_processed),
+            (&mut self.fel.scheduled, fel.scheduled),
+            (&mut self.fel.superseded, fel.superseded),
+            (&mut self.fel.popped, fel.popped),
+            (&mut self.fel.stale_popped, fel.stale_popped),
+            (&mut self.fel.spills, fel.spills),
+            (&mut self.fel.bucket_sorts, fel.bucket_sorts),
+            (&mut self.fel.reseeds, fel.reseeds),
+            (&mut self.fel.compactions, fel.compactions),
+            (&mut self.messages, other.messages),
+            (&mut self.eager_messages, other.eager_messages),
+            (&mut self.rendezvous_messages, other.rendezvous_messages),
+            (&mut self.bytes, other.bytes),
+            (&mut self.collectives, other.collectives),
+            (&mut self.net.flows_opened, net.flows_opened),
+            (&mut self.net.flows_closed, net.flows_closed),
+            (&mut self.net.resolves, net.resolves),
+            (&mut self.net.rate_updates, net.rate_updates),
+            (&mut self.net.examined, net.examined),
+            (&mut self.net.flush_batches, net.flush_batches),
+        ] {
+            *sum += add;
+        }
+        for (mark, seen) in [
+            (&mut self.net.live_flow_hwm, net.live_flow_hwm),
+            (&mut self.max_unexpected_depth, other.max_unexpected_depth),
+            (&mut self.max_posted_depth, other.max_posted_depth),
+        ] {
+            *mark = (*mark).max(seen);
+        }
     }
 
     /// Serialises the snapshot as deterministic JSON.
@@ -501,26 +463,18 @@ impl Metrics {
             self.bytes,
             self.collectives
         ));
+        let net = &self.net;
         out.push_str(&format!(
             "  \"network\": {{\"flows_created\": {}, \"flows_resolved\": {}, \
              \"sharing_resolves\": {}, \"sharing_rate_updates\": {}, \
              \"sharing_examined\": {}}},\n",
-            self.flows_created,
-            self.flows_resolved,
-            self.sharing_resolves,
-            self.sharing_rate_updates,
-            self.sharing_examined
+            net.flows_opened, net.flows_closed, net.resolves, net.rate_updates, net.examined
         ));
+        // Every flow is its own entity; the key stays for titbench's reader.
         out.push_str(&format!(
             "  \"aggregation\": {{\"sharing_flushes\": {}, \"live_flow_hwm\": {}, \
-             \"live_entity_hwm\": {}, \"agg_formed\": {}, \"agg_members\": {}, \
-             \"agg_splits\": {}}},\n",
-            self.sharing_flushes,
-            self.live_flow_hwm,
-            self.live_entity_hwm,
-            self.agg_formed,
-            self.agg_members,
-            self.agg_splits
+             \"live_entity_hwm\": {}}},\n",
+            net.flush_batches, net.live_flow_hwm, net.live_flow_hwm
         ));
         out.push_str(&format!(
             "  \"match_queues\": {{\"max_unexpected_depth\": {}, \
@@ -923,7 +877,7 @@ impl Manifest {
 /// the output is both valid JSON and deterministic. Non-finite values
 /// (which indicate a bug upstream) render as `null` to keep documents
 /// parseable.
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -932,7 +886,7 @@ fn json_f64(v: f64) -> String {
 }
 
 /// Renders a JSON string literal with minimal escaping.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -954,21 +908,10 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn record(
-        log: &mut SpanLog,
-        rank: u32,
-        start: f64,
-        end: f64,
-        kind: SpanKind,
-        peer: Option<u32>,
-    ) {
-        Recorder::span(log, rank, start, end, kind, peer);
-    }
-
-    /// Recording the same run whole vs split across two rank-mapped
-    /// partition recorders merges and exports byte-identically, even
-    /// though the partitions log their flows in a different global
-    /// interleaving than the sequential recorder.
+    /// Recording the same run whole vs as two islands, each with local
+    /// rank ids and its own flow keys, then placed into global lanes,
+    /// exports byte-identically, even though the islands log their flows
+    /// in a different global interleaving than the sequential log.
     #[test]
     fn partition_merge_exports_match_sequential() {
         let mut seq = SpanLog::new(4);
@@ -980,14 +923,13 @@ mod tests {
         seq.flow_close(7, 2.0);
         seq.flow_close(9, 2.5);
         seq.flow_close(8, 3.0);
-        record(&mut seq, 1, 0.0, 2.0, SpanKind::Recv, Some(0));
-        record(&mut seq, 3, 0.5, 2.5, SpanKind::Recv, Some(2));
-        record(&mut seq, 0, 0.0, 1.0, SpanKind::Compute, None);
+        seq.span(1, 0.0, 2.0, SpanKind::Recv, Some(0));
+        seq.span(3, 0.5, 2.5, SpanKind::Recv, Some(2));
+        seq.span(0, 0.0, 1.0, SpanKind::Compute, None);
         seq.count(Counter::UnexpectedEnqueued, 2);
 
-        // Partition A owns global ranks {0, 1}, partition B owns {2, 3};
-        // each records with local ids and its own flow-key space.
-        let mut a = Box::new(RankMappedRecorder::new(4, vec![0, 1]));
+        // Island A holds global ranks {0, 1}, island B holds {2, 3}.
+        let mut a = SpanLog::new(2);
         a.flow_open(1, 0, 1, 100, 0.0);
         a.flow_open(2, 0, 1, 50, 1.0);
         a.flow_close(1, 2.0);
@@ -995,15 +937,21 @@ mod tests {
         a.span(1, 0.0, 2.0, SpanKind::Recv, Some(0));
         a.span(0, 0.0, 1.0, SpanKind::Compute, None);
         a.count(Counter::UnexpectedEnqueued, 2);
-        let mut b = Box::new(RankMappedRecorder::new(4, vec![2, 3]));
+        let mut b = SpanLog::new(2);
         b.flow_open(1, 0, 1, 200, 0.5);
         b.flow_close(1, 2.5);
         b.span(1, 0.5, 2.5, SpanKind::Recv, Some(0));
 
-        let merged = merge_span_logs(vec![a.finish().unwrap(), b.finish().unwrap()]);
-        assert_eq!(merged.rank_count(), 4);
+        let mut merged = SpanLog::new(4);
+        merged.place(b, &[2, 3]);
+        merged.place(a, &[0, 1]);
         assert_eq!(merged.open_flows(), 0);
         assert_eq!(merged.counter(Counter::UnexpectedEnqueued), 2);
+        assert_eq!(
+            merged.rank(3),
+            seq.rank(3),
+            "peer not mapped to its global rank"
+        );
         assert_eq!(chrome_trace(&merged), chrome_trace(&seq));
         assert_eq!(state_csv(&merged), state_csv(&seq));
     }
@@ -1011,11 +959,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "more than one partition")]
     fn merge_rejects_overlapping_rank_lanes() {
-        let mut a = SpanLog::new(2);
-        record(&mut a, 0, 0.0, 1.0, SpanKind::Compute, None);
+        let mut a = SpanLog::new(1);
+        a.span(0, 0.0, 1.0, SpanKind::Compute, None);
         let mut b = SpanLog::new(2);
-        record(&mut b, 0, 0.0, 1.0, SpanKind::Compute, None);
-        merge_span_logs(vec![a, b]);
+        b.span(1, 0.0, 1.0, SpanKind::Compute, None);
+        let mut merged = SpanLog::new(2);
+        merged.place(a, &[1]);
+        merged.place(b, &[0, 1]);
     }
 
     /// A hand-built 3-rank exchange:
@@ -1024,10 +974,10 @@ mod tests {
     /// (arrival 2.9); rank 2 waits the whole run [0,2.9].
     fn three_rank_log() -> (SpanLog, Vec<f64>) {
         let mut log = SpanLog::new(3);
-        record(&mut log, 0, 0.0, 1.0, SpanKind::Compute, None);
-        record(&mut log, 1, 0.0, 1.4, SpanKind::Recv, Some(0));
-        record(&mut log, 1, 1.4, 2.4, SpanKind::Compute, None);
-        record(&mut log, 2, 0.0, 2.9, SpanKind::Recv, Some(1));
+        log.span(0, 0.0, 1.0, SpanKind::Compute, None);
+        log.span(1, 0.0, 1.4, SpanKind::Recv, Some(0));
+        log.span(1, 1.4, 2.4, SpanKind::Compute, None);
+        log.span(2, 0.0, 2.9, SpanKind::Recv, Some(1));
         (log, vec![1.0, 2.4, 2.9])
     }
 
@@ -1091,7 +1041,7 @@ mod tests {
     #[test]
     fn self_peer_does_not_loop() {
         let mut log = SpanLog::new(1);
-        record(&mut log, 0, 0.0, 1.0, SpanKind::Recv, Some(0));
+        log.span(0, 0.0, 1.0, SpanKind::Recv, Some(0));
         let cp = critical_path(&log, &[1.0]);
         assert_eq!(cp.steps.len(), 1);
         assert_eq!(cp.steps[0].kind, "recv");
@@ -1102,8 +1052,8 @@ mod tests {
         // Two ranks whose final waits end at the same instant pointing at
         // each other: the one-jump-per-instant rule breaks the cycle.
         let mut log = SpanLog::new(2);
-        record(&mut log, 0, 0.0, 1.0, SpanKind::Recv, Some(1));
-        record(&mut log, 1, 0.0, 1.0, SpanKind::Recv, Some(0));
+        log.span(0, 0.0, 1.0, SpanKind::Recv, Some(1));
+        log.span(1, 0.0, 1.0, SpanKind::Recv, Some(0));
         let cp = critical_path(&log, &[1.0, 1.0]);
         assert!(!cp.steps.is_empty());
         let total: f64 = cp.steps.iter().map(|s| s.end_s - s.start_s).sum();
@@ -1113,13 +1063,11 @@ mod tests {
     #[test]
     fn span_log_drops_zero_length_and_tracks_flows() {
         let mut log = SpanLog::new(2);
-        record(&mut log, 0, 0.5, 0.5, SpanKind::Wait, None);
+        log.span(0, 0.5, 0.5, SpanKind::Wait, None);
         assert_eq!(log.total_spans(), 0);
-        let boxed: &mut dyn Recorder = &mut log;
-        boxed.flow_open(7, 0, 1, 4096, 0.25);
+        log.flow_open(7, 0, 1, 4096, 0.25);
         assert_eq!(log.open_flows(), 1);
-        let boxed: &mut dyn Recorder = &mut log;
-        boxed.flow_close(7, 0.75);
+        log.flow_close(7, 0.75);
         assert_eq!(log.open_flows(), 0);
         assert_eq!(log.flows().len(), 1);
         let f = log.flows()[0];
@@ -1130,10 +1078,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut log = SpanLog::new(1);
-        let r: &mut dyn Recorder = &mut log;
-        r.count(Counter::UnexpectedEnqueued, 2);
-        r.count(Counter::UnexpectedEnqueued, 1);
-        r.count(Counter::LoopbackTransfers, 5);
+        log.count(Counter::UnexpectedEnqueued, 2);
+        log.count(Counter::UnexpectedEnqueued, 1);
+        log.count(Counter::LoopbackTransfers, 5);
         assert_eq!(log.counter(Counter::UnexpectedEnqueued), 3);
         assert_eq!(log.counter(Counter::LoopbackTransfers), 5);
         assert_eq!(log.counter(Counter::MailboxEnqueued), 0);
@@ -1166,11 +1113,8 @@ mod tests {
     #[test]
     fn state_csv_shape() {
         let (mut log, _) = three_rank_log();
-        {
-            let r: &mut dyn Recorder = &mut log;
-            r.flow_open(1, 0, 1, 1000, 1.0);
-            r.flow_close(1, 1.4);
-        }
+        log.flow_open(1, 0, 1, 1000, 1.0);
+        log.flow_close(1, 1.4);
         let csv = state_csv(&log);
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("rank,start_s,end_s,state,peer,bytes"));

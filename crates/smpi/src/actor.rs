@@ -50,6 +50,8 @@ pub struct RankActor {
     pending: [VecDeque<ReqId>; 2],
     waiting: Waiting,
     staged: Option<Staged>,
+    /// Collectives entered so far.
+    coll_index: usize,
     /// Instant at which the current blocking condition began (span
     /// recording).
     blocked_at: f64,
@@ -72,6 +74,7 @@ impl RankActor {
             pending: [VecDeque::new(), VecDeque::new()],
             waiting: Waiting::Ready,
             staged: None,
+            coll_index: 0,
             blocked_at: 0.0,
             block_kind: SpanKind::Wait,
             block_peer: None,
@@ -238,8 +241,9 @@ impl RankActor {
                     self.subops.is_empty(),
                     "collective while a sub-program is active"
                 );
-                world.account_collective();
-                let expansion = collectives::expand(&collective, self.rank, world.ranks());
+                let op = world.enter_collective(self.rank, self.coll_index, collective);
+                self.coll_index += 1;
+                let expansion = collectives::expand(&op, self.rank, world.ranks());
                 self.subops.extend(expansion);
             }
         }

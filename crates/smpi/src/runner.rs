@@ -1,7 +1,7 @@
 //! Assembling and running a complete SMPI simulation.
 
 use platform::{HostId, Platform};
-use simkernel::obs::{Metrics, Recorder, RunObservation, SpanLog};
+use simkernel::obs::{Metrics, RunObservation, SpanLog};
 use simkernel::{ActorId, Sim, SimOutcome};
 use workloads::OpSource;
 
@@ -51,9 +51,7 @@ pub fn run_smpi(
     hooks: Box<dyn ExecHooks>,
     record_spans: bool,
 ) -> Result<(SmpiResult, RunObservation), String> {
-    let recorder: Option<Box<dyn Recorder>> =
-        record_spans.then(|| Box::new(SpanLog::new(sources.len() as u32)) as Box<dyn Recorder>);
-    let mut run = prepare_smpi(platform, hosts, sources, cfg, hooks, recorder);
+    let mut run = prepare_smpi(platform, hosts, sources, cfg, hooks, record_spans);
     run.run();
     run.finalize()
 }
@@ -69,25 +67,23 @@ pub struct SmpiRun {
 }
 
 /// Assembles an SMPI simulation: world, pre-sized kernel, one
-/// [`RankActor`] per source, and the transport daemon. The optional
-/// `recorder` (e.g. a rank-mapped one for partitioned replay) receives
-/// span/flow observations with *local* rank ids `0..sources.len()`.
+/// [`RankActor`] per source, and the transport daemon. With
+/// `record_spans`, the run records a [`SpanLog`] over its own rank ids
+/// `0..sources.len()`.
 pub fn prepare_smpi(
     platform: &Platform,
     hosts: &[HostId],
     sources: Vec<Box<dyn OpSource>>,
     cfg: SmpiConfig,
     hooks: Box<dyn ExecHooks>,
-    recorder: Option<Box<dyn Recorder>>,
+    record_spans: bool,
 ) -> SmpiRun {
     let ranks = sources.len();
     assert!(ranks > 0, "no ranks to run");
     assert_eq!(hosts.len(), ranks, "one host per rank required");
     let transport = ActorId(ranks as u32);
     let mut world = SmpiWorld::new(platform, hosts, cfg, hooks, transport);
-    if let Some(recorder) = recorder {
-        world.set_recorder(recorder);
-    }
+    world.spans = record_spans.then(|| SpanLog::new(ranks as u32));
     // Pre-size the kernel's hot collections from the workload shape (see
     // `simkernel::replay_sizing` for the heuristic).
     let (activities, events) = simkernel::replay_sizing(ranks);
@@ -150,19 +146,8 @@ impl SmpiRun {
         metrics.collectives = stats.collective_participations;
         metrics.max_unexpected_depth = stats.max_unexpected_depth;
         metrics.max_posted_depth = stats.max_posted_depth;
-        let net = sim.world.net.stats();
-        metrics.flows_created = net.flows_opened;
-        metrics.flows_resolved = net.flows_closed;
-        metrics.sharing_resolves = net.resolves;
-        metrics.sharing_rate_updates = net.rate_updates;
-        metrics.sharing_examined = net.examined;
-        metrics.live_flow_hwm = net.live_flow_hwm;
-        metrics.live_entity_hwm = net.live_entity_hwm;
-        metrics.agg_formed = net.agg_formed;
-        metrics.agg_members = net.agg_members;
-        metrics.agg_splits = net.agg_splits;
-        metrics.sharing_flushes = net.flush_batches;
-        let spans = sim.world.recorder.take().and_then(|r| r.finish());
+        metrics.net = sim.world.net.stats();
+        let spans = sim.world.spans.take();
         metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
         Ok((
             SmpiResult {
@@ -595,8 +580,8 @@ mod tests {
         assert_eq!(obs.metrics.messages, 1);
         assert_eq!(obs.metrics.eager_messages, 1);
         assert_eq!(obs.metrics.rendezvous_messages, 0);
-        assert_eq!(obs.metrics.flows_created, 1);
-        assert_eq!(obs.metrics.flows_resolved, 1);
+        assert_eq!(obs.metrics.net.flows_opened, 1);
+        assert_eq!(obs.metrics.net.flows_closed, 1);
         let log = obs.spans.expect("spans recorded");
         assert_eq!(log.open_flows(), 0);
         assert_eq!(log.flows().len(), 1);
@@ -668,7 +653,7 @@ mod tests {
             ..SmpiConfig::smpi_replay()
         };
         let hooks = Box::new(FixedRateHooks::uniform(1e9, n));
-        let mut run = prepare_smpi(&tiny_platform(n), &hosts(n), sources, cfg, hooks, None);
+        let mut run = prepare_smpi(&tiny_platform(n), &hosts(n), sources, cfg, hooks, false);
         run.sim.world.eager_collectives = eager_collectives;
         run.run();
         run.finalize().expect("schedule deadlocked").0

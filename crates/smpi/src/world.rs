@@ -27,8 +27,9 @@ use std::collections::VecDeque;
 
 use netmodel::{FlowId, FlowNet, FLUSH_KEY};
 use platform::{HostId, LinkId, Platform};
-use simkernel::obs::{Counter, Recorder, SpanKind};
+use simkernel::obs::{Counter, SpanKind, SpanLog};
 use simkernel::{ActorId, Duration, Kernel, Wake};
+use workloads::MpiOp;
 
 use crate::hooks::ExecHooks;
 use crate::slab::{ActivityMap, Id, Slab, Waiters};
@@ -51,7 +52,7 @@ pub struct Msg {
     transferring: bool,
     /// Collective-internal traffic ([`CH_COLL`]): takes the network
     /// model's deferred path, so a P-flow collective phase is re-solved
-    /// once per instant and accounted as one live entity.
+    /// once per instant.
     coll: bool,
     flow: Option<FlowId>,
     matched_post: Option<PostId>,
@@ -137,10 +138,15 @@ pub struct SmpiWorld {
     /// Seconds each rank spent computing (planned durations; used by
     /// calibration).
     pub compute_seconds: Vec<f64>,
-    /// Optional observation sink (off by default; see [`simkernel::obs`]).
-    /// When `None`, every recording call site is a branch on this option
-    /// and nothing else — the disabled path allocates nothing.
-    pub recorder: Option<Box<dyn Recorder>>,
+    /// The span log when recording is on (see [`simkernel::obs`]). When
+    /// `None`, every recording call site is a branch on this option and
+    /// nothing else — the disabled path allocates nothing.
+    pub spans: Option<SpanLog>,
+    /// The first disagreement between matched ranks — a receive sized
+    /// differently from its send, or a collective entered as different
+    /// ops — which [`SmpiWorld::check_drained`] reports.
+    mismatch: Option<String>,
+    collectives: CollectiveOrder,
     ranks: u32,
     routes: Vec<Vec<LinkId>>,
     pair_latency: Vec<f64>,
@@ -206,7 +212,9 @@ impl SmpiWorld {
             hooks,
             stats: WorldStats::default(),
             compute_seconds: vec![0.0; n],
-            recorder: None,
+            spans: None,
+            mismatch: None,
+            collectives: CollectiveOrder::default(),
             ranks,
             routes,
             pair_latency,
@@ -289,11 +297,9 @@ impl SmpiWorld {
         let matched = self.posted[chan].pop_front();
         if let Some(post_id) = matched {
             let post = self.posts.expect_mut(post_id);
-            assert_eq!(
-                post.bytes, bytes,
-                "message size mismatch on channel {src}->{dst}"
-            );
+            let expected = post.bytes;
             post.matched = Some(msg_id);
+            note_size_mismatch(&mut self.mismatch, src, dst, bytes, expected);
             self.msgs.expect_mut(msg_id).matched_post = Some(post_id);
         } else {
             self.unexpected[chan].push_back(msg_id);
@@ -301,8 +307,8 @@ impl SmpiWorld {
                 &mut self.stats.max_unexpected_depth,
                 self.unexpected[chan].len(),
             );
-            if let Some(r) = self.recorder.as_mut() {
-                r.count(Counter::UnexpectedEnqueued, 1);
+            if let Some(log) = self.spans.as_mut() {
+                log.count(Counter::UnexpectedEnqueued, 1);
             }
         }
         if eager || matched.is_some() {
@@ -348,10 +354,7 @@ impl SmpiWorld {
         let chan = self.chan(dst, src, ch);
         if let Some(msg_id) = self.unexpected[chan].pop_front() {
             let msg = self.msgs.expect_mut(msg_id);
-            assert_eq!(
-                msg.bytes, bytes,
-                "message size mismatch on channel {src}->{dst}"
-            );
+            note_size_mismatch(&mut self.mismatch, src, dst, msg.bytes, bytes);
             msg.delivered = true;
             if msg.arrived {
                 // Data already in memory: "the application only sees the
@@ -391,8 +394,8 @@ impl SmpiWorld {
             });
             self.posted[chan].push_back(post_id);
             track_depth(&mut self.stats.max_posted_depth, self.posted[chan].len());
-            if let Some(r) = self.recorder.as_mut() {
-                r.count(Counter::PostedEnqueued, 1);
+            if let Some(log) = self.spans.as_mut() {
+                log.count(Counter::PostedEnqueued, 1);
             }
             if blocking {
                 (RecvResult::WaitPost(post_id), None)
@@ -447,17 +450,6 @@ impl SmpiWorld {
         self.compute_seconds[rank as usize] += seconds;
     }
 
-    /// Installs an observation sink (span/flow/counter recording).
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Whether a recorder is installed (actors skip span classification
-    /// entirely when not).
-    pub fn recording(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// Records a per-rank span when recording is enabled.
     pub fn record_span(
         &mut self,
@@ -467,14 +459,22 @@ impl SmpiWorld {
         kind: SpanKind,
         peer: Option<u32>,
     ) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.span(rank, start, end, kind, peer);
+        if let Some(log) = self.spans.as_mut() {
+            log.span(rank, start, end, kind, peer);
         }
     }
 
-    /// Records one collective participation.
-    pub fn account_collective(&mut self) {
+    /// Records `rank` entering its `index`-th collective as `op`, and
+    /// returns the op to expand (see [`CollectiveOrder::enter`]).
+    // Kept out of the rank actor's hot loop: collectives are rare next to
+    // point-to-point ops.
+    #[inline(never)]
+    pub fn enter_collective(&mut self, rank: u32, index: usize, op: MpiOp) -> MpiOp {
         self.stats.collective_participations += 1;
+        let (op, _) = self
+            .collectives
+            .enter(index, rank, op, self.ranks, &mut self.mismatch);
+        op
     }
 
     // ------------------------------------------------------------------
@@ -498,8 +498,8 @@ impl SmpiWorld {
                 } else {
                     self.net.close(kernel, flow);
                 }
-                if let Some(r) = self.recorder.as_mut() {
-                    r.flow_close(msg_id.pack(), kernel.now().as_secs());
+                if let Some(log) = self.spans.as_mut() {
+                    log.flow_close(msg_id.pack(), kernel.now().as_secs());
                 }
                 // Tail latency: protocol-corrected route latency.
                 let lat = self
@@ -541,8 +541,8 @@ impl SmpiWorld {
             // Intra-host: a memory copy.
             let d = self.cfg.loopback_latency + bytes as f64 / self.cfg.loopback_bandwidth;
             kernel.set_timer(self.transport, Duration::from_secs(d), msg_id.pack());
-            if let Some(r) = self.recorder.as_mut() {
-                r.count(Counter::LoopbackTransfers, 1);
+            if let Some(log) = self.spans.as_mut() {
+                log.count(Counter::LoopbackTransfers, 1);
             }
         } else {
             let cap = self
@@ -561,8 +561,8 @@ impl SmpiWorld {
             self.flow_msg.insert(act, flow_msg_value(msg_id));
             self.msgs.expect_mut(msg_id).flow = Some(flow);
             self.stats.flows += 1;
-            if let Some(r) = self.recorder.as_mut() {
-                r.flow_open(msg_id.pack(), src, dst, bytes, kernel.now().as_secs());
+            if let Some(log) = self.spans.as_mut() {
+                log.flow_open(msg_id.pack(), src, dst, bytes, kernel.now().as_secs());
             }
         }
     }
@@ -619,12 +619,17 @@ impl SmpiWorld {
         self.msgs.remove(id);
     }
 
-    /// Fails when protocol records outlive the run: a message nobody
-    /// received, a receive nobody matched, a request nobody waited for.
+    /// Fails when matched ranks disagreed on a size or a collective, or
+    /// protocol records outlive the run: a message nobody received, a
+    /// receive nobody matched, a request nobody waited for.
     ///
     /// # Errors
-    /// The [`leak_report`] of the live records.
+    /// The recorded mismatch, else the [`leak_report`] of the live
+    /// records.
     pub fn check_drained(&self) -> Result<(), String> {
+        if let Some(mismatch) = &self.mismatch {
+            return Err(mismatch.clone());
+        }
         let live = (self.msgs.len(), self.posts.len(), self.reqs.len());
         if live == (0, 0, 0) {
             return Ok(());
@@ -652,6 +657,66 @@ pub fn leak_report(
         report += &format!(" (first unreceived message: rank {src} -> rank {dst})");
     }
     report
+}
+
+/// Records in `slot`, unless it already holds one, that `src` sent `sent`
+/// bytes to a receive at `dst` that expects `expected`. Either runtime
+/// then carries on with the sender's size.
+pub fn note_size_mismatch(slot: &mut Option<String>, src: u32, dst: u32, sent: u64, expected: u64) {
+    if sent != expected && slot.is_none() {
+        *slot = Some(format!(
+            "message size mismatch: rank {src} sent {sent} bytes to rank {dst}, \
+             which expects {expected}"
+        ));
+    }
+}
+
+/// The collectives entered but not yet entered by every rank, each with
+/// the op and rank of its first arrival: every rank must enter the same
+/// op as its `i`-th collective. Occurrences retire once all ranks have
+/// arrived, so memory is bounded by how far the ranks drift apart.
+#[derive(Debug, Default)]
+pub struct CollectiveOrder {
+    /// Occurrence index of `open[0]`.
+    base: usize,
+    /// `(op, first rank, arrivals)` per open occurrence.
+    open: VecDeque<(MpiOp, u32, u32)>,
+}
+
+impl CollectiveOrder {
+    /// Registers `rank` entering its `index`-th collective as `op`, of
+    /// `ranks`. Returns the op to run — the first arrival's, so that a
+    /// disagreeing rank still keeps step (the disagreement is noted in
+    /// `mismatch` unless one is already there) — and whether `rank` was
+    /// the last to arrive.
+    pub fn enter(
+        &mut self,
+        index: usize,
+        rank: u32,
+        op: MpiOp,
+        ranks: u32,
+        mismatch: &mut Option<String>,
+    ) -> (MpiOp, bool) {
+        if index - self.base == self.open.len() {
+            self.open.push_back((op, rank, 0));
+        }
+        let (first, first_rank, arrived) = &mut self.open[index - self.base];
+        *arrived += 1;
+        if *first != op && mismatch.is_none() {
+            *mismatch = Some(format!(
+                "collective mismatch: rank {rank} entered {op:?} as collective {index}, \
+                 rank {first_rank} entered {first:?}"
+            ));
+        }
+        let (first, last) = (*first, *arrived == ranks);
+        if last {
+            // Every rank entered all earlier occurrences first.
+            debug_assert_eq!(index, self.base);
+            self.open.pop_front();
+            self.base += 1;
+        }
+        (first, last)
+    }
 }
 
 /// `recv_req` presence means an irecv committed to the message.

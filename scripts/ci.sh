@@ -144,8 +144,9 @@ done
 # Metrics compare with the ladder's *restructuring* counters
 # normalized away: one merged FEL and N island FELs
 # legitimately restructure at different points (same exemption as the
-# differential tests); the live-flow/entity high-water marks are also
-# per-network-model occupancy figures (sequential sees every island's
+# differential tests); the live-flow high-water mark (and the
+# live_entity_hwm key that repeats it) is also a per-network-model
+# occupancy figure (sequential sees every island's
 # flows in one model, parallel folds per-island maxima); every semantic
 # counter must still match.
 norm_metrics() {
@@ -156,26 +157,31 @@ cmp <(norm_metrics "$ingest_dir/halo.metrics.1.json") \
     || { echo "parallel metrics export differs from sequential" >&2; exit 1; }
 echo "PARALLEL_SMOKE ok ($islands islands, simulated_time_s $h_seq identical at 1 and 4 threads)"
 
-# Collective-aggregation smoke: a generated allreduce P=128 trace
-# replayed with default flags must batch every collective phase whole
-# (one live entity, a bounded number of kernel events per message) and
-# land on the simulated time the per-flow path computed before batching
-# became unconditional.
+# Collective-batching smoke: a generated allreduce P=128 trace replayed
+# with default flags must batch every collective phase whole (every
+# re-solve a flush, every flow examined once, a bounded number of kernel
+# events per message) and land on the simulated time the per-flow path
+# computed before batching became unconditional.
 "$gen" --workload allreduce --procs 128 --steps 3 --out "$ingest_dir/ar.trace" >/dev/null
 "$rep" --platform "$ingest_dir/ar.trace.platform.json" --trace "$ingest_dir/ar.trace" \
     --ranks 128 --rate 2e9 --no-cache --metrics "$ingest_dir/ar.metrics.json" >/dev/null
 ar_field() { grep -oE "\"$1\": [0-9.e-]+" "$ingest_dir/ar.metrics.json" | awk '{printf "%s", $2}'; }
 a_time=$(ar_field simulated_time_s)
-a_hwm=$(ar_field live_entity_hwm)
+a_resolves=$(ar_field sharing_resolves)
+a_flushes=$(ar_field sharing_flushes)
+a_examined=$(ar_field sharing_examined)
+a_flows=$(ar_field flows_created)
 a_events=$(ar_field events_processed)
 a_msgs=$(ar_field messages)
 [ "$a_time" = "0.04674904320000039" ] \
     || { echo "allreduce P=128 simulated time moved: $a_time" >&2; exit 1; }
-[ "$a_hwm" = 1 ] \
-    || { echo "allreduce P=128 live_entity_hwm is $a_hwm, expected 1" >&2; exit 1; }
+[ "$a_resolves" = "$a_flushes" ] \
+    || { echo "allreduce P=128: $a_resolves re-solves for $a_flushes flushes" >&2; exit 1; }
+[ "$a_examined" = "$a_flows" ] \
+    || { echo "allreduce P=128: $a_examined flows examined for $a_flows created" >&2; exit 1; }
 [ "$a_msgs" -gt 0 ] && [ "$a_events" -lt $((3 * a_msgs)) ] \
     || { echo "allreduce P=128: $a_events events for $a_msgs messages" >&2; exit 1; }
-echo "AGG_SMOKE ok (simulated_time_s $a_time, 1 live entity, $a_events events / $a_msgs messages)"
+echo "AGG_SMOKE ok (simulated_time_s $a_time, $a_resolves re-solves = flushes, $a_examined examined = flows, $a_events events / $a_msgs messages)"
 
 # One build: the workspace build above and the package build the
 # benchmark makes write the same target/release/titreplay, so they must
@@ -303,15 +309,18 @@ echo "TELEMETRY_SMOKE ok ($prof_workers profiled workers, simulated time unchang
 
 # Hostile smoke: traces the runtimes cannot execute — a wait with nothing
 # outstanding, a collective root outside the trace, a send to oneself, a
-# send nobody receives — must exit non-zero naming the rank, never
+# send nobody receives, a receive sized unlike its send, ranks entering
+# different collectives — must exit non-zero naming the rank, never
 # panic, on both engines, on the sequential and the island path.
 "$gen" --class S --procs 2 --steps 2 --out "$ingest_dir/s2.trace"
 printf 'p0 init\np0 wait\np1 init\n' >"$ingest_dir/hostile-wait.trace"
 printf 'p0 bcast 8 p7\np1 bcast 8 p7\n' >"$ingest_dir/hostile-root.trace"
 printf 'p0 send p0 8\np1 init\n' >"$ingest_dir/hostile-self.trace"
 printf 'p0 send p1 8\np1 init\n' >"$ingest_dir/hostile-unmatched.trace"
+printf 'p0 send p1 8\np1 recv p0 16\n' >"$ingest_dir/hostile-size.trace"
+printf 'p0 allreduce 8\np1 bcast 8 p0\n' >"$ingest_dir/hostile-coll.trace"
 hostile_runs=0
-for kind in wait root self unmatched; do
+for kind in wait root self unmatched size coll; do
     for engine in smpi msg; do
         for threads in 1 2; do
             what="hostile $kind trace at --engine $engine --threads $threads"

@@ -1,12 +1,13 @@
-//! Collective flow aggregation is unconditional: `smpi` always batches a
+//! Collective batching is unconditional: `smpi` always defers a
 //! collective phase's sharing re-solve to the end of its instant. The
 //! differential gates against the eager per-flow path live where the
 //! fork still exists (`netmodel`'s mixed eager/deferred proptest and
 //! `smpi`'s test-only eager switch). What is pinned here is the result:
 //! simulated-time bits, messages and bytes recorded from the last commit
 //! that still had the per-flow path as its default (78bd05c, flag off),
-//! plus the reductions the batching exists for; the LU goldens also pin
-//! the sharing counters under all three policies (recorded at db39a09).
+//! plus what the batching buys — one re-solve per flushed instant, each
+//! collective flow rated once — and, in the LU goldens, the sharing
+//! counters under all three policies (recorded at db39a09).
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use tit_replay::prelude::*;
 
 /// A flat switched cluster: every rank on its own node, so each
 /// collective phase puts P uniform flows through the shared backbone —
-/// the shape aggregation collapses to O(1).
+/// the shape batching re-solves once per instant instead of P times.
 fn flat(nodes: u32) -> Platform {
     PlatformSpec {
         name: "agg-flat".into(),
@@ -151,19 +152,19 @@ fn lu_b8_matches_the_goldens_under_every_policy() {
             .metrics;
         assert_golden(&m, &Golden(time, messages, bytes), &what);
         assert_eq!(m.events_processed, events, "{what}: events");
-        assert_eq!(m.sharing_resolves, resolves, "{what}: re-solves");
-        assert_eq!(m.sharing_rate_updates, updates, "{what}: rate updates");
-        assert_eq!(m.sharing_examined, examined, "{what}: rates examined");
+        assert_eq!(m.net.resolves, resolves, "{what}: re-solves");
+        assert_eq!(m.net.rate_updates, updates, "{what}: rate updates");
+        assert_eq!(m.net.examined, examined, "{what}: rates examined");
     }
 }
 
 /// The collective-dense shape, sequential and through the parallel
 /// engine: the per-flow path's bits, with every phase batched whole —
-/// one live entity, no aggregate split by outside traffic, and the
-/// kernel processing a bounded number of events per message instead of
-/// one rate change per (flow, neighbour) pair.
+/// every re-solve is a flush, every flow is examined and rated exactly
+/// once, and the kernel processes a bounded number of events per message
+/// instead of one rate change per (flow, neighbour) pair.
 #[test]
-fn allreduce_matches_the_per_flow_goldens_with_o1_entities() {
+fn allreduce_matches_the_per_flow_goldens_with_one_resolve_per_flush() {
     for (ranks, iters, golden) in [
         (16, 12, Golden(0x3f97_2876_d2d6_624f, 5760, 23_592_960)),
         (128, 3, Golden(0x3fa7_ef7d_9753_9b1f, 97_536, 49_938_432)),
@@ -177,13 +178,20 @@ fn allreduce_matches_the_per_flow_goldens_with_o1_entities() {
                 .unwrap()
                 .metrics;
             assert_golden(&m, &golden, &what);
-            assert_eq!(m.live_flow_hwm, u64::from(ranks), "{what}");
-            assert_eq!(m.live_entity_hwm, 1, "{what}: collapse should be total");
+            let net = &m.net;
+            assert_eq!(net.live_flow_hwm, u64::from(ranks), "{what}");
             assert_eq!(
-                m.sharing_rate_updates, m.flows_created,
+                net.resolves, net.flush_batches,
+                "{what}: a re-solve ran outside a flush"
+            );
+            assert_eq!(
+                net.examined, net.flows_opened,
+                "{what}: a collective flow was examined more than once"
+            );
+            assert_eq!(
+                net.rate_updates, net.flows_opened,
                 "{what}: a collective flow was rated more than once"
             );
-            assert_eq!(m.agg_splits, 0, "{what}");
             assert!(
                 m.events_processed <= 3 * m.messages,
                 "{what}: {} events for {} messages",

@@ -158,8 +158,7 @@ fn assert_identical(base: &ReplayReport, other: &ReplayReport, what: &str) {
         // sequential replay sees every island's flows in one model while
         // the island engine folds per-island maxima. They measure
         // occupancy, not simulation semantics.
-        other_metrics.live_flow_hwm = base.metrics.live_flow_hwm;
-        other_metrics.live_entity_hwm = base.metrics.live_entity_hwm;
+        other_metrics.net.live_flow_hwm = base.metrics.net.live_flow_hwm;
     }
     assert_eq!(base.metrics, other_metrics, "{what}: metrics differ");
     match (&base.spans, &other.spans) {

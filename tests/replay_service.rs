@@ -341,8 +341,10 @@ fn hostile_traces_fail_every_time_and_the_service_keeps_answering() {
     use std::time::Duration;
 
     let dir = temp_dir("hostile");
-    let hostile = dir.join("wait.trace");
-    std::fs::write(&hostile, "p0 init\np0 wait\np1 init\np2 init\np3 init\n").unwrap();
+    let wait = dir.join("wait.trace");
+    std::fs::write(&wait, "p0 init\np0 wait\np1 init\np2 init\np3 init\n").unwrap();
+    let size = dir.join("size.trace");
+    std::fs::write(&size, "p0 send p1 8\np1 recv p0 16\np2 init\np3 init\n").unwrap();
     let good = trace_file(&dir);
     let (addr, handle) = start_server(1);
     let predict = |trace: &Path| {
@@ -360,14 +362,22 @@ fn hostile_traces_fail_every_time_and_the_service_keeps_answering() {
         .unwrap();
         titserved::http::read_response(&stream).expect("no response within the read timeout")
     };
-    for attempt in 0..2 {
-        let refused = predict(&hostile);
-        let body = String::from_utf8(refused.body).unwrap();
-        assert_eq!(refused.status, 500, "attempt {attempt}: {body}");
-        assert!(
-            body.contains("rank p0") && body.contains("waits with no outstanding request"),
-            "attempt {attempt}: {body}"
-        );
+    for (hostile, want) in [
+        (
+            &wait,
+            "rank p0 trace stream failed: action 1 waits with no outstanding request",
+        ),
+        (
+            &size,
+            "message size mismatch: rank 0 sent 8 bytes to rank 1, which expects 16",
+        ),
+    ] {
+        for attempt in 0..2 {
+            let refused = predict(hostile);
+            let body = String::from_utf8(refused.body).unwrap();
+            assert_eq!(refused.status, 500, "attempt {attempt}: {body}");
+            assert!(body.contains(want), "attempt {attempt}: {body}");
+        }
     }
     assert_eq!(predict(&good).status, 200);
     client::post(&addr, "/shutdown", "").unwrap();
