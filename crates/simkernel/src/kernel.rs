@@ -722,11 +722,11 @@ mod tests {
 
     /// The kernel-level differential check: a churn-heavy workload (rate
     /// changes, timers, cancellations, compactions) run on a queue
-    /// shadowed by the binary-heap referee, which asserts on every pop
-    /// that the ladder delivered the heap's entry (see `queue.rs`'s
+    /// shadowed by the sorted-`Vec` referee, which asserts on every pop
+    /// that the heap delivered the vector's head (see `queue.rs`'s
     /// test-module docs). The refereed run must also equal a plain one.
     #[test]
-    fn heap_and_ladder_kernels_agree_under_churn() {
+    fn refereed_and_plain_kernels_agree_under_churn() {
         let run = |refereed: bool| {
             let mut k = Kernel::new();
             if refereed {

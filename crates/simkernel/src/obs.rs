@@ -399,9 +399,6 @@ impl Metrics {
             (&mut self.fel.superseded, fel.superseded),
             (&mut self.fel.popped, fel.popped),
             (&mut self.fel.stale_popped, fel.stale_popped),
-            (&mut self.fel.spills, fel.spills),
-            (&mut self.fel.bucket_sorts, fel.bucket_sorts),
-            (&mut self.fel.reseeds, fel.reseeds),
             (&mut self.fel.compactions, fel.compactions),
             (&mut self.messages, other.messages),
             (&mut self.eager_messages, other.eager_messages),
@@ -442,16 +439,12 @@ impl Metrics {
         ));
         out.push_str(&format!(
             "  \"fel_profile\": {{\"scheduled\": {}, \"superseded\": {}, \
-             \"popped\": {}, \"stale_popped\": {}, \"fired\": {}, \"spills\": {}, \
-             \"bucket_sorts\": {}, \"reseeds\": {}, \"compactions\": {}}},\n",
+             \"popped\": {}, \"stale_popped\": {}, \"fired\": {}, \"compactions\": {}}},\n",
             self.fel.scheduled,
             self.fel.superseded,
             self.fel.popped,
             self.fel.stale_popped,
             self.fel.fired(),
-            self.fel.spills,
-            self.fel.bucket_sorts,
-            self.fel.reseeds,
             self.fel.compactions
         ));
         out.push_str(&format!(
@@ -1127,12 +1120,16 @@ mod tests {
     fn metrics_json_carries_fel_and_match_queue_counts() {
         let mut m = Metrics::new("smpi", 4);
         m.fel.scheduled = 7;
+        m.fel.popped = 5;
+        m.fel.stale_popped = 1;
         m.fel.compactions = 2;
         m.max_posted_depth = 3;
         let json = m.to_json();
         assert!(json.contains("\"queue_compactions\": 2}"));
-        assert!(json.contains("\"fel_profile\": {\"scheduled\": 7,"));
-        assert!(json.contains("\"compactions\": 2}"));
+        assert!(json.contains(
+            "\"fel_profile\": {\"scheduled\": 7, \"superseded\": 0, \"popped\": 5, \
+             \"stale_popped\": 1, \"fired\": 4, \"compactions\": 2},\n"
+        ));
         assert!(json
             .contains("\"match_queues\": {\"max_unexpected_depth\": 0, \"max_posted_depth\": 3}"));
         assert!(json.contains("\"recorder\": null"));

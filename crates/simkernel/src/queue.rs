@@ -1,38 +1,24 @@
-//! The future event list: a deterministic priority queue of timestamped
-//! events with lazy cancellation, implemented as a ladder (calendar)
-//! queue.
+//! The future event list: a deterministic binary heap of timestamped
+//! events on one packed integer key, with lazy cancellation.
 //!
-//! Events are ordered by `(time, sequence)`: the sequence number is assigned
-//! at insertion, so simultaneous events fire in insertion order. Cancellation
-//! is *lazy*: cancelled entries stay queued and are skipped when popped,
-//! identified by a generation counter stored alongside the target. This is
-//! the standard technique for activities whose completion time is
-//! rescheduled every time resource sharing changes.
+//! Events pop in `(time, sequence)` order; the sequence is assigned at
+//! insertion, so simultaneous events fire in insertion order. The key is
+//! `(time bits << 64) | seq`, with the bits of `at.as_secs() + 0.0`: a
+//! [`Time`] is finite and non-negative, such doubles order like their bit
+//! patterns, and adding `0.0` folds `-0.0` into the equal `+0.0`, so
+//! comparing keys as integers is exactly `Time` order, then insertion
+//! order. A sift step is one `u128` compare.
 //!
-//! Events land in one of [`LADDER_BUCKETS`] unsorted buckets partitioning
-//! the current *epoch* of simulated time, `O(1)` per push; each bucket is
-//! sorted once, when the simulation clock reaches it. Far-future events
-//! wait in an overflow list that reseeds the next epoch. Because the
-//! buckets partition time and `(time, seq)` is a unique total key, the
-//! concatenation of per-bucket sorts is the one total order of the keys —
-//! the order a binary heap pops. The tests keep such a heap as the
-//! referee (see the test-module docs).
-//!
-//! Lazy cancellation has a pathology: workloads that re-share rates much
-//! more often than activities complete (large max-min components under
-//! churn) can grow the queue mostly full of dead entries, making every
-//! push and pop pay for the dead weight. The queue therefore tracks how
-//! many entries its owner has reported superseded
-//! ([`EventQueue::note_superseded`]) and supports an explicit purge
-//! ([`EventQueue::compact`]) that the owner triggers once stale entries
-//! form a strict majority of a queue at least [`MIN_COMPACT_LEN`] entries
-//! long ([`EventQueue::should_compact`]). The purge drops dead entries in
-//! place at bucket granularity (`Vec::retain` per bucket), never re-sorting
-//! survivors.
-//!
-//! The queue counts its scheduling traffic (events scheduled / superseded
-//! / popped, bucket sorts, epoch reseeds, overflow spills, compactions) in
-//! a [`FelProfile`]; the counters are plain increments and always on.
+//! Cancellation is lazy: a superseded entry stays queued and its owner
+//! skips it when popped (generation mismatch). Workloads that re-rate far
+//! more often than activities complete can fill the queue with such dead
+//! entries, so the owner reports them ([`EventQueue::note_superseded`])
+//! and purges them with [`EventQueue::compact`] once
+//! [`EventQueue::should_compact`] finds them a strict majority.
+//! Compaction never changes a survivor's key, so pop order is unchanged.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
@@ -40,9 +26,6 @@ use crate::time::Time;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// An activity (see [`crate::activity`]) has exhausted its work.
-    /// Carries the activity index and the generation the schedule was made
-    /// for; a mismatch with the activity's current generation means the
-    /// event was superseded by a rate change and must be ignored.
     ActivityComplete {
         /// Activity slot index.
         index: u32,
@@ -61,53 +44,45 @@ pub enum EventKind {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A queued event. Keys are unique, so the derived equality agrees with
+/// the key order below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    at: Time,
-    seq: u64,
+    /// `(time bits << 64) | seq`; see the [module docs](self).
+    key: u128,
     kind: EventKind,
 }
 
-impl Entry {
-    /// The total order key: `(time, insertion sequence)`. Unique, since
-    /// `seq` is unique.
-    #[inline]
-    fn key(&self) -> (Time, u64) {
-        (self.at, self.seq)
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
 }
 
 /// Once the queue holds at least this many entries, a *strict majority* of
-/// stale ones triggers [`EventQueue::should_compact`]. Below this floor,
-/// compaction would churn memory without a measurable win. DESIGN.md §4
-/// ("Performance model") documents the same constant.
+/// stale ones triggers [`EventQueue::should_compact`]; below it, compaction
+/// would churn memory without a measurable win (DESIGN.md §4).
 pub const MIN_COMPACT_LEN: usize = 64;
 
-/// Number of rung buckets in the ladder. Each epoch of simulated time is
-/// split evenly across this many unsorted buckets; events past the epoch
-/// wait in an overflow list.
-pub const LADDER_BUCKETS: usize = 64;
-
-/// Hot-path counters for the event core, surfaced by
-/// [`EventQueue::profile`] and reported in the run manifest's
-/// `fel_profile` object.
+/// Hot-path counters of the event core ([`EventQueue::profile`]), reported
+/// in the run manifest's `fel_profile` object.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FelProfile {
     /// Events pushed.
     pub scheduled: u64,
-    /// Entries reported superseded (cumulative; `stale_len` is the live
-    /// count).
+    /// Entries reported superseded.
     pub superseded: u64,
     /// Entries popped, stale or live.
     pub popped: u64,
     /// Popped entries the owner reported as stale skips.
     pub stale_popped: u64,
-    /// Pushes that landed past the current epoch (overflow spills).
-    pub spills: u64,
-    /// Buckets sorted into the consumption buffer.
-    pub bucket_sorts: u64,
-    /// Epoch reseeds from the overflow list.
-    pub reseeds: u64,
     /// Explicit compactions performed.
     pub compactions: u64,
 }
@@ -120,84 +95,34 @@ impl FelProfile {
 }
 
 /// Deterministic future event list. See the [module docs](self).
-///
-/// `bottom` holds the already-reached part of the epoch, sorted
-/// *descending* by `(time, seq)` so the next event pops from the back;
-/// `buckets[cur..]` partition the rest of the epoch into unsorted time
-/// slices; `overflow` holds everything past the epoch and seeds the next
-/// one. All buffers are recycled (swap + `drain`), so a warmed-up queue
-/// performs no allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    bottom: Vec<Entry>,
-    buckets: Vec<Vec<Entry>>,
-    /// First bucket not yet drained into `bottom`.
-    cur: usize,
-    /// Epoch origin, seconds. Meaningless until the first reseed.
-    epoch_start: f64,
-    /// Bucket width, seconds; zero until the first reseed.
-    width: f64,
-    overflow: Vec<Entry>,
-    /// Reusable reseed buffer.
-    scratch: Vec<Entry>,
-    len: usize,
+    heap: BinaryHeap<Entry>,
     next_seq: u64,
     /// Entries still queued that the owner has reported superseded.
     stale: usize,
     profile: FelProfile,
-    /// Shadow binary heap fed every push and compaction, against which
-    /// every pop is checked (see the test-module docs).
     #[cfg(test)]
-    referee: Option<std::collections::BinaryHeap<Entry>>,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
+    referee: Option<Vec<(Time, u64, EventKind)>>,
 }
 
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
+        Self::default()
     }
 
     /// Creates an empty queue with room for `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            bottom: Vec::new(),
-            buckets: std::iter::repeat_with(Vec::new)
-                .take(LADDER_BUCKETS)
-                .collect(),
-            cur: LADDER_BUCKETS,
-            epoch_start: 0.0,
-            width: 0.0,
-            overflow: Vec::with_capacity(capacity),
-            scratch: Vec::new(),
-            len: 0,
-            next_seq: 0,
-            stale: 0,
-            profile: FelProfile::default(),
-            #[cfg(test)]
-            referee: None,
+            heap: BinaryHeap::with_capacity(capacity),
+            ..Self::default()
         }
     }
 
     /// The hot-path counters gathered so far.
     pub fn profile(&self) -> FelProfile {
         self.profile
-    }
-
-    /// Bucket index of `t` under the current epoch. The `f64 → usize`
-    /// cast saturates, so times before the epoch map to 0 and far-future
-    /// times map past [`LADDER_BUCKETS`]; callers route on the result.
-    /// This is the *single* placement formula — push, reseed, and peek
-    /// all use it, so an entry's segment is always consistent with the
-    /// drain order.
-    #[inline]
-    fn slot(&self, t: f64) -> usize {
-        ((t - self.epoch_start) / self.width) as usize
     }
 
     /// Schedules `kind` to fire at `at`. Events scheduled for the same
@@ -207,157 +132,33 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.profile.scheduled += 1;
-        let e = Entry { at, seq, kind };
         #[cfg(test)]
-        if let Some(heap) = &mut self.referee {
-            heap.push(e);
-        }
-        self.len += 1;
-        if self.width == 0.0 {
-            // No epoch yet: everything collects in overflow until the
-            // first pop reseeds.
-            self.overflow.push(e);
-            return;
-        }
-        let s = self.slot(e.at.as_secs());
-        if s < self.cur {
-            // The event lands in the already-drained region: merge it
-            // into the sorted bottom (descending, earliest at the back).
-            // Keys are unique, so the insertion point is unambiguous.
-            let key = e.key();
-            let pos = self.bottom.partition_point(|x| x.key() > key);
-            self.bottom.insert(pos, e);
-        } else if s < LADDER_BUCKETS {
-            self.buckets[s].push(e);
-        } else {
-            self.profile.spills += 1;
-            self.overflow.push(e);
-        }
+        self.referee_push(at, seq, kind);
+        let bits = (at.as_secs() + 0.0).to_bits();
+        let key = (u128::from(bits) << 64) | u128::from(seq);
+        self.heap.push(Entry { key, kind });
     }
 
-    /// Removes and returns the earliest event, or `None` if the queue is
-    /// empty. Stale entries are returned like any other; the owner detects
-    /// them (generation/schedule mismatch) and must report the skip with
-    /// [`EventQueue::note_stale_popped`].
+    /// Removes and returns the earliest event. Stale entries come back like
+    /// any other; the owner reports them with [`EventQueue::note_stale_popped`].
     pub fn pop(&mut self) -> Option<(Time, EventKind)> {
+        let e = self.heap.pop();
         #[cfg(test)]
-        self.assert_referee_agrees();
-        let e = self.pop_entry();
-        #[cfg(test)]
-        if let Some(heap) = &mut self.referee {
-            let key = |e: Entry| (e.key(), e.kind);
-            assert_eq!(e.map(key), heap.pop().map(key), "ladder vs heap pop");
-        }
+        self.referee_pop(e);
         let e = e?;
         self.profile.popped += 1;
-        Some((e.at, e.kind))
+        let at = f64::from_bits((e.key >> 64) as u64);
+        Some((Time::from_secs(at), e.kind))
     }
 
-    fn pop_entry(&mut self) -> Option<Entry> {
-        loop {
-            if let Some(e) = self.bottom.pop() {
-                self.len -= 1;
-                return Some(e);
-            }
-            while self.cur < LADDER_BUCKETS {
-                if self.buckets[self.cur].is_empty() {
-                    self.cur += 1;
-                    continue;
-                }
-                // Reuse the bottom's storage for the bucket and vice
-                // versa; capacities circulate instead of reallocating.
-                std::mem::swap(&mut self.bottom, &mut self.buckets[self.cur]);
-                self.cur += 1;
-                // Unstable sort allocates nothing; keys are unique so
-                // stability is irrelevant. Descending: pop from the back.
-                self.bottom
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                self.profile.bucket_sorts += 1;
-                break;
-            }
-            if !self.bottom.is_empty() {
-                continue;
-            }
-            if self.overflow.is_empty() {
-                return None;
-            }
-            self.reseed();
-        }
-    }
-
-    /// Starts a new epoch over the overflow list. The entry at the
-    /// minimum time always lands in bucket 0, so every reseed makes
-    /// progress; entries the placement formula still puts past the last
-    /// bucket (at most a rounding fringe) stay in overflow for the epoch
-    /// after.
-    fn reseed(&mut self) {
-        debug_assert!(self.bottom.is_empty());
-        debug_assert!(self.buckets.iter().all(Vec::is_empty));
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for e in &self.overflow {
-            let t = e.at.as_secs();
-            min = min.min(t);
-            max = max.max(t);
-        }
-        self.epoch_start = min;
-        let span = max - min;
-        self.width = if span > 0.0 {
-            span / LADDER_BUCKETS as f64
-        } else {
-            1.0
-        };
-        self.cur = 0;
-        std::mem::swap(&mut self.overflow, &mut self.scratch);
-        let (epoch_start, width) = (self.epoch_start, self.width);
-        for e in self.scratch.drain(..) {
-            // Same placement formula as `slot` (inlined: `drain` holds a
-            // field borrow).
-            let s = ((e.at.as_secs() - epoch_start) / width) as usize;
-            if s < LADDER_BUCKETS {
-                self.buckets[s].push(e);
-            } else {
-                self.overflow.push(e);
-            }
-        }
-        self.profile.reseeds += 1;
-    }
-
-    /// The timestamp of the earliest pending entry — a *lower bound* on the
-    /// next live event's time, since the earliest entry may be a stale one
-    /// that will be skipped. The bottom answers in `O(1)`; otherwise the
-    /// first non-empty segment is scanned (segments are ordered by time,
-    /// so its minimum is the global minimum).
-    pub fn peek_time(&self) -> Option<Time> {
-        if let Some(e) = self.bottom.last() {
-            return Some(e.at);
-        }
-        for b in &self.buckets[self.cur.min(LADDER_BUCKETS)..] {
-            if !b.is_empty() {
-                return b.iter().map(|e| e.at).min();
-            }
-        }
-        self.overflow.iter().map(|e| e.at).min()
-    }
-
-    /// Number of pending entries, *including* superseded (stale) ones that
-    /// will be skipped when popped. Use [`EventQueue::live_len`] for the
-    /// number of events that will actually fire.
+    /// Number of pending entries, *including* superseded (stale) ones.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Number of pending entries that are still live (will fire), assuming
-    /// every superseded entry was reported via
-    /// [`EventQueue::note_superseded`].
+    /// Number of pending entries that will fire (all superseded ones noted).
     pub fn live_len(&self) -> usize {
         self.len() - self.stale
-    }
-
-    /// Number of entries reported superseded and not yet popped or
-    /// compacted away.
-    pub fn stale_len(&self) -> usize {
-        self.stale
     }
 
     /// `true` when no entries are pending (live or stale).
@@ -365,117 +166,92 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Records that one entry currently queued has been superseded (its
-    /// target was rescheduled or cancelled) and will be skipped when
-    /// popped.
+    /// Records that one queued entry was superseded and will be skipped.
     pub fn note_superseded(&mut self) {
         debug_assert!(self.stale < self.len(), "more stale entries than entries");
         self.stale += 1;
         self.profile.superseded += 1;
     }
 
-    /// Records that a popped entry turned out to be stale (the owner
-    /// skipped it).
+    /// Records that a popped entry was stale (the owner skipped it).
     pub fn note_stale_popped(&mut self) {
-        debug_assert!(
-            self.stale > 0,
-            "stale pop without a matching note_superseded"
-        );
+        debug_assert!(self.stale > 0, "stale pop never superseded");
         self.stale = self.stale.saturating_sub(1);
         self.profile.stale_popped += 1;
     }
 
-    /// `true` when stale entries form a strict majority of a queue at
-    /// least [`MIN_COMPACT_LEN`] entries long, so an
-    /// [`EventQueue::compact`] would more than halve it.
+    /// `true` when stale entries are a strict majority of a queue at least
+    /// [`MIN_COMPACT_LEN`] long, so [`EventQueue::compact`] would halve it.
     pub fn should_compact(&self) -> bool {
         self.len() >= MIN_COMPACT_LEN && self.stale * 2 > self.len()
     }
 
     /// Drops every entry for which `keep` returns `false` and resets the
-    /// stale count. Pop order of the survivors is unchanged — it is fully
-    /// determined by each entry's `(time, sequence)` key, which compaction
-    /// does not touch: `Vec::retain` preserves relative order (and the
-    /// bottom's sortedness), so survivors keep their exact pop ranks
-    /// without any re-sort.
+    /// stale count. Survivors keep their keys, so their pop order holds.
     pub fn compact(&mut self, mut keep: impl FnMut(&EventKind) -> bool) {
-        self.bottom.retain(|e| keep(&e.kind));
-        for b in &mut self.buckets {
-            b.retain(|e| keep(&e.kind));
-        }
-        self.overflow.retain(|e| keep(&e.kind));
-        self.len = self.bottom.len()
-            + self.buckets.iter().map(Vec::len).sum::<usize>()
-            + self.overflow.len();
+        self.heap.retain(|e| keep(&e.kind));
         self.stale = 0;
         self.profile.compactions += 1;
         #[cfg(test)]
-        if let Some(heap) = &mut self.referee {
-            heap.retain(|e| keep(&e.kind));
-            self.assert_referee_agrees();
-        }
+        self.referee_compact(keep);
     }
 }
 
-/// The binary heap the ladder is refereed against. A queue built with
-/// [`EventQueue::refereed`] feeds every push and compaction to a shadow
-/// `BinaryHeap` and asserts on every pop that the ladder returned exactly
-/// the heap's entry (time bits, sequence, payload), and that length and
-/// `peek_time` agree. Every pop-order test below runs refereed, and so
-/// does `kernel.rs`'s churn test.
-///
-/// This replaces the heap-vs-ladder axis that the end-to-end suites
-/// (`tests/{runtime_semantics,parallel_replay,collective_batching}.rs`
-/// and `replay`'s unit tests) used to carry: the
-/// kernel is a deterministic function of its inputs and the FEL's pop
-/// sequence, so pop-order identity here implies bit-identical replays
-/// there.
 #[cfg(test)]
 mod referee {
+    //! The sorted `Vec` the heap is refereed against. A queue built with
+    //! [`EventQueue::refereed`] mirrors every push and compaction into a
+    //! `Vec` kept sorted by `(Time, seq)` — `Time`'s own order, not the
+    //! packed key — and asserts on every pop that the heap returned exactly
+    //! the vector's head (time bits, sequence, payload) and that the
+    //! lengths agree. The queue hands `-0.0` back as the equal `+0.0`, so
+    //! the referee compares the bits of `t + 0.0`. Every pop-order test in
+    //! this file runs refereed, and so does `kernel.rs`'s churn test: the
+    //! kernel is a deterministic function of its inputs and the FEL's pop
+    //! sequence, so pop-order identity here implies bit-identical replays
+    //! there.
+
     use super::*;
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    impl PartialEq for Entry {
-        fn eq(&self, other: &Self) -> bool {
-            self.key() == other.key()
-        }
-    }
-    impl Eq for Entry {}
-
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-            // pops first.
-            other.key().cmp(&self.key())
-        }
-    }
 
     impl EventQueue {
-        /// An empty queue shadowed by the heap referee.
+        /// An empty queue shadowed by the sorted-`Vec` referee.
         pub(crate) fn refereed() -> EventQueue {
             EventQueue {
-                referee: Some(BinaryHeap::new()),
+                referee: Some(Vec::new()),
                 ..EventQueue::new()
             }
         }
 
-        /// Asserts the ladder and its referee (if any) agree on length and
-        /// earliest pending time.
-        pub(crate) fn assert_referee_agrees(&self) {
-            if let Some(heap) = &self.referee {
-                assert_eq!(self.len(), heap.len(), "ladder vs heap len");
+        pub(super) fn referee_push(&mut self, at: Time, seq: u64, kind: EventKind) {
+            if let Some(sorted) = &mut self.referee {
+                let pos = sorted.partition_point(|&(t, s, _)| (t, s) < (at, seq));
+                sorted.insert(pos, (at, seq, kind));
+            }
+        }
+
+        pub(super) fn referee_pop(&mut self, got: Option<Entry>) {
+            if let Some(sorted) = &mut self.referee {
+                let want = (!sorted.is_empty()).then(|| sorted.remove(0));
                 assert_eq!(
-                    self.peek_time(),
-                    heap.peek().map(|e| e.at),
-                    "ladder vs heap peek_time"
+                    got.map(|e| ((e.key >> 64) as u64, e.key as u64, e.kind)),
+                    want.map(|(t, seq, kind)| ((t.as_secs() + 0.0).to_bits(), seq, kind)),
+                    "heap vs sorted-vec pop"
                 );
+                self.assert_referee_agrees();
+            }
+        }
+
+        pub(super) fn referee_compact(&mut self, mut keep: impl FnMut(&EventKind) -> bool) {
+            if let Some(sorted) = &mut self.referee {
+                sorted.retain(|(_, _, kind)| keep(kind));
+                self.assert_referee_agrees();
+            }
+        }
+
+        /// Asserts the heap and its referee (if any) agree on length.
+        pub(crate) fn assert_referee_agrees(&self) {
+            if let Some(sorted) = &self.referee {
+                assert_eq!(self.len(), sorted.len(), "heap vs sorted-vec len");
             }
         }
     }
@@ -518,14 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::refereed();
         q.push(Time::from_secs(2.0), timer(0, 0));
         q.push(Time::from_secs(1.0), timer(0, 1));
-        assert_eq!(q.peek_time(), Some(Time::from_secs(1.0)));
+        assert_eq!(q.len(), 2);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, Time::from_secs(1.0));
-        assert_eq!(q.peek_time(), Some(Time::from_secs(2.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
@@ -534,10 +309,48 @@ mod tests {
     fn empty_queue_behaviour() {
         let mut q = EventQueue::refereed();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
         assert!(q.is_empty());
         assert_eq!(q.live_len(), 0);
-        assert_eq!(q.stale_len(), 0);
+        assert_eq!(q.live_len(), q.len());
+    }
+
+    /// The packed key orders exactly like `Time`, including at the edges
+    /// of its bit pattern: `-0.0` ties with `0.0` (and so pops in
+    /// insertion order among zeros), the smallest subnormal and the next
+    /// double above `1.0` are their own instants, and the largest
+    /// schedulable time pops last.
+    #[test]
+    fn key_orders_like_time() {
+        let times = [
+            f64::MAX.next_down(),
+            1.0f64.next_up(),
+            -0.0,
+            1.0,
+            f64::from_bits(1),
+            0.0,
+            -0.0,
+            1.0f64.next_up(),
+            1.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MAX.next_down(),
+        ];
+        let mut q = EventQueue::refereed();
+        for (key, &t) in times.iter().enumerate() {
+            q.push(Time::from_secs(t), timer(0, key as u64));
+        }
+        let mut expect: Vec<(Time, u64)> = (0..times.len() as u64)
+            .map(|key| (Time::from_secs(times[key as usize]), key))
+            .collect();
+        // Stable: ties keep insertion order.
+        expect.sort_by_key(|&(t, _)| t);
+        let got: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, k)| match k {
+                EventKind::Timer { key, .. } => (t, key),
+                EventKind::ActivityComplete { .. } => unreachable!(),
+            })
+            .collect();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -550,7 +363,7 @@ mod tests {
         q.note_superseded();
         assert_eq!(q.len(), 4);
         assert_eq!(q.live_len(), 2);
-        assert_eq!(q.stale_len(), 2);
+        assert_eq!(q.len() - q.live_len(), 2);
         let _ = q.pop();
         q.note_stale_popped();
         assert_eq!(q.len(), 3);
@@ -567,7 +380,6 @@ mod tests {
         let _ = q.pop();
         q.note_stale_popped();
         let _ = q.pop();
-        // Epoch is [0, 3]; a push far past it spills to overflow.
         q.push(Time::from_secs(1e6), timer(0, 4));
         q.compact(|_| true);
         let p = q.profile();
@@ -577,12 +389,11 @@ mod tests {
                 p.superseded,
                 p.popped,
                 p.stale_popped,
-                p.fired()
+                p.fired(),
+                p.compactions
             ),
-            (5, 1, 2, 1, 1)
+            (5, 1, 2, 1, 1, 1)
         );
-        assert_eq!((p.reseeds, p.spills, p.compactions), (1, 1, 1));
-        assert!(p.bucket_sorts >= 1);
     }
 
     #[test]
@@ -601,7 +412,7 @@ mod tests {
         q.compact(|k| matches!(k, EventKind::Timer { key, .. } if key % 3 == 0));
         assert_eq!(q.len(), 33);
         assert_eq!(q.live_len(), 33);
-        assert_eq!(q.stale_len(), 0);
+        assert_eq!(q.live_len(), q.len());
         assert!(!q.should_compact());
         let expect: Vec<u64> = (0..99).filter(|k| k % 3 == 0).collect();
         assert_eq!(drain_keys(&mut q), expect);
@@ -621,9 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn ladder_reseeds_across_sparse_epochs() {
-        // Clusters of events separated by huge gaps force epoch turnover:
-        // every cluster past the first starts life in overflow.
+    fn sparse_clusters_pop_in_time_order() {
+        // Clusters of events separated by huge gaps, each pushed in a
+        // scrambled order.
         let mut q = EventQueue::refereed();
         let mut expect = Vec::new();
         let mut key = 0u64;
@@ -647,10 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn ladder_accepts_pushes_into_the_drained_region() {
-        // Pop half an epoch, then push events earlier than everything
-        // still queued (but later than the last pop): they must merge into
-        // the bottom and pop next.
+    fn pushes_between_pops_merge_into_order() {
+        // Pop half the events, then push events earlier than everything
+        // still queued (but later than the last pop): they must pop next.
         let mut q = EventQueue::refereed();
         for key in 0..100u64 {
             q.push(Time::from_secs(key as f64), timer(0, key));
@@ -663,7 +473,6 @@ mod tests {
         }
         q.push(Time::from_secs(49.5), timer(0, 1000));
         q.push(Time::from_secs(49.25), timer(0, 1001));
-        assert_eq!(q.peek_time(), Some(Time::from_secs(49.25)));
         assert_eq!(drain_keys(&mut q), {
             let mut v = vec![1001, 1000];
             v.extend(50..100);
@@ -714,7 +523,7 @@ mod proptests {
                 }
             }
             q.compact(|k| matches!(k, EventKind::Timer { actor: 1, .. }));
-            prop_assert_eq!(q.stale_len(), 0);
+            prop_assert_eq!(q.live_len(), q.len());
             while let Some((t, EventKind::Timer { key, .. })) = q.pop() {
                 // The reference queue saw the live entries pushed in the
                 // same relative order, so (time, seq) ranks them
@@ -746,14 +555,14 @@ mod proptests {
             }
         }
 
-        /// The differential acceptance test for the ladder: any random
+        /// The differential acceptance test for the heap: any random
         /// interleaving of pushes (including time clusters far apart and
         /// duplicate timestamps), pops, supersedes, and compactions
-        /// produces a pop sequence bit-identical to the binary heap's —
-        /// the refereed queue asserts it on every pop, and length and
-        /// `peek_time` agreement is asserted after every operation.
+        /// produces the sorted `Vec`'s pop sequence bit for bit — the
+        /// refereed queue asserts it on every pop, and length agreement is
+        /// asserted after every operation.
         #[test]
-        fn fel_heap_vs_ladder_identical(
+        fn fel_matches_sorted_vec_referee(
             ops in proptest::collection::vec((0u8..12, 0u32..4, 0.0f64..100.0), 1..400),
         ) {
             let mut q = EventQueue::refereed();
@@ -774,7 +583,8 @@ mod proptests {
             for (op, cluster, t) in ops {
                 match op {
                     // Push: timestamps drawn from one of four clusters a
-                    // billion seconds apart, to exercise epoch reseeds.
+                    // billion seconds apart, so keys differ in the
+                    // exponent as well as the mantissa.
                     0..=5 => {
                         let at = Time::from_secs(f64::from(cluster) * 1e9 + t);
                         let key = next_key;
