@@ -200,8 +200,8 @@ impl MsgRankActor {
     }
 }
 
-impl Actor<MsgWorld> for MsgRankActor {
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut MsgWorld, wake: Wake) -> Status {
+impl<'p> Actor<MsgWorld<'p>> for MsgRankActor {
+    fn resume(&mut self, kernel: &mut Kernel, world: &mut MsgWorld<'p>, wake: Wake) -> Status {
         self.absorb_wake(world, kernel.now().as_secs(), wake);
         loop {
             if !matches!(self.waiting, Waiting::Ready) {
@@ -240,8 +240,8 @@ impl Actor<MsgWorld> for MsgRankActor {
 /// The MSG transport daemon.
 pub struct MsgTransportActor;
 
-impl Actor<MsgWorld> for MsgTransportActor {
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut MsgWorld, wake: Wake) -> Status {
+impl<'p> Actor<MsgWorld<'p>> for MsgTransportActor {
+    fn resume(&mut self, kernel: &mut Kernel, world: &mut MsgWorld<'p>, wake: Wake) -> Status {
         world.on_transport_wake(kernel, wake);
         Status::Blocked
     }
@@ -287,22 +287,22 @@ pub fn run_msg(
 /// counterpart of [`smpi::runner::SmpiRun`]. `prepare`, then
 /// [`MsgRun::run`], then [`MsgRun::finalize`] is exactly
 /// [`run_msg`].
-pub struct MsgRun {
-    sim: Sim<MsgWorld>,
+pub struct MsgRun<'p> {
+    sim: Sim<MsgWorld<'p>>,
     ranks: usize,
 }
 
 /// Assembles an MSG simulation: world, pre-sized kernel, one rank actor
 /// per source, and the transport daemon. With `record_spans`, the run
 /// records a [`SpanLog`] over its own rank ids `0..sources.len()`.
-pub fn prepare_msg(
-    platform: &Platform,
+pub fn prepare_msg<'p>(
+    platform: &'p Platform,
     hosts: &[HostId],
     sources: Vec<Box<dyn OpSource>>,
     cfg: MsgConfig,
     hooks: Box<dyn smpi::ExecHooks>,
     record_spans: bool,
-) -> MsgRun {
+) -> MsgRun<'p> {
     let ranks = sources.len();
     assert!(ranks > 0);
     assert_eq!(hosts.len(), ranks);
@@ -323,7 +323,7 @@ pub fn prepare_msg(
     MsgRun { sim, ranks }
 }
 
-impl MsgRun {
+impl MsgRun<'_> {
     /// Restricts the run's network to `links` (see
     /// [`netmodel::FlowNet::restrict_links`]).
     pub fn restrict_links(&mut self, links: &[platform::LinkId]) {

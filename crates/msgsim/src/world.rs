@@ -10,9 +10,10 @@
 use std::collections::VecDeque;
 
 use netmodel::{FlowId, FlowNet};
-use platform::{HostId, LinkId, Platform};
+use platform::{HostId, Platform};
 use simkernel::obs::{Counter, SpanKind, SpanLog};
 use simkernel::{ActorId, Duration, Kernel, Wake};
+use smpi::pairs::PairTable;
 use smpi::slab::{ActivityMap, Id, Slab, Waiters};
 use smpi::world::{note_size_mismatch, CollectiveOrder};
 
@@ -23,6 +24,8 @@ use crate::{CollectiveModel, MsgConfig};
 pub struct Task {
     src: u32,
     dst: u32,
+    /// Slot of the `(src, dst)` pair in the world's [`PairTable`].
+    pair: u32,
     bytes: u64,
     done: bool,
     flow: Option<FlowId>,
@@ -91,8 +94,17 @@ pub struct MsgStats {
     pub collectives: u64,
 }
 
-/// The MSG world.
-pub struct MsgWorld {
+/// The FIFO queues of one `<src>_<dst>` mailbox.
+#[derive(Debug, Default)]
+struct Mailbox {
+    /// Tasks deposited before any matching receive.
+    tasks: VecDeque<TaskId>,
+    /// Receives posted before any matching task.
+    pending: VecDeque<RecvId>,
+}
+
+/// The MSG world over a platform borrowed for `'p`.
+pub struct MsgWorld<'p> {
     /// Network state (raw factors).
     pub net: FlowNet,
     /// Configuration.
@@ -112,57 +124,32 @@ pub struct MsgWorld {
     /// ops — which [`MsgWorld::check_drained`] reports.
     mismatch: Option<String>,
     ranks: u32,
-    routes: Vec<Vec<LinkId>>,
-    pair_latency: Vec<f64>,
-    pair_bandwidth: Vec<f64>,
+    pairs: PairTable<'p, Mailbox>,
     tasks: Slab<Task>,
     recvs: Slab<PendingRecv>,
     reqs: Slab<Req>,
-    mailbox: Vec<VecDeque<TaskId>>,
-    pending: Vec<VecDeque<RecvId>>,
     flow_task: ActivityMap<TaskId>,
     colls: CollectiveOrder,
-    coll_model: CollectiveModel,
+    /// Resolved when the first collective completes (see
+    /// [`nominal_collective_model`]).
+    coll_model: Option<CollectiveModel>,
     transport: ActorId,
 }
 
-impl MsgWorld {
+impl<'p> MsgWorld<'p> {
     /// Builds the world; `transport` is the daemon receiving transfer
-    /// events.
+    /// events. Mailboxes and routes are built on each pair's first
+    /// message, so this is O(ranks).
     pub fn new(
-        platform: &Platform,
+        platform: &'p Platform,
         hosts: &[HostId],
         cfg: MsgConfig,
         hooks: Box<dyn smpi::ExecHooks>,
         transport: ActorId,
-    ) -> MsgWorld {
+    ) -> MsgWorld<'p> {
         let ranks = hosts.len() as u32;
         assert!(ranks > 0);
         let n = ranks as usize;
-        let mut routes = Vec::with_capacity(n * n);
-        let mut pair_latency = Vec::with_capacity(n * n);
-        let mut pair_bandwidth = Vec::with_capacity(n * n);
-        let mut scratch = Vec::new();
-        for s in 0..n {
-            for d in 0..n {
-                platform.route(hosts[s], hosts[d], &mut scratch);
-                routes.push(scratch.clone());
-                pair_latency.push(platform.route_latency(hosts[s], hosts[d]));
-                pair_bandwidth.push(platform.route_bandwidth(hosts[s], hosts[d]));
-            }
-        }
-        // Nominal collective-model parameters: the worst pair latency and
-        // the tightest pair bandwidth (what the old implementation read
-        // off the platform file).
-        let coll_model = CollectiveModel {
-            latency: pair_latency.iter().copied().fold(0.0, f64::max),
-            bandwidth: pair_bandwidth
-                .iter()
-                .copied()
-                .filter(|b| b.is_finite())
-                .fold(f64::INFINITY, f64::min)
-                .min(1e12),
-        };
         MsgWorld {
             net: FlowNet::new(platform, cfg.sharing),
             cfg,
@@ -172,20 +159,16 @@ impl MsgWorld {
             spans: None,
             mismatch: None,
             ranks,
-            routes,
-            pair_latency,
-            pair_bandwidth,
+            pairs: PairTable::new(platform, hosts),
             // Pre-sized like the SMPI world: the per-rank in-flight bound
             // the runners give the kernel also bounds live protocol
             // records, so the steady state never regrows these.
             tasks: Slab::with_capacity(n * simkernel::IN_FLIGHT_PER_RANK),
             recvs: Slab::with_capacity(n * simkernel::IN_FLIGHT_PER_RANK),
             reqs: Slab::with_capacity(n * simkernel::IN_FLIGHT_PER_RANK),
-            mailbox: (0..n * n).map(|_| VecDeque::with_capacity(4)).collect(),
-            pending: (0..n * n).map(|_| VecDeque::with_capacity(4)).collect(),
             flow_task: ActivityMap::with_capacity(simkernel::replay_sizing(n).0),
             colls: CollectiveOrder::default(),
-            coll_model,
+            coll_model: None,
             transport,
         }
     }
@@ -207,19 +190,6 @@ impl MsgWorld {
         if let Some(log) = self.spans.as_mut() {
             log.span(rank, start, end, kind, peer);
         }
-    }
-
-    /// The monolithic collective cost model in effect.
-    pub fn collective_model(&self) -> CollectiveModel {
-        self.coll_model
-    }
-
-    fn mbox(&self, src: u32, dst: u32) -> usize {
-        (dst * self.ranks + src) as usize
-    }
-
-    fn pair(&self, src: u32, dst: u32) -> usize {
-        (src * self.ranks + dst) as usize
     }
 
     // ------------------------------------------------------------------
@@ -248,9 +218,11 @@ impl MsgWorld {
         if bytes < self.cfg.async_threshold {
             self.stats.async_messages += 1;
         }
+        let pair = self.pairs.slot(src, dst);
         let task_id = self.tasks.insert(Task {
             src,
             dst,
+            pair,
             bytes,
             done: false,
             flow: None,
@@ -260,8 +232,8 @@ impl MsgWorld {
             waiters: Waiters::new(),
         });
         // A pending receive starts the transfer immediately.
-        let slot = self.mbox(src, dst);
-        if let Some(recv_id) = self.pending[slot].pop_front() {
+        let mailbox = &mut self.pairs[pair].queues;
+        if let Some(recv_id) = mailbox.pending.pop_front() {
             let pr = self.recvs.expect_mut(recv_id);
             note_size_mismatch(&mut self.mismatch, src, dst, bytes, pr.bytes);
             pr.matched = Some(task_id);
@@ -274,7 +246,7 @@ impl MsgWorld {
             }
             self.start_transfer(kernel, task_id);
         } else {
-            self.mailbox[slot].push_back(task_id);
+            mailbox.tasks.push_back(task_id);
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::MailboxEnqueued, 1);
             }
@@ -306,8 +278,9 @@ impl MsgWorld {
         actor: ActorId,
     ) -> (MsgRecvResult, Option<ReqId>) {
         assert!(src < self.ranks);
-        let slot = self.mbox(src, dst);
-        if let Some(task_id) = self.mailbox[slot].pop_front() {
+        let pair = self.pairs.slot(src, dst);
+        let mailbox = &mut self.pairs[pair].queues;
+        if let Some(task_id) = mailbox.tasks.pop_front() {
             let t = self.tasks.expect_mut(task_id);
             note_size_mismatch(&mut self.mismatch, src, dst, t.bytes, bytes);
             let req = if blocking {
@@ -330,7 +303,7 @@ impl MsgWorld {
                 waiter: blocking.then_some(actor),
                 matched: None,
             });
-            self.pending[slot].push_back(recv_id);
+            mailbox.pending.push_back(recv_id);
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::PendingEnqueued, 1);
             }
@@ -372,8 +345,11 @@ impl MsgWorld {
             .enter(index, rank, op, self.ranks, &mut self.mismatch);
         if last {
             self.stats.collectives += 1;
-            let duration = self
+            let pairs = &self.pairs;
+            let model = self
                 .coll_model
+                .get_or_insert_with(|| nominal_collective_model(pairs.platform(), pairs.hosts()));
+            let duration = model
                 .duration(&op, self.ranks)
                 .expect("non-collective entered collective sync");
             for r in 0..self.ranks {
@@ -434,17 +410,16 @@ impl MsgWorld {
                 };
                 let t = self.tasks.expect_mut(task_id);
                 let flow = t.flow.take().expect("flow completion without flow");
-                let (src, dst, bytes) = (t.src, t.dst, t.bytes);
+                let (pair, bytes) = (t.pair, t.bytes);
                 self.net.close(kernel, flow);
                 if let Some(log) = self.spans.as_mut() {
                     log.flow_close(task_id.pack(), kernel.now().as_secs());
                 }
-                let pair = self.pair(src, dst);
                 let lat = self.cfg.latency_multiplier
                     * self
                         .cfg
                         .factors
-                        .effective_latency(bytes, self.pair_latency[pair]);
+                        .effective_latency(bytes, self.pairs[pair].latency);
                 kernel.set_timer(self.transport, Duration::from_secs(lat), task_id.pack());
             }
             Wake::Timer(key) => self.complete_delivery(kernel, Id::unpack(key)),
@@ -455,21 +430,16 @@ impl MsgWorld {
     fn start_transfer(&mut self, kernel: &mut Kernel, task_id: TaskId) {
         let t = self.tasks.expect(task_id);
         let (src, dst, bytes) = (t.src, t.dst, t.bytes);
-        let pair = self.pair(src, dst);
-        if self.routes[pair].is_empty() {
+        let pair = &self.pairs[t.pair];
+        if pair.route.is_empty() {
             let d = self.cfg.loopback_latency + bytes as f64 / self.cfg.loopback_bandwidth;
             kernel.set_timer(self.transport, Duration::from_secs(d), task_id.pack());
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::LoopbackTransfers, 1);
             }
         } else {
-            let cap = self
-                .cfg
-                .factors
-                .effective_bandwidth(bytes, self.pair_bandwidth[pair]);
-            let route = std::mem::take(&mut self.routes[pair]);
-            let flow = self.net.open(kernel, &route, bytes as f64, cap);
-            self.routes[pair] = route;
+            let cap = self.cfg.factors.effective_bandwidth(bytes, pair.bandwidth);
+            let flow = self.net.open(kernel, &pair.route, bytes as f64, cap);
             let act = self.net.activity(flow);
             kernel.subscribe(act, self.transport);
             self.flow_task.insert(act, task_id);
@@ -518,11 +488,31 @@ impl MsgWorld {
         if live == (0, 0, 0) {
             return Ok(());
         }
-        let first = self.mailbox.iter().position(|q| !q.is_empty()).map(|i| {
-            let slot = i as u32; // `mbox(src, dst)` layout
-            (slot % self.ranks, slot / self.ranks)
-        });
+        let first = self.pairs.first_where(|m| !m.tasks.is_empty());
         Err(smpi::world::leak_report(live, first))
+    }
+}
+
+/// Nominal collective-model parameters: the worst latency and the
+/// tightest finite bandwidth over every ordered rank pair's route, folded
+/// source-major through one reused route buffer (what the old
+/// implementation read off the platform file).
+fn nominal_collective_model(platform: &Platform, hosts: &[HostId]) -> CollectiveModel {
+    let mut route = Vec::new();
+    let (mut latency, mut bandwidth) = (0.0, f64::INFINITY);
+    for &s in hosts {
+        for &d in hosts {
+            platform.route(s, d, &mut route);
+            latency = f64::max(latency, platform.path_latency(&route));
+            let b = platform.path_bandwidth(&route);
+            if b.is_finite() {
+                bandwidth = f64::min(bandwidth, b);
+            }
+        }
+    }
+    CollectiveModel {
+        latency,
+        bandwidth: bandwidth.min(1e12),
     }
 }
 

@@ -175,20 +175,33 @@ impl Platform {
 
     /// Total latency along the route from `src` to `dst`, in seconds.
     pub fn route_latency(&self, src: HostId, dst: HostId) -> f64 {
-        let mut links = Vec::with_capacity(4);
-        self.route(src, dst, &mut links);
-        links.iter().map(|l| self.link(*l).latency).sum()
+        self.path_latency(&self.route_links(src, dst))
     }
 
     /// Minimum bandwidth along the route (the nominal bottleneck), in
     /// bytes/second. Returns `f64::INFINITY` for loopback.
     pub fn route_bandwidth(&self, src: HostId, dst: HostId) -> f64 {
+        self.path_bandwidth(&self.route_links(src, dst))
+    }
+
+    /// Total latency of the links of `path` (a route from
+    /// [`Platform::route`]), in seconds; summed in path order.
+    pub fn path_latency(&self, path: &[LinkId]) -> f64 {
+        path.iter().map(|l| self.link(*l).latency).sum()
+    }
+
+    /// Minimum bandwidth over the links of `path`, in bytes/second;
+    /// `f64::INFINITY` for an empty (loopback) path.
+    pub fn path_bandwidth(&self, path: &[LinkId]) -> f64 {
+        path.iter()
+            .map(|l| self.link(*l).bandwidth)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn route_links(&self, src: HostId, dst: HostId) -> Vec<LinkId> {
         let mut links = Vec::with_capacity(4);
         self.route(src, dst, &mut links);
         links
-            .iter()
-            .map(|l| self.link(*l).bandwidth)
-            .fold(f64::INFINITY, f64::min)
     }
 }
 

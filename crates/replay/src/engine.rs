@@ -27,22 +27,22 @@ pub(crate) fn check_fault(fault: &FaultSlot) -> Result<(), String> {
 }
 
 /// One prepared simulation, unified over the two back-ends.
-pub(crate) enum EngineRun {
-    Smpi(smpi::SmpiRun),
-    Msg(msgsim::MsgRun),
+pub(crate) enum EngineRun<'p> {
+    Smpi(smpi::SmpiRun<'p>),
+    Msg(msgsim::MsgRun<'p>),
 }
 
-impl EngineRun {
+impl<'p> EngineRun<'p> {
     /// Assembles the engine `config` selects over `sources` placed on
     /// `hosts`; with `record_spans` it records spans under the run's own
     /// rank ids (`0..sources.len()`).
     pub(crate) fn prepare(
-        platform: &Platform,
+        platform: &'p Platform,
         hosts: &[HostId],
         sources: Vec<Box<dyn OpSource>>,
         config: &ReplayConfig,
         record_spans: bool,
-    ) -> EngineRun {
+    ) -> EngineRun<'p> {
         let hooks = Box::new(smpi::FixedRateHooks::uniform(
             config.rate,
             hosts.len() as u32,

@@ -704,6 +704,33 @@ mod tests {
         }
     }
 
+    /// The leak report names the lowest `(dst, src)` pair with a message
+    /// nobody received — not the first pair to communicate (`2 → 1`
+    /// sends first) — on both engines, sequential and island path.
+    #[test]
+    fn leak_report_names_the_lowest_destination_first() {
+        let text = "p0 init\np1 init\np2 send p1 8\np3 send p0 8\n";
+        let trace = titrace::stream::parse_merged_bytes(text.as_bytes(), 4).unwrap();
+        let input = TraceInput::Memory(Arc::new(trace));
+        let p = platform::clusters::bordereau();
+        for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
+            for threads in [1, 2] {
+                let config = ReplayConfig {
+                    engine,
+                    threads,
+                    ..ReplayConfig::improved(2e9)
+                };
+                let err = replay_input_observed(&p, &input, 4, &config, false).unwrap_err();
+                assert_eq!(
+                    err,
+                    "replay finished with unmatched records: 2 messages, 0 posts, 0 requests \
+                     (first unreceived message: rank 3 -> rank 0)",
+                    "{engine:?} threads={threads}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn memory_input_must_have_the_requested_rank_count() {
         let input = TraceInput::Memory(small_trace());

@@ -270,8 +270,8 @@ impl RankActor {
     }
 }
 
-impl Actor<SmpiWorld> for RankActor {
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld, wake: Wake) -> Status {
+impl<'p> Actor<SmpiWorld<'p>> for RankActor {
+    fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld<'p>, wake: Wake) -> Status {
         self.absorb_wake(world, kernel.now().as_secs(), wake);
         loop {
             if !matches!(self.waiting, Waiting::Ready) {
@@ -306,8 +306,8 @@ impl Actor<SmpiWorld> for RankActor {
 /// into the world.
 pub struct TransportActor;
 
-impl Actor<SmpiWorld> for TransportActor {
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld, wake: Wake) -> Status {
+impl<'p> Actor<SmpiWorld<'p>> for TransportActor {
+    fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld<'p>, wake: Wake) -> Status {
         world.on_transport_wake(kernel, wake);
         Status::Blocked
     }

@@ -31,6 +31,7 @@
 pub mod actor;
 pub mod collectives;
 pub mod hooks;
+pub mod pairs;
 pub mod runner;
 pub mod slab;
 pub mod timeline;

@@ -61,8 +61,8 @@ pub fn run_smpi(
 /// [`SmpiRun::finalize`] is exactly [`run_smpi`]. The
 /// island-parallel replay engine restricts each island's links before
 /// the run.
-pub struct SmpiRun {
-    sim: Sim<SmpiWorld>,
+pub struct SmpiRun<'p> {
+    sim: Sim<SmpiWorld<'p>>,
     ranks: usize,
 }
 
@@ -70,14 +70,14 @@ pub struct SmpiRun {
 /// [`RankActor`] per source, and the transport daemon. With
 /// `record_spans`, the run records a [`SpanLog`] over its own rank ids
 /// `0..sources.len()`.
-pub fn prepare_smpi(
-    platform: &Platform,
+pub fn prepare_smpi<'p>(
+    platform: &'p Platform,
     hosts: &[HostId],
     sources: Vec<Box<dyn OpSource>>,
     cfg: SmpiConfig,
     hooks: Box<dyn ExecHooks>,
     record_spans: bool,
-) -> SmpiRun {
+) -> SmpiRun<'p> {
     let ranks = sources.len();
     assert!(ranks > 0, "no ranks to run");
     assert_eq!(hosts.len(), ranks, "one host per rank required");
@@ -97,7 +97,7 @@ pub fn prepare_smpi(
     SmpiRun { sim, ranks }
 }
 
-impl SmpiRun {
+impl SmpiRun<'_> {
     /// Restricts the run's network to `links` (see
     /// [`netmodel::FlowNet::restrict_links`]): a partition-safety guard
     /// for partitioned replay.
@@ -653,7 +653,8 @@ mod tests {
             ..SmpiConfig::smpi_replay()
         };
         let hooks = Box::new(FixedRateHooks::uniform(1e9, n));
-        let mut run = prepare_smpi(&tiny_platform(n), &hosts(n), sources, cfg, hooks, false);
+        let platform = tiny_platform(n);
+        let mut run = prepare_smpi(&platform, &hosts(n), sources, cfg, hooks, false);
         run.sim.world.eager_collectives = eager_collectives;
         run.run();
         run.finalize().expect("schedule deadlocked").0

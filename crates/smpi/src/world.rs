@@ -26,12 +26,13 @@
 use std::collections::VecDeque;
 
 use netmodel::{FlowId, FlowNet, FLUSH_KEY};
-use platform::{HostId, LinkId, Platform};
+use platform::{HostId, Platform};
 use simkernel::obs::{Counter, SpanKind, SpanLog};
 use simkernel::{ActorId, Duration, Kernel, Wake};
 use workloads::MpiOp;
 
 use crate::hooks::ExecHooks;
+use crate::pairs::PairTable;
 use crate::slab::{ActivityMap, Id, Slab, Waiters};
 use crate::SmpiConfig;
 
@@ -46,6 +47,8 @@ const CHANNELS: usize = 2;
 pub struct Msg {
     src: u32,
     dst: u32,
+    /// Slot of the `(src, dst)` pair in the world's [`PairTable`].
+    pair: u32,
     bytes: u64,
     arrived: bool,
     /// Transfer started (eager always; rendezvous once matched).
@@ -125,8 +128,18 @@ pub struct WorldStats {
     pub max_posted_depth: u64,
 }
 
-/// The shared MPI world. See the [module documentation](self).
-pub struct SmpiWorld {
+/// The match queues of one `(src, dst)` pair, per channel.
+#[derive(Debug, Default)]
+struct MatchQueues {
+    /// Messages sent before their receive was posted.
+    unexpected: [VecDeque<MsgId>; CHANNELS],
+    /// Receives posted before their message was sent.
+    posted: [VecDeque<PostId>; CHANNELS],
+}
+
+/// The shared MPI world over a platform borrowed for `'p`. See the
+/// [module documentation](self).
+pub struct SmpiWorld<'p> {
     /// The network state.
     pub net: FlowNet,
     /// Protocol configuration.
@@ -148,14 +161,10 @@ pub struct SmpiWorld {
     mismatch: Option<String>,
     collectives: CollectiveOrder,
     ranks: u32,
-    routes: Vec<Vec<LinkId>>,
-    pair_latency: Vec<f64>,
-    pair_bandwidth: Vec<f64>,
+    pairs: PairTable<'p, MatchQueues>,
     msgs: Slab<Msg>,
     posts: Slab<Post>,
     reqs: Slab<Req>,
-    unexpected: Vec<VecDeque<MsgId>>,
-    posted: Vec<VecDeque<PostId>>,
     flow_msg: ActivityMap<MsgId>,
     transport: ActorId,
     /// Differential-test switch: collective flows take the eager
@@ -164,44 +173,27 @@ pub struct SmpiWorld {
     pub(crate) eager_collectives: bool,
 }
 
-/// Initial capacity of each per-channel match queue. Unexpected/posted
-/// queues are almost always depth ≤ 1 under trace replay (one
-/// outstanding message per (src, dst, channel) at a time); a few slots
-/// of slack mean the match path never regrows mid-replay.
-const CHAN_DEPTH: usize = 4;
-
 /// Records a queue-depth high-water mark.
 #[inline(always)]
 fn track_depth(max: &mut u64, depth: usize) {
     *max = (*max).max(depth as u64);
 }
 
-impl SmpiWorld {
+impl<'p> SmpiWorld<'p> {
     /// Builds the world for `ranks` processes placed on `hosts` of
     /// `platform`. `transport` is the daemon actor that will receive
-    /// transfer events (spawned by the runner).
+    /// transfer events (spawned by the runner). Per-pair state is built
+    /// on each pair's first message, so this is O(ranks).
     pub fn new(
-        platform: &Platform,
+        platform: &'p Platform,
         hosts: &[HostId],
         cfg: SmpiConfig,
         hooks: Box<dyn ExecHooks>,
         transport: ActorId,
-    ) -> SmpiWorld {
+    ) -> SmpiWorld<'p> {
         let ranks = hosts.len() as u32;
         assert!(ranks > 0, "need at least one rank");
         let n = ranks as usize;
-        let mut routes = Vec::with_capacity(n * n);
-        let mut pair_latency = Vec::with_capacity(n * n);
-        let mut pair_bandwidth = Vec::with_capacity(n * n);
-        let mut scratch = Vec::new();
-        for s in 0..n {
-            for d in 0..n {
-                platform.route(hosts[s], hosts[d], &mut scratch);
-                routes.push(scratch.clone());
-                pair_latency.push(platform.route_latency(hosts[s], hosts[d]));
-                pair_bandwidth.push(platform.route_bandwidth(hosts[s], hosts[d]));
-            }
-        }
         let mut net = FlowNet::new(platform, cfg.sharing);
         // Deferred collective batches flush off a zero-delay timer
         // delivered to the transport daemon (see FLUSH_KEY).
@@ -216,9 +208,7 @@ impl SmpiWorld {
             mismatch: None,
             collectives: CollectiveOrder::default(),
             ranks,
-            routes,
-            pair_latency,
-            pair_bandwidth,
+            pairs: PairTable::new(platform, hosts),
             // Record slabs and the flow side table are pre-sized to the
             // same per-rank in-flight bound the runners use for the
             // kernel (see `simkernel::replay_sizing`), so the protocol
@@ -226,12 +216,6 @@ impl SmpiWorld {
             msgs: Slab::with_capacity(n * simkernel::IN_FLIGHT_PER_RANK),
             posts: Slab::with_capacity(n * simkernel::IN_FLIGHT_PER_RANK),
             reqs: Slab::with_capacity(n * simkernel::IN_FLIGHT_PER_RANK),
-            unexpected: (0..n * n * CHANNELS)
-                .map(|_| VecDeque::with_capacity(CHAN_DEPTH))
-                .collect(),
-            posted: (0..n * n * CHANNELS)
-                .map(|_| VecDeque::with_capacity(CHAN_DEPTH))
-                .collect(),
             flow_msg: ActivityMap::with_capacity(simkernel::replay_sizing(n).0),
             transport,
             #[cfg(test)]
@@ -242,14 +226,6 @@ impl SmpiWorld {
     /// Number of ranks.
     pub fn ranks(&self) -> u32 {
         self.ranks
-    }
-
-    fn chan(&self, dst: u32, src: u32, ch: u8) -> usize {
-        ((dst * self.ranks + src) as usize) * CHANNELS + ch as usize
-    }
-
-    fn pair(&self, src: u32, dst: u32) -> usize {
-        (src * self.ranks + dst) as usize
     }
 
     // ------------------------------------------------------------------
@@ -278,9 +254,11 @@ impl SmpiWorld {
         if eager {
             self.stats.eager_messages += 1;
         }
+        let pair = self.pairs.slot(src, dst);
         let msg_id = self.msgs.insert(Msg {
             src,
             dst,
+            pair,
             bytes,
             arrived: false,
             transferring: false,
@@ -293,8 +271,8 @@ impl SmpiWorld {
             waiters: Waiters::new(),
         });
         // Try to match an already-posted receive.
-        let chan = self.chan(dst, src, ch);
-        let matched = self.posted[chan].pop_front();
+        let queues = &mut self.pairs[pair].queues;
+        let matched = queues.posted[ch as usize].pop_front();
         if let Some(post_id) = matched {
             let post = self.posts.expect_mut(post_id);
             let expected = post.bytes;
@@ -302,11 +280,9 @@ impl SmpiWorld {
             note_size_mismatch(&mut self.mismatch, src, dst, bytes, expected);
             self.msgs.expect_mut(msg_id).matched_post = Some(post_id);
         } else {
-            self.unexpected[chan].push_back(msg_id);
-            track_depth(
-                &mut self.stats.max_unexpected_depth,
-                self.unexpected[chan].len(),
-            );
+            let unexpected = &mut queues.unexpected[ch as usize];
+            unexpected.push_back(msg_id);
+            track_depth(&mut self.stats.max_unexpected_depth, unexpected.len());
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::UnexpectedEnqueued, 1);
             }
@@ -351,8 +327,9 @@ impl SmpiWorld {
         actor: ActorId,
     ) -> (RecvResult, Option<ReqId>) {
         assert!(src < self.ranks, "recv from non-existent rank {src}");
-        let chan = self.chan(dst, src, ch);
-        if let Some(msg_id) = self.unexpected[chan].pop_front() {
+        let pair = self.pairs.slot(src, dst);
+        let queues = &mut self.pairs[pair].queues;
+        if let Some(msg_id) = queues.unexpected[ch as usize].pop_front() {
             let msg = self.msgs.expect_mut(msg_id);
             note_size_mismatch(&mut self.mismatch, src, dst, msg.bytes, bytes);
             msg.delivered = true;
@@ -392,8 +369,9 @@ impl SmpiWorld {
                 req: None,
                 waiter: blocking.then_some(actor),
             });
-            self.posted[chan].push_back(post_id);
-            track_depth(&mut self.stats.max_posted_depth, self.posted[chan].len());
+            let posted = &mut queues.posted[ch as usize];
+            posted.push_back(post_id);
+            track_depth(&mut self.stats.max_posted_depth, posted.len());
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::PostedEnqueued, 1);
             }
@@ -491,8 +469,7 @@ impl SmpiWorld {
                 };
                 let msg = self.msgs.expect_mut(msg_id);
                 let flow = msg.flow.take().expect("flow completion without flow");
-                let (src, dst, bytes, coll) = (msg.src, msg.dst, msg.bytes, msg.coll);
-                let pair = self.pair(src, dst);
+                let (pair, bytes, coll) = (msg.pair, msg.bytes, msg.coll);
                 if self.defers(coll) {
                     self.net.close_deferred(kernel, flow);
                 } else {
@@ -505,7 +482,7 @@ impl SmpiWorld {
                 let lat = self
                     .cfg
                     .factors
-                    .effective_latency(bytes, self.pair_latency[pair]);
+                    .effective_latency(bytes, self.pairs[pair].latency);
                 kernel.set_timer(self.transport, Duration::from_secs(lat), msg_id.pack());
             }
             Wake::Timer(FLUSH_KEY) => {
@@ -536,8 +513,8 @@ impl SmpiWorld {
         let msg = self.msgs.expect_mut(msg_id);
         msg.transferring = true;
         let (src, dst, bytes, coll) = (msg.src, msg.dst, msg.bytes, msg.coll);
-        let pair = self.pair(src, dst);
-        if self.routes[pair].is_empty() {
+        let pair = &self.pairs[msg.pair];
+        if pair.route.is_empty() {
             // Intra-host: a memory copy.
             let d = self.cfg.loopback_latency + bytes as f64 / self.cfg.loopback_bandwidth;
             kernel.set_timer(self.transport, Duration::from_secs(d), msg_id.pack());
@@ -545,17 +522,13 @@ impl SmpiWorld {
                 log.count(Counter::LoopbackTransfers, 1);
             }
         } else {
-            let cap = self
-                .cfg
-                .factors
-                .effective_bandwidth(bytes, self.pair_bandwidth[pair]);
-            let route = std::mem::take(&mut self.routes[pair]);
+            let cap = self.cfg.factors.effective_bandwidth(bytes, pair.bandwidth);
             let flow = if self.defers(coll) {
-                self.net.open_deferred(kernel, &route, bytes as f64, cap)
+                self.net
+                    .open_deferred(kernel, &pair.route, bytes as f64, cap)
             } else {
-                self.net.open(kernel, &route, bytes as f64, cap)
+                self.net.open(kernel, &pair.route, bytes as f64, cap)
             };
-            self.routes[pair] = route;
             let act = self.net.activity(flow);
             kernel.subscribe(act, self.transport);
             self.flow_msg.insert(act, flow_msg_value(msg_id));
@@ -634,10 +607,9 @@ impl SmpiWorld {
         if live == (0, 0, 0) {
             return Ok(());
         }
-        let first = self.unexpected.iter().position(|q| !q.is_empty()).map(|i| {
-            let pair = (i / CHANNELS) as u32; // `chan(dst, src, _)` layout
-            (pair % self.ranks, pair / self.ranks)
-        });
+        let first = self
+            .pairs
+            .first_where(|q| q.unexpected.iter().any(|u| !u.is_empty()));
         Err(leak_report(live, first))
     }
 }

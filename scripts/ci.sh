@@ -180,6 +180,29 @@ a_msgs=$(ar_field messages)
     || { echo "allreduce P=128: $a_events events for $a_msgs messages" >&2; exit 1; }
 echo "AGG_SMOKE ok (simulated_time_s $a_time, $a_resolves re-solves = flushes, $a_examined examined = flows, $a_events events / $a_msgs messages)"
 
+# Scale smoke: both runtimes build a rank pair's route and match queues
+# on the pair's first message, so a 2048-rank halo exchange replays in
+# under 1 GiB of address space (a table over all P² pairs needs ~1.6 GiB
+# here), sequentially and on the island path, to the same simulated time.
+"$gen" --workload halo --procs 2048 --steps 20 --out "$ingest_dir/halo2k.trace" >/dev/null
+"$rep" trace pack "$ingest_dir/halo2k.trace" "$ingest_dir/halo2k.titb" --ranks 2048 >/dev/null
+scale_replay() {
+    (
+        ulimit -v 1048576
+        "$rep" --platform "$ingest_dir/halo2k.trace.platform.json" \
+            --trace "$ingest_dir/halo2k.titb" --ranks 2048 --rate 2e9 --threads "$1" \
+            2>"$ingest_dir/scale.$1.err"
+    ) | awk '$1 == "simulated_time_s" {print $2}'
+}
+s_seq=$(scale_replay 1 || true)
+s_par=$(scale_replay 2 || true)
+[ -n "$s_seq" ] && [ "$s_seq" = "$s_par" ] || {
+    echo "halo P=2048 under 1 GiB: '$s_seq' at --threads 1, '$s_par' at --threads 2" >&2
+    tail -n 3 "$ingest_dir"/scale.*.err >&2
+    exit 1
+}
+echo "SCALE_SMOKE ok (halo P=2048 under ulimit -v 1 GiB, simulated_time_s $s_seq at --threads 1 and 2)"
+
 # One build: the workspace build above and the package build the
 # benchmark makes write the same target/release/titreplay, so they must
 # be the same program — byte-identical --metrics on the same input.

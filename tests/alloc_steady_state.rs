@@ -1,8 +1,9 @@
 //! Allocation gates: the two zero-steady-state-allocation claims of the
-//! event core and the observability layer, measured with a counting
-//! global allocator this test binary owns. The count is per thread, so
-//! the tests do not disturb each other or the harness; everything
-//! measured runs on the calling thread.
+//! event core and the observability layer, and the O(P) cost of building
+//! a runtime world, measured with a counting global allocator this test
+//! binary owns. The counts are per thread, so the tests do not disturb
+//! each other or the harness; everything measured runs on the calling
+//! thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,15 +15,22 @@ use tit_replay::simkernel::Time;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation (or reallocation) of `size` bytes.
+fn count(size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|b| b.set(b.get() + size as u64));
 }
 
 struct CountingAlloc;
 
-// SAFETY: pure delegation to `System`, plus a bump of a const-initialised
-// thread-local `Cell` that has no destructor and never allocates.
+// SAFETY: pure delegation to `System`, plus bumps of const-initialised
+// thread-local `Cell`s that have no destructor and never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,6 +52,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Bytes requested from the heap (allocations plus reallocations' new
+/// sizes) while `f` runs on this thread.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// Deterministic xorshift64* stream.
@@ -154,4 +170,54 @@ fn disabled_recorder_allocation_overhead_is_a_per_run_constant() {
         deltas[0], deltas[1],
         "replay-entry allocation overhead scales with the workload"
     );
+}
+
+/// Building a world costs O(P) bytes, not O(P²): per-pair routes and
+/// match queues are built on a pair's first message. Both runtimes are
+/// assembled over empty op sources on one 4096-host cluster at P = 1024
+/// and P = 4096; linear growth gives a byte ratio of 4, a P² table 16.
+#[test]
+fn world_build_allocates_linearly_in_the_rank_count() {
+    use tit_replay::msgsim::{prepare_msg, MsgConfig};
+    use tit_replay::platform::topology::{flat_cluster, FlatClusterSpec};
+    use tit_replay::platform::HostId;
+    use tit_replay::smpi::{prepare_smpi, FixedRateHooks, SmpiConfig};
+    use tit_replay::workloads::{OpSource, VecSource};
+
+    let platform = flat_cluster(&FlatClusterSpec {
+        name: "wide".into(),
+        nodes: 4096,
+        host_speed: 1e9,
+        cores: 1,
+        cache_bytes: 1 << 20,
+        link_bandwidth: 1e8,
+        link_latency: 10e-6,
+        backbone_bandwidth: 1e10,
+        backbone_latency: 1e-6,
+    });
+    let build = |ranks: u32| {
+        let hosts: Vec<HostId> = (0..ranks).map(HostId).collect();
+        let sources = || -> Vec<Box<dyn OpSource>> {
+            (0..ranks)
+                .map(|_| Box::new(VecSource::new(Vec::new())) as Box<dyn OpSource>)
+                .collect()
+        };
+        let hooks = || Box::new(FixedRateHooks::uniform(1e9, ranks));
+        let (smpi, smpi_sources, smpi_hooks) = (SmpiConfig::smpi_replay(), sources(), hooks());
+        let (_, smpi_bytes) = allocated_bytes(|| {
+            prepare_smpi(&platform, &hosts, smpi_sources, smpi, smpi_hooks, false)
+        });
+        let (msg, msg_sources, msg_hooks) = (MsgConfig::legacy(), sources(), hooks());
+        let (_, msg_bytes) =
+            allocated_bytes(|| prepare_msg(&platform, &hosts, msg_sources, msg, msg_hooks, false));
+        (smpi_bytes, msg_bytes)
+    };
+    let (small, large) = (build(1024), build(4096));
+    for (engine, small, large) in [("smpi", small.0, large.0), ("msg", small.1, large.1)] {
+        let ratio = large as f64 / small as f64;
+        assert!(
+            ratio <= 5.0,
+            "{engine} world build: {small} B at P = 1024, {large} B at P = 4096 (ratio {ratio:.2})"
+        );
+    }
 }
