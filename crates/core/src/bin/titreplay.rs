@@ -6,7 +6,6 @@
 //! titreplay [replay] --platform platform.json --trace trace.txt --ranks 8 \
 //!           --rate 2.05e9 [--engine smpi|msg] [--threads N] \
 //!           [--validate] [--no-cache] \
-//!           [--sharing bottleneck|maxmin] \
 //!           [--trace-out <out.json>] [--state-csv <out.csv>] \
 //!           [--metrics <out.json>] [--manifest <out.json>] \
 //!           [--critical-path [out.json]]
@@ -60,7 +59,6 @@ struct Args {
     ranks: u32,
     rate: f64,
     engine: ReplayEngine,
-    sharing: tit_replay::netmodel::SharingPolicy,
     threads: Option<usize>,
     validate: bool,
     cache: bool,
@@ -76,7 +74,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: titreplay [replay] --platform <platform.json> --trace <trace.txt|.desc|.titb> \
          --ranks <N> --rate <instr/s> [--engine smpi|msg] [--threads <N>] \
-         [--sharing bottleneck|maxmin] [--validate] [--no-cache]\n\
+         [--validate] [--no-cache]\n\
          \x20          [--trace-out <chrome.json>] [--state-csv <states.csv>]\n\
          \x20          [--metrics <metrics.json>] [--manifest <manifest.json>]\n\
          \x20          [--critical-path [path.json]]\n\
@@ -146,7 +144,6 @@ fn parse_args(argv: &[String]) -> Args {
     let mut ranks = None;
     let mut rate = None;
     let mut engine = ReplayEngine::Smpi;
-    let mut sharing = tit_replay::netmodel::SharingPolicy::Bottleneck;
     let mut threads = None;
     let mut validate = false;
     let mut cache = true;
@@ -166,11 +163,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--engine" => match args.next().map(String::as_str) {
                 Some("smpi") => engine = ReplayEngine::Smpi,
                 Some("msg") => engine = ReplayEngine::Msg,
-                _ => usage(),
-            },
-            "--sharing" => match args.next().map(String::as_str) {
-                Some("bottleneck") => sharing = tit_replay::netmodel::SharingPolicy::Bottleneck,
-                Some("maxmin") => sharing = tit_replay::netmodel::SharingPolicy::MaxMin,
                 _ => usage(),
             },
             "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
@@ -199,7 +191,6 @@ fn parse_args(argv: &[String]) -> Args {
             ranks,
             rate,
             engine,
-            sharing,
             threads,
             validate,
             cache,
@@ -442,7 +433,6 @@ fn main() {
     }
     let config = ReplayConfig {
         engine: args.engine,
-        sharing: args.sharing,
         threads: args.threads.unwrap_or_else(ReplayConfig::default_threads),
         ..ReplayConfig::improved(args.rate)
     };

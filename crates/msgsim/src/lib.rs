@@ -36,7 +36,7 @@ pub mod world;
 pub use runner::{prepare_msg, run_msg, MsgResult, MsgRun};
 pub use world::MsgWorld;
 
-use netmodel::{PiecewiseFactors, SharingPolicy};
+use netmodel::PiecewiseFactors;
 
 /// Messages strictly below this size use the asynchronous (non-blocking
 /// sender) path, mirroring the old implementation's `if (size<65536)`.
@@ -60,8 +60,6 @@ pub struct MsgConfig {
     pub loopback_bandwidth: f64,
     /// Intra-host fixed latency, seconds.
     pub loopback_latency: f64,
-    /// Bandwidth-sharing policy.
-    pub sharing: SharingPolicy,
 }
 
 impl MsgConfig {
@@ -73,7 +71,6 @@ impl MsgConfig {
             latency_multiplier: 1.9,
             loopback_bandwidth: 3.0e9,
             loopback_latency: 0.4e-6,
-            sharing: SharingPolicy::Bottleneck,
         }
     }
 }

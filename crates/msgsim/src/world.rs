@@ -151,7 +151,7 @@ impl<'p> MsgWorld<'p> {
         assert!(ranks > 0);
         let n = ranks as usize;
         MsgWorld {
-            net: FlowNet::new(platform, cfg.sharing),
+            net: FlowNet::new(platform, netmodel::SharingPolicy::Bottleneck),
             cfg,
             hooks,
             stats: MsgStats::default(),

@@ -2,36 +2,30 @@
 //!
 //! A network transfer is a kernel activity whose work is the message size
 //! in bytes and whose rate is the bandwidth currently allotted to the
-//! flow. This crate maintains that allotment as flows come and go:
-//!
-//! * [`SharingPolicy::Bottleneck`] — each flow receives
-//!   `min_over_route(capacity / flows_on_link)`, capped by its own
-//!   protocol ceiling. This is the fast model used for large simulations;
-//!   it guarantees no link is oversubscribed but does not redistribute
-//!   head-room (same family of approximation as SimGrid's fast default
-//!   without cross-traffic). An open or close examines only the flows on
-//!   links where some flow's rate can move (see `LinkState::hi`).
-//! * [`SharingPolicy::MaxMin`] — exact progressive-filling max-min
-//!   fairness, recomputed incrementally: an arrival or departure
-//!   re-solves only the connected component of the flow/link graph it
-//!   touches.
-//! * [`SharingPolicy::MaxMinFull`] — the same solver run over every
-//!   component on every change. Reference for the incremental path; the
-//!   two are bit-identical in both rates and kernel event sequence, which
-//!   the tests enforce.
-//!
-//! Under every policy a flow remembers the last rate pushed to the kernel
-//! and only a bitwise different one is pushed again.
+//! flow. This crate maintains that allotment as flows come and go, with
+//! one sharing model, the **bottleneck** share: each flow receives
+//! `min_over_route(capacity / flows_on_link)`, capped by its own protocol
+//! ceiling. It guarantees no link is oversubscribed but does not
+//! redistribute head-room (same family of approximation as SimGrid's fast
+//! default without cross-traffic). Exact max-min fairness was measured
+//! against it on every paper figure and moved no error by 0.5 percentage
+//! points (see EXPERIMENTS.md), so it survives only as the test referee
+//! [`sharing::maxmin_rates`], which bounds every bottleneck rate from
+//! above. An open or close examines only the flows on links where some
+//! flow's rate can move (see `LinkState::hi`), and a flow remembers the
+//! last rate pushed to the kernel so only a bitwise different one is
+//! pushed again.
 //!
 //! For collective traffic there is additionally a **deferred** open/close
 //! path ([`FlowNet::open_deferred`] / [`FlowNet::close_deferred`]): the
-//! per-flow tables update immediately, but the re-solve is batched to the
+//! per-flow tables update immediately, but the re-share is batched to the
 //! end of the current instant ([`FlowNet::flush`], driven by a zero-delay
 //! [`FLUSH_KEY`] timer). Same-instant rate changes cannot affect any
-//! completion time, and the flush re-solves each affected component on
-//! the instant's *final* graph — the same state the per-op sequence ends
-//! in — so allotments stay bit-identical while a P-flow collective phase
-//! costs O(1) solves instead of O(P). [`NetStats`] counts the work.
+//! completion time, and the flush re-rates every flow on a dirty link
+//! against the instant's *final* occupancies — the same state the per-op
+//! sequence ends in — so allotments stay bit-identical while a P-flow
+//! collective phase costs O(1) re-shares instead of O(P). [`NetStats`]
+//! counts the work.
 //!
 //! [`piecewise::PiecewiseFactors`] implements SMPI's piece-wise linear
 //! correction of nominal latency/bandwidth by message size — the paper's
@@ -74,9 +68,8 @@ struct Flow {
     /// Per-flow rate ceiling (protocol-corrected nominal bandwidth).
     cap: f64,
     /// Last rate pushed to the kernel (0 until the first push): what the
-    /// flow's activity runs at, under every policy. A re-share compares a
-    /// recomputed rate against it bitwise and calls the kernel only on a
-    /// difference.
+    /// flow's activity runs at. A re-share compares a recomputed rate
+    /// against it bitwise and calls the kernel only on a difference.
     rate: f64,
     /// Monotonic open-order stamp. Slab indices are recycled through the
     /// free list, so index order says nothing about which flow opened
@@ -110,31 +103,6 @@ struct LinkState {
     hi: f64,
 }
 
-/// Borrowed view of the network tables handed to the max-min solver.
-struct NetView<'a> {
-    links: &'a [LinkState],
-    flows: &'a [Flow],
-    per_link: &'a [Vec<u32>],
-}
-
-impl sharing::SharingProblem for NetView<'_> {
-    fn capacity(&self, link: u32) -> f64 {
-        self.links[link as usize].capacity
-    }
-
-    fn live_flows_on(&self, link: u32) -> u32 {
-        self.per_link[link as usize].len() as u32
-    }
-
-    fn route(&self, flow: u32) -> &[LinkId] {
-        &self.flows[flow as usize].route
-    }
-
-    fn ceiling(&self, flow: u32) -> f64 {
-        self.flows[flow as usize].cap
-    }
-}
-
 /// The live network: link occupancies and flow allotments.
 #[derive(Debug)]
 pub struct FlowNet {
@@ -144,24 +112,13 @@ pub struct FlowNet {
     /// Flows crossing each link, in open order ([`Flow::seq`] strictly
     /// increasing): `register` appends, `unregister` removes in place.
     per_link: Vec<Vec<u32>>,
-    policy: SharingPolicy,
+    /// Flows collected by the current sweep, deduplicated.
     scratch: Vec<u32>,
     live_count: usize,
-    /// Progressive-filling solver with reusable scratch (max-min policies).
-    solver: sharing::MaxMinSolver,
-    /// Flows of the component currently being solved (sorted before fill).
-    comp_flows: Vec<u32>,
-    /// Links of the component currently being solved.
-    comp_links: Vec<u32>,
-    /// Component-membership stamps; a flow/link is in the current
-    /// component iff its stamp equals `epoch` (no per-reshare clearing).
+    /// Sweep-membership stamps; a flow is in the current sweep iff its
+    /// stamp equals `epoch` (no per-reshare clearing).
     flow_mark: Vec<u64>,
-    link_mark: Vec<u64>,
     epoch: u64,
-    /// Flows whose freshly solved rate differs from their stored rate;
-    /// applied to the kernel in flow-open order so the event sequence is
-    /// independent of component discovery order and slab reuse.
-    pending: Vec<u32>,
     /// Next value of [`Flow::seq`].
     next_seq: u64,
     stats: NetStats,
@@ -188,8 +145,9 @@ pub struct FlowNet {
 }
 
 impl FlowNet {
-    /// Builds the network state from a platform's links.
-    pub fn new(platform: &Platform, policy: SharingPolicy) -> FlowNet {
+    /// Builds the network state from a platform's links. `SharingPolicy`
+    /// has the one bottleneck variant, so the argument selects nothing.
+    pub fn new(platform: &Platform, _policy: SharingPolicy) -> FlowNet {
         let links = platform
             .links()
             .iter()
@@ -207,16 +165,10 @@ impl FlowNet {
             flows: Vec::new(),
             free_head: NO_FREE,
             per_link,
-            policy,
             scratch: Vec::new(),
             live_count: 0,
-            solver: sharing::MaxMinSolver::new(),
-            comp_flows: Vec::new(),
-            comp_links: Vec::new(),
             flow_mark: Vec::new(),
-            link_mark: vec![0; nlinks],
             epoch: 0,
-            pending: Vec::new(),
             next_seq: 0,
             stats: NetStats::default(),
             allowed: None,
@@ -249,11 +201,6 @@ impl FlowNet {
         self.stats
     }
 
-    /// The sharing policy in effect.
-    pub fn policy(&self) -> SharingPolicy {
-        self.policy
-    }
-
     /// Number of currently open flows.
     pub fn live_flows(&self) -> usize {
         self.live_count
@@ -269,7 +216,12 @@ impl FlowNet {
     /// network layer.
     pub fn open(&mut self, kernel: &mut Kernel, route: &[LinkId], bytes: f64, cap: f64) -> FlowId {
         let id = self.register(kernel, route, bytes, cap);
-        self.reshare_after_change(kernel, id.index);
+        self.collect_neighbors(id.index);
+        // The new flow has no rate yet, whatever its links say.
+        if self.flow_mark[id.index as usize] != self.epoch {
+            self.scratch.push(id.index); // youngest: open order holds
+        }
+        self.rerate_scratch(kernel);
         id
     }
 
@@ -372,7 +324,9 @@ impl FlowNet {
         let f = &mut self.flows[id.index as usize];
         f.next_free = self.free_head;
         self.free_head = id.index;
-        self.reshare_after_close(kernel, &id);
+        // The closed flow's former route links gained head-room.
+        self.collect_neighbors(id.index);
+        self.rerate_scratch(kernel);
     }
 
     /// Closes a flow like [`FlowNet::close`] but defers the re-solve to
@@ -454,11 +408,14 @@ impl FlowNet {
     }
 
     /// Applies every deferred open/close recorded since the last flush:
-    /// one batched re-solve over the flows on the batch's dirty links in
-    /// the instant's final graph, rate pushes in flow-open order.
-    /// Quarantined slab slots return to the free list last, in close
-    /// order, matching the sequential path's free-list state at the end
-    /// of the instant.
+    /// one batched re-share over every flow on a dirty link — a superset
+    /// of the flows whose link occupancies changed — in the instant's
+    /// final graph, rate pushes in flow-open order. The bottleneck rate
+    /// is a pure function of the final occupancies, so pushing it once
+    /// per flow it moved reproduces the sequential sequence's
+    /// end-of-instant rates bitwise. Quarantined slab slots return to the
+    /// free list last, in close order, matching the sequential path's
+    /// free-list state at the end of the instant.
     pub fn flush(&mut self, kernel: &mut Kernel) {
         self.flush_scheduled = false;
         // Every deferred op dirties its (non-empty) route.
@@ -470,11 +427,16 @@ impl FlowNet {
         {
             self.probe.flush_examined = 0;
         }
-        match self.policy {
-            SharingPolicy::Bottleneck => self.flush_bottleneck(kernel),
-            SharingPolicy::MaxMin => self.flush_maxmin(kernel),
-            SharingPolicy::MaxMinFull => self.reshare_maxmin_full(kernel),
+        self.begin_sweep();
+        for i in 0..self.batch_links.len() {
+            let l = self.batch_links[i] as usize;
+            #[cfg(test)]
+            {
+                self.probe.flush_examined += self.per_link[l].len();
+            }
+            self.sweep_link(l);
         }
+        self.rerate_scratch(kernel);
         for i in 0..self.batch_freed.len() {
             let idx = self.batch_freed[i];
             self.flows[idx as usize].next_free = self.free_head;
@@ -486,27 +448,11 @@ impl FlowNet {
         }
     }
 
-    /// Batched bottleneck re-solve: one recomputation over every flow on
-    /// a dirty link — a superset of the flows whose link occupancies
-    /// changed. The bottleneck rate is a pure function of the final
-    /// occupancies, so pushing it once per flow it moved reproduces the
-    /// sequential sequence's end-of-instant rates bitwise.
-    fn flush_bottleneck(&mut self, kernel: &mut Kernel) {
-        self.begin_sweep();
-        for i in 0..self.batch_links.len() {
-            let l = self.batch_links[i] as usize;
-            #[cfg(test)]
-            {
-                self.probe.flush_examined += self.per_link[l].len();
-            }
-            self.sweep_link(l);
-        }
-        self.rerate_scratch(kernel);
-    }
-
     /// Starts a deduplicating sweep into `scratch` under a fresh epoch.
     fn begin_sweep(&mut self) {
-        self.ensure_marks();
+        if self.flow_mark.len() < self.flows.len() {
+            self.flow_mark.resize(self.flows.len(), 0);
+        }
         self.epoch += 1;
         self.scratch.clear();
     }
@@ -528,81 +474,21 @@ impl FlowNet {
         self.links[link].hi = hi;
     }
 
-    /// Batched max-min re-solve: every component holding a dirty link is
-    /// solved once against the final graph, seeded by any one flow on
-    /// that link (the solver's arithmetic depends on the component, not
-    /// on where its discovery started). A whole symmetric collective
-    /// phase lands in O(1) components regardless of P.
-    fn flush_maxmin(&mut self, kernel: &mut Kernel) {
-        self.ensure_marks();
-        let start_epoch = self.epoch;
-        for i in 0..self.batch_links.len() {
-            let l = self.batch_links[i] as usize;
-            if self.link_mark[l] > start_epoch {
-                continue; // already inside a component solved by this flush
-            }
-            if let Some(&seed) = self.per_link[l].first() {
-                self.solve_component_of(seed);
-                #[cfg(test)]
-                {
-                    self.probe.flush_examined += self
-                        .comp_links
-                        .iter()
-                        .map(|&l| self.per_link[l as usize].len())
-                        .sum::<usize>();
-                }
-            }
-        }
-        self.flush_rates(kernel);
-    }
-
-    fn reshare_after_change(&mut self, kernel: &mut Kernel, new_flow: u32) {
-        match self.policy {
-            SharingPolicy::Bottleneck => {
-                self.collect_neighbors(new_flow, self.caches_exact());
-                // The new flow has no rate yet, whatever its links say.
-                if self.flow_mark[new_flow as usize] != self.epoch {
-                    self.scratch.push(new_flow); // youngest: open order holds
-                }
-                self.rerate_scratch(kernel);
-            }
-            SharingPolicy::MaxMin => self.reshare_maxmin_open(kernel, new_flow),
-            SharingPolicy::MaxMinFull => self.reshare_maxmin_full(kernel),
-        }
-    }
-
-    fn reshare_after_close(&mut self, kernel: &mut Kernel, closed: &FlowId) {
-        match self.policy {
-            SharingPolicy::Bottleneck => {
-                // The closed flow's former route links gained head-room.
-                self.collect_neighbors(closed.index, self.caches_exact());
-                self.rerate_scratch(kernel);
-            }
-            SharingPolicy::MaxMin => self.reshare_maxmin_close(kernel, closed.index),
-            SharingPolicy::MaxMinFull => self.reshare_maxmin_full(kernel),
-        }
-    }
-
-    /// Whether every live flow's cached rate is its bottleneck rate, so
-    /// that a link's `hi < floor` proves its flows cannot move. A pending
-    /// deferred batch leaves the flows on its dirty links stale until the
-    /// flush.
-    fn caches_exact(&self) -> bool {
-        self.batch_links.is_empty()
-    }
-
     /// Collects into `scratch`, once each, the live flows on the links of
     /// `flow`'s route (which the slab keeps past `unregister`), longest
     /// list first: every list is in open order, so whenever that list
     /// contains the others (a flat cluster's backbone) `scratch` is too.
-    /// With `movable_only`, links whose flows the occupancy change on
-    /// this route provably cannot move (`hi < floor`) are left out.
-    fn collect_neighbors(&mut self, flow: u32, movable_only: bool) {
+    /// While every cached rate is exact, links whose flows the occupancy
+    /// change on this route provably cannot move (`hi < floor`) are left
+    /// out; a pending deferred batch leaves the flows on its dirty links
+    /// stale until the flush, so then every link is swept.
+    fn collect_neighbors(&mut self, flow: u32) {
         #[cfg(test)]
         if self.probe.reference_collect {
             return self.collect_neighbors_reference(flow);
         }
         self.begin_sweep();
+        let movable_only = self.batch_links.is_empty();
         let swept =
             |net: &FlowNet, l: usize| !movable_only || net.links[l].hi >= net.links[l].floor;
         let Some(longest) = (self.flows[flow as usize].route.iter())
@@ -683,131 +569,6 @@ impl FlowNet {
         rate
     }
 
-    /// A flow arrived: it may have merged previously independent
-    /// components, but the result is one connected component containing
-    /// the new flow — solve exactly that and leave the rest untouched.
-    fn reshare_maxmin_open(&mut self, kernel: &mut Kernel, new_flow: u32) {
-        self.ensure_marks();
-        self.solve_component_of(new_flow);
-        self.flush_rates(kernel);
-    }
-
-    /// A flow departed: its former component may have split. Each
-    /// survivor on the departed route seeds a (possibly shared) component
-    /// of the *current* graph; solving per component keeps every solve
-    /// bitwise equal to what a full recompute would produce.
-    fn reshare_maxmin_close(&mut self, kernel: &mut Kernel, closed_index: u32) {
-        self.collect_neighbors(closed_index, false);
-        // Snapshot after the collect: its sweep stamped the seeds with
-        // this very epoch, and every solve below moves past it.
-        let start_epoch = self.epoch;
-        let seeds = std::mem::take(&mut self.scratch);
-        for &seed in &seeds {
-            if self.flow_mark[seed as usize] <= start_epoch {
-                self.solve_component_of(seed);
-            }
-        }
-        self.scratch = seeds;
-        self.flush_rates(kernel);
-    }
-
-    /// Reference path: re-solve every component of the live flow/link
-    /// graph. Components whose membership did not change re-derive
-    /// bitwise the rates they already hold and are skipped at
-    /// [`FlowNet::flush_rates`], so the kernel sees exactly the calls the
-    /// incremental paths make.
-    fn reshare_maxmin_full(&mut self, kernel: &mut Kernel) {
-        self.ensure_marks();
-        let start_epoch = self.epoch;
-        for idx in 0..self.flows.len() {
-            if self.flows[idx].live && self.flow_mark[idx] <= start_epoch {
-                self.solve_component_of(idx as u32);
-            }
-        }
-        self.flush_rates(kernel);
-    }
-
-    /// Discovers the connected component of `seed` under a fresh epoch
-    /// and solves it.
-    fn solve_component_of(&mut self, seed: u32) {
-        self.epoch += 1;
-        self.comp_flows.clear();
-        self.comp_links.clear();
-        self.flow_mark[seed as usize] = self.epoch;
-        self.comp_flows.push(seed);
-        self.expand_component();
-        self.solve_component();
-    }
-
-    fn ensure_marks(&mut self) {
-        if self.flow_mark.len() < self.flows.len() {
-            self.flow_mark.resize(self.flows.len(), 0);
-        }
-    }
-
-    /// Breadth-first closure of `comp_flows` over shared links: marks and
-    /// collects every flow transitively sharing a link with the seeds.
-    fn expand_component(&mut self) {
-        let mut head = 0;
-        while head < self.comp_flows.len() {
-            let f = self.comp_flows[head] as usize;
-            head += 1;
-            for l in &self.flows[f].route {
-                let lu = l.as_usize();
-                if self.link_mark[lu] != self.epoch {
-                    self.link_mark[lu] = self.epoch;
-                    self.comp_links.push(lu as u32);
-                    for &g in &self.per_link[lu] {
-                        if self.flow_mark[g as usize] != self.epoch {
-                            self.flow_mark[g as usize] = self.epoch;
-                            self.comp_flows.push(g);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs the solver on the discovered component and queues flows whose
-    /// allotment actually changed.
-    fn solve_component(&mut self) {
-        if self.comp_flows.is_empty() {
-            return;
-        }
-        self.stats.resolves += 1;
-        self.stats.examined += self.comp_flows.len() as u64;
-        self.comp_flows.sort_unstable();
-        let view = NetView {
-            links: &self.links,
-            flows: &self.flows,
-            per_link: &self.per_link,
-        };
-        self.solver.fill(&view, &self.comp_links, &self.comp_flows);
-        for i in 0..self.comp_flows.len() {
-            let f = self.comp_flows[i];
-            let rate = self.solver.rate(f);
-            if rate.to_bits() != self.flows[f as usize].rate.to_bits() {
-                self.pending.push(f);
-            }
-        }
-    }
-
-    /// Applies queued rate changes in flow-open order, so the event
-    /// sequence the kernel records depends neither on which order
-    /// components were discovered in nor on slab-index recycling (see
-    /// [`Flow::seq`]).
-    fn flush_rates(&mut self, kernel: &mut Kernel) {
-        let flows = &self.flows;
-        self.pending
-            .sort_unstable_by_key(|&i| flows[i as usize].seq);
-        for i in 0..self.pending.len() {
-            let f = self.pending[i];
-            self.flows[f as usize].rate = self.solver.rate(f);
-            self.push_rate(kernel, f);
-        }
-        self.pending.clear();
-    }
-
     /// The rate each live flow currently receives (diagnostics/tests).
     pub fn current_rates(&self) -> Vec<(FlowId, f64)> {
         let mut out = Vec::new();
@@ -850,21 +611,19 @@ mod tests {
         /// against (`rerate_scratch` then finds it out of open order and
         /// sorts, as the parent always did).
         pub(super) fn collect_neighbors_reference(&mut self, flow: u32) {
-            self.ensure_marks();
-            self.scratch.clear();
+            self.begin_sweep();
             for l in &self.flows[flow as usize].route {
                 self.scratch.extend(self.per_link[l.as_usize()].iter());
             }
             self.scratch.sort_unstable();
             self.scratch.dedup();
-            self.epoch += 1;
             for &f in &self.scratch {
                 self.flow_mark[f as usize] = self.epoch;
             }
         }
     }
 
-    fn net(policy: SharingPolicy) -> (Platform, FlowNet, Kernel) {
+    fn net() -> (Platform, FlowNet, Kernel) {
         let p = flat_cluster(&FlatClusterSpec {
             name: "t".into(),
             nodes: 4,
@@ -876,7 +635,7 @@ mod tests {
             backbone_bandwidth: 150.0,
             backbone_latency: 0.0,
         });
-        let f = FlowNet::new(&p, policy);
+        let f = FlowNet::new(&p, SharingPolicy::Bottleneck);
         (p, f, Kernel::new())
     }
 
@@ -888,7 +647,7 @@ mod tests {
 
     #[test]
     fn single_flow_gets_bottleneck_bandwidth() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let r = route(&p, 0, 1);
         let f = net.open(&mut k, &r, 1000.0, 1e9);
         let rates = net.current_rates();
@@ -899,7 +658,7 @@ mod tests {
 
     #[test]
     fn restricted_net_accepts_allowed_routes() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let r = route(&p, 0, 1);
         net.restrict_links(&r);
         let _f = net.open(&mut k, &r, 1000.0, 1e9);
@@ -909,7 +668,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the partition's allowed set")]
     fn restricted_net_rejects_foreign_routes() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         // Allow only 0->1's links; a 2->3 flow crosses other NICs.
         net.restrict_links(&route(&p, 0, 1));
         net.open(&mut k, &route(&p, 2, 3), 1000.0, 1e9);
@@ -917,7 +676,7 @@ mod tests {
 
     #[test]
     fn cap_limits_flow_rate() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let r = route(&p, 0, 1);
         let _f = net.open(&mut k, &r, 1000.0, 42.0);
         assert_eq!(net.current_rates()[0].1, 42.0);
@@ -925,7 +684,7 @@ mod tests {
 
     #[test]
     fn backbone_contention_shares_fairly() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         // Two flows from different sources to different destinations: they
         // only share the 150-capacity backbone => 75 each.
         let f1 = net.open(&mut k, &route(&p, 0, 1), 1e6, 1e9);
@@ -940,23 +699,21 @@ mod tests {
 
     #[test]
     fn stats_count_opens_closes_and_resolves() {
-        for policy in POLICIES {
-            let (p, mut net, mut k) = net(policy);
-            let f1 = net.open(&mut k, &route(&p, 0, 1), 1e6, 1e9);
-            let f2 = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
-            net.close(&mut k, f1);
-            net.close(&mut k, f2);
-            let s = net.stats();
-            assert_eq!(s.flows_opened, 2, "{policy:?}");
-            assert_eq!(s.flows_closed, 2, "{policy:?}");
-            assert!(s.resolves >= 3, "{policy:?}: {s:?}");
-            assert!(s.rate_updates >= 2, "{policy:?}: {s:?}");
-        }
+        let (p, mut net, mut k) = net();
+        let f1 = net.open(&mut k, &route(&p, 0, 1), 1e6, 1e9);
+        let f2 = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
+        net.close(&mut k, f1);
+        net.close(&mut k, f2);
+        let s = net.stats();
+        assert_eq!(s.flows_opened, 2);
+        assert_eq!(s.flows_closed, 2);
+        assert!(s.resolves >= 3, "{s:?}");
+        assert!(s.rate_updates >= 2, "{s:?}");
     }
 
     #[test]
     fn closing_a_flow_restores_bandwidth() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let f1 = net.open(&mut k, &route(&p, 0, 1), 1e6, 1e9);
         let f2 = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
         net.close(&mut k, f1);
@@ -971,7 +728,7 @@ mod tests {
     fn flow_completion_time_under_contention() {
         // Two flows on the same NIC uplink (50 each), one finishes, the
         // survivor speeds up to 100.
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let r1 = route(&p, 0, 1);
         let r2 = route(&p, 0, 2);
         let f1 = net.open(&mut k, &r1, 100.0, 1e9); // shares uplink of host 0
@@ -991,47 +748,39 @@ mod tests {
         assert!((k.now().as_secs() - 11.0).abs() < 1e-9);
     }
 
-    const POLICIES: [SharingPolicy; 3] = [
-        SharingPolicy::Bottleneck,
-        SharingPolicy::MaxMin,
-        SharingPolicy::MaxMinFull,
-    ];
-
     /// Closed form, no code shared with the sweep: N equal flows opened
     /// together between disjoint host pairs meet only on the backbone,
     /// get `capacity / N` each and all complete at `N * bytes /
     /// capacity` (powers of two, so every operation is exact).
     #[test]
     fn equal_flows_on_one_backbone_finish_together() {
-        for policy in POLICIES {
-            for n in [2u32, 4, 8] {
-                let p = flat_cluster(&FlatClusterSpec {
-                    name: "bb".into(),
-                    nodes: 2 * n,
-                    host_speed: 1e9,
-                    cores: 1,
-                    cache_bytes: 1 << 20,
-                    link_bandwidth: 128.0,
-                    link_latency: 0.0,
-                    backbone_bandwidth: 64.0,
-                    backbone_latency: 0.0,
-                });
-                let mut net = FlowNet::new(&p, policy);
-                let mut k = Kernel::new();
-                let flows: Vec<FlowId> = (0..n)
-                    .map(|i| net.open(&mut k, &route(&p, i, i + n), 1024.0, 1e9))
-                    .collect();
-                for (i, f) in flows.iter().enumerate() {
-                    k.subscribe(net.activity(*f), simkernel::ActorId(i as u32));
-                }
-                let want = f64::from(n) * 1024.0 / 64.0;
-                for _ in 0..n {
-                    let (actor, _) = k.next_wake().expect("a flow never completed");
-                    assert_eq!(k.now().as_secs(), want, "{policy:?} N={n}");
-                    net.close(&mut k, flows[actor.0 as usize]);
-                }
-                assert!(k.next_wake().is_none());
+        for n in [2u32, 4, 8] {
+            let p = flat_cluster(&FlatClusterSpec {
+                name: "bb".into(),
+                nodes: 2 * n,
+                host_speed: 1e9,
+                cores: 1,
+                cache_bytes: 1 << 20,
+                link_bandwidth: 128.0,
+                link_latency: 0.0,
+                backbone_bandwidth: 64.0,
+                backbone_latency: 0.0,
+            });
+            let mut net = FlowNet::new(&p, SharingPolicy::Bottleneck);
+            let mut k = Kernel::new();
+            let flows: Vec<FlowId> = (0..n)
+                .map(|i| net.open(&mut k, &route(&p, i, i + n), 1024.0, 1e9))
+                .collect();
+            for (i, f) in flows.iter().enumerate() {
+                k.subscribe(net.activity(*f), simkernel::ActorId(i as u32));
             }
+            let want = f64::from(n) * 1024.0 / 64.0;
+            for _ in 0..n {
+                let (actor, _) = k.next_wake().expect("a flow never completed");
+                assert_eq!(k.now().as_secs(), want, "N={n}");
+                net.close(&mut k, flows[actor.0 as usize]);
+            }
+            assert!(k.next_wake().is_none());
         }
     }
 
@@ -1041,20 +790,18 @@ mod tests {
     /// and the NIC to itself again: done at 10 + 300/100 = 13.
     #[test]
     fn staggered_pair_completes_at_the_hand_worked_instants() {
-        for policy in POLICIES {
-            let (p, mut net, mut k) = net(policy);
-            let f1 = net.open(&mut k, &route(&p, 0, 1), 1000.0, 1e9);
-            k.subscribe(net.activity(f1), simkernel::ActorId(1));
-            k.set_timer(simkernel::ActorId(9), Duration::from_secs(4.0), 0);
-            assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(9));
-            let f2 = net.open(&mut k, &route(&p, 0, 2), 300.0, 1e9);
-            k.subscribe(net.activity(f2), simkernel::ActorId(2));
-            assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(2));
-            assert_eq!(k.now().as_secs(), 10.0, "{policy:?}");
-            net.close(&mut k, f2);
-            assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(1));
-            assert_eq!(k.now().as_secs(), 13.0, "{policy:?}");
-        }
+        let (p, mut net, mut k) = net();
+        let f1 = net.open(&mut k, &route(&p, 0, 1), 1000.0, 1e9);
+        k.subscribe(net.activity(f1), simkernel::ActorId(1));
+        k.set_timer(simkernel::ActorId(9), Duration::from_secs(4.0), 0);
+        assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(9));
+        let f2 = net.open(&mut k, &route(&p, 0, 2), 300.0, 1e9);
+        k.subscribe(net.activity(f2), simkernel::ActorId(2));
+        assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(2));
+        assert_eq!(k.now().as_secs(), 10.0);
+        net.close(&mut k, f2);
+        assert_eq!(k.next_wake().unwrap().0, simkernel::ActorId(1));
+        assert_eq!(k.now().as_secs(), 13.0);
     }
 
     /// A cap-bound bystander crosses the backbone while `k` other flows
@@ -1070,7 +817,7 @@ mod tests {
         use simkernel::{ActorId, Time};
         let (bytes, cap, passers) = (1234.5, 73.0, 7);
         for squeeze in [false, true] {
-            let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+            let (p, mut net, mut k) = net();
             let bystander = net.open(&mut k, &route(&p, 0, 1), bytes, cap);
             k.subscribe(net.activity(bystander), ActorId(0));
             // One passer at a time: 150 / 2 = 75 >= 73 on the backbone.
@@ -1113,28 +860,16 @@ mod tests {
     }
 
     #[test]
-    fn maxmin_redistributes_headroom() {
-        let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
-        // f1 capped at 20 on the shared backbone; f2 should receive the
-        // rest of its NIC capacity (100), not the naive 75 share.
-        let _f1 = net.open(&mut k, &route(&p, 0, 1), 1e6, 20.0);
-        let f2 = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
-        let rates = net.current_rates();
-        let r2 = rates.iter().find(|(id, _)| *id == f2).unwrap().1;
-        assert_eq!(r2, 100.0);
-    }
-
-    #[test]
     #[should_panic(expected = "empty route")]
     fn empty_route_rejected() {
-        let (_p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (_p, mut net, mut k) = net();
         let _ = net.open(&mut k, &[], 10.0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "double close")]
     fn double_close_rejected() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let f = net.open(&mut k, &route(&p, 0, 1), 10.0, 1.0);
         net.close(&mut k, f);
         net.close(&mut k, f);
@@ -1142,7 +877,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_yields_fresh_generation() {
-        let (p, mut net, mut k) = net(SharingPolicy::Bottleneck);
+        let (p, mut net, mut k) = net();
         let f1 = net.open(&mut k, &route(&p, 0, 1), 10.0, 1.0);
         net.close(&mut k, f1);
         let f2 = net.open(&mut k, &route(&p, 0, 1), 10.0, 1.0);
@@ -1157,41 +892,31 @@ mod tests {
 
     #[test]
     fn deferred_batch_matches_sequential_rates() {
-        for policy in POLICIES {
-            let (p, mut seq, mut k_seq) = net(policy);
-            let mut def = FlowNet::new(&p, policy);
-            let mut k_def = Kernel::new();
-            // A symmetric 2-pair phase plus one asymmetric flow.
-            let routes = [route(&p, 0, 1), route(&p, 2, 3), route(&p, 0, 2)];
-            let mut pairs = Vec::new();
-            for r in &routes {
-                pairs.push((
-                    seq.open(&mut k_seq, r, 1e6, 90.0),
-                    def.open_deferred(&mut k_def, r, 1e6, 90.0),
-                ));
-            }
-            def.flush(&mut k_def);
-            for (fs, fd) in &pairs {
-                assert_eq!(
-                    rate_of(&seq, *fs).to_bits(),
-                    rate_of(&def, *fd).to_bits(),
-                    "{policy:?}"
-                );
-            }
-            // Retire the phase; the asymmetric survivor must re-expand.
-            let (fs, fd) = pairs.remove(0);
-            seq.close(&mut k_seq, fs);
-            def.close_deferred(&mut k_def, fd);
-            def.flush(&mut k_def);
-            for (fs, fd) in &pairs {
-                assert_eq!(
-                    rate_of(&seq, *fs).to_bits(),
-                    rate_of(&def, *fd).to_bits(),
-                    "{policy:?}"
-                );
-            }
-            assert_eq!(seq.live_flows(), def.live_flows());
+        let (p, mut seq, mut k_seq) = net();
+        let mut def = FlowNet::new(&p, SharingPolicy::Bottleneck);
+        let mut k_def = Kernel::new();
+        // A symmetric 2-pair phase plus one asymmetric flow.
+        let routes = [route(&p, 0, 1), route(&p, 2, 3), route(&p, 0, 2)];
+        let mut pairs = Vec::new();
+        for r in &routes {
+            pairs.push((
+                seq.open(&mut k_seq, r, 1e6, 90.0),
+                def.open_deferred(&mut k_def, r, 1e6, 90.0),
+            ));
         }
+        def.flush(&mut k_def);
+        for (fs, fd) in &pairs {
+            assert_eq!(rate_of(&seq, *fs).to_bits(), rate_of(&def, *fd).to_bits());
+        }
+        // Retire the phase; the asymmetric survivor must re-expand.
+        let (fs, fd) = pairs.remove(0);
+        seq.close(&mut k_seq, fs);
+        def.close_deferred(&mut k_def, fd);
+        def.flush(&mut k_def);
+        for (fs, fd) in &pairs {
+            assert_eq!(rate_of(&seq, *fs).to_bits(), rate_of(&def, *fd).to_bits());
+        }
+        assert_eq!(seq.live_flows(), def.live_flows());
     }
 
     /// The flush must read O(P) flow indices for a P-flow phase over a
@@ -1200,50 +925,48 @@ mod tests {
     /// second P-flow sweep cannot come back unnoticed.
     #[test]
     fn flush_work_is_linear_in_the_batch() {
-        for policy in [SharingPolicy::Bottleneck, SharingPolicy::MaxMin] {
-            for p in [64u32, 256, 1024] {
-                let plat = flat_cluster(&FlatClusterSpec {
-                    name: "lin".into(),
-                    nodes: p,
-                    host_speed: 1e9,
-                    cores: 1,
-                    cache_bytes: 1 << 20,
-                    link_bandwidth: 100.0,
-                    link_latency: 0.0,
-                    backbone_bandwidth: 150.0,
-                    backbone_latency: 0.0,
-                });
-                let mut net = FlowNet::new(&plat, policy);
-                let mut k = Kernel::new();
-                let flows: Vec<FlowId> = (0..p)
-                    .map(|i| net.open_deferred(&mut k, &route(&plat, i, (i + 1) % p), 1e6, 90.0))
-                    .collect();
-                net.flush(&mut k);
-                let bound = 4 * p as usize;
-                assert!(
-                    net.probe.flush_examined <= bound,
-                    "{policy:?} P={p}: open flush examined {} > {bound}",
-                    net.probe.flush_examined
-                );
-                // Retire all but one, so the close flush has a survivor.
-                for f in &flows[1..] {
-                    net.close_deferred(&mut k, *f);
-                }
-                net.flush(&mut k);
-                assert!(
-                    net.probe.flush_examined <= bound,
-                    "{policy:?} P={p}: close flush examined {} > {bound}",
-                    net.probe.flush_examined
-                );
-                assert_eq!(net.live_flows(), 1);
-                assert_eq!(rate_of(&net, flows[0]), 90.0);
+        for p in [64u32, 256, 1024] {
+            let plat = flat_cluster(&FlatClusterSpec {
+                name: "lin".into(),
+                nodes: p,
+                host_speed: 1e9,
+                cores: 1,
+                cache_bytes: 1 << 20,
+                link_bandwidth: 100.0,
+                link_latency: 0.0,
+                backbone_bandwidth: 150.0,
+                backbone_latency: 0.0,
+            });
+            let mut net = FlowNet::new(&plat, SharingPolicy::Bottleneck);
+            let mut k = Kernel::new();
+            let flows: Vec<FlowId> = (0..p)
+                .map(|i| net.open_deferred(&mut k, &route(&plat, i, (i + 1) % p), 1e6, 90.0))
+                .collect();
+            net.flush(&mut k);
+            let bound = 4 * p as usize;
+            assert!(
+                net.probe.flush_examined <= bound,
+                "P={p}: open flush examined {} > {bound}",
+                net.probe.flush_examined
+            );
+            // Retire all but one, so the close flush has a survivor.
+            for f in &flows[1..] {
+                net.close_deferred(&mut k, *f);
             }
+            net.flush(&mut k);
+            assert!(
+                net.probe.flush_examined <= bound,
+                "P={p}: close flush examined {} > {bound}",
+                net.probe.flush_examined
+            );
+            assert_eq!(net.live_flows(), 1);
+            assert_eq!(rate_of(&net, flows[0]), 90.0);
         }
     }
 
     #[test]
     fn flush_timer_reaches_the_installed_actor() {
-        let (p, mut net, mut k) = net(SharingPolicy::MaxMin);
+        let (p, mut net, mut k) = net();
         net.set_flush_actor(simkernel::ActorId(7));
         let _f = net.open_deferred(&mut k, &route(&p, 0, 1), 1e6, 90.0);
         let (actor, wake) = k.next_wake().expect("flush timer scheduled");
@@ -1264,50 +987,68 @@ mod proptests {
     use simkernel::ActorId;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Under the bottleneck policy, no link's aggregate allotment ever
-        /// exceeds its capacity, for any pattern of opened flows.
+        /// Referee: drive a net through a random eager open/close
+        /// schedule (`(s, d, close_at, cap)`: open a flow s→d capped at
+        /// `cap`, then close the flow opened `close_at` steps ago) and,
+        /// after every op, hold it against a from-scratch
+        /// [`sharing::maxmin_rates`] run over the same live flows. The
+        /// bottleneck share never allocates a flow more than max-min
+        /// fairness does (1e-12 is the solver's own tie tolerance), and
+        /// no link's summed allotment exceeds its capacity.
         #[test]
-        fn no_link_oversubscription(pairs in proptest::collection::vec((0u32..6, 0u32..6), 1..40)) {
-            let p = flat_cluster(&FlatClusterSpec {
-                name: "pp".into(),
-                nodes: 6,
-                host_speed: 1e9,
-                cores: 1,
-                cache_bytes: 1,
-                link_bandwidth: 100.0,
-                link_latency: 0.0,
-                backbone_bandwidth: 130.0,
-                backbone_latency: 0.0,
-            });
-            let mut k = Kernel::new();
-            let mut net = FlowNet::new(&p, SharingPolicy::Bottleneck);
-            let mut r = Vec::new();
-            for (s, d) in pairs {
-                if s == d { continue; }
-                p.route(HostId(s), HostId(d), &mut r);
-                let _ = net.open(&mut k, &r, 1e6, 1e9);
-            }
-            // Sum allotments per link.
-            let mut per_link = vec![0.0f64; p.links().len()];
-            for (id, rate) in net.current_rates() {
-                let f = &net.flows[id.index as usize];
-                for l in &f.route {
-                    per_link[l.as_usize()] += rate;
+        fn bottleneck_never_exceeds_maxmin(
+            ops in proptest::collection::vec((0u32..8, 0u32..8, 0usize..12, 1.0f64..200.0), 1..60),
+        ) {
+            for p in [churn_platform(), cabinet_platform()] {
+                let mut k = Kernel::new();
+                let mut net = FlowNet::new(&p, SharingPolicy::Bottleneck);
+                let mut r = Vec::new();
+                let mut open: Vec<FlowId> = Vec::new();
+                for &(s, d, close_at, cap) in &ops {
+                    if s != d {
+                        p.route(HostId(s), HostId(d), &mut r);
+                        open.push(net.open(&mut k, &r, 1e6, cap));
+                        assert_within_maxmin(&p, &net);
+                    }
+                    if close_at < open.len() {
+                        let f = open.swap_remove(open.len() - 1 - close_at);
+                        net.close(&mut k, f);
+                        assert_within_maxmin(&p, &net);
+                    }
                 }
-            }
-            for (i, used) in per_link.iter().enumerate() {
-                let cap = p.links()[i].bandwidth;
-                prop_assert!(*used <= cap * (1.0 + 1e-9),
-                    "link {i} oversubscribed: {used} > {cap}");
             }
         }
     }
 
-    /// Drives a net through a random open/close schedule. `ops[i] = (s, d,
-    /// close_at)`: open a flow s→d, and close the flow opened `close_at`
-    /// steps ago (if still open).
+    fn assert_within_maxmin(p: &Platform, net: &FlowNet) {
+        let caps: Vec<f64> = p.links().iter().map(|l| l.bandwidth).collect();
+        let flow_refs: Vec<Option<(&[LinkId], f64)>> = (net.flows.iter())
+            .map(|f| f.live.then_some((f.route.as_slice(), f.cap)))
+            .collect();
+        let want = sharing::maxmin_rates(caps.clone(), flow_refs);
+        let mut used = vec![0.0f64; caps.len()];
+        for (idx, w) in want.iter().enumerate() {
+            let Some(w) = w else { continue };
+            let f = &net.flows[idx];
+            assert!(
+                f.rate <= w * (1.0 + 1e-12),
+                "flow {idx}: bottleneck {} above max-min {w}",
+                f.rate
+            );
+            for l in &f.route {
+                used[l.as_usize()] += f.rate;
+            }
+        }
+        for (l, (used, cap)) in used.iter().zip(&caps).enumerate() {
+            assert!(
+                *used <= cap * (1.0 + 1e-9),
+                "link {l} oversubscribed: {used} > {cap}"
+            );
+        }
+    }
+
     fn churn_platform() -> Platform {
         flat_cluster(&FlatClusterSpec {
             name: "churn".into(),
@@ -1345,96 +1086,11 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Differential: after every open/close, the incremental
-        /// allotment equals a from-scratch [`sharing::maxmin_rates`]
-        /// run. Tolerance 1e-9 relative — the oracle interleaves
-        /// independent components through one global pass, which can
-        /// resolve sub-1e-12 cross-component ties differently.
-        #[test]
-        fn incremental_matches_full_recompute(
-            ops in proptest::collection::vec((0u32..8, 0u32..8, 0usize..12, 1.0f64..200.0), 1..60),
-        ) {
-            let p = churn_platform();
-            let mut k = Kernel::new();
-            let mut net = FlowNet::new(&p, SharingPolicy::MaxMin);
-            let mut r = Vec::new();
-            let mut open: Vec<FlowId> = Vec::new();
-            for (s, d, close_at, cap) in ops {
-                if s != d {
-                    p.route(HostId(s), HostId(d), &mut r);
-                    open.push(net.open(&mut k, &r, 1e6, cap));
-                }
-                if close_at < open.len() {
-                    let f = open.swap_remove(open.len() - 1 - close_at);
-                    net.close(&mut k, f);
-                }
-
-                // Oracle: full recompute over the same live flows.
-                let caps: Vec<f64> = p.links().iter().map(|l| l.bandwidth).collect();
-                let flow_refs: Vec<Option<(&[LinkId], f64)>> = net
-                    .flows
-                    .iter()
-                    .map(|f| if f.live { Some((f.route.as_slice(), f.cap)) } else { None })
-                    .collect();
-                let want = sharing::maxmin_rates(caps, flow_refs);
-                for (idx, w) in want.iter().enumerate() {
-                    if let Some(w) = w {
-                        let got = net.flows[idx].rate;
-                        prop_assert!(
-                            (got - w).abs() <= 1e-9 * w.max(1.0),
-                            "flow {idx}: incremental {got} vs full {w}"
-                        );
-                    }
-                }
-            }
-        }
-
-        /// Bit-identity: the incremental policy and the full-recompute
-        /// reference, driven through the same schedule, hold bitwise
-        /// equal allotments and identical kernel clocks after every op.
-        #[test]
-        fn incremental_is_bitwise_equal_to_reference_policy(
-            ops in proptest::collection::vec((0u32..8, 0u32..8, 0usize..12, 1.0f64..200.0), 1..60),
-        ) {
-            let p = churn_platform();
-            let mut k_inc = Kernel::new();
-            let mut k_ful = Kernel::new();
-            let mut inc = FlowNet::new(&p, SharingPolicy::MaxMin);
-            let mut ful = FlowNet::new(&p, SharingPolicy::MaxMinFull);
-            let mut r = Vec::new();
-            let mut open: Vec<(FlowId, FlowId)> = Vec::new();
-            for (s, d, close_at, cap) in ops {
-                if s != d {
-                    p.route(HostId(s), HostId(d), &mut r);
-                    open.push((
-                        inc.open(&mut k_inc, &r, 1e6, cap),
-                        ful.open(&mut k_ful, &r, 1e6, cap),
-                    ));
-                }
-                if close_at < open.len() {
-                    let (fi, ff) = open.swap_remove(open.len() - 1 - close_at);
-                    inc.close(&mut k_inc, fi);
-                    ful.close(&mut k_ful, ff);
-                }
-                for (idx, f) in inc.flows.iter().enumerate() {
-                    if f.live {
-                        prop_assert!(
-                            f.rate.to_bits() == ful.flows[idx].rate.to_bits(),
-                            "flow {idx}: incremental {} vs reference {}",
-                            f.rate,
-                            ful.flows[idx].rate
-                        );
-                    }
-                }
-                prop_assert!(k_inc.now() == k_ful.now());
-            }
-        }
-
         /// Differential: a schedule whose ops are a random mix of eager
         /// `open`/`close` and deferred ones on shared links — what `smpi`
         /// does with application traffic next to collective traffic —
         /// ends every instant (one flush) with bitwise the allotments
-        /// the all-eager sequential path holds, for all three policies.
+        /// the all-eager sequential path holds.
         /// The flush re-rates every flow on a dirty link, a superset of
         /// the flows whose allotment can have changed; this is the
         /// exactness gate the always-on collective batching rests on.
@@ -1454,13 +1110,7 @@ mod proptests {
                 1..16),
         ) {
             for p in [churn_platform(), cabinet_platform()] {
-                for policy in [
-                    SharingPolicy::Bottleneck,
-                    SharingPolicy::MaxMin,
-                    SharingPolicy::MaxMinFull,
-                ] {
-                    assert_mixed_matches_sequential(&p, policy, &instants);
-                }
+                assert_mixed_matches_sequential(&p, &instants);
             }
         }
     }
@@ -1501,7 +1151,7 @@ mod proptests {
     /// With nothing pending, every live flow's cached rate is its
     /// bottleneck rate — what the `hi < floor` skip rests on.
     fn assert_caches_exact(net: &FlowNet) {
-        if net.policy != SharingPolicy::Bottleneck || !net.batch_links.is_empty() {
+        if !net.batch_links.is_empty() {
             return;
         }
         for (idx, f) in net.flows.iter().enumerate().filter(|(_, f)| f.live) {
@@ -1537,14 +1187,14 @@ mod proptests {
         log.into_iter().map(|(a, r)| (a, r.to_bits())).collect()
     }
 
-    fn assert_mixed_matches_sequential(p: &Platform, policy: SharingPolicy, instants: &[MixedOps]) {
+    fn assert_mixed_matches_sequential(p: &Platform, instants: &[MixedOps]) {
         let mut k_seq = Kernel::new();
         let mut k_def = Kernel::new();
         let mut k_ref = Kernel::new();
-        let mut seq = FlowNet::new(p, policy);
-        let mut def = FlowNet::new(p, policy);
+        let mut seq = FlowNet::new(p, SharingPolicy::Bottleneck);
+        let mut def = FlowNet::new(p, SharingPolicy::Bottleneck);
         // Same ops as `def`, hence the same `FlowId`s.
-        let mut reference = FlowNet::new(p, policy);
+        let mut reference = FlowNet::new(p, SharingPolicy::Bottleneck);
         reference.probe.reference_collect = true;
         let mut r = Vec::new();
         // (sequential id, mixed id, opened deferred this instant)
@@ -1586,7 +1236,7 @@ mod proptests {
             assert_eq!(
                 rate_log_bits(&mut def),
                 rate_log_bits(&mut reference),
-                "{policy:?}: sweep and reference collection pushed different rates"
+                "sweep and reference collection pushed different rates"
             );
             // Skipping a link saves examinations and nothing else.
             let examined_apart = |net: &FlowNet| NetStats {
@@ -1601,7 +1251,7 @@ mod proptests {
                 let rd = def.flows[fd.index as usize].rate;
                 assert!(
                     rs.to_bits() == rd.to_bits(),
-                    "{policy:?}: sequential {rs} vs mixed {rd}"
+                    "sequential {rs} vs mixed {rd}"
                 );
             }
             assert_eq!(seq.live_flows(), def.live_flows());
@@ -1617,7 +1267,7 @@ mod proptests {
                 let wd = k_def.remaining_work(def.activity(*fd)).unwrap();
                 assert!(
                     (ws - wd).abs() <= 1e-12 * ws,
-                    "{policy:?}: sequential has {ws} bytes left, mixed {wd}"
+                    "sequential has {ws} bytes left, mixed {wd}"
                 );
             }
         }
@@ -1625,7 +1275,7 @@ mod proptests {
         assert_eq!(
             drain(&mut def, &mut k_def, &mixed),
             drain(&mut reference, &mut k_ref, &mixed),
-            "{policy:?}: sweep and reference collection drained differently"
+            "sweep and reference collection drained differently"
         );
         assert_eq!(rate_log_bits(&mut def), rate_log_bits(&mut reference));
         assert_eq!(k_def.events_processed(), k_ref.events_processed());

@@ -51,7 +51,6 @@ impl<'p> EngineRun<'p> {
             ReplayEngine::Smpi => {
                 let cfg = smpi::SmpiConfig {
                     copy: config.copy_model,
-                    sharing: config.sharing,
                     ..smpi::SmpiConfig::smpi_replay()
                 };
                 EngineRun::Smpi(smpi::prepare_smpi(
@@ -63,20 +62,14 @@ impl<'p> EngineRun<'p> {
                     record_spans,
                 ))
             }
-            ReplayEngine::Msg => {
-                let cfg = msgsim::MsgConfig {
-                    sharing: config.sharing,
-                    ..msgsim::MsgConfig::legacy()
-                };
-                EngineRun::Msg(msgsim::prepare_msg(
-                    platform,
-                    hosts,
-                    sources,
-                    cfg,
-                    hooks,
-                    record_spans,
-                ))
-            }
+            ReplayEngine::Msg => EngineRun::Msg(msgsim::prepare_msg(
+                platform,
+                hosts,
+                sources,
+                msgsim::MsgConfig::legacy(),
+                hooks,
+                record_spans,
+            )),
         }
     }
 

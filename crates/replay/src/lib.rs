@@ -61,11 +61,6 @@ pub struct ReplayConfig {
     /// eager mode of MPI"). `None` reproduces the paper's published
     /// behaviour; `Some` closes the Figures 6-7 underestimation.
     pub copy_model: Option<smpi::CopyCost>,
-    /// Bandwidth-sharing policy of the network model, applied to either
-    /// back-end. [`netmodel::SharingPolicy::Bottleneck`] reproduces the
-    /// paper's published behaviour; [`netmodel::SharingPolicy::MaxMin`]
-    /// trades speed for exact progressive-filling fairness.
-    pub sharing: netmodel::SharingPolicy,
     /// Worker threads for the partitioned parallel replay engine
     /// (see [`partition`] / `parallel`). `1` (the default) runs the
     /// unchanged sequential path; `>= 2` partitions the ranks into
@@ -93,9 +88,9 @@ impl ReplayConfig {
     }
 
     /// A stable 64-bit digest of the *semantic* configuration — the
-    /// fields that shape the simulated result: engine, rate, placement,
-    /// copy model, and sharing policy. The execution-strategy field
-    /// `threads` is deliberately excluded: results are bit-identical
+    /// fields that shape the simulated result: engine, rate, placement
+    /// and copy model. The execution-strategy field `threads` is
+    /// deliberately excluded: results are bit-identical
     /// across it (pinned by the differential suites), so two configs
     /// that differ only there are the *same* what-if question and must
     /// share a memo entry in the prediction service.
@@ -135,14 +130,6 @@ impl ReplayConfig {
                 field("copy.bps", &c.bytes_per_second.to_bits().to_le_bytes());
             }
         }
-        field(
-            "sharing",
-            match self.sharing {
-                netmodel::SharingPolicy::Bottleneck => b"bottleneck".as_slice(),
-                netmodel::SharingPolicy::MaxMin => b"maxmin",
-                netmodel::SharingPolicy::MaxMinFull => b"maxmin-full",
-            },
-        );
         fnv.digest()
     }
 
@@ -161,7 +148,6 @@ impl ReplayConfig {
             rate,
             placement: Placement::OnePerNode,
             copy_model: None,
-            sharing: netmodel::SharingPolicy::Bottleneck,
             threads: ReplayConfig::default_threads(),
         }
     }
@@ -372,7 +358,6 @@ pub fn config_fields(config: &ReplayConfig) -> Vec<(String, String)> {
                 None => "none".into(),
             },
         ),
-        ("sharing".into(), format!("{:?}", config.sharing)),
         ("threads".into(), format!("{}", config.threads)),
     ]
 }
@@ -781,9 +766,6 @@ mod tests {
             bytes_per_second: 1e9,
         });
         variants.push(("copy_model", v));
-        let mut v = base.clone();
-        v.sharing = netmodel::SharingPolicy::MaxMin;
-        variants.push(("sharing", v));
         let mut seen = vec![base.canonical_hash()];
         for (field, variant) in &variants {
             let h = variant.canonical_hash();

@@ -472,12 +472,16 @@ pub fn partition_report(
 ) -> PartitionReport {
     let mut lookahead_s: Option<f64> = None;
     let ranks = partition.rank_island.len();
+    // One scratch route for all P² pairs: `route_latency` would allocate
+    // a route per pair.
+    let mut route = Vec::new();
     for a in 0..ranks {
         for b in 0..ranks {
             if partition.rank_island[a] == partition.rank_island[b] {
                 continue;
             }
-            let lat = platform.route_latency(hosts[a], hosts[b]);
+            platform.route(hosts[a], hosts[b], &mut route);
+            let lat = platform.path_latency(&route);
             lookahead_s = Some(match lookahead_s {
                 Some(cur) => cur.min(lat),
                 None => lat,

@@ -42,7 +42,7 @@ pub use runner::{prepare_smpi, run_smpi, SmpiResult, SmpiRun};
 pub use timeline::{Segment, SegmentKind, Timeline};
 pub use world::{SmpiWorld, WorldStats};
 
-use netmodel::{PiecewiseFactors, SharingPolicy};
+use netmodel::PiecewiseFactors;
 
 /// The eager/rendezvous switch-over size in bytes.
 pub const EAGER_THRESHOLD: u64 = 64 * 1024;
@@ -77,8 +77,6 @@ pub struct SmpiConfig {
     pub loopback_bandwidth: f64,
     /// Intra-host transfer fixed latency, seconds.
     pub loopback_latency: f64,
-    /// Bandwidth-sharing policy of the network model.
-    pub sharing: SharingPolicy,
 }
 
 impl SmpiConfig {
@@ -93,7 +91,6 @@ impl SmpiConfig {
             }),
             loopback_bandwidth: 3.0e9,
             loopback_latency: 0.4e-6,
-            sharing: SharingPolicy::Bottleneck,
         }
     }
 

@@ -638,22 +638,15 @@ mod tests {
     /// One replay of `progs` on a flat cluster; `eager_collectives`
     /// flips the test-only switch that sends collective flows down the
     /// per-flow path.
-    fn run_schedule(
-        progs: &[Vec<MpiOp>],
-        sharing: netmodel::SharingPolicy,
-        eager_collectives: bool,
-    ) -> SmpiResult {
+    fn run_schedule(progs: &[Vec<MpiOp>], eager_collectives: bool) -> SmpiResult {
         let n = progs.len() as u32;
         let sources = progs
             .iter()
             .map(|ops| Box::new(VecSource::new(ops.clone())) as Box<dyn workloads::OpSource>)
             .collect();
-        let cfg = SmpiConfig {
-            sharing,
-            ..SmpiConfig::smpi_replay()
-        };
         let hooks = Box::new(FixedRateHooks::uniform(1e9, n));
         let platform = tiny_platform(n);
+        let cfg = SmpiConfig::smpi_replay();
         let mut run = prepare_smpi(&platform, &hosts(n), sources, cfg, hooks, false);
         run.sim.world.eager_collectives = eager_collectives;
         run.run();
@@ -669,7 +662,7 @@ mod tests {
         /// non-blocking application ring shift in between, so eager
         /// application flows meet batched collective ones — end on the
         /// same bits whether collective flows re-solve per flow or once
-        /// per instant, under every sharing policy.
+        /// per instant.
         #[test]
         fn batched_collectives_match_the_per_flow_path(
             ranks in 2u32..9,
@@ -696,17 +689,11 @@ mod tests {
                     ops
                 })
                 .collect();
-            for sharing in [
-                netmodel::SharingPolicy::Bottleneck,
-                netmodel::SharingPolicy::MaxMin,
-                netmodel::SharingPolicy::MaxMinFull,
-            ] {
-                let per_flow = run_schedule(&progs, sharing, true);
-                let batched = run_schedule(&progs, sharing, false);
-                let bits = |r: &SmpiResult| r.rank_times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-                proptest::prop_assert_eq!(bits(&per_flow), bits(&batched), "{:?}", sharing);
-                proptest::prop_assert_eq!(per_flow.stats, batched.stats, "{:?}", sharing);
-            }
+            let per_flow = run_schedule(&progs, true);
+            let batched = run_schedule(&progs, false);
+            let bits = |r: &SmpiResult| r.rank_times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&per_flow), bits(&batched));
+            proptest::prop_assert_eq!(per_flow.stats, batched.stats);
         }
     }
 

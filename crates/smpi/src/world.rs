@@ -194,7 +194,7 @@ impl<'p> SmpiWorld<'p> {
         let ranks = hosts.len() as u32;
         assert!(ranks > 0, "need at least one rank");
         let n = ranks as usize;
-        let mut net = FlowNet::new(platform, cfg.sharing);
+        let mut net = FlowNet::new(platform, netmodel::SharingPolicy::Bottleneck);
         // Deferred collective batches flush off a zero-delay timer
         // delivered to the transport daemon (see FLUSH_KEY).
         net.set_flush_actor(transport);

@@ -10,7 +10,6 @@
 
 use proptest::prelude::*;
 
-use netmodel::SharingPolicy;
 use platform::topology::{flat_cluster, FlatClusterSpec};
 use platform::HostId;
 use smpi::{run_smpi, FixedRateHooks, SmpiConfig};
@@ -185,44 +184,6 @@ proptest! {
             }
         }
         prop_assert!(a.total_time >= max_compute * 0.999);
-    }
-
-    /// Incremental max-min sharing is an invisible optimization: an
-    /// entire simulated execution is *bit-identical* (per-rank finish
-    /// times and kernel event counts) to the full-recompute reference
-    /// policy, on arbitrary matched programs.
-    #[test]
-    fn incremental_sharing_is_bit_identical_to_full(
-        ranks in 2u8..6,
-        raw in proptest::collection::vec(arb_event(6), 1..60),
-    ) {
-        let events = clamp_events(ranks, raw);
-        let progs = build_programs(ranks, &events);
-        let platform = mk_platform(u32::from(ranks), 1e8, 1e-5);
-        let run_with = |progs: Vec<Vec<MpiOp>>, sharing: SharingPolicy| {
-            let n = progs.len() as u32;
-            let hosts: Vec<HostId> = (0..n).map(HostId).collect();
-            let sources: Vec<Box<dyn OpSource>> = progs
-                .into_iter()
-                .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn OpSource>)
-                .collect();
-            run_smpi(
-                &platform,
-                &hosts,
-                sources,
-                SmpiConfig { sharing, ..SmpiConfig::ground_truth() },
-                Box::new(FixedRateHooks::uniform(1e9, n)),
-                false,
-            )
-            .expect("random program deadlocked").0
-        };
-        let inc = run_with(progs.clone(), SharingPolicy::MaxMin);
-        let full = run_with(progs, SharingPolicy::MaxMinFull);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        prop_assert_eq!(bits(&inc.rank_times), bits(&full.rank_times));
-        prop_assert_eq!(inc.total_time.to_bits(), full.total_time.to_bits());
-        prop_assert_eq!(inc.events, full.events);
-        prop_assert_eq!(inc.stats, full.stats);
     }
 
     /// Scaling the network up (10x bandwidth, 1/10 latency) never slows

@@ -3,8 +3,7 @@
 //! ```text
 //! titserved serve [--port N] [--workers W] [--no-cache]
 //! titserved query --server http://host:port --trace <trace> --platform <spec.json> \
-//!           --ranks <N> --rate <instr/s> [--engine smpi|msg] \
-//!           [--sharing bottleneck|maxmin] [--threads N]
+//!           --ranks <N> --rate <instr/s> [--engine smpi|msg] [--threads N]
 //! ```
 //!
 //! `serve` binds (port 0 = ephemeral), prints `listening http://ADDR`
@@ -24,7 +23,7 @@ fn usage() -> ! {
         "usage: titserved serve [--port <N>] [--workers <W>] [--no-cache]\n\
          \x20      titserved query --server <http://host:port> --trace <trace> \
          --platform <spec.json> --ranks <N> --rate <instr/s>\n\
-         \x20          [--engine smpi|msg] [--sharing bottleneck|maxmin] [--threads <N>]"
+         \x20          [--engine smpi|msg] [--threads <N>]"
     );
     std::process::exit(2);
 }
@@ -77,7 +76,6 @@ fn query(args: &[String]) -> ! {
     let mut ranks: Option<u32> = None;
     let mut rate: Option<f64> = None;
     let mut engine = None;
-    let mut sharing = None;
     let mut threads: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -88,10 +86,6 @@ fn query(args: &[String]) -> ! {
             "--ranks" => ranks = it.next().and_then(|v| v.parse().ok()),
             "--rate" => rate = it.next().and_then(|v| v.parse().ok()),
             "--engine" => engine = it.next().cloned(),
-            "--sharing" => match it.next().map(String::as_str) {
-                Some(s @ ("bottleneck" | "maxmin")) => sharing = Some(s.to_string()),
-                _ => usage(),
-            },
             "--threads" => threads = it.next().and_then(|v| v.parse().ok()),
             _ => usage(),
         }
@@ -106,9 +100,6 @@ fn query(args: &[String]) -> ! {
     let mut config = format!("\"rate\": {rate}");
     if let Some(e) = engine {
         config.push_str(&format!(", \"engine\": \"{e}\""));
-    }
-    if let Some(s) = sharing {
-        config.push_str(&format!(", \"sharing\": \"{s}\""));
     }
     if let Some(t) = threads {
         config.push_str(&format!(", \"threads\": {t}"));

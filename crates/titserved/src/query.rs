@@ -8,13 +8,15 @@
 //!   "trace": "lu.trace",
 //!   "ranks": 8,
 //!   "platform": { "name": "...", "kind": { ... } },
-//!   "config": { "rate": 2.05e9, "engine": "smpi", "sharing": "bottleneck" }
+//!   "config": { "rate": 2.05e9, "engine": "smpi", "threads": 2 }
 //! }
 //! ```
 //!
 //! `platform` is either an inline [`PlatformSpec`] object or a string
 //! path to a spec file on the server. `config` accepts the same knobs
-//! as the CLI flags with the same defaults, so a `/predict` response is
+//! as the CLI flags (`rate`, `engine`, `threads`) with the same
+//! defaults, and rejects any other field — a retired knob included — with
+//! `unknown config field`, so a `/predict` response is
 //! byte-identical to the manifest the CLI writes for the same inputs
 //! (modulo the wall-time field, the one non-deterministic entry).
 //!
@@ -90,8 +92,8 @@ impl WhatIfQuery {
 }
 
 /// Parses the `config` object with exactly the CLI's defaults:
-/// SMPI engine, bottleneck sharing, one-per-node placement, no copy
-/// model, `TITR_REPLAY_THREADS`-or-1 threads.
+/// SMPI engine, one-per-node placement, no copy model,
+/// `TITR_REPLAY_THREADS`-or-1 threads.
 fn parse_config(v: &Value) -> Result<ReplayConfig, String> {
     let obj = match v {
         Value::Null => &[][..],
@@ -107,13 +109,6 @@ fn parse_config(v: &Value) -> Result<ReplayConfig, String> {
                 Some("smpi") => config.engine = ReplayEngine::Smpi,
                 Some("msg") => config.engine = ReplayEngine::Msg,
                 other => return Err(format!("bad engine {other:?} (want smpi|msg)")),
-            },
-            "sharing" => match val.as_str() {
-                Some("bottleneck") => {
-                    config.sharing = tit_replay::netmodel::SharingPolicy::Bottleneck;
-                }
-                Some("maxmin") => config.sharing = tit_replay::netmodel::SharingPolicy::MaxMin,
-                other => return Err(format!("bad sharing {other:?} (want bottleneck|maxmin)")),
             },
             "threads" => {
                 config.threads =

@@ -88,6 +88,13 @@ fi
 "$rep" inspect --trace "$ingest_dir/lu-s.trace" --ranks 8 >"$ingest_dir/inspect.out"
 grep -q '^validation_issues 0$' "$ingest_dir/inspect.out" \
     || { echo "inspect reported validation issues" >&2; exit 1; }
+# The sharing policy is not a knob any more: asking for max-min is a
+# usage error (exit 2), not a silently different network model.
+retired_rc=0
+"$rep" --platform "$splat" --ranks 8 --rate 2e9 --trace "$ingest_dir/lu-s.trace" \
+    --no-cache --sharing maxmin >/dev/null 2>"$ingest_dir/retired.err" || retired_rc=$?
+[ "$retired_rc" = 2 ] && grep -q '^usage: titreplay' "$ingest_dir/retired.err" \
+    || { echo "titreplay --sharing maxmin: exit $retired_rc, wanted 2 with usage" >&2; exit 1; }
 # Same smoke with parallel replay as the ambient default (LU couples
 # all ranks, so this exercises the single-island fallback): the
 # critical path must still close at the simulated time, and the
@@ -104,7 +111,7 @@ t_par_cp=$(awk '$1 == "critical_path_end_s" {print $2}' "$ingest_dir/obs.par.out
 cmp "$ingest_dir/chrome.json" "$ingest_dir/chrome.par.json" \
     && cmp "$ingest_dir/states.csv" "$ingest_dir/states.par.csv" \
     || { echo "obs exports differ under TITR_REPLAY_THREADS=4" >&2; exit 1; }
-echo "OBS_SMOKE ok (critical_path_end_s == simulated_time_s == $t_sim, also at TITR_REPLAY_THREADS=4)"
+echo "OBS_SMOKE ok (critical_path_end_s == simulated_time_s == $t_sim, also at TITR_REPLAY_THREADS=4; --sharing refused)"
 
 # Parallel replay smoke: a multi-island halo workload must replay
 # bit-identically at --threads 1 and --threads 4 — same simulated time,
@@ -430,7 +437,19 @@ m_lat=$(metric 'titserved_request_duration_seconds_count{endpoint="/predict"}')
 norm_manifest() { sed '/"wall_time_s"/d' "$1"; }
 cmp <(norm_manifest "$ingest_dir/serve.1.json") <(norm_manifest "$ingest_dir/serve.cli.json") \
     || { echo "served manifest differs from the titreplay CLI manifest" >&2; exit 1; }
+# A retired knob is refused like any unknown field, even naming the one
+# model that remains.
+stale='{"trace": "'"$ingest_dir/lu.trace"'", "ranks": 8, "platform": "'"$plat"'", '
+stale+='"config": {"rate": 2e9, "sharing": "bottleneck"}}'
+exec 3<>"/dev/tcp/127.0.0.1/${server##*:}"
+printf 'POST /predict HTTP/1.1\r\nhost: ci\r\ncontent-length: %s\r\nconnection: close\r\n\r\n%s' \
+    "${#stale}" "$stale" >&3
+cat <&3 >"$ingest_dir/serve.stale.txt"
+exec 3>&-
+head -1 "$ingest_dir/serve.stale.txt" | grep -q ' 400 ' \
+    && grep -q "unknown config field 'sharing'" "$ingest_dir/serve.stale.txt" \
+    || { echo "stale sharing field not refused: $(cat "$ingest_dir/serve.stale.txt")" >&2; exit 1; }
 serve_http POST /shutdown >/dev/null
 wait "$serve_pid" \
     || { echo "titserved did not shut down cleanly" >&2; exit 1; }
-echo "SERVE_SMOKE ok (memoized second query byte-identical, manifest matches CLI, /metrics counters advanced)"
+echo "SERVE_SMOKE ok (memoized second query byte-identical, manifest matches CLI, /metrics counters advanced, stale sharing field refused)"

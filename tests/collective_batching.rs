@@ -7,7 +7,7 @@
 //! that still had the per-flow path as its default (78bd05c, flag off),
 //! plus what the batching buys — one re-solve per flushed instant, each
 //! collective flow rated once — and, in the LU goldens, the sharing
-//! counters under all three policies (recorded at db39a09).
+//! counters (recorded at db39a09).
 
 use std::sync::Arc;
 
@@ -72,82 +72,28 @@ fn assert_golden(m: &Metrics, golden: &Golden, what: &str) {
 }
 
 /// LU (p2p-dominated with interspersed collectives): application flows
-/// re-solve eagerly next to batched collective ones. Under every sharing
-/// policy, on both engines, the run lands on the bits and
-/// the counters recorded at db39a09 — the last commit whose link tables
-/// were in slab-swap order, which fed `flush_maxmin`'s seed choice and
-/// `expand_component`'s discovery order. Messages and bytes are the
-/// per-flow path's from 78bd05c; they do not depend on the policy. One
-/// counter is younger: smpi/Bottleneck `rate updates` was 14 835 while
-/// the bottleneck path counted every flow it visited; it now counts
-/// pushes, like the max-min rows always did. The `rates examined` column
-/// (recorded at 1ab30f8) pins *which* neighbours an open or close visits,
-/// as opposed to how cheaply it finds them.
+/// re-solve eagerly next to batched collective ones. On both engines the
+/// run lands on the bits and the counters recorded at db39a09 (messages
+/// and bytes are the per-flow path's from 78bd05c). One counter is
+/// younger: smpi `rate updates` was 14 835 while the bottleneck path
+/// counted every flow it visited; it now counts pushes. The `rates
+/// examined` column (recorded at 1ab30f8) pins *which* neighbours an open
+/// or close visits, as opposed to how cheaply it finds them.
 #[test]
-fn lu_b8_matches_the_goldens_under_every_policy() {
-    use tit_replay::netmodel::SharingPolicy::{Bottleneck, MaxMin, MaxMinFull};
+fn lu_b8_matches_the_goldens() {
     let lu = LuConfig::new(LuClass::B, 8).with_steps(4);
     let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 42).trace;
     let input = TraceInput::Memory(Arc::new(trace));
     let platform = tit_replay::platform::clusters::graphene();
-    // (engine, policy, time bits, events, re-solves, rate updates, rates
-    // examined)
+    // (engine, time bits, events, re-solves, rate updates, rates examined)
     let smpi = (ReplayEngine::Smpi, 8319, 26_637_400);
     let msg = (ReplayEngine::Msg, 8240, 26_634_240);
-    for ((engine, messages, bytes), sharing, time, events, resolves, updates, examined) in [
-        (
-            smpi,
-            Bottleneck,
-            0x3ff2_a2e6_70ac_572a,
-            36_603,
-            16_594,
-            11_614,
-            14_832,
-        ),
-        (
-            smpi,
-            MaxMin,
-            0x3ff2_a2cf_a1f9_0239,
-            33_340,
-            11_453,
-            8351,
-            14_907,
-        ),
-        (
-            smpi,
-            MaxMinFull,
-            0x3ff2_a2cf_a1f9_0239,
-            33_340,
-            14_217,
-            8351,
-            18_355,
-        ),
-        (
-            msg,
-            Bottleneck,
-            0x3ff4_611d_ca3d_72f9,
-            33_278,
-            16_480,
-            8450,
-            8450,
-        ),
-        (msg, MaxMin, 0x3ff4_611d_ca3d_72f9, 33_278, 8345, 8450, 8450),
-        (
-            msg,
-            MaxMinFull,
-            0x3ff4_611d_ca3d_72f9,
-            33_278,
-            14_162,
-            8450,
-            14_358,
-        ),
+    for ((engine, messages, bytes), time, events, resolves, updates, examined) in [
+        (smpi, 0x3ff2_a2e6_70ac_572a, 36_603, 16_594, 11_614, 14_832),
+        (msg, 0x3ff4_611d_ca3d_72f9, 33_278, 16_480, 8450, 8450),
     ] {
-        let what = format!("LU B-8 {engine:?} {sharing:?}");
-        let config = ReplayConfig {
-            sharing,
-            ..cfg(engine, 1)
-        };
-        let m = replay_input_observed(&platform, &input, 8, &config, false)
+        let what = format!("LU B-8 {engine:?}");
+        let m = replay_input_observed(&platform, &input, 8, &cfg(engine, 1), false)
             .unwrap()
             .metrics;
         assert_golden(&m, &Golden(time, messages, bytes), &what);

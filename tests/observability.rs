@@ -208,7 +208,11 @@ fn cli_inspect_summarises_without_replaying() {
 fn cli_rejects_retired_flags() {
     let dir = workdir("retired");
     let (trace, plat) = stage_inputs(&dir);
-    for retired in [["--window-s", "1e-3"], ["--sharing", "maxmin-full"]] {
+    for retired in [
+        ["--window-s", "1e-3"],
+        ["--sharing", "maxmin-full"],
+        ["--sharing", "bottleneck"],
+    ] {
         let output = titreplay()
             .args([
                 "--platform",
@@ -230,7 +234,8 @@ fn cli_rejects_retired_flags() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
             stderr.starts_with("usage: titreplay")
-                && stderr.contains("--sharing bottleneck|maxmin]"),
+                && stderr.contains("[--engine smpi|msg]")
+                && !stderr.contains("--sharing"),
             "{retired:?}: {stderr}"
         );
         assert!(output.stdout.is_empty(), "{retired:?} replayed anyway");

@@ -292,8 +292,8 @@ fn inspect_healthz_and_errors() {
     assert_eq!(bad.status, 400);
     // Retired knobs are not questions one can ask two ways (and memoise
     // under two keys): collective batching and the PDES window are as
-    // unknown as any typo, and the exact max-min referee is not a
-    // sharing policy a query can pick.
+    // unknown as any typo, and so is the sharing policy, even naming the
+    // bottleneck model that is now the only one.
     for (field, error) in [
         (
             "\"batch_collectives\": true",
@@ -301,9 +301,8 @@ fn inspect_healthz_and_errors() {
         ),
         ("\"window_s\": 0.001", "unknown config field 'window_s'"),
         (
-            "\"sharing\": \"maxmin-full\"",
-            // The body is JSON, so the quotes around the value arrive escaped.
-            "bad sharing Some(\\\"maxmin-full\\\") (want bottleneck|maxmin)",
+            "\"sharing\": \"bottleneck\"",
+            "unknown config field 'sharing'",
         ),
     ] {
         let stale = client::predict(

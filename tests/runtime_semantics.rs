@@ -345,48 +345,6 @@ fn packed_placement_uses_loopback() {
     );
 }
 
-/// The fast bottleneck sharing model must stay close to the exact
-/// max-min reference on a real workload (it may only *under*-allocate,
-/// so replay times are never shorter).
-#[test]
-fn fast_sharing_model_bounds_the_exact_one() {
-    use tit_replay::netmodel::SharingPolicy;
-    use tit_replay::smpi::{run_smpi, FixedRateHooks, SmpiConfig};
-    let lu = LuConfig::new(LuClass::S, 8).with_steps(3);
-    let p = tit_replay::platform::clusters::graphene();
-    let hosts: Vec<tit_replay::platform::HostId> =
-        (0..8).map(tit_replay::platform::HostId).collect();
-    let time_with = |policy| {
-        let cfg = SmpiConfig {
-            sharing: policy,
-            ..SmpiConfig::ground_truth()
-        };
-        run_smpi(
-            &p,
-            &hosts,
-            lu.sources(),
-            cfg,
-            Box::new(FixedRateHooks::uniform(2e9, 8)),
-            false,
-        )
-        .unwrap()
-        .0
-        .total_time
-    };
-    let fast = time_with(SharingPolicy::Bottleneck);
-    let exact = time_with(SharingPolicy::MaxMin);
-    assert!(
-        fast >= exact * (1.0 - 1e-9),
-        "fast model allocated more than max-min allows: {fast} < {exact}"
-    );
-    let gap = (fast - exact) / exact;
-    assert!(
-        gap < 0.05,
-        "fast-model divergence {:.2}% too large",
-        gap * 100.0
-    );
-}
-
 // ---------------------------------------------------------------------
 // Closed-form goldens. Each expectation below is computed from the
 // platform constants and the protocol factor rows, written out here as
