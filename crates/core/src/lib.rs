@@ -67,7 +67,6 @@ pub use acquisition;
 pub use calibrate;
 pub use emulator;
 pub use hwmodel;
-pub use msgsim;
 pub use netmodel;
 pub use platform;
 pub use replay;

@@ -11,9 +11,9 @@
 //! The default table below is fitted to GigE/TCP clusters of the era
 //! (steeper bandwidth penalty for small messages, growing effective
 //! latency for large ones). The emulated testbed and the improved replay
-//! engine share it; the legacy MSG back-end deliberately ignores it
-//! ([`PiecewiseFactors::raw`]), reproducing the old implementation's
-//! modeling error.
+//! engine share it; the legacy MSG back-end deliberately ignores it (no
+//! per-size rows, only a flat fitted latency factor), reproducing the old
+//! implementation's modeling error.
 
 /// One row of the factor table: applies to messages of size `<= max_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +57,7 @@ impl PiecewiseFactors {
         PiecewiseFactors { ranges, tail }
     }
 
-    /// The identity table: no protocol correction (the legacy MSG model).
+    /// The identity table: no protocol correction.
     pub fn raw() -> PiecewiseFactors {
         PiecewiseFactors {
             ranges: Vec::new(),

@@ -1,4 +1,4 @@
-//! The one translation of a [`ReplayConfig`] into an engine run, and the
+//! The one translation of a [`ReplayConfig`] into a runtime run, and the
 //! one op source that feeds it. The sequential path prepares a single
 //! run over every rank; the island engine ([`crate::parallel`]) prepares
 //! one per coupling island — with the same configuration and the same
@@ -6,8 +6,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use platform::{HostId, LinkId, Platform};
+use platform::{HostId, Platform};
 use simkernel::obs::RunObservation;
+use smpi::{SmpiConfig, SmpiRun};
 use titrace::{Action, ActionSource, Rank, SourceError};
 use workloads::{MpiOp, OpSource};
 
@@ -26,89 +27,41 @@ pub(crate) fn check_fault(fault: &FaultSlot) -> Result<(), String> {
     }
 }
 
-/// One prepared simulation, unified over the two back-ends.
-pub(crate) enum EngineRun<'p> {
-    Smpi(smpi::SmpiRun<'p>),
-    Msg(msgsim::MsgRun<'p>),
+/// Assembles the run `config` selects over `sources` placed on `hosts`:
+/// one runtime, configured as the improved SMPI back-end or as the
+/// legacy MSG one. With `record_spans` it records spans under the run's
+/// own rank ids (`0..sources.len()`).
+pub(crate) fn prepare<'p>(
+    platform: &'p Platform,
+    hosts: &[HostId],
+    sources: Vec<Box<dyn OpSource>>,
+    config: &ReplayConfig,
+    record_spans: bool,
+) -> SmpiRun<'p> {
+    let hooks = Box::new(smpi::FixedRateHooks::uniform(
+        config.rate,
+        hosts.len() as u32,
+    ));
+    let cfg = match config.engine {
+        ReplayEngine::Smpi => SmpiConfig {
+            copy: config.copy_model,
+            ..SmpiConfig::smpi_replay()
+        },
+        ReplayEngine::Msg => SmpiConfig::msg_legacy(),
+    };
+    smpi::prepare_smpi(platform, hosts, sources, cfg, hooks, record_spans)
 }
 
-impl<'p> EngineRun<'p> {
-    /// Assembles the engine `config` selects over `sources` placed on
-    /// `hosts`; with `record_spans` it records spans under the run's own
-    /// rank ids (`0..sources.len()`).
-    pub(crate) fn prepare(
-        platform: &'p Platform,
-        hosts: &[HostId],
-        sources: Vec<Box<dyn OpSource>>,
-        config: &ReplayConfig,
-        record_spans: bool,
-    ) -> EngineRun<'p> {
-        let hooks = Box::new(smpi::FixedRateHooks::uniform(
-            config.rate,
-            hosts.len() as u32,
-        ));
-        match config.engine {
-            ReplayEngine::Smpi => {
-                let cfg = smpi::SmpiConfig {
-                    copy: config.copy_model,
-                    ..smpi::SmpiConfig::smpi_replay()
-                };
-                EngineRun::Smpi(smpi::prepare_smpi(
-                    platform,
-                    hosts,
-                    sources,
-                    cfg,
-                    hooks,
-                    record_spans,
-                ))
-            }
-            ReplayEngine::Msg => EngineRun::Msg(msgsim::prepare_msg(
-                platform,
-                hosts,
-                sources,
-                msgsim::MsgConfig::legacy(),
-                hooks,
-                record_spans,
-            )),
-        }
-    }
-
-    /// Restricts the run's network to an island's links.
-    pub(crate) fn restrict_links(&mut self, links: &[LinkId]) {
-        match self {
-            EngineRun::Smpi(r) => r.restrict_links(links),
-            EngineRun::Msg(r) => r.restrict_links(links),
-        }
-    }
-
-    /// Runs to quiescence.
-    pub(crate) fn run(&mut self) {
-        match self {
-            EngineRun::Smpi(r) => r.run(),
-            EngineRun::Msg(r) => r.run(),
-        }
-    }
-
-    /// The result and observation of the quiesced run.
-    pub(crate) fn finalize(self) -> Result<(ReplayResult, RunObservation), String> {
-        let (time, rank_times, messages, events, obs) = match self {
-            EngineRun::Smpi(r) => {
-                let (r, obs) = r.finalize()?;
-                (r.total_time, r.rank_times, r.stats.messages, r.events, obs)
-            }
-            EngineRun::Msg(r) => {
-                let (r, obs) = r.finalize()?;
-                (r.total_time, r.rank_times, r.stats.messages, r.events, obs)
-            }
-        };
-        let result = ReplayResult {
-            time,
-            rank_times,
-            messages,
-            events,
-        };
-        Ok((result, obs))
-    }
+/// The result and observation of a quiesced run.
+pub(crate) fn finalize(run: SmpiRun<'_>) -> Result<(ReplayResult, RunObservation), String> {
+    let (r, obs) = run.finalize()?;
+    let result = ReplayResult {
+        time: r.total_time,
+        rank_times: r.rank_times,
+        messages: r.stats.messages,
+        events: r.events,
+    };
+    Ok((result, obs))
 }
 
 /// The [`OpSource`] of every replay: pulls one rank's actions from its

@@ -2,15 +2,18 @@
 //!
 //! A replay turns a [`titrace::Trace`] back into per-rank op streams and
 //! executes them on a simulated platform with a calibrated instruction
-//! rate. Two back-ends are provided, matching the paper's before/after:
+//! rate. Two back-ends are provided, matching the paper's before/after.
+//! Both are configurations of the one [`smpi`] runtime:
 //!
-//! * [`ReplayEngine::Msg`] — the first implementation: MSG mailbox
-//!   semantics, asynchronous small sends, raw network model, monolithic
-//!   collectives ([`msgsim`]);
-//! * [`ReplayEngine::Smpi`] — the rewrite inside SMPI: detached eager
-//!   sends, rendezvous for large messages, piece-wise linear network
-//!   factors, collectives as point-to-point algorithms ([`smpi`]) — and
-//!   the one acknowledged gap, the unmodeled eager memory-copy time.
+//! * [`ReplayEngine::Msg`] — the first implementation
+//!   ([`smpi::SmpiConfig::msg_legacy`]): every transfer starts at the
+//!   receiver's match, asynchronous small sends, no per-size network
+//!   factors but a flat latency factor, closed-form collectives;
+//! * [`ReplayEngine::Smpi`] — the rewrite inside SMPI
+//!   ([`smpi::SmpiConfig::smpi_replay`]): detached eager sends,
+//!   rendezvous for large messages, piece-wise linear network factors,
+//!   collectives as point-to-point algorithms — and the one acknowledged
+//!   gap, the unmodeled eager memory-copy time.
 //!
 //! The user-facing workflow mirrors the paper's Section 3.3 `smpirun`
 //! invocation: a platform description, a host list, one trace, one
@@ -33,7 +36,7 @@ use simkernel::obs::{CriticalPath, Manifest, Metrics, SpanLog};
 use titrace::{Action, ActionSource, Rank, TraceInput};
 use workloads::{ComputeBlock, MpiOp};
 
-use engine::{check_fault, EngineRun, FaultSlot, ReplayOps};
+use engine::{check_fault, FaultSlot, ReplayOps};
 use profile::ReplayProfile;
 
 /// Which simulation back-end executes the trace.
@@ -43,6 +46,16 @@ pub enum ReplayEngine {
     Msg,
     /// The improved SMPI-based replay.
     Smpi,
+}
+
+impl ReplayEngine {
+    /// The `--engine` name, as reported in metrics.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReplayEngine::Msg => "msg",
+            ReplayEngine::Smpi => "smpi",
+        }
+    }
 }
 
 /// A replay request.
@@ -107,13 +120,7 @@ impl ReplayConfig {
             fnv.update(value);
             fnv.update(b";");
         };
-        field(
-            "engine",
-            match self.engine {
-                ReplayEngine::Msg => b"msg",
-                ReplayEngine::Smpi => b"smpi",
-            },
-        );
+        field("engine", self.engine.name().as_bytes());
         field("rate", &self.rate.to_bits().to_le_bytes());
         field(
             "placement",
@@ -306,9 +313,9 @@ fn replay_sequential(
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let fault = FaultSlot::default();
     let sources = ReplayOps::wrap(cursors, 0..ranks, ranks, None, &fault);
-    let mut run = EngineRun::prepare(platform, &hosts, sources, config, record_spans);
+    let mut run = engine::prepare(platform, &hosts, sources, config, record_spans);
     run.run();
-    let outcome = run.finalize();
+    let outcome = engine::finalize(run);
     check_fault(&fault)?;
     let (result, obs) = outcome?;
     Ok(ReplayReport {

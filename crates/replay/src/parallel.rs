@@ -28,12 +28,13 @@ use std::time::Instant;
 
 use platform::{HostId, LinkId, Platform};
 use simkernel::obs::{Metrics, RunObservation, SpanLog};
+use smpi::SmpiRun;
 use titrace::{ActionSource, TraceInput};
 
-use crate::engine::{check_fault, EngineRun, FaultSlot, ReplayOps};
+use crate::engine::{self, check_fault, FaultSlot, ReplayOps};
 use crate::partition::{island_links, partition_ranks, scan_until_collective, Island};
 use crate::profile::{ReplayProfile, WorkerProfile};
-use crate::{ReplayConfig, ReplayEngine, ReplayReport, ReplayResult};
+use crate::{ReplayConfig, ReplayReport, ReplayResult};
 
 /// Hands out a fresh set of per-rank cursors over one trace.
 type OpenSources<'a> = dyn Fn() -> Result<Vec<Box<dyn ActionSource>>, String> + 'a;
@@ -129,14 +130,14 @@ pub(crate) fn replay_islands(
                 let wall = Instant::now();
                 let islands = jobs.len();
                 let ranks_run = jobs.iter().map(|j| j.ranks.len()).sum();
-                let mut runs: Vec<(usize, Arc<Vec<u32>>, EngineRun)> = jobs
+                let mut runs: Vec<(usize, Arc<Vec<u32>>, SmpiRun)> = jobs
                     .into_iter()
                     .map(|job| {
                         let members = job.ranks.iter().copied();
                         let sources =
                             ReplayOps::wrap(job.cursors, members, ranks, Some(&job.ranks), fault);
                         let mut run =
-                            EngineRun::prepare(platform, &job.hosts, sources, config, record_spans);
+                            engine::prepare(platform, &job.hosts, sources, config, record_spans);
                         run.restrict_links(&job.links);
                         (job.index, job.ranks, run)
                     })
@@ -151,7 +152,7 @@ pub(crate) fn replay_islands(
                     .map(|(index, island_ranks, run)| {
                         // The engine reports island-local rank ids; give
                         // the island's global ranks for context.
-                        let outcome = run.finalize().map_err(|e| {
+                        let outcome = engine::finalize(run).map_err(|e| {
                             format!("partition {index} (global ranks {island_ranks:?}): {e}")
                         });
                         (index, outcome)
@@ -207,11 +208,7 @@ fn merge_islands(
     islands: &[Island],
     done: Vec<(ReplayResult, RunObservation)>,
 ) -> (ReplayResult, Metrics, Option<SpanLog>) {
-    let engine_name = match config.engine {
-        ReplayEngine::Smpi => "smpi",
-        ReplayEngine::Msg => "msg",
-    };
-    let mut metrics = Metrics::new(engine_name, ranks);
+    let mut metrics = Metrics::new(config.engine.name(), ranks);
     let mut spans: Option<SpanLog> = None;
     let mut rank_times = vec![0.0f64; ranks as usize];
     let (mut messages, mut events) = (0, 0);

@@ -20,8 +20,8 @@ const NO_FREE: u32 = u32::MAX;
 /// window of detached eager sends. Used by [`replay_sizing`].
 pub const IN_FLIGHT_PER_RANK: usize = 8;
 
-/// The pre-sizing heuristic shared by the replay runners (`smpi::runner`
-/// and `msgsim::runner`): a `ranks`-process replay keeps at most
+/// The pre-sizing heuristic of the replay runner (`smpi::runner`): a
+/// `ranks`-process replay keeps at most
 /// [`IN_FLIGHT_PER_RANK`] activities in flight per rank, and each live
 /// activity accounts for at most two queued events (its scheduled
 /// completion plus one superseded predecessor awaiting its lazy skip).

@@ -20,8 +20,8 @@
 //!   new completion event is scheduled, so resource re-sharing (e.g. a new
 //!   network flow joining a link) never loses or duplicates work.
 //!
-//! Higher layers (the `netmodel`, `smpi`, and `msgsim` crates) build
-//! network flows, MPI semantics, and mailbox semantics out of these
+//! Higher layers (the `netmodel` and `smpi` crates) build network flows
+//! and MPI semantics — SMPI's and the legacy MSG model's — out of these
 //! primitives.
 
 #![deny(missing_docs)]

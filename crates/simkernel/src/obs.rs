@@ -109,20 +109,16 @@ pub struct FlowSpan {
 /// high-water marks of the match queues).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// smpi: messages queued as unexpected (send before recv).
+    /// Messages queued as unexpected (send before recv).
     UnexpectedEnqueued,
-    /// smpi: receives queued as posted (recv before send).
+    /// Receives queued as posted (recv before send).
     PostedEnqueued,
-    /// msgsim: tasks deposited into a mailbox before any receive.
-    MailboxEnqueued,
-    /// msgsim: receives pending before any matching deposit.
-    PendingEnqueued,
     /// Intra-host transfers served by the loopback path (no flow).
     LoopbackTransfers,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTERS: usize = 5;
+pub const COUNTERS: usize = 3;
 
 impl Counter {
     /// Dense index.
@@ -130,9 +126,7 @@ impl Counter {
         match self {
             Counter::UnexpectedEnqueued => 0,
             Counter::PostedEnqueued => 1,
-            Counter::MailboxEnqueued => 2,
-            Counter::PendingEnqueued => 3,
-            Counter::LoopbackTransfers => 4,
+            Counter::LoopbackTransfers => 2,
         }
     }
 
@@ -141,8 +135,6 @@ impl Counter {
         match self {
             Counter::UnexpectedEnqueued => "unexpected_enqueued",
             Counter::PostedEnqueued => "posted_enqueued",
-            Counter::MailboxEnqueued => "mailbox_enqueued",
-            Counter::PendingEnqueued => "pending_enqueued",
             Counter::LoopbackTransfers => "loopback_transfers",
         }
     }
@@ -152,8 +144,6 @@ impl Counter {
 pub const COUNTER_LIST: [Counter; COUNTERS] = [
     Counter::UnexpectedEnqueued,
     Counter::PostedEnqueued,
-    Counter::MailboxEnqueued,
-    Counter::PendingEnqueued,
     Counter::LoopbackTransfers,
 ];
 
@@ -364,14 +354,13 @@ pub struct Metrics {
     pub rendezvous_messages: u64,
     /// Payload bytes.
     pub bytes: u64,
-    /// Collective operations (smpi: participations; msg: occurrences).
+    /// Collective participations (one per rank per collective).
     pub collectives: u64,
     /// The network model's sharing counters.
     pub net: NetStats,
-    /// High-water unexpected-queue depth (0 for the MSG back-end, which
-    /// has no match queues).
+    /// High-water unexpected-queue depth.
     pub max_unexpected_depth: u64,
-    /// High-water posted-queue depth (0 for the MSG back-end).
+    /// High-water posted-queue depth.
     pub max_posted_depth: u64,
     /// Span-log event counters, present when spans were recorded.
     pub recorder_counts: Option<[u64; COUNTERS]>,
@@ -1076,7 +1065,7 @@ mod tests {
         log.count(Counter::LoopbackTransfers, 5);
         assert_eq!(log.counter(Counter::UnexpectedEnqueued), 3);
         assert_eq!(log.counter(Counter::LoopbackTransfers), 5);
-        assert_eq!(log.counter(Counter::MailboxEnqueued), 0);
+        assert_eq!(log.counter(Counter::PostedEnqueued), 0);
     }
 
     #[test]

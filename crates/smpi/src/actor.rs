@@ -4,7 +4,9 @@
 //! (1) optionally delayed by the hook-provided fixed cost (probe time,
 //! eager copy), then (2) performed against the world, then (3) awaited if
 //! it blocks. Collectives are expanded into point-to-point sub-programs
-//! executed on the collective channel before the main stream resumes.
+//! executed on the collective channel before the main stream resumes —
+//! or, under [`crate::Model::Msg`], block the rank until the world's
+//! release timer fires.
 //!
 //! The [`TransportActor`] is a daemon owning every transfer-completion
 //! subscription and arrival timer; it only mutates world state and wakes
@@ -18,7 +20,9 @@ use workloads::{MpiOp, OpSource};
 
 use crate::collectives;
 use crate::hooks::ComputePlan;
-use crate::world::{MsgId, PostId, RecvResult, ReqId, SendResult, SmpiWorld, CH_APP, CH_COLL};
+use crate::world::{
+    MsgId, PostId, RecvResult, ReqId, SendResult, SmpiWorld, CH_APP, CH_COLL, COLL_RELEASE_KEY,
+};
 
 /// Timer key used for pre-op delays (distinct per actor, so no global
 /// uniqueness needed).
@@ -32,6 +36,7 @@ enum Waiting {
     Msg(MsgId),
     Post(PostId),
     Reqs(Vec<ReqId>),
+    Collective,
 }
 
 #[derive(Debug)]
@@ -105,7 +110,8 @@ impl RankActor {
         let was_blocked = !matches!(self.waiting, Waiting::Ready);
         match (&mut self.waiting, wake) {
             (Waiting::Ready, _) => {}
-            (Waiting::Delay, Wake::Timer(DELAY_KEY)) => {
+            (Waiting::Delay, Wake::Timer(DELAY_KEY))
+            | (Waiting::Collective, Wake::Timer(COLL_RELEASE_KEY)) => {
                 self.waiting = Waiting::Ready;
             }
             (Waiting::Compute(a), Wake::Activity(b)) if *a == b => {
@@ -241,10 +247,15 @@ impl RankActor {
                     self.subops.is_empty(),
                     "collective while a sub-program is active"
                 );
-                let op = world.enter_collective(self.rank, self.coll_index, collective);
+                let op = world.enter_collective(kernel, self.rank, self.coll_index, collective);
                 self.coll_index += 1;
-                let expansion = collectives::expand(&op, self.rank, world.ranks());
-                self.subops.extend(expansion);
+                if let Some(op) = op {
+                    self.subops
+                        .extend(collectives::expand(&op, self.rank, world.ranks()));
+                } else {
+                    self.waiting = Waiting::Collective;
+                    self.note_block(SpanKind::Collective, None);
+                }
             }
         }
     }

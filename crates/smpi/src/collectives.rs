@@ -1,4 +1,5 @@
-//! Collective algorithms, decomposed into point-to-point operations.
+//! Collective algorithms, decomposed into point-to-point operations, and
+//! the closed-form cost model of the legacy MSG back-end.
 //!
 //! The paper contrasts its old back-end's "monolithic performance models
 //! of collective communications" with SMPI's approach of simulating them
@@ -16,8 +17,110 @@
 //! * all-to-all — pairwise exchange rounds,
 //! * gather — linear to root,
 //! * allgather — ring.
+//!
+//! Under [`crate::Model::Msg`] the runtime instead prices each collective
+//! with a [`CollectiveModel`] formula, as the old MSG-based replay did.
 
+use platform::{HostId, Platform};
 use workloads::MpiOp;
+
+/// Closed-form durations of the monolithic collective models, as used by
+/// the old MSG-based replay: log-tree formulas over a nominal
+/// latency/bandwidth pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CollectiveModel {
+    /// Nominal point-to-point latency, seconds.
+    pub latency: f64,
+    /// Nominal point-to-point bandwidth, bytes/s.
+    pub bandwidth: f64,
+}
+
+impl CollectiveModel {
+    fn log2_ceil(p: u32) -> f64 {
+        if p <= 1 {
+            0.0
+        } else {
+            f64::from(32 - (p - 1).leading_zeros())
+        }
+    }
+
+    fn hop(&self, bytes: u64) -> f64 {
+        self.latency + bytes as f64 / self.bandwidth
+    }
+
+    /// Duration of a barrier over `p` ranks.
+    pub fn barrier(&self, p: u32) -> f64 {
+        2.0 * Self::log2_ceil(p) * self.latency
+    }
+
+    /// Duration of a broadcast of `bytes`.
+    pub fn bcast(&self, p: u32, bytes: u64) -> f64 {
+        Self::log2_ceil(p) * self.hop(bytes)
+    }
+
+    /// Duration of a reduce of `bytes`.
+    pub fn reduce(&self, p: u32, bytes: u64) -> f64 {
+        Self::log2_ceil(p) * self.hop(bytes)
+    }
+
+    /// Duration of an allreduce of `bytes`.
+    pub fn allreduce(&self, p: u32, bytes: u64) -> f64 {
+        2.0 * Self::log2_ceil(p) * self.hop(bytes)
+    }
+
+    /// Duration of an all-to-all of `bytes` per pair.
+    pub fn alltoall(&self, p: u32, bytes: u64) -> f64 {
+        f64::from(p.saturating_sub(1)) * self.hop(bytes)
+    }
+
+    /// Duration of a gather of `bytes` per rank.
+    pub fn gather(&self, p: u32, bytes: u64) -> f64 {
+        f64::from(p.saturating_sub(1)) * self.hop(bytes)
+    }
+
+    /// Duration of an allgather of `bytes` per rank.
+    pub fn allgather(&self, p: u32, bytes: u64) -> f64 {
+        f64::from(p.saturating_sub(1)) * self.hop(bytes)
+    }
+
+    /// Duration of the collective `op` over `p` ranks, or `None` for
+    /// non-collective ops.
+    pub fn duration(&self, op: &MpiOp, p: u32) -> Option<f64> {
+        Some(match *op {
+            MpiOp::Barrier => self.barrier(p),
+            MpiOp::Bcast { bytes, .. } => self.bcast(p, bytes),
+            MpiOp::Reduce { bytes, .. } => self.reduce(p, bytes),
+            MpiOp::Allreduce { bytes } => self.allreduce(p, bytes),
+            MpiOp::Alltoall { bytes } => self.alltoall(p, bytes),
+            MpiOp::Gather { bytes, .. } => self.gather(p, bytes),
+            MpiOp::Allgather { bytes } => self.allgather(p, bytes),
+            _ => return None,
+        })
+    }
+}
+
+/// Nominal collective-model parameters: the worst latency and the
+/// tightest finite bandwidth over every ordered rank pair's route, folded
+/// source-major through one reused route buffer (what the old
+/// implementation read off the platform file).
+pub fn nominal_collective_model(platform: &Platform, hosts: &[HostId]) -> CollectiveModel {
+    let mut route = Vec::new();
+    let (mut latency, mut bandwidth) = (0.0, f64::INFINITY);
+    for &s in hosts {
+        for &d in hosts {
+            platform.route(s, d, &mut route);
+            latency = f64::max(latency, platform.path_latency(&route));
+            let b = platform.path_bandwidth(&route);
+            if b.is_finite() {
+                bandwidth = f64::min(bandwidth, b);
+            }
+        }
+    }
+    CollectiveModel {
+        latency,
+        bandwidth: bandwidth.min(1e12),
+    }
+}
 
 /// Expands one collective into this rank's point-to-point sub-program.
 /// Non-collective ops are returned unchanged as a singleton (callers

@@ -18,12 +18,31 @@
 //!   doubling, pairwise exchange — [`collectives`]), not monolithic cost
 //!   formulas.
 //!
-//! The same runtime serves two roles: configured with
+//! The same runtime plays three roles. Configured with
 //! [`SmpiConfig::ground_truth`] (memory-copy cost modeled) it is the
 //! emulated *testbed* standing in for the paper's real clusters;
 //! configured with [`SmpiConfig::smpi_replay`] (copy cost *not* modeled —
 //! the missing feature the paper's future work announces) it is the
-//! improved replay back-end.
+//! improved replay back-end; configured with [`SmpiConfig::msg_legacy`]
+//! it is the paper's *first* replay back-end, the MSG model Section 2.4
+//! diagnoses:
+//!
+//! * every transfer starts when the receiver matches it ([`Model::Msg`]),
+//!   so the receiver pays the full latency plus size over bandwidth on
+//!   its critical path — even for small messages a real MPI runtime would
+//!   have delivered long before the receive;
+//! * sends under 64 KiB still never block the sender (the old
+//!   `if (size<65536)` asynchronous path);
+//! * no per-size protocol factors, only a fitted 1.9 latency factor on
+//!   every transfer;
+//! * collectives as closed-form timers ([`CollectiveModel`]): every rank
+//!   blocks until all have entered, then all leave after a log-tree cost
+//!   formula.
+//!
+//! The per-small-message overestimation accumulates with the message
+//! count — which in NPB-LU grows with the process count — so the MSG
+//! configuration reproduces the linearly growing error of the paper's
+//! Figure 3.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -37,6 +56,7 @@ pub mod slab;
 pub mod timeline;
 pub mod world;
 
+pub use collectives::CollectiveModel;
 pub use hooks::{ComputePlan, ExecHooks, FixedRateHooks};
 pub use runner::{prepare_smpi, run_smpi, SmpiResult, SmpiRun};
 pub use timeline::{Segment, SegmentKind, Timeline};
@@ -63,10 +83,37 @@ impl CopyCost {
     }
 }
 
+/// The replay model the runtime simulates: the paper's improved SMPI
+/// back-end or its legacy MSG one (see the [crate documentation](crate)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Model {
+    /// Messages under the eager threshold start their transfer at the
+    /// send, larger ones at the match; collectives run as point-to-point
+    /// algorithms.
+    Smpi,
+    /// Every transfer starts at the match (a mailbox task), and a
+    /// pre-posted blocked receiver is woken at arrival before a blocked
+    /// sender; collectives are closed-form timers.
+    Msg,
+}
+
+impl Model {
+    /// The name the metrics carry (`"smpi"` or `"msg"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Model::Smpi => "smpi",
+            Model::Msg => "msg",
+        }
+    }
+}
+
 /// Protocol-level configuration of the runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SmpiConfig {
-    /// Eager/rendezvous threshold in bytes.
+    /// Small-message threshold in bytes: a blocking send below it never
+    /// blocks the sender. Under [`Model::Smpi`] such a send is eager (its
+    /// transfer starts at the send) and larger ones are rendezvous; under
+    /// [`Model::Msg`] every transfer starts at the match.
     pub eager_threshold: u64,
     /// Message-size-dependent latency/bandwidth correction.
     pub factors: PiecewiseFactors,
@@ -77,6 +124,8 @@ pub struct SmpiConfig {
     pub loopback_bandwidth: f64,
     /// Intra-host transfer fixed latency, seconds.
     pub loopback_latency: f64,
+    /// The point-to-point and collective model.
+    pub model: Model,
 }
 
 impl SmpiConfig {
@@ -91,6 +140,7 @@ impl SmpiConfig {
             }),
             loopback_bandwidth: 3.0e9,
             loopback_latency: 0.4e-6,
+            model: Model::Smpi,
         }
     }
 
@@ -104,8 +154,31 @@ impl SmpiConfig {
         }
     }
 
-    /// `true` when `bytes` uses the eager protocol.
+    /// The legacy MSG back-end: transfers start at the match, sends
+    /// under 64 KiB are asynchronous, full nominal bandwidth and a flat
+    /// 1.9 latency factor for every size (SimGrid's network models of the
+    /// MSG era applied one fitted latency factor uniformly, CM02/LV08
+    /// style, rather than per-size factors), closed-form collectives (see
+    /// the [crate documentation](crate)).
+    pub fn msg_legacy() -> SmpiConfig {
+        SmpiConfig {
+            eager_threshold: EAGER_THRESHOLD,
+            factors: PiecewiseFactors::new(Vec::new(), (1.0, 1.9)),
+            copy: None,
+            loopback_bandwidth: 3.0e9,
+            loopback_latency: 0.4e-6,
+            model: Model::Msg,
+        }
+    }
+
+    /// `true` when `bytes` uses the eager protocol: its transfer starts
+    /// at the send.
     pub fn is_eager(&self, bytes: u64) -> bool {
+        self.model == Model::Smpi && self.is_detached(bytes)
+    }
+
+    /// `true` when a blocking send of `bytes` leaves the sender free.
+    pub(crate) fn is_detached(&self, bytes: u64) -> bool {
         bytes < self.eager_threshold
     }
 }
@@ -132,6 +205,49 @@ mod tests {
         assert!(replay.copy.is_none());
         assert_eq!(truth.factors, replay.factors);
         assert_eq!(truth.eager_threshold, replay.eager_threshold);
+    }
+
+    #[test]
+    fn collective_formulas() {
+        let m = CollectiveModel {
+            latency: 1e-5,
+            bandwidth: 1e8,
+        };
+        assert_eq!(m.barrier(1), 0.0);
+        assert!((m.barrier(8) - 2.0 * 3.0 * 1e-5).abs() < 1e-15);
+        // Non-power-of-two rounds up.
+        assert!((m.barrier(5) - 2.0 * 3.0 * 1e-5).abs() < 1e-15);
+        let hop = 1e-5 + 100.0 / 1e8;
+        assert!((m.bcast(4, 100) - 2.0 * hop).abs() < 1e-15);
+        assert!((m.allreduce(4, 100) - 4.0 * hop).abs() < 1e-15);
+        assert!((m.alltoall(4, 100) - 3.0 * hop).abs() < 1e-15);
+    }
+
+    #[test]
+    fn duration_dispatch() {
+        let m = CollectiveModel {
+            latency: 1e-5,
+            bandwidth: 1e8,
+        };
+        use workloads::MpiOp;
+        assert!(m.duration(&MpiOp::Barrier, 4).is_some());
+        assert!(m.duration(&MpiOp::Wait, 4).is_none());
+        assert_eq!(
+            m.duration(&MpiOp::Allreduce { bytes: 100 }, 4),
+            Some(m.allreduce(4, 100))
+        );
+    }
+
+    #[test]
+    fn legacy_config_is_raw() {
+        let c = SmpiConfig::msg_legacy();
+        // No per-size table: full nominal bandwidth and the flat 1.9
+        // latency factor at every size.
+        for bytes in [0, 1, 1420, 65535, 65536, 1 << 30] {
+            assert_eq!(c.factors.factors(bytes), (1.0, 1.9));
+        }
+        assert!(c.is_detached(65535) && !c.is_detached(65536));
+        assert!(!c.is_eager(0) && !c.is_eager(65535));
     }
 
     #[test]

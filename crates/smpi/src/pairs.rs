@@ -1,6 +1,6 @@
 //! Per-pair runtime state, built on a pair's first message.
 //!
-//! Both runtimes keep, for each ordered `(source, destination)` rank
+//! The runtime keeps, for each ordered `(source, destination)` rank
 //! pair, the route between the two hosts, its nominal latency and
 //! bandwidth, and the protocol's FIFO match queues. Replayed traces talk
 //! to few peers per rank — O(1) for stencils and LU, O(log P) for tree
@@ -10,9 +10,8 @@
 //!
 //! Layout: per destination, a dense `u32` slot index over source ranks,
 //! allocated on that destination's first message, into one arena of
-//! [`Pair`]s appended in first-use order. Records that belong to a pair
-//! (an `smpi` message, an `msgsim` task) carry their slot, so the
-//! transport side indexes the arena with no lookup.
+//! [`Pair`]s appended in first-use order. A message carries its pair's
+//! slot, so the transport side indexes the arena with no lookup.
 
 use std::ops::{Index, IndexMut};
 

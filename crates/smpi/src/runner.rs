@@ -136,7 +136,7 @@ impl SmpiRun<'_> {
         sim.world.check_drained()?;
         let total_time = rank_times.iter().copied().fold(0.0, f64::max);
         let stats = sim.world.stats;
-        let mut metrics = Metrics::new("smpi", ranks as u32);
+        let mut metrics = Metrics::new(sim.world.cfg.model.name(), ranks as u32);
         metrics.simulated_time_s = total_time;
         sim.kernel.observe(&mut metrics);
         metrics.messages = stats.messages;
@@ -169,7 +169,7 @@ mod tests {
     use platform::topology::{flat_cluster, FlatClusterSpec};
     use workloads::{ComputeBlock, MpiOp, VecSource};
 
-    fn tiny_platform(nodes: u32) -> Platform {
+    pub(super) fn tiny_platform(nodes: u32) -> Platform {
         flat_cluster(&FlatClusterSpec {
             name: "t".into(),
             nodes,
@@ -187,7 +187,7 @@ mod tests {
         (0..n).map(HostId).collect()
     }
 
-    fn run(nodes: u32, progs: Vec<Vec<MpiOp>>, cfg: SmpiConfig) -> SmpiResult {
+    pub(super) fn run(nodes: u32, progs: Vec<Vec<MpiOp>>, cfg: SmpiConfig) -> SmpiResult {
         let p = tiny_platform(nodes);
         let n = progs.len() as u32;
         let sources: Vec<Box<dyn workloads::OpSource>> = progs
@@ -488,7 +488,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let r = run_smpi(
+        let (r, obs) = run_smpi(
             &p,
             &[HostId(0), HostId(0)],
             sources,
@@ -496,9 +496,8 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             false,
         )
-        .unwrap()
-        .0;
-        assert_eq!(r.stats.flows, 0);
+        .unwrap();
+        assert_eq!(obs.metrics.net.flows_opened, 0);
         assert!(r.rank_times[1] < 1e-5, "{}", r.rank_times[1]);
     }
 
@@ -749,5 +748,429 @@ mod tests {
             "replay finished with unmatched records: 1 messages, 0 posts, 0 requests \
              (first unreceived message: rank 1 -> rank 2)"
         );
+    }
+
+    #[test]
+    fn late_receiver_pays_full_transfer_after_matching() {
+        // The defining difference of the MSG model: the receiver
+        // computes 1s, then matches the deposited task, and the transfer
+        // only starts THEN — costing the full latency + size/bw.
+        let progs = vec![
+            vec![MpiOp::Send {
+                dst: 1,
+                bytes: 1000,
+            }],
+            vec![
+                MpiOp::Compute(ComputeBlock::plain(1e9)),
+                MpiOp::Recv {
+                    src: 0,
+                    bytes: 1000,
+                },
+            ],
+        ];
+        let r = run(2, progs, SmpiConfig::msg_legacy());
+        let transfer = 1000.0 / 1e8 + 1.9 * 20e-6;
+        assert!(
+            (r.rank_times[1] - (1.0 + transfer)).abs() < 1e-9,
+            "{} vs {}",
+            r.rank_times[1],
+            1.0 + transfer
+        );
+        // The asynchronous sender left immediately.
+        assert!(r.rank_times[0] < 1e-12);
+        assert_eq!(r.stats.eager_messages, 1);
+    }
+
+    #[test]
+    fn early_receiver_starts_transfer_at_deposit() {
+        let progs = vec![
+            vec![
+                MpiOp::Compute(ComputeBlock::plain(5e8)),
+                MpiOp::Send {
+                    dst: 1,
+                    bytes: 1000,
+                },
+            ],
+            vec![MpiOp::Recv {
+                src: 0,
+                bytes: 1000,
+            }],
+        ];
+        let r = run(2, progs, SmpiConfig::msg_legacy());
+        let transfer = 1000.0 / 1e8 + 1.9 * 20e-6;
+        assert!((r.rank_times[1] - (0.5 + transfer)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn large_send_blocks_until_delivery() {
+        let bytes = 128 * 1024;
+        let progs = vec![
+            vec![MpiOp::Send { dst: 1, bytes }],
+            vec![
+                MpiOp::Compute(ComputeBlock::plain(1e9)),
+                MpiOp::Recv { src: 0, bytes },
+            ],
+        ];
+        let r = run(2, progs, SmpiConfig::msg_legacy());
+        let transfer = bytes as f64 / 1e8 + 1.9 * 20e-6;
+        assert!(
+            (r.rank_times[0] - (1.0 + transfer)).abs() < 1e-9,
+            "{}",
+            r.rank_times[0]
+        );
+        assert_eq!(r.stats.eager_messages, 0);
+    }
+
+    #[test]
+    fn monolithic_collective_synchronizes_and_charges_formula() {
+        let mk = |work: f64| {
+            vec![
+                MpiOp::Compute(ComputeBlock::plain(work)),
+                MpiOp::Allreduce { bytes: 40 },
+            ]
+        };
+        let r = run(
+            4,
+            vec![mk(1e9), mk(2e9), mk(5e8), mk(1e8)],
+            SmpiConfig::msg_legacy(),
+        );
+        // Release = slowest entry (2s) + allreduce formula.
+        let m = crate::CollectiveModel {
+            latency: 20e-6,
+            bandwidth: 1e8,
+        };
+        let expect = 2.0 + m.allreduce(4, 40);
+        for t in &r.rank_times {
+            assert!((t - expect).abs() < 1e-9, "{t} vs {expect}");
+        }
+        // One collective, entered by four ranks.
+        assert_eq!(r.stats.collective_participations, 4);
+    }
+
+    #[test]
+    fn isend_wait_tracks_delivery() {
+        let progs = vec![
+            vec![
+                MpiOp::Isend {
+                    dst: 1,
+                    bytes: 1000,
+                },
+                MpiOp::Wait,
+            ],
+            vec![
+                MpiOp::Compute(ComputeBlock::plain(1e9)),
+                MpiOp::Recv {
+                    src: 0,
+                    bytes: 1000,
+                },
+            ],
+        ];
+        let r = run(2, progs, SmpiConfig::msg_legacy());
+        // Delivery happens after the receiver matched at t=1.
+        assert!(r.rank_times[0] > 1.0);
+    }
+
+    #[test]
+    fn irecv_first_then_send_overlaps() {
+        let progs = vec![
+            vec![
+                MpiOp::Irecv {
+                    src: 1,
+                    bytes: 1000,
+                },
+                MpiOp::Compute(ComputeBlock::plain(1e9)),
+                MpiOp::WaitAll,
+            ],
+            vec![MpiOp::Send {
+                dst: 0,
+                bytes: 1000,
+            }],
+        ];
+        let r = run(2, progs, SmpiConfig::msg_legacy());
+        // Transfer started at deposit (t≈0) because the recv was pending.
+        assert!((r.rank_times[0] - 1.0).abs() < 1e-6, "{}", r.rank_times[0]);
+    }
+
+    #[test]
+    fn lu_small_instance_runs_clean_under_msg() {
+        use workloads::lu::{LuClass, LuConfig};
+        let cfg = LuConfig::new(LuClass::S, 4).with_steps(3);
+        let p = tiny_platform(4);
+        let r = run_smpi(
+            &p,
+            &hosts(4),
+            cfg.sources(),
+            SmpiConfig::msg_legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, 4)),
+            false,
+        )
+        .expect("LU under MSG failed")
+        .0;
+        assert!(r.total_time > 0.0);
+        assert!(r.stats.messages > 100);
+    }
+
+    #[test]
+    fn msg_is_slower_than_smpi_on_pipelined_small_messages() {
+        // The headline effect: on a wavefront of small messages the MSG
+        // model accumulates per-message latency that the detached eager
+        // model does not.
+        use workloads::lu::{LuClass, LuConfig};
+        let cfg = LuConfig::new(LuClass::S, 8).with_steps(4);
+        let p = tiny_platform(8);
+        let msg = run_smpi(
+            &p,
+            &hosts(8),
+            cfg.sources(),
+            SmpiConfig::msg_legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, 8)),
+            false,
+        )
+        .unwrap()
+        .0;
+        let mut smpi_cfg = SmpiConfig::ground_truth();
+        smpi_cfg.factors = netmodel::PiecewiseFactors::raw();
+        smpi_cfg.copy = None;
+        let sm = run_smpi(
+            &p,
+            &hosts(8),
+            cfg.sources(),
+            smpi_cfg,
+            Box::new(FixedRateHooks::uniform(1e9, 8)),
+            false,
+        )
+        .unwrap()
+        .0;
+        assert!(
+            msg.total_time > sm.total_time,
+            "MSG {} should exceed SMPI {}",
+            msg.total_time,
+            sm.total_time
+        );
+    }
+}
+
+/// The MSG configuration's determinism, error reports, collective
+/// dispatch, latency factor and loopback path.
+#[cfg(test)]
+mod more_tests {
+    use super::tests::{run, tiny_platform};
+    use super::*;
+    use crate::hooks::FixedRateHooks;
+    use workloads::{ComputeBlock, MpiOp, VecSource};
+
+    fn run_legacy(nodes: u32, progs: Vec<Vec<MpiOp>>) -> Result<SmpiResult, String> {
+        let n = progs.len() as u32;
+        let sources: Vec<Box<dyn OpSource>> = progs
+            .into_iter()
+            .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn OpSource>)
+            .collect();
+        let platform = tiny_platform(nodes);
+        let hosts: Vec<HostId> = (0..n).map(|r| HostId(r % nodes)).collect();
+        run_smpi(
+            &platform,
+            &hosts,
+            sources,
+            SmpiConfig::msg_legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, n)),
+            false,
+        )
+        .map(|(r, _)| r)
+    }
+
+    #[test]
+    fn msg_determinism() {
+        let prog = |r: u32| {
+            vec![
+                MpiOp::Compute(ComputeBlock::plain((r as f64 + 1.0) * 1e7)),
+                MpiOp::Allreduce { bytes: 8 },
+                MpiOp::Barrier,
+            ]
+        };
+        let a = run_legacy(6, (0..6).map(prog).collect()).expect("run failed");
+        let b = run_legacy(6, (0..6).map(prog).collect()).expect("run failed");
+        assert_eq!(a.rank_times, b.rank_times);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.stats, b.stats);
+    }
+
+    #[test]
+    fn observed_msg_run_without_spans_is_bit_identical() {
+        let mk = || -> Vec<Box<dyn OpSource>> {
+            vec![
+                Box::new(VecSource::new(vec![MpiOp::Send {
+                    dst: 1,
+                    bytes: 1000,
+                }])),
+                Box::new(VecSource::new(vec![MpiOp::Recv {
+                    src: 0,
+                    bytes: 1000,
+                }])),
+            ]
+        };
+        let p = tiny_platform(2);
+        let hosts: Vec<HostId> = (0..2).map(HostId).collect();
+        // The recorder must not perturb the run.
+        let recorded = run_smpi(
+            &p,
+            &hosts,
+            mk(),
+            SmpiConfig::msg_legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, 2)),
+            true,
+        )
+        .unwrap()
+        .0;
+        let (r, obs) = run_smpi(
+            &p,
+            &hosts,
+            mk(),
+            SmpiConfig::msg_legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, 2)),
+            false,
+        )
+        .unwrap();
+        assert_eq!(recorded.rank_times, r.rank_times);
+        assert_eq!(recorded.events, r.events);
+        assert!(obs.spans.is_none());
+        assert!(obs.metrics.recorder_counts.is_none());
+    }
+
+    #[test]
+    fn observed_msg_run_charges_the_transfer_after_the_match() {
+        use simkernel::obs::SpanKind;
+        let p = tiny_platform(2);
+        let hosts: Vec<HostId> = (0..2).map(HostId).collect();
+        let sources: Vec<Box<dyn OpSource>> = vec![
+            Box::new(VecSource::new(vec![
+                MpiOp::Compute(ComputeBlock::plain(1e9)),
+                MpiOp::Send {
+                    dst: 1,
+                    bytes: 1000,
+                },
+            ])),
+            Box::new(VecSource::new(vec![MpiOp::Recv {
+                src: 0,
+                bytes: 1000,
+            }])),
+        ];
+        let (r, obs) = run_smpi(
+            &p,
+            &hosts,
+            sources,
+            SmpiConfig::msg_legacy(),
+            Box::new(FixedRateHooks::uniform(1e9, 2)),
+            true,
+        )
+        .unwrap();
+        assert_eq!(obs.metrics.engine, "msg");
+        assert_eq!(obs.metrics.ranks, 2);
+        assert_eq!(
+            obs.metrics.simulated_time_s.to_bits(),
+            r.total_time.to_bits()
+        );
+        assert_eq!(obs.metrics.messages, 1);
+        assert_eq!(obs.metrics.eager_messages, 1);
+        assert_eq!(obs.metrics.net.flows_opened, 1);
+        assert_eq!(obs.metrics.net.flows_closed, 1);
+        let log = obs.spans.expect("spans recorded");
+        assert_eq!(log.open_flows(), 0);
+        assert_eq!(log.flows().len(), 1);
+        assert!(log.total(0, SpanKind::Compute) > 0.99);
+        // The MSG receiver waits out the sender's compute AND the
+        // transfer (start-at-match semantics).
+        assert!(log.total(1, SpanKind::Recv) > 1.0);
+    }
+
+    #[test]
+    fn every_collective_kind_dispatches() {
+        let coll_ops = [
+            MpiOp::Barrier,
+            MpiOp::Bcast {
+                bytes: 100,
+                root: 1,
+            },
+            MpiOp::Reduce {
+                bytes: 100,
+                root: 0,
+            },
+            MpiOp::Allreduce { bytes: 100 },
+            MpiOp::Alltoall { bytes: 100 },
+            MpiOp::Gather {
+                bytes: 100,
+                root: 2,
+            },
+            MpiOp::Allgather { bytes: 100 },
+        ];
+        let prog = |_r: u32| coll_ops.to_vec();
+        let r = run(4, (0..4).map(prog).collect(), SmpiConfig::msg_legacy());
+        // Participations: every collective, entered by four ranks.
+        assert_eq!(r.stats.collective_participations, 4 * coll_ops.len() as u64);
+        assert!(r.total_time > 0.0);
+    }
+
+    #[test]
+    fn msg_deadlock_reported_for_unmatched_recv() {
+        let progs = vec![
+            vec![MpiOp::Recv { src: 1, bytes: 8 }],
+            vec![MpiOp::Finalize],
+        ];
+        let err = run_legacy(2, progs).unwrap_err();
+        assert!(err.contains("deadlock"), "{err}");
+    }
+
+    /// An asynchronous send nobody receives lets every rank finish; the
+    /// run is still an error, naming what leaked and where.
+    #[test]
+    fn msg_unmatched_send_is_reported() {
+        let progs = vec![
+            vec![MpiOp::Finalize],
+            vec![MpiOp::Send { dst: 2, bytes: 8 }],
+            vec![MpiOp::Finalize],
+        ];
+        let err = run_legacy(3, progs).unwrap_err();
+        assert_eq!(
+            err,
+            "replay finished with unmatched records: 1 messages, 0 posts, 0 requests \
+             (first unreceived message: rank 1 -> rank 2)"
+        );
+    }
+
+    #[test]
+    fn latency_multiplier_is_applied() {
+        // Same program under raw factors (latency factor 1.0) vs the
+        // legacy table's flat 1.9: the receive path's latency term scales
+        // accordingly.
+        let progs = || {
+            vec![
+                vec![MpiOp::Send { dst: 1, bytes: 100 }],
+                vec![MpiOp::Recv { src: 0, bytes: 100 }],
+            ]
+        };
+        let base = run(
+            2,
+            progs(),
+            SmpiConfig {
+                factors: netmodel::PiecewiseFactors::raw(),
+                ..SmpiConfig::msg_legacy()
+            },
+        )
+        .rank_times[1];
+        let legacy = run(2, progs(), SmpiConfig::msg_legacy()).rank_times[1];
+        let raw_lat = 20e-6;
+        assert!(
+            (legacy - base - 0.9 * raw_lat).abs() < 1e-9,
+            "base {base}, legacy {legacy}"
+        );
+    }
+
+    #[test]
+    fn loopback_tasks_bypass_network_in_msg_too() {
+        let progs = vec![
+            vec![MpiOp::Send { dst: 1, bytes: 500 }],
+            vec![MpiOp::Recv { src: 0, bytes: 500 }],
+        ];
+        let r = run_legacy(1, progs).unwrap();
+        assert!(r.rank_times[1] < 1e-5, "{}", r.rank_times[1]);
     }
 }

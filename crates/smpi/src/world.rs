@@ -12,6 +12,12 @@
 //! transfer starts only when a matching receive is posted; the sender (or
 //! its request) completes at arrival.
 //!
+//! The MSG configuration ([`crate::SmpiConfig::msg_legacy`]) is this
+//! runtime under [`crate::Model::Msg`]: every message on the rendezvous
+//! path (a mailbox task whose transfer the receiver's match starts),
+//! sends under the eager threshold returning at once instead of waiting
+//! for arrival, and collectives as closed-form timers.
+//!
 //! Matching is FIFO per `(source, destination, channel)`. Two channels
 //! exist: application point-to-point traffic and collective-internal
 //! traffic (real MPI separates these via communicators/tags, and without
@@ -31,10 +37,14 @@ use simkernel::obs::{Counter, SpanKind, SpanLog};
 use simkernel::{ActorId, Duration, Kernel, Wake};
 use workloads::MpiOp;
 
+use crate::collectives::{nominal_collective_model, CollectiveModel};
 use crate::hooks::ExecHooks;
 use crate::pairs::PairTable;
 use crate::slab::{ActivityMap, Id, Slab, Waiters};
-use crate::SmpiConfig;
+use crate::{Model, SmpiConfig};
+
+/// Timer key releasing a rank from a closed-form collective.
+pub const COLL_RELEASE_KEY: u64 = u64::MAX - 1;
 
 /// Application point-to-point channel.
 pub const CH_APP: u8 = 0;
@@ -114,12 +124,11 @@ pub enum RecvResult {
 pub struct WorldStats {
     /// Point-to-point messages created (including collective-internal).
     pub messages: u64,
-    /// Messages that used the eager protocol.
+    /// Messages below the eager threshold: eager under SMPI,
+    /// asynchronous under MSG.
     pub eager_messages: u64,
     /// Point-to-point payload bytes.
     pub bytes: u64,
-    /// Network flows opened (excludes loopback).
-    pub flows: u64,
     /// Collective operations executed (counted once per rank).
     pub collective_participations: u64,
     /// High-water depth of any per-channel unexpected-message queue.
@@ -160,6 +169,9 @@ pub struct SmpiWorld<'p> {
     /// ops — which [`SmpiWorld::check_drained`] reports.
     mismatch: Option<String>,
     collectives: CollectiveOrder,
+    /// The closed-form collective model, resolved when the first
+    /// collective completes under [`Model::Msg`].
+    coll_model: Option<CollectiveModel>,
     ranks: u32,
     pairs: PairTable<'p, MatchQueues>,
     msgs: Slab<Msg>,
@@ -207,6 +219,7 @@ impl<'p> SmpiWorld<'p> {
             spans: None,
             mismatch: None,
             collectives: CollectiveOrder::default(),
+            coll_model: None,
             ranks,
             pairs: PairTable::new(platform, hosts),
             // Record slabs and the flow side table are pre-sized to the
@@ -233,8 +246,8 @@ impl<'p> SmpiWorld<'p> {
     // ------------------------------------------------------------------
 
     /// Executes the protocol side of a send. For non-blocking sends, a
-    /// request handle is returned; for blocking rendezvous sends, the
-    /// caller must wait on the returned message.
+    /// request handle is returned; for blocking sends at or above the
+    /// eager threshold, the caller must wait on the returned message.
     #[allow(clippy::too_many_arguments)] // a protocol call carries its full envelope
     pub fn send(
         &mut self,
@@ -249,9 +262,10 @@ impl<'p> SmpiWorld<'p> {
         assert!(dst < self.ranks, "send to non-existent rank {dst}");
         assert_ne!(src, dst, "self-send reached the runtime");
         let eager = self.cfg.is_eager(bytes);
+        let detached = self.cfg.is_detached(bytes);
         self.stats.messages += 1;
         self.stats.bytes += bytes;
-        if eager {
+        if detached {
             self.stats.eager_messages += 1;
         }
         let pair = self.pairs.slot(src, dst);
@@ -277,8 +291,17 @@ impl<'p> SmpiWorld<'p> {
             let post = self.posts.expect_mut(post_id);
             let expected = post.bytes;
             post.matched = Some(msg_id);
+            // A mailbox task holds its blocked receiver from the match on,
+            // so arrival wakes it before a blocked sender; SMPI wakes the
+            // matched post last. Each model keeps its own order: the
+            // order of same-instant wakes moves event counts.
+            let waiter = post.waiter.take_if(|_| self.cfg.model == Model::Msg);
             note_size_mismatch(&mut self.mismatch, src, dst, bytes, expected);
-            self.msgs.expect_mut(msg_id).matched_post = Some(post_id);
+            let msg = self.msgs.expect_mut(msg_id);
+            msg.matched_post = Some(post_id);
+            if let Some(w) = waiter {
+                msg.waiters.push(w);
+            }
         } else {
             let unexpected = &mut queues.unexpected[ch as usize];
             unexpected.push_back(msg_id);
@@ -301,6 +324,10 @@ impl<'p> SmpiWorld<'p> {
                 })
             });
             (SendResult::Done, req)
+        } else if blocking && detached {
+            // MSG's asynchronous small send: the sender leaves; the
+            // transfer still waits for the match.
+            (SendResult::Done, None)
         } else if blocking {
             self.msgs.expect_mut(msg_id).waiters.push(actor);
             (SendResult::Wait(msg_id), None)
@@ -442,17 +469,42 @@ impl<'p> SmpiWorld<'p> {
         }
     }
 
-    /// Records `rank` entering its `index`-th collective as `op`, and
-    /// returns the op to expand (see [`CollectiveOrder::enter`]).
+    /// Records `rank` entering its `index`-th collective as `op` (see
+    /// `CollectiveOrder::enter`). Under [`Model::Smpi`] returns the op to
+    /// expand; under [`Model::Msg`] returns `None` and the caller blocks
+    /// until the last rank to enter releases every rank, after the
+    /// closed-form duration, with a [`COLL_RELEASE_KEY`] timer.
     // Kept out of the rank actor's hot loop: collectives are rare next to
     // point-to-point ops.
     #[inline(never)]
-    pub fn enter_collective(&mut self, rank: u32, index: usize, op: MpiOp) -> MpiOp {
+    pub fn enter_collective(
+        &mut self,
+        kernel: &mut Kernel,
+        rank: u32,
+        index: usize,
+        op: MpiOp,
+    ) -> Option<MpiOp> {
         self.stats.collective_participations += 1;
-        let (op, _) = self
+        let (op, last) = self
             .collectives
             .enter(index, rank, op, self.ranks, &mut self.mismatch);
-        op
+        // A single rank has nothing to wait for: its expansion is empty.
+        if self.cfg.model == Model::Smpi || self.ranks == 1 {
+            return Some(op);
+        }
+        if last {
+            let pairs = &self.pairs;
+            let model = self
+                .coll_model
+                .get_or_insert_with(|| nominal_collective_model(pairs.platform(), pairs.hosts()));
+            let duration = model
+                .duration(&op, self.ranks)
+                .expect("non-collective entered a collective");
+            for r in 0..self.ranks {
+                kernel.set_timer(ActorId(r), Duration::from_secs(duration), COLL_RELEASE_KEY);
+            }
+        }
+        None
     }
 
     // ------------------------------------------------------------------
@@ -531,9 +583,8 @@ impl<'p> SmpiWorld<'p> {
             };
             let act = self.net.activity(flow);
             kernel.subscribe(act, self.transport);
-            self.flow_msg.insert(act, flow_msg_value(msg_id));
+            self.flow_msg.insert(act, msg_id);
             self.msgs.expect_mut(msg_id).flow = Some(flow);
-            self.stats.flows += 1;
             if let Some(log) = self.spans.as_mut() {
                 log.flow_open(msg_id.pack(), src, dst, bytes, kernel.now().as_secs());
             }
@@ -557,7 +608,8 @@ impl<'p> SmpiWorld<'p> {
         if let Some(req) = recv_req {
             self.complete_req(kernel, req);
         }
-        let mut receiver_committed = delivered || recv_req_committed(recv_req);
+        // A `recv_req` means an irecv committed to the message.
+        let mut receiver_committed = delivered || recv_req.is_some();
         if let Some(post_id) = matched_post {
             receiver_committed = true;
             if let Some(post) = self.posts.get_mut(post_id) {
@@ -597,8 +649,8 @@ impl<'p> SmpiWorld<'p> {
     /// receive nobody matched, a request nobody waited for.
     ///
     /// # Errors
-    /// The recorded mismatch, else the [`leak_report`] of the live
-    /// records.
+    /// The recorded mismatch, else a report of the live records naming
+    /// the first unreceived message's ranks.
     pub fn check_drained(&self) -> Result<(), String> {
         if let Some(mismatch) = &self.mismatch {
             return Err(mismatch.clone());
@@ -614,10 +666,10 @@ impl<'p> SmpiWorld<'p> {
     }
 }
 
-/// The error either runtime reports for `(messages, posts, requests)`
-/// records alive at the end of a run, naming the `(src, dst)` ranks of
-/// the first message still waiting for its receive.
-pub fn leak_report(
+/// The error for `(messages, posts, requests)` records alive at the end
+/// of a run, naming the `(src, dst)` ranks of the first message still
+/// waiting for its receive.
+fn leak_report(
     (messages, posts, requests): (usize, usize, usize),
     first_unreceived: Option<(u32, u32)>,
 ) -> String {
@@ -632,9 +684,9 @@ pub fn leak_report(
 }
 
 /// Records in `slot`, unless it already holds one, that `src` sent `sent`
-/// bytes to a receive at `dst` that expects `expected`. Either runtime
-/// then carries on with the sender's size.
-pub fn note_size_mismatch(slot: &mut Option<String>, src: u32, dst: u32, sent: u64, expected: u64) {
+/// bytes to a receive at `dst` that expects `expected`. The runtime then
+/// carries on with the sender's size.
+fn note_size_mismatch(slot: &mut Option<String>, src: u32, dst: u32, sent: u64, expected: u64) {
     if sent != expected && slot.is_none() {
         *slot = Some(format!(
             "message size mismatch: rank {src} sent {sent} bytes to rank {dst}, \
@@ -648,7 +700,7 @@ pub fn note_size_mismatch(slot: &mut Option<String>, src: u32, dst: u32, sent: u
 /// op as its `i`-th collective. Occurrences retire once all ranks have
 /// arrived, so memory is bounded by how far the ranks drift apart.
 #[derive(Debug, Default)]
-pub struct CollectiveOrder {
+struct CollectiveOrder {
     /// Occurrence index of `open[0]`.
     base: usize,
     /// `(op, first rank, arrivals)` per open occurrence.
@@ -661,7 +713,7 @@ impl CollectiveOrder {
     /// disagreeing rank still keeps step (the disagreement is noted in
     /// `mismatch` unless one is already there) — and whether `rank` was
     /// the last to arrive.
-    pub fn enter(
+    fn enter(
         &mut self,
         index: usize,
         rank: u32,
@@ -689,14 +741,4 @@ impl CollectiveOrder {
         }
         (first, last)
     }
-}
-
-/// `recv_req` presence means an irecv committed to the message.
-fn recv_req_committed(recv_req: Option<ReqId>) -> bool {
-    recv_req.is_some()
-}
-
-/// Identity helper, kept separate for readability at the call site.
-fn flow_msg_value(id: MsgId) -> MsgId {
-    id
 }

@@ -1,12 +1,14 @@
 //! Property tests: randomly generated *matched* communication programs
-//! must execute to completion (no deadlock, no record leaks) on the SMPI
-//! runtime, with sane timings.
+//! must execute to completion (no deadlock, no record leaks) on the
+//! runtime under both replay models, SMPI and the legacy MSG one, with
+//! sane timings.
 //!
 //! Program generation builds matched send/recv pairs by construction:
 //! every message appends an isend at the source and an irecv at the
 //! destination (FIFO-safe per channel), non-blocking requests drain at
 //! aligned WaitAll points, and collectives are inserted identically
-//! across all ranks.
+//! across all ranks. The only blocking sends are small: eager under
+//! SMPI, asynchronous under MSG, so neither model can block on them.
 
 use proptest::prelude::*;
 
@@ -116,7 +118,11 @@ fn mk_platform(n: u32, bw: f64, lat: f64) -> platform::Platform {
     })
 }
 
-fn run_on(platform: &platform::Platform, progs: Vec<Vec<MpiOp>>) -> smpi::SmpiResult {
+fn run_on(
+    platform: &platform::Platform,
+    progs: Vec<Vec<MpiOp>>,
+    cfg: SmpiConfig,
+) -> smpi::SmpiResult {
     let n = progs.len() as u32;
     let hosts: Vec<HostId> = (0..n).map(HostId).collect();
     let sources: Vec<Box<dyn OpSource>> = progs
@@ -127,7 +133,7 @@ fn run_on(platform: &platform::Platform, progs: Vec<Vec<MpiOp>>) -> smpi::SmpiRe
         platform,
         &hosts,
         sources,
-        SmpiConfig::ground_truth(),
+        cfg,
         Box::new(FixedRateHooks::uniform(1e9, n)),
         false,
     )
@@ -162,8 +168,8 @@ fn clamp_events(ranks: u8, events: Vec<Event>) -> Vec<Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Matched random programs complete, deterministically, with sane
-    /// finish times.
+    /// Matched random programs complete under either model,
+    /// deterministically, with sane finish times.
     #[test]
     fn random_matched_programs_complete(
         ranks in 2u8..6,
@@ -172,10 +178,6 @@ proptest! {
         let events = clamp_events(ranks, raw);
         let progs = build_programs(ranks, &events);
         let platform = mk_platform(u32::from(ranks), 1e8, 1e-5);
-        let a = run_on(&platform, progs.clone());
-        let b = run_on(&platform, progs);
-        prop_assert!(a.total_time.is_finite() && a.total_time >= 0.0);
-        prop_assert_eq!(a.rank_times.clone(), b.rank_times, "nondeterministic");
         // Makespan is at least the largest single compute demand.
         let mut max_compute = 0.0f64;
         for e in &events {
@@ -183,7 +185,13 @@ proptest! {
                 max_compute = max_compute.max(f64::from(*instr) / 1e9);
             }
         }
-        prop_assert!(a.total_time >= max_compute * 0.999);
+        for cfg in [SmpiConfig::ground_truth(), SmpiConfig::msg_legacy()] {
+            let a = run_on(&platform, progs.clone(), cfg.clone());
+            let b = run_on(&platform, progs.clone(), cfg);
+            prop_assert!(a.total_time.is_finite() && a.total_time >= 0.0);
+            prop_assert_eq!(a.rank_times.clone(), b.rank_times, "nondeterministic");
+            prop_assert!(a.total_time >= max_compute * 0.999);
+        }
     }
 
     /// Scaling the network up (10x bandwidth, 1/10 latency) never slows
@@ -196,8 +204,9 @@ proptest! {
         let events = clamp_events(ranks, raw);
         let progs = build_programs(ranks, &events);
         let n = u32::from(ranks);
-        let slow = run_on(&mk_platform(n, 1e8, 1e-5), progs.clone()).total_time;
-        let fast = run_on(&mk_platform(n, 1e9, 1e-6), progs).total_time;
+        let truth = SmpiConfig::ground_truth;
+        let slow = run_on(&mk_platform(n, 1e8, 1e-5), progs.clone(), truth()).total_time;
+        let fast = run_on(&mk_platform(n, 1e9, 1e-6), progs, truth()).total_time;
         prop_assert!(fast <= slow * (1.0 + 1e-9), "fast {fast} > slow {slow}");
     }
 }

@@ -65,6 +65,17 @@ t_cp=$(awk '$1 == "critical_path_end_s" {print $2}' "$ingest_dir/obs.out")
     echo "critical path end ($t_cp) != simulated time ($t_sim)" >&2
     exit 1
 }
+# The same run under the legacy MSG model: one runtime, so the critical
+# path closes at the simulated time there too, and (python3 block
+# below) the metrics carry the same schema — key set — as the smpi run's.
+"$rep" --platform "$splat" --ranks 8 --rate 2e9 --engine msg \
+    --trace "$ingest_dir/lu-s.trace" --no-cache \
+    --metrics "$ingest_dir/metrics.msg.json" \
+    --critical-path >"$ingest_dir/obs.msg.out" 2>/dev/null
+t_msg_sim=$(awk '$1 == "simulated_time_s" {print $2}' "$ingest_dir/obs.msg.out")
+t_msg_cp=$(awk '$1 == "critical_path_end_s" {print $2}' "$ingest_dir/obs.msg.out")
+[ -n "$t_msg_sim" ] && [ "$t_msg_cp" = "$t_msg_sim" ] \
+    || { echo "msg critical path end ($t_msg_cp) != simulated time ($t_msg_sim)" >&2; exit 1; }
 head -1 "$ingest_dir/states.csv" | grep -q '^rank,start_s,end_s,state,peer,bytes$' \
     || { echo "state CSV header malformed" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
@@ -81,6 +92,13 @@ assert manifest["trace_signature"].startswith("text:"), manifest["trace_signatur
 assert manifest["metrics"]["simulated_time_s"] == metrics["simulated_time_s"]
 cp = json.load(open(os.path.join(d, "critical_path.json")))
 assert cp["steps"] and cp["breakdown"], "critical path empty"
+def keys(v, prefix=""):
+    if not isinstance(v, dict):
+        return set()
+    return set().union(*[{prefix + k} | keys(x, prefix + k + ".") for k, x in v.items()])
+msg = json.load(open(os.path.join(d, "metrics.msg.json")))
+assert msg["engine"] == "msg", msg["engine"]
+assert keys(msg) == keys(metrics), keys(msg) ^ keys(metrics)
 EOF
 else
     echo "python3 unavailable; skipped JSON validation" >&2
@@ -111,7 +129,7 @@ t_par_cp=$(awk '$1 == "critical_path_end_s" {print $2}' "$ingest_dir/obs.par.out
 cmp "$ingest_dir/chrome.json" "$ingest_dir/chrome.par.json" \
     && cmp "$ingest_dir/states.csv" "$ingest_dir/states.par.csv" \
     || { echo "obs exports differ under TITR_REPLAY_THREADS=4" >&2; exit 1; }
-echo "OBS_SMOKE ok (critical_path_end_s == simulated_time_s == $t_sim, also at TITR_REPLAY_THREADS=4; --sharing refused)"
+echo "OBS_SMOKE ok (critical_path_end_s == simulated_time_s == $t_sim, also at TITR_REPLAY_THREADS=4 and $t_msg_sim under --engine msg; --sharing refused)"
 
 # Parallel replay smoke: a multi-island halo workload must replay
 # bit-identically at --threads 1 and --threads 4 — same simulated time,

@@ -173,12 +173,12 @@ fn disabled_recorder_allocation_overhead_is_a_per_run_constant() {
 }
 
 /// Building a world costs O(P) bytes, not O(P²): per-pair routes and
-/// match queues are built on a pair's first message. Both runtimes are
-/// assembled over empty op sources on one 4096-host cluster at P = 1024
-/// and P = 4096; linear growth gives a byte ratio of 4, a P² table 16.
+/// match queues are built on a pair's first message. The runtime is
+/// assembled under both its replay configurations (SMPI and MSG) over
+/// empty op sources on one 4096-host cluster at P = 1024 and P = 4096;
+/// linear growth gives a byte ratio of 4, a P² table 16.
 #[test]
 fn world_build_allocates_linearly_in_the_rank_count() {
-    use tit_replay::msgsim::{prepare_msg, MsgConfig};
     use tit_replay::platform::topology::{flat_cluster, FlatClusterSpec};
     use tit_replay::platform::HostId;
     use tit_replay::smpi::{prepare_smpi, FixedRateHooks, SmpiConfig};
@@ -202,15 +202,14 @@ fn world_build_allocates_linearly_in_the_rank_count() {
                 .map(|_| Box::new(VecSource::new(Vec::new())) as Box<dyn OpSource>)
                 .collect()
         };
-        let hooks = || Box::new(FixedRateHooks::uniform(1e9, ranks));
-        let (smpi, smpi_sources, smpi_hooks) = (SmpiConfig::smpi_replay(), sources(), hooks());
-        let (_, smpi_bytes) = allocated_bytes(|| {
-            prepare_smpi(&platform, &hosts, smpi_sources, smpi, smpi_hooks, false)
-        });
-        let (msg, msg_sources, msg_hooks) = (MsgConfig::legacy(), sources(), hooks());
-        let (_, msg_bytes) =
-            allocated_bytes(|| prepare_msg(&platform, &hosts, msg_sources, msg, msg_hooks, false));
-        (smpi_bytes, msg_bytes)
+        let bytes = |cfg: SmpiConfig| {
+            let (sources, hooks) = (sources(), Box::new(FixedRateHooks::uniform(1e9, ranks)));
+            allocated_bytes(|| prepare_smpi(&platform, &hosts, sources, cfg, hooks, false)).1
+        };
+        (
+            bytes(SmpiConfig::smpi_replay()),
+            bytes(SmpiConfig::msg_legacy()),
+        )
     };
     let (small, large) = (build(1024), build(4096));
     for (engine, small, large) in [("smpi", small.0, large.0), ("msg", small.1, large.1)] {

@@ -372,7 +372,7 @@ const GIGE_ROWS: [(u64, f64, f64); 4] = [
 const GIGE_TAIL: (f64, f64) = (0.96, 2.8);
 /// SMPI's eager/rendezvous switch: eager strictly below.
 const EAGER_THRESHOLD: u64 = 64 * 1024;
-/// `MsgConfig::legacy`: raw factors, a flat 1.9 latency multiplier, and
+/// `SmpiConfig::msg_legacy`: full bandwidth, a flat 1.9 latency factor, and
 /// asynchronous (non-blocking) senders strictly below 64 KiB.
 const MSG_LAT_MULT: f64 = 1.9;
 const MSG_ASYNC: u64 = 64 * 1024;
@@ -483,7 +483,7 @@ fn smpi_ping_pong_matches_the_factor_rows() {
 }
 
 /// Golden 2: the same ping-pong under the legacy MSG engine — raw
-/// factors, the 1.9 latency multiplier, blocking task-sends from 64 KiB.
+/// bandwidth, the flat 1.9 latency factor, blocking task-sends from 64 KiB.
 #[test]
 fn msg_ping_pong_matches_the_raw_model() {
     for bytes in boundary_sizes() {
