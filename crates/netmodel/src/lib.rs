@@ -388,8 +388,8 @@ impl FlowNet {
         l.floor = old.min(l.share);
     }
 
-    /// Installs the actor that owns the deferred-flush timer. The engines
-    /// point this at their transport daemon, which recognises
+    /// Installs the actor that owns the deferred-flush timer. The SMPI
+    /// runtime points this at its transport, which recognises
     /// [`FLUSH_KEY`] and calls [`FlowNet::flush`]. Without a sink,
     /// deferred ops still batch but the owner must call `flush` itself
     /// (unit tests do exactly that).

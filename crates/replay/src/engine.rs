@@ -7,12 +7,11 @@
 use std::sync::{Arc, Mutex};
 
 use platform::{HostId, Platform};
-use simkernel::obs::RunObservation;
 use smpi::{SmpiConfig, SmpiRun};
 use titrace::{Action, ActionSource, Rank, SourceError};
 use workloads::{MpiOp, OpSource};
 
-use crate::{action_to_op, ReplayConfig, ReplayEngine, ReplayResult};
+use crate::{action_to_op, ReplayConfig, ReplayEngine};
 
 /// The first fault any rank's op source hit, with the rank (global id).
 pub(crate) type FaultSlot = Arc<Mutex<Option<(Rank, SourceError)>>>;
@@ -50,18 +49,6 @@ pub(crate) fn prepare<'p>(
         ReplayEngine::Msg => SmpiConfig::msg_legacy(),
     };
     smpi::prepare_smpi(platform, hosts, sources, cfg, hooks, record_spans)
-}
-
-/// The result and observation of a quiesced run.
-pub(crate) fn finalize(run: SmpiRun<'_>) -> Result<(ReplayResult, RunObservation), String> {
-    let (r, obs) = run.finalize()?;
-    let result = ReplayResult {
-        time: r.total_time,
-        rank_times: r.rank_times,
-        messages: r.stats.messages,
-        events: r.events,
-    };
-    Ok((result, obs))
 }
 
 /// The [`OpSource`] of every replay: pulls one rank's actions from its

@@ -300,8 +300,8 @@ pub fn replay_input_observed(
     replay_sequential(platform, sources, config, record_spans, started)
 }
 
-/// The sequential replay: one engine over every rank, prepared, run and
-/// finalized on the caller's thread.
+/// The sequential replay: one engine over every rank, prepared and run
+/// on the caller's thread.
 fn replay_sequential(
     platform: &Platform,
     cursors: Vec<Box<dyn ActionSource>>,
@@ -313,13 +313,16 @@ fn replay_sequential(
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let fault = FaultSlot::default();
     let sources = ReplayOps::wrap(cursors, 0..ranks, ranks, None, &fault);
-    let mut run = engine::prepare(platform, &hosts, sources, config, record_spans);
-    run.run();
-    let outcome = engine::finalize(run);
+    let outcome = engine::prepare(platform, &hosts, sources, config, record_spans).run();
     check_fault(&fault)?;
-    let (result, obs) = outcome?;
+    let (r, obs) = outcome?;
     Ok(ReplayReport {
-        result,
+        result: ReplayResult {
+            time: r.total_time,
+            rank_times: r.rank_times,
+            messages: r.stats.messages,
+            events: r.events,
+        },
         metrics: obs.metrics,
         spans: obs.spans,
         profile: ReplayProfile::sequential(started.elapsed().as_secs_f64(), ranks as usize),

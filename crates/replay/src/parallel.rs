@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use platform::{HostId, LinkId, Platform};
 use simkernel::obs::{Metrics, RunObservation, SpanLog};
-use smpi::SmpiRun;
+use smpi::SmpiResult;
 use titrace::{ActionSource, TraceInput};
 
 use crate::engine::{self, check_fault, FaultSlot, ReplayOps};
@@ -120,7 +120,7 @@ pub(crate) fn replay_islands(
     }
 
     let fault = FaultSlot::default();
-    type Finished = Result<(ReplayResult, RunObservation), String>;
+    type Finished = Result<(SmpiResult, RunObservation), String>;
     let results: Mutex<Vec<(usize, Finished)>> = Mutex::new(Vec::with_capacity(part.islands.len()));
     let profiles: Mutex<Vec<WorkerProfile>> = Mutex::new(Vec::with_capacity(workers));
     std::thread::scope(|s| {
@@ -130,7 +130,9 @@ pub(crate) fn replay_islands(
                 let wall = Instant::now();
                 let islands = jobs.len();
                 let ranks_run = jobs.iter().map(|j| j.ranks.len()).sum();
-                let mut runs: Vec<(usize, Arc<Vec<u32>>, SmpiRun)> = jobs
+                // Unbounded lookahead: run each island straight to
+                // quiescence, no synchronization at all.
+                let done: Vec<(usize, Finished)> = jobs
                     .into_iter()
                     .map(|job| {
                         let members = job.ranks.iter().copied();
@@ -139,23 +141,15 @@ pub(crate) fn replay_islands(
                         let mut run =
                             engine::prepare(platform, &job.hosts, sources, config, record_spans);
                         run.restrict_links(&job.links);
-                        (job.index, job.ranks, run)
-                    })
-                    .collect();
-                // Unbounded lookahead: run each island straight to
-                // quiescence, no synchronization at all.
-                for (_, _, run) in &mut runs {
-                    run.run();
-                }
-                let done: Vec<(usize, Finished)> = runs
-                    .into_iter()
-                    .map(|(index, island_ranks, run)| {
                         // The engine reports island-local rank ids; give
                         // the island's global ranks for context.
-                        let outcome = engine::finalize(run).map_err(|e| {
-                            format!("partition {index} (global ranks {island_ranks:?}): {e}")
+                        let outcome = run.run().map_err(|e| {
+                            format!(
+                                "partition {} (global ranks {:?}): {e}",
+                                job.index, job.ranks
+                            )
                         });
-                        (index, outcome)
+                        (job.index, outcome)
                     })
                     .collect();
                 let work_s = wall.elapsed().as_secs_f64();
@@ -206,7 +200,7 @@ fn merge_islands(
     config: &ReplayConfig,
     ranks: u32,
     islands: &[Island],
-    done: Vec<(ReplayResult, RunObservation)>,
+    done: Vec<(SmpiResult, RunObservation)>,
 ) -> (ReplayResult, Metrics, Option<SpanLog>) {
     let mut metrics = Metrics::new(config.engine.name(), ranks);
     let mut spans: Option<SpanLog> = None;
@@ -216,7 +210,7 @@ fn merge_islands(
         for (&r, &t) in island.ranks.iter().zip(&d.rank_times) {
             rank_times[r as usize] = t;
         }
-        messages += d.messages;
+        messages += d.stats.messages;
         events += d.events;
         metrics.merge(&obs.metrics);
         if let Some(part) = obs.spans {

@@ -20,8 +20,8 @@ pub struct WorkerProfile {
     pub islands: usize,
     /// Global ranks this worker simulated.
     pub ranks: usize,
-    /// Seconds spent doing simulation work: preparing engines, running
-    /// them, and finalizing results.
+    /// Seconds spent doing simulation work: preparing engines and
+    /// running them to their results.
     pub work_s: f64,
     /// Wall-clock seconds from worker start to worker exit.
     pub wall_s: f64,

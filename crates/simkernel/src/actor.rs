@@ -1,20 +1,15 @@
-//! Actors: cooperative state machines driven by the event loop.
+//! Wake addressing: who the kernel wakes, and why.
 //!
-//! Rust has no stable stackful coroutines, so simulated processes are
-//! explicit state machines: the scheduler calls [`Actor::resume`] with the
-//! reason for the wake-up, the actor performs as much work as it can
-//! (starting activities, sending messages through a runtime held in the
-//! shared world `W`), and returns whether it is blocked or finished.
-//!
-//! The world type `W` carries all cross-actor state — network model, MPI
-//! matching queues, statistics — and is passed `&mut` alongside the kernel,
-//! which keeps the whole simulator free of interior mutability.
+//! The kernel does not know what a simulated process is. Activity
+//! subscriptions, timers and signals name an [`ActorId`], and
+//! [`Kernel::next_wake`](crate::Kernel::next_wake) hands back the id
+//! with the [`Wake`] reason; the event loop that owns the processes
+//! (`smpi::runner`) maps the id to a rank or to its transport.
 
 use crate::activity::ActivityId;
-use crate::kernel::Kernel;
 
-/// Identifier of an actor within a [`crate::sim::Sim`]. Dense, assigned in
-/// spawn order.
+/// The address of a wake: a dense index chosen by the event loop that
+/// drives the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActorId(pub u32);
 
@@ -28,36 +23,16 @@ impl ActorId {
 /// Why an actor was resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
-    /// First resume after spawn.
+    /// First resume, before any event is processed.
     Start,
     /// An activity the actor subscribed to has completed.
     Activity(ActivityId),
-    /// A timer set via [`Kernel::set_timer`] fired; carries the user key.
+    /// A timer set via [`Kernel::set_timer`](crate::Kernel::set_timer)
+    /// fired; carries the user key.
     Timer(u64),
     /// Another actor (through the world/runtime) requested a wake with an
     /// opaque payload.
     Signal(u64),
-}
-
-/// Result of a resume step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// The actor is waiting for a subscription, timer, or signal.
-    Blocked,
-    /// The actor is done and will never be resumed again.
-    Finished,
-}
-
-/// A simulated process.
-///
-/// Implementations must be *run-to-block*: `resume` performs every
-/// non-blocking step available and only returns [`Status::Blocked`] after
-/// registering (via subscriptions, timers, or world-level queues) for the
-/// wake-up that will unblock it. Returning `Blocked` without a registered
-/// wake-up deadlocks the actor, which [`crate::sim::Sim::run`] reports.
-pub trait Actor<W> {
-    /// Advances the actor until it blocks or finishes.
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut W, wake: Wake) -> Status;
 }
 
 #[cfg(test)]

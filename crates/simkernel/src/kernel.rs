@@ -26,8 +26,8 @@ pub const IN_FLIGHT_PER_RANK: usize = 8;
 /// activity accounts for at most two queued events (its scheduled
 /// completion plus one superseded predecessor awaiting its lazy skip).
 /// Returns `(activities, events)` suitable for
-/// [`Kernel::with_capacity`] / [`crate::sim::Sim::with_capacity`], so the
-/// activity slab and event queue never regrow mid-replay.
+/// [`Kernel::with_capacity`], so the activity slab and event queue never
+/// regrow mid-replay.
 pub fn replay_sizing(ranks: usize) -> (usize, usize) {
     let activities = ranks * IN_FLIGHT_PER_RANK;
     (activities, 2 * activities)
@@ -309,15 +309,14 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Event loop plumbing (driven by `sim::Sim`)
+    // Event loop plumbing (driven by `smpi::runner`)
     // ------------------------------------------------------------------
 
     /// Pops the next actor wake-up. Drains same-instant wakes first, then
     /// advances the clock to the next event. Returns `None` when the
     /// simulation has quiesced (no wakes, no events).
     ///
-    /// [`crate::sim::Sim::run`] drives this loop; it is public so that
-    /// embedders (tests, custom drivers) can step a kernel manually.
+    /// `smpi::runner` drives this loop; tests step a kernel by hand.
     pub fn next_wake(&mut self) -> Option<(ActorId, Wake)> {
         loop {
             if let Some(wake) = self.ready.pop_front() {

@@ -4,9 +4,11 @@
 //! The kernel follows the architecture of flow-level simulators such as
 //! SimGrid: simulated work is represented by activity records (see
 //! [`activity`])
-//! (a quantity of *remaining work* progressing at a *rate*), simulated
-//! entities are [`actor::Actor`] state machines scheduled by the
-//! [`sim::Sim`] event loop, and all time is the totally ordered [`time::Time`].
+//! (a quantity of *remaining work* progressing at a *rate*), the
+//! [`Kernel`] turns activity completions and timers into wakes addressed
+//! to an [`ActorId`] (see [`actor`]), and all time is the totally ordered
+//! [`time::Time`]. The kernel owns no simulated processes: the event loop
+//! that pops its wakes and resumes the ranks lives in `smpi::runner`.
 //!
 //! Design invariants:
 //!
@@ -33,15 +35,12 @@ pub mod kernel;
 pub mod obs;
 pub mod queue;
 pub mod rng;
-pub mod sim;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 
 pub use activity::{ActivityId, ActivityState};
-pub use actor::{Actor, ActorId, Status, Wake};
+pub use actor::{ActorId, Wake};
 pub use kernel::{replay_sizing, Kernel, IN_FLIGHT_PER_RANK};
 pub use queue::FelProfile;
 pub use rng::DetRng;
-pub use sim::{Sim, SimOutcome};
 pub use time::{Duration, Time};

@@ -80,60 +80,6 @@ pub fn relative_percent(a: f64, b: f64) -> f64 {
     (a - b) / b * 100.0
 }
 
-/// Online mean/min/max accumulator for streaming statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Accumulator {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Minimum, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,20 +125,6 @@ mod tests {
         assert_eq!(relative_percent(110.0, 100.0), 10.0);
         assert_eq!(relative_percent(90.0, 100.0), -10.0);
         assert_eq!(relative_percent(100.0, 100.0), 0.0);
-    }
-
-    #[test]
-    fn accumulator_tracks_extremes() {
-        let mut acc = Accumulator::new();
-        assert!(acc.mean().is_none());
-        for x in [3.0, 1.0, 2.0] {
-            acc.add(x);
-        }
-        assert_eq!(acc.count(), 3);
-        assert_eq!(acc.mean(), Some(2.0));
-        assert_eq!(acc.min(), Some(1.0));
-        assert_eq!(acc.max(), Some(3.0));
-        assert_eq!(acc.sum(), 6.0);
     }
 }
 

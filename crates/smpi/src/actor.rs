@@ -1,4 +1,4 @@
-//! The per-rank executor and the transport daemon.
+//! The per-rank executor.
 //!
 //! A [`RankActor`] walks its op stream run-to-block: each operation is
 //! (1) optionally delayed by the hook-provided fixed cost (probe time,
@@ -6,16 +6,13 @@
 //! it blocks. Collectives are expanded into point-to-point sub-programs
 //! executed on the collective channel before the main stream resumes —
 //! or, under [`crate::Model::Msg`], block the rank until the world's
-//! release timer fires.
-//!
-//! The [`TransportActor`] is a daemon owning every transfer-completion
-//! subscription and arrival timer; it only mutates world state and wakes
-//! rank actors.
+//! release timer fires. The event loop in [`crate::runner`] resumes it
+//! on every wake addressed to `ActorId(rank)`.
 
 use std::collections::VecDeque;
 
 use simkernel::obs::SpanKind;
-use simkernel::{Actor, ActorId, Duration, Kernel, Status, Wake};
+use simkernel::{ActorId, Duration, Kernel, Time, Wake};
 use workloads::{MpiOp, OpSource};
 
 use crate::collectives;
@@ -49,7 +46,8 @@ struct Staged {
 /// Executes one rank's op stream.
 pub struct RankActor {
     rank: u32,
-    me: ActorId,
+    /// Instant the op stream ran out; `Time::NEVER` while running.
+    finish: Time,
     source: Box<dyn OpSource>,
     subops: VecDeque<MpiOp>,
     pending: [VecDeque<ReqId>; 2],
@@ -68,12 +66,12 @@ pub struct RankActor {
 }
 
 impl RankActor {
-    /// Creates the actor for `rank`; ranks are spawned in order, so its
-    /// actor id is `ActorId(rank)`.
+    /// Creates the executor for `rank`; the kernel addresses its wakes
+    /// to `ActorId(rank)`.
     pub fn new(rank: u32, source: Box<dyn OpSource>) -> RankActor {
         RankActor {
             rank,
-            me: ActorId(rank),
+            finish: Time::NEVER,
             source,
             subops: VecDeque::new(),
             pending: [VecDeque::new(), VecDeque::new()],
@@ -84,6 +82,32 @@ impl RankActor {
             block_kind: SpanKind::Wait,
             block_peer: None,
         }
+    }
+
+    fn me(&self) -> ActorId {
+        ActorId(self.rank)
+    }
+
+    /// Simulated instant at which the op stream ran out, or
+    /// `Time::NEVER` while the rank has not finished.
+    pub(crate) fn finish_time(&self) -> Time {
+        self.finish
+    }
+
+    /// What a rank that never finished is blocked on, e.g.
+    /// `rank 0: send to 1` or `rank 0: collective #1` (0-based).
+    pub(crate) fn describe_block(&self) -> String {
+        let mut s = format!("rank {}: {}", self.rank, self.block_kind.label());
+        if self.block_kind == SpanKind::Collective {
+            s += &format!(" #{}", self.coll_index.saturating_sub(1));
+        }
+        match (self.block_kind, self.block_peer) {
+            (SpanKind::Send, Some(p)) => s += &format!(" to {p}"),
+            (SpanKind::Recv, Some(p)) => s += &format!(" from {p}"),
+            (_, Some(p)) => s += &format!(" with {p}"),
+            (_, None) => {}
+        }
+        s
     }
 
     /// Notes what the rank is about to block on (consumed by
@@ -127,7 +151,7 @@ impl RankActor {
                 self.staged = None;
             }
             (Waiting::Reqs(reqs), _) => {
-                let me = self.me;
+                let me = ActorId(self.rank);
                 reqs.retain(|r| !world.take_req(*r, me));
                 if reqs.is_empty() {
                     self.waiting = Waiting::Ready;
@@ -175,7 +199,7 @@ impl RankActor {
                 world.account_compute(self.rank, plan.seconds());
                 if plan.work > 0.0 {
                     let act = kernel.start_activity(plan.work, plan.rate);
-                    kernel.subscribe(act, self.me);
+                    kernel.subscribe(act, self.me());
                     self.waiting = Waiting::Compute(act);
                     self.note_block(SpanKind::Compute, None);
                     self.staged = Some(Staged {
@@ -186,7 +210,7 @@ impl RankActor {
                 }
             }
             MpiOp::Send { dst, bytes } => {
-                let (res, _) = world.send(kernel, self.rank, dst, bytes, channel, true, self.me);
+                let (res, _) = world.send(kernel, self.rank, dst, bytes, channel, true, self.me());
                 match res {
                     SendResult::Done => {}
                     SendResult::Wait(m) => {
@@ -196,12 +220,12 @@ impl RankActor {
                 }
             }
             MpiOp::Isend { dst, bytes } => {
-                let (_, req) = world.send(kernel, self.rank, dst, bytes, channel, false, self.me);
+                let (_, req) = world.send(kernel, self.rank, dst, bytes, channel, false, self.me());
                 self.pending[channel as usize]
                     .push_back(req.expect("non-blocking send yields a request"));
             }
             MpiOp::Recv { src, bytes } => {
-                let (res, _) = world.recv(kernel, self.rank, src, bytes, channel, true, self.me);
+                let (res, _) = world.recv(kernel, self.rank, src, bytes, channel, true, self.me());
                 match res {
                     RecvResult::Done => {}
                     RecvResult::WaitMsg(m) => {
@@ -215,7 +239,7 @@ impl RankActor {
                 }
             }
             MpiOp::Irecv { src, bytes } => {
-                let (_, req) = world.recv(kernel, self.rank, src, bytes, channel, false, self.me);
+                let (_, req) = world.recv(kernel, self.rank, src, bytes, channel, false, self.me());
                 self.pending[channel as usize]
                     .push_back(req.expect("non-blocking recv yields a request"));
             }
@@ -223,13 +247,13 @@ impl RankActor {
                 let req = self.pending[channel as usize]
                     .pop_front()
                     .unwrap_or_else(|| panic!("rank {}: wait with no pending request", self.rank));
-                if !world.take_req(req, self.me) {
+                if !world.take_req(req, self.me()) {
                     self.waiting = Waiting::Reqs(vec![req]);
                     self.note_block(Self::wait_kind(channel, SpanKind::Wait), None);
                 }
             }
             MpiOp::WaitAll => {
-                let me = self.me;
+                let me = self.me();
                 let mut incomplete: Vec<ReqId> = Vec::new();
                 while let Some(req) = self.pending[channel as usize].pop_front() {
                     if !world.take_req(req, me) {
@@ -279,47 +303,40 @@ impl RankActor {
             plan,
         })
     }
-}
 
-impl<'p> Actor<SmpiWorld<'p>> for RankActor {
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld<'p>, wake: Wake) -> Status {
+    /// Advances the rank until it blocks or its op stream runs out,
+    /// when it records its finish time. Wakes after that are ignored.
+    pub(crate) fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld, wake: Wake) {
+        if !self.finish.is_never() {
+            return;
+        }
         self.absorb_wake(world, kernel.now().as_secs(), wake);
         loop {
             if !matches!(self.waiting, Waiting::Ready) {
                 self.blocked_at = kernel.now().as_secs();
-                return Status::Blocked;
+                return;
             }
             // A staged op whose pre-delay just elapsed executes now.
             if let Some(staged) = self.staged.take() {
                 self.perform(kernel, world, staged);
                 continue;
             }
-            // Requests never waited for outlive the rank; the runner's
-            // `finalize` reports them.
+            // Requests never waited for outlive the rank; the runner
+            // reports them.
             let Some(staged) = self.fetch(world) else {
-                return Status::Finished;
+                self.finish = kernel.now();
+                return;
             };
             let delay = self.pre_delay(world, &staged.op, &staged.plan);
             if delay > 0.0 {
-                kernel.set_timer(self.me, Duration::from_secs(delay), DELAY_KEY);
+                kernel.set_timer(self.me(), Duration::from_secs(delay), DELAY_KEY);
                 self.staged = Some(staged);
                 self.waiting = Waiting::Delay;
                 self.note_block(SpanKind::Overhead, None);
                 self.blocked_at = kernel.now().as_secs();
-                return Status::Blocked;
+                return;
             }
             self.staged = Some(staged);
         }
-    }
-}
-
-/// The transport daemon: forwards flow completions and arrival timers
-/// into the world.
-pub struct TransportActor;
-
-impl<'p> Actor<SmpiWorld<'p>> for TransportActor {
-    fn resume(&mut self, kernel: &mut Kernel, world: &mut SmpiWorld<'p>, wake: Wake) -> Status {
-        world.on_transport_wake(kernel, wake);
-        Status::Blocked
     }
 }

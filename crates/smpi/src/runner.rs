@@ -2,10 +2,10 @@
 
 use platform::{HostId, Platform};
 use simkernel::obs::{Metrics, RunObservation, SpanLog};
-use simkernel::{ActorId, Sim, SimOutcome};
+use simkernel::{Kernel, Wake};
 use workloads::OpSource;
 
-use crate::actor::{RankActor, TransportActor};
+use crate::actor::RankActor;
 use crate::hooks::ExecHooks;
 use crate::world::{SmpiWorld, WorldStats};
 use crate::SmpiConfig;
@@ -40,9 +40,7 @@ impl SmpiResult {
 /// (`crate::Timeline::from_spans` renders it as a Gantt chart).
 ///
 /// # Errors
-/// Returns the list of blocked ranks if the execution deadlocks, and the
-/// leaked counts if it ends with unmatched protocol records (see
-/// [`SmpiRun::finalize`]).
+/// See [`SmpiRun::run`].
 pub fn run_smpi(
     platform: &Platform,
     hosts: &[HostId],
@@ -51,25 +49,23 @@ pub fn run_smpi(
     hooks: Box<dyn ExecHooks>,
     record_spans: bool,
 ) -> Result<(SmpiResult, RunObservation), String> {
-    let mut run = prepare_smpi(platform, hosts, sources, cfg, hooks, record_spans);
-    run.run();
-    run.finalize()
+    prepare_smpi(platform, hosts, sources, cfg, hooks, record_spans).run()
 }
 
-/// A fully assembled SMPI simulation that has not run yet. Produced by
-/// [`prepare_smpi`]; `prepare`, then [`SmpiRun::run`], then
-/// [`SmpiRun::finalize`] is exactly [`run_smpi`]. The
-/// island-parallel replay engine restricts each island's links before
-/// the run.
+/// A fully assembled SMPI simulation that has not run yet: the kernel,
+/// the world and one [`RankActor`] per rank. Produced by
+/// [`prepare_smpi`]; `prepare` then [`SmpiRun::run`] is exactly
+/// [`run_smpi`]. The island-parallel replay engine restricts each
+/// island's links before the run.
 pub struct SmpiRun<'p> {
-    sim: Sim<SmpiWorld<'p>>,
-    ranks: usize,
+    kernel: Kernel,
+    world: SmpiWorld<'p>,
+    ranks: Vec<RankActor>,
 }
 
-/// Assembles an SMPI simulation: world, pre-sized kernel, one
-/// [`RankActor`] per source, and the transport daemon. With
-/// `record_spans`, the run records a [`SpanLog`] over its own rank ids
-/// `0..sources.len()`.
+/// Assembles an SMPI simulation: world, pre-sized kernel and one
+/// [`RankActor`] per source. With `record_spans`, the run records a
+/// [`SpanLog`] over its own rank ids `0..sources.len()`.
 pub fn prepare_smpi<'p>(
     platform: &'p Platform,
     hosts: &[HostId],
@@ -81,20 +77,19 @@ pub fn prepare_smpi<'p>(
     let ranks = sources.len();
     assert!(ranks > 0, "no ranks to run");
     assert_eq!(hosts.len(), ranks, "one host per rank required");
-    let transport = ActorId(ranks as u32);
-    let mut world = SmpiWorld::new(platform, hosts, cfg, hooks, transport);
+    let mut world = SmpiWorld::new(platform, hosts, cfg, hooks);
     world.spans = record_spans.then(|| SpanLog::new(ranks as u32));
     // Pre-size the kernel's hot collections from the workload shape (see
     // `simkernel::replay_sizing` for the heuristic).
     let (activities, events) = simkernel::replay_sizing(ranks);
-    let mut sim = Sim::with_capacity(world, activities, events);
-    for (r, source) in sources.into_iter().enumerate() {
-        let id = sim.spawn(Box::new(RankActor::new(r as u32, source)));
-        assert_eq!(id, ActorId(r as u32));
+    SmpiRun {
+        kernel: Kernel::with_capacity(activities, events),
+        world,
+        ranks: (0..ranks as u32)
+            .zip(sources)
+            .map(|(r, s)| RankActor::new(r, s))
+            .collect(),
     }
-    let t = sim.spawn_daemon(Box::new(TransportActor));
-    assert_eq!(t, transport);
-    SmpiRun { sim, ranks }
 }
 
 impl SmpiRun<'_> {
@@ -102,43 +97,52 @@ impl SmpiRun<'_> {
     /// [`netmodel::FlowNet::restrict_links`]): a partition-safety guard
     /// for partitioned replay.
     pub fn restrict_links(&mut self, links: &[platform::LinkId]) {
-        self.sim.world.net.restrict_links(links);
+        self.world.net.restrict_links(links);
     }
 
-    /// Runs the simulation to quiescence (finished or deadlocked —
-    /// [`SmpiRun::finalize`] tells them apart). Call once.
-    pub fn run(&mut self) {
-        self.sim.run();
-    }
-
-    /// Extracts the result and observation after the run has quiesced.
+    /// Runs the simulation to quiescence and extracts the result and
+    /// observation. Every rank starts at t = 0, in rank order; then each
+    /// kernel wake goes to the transport or to the rank it names.
     ///
     /// # Errors
-    /// A deadlock (the blocked ranks), or a run that finished with
-    /// protocol records alive — a message nobody received, a receive
-    /// nobody matched, a request nobody waited for (see
-    /// [`SmpiWorld::check_drained`]).
-    pub fn finalize(mut self) -> Result<(SmpiResult, RunObservation), String> {
-        let ranks = self.ranks;
-        let sim = &mut self.sim;
-        match sim.outcome() {
-            SimOutcome::AllFinished => {}
-            SimOutcome::Deadlock(blocked) => {
-                return Err(format!(
-                    "simulated execution deadlocked; blocked ranks: {:?}",
-                    blocked.iter().map(|a| a.0).collect::<Vec<_>>()
-                ));
+    /// A deadlock (the blocked ranks, each with what it waits for), or a
+    /// run that finished with protocol records alive — a message nobody
+    /// received, a receive nobody matched, a request nobody waited for
+    /// (see [`SmpiWorld::check_drained`]).
+    pub fn run(self) -> Result<(SmpiResult, RunObservation), String> {
+        let SmpiRun {
+            mut kernel,
+            mut world,
+            mut ranks,
+        } = self;
+        for rank in &mut ranks {
+            rank.resume(&mut kernel, &mut world, Wake::Start);
+        }
+        let transport = world.transport();
+        while let Some((id, wake)) = kernel.next_wake() {
+            if id == transport {
+                world.on_transport_wake(&mut kernel, wake);
+            } else {
+                ranks[id.as_usize()].resume(&mut kernel, &mut world, wake);
             }
         }
-        let rank_times: Vec<f64> = (0..ranks)
-            .map(|r| sim.finish_time(ActorId(r as u32)).as_secs())
-            .collect();
-        sim.world.check_drained()?;
+        let (ids, what): (Vec<usize>, Vec<String>) = (ranks.iter().enumerate())
+            .filter(|(_, r)| r.finish_time().is_never())
+            .map(|(i, r)| (i, r.describe_block()))
+            .unzip();
+        if !ids.is_empty() {
+            return Err(format!(
+                "simulated execution deadlocked; blocked ranks: {ids:?}; {}",
+                what.join(", ")
+            ));
+        }
+        world.check_drained()?;
+        let rank_times: Vec<f64> = ranks.iter().map(|r| r.finish_time().as_secs()).collect();
         let total_time = rank_times.iter().copied().fold(0.0, f64::max);
-        let stats = sim.world.stats;
-        let mut metrics = Metrics::new(sim.world.cfg.model.name(), ranks as u32);
+        let stats = world.stats;
+        let mut metrics = Metrics::new(world.cfg.model.name(), ranks.len() as u32);
         metrics.simulated_time_s = total_time;
-        sim.kernel.observe(&mut metrics);
+        kernel.observe(&mut metrics);
         metrics.messages = stats.messages;
         metrics.eager_messages = stats.eager_messages;
         metrics.rendezvous_messages = stats.messages - stats.eager_messages;
@@ -146,16 +150,16 @@ impl SmpiRun<'_> {
         metrics.collectives = stats.collective_participations;
         metrics.max_unexpected_depth = stats.max_unexpected_depth;
         metrics.max_posted_depth = stats.max_posted_depth;
-        metrics.net = sim.world.net.stats();
-        let spans = sim.world.spans.take();
+        metrics.net = world.net.stats();
+        let spans = world.spans.take();
         metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
         Ok((
             SmpiResult {
                 total_time,
                 rank_times,
-                compute_seconds: sim.world.compute_seconds.clone(),
+                compute_seconds: world.compute_seconds,
                 stats,
-                events: sim.kernel.events_processed(),
+                events: kernel.events_processed(),
             },
             RunObservation { metrics, spans },
         ))
@@ -647,9 +651,8 @@ mod tests {
         let platform = tiny_platform(n);
         let cfg = SmpiConfig::smpi_replay();
         let mut run = prepare_smpi(&platform, &hosts(n), sources, cfg, hooks, false);
-        run.sim.world.eager_collectives = eager_collectives;
-        run.run();
-        run.finalize().expect("schedule deadlocked").0
+        run.world.eager_collectives = eager_collectives;
+        run.run().expect("schedule deadlocked").0
     }
 
     proptest::proptest! {
@@ -718,6 +721,60 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("deadlock"), "{err}");
         assert!(err.contains('0'), "{err}");
+    }
+
+    /// Independent ranks finish in the order of their work, each at its
+    /// own instant; the makespan is the last of them.
+    #[test]
+    fn completion_order_follows_work() {
+        let prog = |instr: f64| vec![MpiOp::Compute(ComputeBlock::plain(instr))];
+        let r = run(3, vec![prog(3e9), prog(1e9), prog(2e9)], cfg_no_copy());
+        assert_eq!(r.rank_times, vec![3.0, 1.0, 2.0]);
+        assert_eq!(r.total_time, 3.0);
+    }
+
+    /// A wake addressed to a rank whose op stream has run out is
+    /// ignored: the rank stays finished at the instant it finished.
+    #[test]
+    fn wake_after_finish_is_ignored() {
+        use simkernel::{ActorId, Duration, Kernel, Time, Wake};
+        let p = tiny_platform(1);
+        let hooks = Box::new(FixedRateHooks::uniform(1e9, 1));
+        let mut world = SmpiWorld::new(&p, &hosts(1), cfg_no_copy(), hooks);
+        let mut kernel = Kernel::new();
+        let source = Box::new(VecSource::new(vec![MpiOp::Init, MpiOp::Finalize]));
+        let mut rank = RankActor::new(0, source);
+        rank.resume(&mut kernel, &mut world, Wake::Start);
+        assert_eq!(rank.finish_time(), Time::ZERO);
+        kernel.set_timer(ActorId(0), Duration::from_secs(1.0), 7);
+        let (id, wake) = kernel.next_wake().unwrap();
+        assert_eq!((id, kernel.now()), (ActorId(0), Time::from_secs(1.0)));
+        rank.resume(&mut kernel, &mut world, wake);
+        assert_eq!(rank.finish_time(), Time::ZERO);
+    }
+
+    /// Ranks that disagree on the number of collectives deadlock, and the
+    /// report names the rank left waiting and its collective, under both
+    /// models.
+    #[test]
+    fn deadlock_report_names_the_collective() {
+        let allreduce = MpiOp::Allreduce { bytes: 8 };
+        for cfg in [cfg_no_copy(), SmpiConfig::msg_legacy()] {
+            let p = tiny_platform(2);
+            let progs = [vec![allreduce, allreduce], vec![allreduce]];
+            let sources: Vec<Box<dyn workloads::OpSource>> = progs
+                .into_iter()
+                .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
+                .collect();
+            let hooks = Box::new(FixedRateHooks::uniform(1e9, 2));
+            let err = run_smpi(&p, &hosts(2), sources, cfg, hooks, false).unwrap_err();
+            assert!(
+                err.starts_with(
+                    "simulated execution deadlocked; blocked ranks: [0]; rank 0: collective #1"
+                ),
+                "{err}"
+            );
+        }
     }
 
     /// A detached send nobody receives lets every rank finish; the run is

@@ -178,6 +178,8 @@ pub struct SmpiWorld<'p> {
     posts: Slab<Post>,
     reqs: Slab<Req>,
     flow_msg: ActivityMap<MsgId>,
+    /// Wake address of the transport: `ActorId(ranks)`, one past the
+    /// ranks (see [`SmpiWorld::transport`]).
     transport: ActorId,
     /// Differential-test switch: collective flows take the eager
     /// per-flow path, the reference the batched one must reproduce.
@@ -193,22 +195,21 @@ fn track_depth(max: &mut u64, depth: usize) {
 
 impl<'p> SmpiWorld<'p> {
     /// Builds the world for `ranks` processes placed on `hosts` of
-    /// `platform`. `transport` is the daemon actor that will receive
-    /// transfer events (spawned by the runner). Per-pair state is built
-    /// on each pair's first message, so this is O(ranks).
+    /// `platform`. Per-pair state is built on each pair's first message,
+    /// so this is O(ranks).
     pub fn new(
         platform: &'p Platform,
         hosts: &[HostId],
         cfg: SmpiConfig,
         hooks: Box<dyn ExecHooks>,
-        transport: ActorId,
     ) -> SmpiWorld<'p> {
         let ranks = hosts.len() as u32;
         assert!(ranks > 0, "need at least one rank");
         let n = ranks as usize;
+        let transport = ActorId(ranks);
         let mut net = FlowNet::new(platform, netmodel::SharingPolicy::Bottleneck);
         // Deferred collective batches flush off a zero-delay timer
-        // delivered to the transport daemon (see FLUSH_KEY).
+        // delivered to the transport (see FLUSH_KEY).
         net.set_flush_actor(transport);
         SmpiWorld {
             net,
@@ -239,6 +240,13 @@ impl<'p> SmpiWorld<'p> {
     /// Number of ranks.
     pub fn ranks(&self) -> u32 {
         self.ranks
+    }
+
+    /// The address the kernel wakes for flow completions, arrival
+    /// timers and sharing flushes, all handled by
+    /// [`SmpiWorld::on_transport_wake`]. Rank `r` is `ActorId(r)`.
+    pub(crate) fn transport(&self) -> ActorId {
+        self.transport
     }
 
     // ------------------------------------------------------------------
@@ -508,7 +516,7 @@ impl<'p> SmpiWorld<'p> {
     }
 
     // ------------------------------------------------------------------
-    // Transport (called by the transport daemon actor)
+    // Transport (wakes addressed to `transport`)
     // ------------------------------------------------------------------
 
     /// Handles a transport wake: flow completion or arrival-latency

@@ -43,6 +43,7 @@ pub mod client;
 pub mod http;
 pub mod query;
 pub mod server;
+mod telemetry;
 
 pub use query::{TraceStore, WhatIfQuery};
 pub use server::{Server, ServerConfig};

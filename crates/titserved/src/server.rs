@@ -27,10 +27,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tit_replay::querykey::QueryKey;
-use tit_replay::simkernel::telemetry::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S};
 
 use crate::http;
 use crate::query::{self, TraceStore, WhatIfQuery};
+use crate::telemetry::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S};
 
 /// Server tunables.
 #[derive(Debug, Clone)]

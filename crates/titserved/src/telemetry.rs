@@ -1,7 +1,7 @@
 //! Runtime (wall-clock) telemetry primitives: counters, gauges, and
 //! fixed-bucket histograms behind an atomics-based registry.
 //!
-//! This module is the *runtime* counterpart of [`crate::obs`]: where `obs`
+//! This module is the *runtime* counterpart of `simkernel::obs`: where `obs`
 //! records what happened in **simulated** time (spans, protocol counters,
 //! critical paths — all deterministic), `telemetry` records what the host
 //! spends **wall-clock** time and resources on (request latencies, barrier
@@ -54,9 +54,8 @@ impl Counter {
     }
 }
 
-/// Instantaneous level that can move both ways (queue depth, in-flight
-/// requests). Signed so that a racy `dec` observed before its matching
-/// `inc` saturates at a small negative instead of wrapping to 2^64.
+/// Instantaneous level (queue depth, in-flight requests), set from a
+/// snapshot at scrape time.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
@@ -66,16 +65,6 @@ impl Gauge {
     /// Creates a gauge at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Subtracts one.
-    pub fn dec(&self) {
-        self.value.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Sets the level outright.
@@ -353,10 +342,7 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
+        assert_eq!(g.get(), 0);
         g.set(-3);
         assert_eq!(g.get(), -3);
     }

@@ -355,8 +355,10 @@ echo "TELEMETRY_SMOKE ok ($prof_workers profiled workers, simulated time unchang
 # Hostile smoke: traces the runtimes cannot execute — a wait with nothing
 # outstanding, a collective root outside the trace, a send to oneself, a
 # send nobody receives, a receive sized unlike its send, ranks entering
-# different collectives — must exit non-zero naming the rank, never
-# panic, on both engines, on the sequential and the island path.
+# different collectives, two rendezvous sends waiting on each other,
+# ranks entering different numbers of collectives — must exit non-zero
+# naming the rank, never panic, on both engines, on the sequential and
+# the island path.
 "$gen" --class S --procs 2 --steps 2 --out "$ingest_dir/s2.trace"
 printf 'p0 init\np0 wait\np1 init\n' >"$ingest_dir/hostile-wait.trace"
 printf 'p0 bcast 8 p7\np1 bcast 8 p7\n' >"$ingest_dir/hostile-root.trace"
@@ -364,8 +366,12 @@ printf 'p0 send p0 8\np1 init\n' >"$ingest_dir/hostile-self.trace"
 printf 'p0 send p1 8\np1 init\n' >"$ingest_dir/hostile-unmatched.trace"
 printf 'p0 send p1 8\np1 recv p0 16\n' >"$ingest_dir/hostile-size.trace"
 printf 'p0 allreduce 8\np1 bcast 8 p0\n' >"$ingest_dir/hostile-coll.trace"
+printf 'p0 send p1 1048576\np0 recv p1 1048576\np1 send p0 1048576\np1 recv p0 1048576\n' \
+    >"$ingest_dir/hostile-cycle.trace"
+printf 'p0 init\np0 allreduce 8\np0 allreduce 8\np1 init\np1 allreduce 8\n' \
+    >"$ingest_dir/hostile-count.trace"
 hostile_runs=0
-for kind in wait root self unmatched size coll; do
+for kind in wait root self unmatched size coll cycle count; do
     for engine in smpi msg; do
         for threads in 1 2; do
             what="hostile $kind trace at --engine $engine --threads $threads"

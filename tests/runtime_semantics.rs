@@ -278,6 +278,10 @@ fn cyclic_rendezvous_deadlock_is_reported() {
     );
     let err = replay_on(&platform(), t, &ReplayConfig::improved(1e9)).unwrap_err();
     assert!(err.contains("deadlock"), "{err}");
+    assert!(
+        err.ends_with("blocked ranks: [0, 1]; rank 0: send to 1, rank 1: send to 0"),
+        "{err}"
+    );
 }
 
 /// Placement matters: packing all ranks on one node turns every message
