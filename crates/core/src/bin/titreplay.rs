@@ -399,11 +399,12 @@ fn main() {
     // The manifest identifies the trace as given on the command line,
     // before any cache substitution.
     let signature = tit_replay::replay::trace_signature(&input, args.ranks);
-    // Merged text goes through the binary side-car cache; the other
-    // layouts already stream (binary) or fan out in parallel (split).
+    // Merged text goes through the binary side-car cache, and a hit
+    // streams like a `.titb`; the other layouts already stream (binary)
+    // or fan out in parallel (split).
     let input = match input {
         TraceInput::MergedText(path) => {
-            let (trace, outcome) = stream::load_merged_cached(&path, args.ranks, args.cache)
+            let (input, outcome) = stream::open_merged_cached(&path, args.ranks, args.cache)
                 .unwrap_or_else(|e| fail(&e.to_string()));
             match outcome {
                 CacheOutcome::Hit => eprintln!("trace cache: hit ({})", path.display()),
@@ -415,7 +416,7 @@ fn main() {
                 }
                 CacheOutcome::MissUncached => {}
             }
-            TraceInput::Memory(Arc::new(trace))
+            input
         }
         other => other,
     };

@@ -340,16 +340,16 @@ pub fn trace_signature(input: &TraceInput, ranks: u32) -> String {
                 .sum();
             format!("memory:{} ranks,{} actions", trace.ranks(), actions)
         }
-        TraceInput::MergedText(p) | TraceInput::Description(p) | TraceInput::Binary(p) => {
-            let kind = match input {
-                TraceInput::MergedText(_) => "text",
-                TraceInput::Description(_) => "split",
-                _ => "titb",
-            };
-            let size = std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-            format!("{kind}:{}:{size} bytes,{ranks} ranks", p.display())
-        }
+        TraceInput::MergedText(p) => file_signature("text", p, ranks),
+        TraceInput::Description(p) => file_signature("split", p, ranks),
+        TraceInput::Binary(p) => file_signature("titb", p, ranks),
+        TraceInput::OpenBinary(titb) => file_signature("titb", titb.path(), ranks),
     }
+}
+
+fn file_signature(kind: &str, path: &std::path::Path, ranks: u32) -> String {
+    let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    format!("{kind}:{}:{size} bytes,{ranks} ranks", path.display())
 }
 
 /// Flat key/value rendering of a [`ReplayConfig`] for the run manifest.

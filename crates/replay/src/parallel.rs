@@ -29,6 +29,7 @@ use std::time::Instant;
 use platform::{HostId, LinkId, Platform};
 use simkernel::obs::{Metrics, RunObservation, SpanLog};
 use smpi::SmpiResult;
+use titrace::binfmt::TitbFile;
 use titrace::{ActionSource, TraceInput};
 
 use crate::engine::{self, check_fault, FaultSlot, ReplayOps};
@@ -71,7 +72,7 @@ pub(crate) fn replay_islands(
     started: Instant,
 ) -> Result<ReplayReport, String> {
     // The sources are opened twice (scan, then replay): decode merged
-    // text, and read and verify a `.titb`, once up front.
+    // text, and open and verify a `.titb`, once up front.
     let open: Box<OpenSources> = match input {
         TraceInput::MergedText(_) => {
             let trace = titrace::stream::load_trace(input, ranks).map_err(|e| e.to_string())?;
@@ -79,8 +80,8 @@ pub(crate) fn replay_islands(
             Box::new(move || Ok(titrace::stream::memory_sources(&trace)))
         }
         TraceInput::Binary(path) => {
-            let image = titrace::binfmt::Image::open(path, ranks).map_err(|e| e.to_string())?;
-            Box::new(move || Ok(image.cursors()))
+            let titb = TitbFile::open(path, ranks).map_err(|e| e.to_string())?;
+            Box::new(move || Ok(titb.cursors()))
         }
         other => {
             Box::new(move || titrace::stream::open_sources(other, ranks).map_err(|e| e.to_string()))

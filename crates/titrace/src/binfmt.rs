@@ -5,8 +5,21 @@
 //! pays the full tokenisation cost again. `.titb` stores the same
 //! actions varint-encoded in per-rank blocks behind a self-describing
 //! header, so a replay can (a) decode several times faster than the
-//! text parse and (b) stream each rank's block incrementally through a
-//! [`BlockCursor`] without materialising `Vec<Vec<Action>>` at all.
+//! text parse and (b) stream each rank's block incrementally without
+//! materialising `Vec<Vec<Action>>` or the file.
+//!
+//! ## Reading
+//!
+//! [`TitbFile::open`] reads the header and the block table (after
+//! checking that the table fits in the file, so a hostile rank count
+//! allocates nothing) and verifies the payload checksum in one
+//! sequential pass through a 64 KiB buffer. Its [`TitbFile::cursors`]
+//! decode each rank's block from a window of at most 16 KiB, refilled
+//! with one seek and one read through the shared file handle whenever
+//! fewer bytes remain than the longest action encoding. A replay
+//! therefore holds O(ranks · 16 KiB) of the trace whatever its length.
+//! [`read_file`] decodes through the same cursors, one rank at a time;
+//! [`decode`] is the in-memory codec over a whole image.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -31,9 +44,10 @@
 //! the u64⇄f64 round-trip is exact) are varint-encoded, which is what
 //! makes the format compact: LU traces are dominated by them.
 
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::files::FileError;
 use crate::stream::{ActionSource, SourceError};
@@ -415,12 +429,12 @@ impl Header {
     }
 }
 
-/// Parses and sanity-checks the header of a `.titb` buffer. Does **not**
-/// hash the payload — call [`verify_checksum`] for that.
-///
-/// # Errors
-/// Structural failures ([`BinError`]).
-pub fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
+/// The fixed header fields: `(ranks, source signature, checksum)`.
+type Fixed = (u32, Option<(u64, u64)>, u64);
+
+/// Parses the fixed header from the first `min(len, 36)` bytes of a
+/// `.titb` image.
+fn parse_fixed(bytes: &[u8]) -> Result<Fixed, BinError> {
     if bytes.len() < HEADER_FIXED {
         return Err(if bytes.get(..4).is_some_and(|m| m != MAGIC) {
             BinError::BadMagic
@@ -438,22 +452,35 @@ pub fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
     let source_len = read_u64(bytes, 12)?;
     let source_mtime_ns = read_u64(bytes, 20)?;
     let checksum = read_u64(bytes, 28)?;
-    let table_len = TABLE_ENTRY
-        .checked_mul(ranks as usize)
-        .ok_or(BinError::Truncated)?;
-    let payload_start = HEADER_FIXED + table_len;
-    if bytes.len() < payload_start {
+    let source_signature = if source_len == 0 && source_mtime_ns == 0 {
+        None
+    } else {
+        Some((source_len, source_mtime_ns))
+    };
+    Ok((ranks, source_signature, checksum))
+}
+
+/// First payload byte of a `ranks`-rank image of `len` bytes; checked
+/// before the table is read or allocated, so a header claiming more
+/// ranks than the file can hold costs nothing.
+fn payload_start(ranks: u32, len: u64) -> Result<u64, BinError> {
+    let start = HEADER_FIXED as u64 + TABLE_ENTRY as u64 * u64::from(ranks);
+    if len < start {
         return Err(BinError::Truncated);
     }
-    let payload_len = (bytes.len() - payload_start) as u64;
-    let mut blocks = Vec::with_capacity(ranks as usize);
+    Ok(start)
+}
+
+/// Parses the block table and checks that the blocks tile the
+/// `payload_len` payload bytes exactly, in rank order.
+fn parse_table(table: &[u8], payload_len: u64) -> Result<Vec<Block>, BinError> {
+    let mut blocks = Vec::with_capacity(table.len() / TABLE_ENTRY);
     let mut expect_offset = 0u64;
-    for r in 0..ranks as usize {
-        let at = HEADER_FIXED + TABLE_ENTRY * r;
+    for (r, entry) in table.chunks_exact(TABLE_ENTRY).enumerate() {
         let block = Block {
-            offset: read_u64(bytes, at)?,
-            len: read_u64(bytes, at + 8)?,
-            count: read_u64(bytes, at + 16)?,
+            offset: read_u64(entry, 0)?,
+            len: read_u64(entry, 8)?,
+            count: read_u64(entry, 16)?,
         };
         if block.offset != expect_offset {
             return Err(BinError::BadTable(format!(
@@ -472,11 +499,18 @@ pub fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
             "blocks cover {expect_offset} bytes but the payload holds {payload_len}"
         )));
     }
-    let source_signature = if source_len == 0 && source_mtime_ns == 0 {
-        None
-    } else {
-        Some((source_len, source_mtime_ns))
-    };
+    Ok(blocks)
+}
+
+/// Parses and sanity-checks the header of an in-memory `.titb` image.
+/// Does **not** hash the payload — call [`verify_checksum`] for that.
+///
+/// # Errors
+/// Structural failures ([`BinError`]).
+pub fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
+    let (ranks, source_signature, checksum) = parse_fixed(&bytes[..bytes.len().min(HEADER_FIXED)])?;
+    let start = payload_start(ranks, bytes.len() as u64)? as usize;
+    let blocks = parse_table(&bytes[HEADER_FIXED..start], (bytes.len() - start) as u64)?;
     Ok(Header {
         ranks,
         blocks,
@@ -485,14 +519,18 @@ pub fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
     })
 }
 
-/// Hashes the payload and compares with the header checksum.
+/// Hashes the payload of an in-memory image and compares with the
+/// header checksum.
 ///
 /// # Errors
 /// [`BinError::ChecksumMismatch`] on disagreement.
 pub fn verify_checksum(bytes: &[u8], header: &Header) -> Result<(), BinError> {
     let mut fnv = Fnv1a::new();
     fnv.update(&bytes[header.payload_start()..]);
-    let actual = fnv.digest();
+    check_digest(header, fnv.digest())
+}
+
+fn check_digest(header: &Header, actual: u64) -> Result<(), BinError> {
     if actual != header.checksum {
         return Err(BinError::ChecksumMismatch {
             expected: header.checksum,
@@ -677,112 +715,298 @@ fn write_file_at(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result<
     Ok(())
 }
 
-/// Reads and decodes a `.titb` file.
+/// Reads and decodes a `.titb` file through the same windowed cursors a
+/// replay streams from: resident memory is the decoded [`Trace`] plus
+/// one window, never the file.
 ///
 /// # Errors
 /// I/O failures or decode failures (both carrying the path).
 pub fn read_file(path: &Path) -> Result<Trace, FileError> {
-    let bytes = std::fs::read(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-    decode(&bytes).map_err(|e| FileError::Bin(path.to_path_buf(), e))
+    TitbFile::open_unverified(path)?.verify()?.read_trace()
 }
 
-/// A `.titb` file read into memory once, its payload checksum verified.
-/// Any number of cursor sets can be handed out over the same bytes (a
-/// parallel replay scans the trace, then replays it).
-pub struct Image {
-    bytes: Arc<Vec<u8>>,
+/// Opens one incremental [`ActionSource`] per rank over a `.titb` file:
+/// [`TitbFile::open`] then [`TitbFile::cursors`].
+///
+/// # Errors
+/// I/O and decode failures, or a rank-count mismatch.
+pub fn open_cursors(path: &Path, ranks: u32) -> Result<Vec<Box<dyn ActionSource>>, FileError> {
+    Ok(TitbFile::open(path, ranks)?.cursors())
+}
+
+/// Bytes a cursor decodes from between two reads of the file.
+const WINDOW: usize = 16 * 1024;
+
+/// The longest action encoding (an opcode and two ten-byte varints is
+/// 21 bytes), rounded up. A cursor refills its window before decoding
+/// from fewer bytes than this, so a decode never meets a window edge:
+/// it sees either this many bytes or the whole rest of its block.
+const MAX_ACTION: usize = 32;
+
+/// Read buffer of the checksum pass.
+const HASH_BUF: usize = 64 * 1024;
+
+/// An opened `.titb` file: header and block table read, payload checksum
+/// verified, the file kept open. Any number of cursor sets can be handed
+/// out without re-reading or re-hashing anything (a parallel replay
+/// scans the trace, then replays it). Every cursor reads its rank's
+/// block through a window of at most 16 KiB from the one shared file
+/// handle, so a replay holds O(ranks · window) bytes of the trace, not
+/// the file.
+#[derive(Debug)]
+pub struct TitbFile {
+    file: Arc<Mutex<File>>,
     header: Header,
-    path: std::path::PathBuf,
+    path: Arc<Path>,
 }
 
-impl Image {
-    /// Reads and verifies `path`.
+impl TitbFile {
+    /// Opens `path` as a `ranks`-rank trace and verifies its checksum.
     ///
     /// # Errors
     /// I/O and decode failures, or a rank-count mismatch.
-    pub fn open(path: &Path, ranks: u32) -> Result<Image, FileError> {
-        let bytes = std::fs::read(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-        let header = read_header(&bytes).map_err(|e| FileError::Bin(path.to_path_buf(), e))?;
-        if header.ranks != ranks {
+    pub fn open(path: &Path, ranks: u32) -> Result<TitbFile, FileError> {
+        let titb = TitbFile::open_unverified(path)?;
+        titb.expect_ranks(ranks)?;
+        titb.verify()
+    }
+
+    /// Fails unless the file holds exactly `ranks` ranks.
+    pub(crate) fn expect_ranks(&self, ranks: u32) -> Result<(), FileError> {
+        if self.header.ranks != ranks {
             return Err(FileError::Description(
-                path.to_path_buf(),
+                self.path.to_path_buf(),
                 format!(
                     "binary trace holds {} ranks, {ranks} requested",
-                    header.ranks
+                    self.header.ranks
                 ),
             ));
         }
-        verify_checksum(&bytes, &header).map_err(|e| FileError::Bin(path.to_path_buf(), e))?;
-        Ok(Image {
-            bytes: Arc::new(bytes),
-            header,
-            path: path.to_path_buf(),
+        Ok(())
+    }
+
+    /// Reads the header and the block table only: no payload byte is
+    /// read, so a caller can reject the file on its header (a stale
+    /// side-car) before paying for [`TitbFile::verify`].
+    pub(crate) fn open_unverified(path: &Path) -> Result<TitbFile, FileError> {
+        let io_err = |e| FileError::Io(path.to_path_buf(), e);
+        let bin_err = |e| FileError::Bin(path.to_path_buf(), e);
+        let mut file = File::open(path).map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        let mut fixed = Vec::with_capacity(HEADER_FIXED);
+        (&mut file)
+            .take(HEADER_FIXED as u64)
+            .read_to_end(&mut fixed)
+            .map_err(io_err)?;
+        let (ranks, source_signature, checksum) = parse_fixed(&fixed).map_err(bin_err)?;
+        let start = payload_start(ranks, len).map_err(bin_err)?;
+        let table_len = usize::try_from(start - HEADER_FIXED as u64)
+            .map_err(|_| bin_err(BinError::Truncated))?;
+        let mut table = vec![0u8; table_len];
+        file.read_exact(&mut table).map_err(io_err)?;
+        let blocks = parse_table(&table, len - start).map_err(bin_err)?;
+        Ok(TitbFile {
+            file: Arc::new(Mutex::new(file)),
+            header: Header {
+                ranks,
+                blocks,
+                source_signature,
+                checksum,
+            },
+            path: Arc::from(path),
         })
+    }
+
+    /// Hashes the payload in one sequential buffered pass and checks it
+    /// against the header.
+    pub(crate) fn verify(self) -> Result<TitbFile, FileError> {
+        let io_err = |e| FileError::Io(self.path.to_path_buf(), e);
+        let payload_len: u64 = self.header.blocks.iter().map(|b| b.len).sum();
+        let mut fnv = Fnv1a::new();
+        {
+            let mut file = lock_file(&self.file);
+            file.seek(SeekFrom::Start(self.header.payload_start() as u64))
+                .map_err(io_err)?;
+            let mut buf = vec![0u8; HASH_BUF];
+            let mut left = payload_len;
+            while left > 0 {
+                let n = left.min(HASH_BUF as u64) as usize;
+                file.read_exact(&mut buf[..n]).map_err(io_err)?;
+                fnv.update(&buf[..n]);
+                left -= n as u64;
+            }
+        }
+        check_digest(&self.header, fnv.digest())
+            .map_err(|e| FileError::Bin(self.path.to_path_buf(), e))?;
+        Ok(self)
+    }
+
+    /// The parsed header.
+    pub(crate) fn header(&self) -> &Header {
+        &self.header
+    }
+
+    /// The file this handle reads.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// One incremental [`ActionSource`] per rank, each at the start of
     /// its block. Actions decode on the fly as the replay pulls them, so
     /// no `Vec<Vec<Action>>` is ever materialised.
     pub fn cursors(&self) -> Vec<Box<dyn ActionSource>> {
-        let payload_start = self.header.payload_start();
-        self.header
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(r, block)| {
-                Box::new(BlockCursor {
-                    bytes: Arc::clone(&self.bytes),
-                    path: self.path.clone(),
-                    rank: r as u32,
-                    pos: payload_start + block.offset as usize,
-                    end: payload_start + (block.offset + block.len) as usize,
-                    remaining: block.count,
-                }) as Box<dyn ActionSource>
-            })
+        self.cursors_with_window(WINDOW)
+    }
+
+    fn cursors_with_window(&self, window: usize) -> Vec<Box<dyn ActionSource>> {
+        (0..self.header.blocks.len())
+            .map(|r| Box::new(self.cursor(r, window, 0)) as Box<dyn ActionSource>)
             .collect()
+    }
+
+    /// Decodes the whole trace, rank by rank, through one cursor at a
+    /// time.
+    ///
+    /// # Errors
+    /// I/O and decode failures (both carrying the path).
+    pub(crate) fn read_trace(&self) -> Result<Trace, FileError> {
+        self.read_trace_with_window(WINDOW)
+    }
+
+    fn read_trace_with_window(&self, window: usize) -> Result<Trace, FileError> {
+        let mut per_rank = Vec::with_capacity(self.header.blocks.len());
+        for (r, block) in self.header.blocks.iter().enumerate() {
+            // Decode errors count offsets from the block's first byte.
+            let origin = self.header.payload_start() as u64 + block.offset;
+            let mut cursor = self.cursor(r, window, origin);
+            // Each action is at least one byte, so a (possibly corrupt)
+            // count can never justify more capacity than the block length.
+            let cap = usize::try_from(block.count.min(block.len)).unwrap_or(0);
+            let mut actions = Vec::with_capacity(cap);
+            while let Some(a) = cursor.next_action().map_err(|e| match e {
+                SourceError::Io(p, e) => FileError::Io(p, e),
+                SourceError::Bin(p, e) => FileError::Bin(p, e),
+                // A block cursor fails only on I/O or decoding.
+                other => FileError::Description(self.path.to_path_buf(), other.to_string()),
+            })? {
+                actions.push(a);
+            }
+            per_rank.push(actions);
+        }
+        Ok(Trace::from_actions(per_rank))
+    }
+
+    /// A cursor over rank `r`'s block whose errors report varint offsets
+    /// counted from file offset `origin`.
+    fn cursor(&self, r: usize, window: usize, origin: u64) -> BlockCursor {
+        assert!(
+            window >= MAX_ACTION,
+            "a window must hold the longest action"
+        );
+        let block = self.header.blocks[r];
+        let start = self.header.payload_start() as u64 + block.offset;
+        BlockCursor {
+            file: Arc::clone(&self.file),
+            path: Arc::clone(&self.path),
+            rank: r as u32,
+            window: Vec::new(),
+            capacity: usize::try_from(block.len).map_or(window, |len| len.min(window)),
+            pos: 0,
+            next_read: start,
+            end: start + block.len,
+            remaining: block.count,
+            origin,
+        }
     }
 }
 
-/// Opens one incremental [`ActionSource`] per rank over a `.titb` file:
-/// [`Image::open`] then [`Image::cursors`].
-///
-/// # Errors
-/// I/O and decode failures, or a rank-count mismatch.
-pub fn open_cursors(path: &Path, ranks: u32) -> Result<Vec<Box<dyn ActionSource>>, FileError> {
-    Ok(Image::open(path, ranks)?.cursors())
+/// Locks the shared file. Every read seeks first, so a holder that
+/// panicked leaves nothing a later reader depends on.
+fn lock_file(file: &Mutex<File>) -> MutexGuard<'_, File> {
+    file.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Incremental decoder over one rank's block of a shared `.titb` image.
-pub struct BlockCursor {
-    bytes: Arc<Vec<u8>>,
-    path: std::path::PathBuf,
+/// Incremental decoder over one rank's block of an open `.titb` file.
+/// `window` holds the file bytes `next_read - window.len() ..
+/// next_read`, of which `pos..` are not yet decoded; it is allocated on
+/// the first pull and never grows past `capacity`.
+struct BlockCursor {
+    file: Arc<Mutex<File>>,
+    path: Arc<Path>,
     rank: u32,
+    window: Vec<u8>,
+    capacity: usize,
     pos: usize,
-    end: usize,
+    next_read: u64,
+    end: u64,
     remaining: u64,
+    /// Varint offsets in errors count from this file offset: 0 for
+    /// replay cursors, the block start for [`TitbFile::read_trace`].
+    origin: u64,
+}
+
+impl BlockCursor {
+    /// A decode error in block terms: running out of window bytes means
+    /// the block ended early (the window holds the rest of the block
+    /// whenever a decode can run out), and a window position becomes a
+    /// file offset counted from `origin`.
+    #[cold]
+    fn in_block(&self, e: BinError) -> BinError {
+        match e {
+            BinError::Truncated => BinError::BlockLengthMismatch { rank: self.rank },
+            BinError::OverlongVarint { offset } => {
+                let window_start = self.next_read - self.window.len() as u64;
+                BinError::OverlongVarint {
+                    offset: (window_start + offset as u64 - self.origin) as usize,
+                }
+            }
+            other => other,
+        }
+    }
+
+    /// Moves the undecoded tail to the front of the window and fills the
+    /// rest from the file with one seek and one read.
+    fn refill(&mut self) -> io::Result<()> {
+        self.window.drain(..self.pos);
+        self.pos = 0;
+        let kept = self.window.len();
+        let n = (self.end - self.next_read).min((self.capacity - kept) as u64) as usize;
+        self.window.reserve_exact(self.capacity - kept);
+        self.window.resize(kept + n, 0);
+        let mut file = lock_file(&self.file);
+        let read = file
+            .seek(SeekFrom::Start(self.next_read))
+            .and_then(|_| file.read_exact(&mut self.window[kept..]));
+        if read.is_err() {
+            // Leave only bytes that came from the file.
+            self.window.truncate(kept);
+        }
+        read?;
+        self.next_read += n as u64;
+        Ok(())
+    }
 }
 
 impl ActionSource for BlockCursor {
     fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
         if self.remaining == 0 {
-            if self.pos != self.end {
-                return Err(SourceError::Bin(
-                    self.path.clone(),
-                    BinError::BlockLengthMismatch { rank: self.rank },
-                ));
+            if self.pos != self.window.len() || self.next_read != self.end {
+                let e = BinError::BlockLengthMismatch { rank: self.rank };
+                return Err(SourceError::Bin(self.path.to_path_buf(), e));
             }
             return Ok(None);
         }
-        let slice = &self.bytes[..self.end];
-        let action = decode_action(slice, &mut self.pos).map_err(|e| {
-            let e = match e {
-                BinError::Truncated => BinError::BlockLengthMismatch { rank: self.rank },
-                other => other,
-            };
-            SourceError::Bin(self.path.clone(), e)
-        })?;
-        self.remaining -= 1;
-        Ok(Some(action))
+        if self.window.len() - self.pos < MAX_ACTION && self.next_read < self.end {
+            self.refill()
+                .map_err(|e| SourceError::Io(self.path.to_path_buf(), e))?;
+        }
+        match decode_action(&self.window, &mut self.pos) {
+            Ok(action) => {
+                self.remaining -= 1;
+                Ok(Some(action))
+            }
+            Err(e) => Err(SourceError::Bin(self.path.to_path_buf(), self.in_block(e))),
+        }
     }
 
     fn remaining_hint(&self) -> Option<u64> {
@@ -1011,6 +1235,165 @@ mod tests {
         assert!(open_cursors(&p, 5).is_err(), "rank mismatch must fail");
     }
 
+    /// Writes `bytes` to a per-process temp file named `name`.
+    pub(super) fn temp_titb(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("titrace-binfmt-win-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join(format!("{name}.titb"));
+        std::fs::write(&p, bytes).unwrap();
+        p
+    }
+
+    fn bin_error(e: FileError) -> BinError {
+        match e {
+            FileError::Bin(_, e) => e,
+            other => panic!("expected a decode error, got {other}"),
+        }
+    }
+
+    /// Opens and verifies `path` with no rank-count expectation.
+    fn open_any(path: &Path) -> Result<TitbFile, BinError> {
+        TitbFile::open_unverified(path)
+            .and_then(TitbFile::verify)
+            .map_err(bin_error)
+    }
+
+    /// Every rank drained, in rank order, through replay cursors with
+    /// `window`-byte windows; the first failure, as [`decode`] reports
+    /// its first.
+    pub(super) fn drain_windowed(path: &Path, window: usize) -> Result<Vec<Vec<Action>>, BinError> {
+        let titb = open_any(path)?;
+        let mut ranks = Vec::new();
+        for mut cursor in titb.cursors_with_window(window) {
+            let mut got = Vec::new();
+            while let Some(a) = cursor.next_action().map_err(|e| match e {
+                SourceError::Bin(_, e) => e,
+                other => panic!("expected a decode error, got {other}"),
+            })? {
+                got.push(a);
+            }
+            ranks.push(got);
+        }
+        Ok(ranks)
+    }
+
+    /// [`TitbFile::read_trace`] with `window`-byte windows.
+    pub(super) fn read_windowed(path: &Path, window: usize) -> Result<Trace, BinError> {
+        open_any(path)?
+            .read_trace_with_window(window)
+            .map_err(bin_error)
+    }
+
+    fn set_u64(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// A block whose action count is one too high or too low, or whose
+    /// bytes end early (the next block absorbing the cut), fails through
+    /// windowed cursors exactly as the whole-buffer decode does, at every
+    /// window size from the minimum up — so at some size the block's
+    /// end falls on each position relative to a window edge.
+    #[test]
+    fn block_errors_at_window_edges_match_the_whole_buffer_decode() {
+        let mut t = Trace::new(2);
+        for i in 0..80u32 {
+            let a = match i % 3 {
+                0 => Action::Compute {
+                    amount: 0.5 + f64::from(i),
+                },
+                1 => Action::Send {
+                    dst: Rank(1),
+                    bytes: 1 << (i % 60),
+                },
+                _ => Action::Wait,
+            };
+            t.push(Rank(0), a);
+        }
+        t.push(Rank(1), Action::Init);
+        t.push(Rank(1), Action::Finalize);
+        let clean = encode(&t);
+        let h = read_header(&clean).unwrap();
+        let (b0, b1) = (HEADER_FIXED, HEADER_FIXED + TABLE_ENTRY);
+        let mut variants = Vec::new();
+        for count in [h.blocks[0].count + 1, h.blocks[0].count - 1] {
+            let mut bytes = clean.clone();
+            set_u64(&mut bytes, b0 + 16, count);
+            variants.push(bytes);
+        }
+        for cut in 1..=12 {
+            let mut bytes = clean.clone();
+            set_u64(&mut bytes, b0 + 8, h.blocks[0].len - cut);
+            set_u64(&mut bytes, b1, h.blocks[1].offset - cut);
+            set_u64(&mut bytes, b1 + 8, h.blocks[1].len + cut);
+            variants.push(bytes);
+        }
+        for (i, bytes) in variants.iter().enumerate() {
+            let expected = decode(bytes).unwrap_err();
+            assert_eq!(expected, BinError::BlockLengthMismatch { rank: 0 });
+            let path = temp_titb(&format!("edge-{i}"), bytes);
+            for window in MAX_ACTION..=200 {
+                assert_eq!(drain_windowed(&path, window), Err(expected.clone()));
+                assert_eq!(read_windowed(&path, window), Err(expected.clone()));
+            }
+        }
+    }
+
+    /// A checksum-consistent block whose send carries an overlong varint
+    /// straddling the first window's edge reports the offset the
+    /// whole-buffer decode reports: counted from the block start by
+    /// `read_file`, from the file start by replay cursors.
+    #[test]
+    fn overlong_varint_across_a_window_edge_keeps_its_offset() {
+        for window in [MAX_ACTION, 47, 64, 100, 200] {
+            for lead in window - 12..window {
+                let mut payload = vec![OP_WAIT; lead];
+                payload.push(OP_SEND);
+                payload.extend_from_slice(&[0x80; 10]);
+                payload.push(0x02);
+                let block = Block {
+                    offset: 0,
+                    len: payload.len() as u64,
+                    count: lead as u64 + 1,
+                };
+                let mut fnv = Fnv1a::new();
+                fnv.update(&payload);
+                let mut bytes = header_bytes(1, &[block], None, fnv.digest());
+                bytes.extend_from_slice(&payload);
+                let expected = decode(&bytes).unwrap_err();
+                assert_eq!(expected, BinError::OverlongVarint { offset: lead + 1 });
+                let path = temp_titb(&format!("overlong-{window}-{lead}"), &bytes);
+                assert_eq!(read_windowed(&path, window), Err(expected));
+                let from_file_start = HEADER_FIXED + TABLE_ENTRY + lead + 1;
+                assert_eq!(
+                    drain_windowed(&path, window),
+                    Err(BinError::OverlongVarint {
+                        offset: from_file_start
+                    })
+                );
+            }
+        }
+    }
+
+    /// A 40-byte file claiming `u32::MAX` ranks is truncated: the table
+    /// length is checked against the file before it is allocated (the
+    /// 96 GiB allocation would abort the test).
+    #[test]
+    fn huge_rank_count_is_truncated_before_the_table_is_allocated() {
+        let mut bytes = header_bytes(u32::MAX, &[], None, 0);
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(bytes.len(), 40);
+        assert_eq!(read_header(&bytes), Err(BinError::Truncated));
+        let path = temp_titb("huge-ranks", &bytes);
+        assert_eq!(
+            read_file(&path).map_err(bin_error),
+            Err(BinError::Truncated)
+        );
+        assert_eq!(
+            TitbFile::open(&path, u32::MAX).map_err(bin_error).err(),
+            Some(BinError::Truncated)
+        );
+    }
+
     #[test]
     fn streamed_file_matches_in_memory_encoding() {
         let dir = std::env::temp_dir().join(format!("titrace-binfmt-eq-{}", std::process::id()));
@@ -1130,6 +1513,54 @@ mod proptests {
             let from_bin = decode(&encode(&from_text)).unwrap();
             prop_assert_eq!(&from_bin, &from_text);
             prop_assert_eq!(crate::write::to_string(&from_bin), text);
+        }
+
+        /// Replay cursors and `read_file`, decoding through windows of 32
+        /// to 200 bytes, agree with the whole-buffer decode on traces of
+        /// every opcode, 9-byte f64 computes and ten-byte varints.
+        #[test]
+        fn windowed_cursors_match_decode(
+            actions in proptest::collection::vec(arb_action(u32::MAX), 0..400),
+            window in MAX_ACTION..=200,
+        ) {
+            let mut t = Trace::new(4);
+            for (i, a) in actions.iter().enumerate() {
+                t.push(Rank((i % 4) as u32), *a);
+            }
+            let path = super::tests::temp_titb("windowed", &encode(&t));
+            let decoded = decode(&std::fs::read(&path).unwrap()).unwrap();
+            let drained = super::tests::drain_windowed(&path, window).unwrap();
+            for (r, got) in drained.iter().enumerate() {
+                prop_assert_eq!(got.as_slice(), decoded.actions(Rank(r as u32)));
+            }
+            prop_assert_eq!(super::tests::read_windowed(&path, window).unwrap(), decoded);
+        }
+
+        /// `read_file` fails exactly as the whole-buffer decode does on a
+        /// truncated or byte-flipped image.
+        #[test]
+        fn read_file_errors_match_decode(
+            actions in proptest::collection::vec(arb_action(3), 1..60),
+            at in 0usize..=usize::MAX,
+            flip in 0u8..=255,
+        ) {
+            let mut t = Trace::new(3);
+            for (i, a) in actions.iter().enumerate() {
+                t.push(Rank((i % 3) as u32), *a);
+            }
+            let mut bytes = encode(&t);
+            let i = at % bytes.len();
+            if flip == 0 {
+                bytes.truncate(i);
+            } else {
+                bytes[i] ^= flip;
+            }
+            let path = super::tests::temp_titb("corrupt", &bytes);
+            let got = read_file(&path).map_err(|e| match e {
+                FileError::Bin(_, e) => e,
+                other => panic!("expected a decode error, got {other}"),
+            });
+            prop_assert_eq!(got, decode(&bytes));
         }
 
         /// The decoder is total on arbitrary bytes: structured errors or

@@ -18,11 +18,12 @@
 //!   before adding one back.
 //! * an [`ActionSource`] **cursor abstraction** that lets the replay
 //!   engines pull actions per rank incrementally, bounding resident
-//!   memory to O(ranks · window) for split text files and to the
-//!   (much smaller) encoded bytes for `.titb` binary traces;
-//! * an automatic **binary side-car cache** ([`load_merged_cached`]):
+//!   memory to O(ranks · window) for split text files and `.titb`
+//!   binary traces;
+//! * an automatic **binary side-car cache** ([`open_merged_cached`]):
 //!   parsing a merged text trace drops a `.titb` next to it, keyed on
-//!   the source's size + mtime, and later loads hit the binary path.
+//!   the source's size + mtime, and later replays stream the side-car
+//!   like any `.titb`.
 
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
@@ -571,6 +572,10 @@ pub enum TraceInput {
     Description(PathBuf),
     /// A compact binary `.titb` trace.
     Binary(PathBuf),
+    /// A `.titb` trace already opened and verified (a side-car hit):
+    /// cursors come from the handle without re-reading its header or
+    /// re-hashing its payload.
+    OpenBinary(Arc<binfmt::TitbFile>),
 }
 
 impl TraceInput {
@@ -600,8 +605,8 @@ impl TraceInput {
 /// Opens per-rank incremental cursors for `input`.
 ///
 /// Split description files and binary traces stream (split files keep a
-/// one-line window per rank; binary cursors decode on the fly from the
-/// encoded bytes). Merged text cannot be streamed per rank without one
+/// one-line window per rank; binary cursors decode on the fly from a
+/// window of the file). Merged text cannot be streamed per rank without one
 /// scan per rank, so it is decoded up front and served from memory.
 ///
 /// # Errors
@@ -617,6 +622,10 @@ pub fn open_sources(
             Ok(memory_sources(&Arc::new(trace)))
         }
         TraceInput::Binary(path) => binfmt::open_cursors(path, ranks),
+        TraceInput::OpenBinary(titb) => {
+            titb.expect_ranks(ranks)?;
+            Ok(titb.cursors())
+        }
         TraceInput::Description(path) => {
             let entries = crate::files::description_entries(path, ranks)?;
             if entries.len() == 1 {
@@ -648,6 +657,7 @@ pub fn load_trace(input: &TraceInput, ranks: u32) -> Result<Trace, FileError> {
         TraceInput::Memory(trace) => Ok(trace.as_ref().clone()),
         TraceInput::MergedText(path) => load_merged(path, ranks),
         TraceInput::Binary(path) => binfmt::read_file(path),
+        TraceInput::OpenBinary(titb) => titb.read_trace(),
         TraceInput::Description(path) => crate::files::read_description(path, ranks),
     }
 }
@@ -706,11 +716,33 @@ pub enum CacheOutcome {
     MissUncached,
 }
 
-/// Loads a merged text trace through its binary side-car cache: a
-/// `.titb` next to the source whose header matches the source's
-/// size+mtime signature is decoded instead of the text; otherwise the
-/// text is parsed and, when `cache` is set, the side-car
-/// is (re)written for next time.
+/// Resolves a merged text trace through its binary side-car cache, as a
+/// replay input: a `.titb` next to the source whose header matches the
+/// source's size+mtime signature and `ranks`, and whose checksum
+/// verifies, is returned open ([`TraceInput::OpenBinary`]), so the
+/// replay streams it through bounded per-rank windows. Otherwise the
+/// text is parsed into memory and, when `cache` is set, the side-car is
+/// (re)written for next time.
+///
+/// # Errors
+/// Propagates I/O and parse failures of the *source*; a stale or
+/// corrupt side-car is treated as a miss, never an error.
+pub fn open_merged_cached(
+    path: &Path,
+    ranks: u32,
+    cache: bool,
+) -> Result<(TraceInput, CacheOutcome), FileError> {
+    let sig = source_signature(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
+    if let Some(titb) = cached_sidecar(path, ranks, sig, cache) {
+        return Ok((TraceInput::OpenBinary(Arc::new(titb)), CacheOutcome::Hit));
+    }
+    let (trace, outcome) = parse_and_store(path, ranks, sig, cache)?;
+    Ok((TraceInput::Memory(Arc::new(trace)), outcome))
+}
+
+/// Loads a merged text trace through its binary side-car cache, like
+/// [`open_merged_cached`], but always as a decoded [`Trace`]: a hit is
+/// decoded from the side-car instead of parsing the text.
 ///
 /// # Errors
 /// Propagates I/O and parse failures of the *source*; a corrupt or
@@ -721,23 +753,44 @@ pub fn load_merged_cached(
     cache: bool,
 ) -> Result<(Trace, CacheOutcome), FileError> {
     let sig = source_signature(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-    let sidecar = sidecar_path(path);
-    if cache {
-        if let Ok(bytes) = std::fs::read(&sidecar) {
-            if let Ok(header) = binfmt::read_header(&bytes) {
-                if header.ranks == ranks && header.source_signature == Some(sig) {
-                    if let Ok(trace) = binfmt::decode(&bytes) {
-                        return Ok((trace, CacheOutcome::Hit));
-                    }
-                }
-            }
-        }
+    if let Some(Ok(trace)) = cached_sidecar(path, ranks, sig, cache).map(|t| t.read_trace()) {
+        return Ok((trace, CacheOutcome::Hit));
     }
+    parse_and_store(path, ranks, sig, cache)
+}
+
+/// The verified side-car of `path` when caching is on and its header
+/// records `sig` and `ranks`; the header is checked before the payload
+/// is hashed, so a stale side-car costs one header read.
+fn cached_sidecar(
+    path: &Path,
+    ranks: u32,
+    sig: (u64, u64),
+    cache: bool,
+) -> Option<binfmt::TitbFile> {
+    if !cache {
+        return None;
+    }
+    let titb = binfmt::TitbFile::open_unverified(&sidecar_path(path)).ok()?;
+    let header = titb.header();
+    if header.ranks != ranks || header.source_signature != Some(sig) {
+        return None;
+    }
+    titb.verify().ok()
+}
+
+/// Parses `path` and, when `cache` is set, writes its side-car.
+fn parse_and_store(
+    path: &Path,
+    ranks: u32,
+    sig: (u64, u64),
+    cache: bool,
+) -> Result<(Trace, CacheOutcome), FileError> {
     let trace = load_merged(path, ranks)?;
     if !cache {
         return Ok((trace, CacheOutcome::MissUncached));
     }
-    let outcome = match binfmt::write_file(&trace, &sidecar, Some(sig)) {
+    let outcome = match binfmt::write_file(&trace, &sidecar_path(path), Some(sig)) {
         Ok(()) => CacheOutcome::MissStored,
         Err(_) => CacheOutcome::MissUncached,
     };
@@ -972,6 +1025,45 @@ mod tests {
         let (_, outcome) = load_merged_cached(&p, 3, false).unwrap();
         assert_eq!(outcome, CacheOutcome::MissUncached);
         assert!(!sidecar_path(&p).exists());
+    }
+
+    /// A side-car hit is handed on open, to stream; one with the wrong
+    /// rank count or a bad checksum is a silent re-parse.
+    #[test]
+    fn sidecar_hits_stream_and_bad_sidecars_are_misses() {
+        let dir = std::env::temp_dir().join(format!("titrace-cache-open-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("app.trace");
+        std::fs::write(&p, sample_text(3, 5)).unwrap();
+        let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissStored);
+        let TraceInput::Memory(parsed) = input else {
+            panic!("a miss decodes the text into memory")
+        };
+        let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        assert!(matches!(input, TraceInput::OpenBinary(_)));
+        assert_eq!(load_trace(&input, 3).unwrap(), *parsed);
+        for (r, mut cursor) in open_sources(&input, 3).unwrap().into_iter().enumerate() {
+            let mut got = Vec::new();
+            while let Some(a) = cursor.next_action().unwrap() {
+                got.push(a);
+            }
+            assert_eq!(got.as_slice(), parsed.actions(Rank(r as u32)));
+        }
+        assert!(open_sources(&input, 4).is_err(), "rank mismatch must fail");
+        // The side-car holds 3 ranks: asking for 4 re-parses.
+        let (_, outcome) = open_merged_cached(&p, 4, true).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissStored);
+        std::fs::remove_file(sidecar_path(&p)).unwrap();
+        open_merged_cached(&p, 3, true).unwrap();
+        let mut bytes = std::fs::read(sidecar_path(&p)).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        std::fs::write(sidecar_path(&p), bytes).unwrap();
+        let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissStored, "bad checksum re-parses");
+        assert!(matches!(input, TraceInput::Memory(_)));
     }
 
     #[test]

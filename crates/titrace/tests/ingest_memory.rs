@@ -1,8 +1,9 @@
-//! Memory bound of merged-text ingest, counted at the allocator — no
-//! timing, no RSS sampling. `load_merged` must hold the decoded trace
-//! plus a fixed buffer, never the file: reading the file whole (what it
-//! did before the streaming decoder) fails the first test, and growing a
-//! buffer to fit a line without a newline fails the second.
+//! Memory bound of trace ingest, counted at the allocator — no timing,
+//! no RSS sampling. `load_merged` must hold the decoded trace plus a
+//! fixed buffer, never the file: reading the file whole (what it did
+//! before the streaming decoder) fails the first test, and growing a
+//! buffer to fit a line without a newline fails the second. The third
+//! holds `binfmt::read_file` to the decoded trace plus its windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -11,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use titrace::files::FileError;
-use titrace::stream;
-use titrace::Action;
+use titrace::{binfmt, stream};
+use titrace::{Action, Rank, Trace};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -56,16 +57,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One measurement at a time: the counters are process-wide and the
-/// test harness runs tests on parallel threads.
+/// One test at a time: the counters are process-wide and the test
+/// harness runs tests on parallel threads, so each test holds this for
+/// its whole run — setup and teardown allocate too.
 static WINDOW: Mutex<()> = Mutex::new(());
+
+fn alone() -> std::sync::MutexGuard<'static, ()> {
+    WINDOW.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const MIB: usize = 1 << 20;
 
 /// Runs `f` and returns its result, the peak live heap above the level
 /// at entry, and the heap still live at exit above that level.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let out = f();
@@ -80,6 +85,7 @@ fn temp_file(name: &str) -> PathBuf {
 
 #[test]
 fn loading_a_text_trace_holds_the_trace_and_a_buffer_not_the_file() {
+    let _alone = alone();
     const RANKS: u32 = 32;
     const ITERS: usize = 2600;
     let path = temp_file("halo.trace");
@@ -120,6 +126,7 @@ fn loading_a_text_trace_holds_the_trace_and_a_buffer_not_the_file() {
 
 #[test]
 fn a_file_without_newlines_is_an_error_not_an_allocation() {
+    let _alone = alone();
     let path = temp_file("no-newline.trace");
     std::fs::write(&path, vec![b'A'; MIB]).unwrap();
     let (result, peak, _) = measured(|| stream::load_merged(&path, 4));
@@ -132,4 +139,41 @@ fn a_file_without_newlines_is_an_error_not_an_allocation() {
         other => panic!("expected a parse error, got {other:?}"),
     }
     assert!(peak < 2 * MIB, "peak live heap {peak}");
+}
+
+/// `binfmt::read_file` decodes through the replay's windowed cursors: it
+/// peaks at the decoded trace plus the checksum pass's 64 KiB buffer and
+/// one 16 KiB window, never the file.
+#[test]
+fn reading_a_titb_holds_the_trace_and_a_window_not_the_file() {
+    let _alone = alone();
+    const RANKS: u32 = 32;
+    const ITERS: u64 = 2600;
+    let mut trace = Trace::new(RANKS);
+    for r in 0..RANKS {
+        let (left, right) = (Rank((r + RANKS - 1) % RANKS), Rank((r + 1) % RANKS));
+        trace.push(Rank(r), Action::Init);
+        for i in 0..ITERS {
+            let bytes = 70_000 + i;
+            trace.push(Rank(r), Action::Irecv { src: left, bytes });
+            trace.push(Rank(r), Action::Irecv { src: right, bytes });
+            trace.push(Rank(r), Action::Isend { dst: right, bytes });
+            trace.push(Rank(r), Action::Isend { dst: left, bytes });
+            trace.push(Rank(r), Action::Compute { amount: 0.5 });
+            trace.push(Rank(r), Action::WaitAll);
+        }
+        trace.push(Rank(r), Action::Finalize);
+    }
+    let path = temp_file("halo.titb");
+    binfmt::write_file(&trace, &path, None).unwrap();
+    let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
+    assert!(file_bytes >= 2 * MIB, "the file is only {file_bytes} bytes");
+
+    let (read, peak, kept) = measured(|| binfmt::read_file(&path).unwrap());
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(read, trace);
+    assert!(
+        peak <= kept + 128 * 1024,
+        "peak {peak} exceeds trace {kept} + 128 KiB (file: {file_bytes} bytes)"
+    );
 }

@@ -391,7 +391,50 @@ for kind in wait root self unmatched size coll cycle count; do
         done
     done
 done
-echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank, none panicked)"
+# Corrupted `.titb` files: cut short, a payload byte changed, a rank
+# count no file could hold, and rank 1's block moved in the table. Each
+# must be refused naming the file and the fault, before any replay.
+"$rep" trace pack "$ingest_dir/s2.trace" "$ingest_dir/s2.titb" --ranks 2 2>/dev/null
+poke() { # file offset byte-value: overwrite one byte in place
+    printf "\\$(printf %03o "$3")" | dd of="$1" bs=1 seek="$2" conv=notrunc status=none
+}
+titb_size=$(wc -c <"$ingest_dir/s2.titb")
+head -c $((titb_size - 5)) "$ingest_dir/s2.titb" >"$ingest_dir/bad-cut.titb"
+cp "$ingest_dir/s2.titb" "$ingest_dir/bad-flip.titb"
+last=$(tail -c 1 "$ingest_dir/s2.titb" | od -An -tu1 | tr -d ' ')
+poke "$ingest_dir/bad-flip.titb" $((titb_size - 1)) $(((last + 1) % 256))
+cp "$ingest_dir/s2.titb" "$ingest_dir/bad-ranks.titb"
+for i in 8 9 10 11; do poke "$ingest_dir/bad-ranks.titb" "$i" 255; done
+cp "$ingest_dir/s2.titb" "$ingest_dir/bad-table.titb"
+poke "$ingest_dir/bad-table.titb" 60 1 # rank 1's payload_offset, low byte
+for kind in cut flip ranks table; do
+    case $kind in
+        cut) want='bad block table: blocks cover [0-9]+ bytes but the payload holds [0-9]+' ;;
+        flip) want='payload checksum mismatch \(' ;;
+        ranks) want='truncated \.titb data' ;;
+        table) want='bad block table: rank 1 block starts at [0-9]+ instead of [0-9]+' ;;
+    esac
+    for engine in smpi msg; do
+        for threads in 1 2; do
+            what="corrupt .titb ($kind) at --engine $engine --threads $threads"
+            if "$rep" --platform "$ingest_dir/s2.trace.platform.json" --ranks 2 --rate 2e9 \
+                --trace "$ingest_dir/bad-$kind.titb" \
+                --engine "$engine" --threads "$threads" >/dev/null 2>"$ingest_dir/hostile.err"; then
+                echo "$what replayed successfully" >&2
+                exit 1
+            fi
+            if grep -q panicked "$ingest_dir/hostile.err" \
+                || ! grep -qF "$ingest_dir/bad-$kind.titb: " "$ingest_dir/hostile.err" \
+                || ! grep -qE "$want" "$ingest_dir/hostile.err"; then
+                echo "$what: wanted an error naming the file and /$want/, got:" >&2
+                cat "$ingest_dir/hostile.err" >&2
+                exit 1
+            fi
+            hostile_runs=$((hostile_runs + 1))
+        done
+    done
+done
+echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the corrupt file, none panicked)"
 
 # Re-run the replay-facing suites with parallel replay as the ambient
 # default, so every differential test also exercises the worker pool.

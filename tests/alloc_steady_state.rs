@@ -1,7 +1,8 @@
 //! Allocation gates: the two zero-steady-state-allocation claims of the
-//! event core and the observability layer, and the O(P) cost of building
-//! a runtime world, measured with a counting global allocator this test
-//! binary owns. The counts are per thread, so the tests do not disturb
+//! event core and the observability layer, the O(P) cost of building a
+//! runtime world, and the trace-length-independent memory of streaming a
+//! `.titb`, measured with a counting global allocator this test binary
+//! owns. The counts are per thread, so the tests do not disturb
 //! each other or the harness; everything measured runs on the calling
 //! thread.
 
@@ -16,12 +17,23 @@ use tit_replay::simkernel::Time;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation (or reallocation) of `size` bytes.
 fn count(size: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
     BYTES.with(|b| b.set(b.get() + size as u64));
+}
+
+/// Moves this thread's live heap bytes by `delta`, keeping the peak.
+fn live(delta: i64) {
+    let now = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(now)));
 }
 
 struct CountingAlloc;
@@ -31,15 +43,18 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -60,6 +75,15 @@ fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = BYTES.with(Cell::get);
     let out = f();
     (out, BYTES.with(Cell::get) - before)
+}
+
+/// The peak of this thread's live heap bytes while `f` runs, above the
+/// level at entry.
+fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - before) as u64)
 }
 
 /// Deterministic xorshift64* stream.
@@ -219,4 +243,48 @@ fn world_build_allocates_linearly_in_the_rank_count() {
             "{engine} world build: {small} B at P = 1024, {large} B at P = 4096 (ratio {ratio:.2})"
         );
     }
+}
+
+/// Streaming a `.titb` holds one bounded window per rank, never the
+/// file: opening LU S-16 and draining every rank's cursor peaks at the
+/// same live heap (within 25 %) at 40 and 160 steps, though the file
+/// and the action count grow fourfold.
+#[test]
+fn titb_streaming_memory_is_independent_of_trace_length() {
+    use tit_replay::titrace::binfmt;
+
+    let dir = std::env::temp_dir().join(format!("titr-alloc-titb-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let measure = |steps: u32| {
+        let lu = LuConfig::new(LuClass::S, 16).with_steps(steps);
+        let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+        let path = dir.join(format!("lu-s16-{steps}.titb"));
+        binfmt::write_file(&trace, &path, None).unwrap();
+        let expected = trace.len() as u64;
+        drop(trace);
+        let (drained, peak) = peak_live_bytes(|| {
+            let mut cursors = binfmt::open_cursors(&path, 16).unwrap();
+            let mut n = 0u64;
+            for cursor in &mut cursors {
+                while cursor.next_action().unwrap().is_some() {
+                    n += 1;
+                }
+            }
+            n
+        });
+        assert_eq!(drained, expected);
+        (std::fs::metadata(&path).unwrap().len(), peak)
+    };
+    let ((small_file, small), (large_file, large)) = (measure(40), measure(160));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        large_file >= 3 * small_file,
+        "{small_file} B vs {large_file} B"
+    );
+    let ratio = large as f64 / small as f64;
+    assert!(
+        (0.8..=1.25).contains(&ratio),
+        "peak live heap {small} B at 40 steps ({small_file} B file), \
+         {large} B at 160 steps ({large_file} B file): ratio {ratio:.2}"
+    );
 }
