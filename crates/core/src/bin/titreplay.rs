@@ -399,9 +399,9 @@ fn main() {
     // The manifest identifies the trace as given on the command line,
     // before any cache substitution.
     let signature = tit_replay::replay::trace_signature(&input, args.ranks);
-    // Merged text goes through the binary side-car cache, and a hit
-    // streams like a `.titb`; the other layouts already stream (binary)
-    // or fan out in parallel (split).
+    // Merged text goes through the binary side-car cache: a hit, or the
+    // side-car a miss writes, streams like a `.titb`, and without the
+    // cache the text streams itself; the other layouts stream as given.
     let input = match input {
         TraceInput::MergedText(path) => {
             let (input, outcome) = stream::open_merged_cached(&path, args.ranks, args.cache)

@@ -260,11 +260,12 @@ pub fn action_to_op(action: &Action) -> MpiOp {
 }
 
 /// Replays `ranks` ranks of `input` on `platform` under `config` — the
-/// one replay entry. Merged text is decoded up front; split fragments and
-/// `.titb` blocks stream per rank, so resident memory stays bounded by
-/// the cursors' read windows; an in-memory trace must have exactly
-/// `ranks` ranks. `config.threads >= 2` replays coupling islands
-/// concurrently (bit-identical results). The report carries the metrics
+/// one replay entry. Every on-disk layout streams per rank — merged text
+/// through its ranks' byte runs, split fragments whole, `.titb` through
+/// its ranks' blocks — so resident memory stays bounded by the cursors'
+/// read windows; an in-memory trace must have exactly `ranks` ranks.
+/// `config.threads >= 2` replays coupling islands concurrently
+/// (bit-identical results). The report carries the metrics
 /// always, the spans when `record_spans` is set, and the wall-clock
 /// profile.
 ///
@@ -344,6 +345,7 @@ pub fn trace_signature(input: &TraceInput, ranks: u32) -> String {
         TraceInput::Description(p) => file_signature("split", p, ranks),
         TraceInput::Binary(p) => file_signature("titb", p, ranks),
         TraceInput::OpenBinary(titb) => file_signature("titb", titb.path(), ranks),
+        TraceInput::OpenText(text) => file_signature("text", text.path(), ranks),
     }
 }
 

@@ -29,16 +29,12 @@ use std::time::Instant;
 use platform::{HostId, LinkId, Platform};
 use simkernel::obs::{Metrics, RunObservation, SpanLog};
 use smpi::SmpiResult;
-use titrace::binfmt::TitbFile;
 use titrace::{ActionSource, TraceInput};
 
 use crate::engine::{self, check_fault, FaultSlot, ReplayOps};
 use crate::partition::{island_links, partition_ranks, scan_until_collective, Island};
 use crate::profile::{ReplayProfile, WorkerProfile};
 use crate::{ReplayConfig, ReplayReport, ReplayResult};
-
-/// Hands out a fresh set of per-rank cursors over one trace.
-type OpenSources<'a> = dyn Fn() -> Result<Vec<Box<dyn ActionSource>>, String> + 'a;
 
 /// One island's share of the work, handed to a worker thread. `dyn
 /// OpSource` is not `Send`, so a job carries the raw `ActionSource`
@@ -71,22 +67,10 @@ pub(crate) fn replay_islands(
     record_spans: bool,
     started: Instant,
 ) -> Result<ReplayReport, String> {
-    // The sources are opened twice (scan, then replay): decode merged
-    // text, and open and verify a `.titb`, once up front.
-    let open: Box<OpenSources> = match input {
-        TraceInput::MergedText(_) => {
-            let trace = titrace::stream::load_trace(input, ranks).map_err(|e| e.to_string())?;
-            let trace = Arc::new(trace);
-            Box::new(move || Ok(titrace::stream::memory_sources(&trace)))
-        }
-        TraceInput::Binary(path) => {
-            let titb = TitbFile::open(path, ranks).map_err(|e| e.to_string())?;
-            Box::new(move || Ok(titb.cursors()))
-        }
-        other => {
-            Box::new(move || titrace::stream::open_sources(other, ranks).map_err(|e| e.to_string()))
-        }
-    };
+    // Open the input once (index merged text, open and verify a `.titb`):
+    // the scan and the replay then take cursor sets from the one handle.
+    let input = titrace::stream::open_input(input, ranks).map_err(|e| e.to_string())?;
+    let open = || titrace::stream::open_sources(&input, ranks).map_err(|e| e.to_string());
     let scan = scan_until_collective(open()?)?;
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let part = partition_ranks(&scan, platform, &hosts);

@@ -14,12 +14,19 @@
 //! checking that the table fits in the file, so a hostile rank count
 //! allocates nothing) and verifies the payload checksum in one
 //! sequential pass through a 64 KiB buffer. Its [`TitbFile::cursors`]
-//! decode each rank's block from a window of at most 16 KiB, refilled
-//! with one seek and one read through the shared file handle whenever
-//! fewer bytes remain than the longest action encoding. A replay
-//! therefore holds O(ranks · 16 KiB) of the trace whatever its length.
-//! [`read_file`] decodes through the same cursors, one rank at a time;
-//! [`decode`] is the in-memory codec over a whole image.
+//! decode each rank's block from a window of at most 16 KiB (the window
+//! type text cursors read through too), refilled with one seek and one
+//! read through the shared file handle whenever fewer bytes remain than
+//! the longest action encoding. A replay therefore holds O(ranks · 16
+//! KiB) of the trace whatever its length. [`read_file`] decodes through
+//! the same cursors, one rank at a time; [`decode`] is the in-memory
+//! codec over a whole image.
+//!
+//! ## Writing
+//!
+//! One writer drains one action source per rank into a file, one rank at
+//! a time: a side-car is written from the text cursors this way, and
+//! [`write_file`] is the same writer over a decoded trace's lists.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -44,13 +51,12 @@
 //! the u64⇄f64 round-trip is exact) are varint-encoded, which is what
 //! makes the format compact: LU traces are dominated by them.
 
-use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::files::FileError;
 use crate::stream::{ActionSource, SourceError};
+use crate::window::{SharedFile, Window, WINDOW};
 use crate::{Action, Rank, Trace};
 
 /// The four magic bytes opening every `.titb` file.
@@ -651,9 +657,20 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, BinError> {
 // File I/O
 // ----------------------------------------------------------------------
 
-/// Writes `trace` to `path` as `.titb`, streaming rank blocks through a
-/// buffered writer (one small scratch buffer, not a whole-file image):
-/// a placeholder header is written first and patched once the payload
+/// Writes `trace` to `path` as `.titb`: `write_sources` over cursors of
+/// the trace's own action lists.
+///
+/// # Errors
+/// Propagates I/O failures (with the path).
+pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result<(), FileError> {
+    let sources = trace.iter().map(|(_, actions)| actions.iter()).collect();
+    write_sources(sources, path, sig)?.map_err(|e| e.into_file_error(path))
+}
+
+/// Writes the actions `sources` yield (one source per rank, in rank
+/// order) to `path` as `.titb`, draining one rank at a time through a
+/// buffered writer (one small scratch buffer, not a whole-file image): a
+/// placeholder header is written first and patched once the payload
 /// lengths and checksum are known.
 ///
 /// The file is assembled in a uniquely named temp sibling and moved
@@ -663,56 +680,75 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, BinError> {
 /// interleaving.
 ///
 /// # Errors
-/// Propagates I/O failures (with the path).
-pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result<(), FileError> {
+/// The outer error is the write's (with the path); the inner one is the
+/// first failure of a source, after which nothing is left at `path`.
+pub(crate) fn write_sources<S: ActionSource>(
+    sources: Vec<S>,
+    path: &Path,
+    sig: Option<(u64, u64)>,
+) -> Result<Result<(), SourceError>, FileError> {
     static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let tmp = path.with_extension(format!(
         "titb.tmp.{}.{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
-    let result = write_file_at(trace, &tmp, sig).and_then(|()| {
-        std::fs::rename(&tmp, path).map_err(|e| FileError::Io(path.to_path_buf(), e))
+    let result = write_file_at(sources, &tmp, sig).and_then(|written| {
+        if written.is_ok() {
+            std::fs::rename(&tmp, path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
+        }
+        Ok(written)
     });
-    if result.is_err() {
+    if !matches!(result, Ok(Ok(()))) {
         let _ = std::fs::remove_file(&tmp);
     }
     result
 }
 
-fn write_file_at(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result<(), FileError> {
+fn write_file_at<S: ActionSource>(
+    sources: Vec<S>,
+    path: &Path,
+    sig: Option<(u64, u64)>,
+) -> Result<Result<(), SourceError>, FileError> {
     let io_err = |e: io::Error| FileError::Io(path.to_path_buf(), e);
+    let ranks = u32::try_from(sources.len()).expect("rank count fits u32");
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut out = io::BufWriter::new(file);
-    let table_len = TABLE_ENTRY * trace.ranks() as usize;
-    out.write_all(&vec![0u8; HEADER_FIXED + table_len])
+    out.write_all(&vec![0u8; HEADER_FIXED + TABLE_ENTRY * sources.len()])
         .map_err(io_err)?;
-    let mut blocks = Vec::with_capacity(trace.ranks() as usize);
+    let mut blocks = Vec::with_capacity(sources.len());
     let mut fnv = Fnv1a::new();
     let mut offset = 0u64;
     let mut scratch = Vec::with_capacity(32);
-    for (_, actions) in trace.iter() {
+    for mut source in sources {
         let block_start = offset;
-        for a in actions {
+        let mut count = 0u64;
+        loop {
+            let action = match source.next_action() {
+                Ok(Some(action)) => action,
+                Ok(None) => break,
+                Err(e) => return Ok(Err(e)),
+            };
             scratch.clear();
-            encode_action(a, &mut scratch);
+            encode_action(&action, &mut scratch);
             fnv.update(&scratch);
             out.write_all(&scratch).map_err(io_err)?;
             offset += scratch.len() as u64;
+            count += 1;
         }
         blocks.push(Block {
             offset: block_start,
             len: offset - block_start,
-            count: actions.len() as u64,
+            count,
         });
     }
     out.flush().map_err(io_err)?;
     let mut file = out.into_inner().map_err(|e| io_err(e.into_error()))?;
     file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-    file.write_all(&header_bytes(trace.ranks(), &blocks, sig, fnv.digest()))
+    file.write_all(&header_bytes(ranks, &blocks, sig, fnv.digest()))
         .map_err(io_err)?;
     file.sync_data().ok();
-    Ok(())
+    Ok(Ok(()))
 }
 
 /// Reads and decodes a `.titb` file through the same windowed cursors a
@@ -734,9 +770,6 @@ pub fn open_cursors(path: &Path, ranks: u32) -> Result<Vec<Box<dyn ActionSource>
     Ok(TitbFile::open(path, ranks)?.cursors())
 }
 
-/// Bytes a cursor decodes from between two reads of the file.
-const WINDOW: usize = 16 * 1024;
-
 /// The longest action encoding (an opcode and two ten-byte varints is
 /// 21 bytes), rounded up. A cursor refills its window before decoding
 /// from fewer bytes than this, so a decode never meets a window edge:
@@ -755,9 +788,8 @@ const HASH_BUF: usize = 64 * 1024;
 /// the file.
 #[derive(Debug)]
 pub struct TitbFile {
-    file: Arc<Mutex<File>>,
+    file: SharedFile,
     header: Header,
-    path: Arc<Path>,
 }
 
 impl TitbFile {
@@ -775,7 +807,7 @@ impl TitbFile {
     pub(crate) fn expect_ranks(&self, ranks: u32) -> Result<(), FileError> {
         if self.header.ranks != ranks {
             return Err(FileError::Description(
-                self.path.to_path_buf(),
+                self.path().to_path_buf(),
                 format!(
                     "binary trace holds {} ranks, {ranks} requested",
                     self.header.ranks
@@ -791,10 +823,11 @@ impl TitbFile {
     pub(crate) fn open_unverified(path: &Path) -> Result<TitbFile, FileError> {
         let io_err = |e| FileError::Io(path.to_path_buf(), e);
         let bin_err = |e| FileError::Bin(path.to_path_buf(), e);
-        let mut file = File::open(path).map_err(io_err)?;
+        let shared = SharedFile::open(path).map_err(io_err)?;
+        let mut file = shared.lock();
         let len = file.metadata().map_err(io_err)?.len();
         let mut fixed = Vec::with_capacity(HEADER_FIXED);
-        (&mut file)
+        (&mut *file)
             .take(HEADER_FIXED as u64)
             .read_to_end(&mut fixed)
             .map_err(io_err)?;
@@ -805,26 +838,26 @@ impl TitbFile {
         let mut table = vec![0u8; table_len];
         file.read_exact(&mut table).map_err(io_err)?;
         let blocks = parse_table(&table, len - start).map_err(bin_err)?;
+        drop(file);
         Ok(TitbFile {
-            file: Arc::new(Mutex::new(file)),
+            file: shared,
             header: Header {
                 ranks,
                 blocks,
                 source_signature,
                 checksum,
             },
-            path: Arc::from(path),
         })
     }
 
     /// Hashes the payload in one sequential buffered pass and checks it
     /// against the header.
     pub(crate) fn verify(self) -> Result<TitbFile, FileError> {
-        let io_err = |e| FileError::Io(self.path.to_path_buf(), e);
+        let io_err = |e| FileError::Io(self.path().to_path_buf(), e);
         let payload_len: u64 = self.header.blocks.iter().map(|b| b.len).sum();
         let mut fnv = Fnv1a::new();
         {
-            let mut file = lock_file(&self.file);
+            let mut file = self.file.lock();
             file.seek(SeekFrom::Start(self.header.payload_start() as u64))
                 .map_err(io_err)?;
             let mut buf = vec![0u8; HASH_BUF];
@@ -837,7 +870,7 @@ impl TitbFile {
             }
         }
         check_digest(&self.header, fnv.digest())
-            .map_err(|e| FileError::Bin(self.path.to_path_buf(), e))?;
+            .map_err(|e| FileError::Bin(self.path().to_path_buf(), e))?;
         Ok(self)
     }
 
@@ -848,7 +881,7 @@ impl TitbFile {
 
     /// The file this handle reads.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// One incremental [`ActionSource`] per rank, each at the start of
@@ -883,12 +916,10 @@ impl TitbFile {
             // count can never justify more capacity than the block length.
             let cap = usize::try_from(block.count.min(block.len)).unwrap_or(0);
             let mut actions = Vec::with_capacity(cap);
-            while let Some(a) = cursor.next_action().map_err(|e| match e {
-                SourceError::Io(p, e) => FileError::Io(p, e),
-                SourceError::Bin(p, e) => FileError::Bin(p, e),
-                // A block cursor fails only on I/O or decoding.
-                other => FileError::Description(self.path.to_path_buf(), other.to_string()),
-            })? {
+            while let Some(a) = cursor
+                .next_action()
+                .map_err(|e| e.into_file_error(self.path()))?
+            {
                 actions.push(a);
             }
             per_rank.push(actions);
@@ -905,40 +936,21 @@ impl TitbFile {
         );
         let block = self.header.blocks[r];
         let start = self.header.payload_start() as u64 + block.offset;
+        let capacity = usize::try_from(block.len).map_or(window, |len| len.min(window));
         BlockCursor {
-            file: Arc::clone(&self.file),
-            path: Arc::clone(&self.path),
+            window: Window::new(self.file.clone(), start, start + block.len, capacity),
             rank: r as u32,
-            window: Vec::new(),
-            capacity: usize::try_from(block.len).map_or(window, |len| len.min(window)),
-            pos: 0,
-            next_read: start,
-            end: start + block.len,
             remaining: block.count,
             origin,
         }
     }
 }
 
-/// Locks the shared file. Every read seeks first, so a holder that
-/// panicked leaves nothing a later reader depends on.
-fn lock_file(file: &Mutex<File>) -> MutexGuard<'_, File> {
-    file.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Incremental decoder over one rank's block of an open `.titb` file.
-/// `window` holds the file bytes `next_read - window.len() ..
-/// next_read`, of which `pos..` are not yet decoded; it is allocated on
-/// the first pull and never grows past `capacity`.
+/// Incremental decoder over one rank's block of an open `.titb` file,
+/// through a window of the block.
 struct BlockCursor {
-    file: Arc<Mutex<File>>,
-    path: Arc<Path>,
+    window: Window,
     rank: u32,
-    window: Vec<u8>,
-    capacity: usize,
-    pos: usize,
-    next_read: u64,
-    end: u64,
     remaining: u64,
     /// Varint offsets in errors count from this file offset: 0 for
     /// replay cursors, the block start for [`TitbFile::read_trace`].
@@ -954,58 +966,38 @@ impl BlockCursor {
     fn in_block(&self, e: BinError) -> BinError {
         match e {
             BinError::Truncated => BinError::BlockLengthMismatch { rank: self.rank },
-            BinError::OverlongVarint { offset } => {
-                let window_start = self.next_read - self.window.len() as u64;
-                BinError::OverlongVarint {
-                    offset: (window_start + offset as u64 - self.origin) as usize,
-                }
-            }
+            BinError::OverlongVarint { offset } => BinError::OverlongVarint {
+                offset: (self.window.file_offset(offset) - self.origin) as usize,
+            },
             other => other,
         }
-    }
-
-    /// Moves the undecoded tail to the front of the window and fills the
-    /// rest from the file with one seek and one read.
-    fn refill(&mut self) -> io::Result<()> {
-        self.window.drain(..self.pos);
-        self.pos = 0;
-        let kept = self.window.len();
-        let n = (self.end - self.next_read).min((self.capacity - kept) as u64) as usize;
-        self.window.reserve_exact(self.capacity - kept);
-        self.window.resize(kept + n, 0);
-        let mut file = lock_file(&self.file);
-        let read = file
-            .seek(SeekFrom::Start(self.next_read))
-            .and_then(|_| file.read_exact(&mut self.window[kept..]));
-        if read.is_err() {
-            // Leave only bytes that came from the file.
-            self.window.truncate(kept);
-        }
-        read?;
-        self.next_read += n as u64;
-        Ok(())
     }
 }
 
 impl ActionSource for BlockCursor {
     fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
         if self.remaining == 0 {
-            if self.pos != self.window.len() || self.next_read != self.end {
+            if self.window.unconsumed() != 0 || !self.window.read_all() {
                 let e = BinError::BlockLengthMismatch { rank: self.rank };
-                return Err(SourceError::Bin(self.path.to_path_buf(), e));
+                return Err(SourceError::Bin(self.window.path().to_path_buf(), e));
             }
             return Ok(None);
         }
-        if self.window.len() - self.pos < MAX_ACTION && self.next_read < self.end {
-            self.refill()
-                .map_err(|e| SourceError::Io(self.path.to_path_buf(), e))?;
+        if self.window.unconsumed() < MAX_ACTION && !self.window.read_all() {
+            if let Err(e) = self.window.refill() {
+                return Err(SourceError::Io(self.window.path().to_path_buf(), e));
+            }
         }
-        match decode_action(&self.window, &mut self.pos) {
+        let (bytes, pos) = self.window.parts();
+        match decode_action(bytes, pos) {
             Ok(action) => {
                 self.remaining -= 1;
                 Ok(Some(action))
             }
-            Err(e) => Err(SourceError::Bin(self.path.to_path_buf(), self.in_block(e))),
+            Err(e) => Err(SourceError::Bin(
+                self.window.path().to_path_buf(),
+                self.in_block(e),
+            )),
         }
     }
 

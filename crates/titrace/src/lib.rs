@@ -33,6 +33,7 @@ pub mod parse;
 pub mod stats;
 pub mod stream;
 pub mod validate;
+mod window;
 pub mod write;
 
 pub use parse::ParseError;

@@ -1,36 +1,40 @@
 //! Streaming trace ingestion.
 //!
 //! * **One text grammar.** [`parse_line_bytes`] is the only definition of
-//!   the format and of its errors (≈ 75–90 ns per line).
-//! * **One merged-text decoder.** [`load_merged`] makes a single pass over
-//!   the file through a fixed 1 MiB buffer (`decode_reader`). *Carry
+//!   the format and of its errors (≈ 75–90 ns per line). Each line first
+//!   goes to `fast_line`, byte loops for the lines `write` emits (≈ 40 ns
+//!   per line, ≈ 60 when it carries a float); whatever it does not
+//!   recognise it rejects without building an error, and that one line
+//!   goes to [`parse_line_bytes`]. A line longer than [`MAX_LINE`] is an
+//!   error, not an allocation.
+//! * **Merged text streams per rank.** [`TextFile::open`] makes one pass
+//!   through a 1 MiB buffer that reads only each line's rank token and
+//!   records the byte runs each rank's lines occupy; its cursors read
+//!   those runs through windows of at most 16 KiB. A faulty line fails
+//!   exactly as [`load_merged`] reports it, text and line number.
+//! * **One whole-file decoder.** [`load_merged`] decodes a merged file in
+//!   a single pass through a fixed 1 MiB buffer into a [`Trace`] (*carry
 //!   invariant:* between refills the buffer holds only the unterminated
-//!   start of the next line, so resident memory is the decoded [`Trace`]
-//!   plus the buffer, never the file. *Fast path defers:* each line first
-//!   goes to `fast_line`, byte loops for the lines `write` emits (≈ 40
-//!   ns per line with the demultiplexing, ≈ 60 when it carries a float);
-//!   whatever it does not recognise it rejects without building an error,
-//!   and that one line goes to [`parse_line_bytes`]. A line longer than
-//!   [`MAX_LINE`] is an error, not an allocation. [`parse_merged_bytes`]
-//!   is the same per-line function looped over a slice. Decoding runs on
-//!   the calling thread: the chunk-parallel decoder of PRs 2–14 was
-//!   removed on measurement — read DESIGN.md "Trace formats & ingestion"
-//!   before adding one back.
+//!   start of the next line); [`parse_merged_bytes`] is the same per-line
+//!   function looped over a slice. Decoding runs on the calling thread:
+//!   a chunk-parallel decoder was removed on measurement — read
+//!   DESIGN.md "Trace formats & ingestion" before adding one back.
 //! * an [`ActionSource`] **cursor abstraction** that lets the replay
 //!   engines pull actions per rank incrementally, bounding resident
-//!   memory to O(ranks · window) for split text files and `.titb`
-//!   binary traces;
-//! * an automatic **binary side-car cache** ([`open_merged_cached`]):
-//!   parsing a merged text trace drops a `.titb` next to it, keyed on
-//!   the source's size + mtime, and later replays stream the side-car
-//!   like any `.titb`.
+//!   memory to O(ranks · window) for merged and split text files and
+//!   `.titb` binary traces alike ([`open_sources`]);
+//! * an automatic **binary side-car cache** ([`open_merged_cached`]): a
+//!   merged text trace read without a valid side-car gets a `.titb` next
+//!   to it, keyed on the source's size + mtime, and every replay of it
+//!   streams the side-car like any `.titb`.
 
-use std::io::{self, BufRead};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::files::FileError;
 use crate::parse::ParseError;
+use crate::window::{SharedFile, Window, WINDOW};
 use crate::{binfmt, Action, Rank, Trace};
 
 // ----------------------------------------------------------------------
@@ -226,35 +230,58 @@ fn fast_line(buf: &[u8]) -> Option<(usize, Rank, Action)> {
     (f.0.first() == Some(&b'\n')).then(|| (buf.len() - f.0.len(), rank, action))
 }
 
+/// The first line of `buf` if `buf` holds all of it: its length without
+/// the `\n`, and its value when the fast path decoded it (`None` leaves
+/// the line to [`parse_line_bytes`]).
+fn split_line(buf: &[u8]) -> Option<(usize, Option<(Rank, Action)>)> {
+    match fast_line(buf) {
+        Some((len, rank, action)) => Some((len, Some((rank, action)))),
+        None => Some((buf.iter().position(|&b| b == b'\n')?, None)),
+    }
+}
+
+fn out_of_range(rank: Rank, ranks: usize, line: usize) -> ParseError {
+    err(
+        line,
+        format!("rank {rank} out of range (trace has {ranks} ranks)"),
+    )
+}
+
 /// Per-rank action lists under construction, with the count of lines
 /// consumed so far: every error carries its global 1-based line number.
+/// A checking demux ([`Demux::checking`]) decodes and checks every line
+/// the same way but keeps no action.
 struct Demux {
     per_rank: Vec<Vec<Action>>,
+    ranks: usize,
     line: usize,
 }
 
 impl Demux {
     fn new(ranks: u32) -> Demux {
-        let per_rank = vec![Vec::new(); ranks as usize];
-        Demux { per_rank, line: 0 }
+        Demux {
+            per_rank: vec![Vec::new(); ranks as usize],
+            ..Demux::checking(ranks)
+        }
+    }
+
+    fn checking(ranks: u32) -> Demux {
+        Demux {
+            per_rank: Vec::new(),
+            ranks: ranks as usize,
+            line: 0,
+        }
     }
 
     /// Decodes every `\n`-terminated line of `bytes`; returns where the
     /// unterminated rest starts.
     fn push_lines(&mut self, bytes: &[u8]) -> Result<usize, ParseError> {
         let mut start = 0;
-        loop {
-            let rest = &bytes[start..];
-            let (len, fast) = match fast_line(rest) {
-                Some((len, rank, action)) => (len, Some((rank, action))),
-                None => match rest.iter().position(|&b| b == b'\n') {
-                    Some(len) => (len, None),
-                    None => return Ok(start),
-                },
-            };
-            self.push_line(&rest[..len], fast)?;
+        while let Some((len, fast)) = split_line(&bytes[start..]) {
+            self.push_line(&bytes[start..start + len], fast)?;
             start += len + 1;
         }
+        Ok(start)
     }
 
     /// Files the action of one line (`raw`, without its `\n`), decoding
@@ -269,22 +296,63 @@ impl Demux {
             some => some,
         };
         if let Some((rank, action)) = parsed {
-            let ranks = self.per_rank.len();
-            let list = self.per_rank.get_mut(rank.as_usize()).ok_or_else(|| {
-                let message = format!("rank {rank} out of range (trace has {ranks} ranks)");
-                err(self.line, message)
-            })?;
-            list.push(action);
+            if rank.as_usize() >= self.ranks {
+                return Err(out_of_range(rank, self.ranks, self.line));
+            }
+            if let Some(list) = self.per_rank.get_mut(rank.as_usize()) {
+                list.push(action);
+            }
         }
         Ok(())
     }
 
-    /// Decodes the unterminated last line, if any, and builds the trace.
-    fn finish(mut self, last: &[u8]) -> Result<Trace, ParseError> {
-        if !last.is_empty() {
-            self.push_line(last, None)?;
+    /// Decodes the unterminated last line, if any.
+    fn push_last(&mut self, last: &[u8]) -> Result<(), ParseError> {
+        if last.is_empty() {
+            return Ok(());
         }
-        Ok(Trace::from_actions(self.per_rank))
+        self.push_line(last, None)
+    }
+
+    fn into_trace(self) -> Trace {
+        Trace::from_actions(self.per_rank)
+    }
+
+    /// Decodes `reader` to its end in one pass through a buffer of
+    /// `buf_len` bytes, which grows only while it is smaller than a line
+    /// and never past [`MAX_LINE`]` + 1`. Between refills `buf[..carried]`
+    /// is the unterminated start of the next line.
+    ///
+    /// # Errors
+    /// The outer error is the reader's; the inner one is the first line
+    /// that fails to parse, exactly as [`parse_merged_bytes`] reports it.
+    fn read(
+        &mut self,
+        mut reader: impl io::Read,
+        buf_len: usize,
+    ) -> io::Result<Result<(), ParseError>> {
+        let mut buf = vec![0u8; buf_len.max(1)];
+        let mut carried = 0;
+        loop {
+            let end = match reader.read(&mut buf[carried..]) {
+                Ok(0) => return Ok(self.push_last(&buf[..carried])),
+                Ok(n) => carried + n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let rest = match self.push_lines(&buf[..end]) {
+                Ok(rest) => rest,
+                Err(e) => return Ok(Err(e)),
+            };
+            buf.copy_within(rest..end, 0);
+            carried = end - rest;
+            if carried > MAX_LINE {
+                return Ok(Err(too_long(self.line + 1)));
+            }
+            if carried == buf.len() {
+                buf.resize((2 * carried).min(MAX_LINE + 1), 0);
+            }
+        }
     }
 }
 
@@ -296,45 +364,33 @@ impl Demux {
 pub fn parse_merged_bytes(bytes: &[u8], ranks: u32) -> Result<Trace, ParseError> {
     let mut demux = Demux::new(ranks);
     let rest = demux.push_lines(bytes)?;
-    demux.finish(&bytes[rest..])
+    demux.push_last(&bytes[rest..])?;
+    Ok(demux.into_trace())
 }
 
-/// Decodes a merged trace from `reader` in one pass through a buffer of
-/// `buf_len` bytes, which grows only while it is smaller than a line and
-/// never past [`MAX_LINE`]` + 1`. Between refills `buf[..carried]` is the
-/// unterminated start of the next line.
+/// Decodes a merged trace from `reader` through a buffer of `buf_len`
+/// bytes ([`Demux::read`]).
 ///
 /// # Errors
 /// The outer error is the reader's; the inner one is the first line
 /// that fails to parse, exactly as [`parse_merged_bytes`] reports it.
 pub(crate) fn decode_reader(
-    mut reader: impl io::Read,
+    reader: impl io::Read,
     ranks: u32,
     buf_len: usize,
 ) -> io::Result<Result<Trace, ParseError>> {
     let mut demux = Demux::new(ranks);
-    let mut buf = vec![0u8; buf_len.max(1)];
-    let mut carried = 0;
-    loop {
-        let end = match reader.read(&mut buf[carried..]) {
-            Ok(0) => return Ok(demux.finish(&buf[..carried])),
-            Ok(n) => carried + n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        let rest = match demux.push_lines(&buf[..end]) {
-            Ok(rest) => rest,
-            Err(e) => return Ok(Err(e)),
-        };
-        buf.copy_within(rest..end, 0);
-        carried = end - rest;
-        if carried > MAX_LINE {
-            return Ok(Err(too_long(demux.line + 1)));
-        }
-        if carried == buf.len() {
-            buf.resize((2 * carried).min(MAX_LINE + 1), 0);
-        }
-    }
+    Ok(demux.read(reader, buf_len)?.map(|()| demux.into_trace()))
+}
+
+/// Decodes `path` up to byte `upto` as [`load_merged`] does, keeping no
+/// action: the first error there, or the number of lines read.
+fn first_error(path: &Path, ranks: u32, upto: u64) -> io::Result<Result<usize, ParseError>> {
+    let mut demux = Demux::checking(ranks);
+    let file = std::fs::File::open(path)?;
+    Ok(demux
+        .read(io::Read::take(file, upto), READ_BUF)?
+        .map(|()| demux.line))
 }
 
 /// Chooses the worker count for `items` independent work units (split
@@ -440,6 +496,19 @@ impl std::fmt::Display for SourceError {
 
 impl std::error::Error for SourceError {}
 
+impl SourceError {
+    /// The error as a [`FileError`]; a failure that names no file is put
+    /// on `path`.
+    pub fn into_file_error(self, path: &Path) -> FileError {
+        match self {
+            SourceError::Io(p, e) => FileError::Io(p, e),
+            SourceError::Parse(p, e) => FileError::Parse(p, e),
+            SourceError::Bin(p, e) => FileError::Bin(p, e),
+            other => FileError::Description(path.to_path_buf(), other.to_string()),
+        }
+    }
+}
+
 /// An incremental cursor over one rank's action stream. Unlike a
 /// materialised [`Trace`], a source may be backed by a file and read
 /// lazily, so pulling can fail.
@@ -496,65 +565,417 @@ pub fn memory_sources(trace: &Arc<Trace>) -> Vec<Box<dyn ActionSource>> {
         .collect()
 }
 
-/// An [`ActionSource`] streaming one rank's split text file through a
-/// buffered reader — resident memory is one line of at most [`MAX_LINE`]
-/// bytes, not the file.
-pub struct TextFileSource {
-    path: PathBuf,
-    reader: io::BufReader<std::fs::File>,
-    rank: Rank,
-    line: usize,
-    buf: Vec<u8>,
-}
+/// A boxed cursor is a cursor.
+impl<S: ActionSource + ?Sized> ActionSource for Box<S> {
+    fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
+        (**self).next_action()
+    }
 
-impl TextFileSource {
-    /// Opens `path` as the action stream of `rank`.
-    ///
-    /// # Errors
-    /// Propagates the open failure.
-    pub fn open(path: &Path, rank: Rank) -> Result<TextFileSource, SourceError> {
-        let file = std::fs::File::open(path).map_err(|e| SourceError::Io(path.to_path_buf(), e))?;
-        Ok(TextFileSource {
-            path: path.to_path_buf(),
-            reader: io::BufReader::new(file),
-            rank,
-            line: 0,
-            buf: Vec::with_capacity(80),
-        })
+    fn remaining_hint(&self) -> Option<u64> {
+        (**self).remaining_hint()
     }
 }
 
-impl ActionSource for TextFileSource {
+/// A rank's actions straight from an in-memory list (how
+/// [`binfmt::write_file`] feeds the writer a decoded trace).
+impl ActionSource for std::slice::Iter<'_, Action> {
+    fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
+        Ok(self.next().copied())
+    }
+
+    fn remaining_hint(&self) -> Option<u64> {
+        Some(self.len() as u64)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Streaming text
+// ----------------------------------------------------------------------
+
+/// A byte range of a text trace holding consecutive lines of one rank,
+/// with any blank or comment lines among or after them. It starts at a
+/// line start and ends at one, or at the end of the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    start: u64,
+    end: u64,
+}
+
+/// A merged text trace opened for streaming. Opening makes one pass
+/// through a 1 MiB buffer that reads only each line's rank token, checks
+/// it and the line's length, and records the byte [`Run`]s each rank's
+/// lines occupy: one per rank for the rank-major files every writer here
+/// emits, one per rank switch for an interleaved file. [`TextFile::cursors`]
+/// then read each rank's runs through a window of at most 16 KiB, so
+/// resident memory is O(ranks · window) plus the runs, never the file or
+/// its decoded actions. Any number of cursor sets can be handed out.
+///
+/// Errors are [`load_merged`]'s, text and line number: opening fails on
+/// the first unreadable rank token, out-of-range rank or overlong line,
+/// and a cursor on any other faulty line — each reporting the first
+/// error of the file up to that line, found by decoding it again (only
+/// on the error path; runs carry no line numbers).
+#[derive(Debug)]
+pub struct TextFile {
+    file: SharedFile,
+    ranks: u32,
+    runs: Vec<Arc<[Run]>>,
+}
+
+impl TextFile {
+    /// Opens `path` as a merged text trace of `ranks` ranks and indexes
+    /// its runs.
+    ///
+    /// # Errors
+    /// I/O failures, and a line [`load_merged`] would refuse for its rank
+    /// token or its length (or an earlier line it would refuse first).
+    pub fn open(path: &Path, ranks: u32) -> Result<TextFile, FileError> {
+        let io_err = |e| FileError::Io(path.to_path_buf(), e);
+        let file = SharedFile::open(path).map_err(io_err)?;
+        let indexed = index_runs(&mut *file.lock(), ranks).map_err(io_err)?;
+        let runs = match indexed {
+            Ok(runs) => runs,
+            Err((upto, own)) => {
+                let e = match first_error(path, ranks, upto).map_err(io_err)? {
+                    Err(first) => first,
+                    Ok(_) => own,
+                };
+                return Err(FileError::Parse(path.to_path_buf(), e));
+            }
+        };
+        Ok(TextFile {
+            file,
+            ranks,
+            runs: runs.into_iter().map(Arc::from).collect(),
+        })
+    }
+
+    /// The file this handle reads.
+    pub fn path(&self) -> &Path {
+        self.file.path()
+    }
+
+    /// Fails unless the file was opened for exactly `ranks` ranks.
+    fn expect_ranks(&self, ranks: u32) -> Result<(), FileError> {
+        if self.ranks != ranks {
+            return Err(FileError::Description(
+                self.path().to_path_buf(),
+                format!(
+                    "text trace opened for {} ranks, {ranks} requested",
+                    self.ranks
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// One incremental [`ActionSource`] per rank, each at the start of
+    /// its first run.
+    pub fn cursors(&self) -> Vec<Box<dyn ActionSource>> {
+        self.cursors_with_window(WINDOW)
+    }
+
+    fn cursors_with_window(&self, window: usize) -> Vec<Box<dyn ActionSource>> {
+        let cursor = |(r, runs): (usize, &Arc<[Run]>)| {
+            let runs = Arc::clone(runs);
+            let cursor =
+                TextCursor::new(self.file.clone(), runs, Rank(r as u32), self.ranks, window);
+            Box::new(cursor) as Box<dyn ActionSource>
+        };
+        self.runs.iter().enumerate().map(cursor).collect()
+    }
+}
+
+/// Bit `i` set where `block[i]` is a `\n`.
+fn newline_bits(block: &[u8; 64]) -> u64 {
+    const LOW7: u64 = u64::from_le_bytes([0x7f; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    // Gathers the top bit of each byte into the top byte, in order.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut bits = 0;
+    for (i, word) in block.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ NEWLINES;
+        // A byte's top bit survives only where `x` has a zero byte: no
+        // carry crosses bytes, so no other byte is flagged.
+        let zeros = !((((x & LOW7) + LOW7) | x) | LOW7);
+        bits |= ((zeros >> 7).wrapping_mul(GATHER) >> 56) << (8 * i);
+    }
+    bits
+}
+
+/// The state of the index pass of [`TextFile::open`].
+struct Indexer {
+    runs: Vec<Vec<Run>>,
+    /// The rank whose run is being read, and where that run starts.
+    open: Option<(usize, u64)>,
+    /// The first token of the last line filed and the blank after it,
+    /// as a word and its mask, when they fit in eight bytes: a line that
+    /// starts with the same bytes names the same rank, unread.
+    prefix: (u64, u64),
+    /// Lines read so far.
+    line: usize,
+}
+
+/// The [`Indexer::prefix`] that matches no line.
+const NO_PREFIX: (u64, u64) = (1, 0);
+
+/// A faulty line: the offset just past it (where a re-decode looking
+/// for an earlier error stops) and its error.
+type Fault = (u64, ParseError);
+
+impl Indexer {
+    /// Files the line `buf[start..nl]` (`nl` is its `\n`, or the end of
+    /// the file), which starts at file offset `base + start`, under its
+    /// rank.
+    #[inline(always)]
+    fn line(&mut self, buf: &[u8], start: usize, nl: usize, base: u64) -> Result<(), Fault> {
+        self.line += 1;
+        let raw = &buf[start..nl];
+        let fault = |e| (base + nl as u64 + 1, e);
+        if raw.len() > MAX_LINE {
+            return Err(fault(too_long(self.line)));
+        }
+        let head = buf
+            .get(start..start + 8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        if head.is_some_and(|w| w & self.prefix.1 == self.prefix.0) {
+            return Ok(());
+        }
+        let Some(rank) = line_rank(raw, self.line).map_err(fault)? else {
+            return Ok(());
+        };
+        let r = rank.as_usize();
+        if r >= self.runs.len() {
+            return Err(fault(out_of_range(rank, self.runs.len(), self.line)));
+        }
+        if self.open.map(|(o, _)| o) != Some(r) {
+            self.close(base + start as u64);
+            self.open = Some((r, base + start as u64));
+        }
+        let token = raw.iter().position(u8::is_ascii_whitespace);
+        self.prefix = match (head, token) {
+            (Some(w), Some(n @ 1..=7)) => {
+                let mask = u64::MAX >> (8 * (7 - n));
+                (w & mask, mask)
+            }
+            _ => NO_PREFIX,
+        };
+        Ok(())
+    }
+
+    /// Ends the open run at file offset `end`.
+    fn close(&mut self, end: u64) {
+        if let Some((r, start)) = self.open.take() {
+            self.runs[r].push(Run { start, end });
+        }
+    }
+}
+
+/// The index pass of [`TextFile::open`]: each rank's runs, in file
+/// order, with newlines found 64 bytes at a time; the first faulty line
+/// stops it.
+fn index_runs(mut reader: impl io::Read, ranks: u32) -> io::Result<Result<Vec<Vec<Run>>, Fault>> {
+    let mut ix = Indexer {
+        runs: vec![Vec::new(); ranks as usize],
+        open: None,
+        prefix: NO_PREFIX,
+        line: 0,
+    };
+    let mut buf = vec![0u8; READ_BUF];
+    // `buf[..carried]` is the unterminated start of a line at file
+    // offset `base`.
+    let (mut carried, mut base) = (0, 0u64);
+    loop {
+        let n = match reader.read(&mut buf[carried..]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let end = carried + n;
+        let mut start = 0;
+        let mut blocks = buf[..end].chunks_exact(64);
+        for (b, block) in blocks.by_ref().enumerate() {
+            let mut bits = newline_bits(block.try_into().expect("64 bytes"));
+            while bits != 0 {
+                let nl = 64 * b + bits.trailing_zeros() as usize;
+                if let Err(fault) = ix.line(&buf[..end], start, nl, base) {
+                    return Ok(Err(fault));
+                }
+                start = nl + 1;
+                bits &= bits - 1;
+            }
+        }
+        let tail = end - blocks.remainder().len();
+        for nl in (tail..end).filter(|&i| buf[i] == b'\n') {
+            if let Err(fault) = ix.line(&buf[..end], start, nl, base) {
+                return Ok(Err(fault));
+            }
+            start = nl + 1;
+        }
+        if n == 0 {
+            // The unterminated last line, if any.
+            if start < end {
+                if let Err(fault) = ix.line(&buf[..end], start, end, base) {
+                    return Ok(Err(fault));
+                }
+            }
+            ix.close(base + end as u64);
+            return Ok(Ok(ix.runs));
+        }
+        buf.copy_within(start..end, 0);
+        base += start as u64;
+        carried = end - start;
+        if carried > MAX_LINE {
+            return Ok(Err((base + carried as u64 + 1, too_long(ix.line + 1))));
+        }
+    }
+}
+
+/// The rank a line is filed under, `None` for a blank or comment line:
+/// its first token, read as [`parse_line_bytes`] reads it, and nothing
+/// after it.
+fn line_rank(raw: &[u8], line: usize) -> Result<Option<Rank>, ParseError> {
+    match raw
+        .split(u8::is_ascii_whitespace)
+        .find(|tok| !tok.is_empty())
+    {
+        Some(tok) if tok[0] != b'#' => parse_rank_tok(tok, line).map(Some),
+        _ => Ok(None),
+    }
+}
+
+/// One rank's lines of a text trace, read through a [`Window`]: its runs
+/// of a merged file, or the whole of its split fragment. Every line is
+/// decoded by the fast path or [`parse_line_bytes`], as [`load_merged`]
+/// decodes it, and must name the cursor's rank. The window grows only to
+/// hold a line longer than itself, never past [`MAX_LINE`]` + 1` bytes.
+struct TextCursor {
+    window: Window,
+    runs: Arc<[Run]>,
+    next_run: usize,
+    rank: Rank,
+    /// The rank count a re-decode on the error path checks lines
+    /// against: the trace's for merged text, none (`u32::MAX`) for a
+    /// split fragment, all of whose earlier lines name the cursor's rank.
+    ranks: u32,
+}
+
+impl TextCursor {
+    fn new(
+        file: SharedFile,
+        runs: Arc<[Run]>,
+        rank: Rank,
+        ranks: u32,
+        window: usize,
+    ) -> TextCursor {
+        let bytes: u64 = runs.iter().map(|run| run.end - run.start).sum();
+        let capacity = usize::try_from(bytes)
+            .map_or(window, |b| b.min(window))
+            .max(1);
+        TextCursor {
+            window: Window::new(file, 0, 0, capacity),
+            runs,
+            next_run: 0,
+            rank,
+            ranks,
+        }
+    }
+
+    /// The cursor's error for the line `len` bytes long at file offset
+    /// `start`: the first error [`load_merged`] meets in the file up to
+    /// and including that line — the same whichever rank's cursor meets
+    /// the damage first — or, if it meets none (a line of another rank),
+    /// `own` given the line's number.
+    #[cold]
+    fn fail(&self, start: u64, len: usize, own: impl FnOnce(usize) -> SourceError) -> SourceError {
+        let path = self.window.path();
+        match first_error(path, self.ranks, start + len as u64 + 1) {
+            Ok(Ok(line)) => own(line),
+            Ok(Err(e)) => SourceError::Parse(path.to_path_buf(), e),
+            Err(e) => SourceError::Io(path.to_path_buf(), e),
+        }
+    }
+
+    /// Reads on in the current run, first growing a window that one
+    /// unterminated line fills.
+    fn refill(&mut self) -> Result<(), SourceError> {
+        if self.window.full() && !self.window.grow(MAX_LINE + 1) {
+            let (start, len) = (self.window.offset(), self.window.unconsumed());
+            let path = self.window.path().to_path_buf();
+            return Err(self.fail(start, len, |line| SourceError::Parse(path, too_long(line))));
+        }
+        let read = self.window.refill();
+        read.map_err(|e| SourceError::Io(self.window.path().to_path_buf(), e))
+    }
+}
+
+impl ActionSource for TextCursor {
     fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
         loop {
-            self.buf.clear();
-            let n = io::Read::take(&mut self.reader, MAX_LINE as u64 + 1)
-                .read_until(b'\n', &mut self.buf)
-                .map_err(|e| SourceError::Io(self.path.clone(), e))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line += 1;
-            if n > MAX_LINE && self.buf.last() != Some(&b'\n') {
-                return Err(SourceError::Parse(self.path.clone(), too_long(self.line)));
-            }
-            match parse_line_bytes(&self.buf, self.line) {
-                Ok(None) => continue,
-                Ok(Some((rank, action))) => {
-                    if rank != self.rank {
-                        return Err(SourceError::WrongRank {
-                            path: self.path.clone(),
-                            expected: self.rank,
-                            found: rank,
-                            line: self.line,
-                        });
-                    }
-                    return Ok(Some(action));
+            let rest = self.window.rest();
+            let (len, fast) = match split_line(rest) {
+                Some(line) => line,
+                None if !self.window.read_all() => {
+                    self.refill()?;
+                    continue;
                 }
-                Err(e) => return Err(SourceError::Parse(self.path.clone(), e)),
+                // The unterminated last line of the file.
+                None if !rest.is_empty() => (rest.len(), None),
+                None => {
+                    let Some(&Run { start, end }) = self.runs.get(self.next_run) else {
+                        return Ok(None);
+                    };
+                    self.next_run += 1;
+                    self.window.jump(start, end);
+                    continue;
+                }
+            };
+            let start = self.window.offset();
+            let parsed = match fast {
+                Some(fast) => Some(fast),
+                None => match parse_line_bytes(&rest[..len], 0) {
+                    Ok(parsed) => parsed,
+                    Err(e) => {
+                        let path = self.window.path().to_path_buf();
+                        let own = |line| SourceError::Parse(path, err(line, e.message));
+                        return Err(self.fail(start, len, own));
+                    }
+                },
+            };
+            let consumed = rest.len().min(len + 1);
+            self.window.consume(consumed);
+            match parsed {
+                Some((rank, action)) if rank == self.rank => return Ok(Some(action)),
+                Some((found, _)) => {
+                    let (path, expected) = (self.window.path().to_path_buf(), self.rank);
+                    let own = |line| SourceError::WrongRank {
+                        path,
+                        expected,
+                        found,
+                        line,
+                    };
+                    return Err(self.fail(start, len, own));
+                }
+                None => {}
             }
         }
     }
+}
+
+/// A cursor over the split fragment `path` of `rank`: one run, the whole
+/// file, every line checked for the rank.
+fn open_fragment(path: &Path, rank: Rank) -> Result<Box<dyn ActionSource>, FileError> {
+    let io_err = |e| FileError::Io(path.to_path_buf(), e);
+    let file = SharedFile::open(path).map_err(io_err)?;
+    let len = file.lock().metadata().map_err(io_err)?.len();
+    let runs = Arc::from([Run { start: 0, end: len }]);
+    Ok(Box::new(TextCursor::new(
+        file,
+        runs,
+        rank,
+        u32::MAX,
+        WINDOW,
+    )))
 }
 
 // ----------------------------------------------------------------------
@@ -576,6 +997,9 @@ pub enum TraceInput {
     /// cursors come from the handle without re-reading its header or
     /// re-hashing its payload.
     OpenBinary(Arc<binfmt::TitbFile>),
+    /// A merged text trace already opened and indexed: cursors come from
+    /// the handle without another index pass.
+    OpenText(Arc<TextFile>),
 }
 
 impl TraceInput {
@@ -602,12 +1026,11 @@ impl TraceInput {
     }
 }
 
-/// Opens per-rank incremental cursors for `input`.
-///
-/// Split description files and binary traces stream (split files keep a
-/// one-line window per rank; binary cursors decode on the fly from a
-/// window of the file). Merged text cannot be streamed per rank without one
-/// scan per rank, so it is decoded up front and served from memory.
+/// Opens per-rank incremental cursors for `input`. Every on-disk layout
+/// streams: merged text (also as the one entry of a description file)
+/// through [`TextFile`]'s windows over each rank's runs, split fragments
+/// through the same text cursor over the whole file, binary traces
+/// through [`binfmt::TitbFile`]'s windows over each rank's block.
 ///
 /// # Errors
 /// Propagates I/O, parse, and layout failures.
@@ -617,33 +1040,51 @@ pub fn open_sources(
 ) -> Result<Vec<Box<dyn ActionSource>>, FileError> {
     match input {
         TraceInput::Memory(trace) => Ok(memory_sources(trace)),
-        TraceInput::MergedText(path) => {
-            let trace = load_merged(path, ranks)?;
-            Ok(memory_sources(&Arc::new(trace)))
+        TraceInput::OpenText(text) => {
+            text.expect_ranks(ranks)?;
+            Ok(text.cursors())
         }
-        TraceInput::Binary(path) => binfmt::open_cursors(path, ranks),
         TraceInput::OpenBinary(titb) => {
             titb.expect_ranks(ranks)?;
             Ok(titb.cursors())
         }
+        TraceInput::Binary(path) => binfmt::open_cursors(path, ranks),
+        TraceInput::MergedText(path) => Ok(TextFile::open(path, ranks)?.cursors()),
         TraceInput::Description(path) => {
             let entries = crate::files::description_entries(path, ranks)?;
-            if entries.len() == 1 {
-                let trace = load_merged(&entries[0].1, ranks)?;
-                return Ok(memory_sources(&Arc::new(trace)));
+            if let [(_, merged)] = entries.as_slice() {
+                return Ok(TextFile::open(merged, ranks)?.cursors());
             }
             entries
                 .iter()
-                .map(|(rank, p)| {
-                    TextFileSource::open(p, *rank)
-                        .map(|s| Box::new(s) as Box<dyn ActionSource>)
-                        .map_err(|e| match e {
-                            SourceError::Io(p, e) => FileError::Io(p, e),
-                            other => FileError::Description(path.to_path_buf(), other.to_string()),
-                        })
-                })
+                .map(|(rank, p)| open_fragment(p, *rank))
                 .collect()
         }
+    }
+}
+
+/// Opens `input` once, so that [`open_sources`] on the result only hands
+/// out cursors: merged text (also as the one entry of a description
+/// file) is indexed into a [`TraceInput::OpenText`], a `.titb` opened and
+/// verified into a [`TraceInput::OpenBinary`]. Other inputs come back as
+/// they are.
+///
+/// # Errors
+/// Propagates I/O, parse, and layout failures.
+pub fn open_input(input: &TraceInput, ranks: u32) -> Result<TraceInput, FileError> {
+    let text = |path: &Path| Ok(TraceInput::OpenText(Arc::new(TextFile::open(path, ranks)?)));
+    match input {
+        TraceInput::MergedText(path) => text(path),
+        TraceInput::Binary(path) => Ok(TraceInput::OpenBinary(Arc::new(binfmt::TitbFile::open(
+            path, ranks,
+        )?))),
+        TraceInput::Description(path) => {
+            match crate::files::description_entries(path, ranks)?.as_slice() {
+                [(_, merged)] => text(merged),
+                _ => Ok(input.clone()),
+            }
+        }
+        _ => Ok(input.clone()),
     }
 }
 
@@ -656,6 +1097,7 @@ pub fn load_trace(input: &TraceInput, ranks: u32) -> Result<Trace, FileError> {
     match input {
         TraceInput::Memory(trace) => Ok(trace.as_ref().clone()),
         TraceInput::MergedText(path) => load_merged(path, ranks),
+        TraceInput::OpenText(text) => load_merged(text.path(), ranks),
         TraceInput::Binary(path) => binfmt::read_file(path),
         TraceInput::OpenBinary(titb) => titb.read_trace(),
         TraceInput::Description(path) => crate::files::read_description(path, ranks),
@@ -704,25 +1146,28 @@ pub fn source_signature(path: &Path) -> io::Result<(u64, u64)> {
     Ok((meta.len(), mtime_ns))
 }
 
-/// How [`load_merged_cached`] obtained the trace (for logging/tests).
+/// How [`open_merged_cached`] or [`load_merged_cached`] obtained the
+/// trace (for logging/tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// The side-car matched the source signature and was loaded.
     Hit,
-    /// The text was parsed and a fresh side-car was written.
+    /// The text was read and a fresh side-car was written.
     MissStored,
-    /// The text was parsed; no side-car was written (disabled or the
+    /// The text was read; no side-car was written (disabled or the
     /// write failed — the cache is best-effort).
     MissUncached,
 }
 
 /// Resolves a merged text trace through its binary side-car cache, as a
-/// replay input: a `.titb` next to the source whose header matches the
-/// source's size+mtime signature and `ranks`, and whose checksum
-/// verifies, is returned open ([`TraceInput::OpenBinary`]), so the
-/// replay streams it through bounded per-rank windows. Otherwise the
-/// text is parsed into memory and, when `cache` is set, the side-car is
-/// (re)written for next time.
+/// replay input that streams through bounded per-rank windows: a `.titb`
+/// next to the source whose header matches the source's size+mtime
+/// signature and `ranks`, and whose checksum verifies, is returned open
+/// ([`TraceInput::OpenBinary`]). Otherwise the text is opened
+/// ([`TextFile::open`]) and, when `cache` is set, the side-car is
+/// (re)written rank by rank from its cursors and the fresh side-car
+/// returned open; without `cache`, or if the write fails, the text itself
+/// is returned open ([`TraceInput::OpenText`]).
 ///
 /// # Errors
 /// Propagates I/O and parse failures of the *source*; a stale or
@@ -736,13 +1181,31 @@ pub fn open_merged_cached(
     if let Some(titb) = cached_sidecar(path, ranks, sig, cache) {
         return Ok((TraceInput::OpenBinary(Arc::new(titb)), CacheOutcome::Hit));
     }
-    let (trace, outcome) = parse_and_store(path, ranks, sig, cache)?;
-    Ok((TraceInput::Memory(Arc::new(trace)), outcome))
+    let text = TextFile::open(path, ranks)?;
+    if cache {
+        // A failed write leaves the text to stream; a faulty text line
+        // fails the open, as it would fail the replay.
+        let sidecar = sidecar_path(path);
+        if let Ok(written) = binfmt::write_sources(text.cursors(), &sidecar, Some(sig)) {
+            written.map_err(|e| e.into_file_error(path))?;
+            if let Ok(titb) = binfmt::TitbFile::open(&sidecar, ranks) {
+                return Ok((
+                    TraceInput::OpenBinary(Arc::new(titb)),
+                    CacheOutcome::MissStored,
+                ));
+            }
+        }
+    }
+    Ok((
+        TraceInput::OpenText(Arc::new(text)),
+        CacheOutcome::MissUncached,
+    ))
 }
 
 /// Loads a merged text trace through its binary side-car cache, like
 /// [`open_merged_cached`], but always as a decoded [`Trace`]: a hit is
-/// decoded from the side-car instead of parsing the text.
+/// decoded from the side-car instead of parsing the text, a miss decodes
+/// the text and, when `cache` is set, writes the side-car from it.
 ///
 /// # Errors
 /// Propagates I/O and parse failures of the *source*; a corrupt or
@@ -756,7 +1219,14 @@ pub fn load_merged_cached(
     if let Some(Ok(trace)) = cached_sidecar(path, ranks, sig, cache).map(|t| t.read_trace()) {
         return Ok((trace, CacheOutcome::Hit));
     }
-    parse_and_store(path, ranks, sig, cache)
+    let trace = load_merged(path, ranks)?;
+    let stored = cache && binfmt::write_file(&trace, &sidecar_path(path), Some(sig)).is_ok();
+    let outcome = if stored {
+        CacheOutcome::MissStored
+    } else {
+        CacheOutcome::MissUncached
+    };
+    Ok((trace, outcome))
 }
 
 /// The verified side-car of `path` when caching is on and its header
@@ -777,24 +1247,6 @@ fn cached_sidecar(
         return None;
     }
     titb.verify().ok()
-}
-
-/// Parses `path` and, when `cache` is set, writes its side-car.
-fn parse_and_store(
-    path: &Path,
-    ranks: u32,
-    sig: (u64, u64),
-    cache: bool,
-) -> Result<(Trace, CacheOutcome), FileError> {
-    let trace = load_merged(path, ranks)?;
-    if !cache {
-        return Ok((trace, CacheOutcome::MissUncached));
-    }
-    let outcome = match binfmt::write_file(&trace, &sidecar_path(path), Some(sig)) {
-        Ok(()) => CacheOutcome::MissStored,
-        Err(_) => CacheOutcome::MissUncached,
-    };
-    Ok((trace, outcome))
 }
 
 #[cfg(test)]
@@ -894,27 +1346,60 @@ mod tests {
         }
     }
 
+    /// Errors past the first 1 MiB refill keep their global line
+    /// numbers, in the whole-file decoder and in the streamed text
+    /// (interleaved or rank-major) alike, whose clean drain equals the
+    /// whole-file decode; a line with a bad verb and a bad rank fails on
+    /// the verb in both.
     #[test]
     fn errors_past_the_first_refill_keep_global_line_numbers() {
-        let mut text = String::new();
-        for i in 0..70_000 {
-            text.push_str(if i % 2 == 0 {
-                "p0 compute 956140\n"
-            } else {
-                "p1 recv p0 1240\n"
-            });
-        }
-        assert!(text.len() > READ_BUF, "the bad line must sit past a refill");
-        for (bad, what) in [
-            ("p0 teleport 3\n", "teleport"),
-            ("p7 wait\n", "rank p7 out of range"),
-        ] {
-            let text = format!("{text}{bad}p0 wait\n");
-            let e = decode_reader(text.as_bytes(), 2, READ_BUF)
-                .unwrap()
-                .unwrap_err();
-            assert_eq!(e.line, 70_001);
-            assert!(e.message.contains(what), "{}", e.message);
+        let dir = std::env::temp_dir().join(format!("titrace-refill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.trace");
+        let line = |i: usize| match i % 3 {
+            0 => format!("p{} compute {}\n", i % 2, 956_140 + i),
+            1 => format!("p{} recv p0 1240\n", i % 2),
+            _ => format!("p{}\tsend  p1 {} \r\n", i % 2, i),
+        };
+        let interleaved: String = (0..70_000).map(line).collect();
+        let rank_major: String = (0..70_000)
+            .map(|i| line(2 * (i % 35_000) + i / 35_000))
+            .collect();
+        let long = format!("p1 init{}\n", " ".repeat(MAX_LINE));
+        for text in [interleaved, rank_major] {
+            assert!(text.len() > READ_BUF, "the bad line must sit past a refill");
+            for (bad, what) in [
+                ("", ""),
+                ("p0 teleport 3\n", "unknown action verb `teleport`"),
+                ("p7 wait\n", "rank p7 out of range"),
+                (&long, "line exceeds"),
+                ("p8 teleport\n", "unknown action verb `teleport`"),
+            ] {
+                let text = format!("{text}{bad}p0 wait\np1 wait");
+                let whole = decode_reader(text.as_bytes(), 2, READ_BUF).unwrap();
+                if let Err(e) = &whole {
+                    assert_eq!(e.line, 70_001);
+                    assert!(e.message.contains(what), "{}", e.message);
+                }
+                assert_eq!(bad.is_empty(), whole.is_ok());
+                std::fs::write(&path, &text).unwrap();
+                let drained = TextFile::open(&path, 2)
+                    .map_err(|e| e.to_string())
+                    .and_then(|t| {
+                        let drain = |mut c: Box<dyn ActionSource>| {
+                            let mut got = Vec::new();
+                            while let Some(a) = c.next_action().map_err(|e| e.to_string())? {
+                                got.push(a);
+                            }
+                            Ok(got)
+                        };
+                        t.cursors().into_iter().map(drain).collect()
+                    });
+                let expected = load_merged(&path, 2)
+                    .map(|t| vec![t.actions(Rank(0)).to_vec(), t.actions(Rank(1)).to_vec()])
+                    .map_err(|e| e.to_string());
+                assert_eq!(drained, expected);
+            }
         }
     }
 
@@ -952,12 +1437,12 @@ mod tests {
     }
 
     #[test]
-    fn text_file_source_streams_and_checks_rank() {
+    fn split_fragment_cursor_streams_and_checks_rank() {
         let dir = std::env::temp_dir().join(format!("titrace-stream-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("r1.trace");
         std::fs::write(&p, "# comment\np1 init\np1 compute 10\np1 finalize\n").unwrap();
-        let mut src = TextFileSource::open(&p, Rank(1)).unwrap();
+        let mut src = open_fragment(&p, Rank(1)).unwrap();
         assert_eq!(src.next_action().unwrap(), Some(Action::Init));
         assert_eq!(
             src.next_action().unwrap(),
@@ -968,11 +1453,23 @@ mod tests {
 
         let bad = dir.join("bad.trace");
         std::fs::write(&bad, "p0 init\n").unwrap();
-        let mut src = TextFileSource::open(&bad, Rank(1)).unwrap();
+        let mut src = open_fragment(&bad, Rank(1)).unwrap();
+        let e = src.next_action().unwrap_err();
         assert!(matches!(
-            src.next_action(),
-            Err(SourceError::WrongRank { found: Rank(0), .. })
+            e,
+            SourceError::WrongRank {
+                found: Rank(0),
+                line: 1,
+                ..
+            }
         ));
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "{}: line 1 belongs to rank p0 but the file is assigned to rank p1",
+                bad.display()
+            )
+        );
 
         // The merged decoder's line bound, case for case: a comment of
         // exactly MAX_LINE bytes passes, one byte more is the same error
@@ -990,7 +1487,7 @@ mod tests {
             ),
         ] {
             std::fs::write(&p, text).unwrap();
-            let mut src = TextFileSource::open(&p, Rank(1)).unwrap();
+            let mut src = open_fragment(&p, Rank(1)).unwrap();
             assert_eq!(src.next_action().unwrap(), Some(Action::Init));
             match (src.next_action(), expect) {
                 (Ok(None), None) => {}
@@ -1027,8 +1524,10 @@ mod tests {
         assert!(!sidecar_path(&p).exists());
     }
 
-    /// A side-car hit is handed on open, to stream; one with the wrong
-    /// rank count or a bad checksum is a silent re-parse.
+    /// A side-car hit is handed on open, to stream, and so is the
+    /// side-car a miss writes; one with the wrong rank count or a bad
+    /// checksum is a silent re-read. A side-car that cannot be written
+    /// leaves the text to stream, but a faulty text line fails the open.
     #[test]
     fn sidecar_hits_stream_and_bad_sidecars_are_misses() {
         let dir = std::env::temp_dir().join(format!("titrace-cache-open-{}", std::process::id()));
@@ -1036,15 +1535,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("app.trace");
         std::fs::write(&p, sample_text(3, 5)).unwrap();
+        let parsed = load_merged(&p, 3).unwrap();
         let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
         assert_eq!(outcome, CacheOutcome::MissStored);
-        let TraceInput::Memory(parsed) = input else {
-            panic!("a miss decodes the text into memory")
-        };
+        assert!(
+            matches!(input, TraceInput::OpenBinary(_)),
+            "a miss streams the side-car it wrote"
+        );
+        assert_eq!(load_trace(&input, 3).unwrap(), parsed);
+        let (input, outcome) = open_merged_cached(&p, 3, false).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissUncached);
+        assert!(
+            matches!(input, TraceInput::OpenText(_)),
+            "no cache streams the text"
+        );
+        assert_eq!(load_trace(&input, 3).unwrap(), parsed);
         let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
         assert!(matches!(input, TraceInput::OpenBinary(_)));
-        assert_eq!(load_trace(&input, 3).unwrap(), *parsed);
+        assert_eq!(load_trace(&input, 3).unwrap(), parsed);
         for (r, mut cursor) in open_sources(&input, 3).unwrap().into_iter().enumerate() {
             let mut got = Vec::new();
             while let Some(a) = cursor.next_action().unwrap() {
@@ -1063,7 +1572,29 @@ mod tests {
         std::fs::write(sidecar_path(&p), bytes).unwrap();
         let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
         assert_eq!(outcome, CacheOutcome::MissStored, "bad checksum re-parses");
-        assert!(matches!(input, TraceInput::Memory(_)));
+        assert!(matches!(input, TraceInput::OpenBinary(_)));
+        // A directory where the side-car goes: the write fails.
+        std::fs::remove_file(sidecar_path(&p)).unwrap();
+        std::fs::create_dir_all(sidecar_path(&p).join("blocker")).unwrap();
+        let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissUncached);
+        assert!(matches!(input, TraceInput::OpenText(_)));
+        assert_eq!(load_trace(&input, 3).unwrap(), parsed);
+        std::fs::remove_dir_all(sidecar_path(&p)).unwrap();
+        std::fs::write(&p, "p0 init\np1 teleport\np2 init\n").unwrap();
+        let e = open_merged_cached(&p, 3, true).unwrap_err();
+        assert_eq!(e.to_string(), load_merged(&p, 3).unwrap_err().to_string());
+        assert!(
+            e.to_string()
+                .contains("line 2: unknown action verb `teleport`"),
+            "{e}"
+        );
+        assert!(
+            !sidecar_path(&p).exists(),
+            "a faulty text leaves no side-car"
+        );
+        let names = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(names, 1, "nor a temp file");
     }
 
     #[test]
@@ -1138,7 +1669,7 @@ mod fast_path_props {
     use proptest::prelude::*;
 
     /// The line `write` emits for the `verb`-th action kind.
-    fn line_for(verb: usize, rank: u32, peer: u32, bytes: u64, amount: f64) -> String {
+    pub(super) fn line_for(verb: usize, rank: u32, peer: u32, bytes: u64, amount: f64) -> String {
         let peer = Rank(peer);
         let action = match verb {
             0 => Action::Init,
@@ -1261,6 +1792,155 @@ mod fast_path_props {
                 }
                 // The writer's own lines must not all be deferred.
                 None => prop_assert!(kind != 0 || bytes >= 1_000_000_000_000_000_000),
+            }
+        }
+    }
+}
+
+/// Differential test of the streamed text cursors against [`load_merged`].
+#[cfg(test)]
+mod text_cursor_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One generated line: rank (mod the rank count), verb, peer, byte
+    /// count, compute amount, and how it is dressed.
+    type LineSpec = (u32, usize, u32, u64, f64, usize);
+
+    /// The line of `spec` as `write` emits it, then dressed: tabs,
+    /// padding, or a blank or comment line in front.
+    fn dressed(spec: &LineSpec, ranks: u32) -> Vec<String> {
+        let &(rank, verb, peer, bytes, amount, dress) = spec;
+        let line = fast_path_props::line_for(verb, rank % ranks, peer % ranks, bytes, amount);
+        match dress {
+            0 => vec![line.replace(' ', "\t")],
+            1 => vec![String::new(), line],
+            2 => vec![format!("# note {rank}"), line],
+            3 => vec![format!("  {line}  ")],
+            _ => vec![line],
+        }
+    }
+
+    /// Every rank's line groups, in rank order or merged in an order
+    /// drawn from `seed` that keeps each rank's own order.
+    fn merge(per_rank: Vec<Vec<Vec<String>>>, interleave: bool, mut seed: u64) -> Vec<String> {
+        if !interleave {
+            return per_rank.into_iter().flatten().flatten().collect();
+        }
+        let mut queues: Vec<_> = per_rank.into_iter().map(|g| g.into_iter()).collect();
+        let mut lines = Vec::new();
+        loop {
+            let live: Vec<usize> = (0..queues.len()).filter(|&r| queues[r].len() > 0).collect();
+            if live.is_empty() {
+                return lines;
+            }
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let r = live[(seed % live.len() as u64) as usize];
+            lines.extend(queues[r].next().expect("live rank has a group"));
+        }
+    }
+
+    /// Every rank's actions drained through `window`-byte windows,
+    /// ranks in `order`; an error as text.
+    fn drain(
+        path: &Path,
+        ranks: u32,
+        window: usize,
+        order: &[usize],
+    ) -> Result<Vec<Vec<Action>>, String> {
+        let text = TextFile::open(path, ranks).map_err(|e| e.to_string())?;
+        let mut cursors = text.cursors_with_window(window);
+        let mut got = vec![Vec::new(); ranks as usize];
+        for &r in order {
+            while let Some(a) = cursors[r].next_action().map_err(|e| e.to_string())? {
+                got[r].push(a);
+            }
+        }
+        Ok(got)
+    }
+
+    fn arb_line() -> impl Strategy<Value = LineSpec> {
+        let bytes = prop_oneof![0u64..100_000, 0u64..=u64::MAX];
+        let amount = prop_oneof![
+            (0u64..1 << 40).prop_map(|a| a as f64),
+            (0u64..0x7FF0_0000_0000_0000).prop_map(f64::from_bits),
+        ];
+        (0u32..8, 0usize..16, 0u32..8, bytes, amount, 0usize..8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Rank-major or interleaved, dressed with blank lines, comments,
+        /// tabs, CRLF and a missing final newline, read through windows
+        /// of 32 to 200 bytes: a clean file drains to exactly what
+        /// `load_merged` decodes, and a file with one fault (cut short, a
+        /// byte changed, an overlong line, a rank out of range) fails
+        /// with exactly `load_merged`'s error, whichever rank is drained
+        /// first.
+        #[test]
+        fn text_cursors_match_load_merged(
+            ranks in 1u32..=5,
+            specs in proptest::collection::vec(arb_line(), 0..120),
+            interleave in any::<bool>(),
+            seed in 1u64..=u64::MAX,
+            crlf in any::<bool>(),
+            final_newline in any::<bool>(),
+            window in 32usize..=200,
+            fault in 0usize..5,
+            at in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let mut per_rank = vec![Vec::new(); ranks as usize];
+            for spec in &specs {
+                per_rank[(spec.0 % ranks) as usize].push(dressed(spec, ranks));
+            }
+            let mut lines = merge(per_rank, interleave, seed);
+            if !lines.is_empty() {
+                let i = at % lines.len();
+                match fault {
+                    3 if flip.is_multiple_of(2) => {
+                        lines.insert(i, format!("#{}", "x".repeat(MAX_LINE)));
+                    }
+                    3 => lines.insert(i, format!("p0 compute 1{}", " ".repeat(MAX_LINE))),
+                    4 => {
+                        let bad = [ranks, ranks + u32::from(flip), u32::MAX][usize::from(flip % 3)];
+                        lines.insert(i, format!("p{bad} init"));
+                    }
+                    _ => {}
+                }
+            }
+            let mut bytes = lines.join(if crlf { "\r\n" } else { "\n" }).into_bytes();
+            if final_newline && !bytes.is_empty() {
+                bytes.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+            }
+            if !bytes.is_empty() {
+                let i = at % bytes.len();
+                match fault {
+                    1 => bytes.truncate(i),
+                    // One change in eight makes a newline: two faulty
+                    // lines from one changed byte.
+                    2 if flip.is_multiple_of(8) => bytes[i] = b'\n',
+                    2 => bytes[i] ^= flip,
+                    _ => {}
+                }
+            }
+            let dir = std::env::temp_dir().join(format!("titrace-textprop-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("case.trace");
+            std::fs::write(&path, &bytes).unwrap();
+
+            let expected = load_merged(&path, ranks)
+                .map(|t| (0..ranks).map(|r| t.actions(Rank(r)).to_vec()).collect::<Vec<_>>())
+                .map_err(|e| e.to_string());
+            let forward: Vec<usize> = (0..ranks as usize).collect();
+            let backward: Vec<usize> = forward.iter().rev().copied().collect();
+            prop_assert_eq!(&drain(&path, ranks, window, &forward), &expected);
+            prop_assert_eq!(&drain(&path, ranks, window, &backward), &expected);
+            if fault == 0 {
+                prop_assert!(expected.is_ok(), "a clean file must load: {:?}", expected);
             }
         }
     }

@@ -434,7 +434,68 @@ for kind in cut flip ranks table; do
         done
     done
 done
-echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the corrupt file, none panicked)"
+# Faulty merged text, streamed (`--no-cache`): a rank out of range mid-file
+# and a 70 KiB line in rank 1 are refused by the index pass, before any
+# replay; a bad verb on the last line of the last rank by that rank's
+# cursor. Each error carries the file, the line number and the message of
+# the whole-file decoder.
+"$gen" --class S --procs 4 --steps 2 --out "$ingest_dir/s4.trace"
+s4="$ingest_dir/s4.trace"
+s4_lines=$(wc -l <"$s4")
+half=$((s4_lines / 2))
+{ head -n "$half" "$s4"; echo 'p999 init'; tail -n +$((half + 1)) "$s4"; } >"$ingest_dir/bad-rank.trace"
+r1=$(grep -n -m1 '^p1 ' "$s4" | cut -d: -f1)
+{ head -n "$r1" "$s4"; printf 'p1 compute 1%71680s\n' ''; tail -n +$((r1 + 1)) "$s4"; } \
+    >"$ingest_dir/bad-long.trace"
+{ cat "$s4"; echo 'p3 teleport 5'; } >"$ingest_dir/bad-verb.trace"
+for kind in rank long verb; do
+    case $kind in
+        rank) want="line $((half + 1)): rank p999 out of range (trace has 4 ranks)" ;;
+        long) want="line $((r1 + 1)): line exceeds 65536 bytes" ;;
+        verb) want="line $((s4_lines + 1)): unknown action verb \`teleport\`" ;;
+    esac
+    for engine in smpi msg; do
+        for threads in 1 2; do
+            what="faulty text ($kind) at --engine $engine --threads $threads"
+            if "$rep" --platform "$s4.platform.json" --ranks 4 --rate 2e9 --no-cache \
+                --trace "$ingest_dir/bad-$kind.trace" \
+                --engine "$engine" --threads "$threads" >/dev/null 2>"$ingest_dir/hostile.err"; then
+                echo "$what replayed successfully" >&2
+                exit 1
+            fi
+            if grep -q panicked "$ingest_dir/hostile.err" \
+                || ! grep -qF "$ingest_dir/bad-$kind.trace: trace parse error at $want" \
+                    "$ingest_dir/hostile.err"; then
+                echo "$what: wanted an error naming the file and '$want', got:" >&2
+                cat "$ingest_dir/hostile.err" >&2
+                exit 1
+            fi
+            hostile_runs=$((hostile_runs + 1))
+        done
+    done
+done
+# An interleaved file (one line of each rank in turn, as SimGrid action
+# lists may be) streams one run per rank switch and replays exactly as
+# its rank-major form: same stdout and stderr, same manifest but for the
+# wall time.
+mkdir -p "$ingest_dir/major" "$ingest_dir/inter"
+"$gen" --workload halo --procs 16 --steps 20 --out "$ingest_dir/major/halo16.txt" >/dev/null
+awk '{ r = $1; n[r]++; line[r, n[r]] = $0; if (!(r in seen)) { seen[r] = 1; order[++k] = r } }
+     END { for (i = 1; ; i++) { any = 0
+             for (j = 1; j <= k; j++) if (i <= n[order[j]]) { print line[order[j], i]; any = 1 }
+             if (!any) break } }' "$ingest_dir/major/halo16.txt" >"$ingest_dir/inter/halo16.txt"
+cmp -s "$ingest_dir/major/halo16.txt" "$ingest_dir/inter/halo16.txt" \
+    && { echo "the interleaved halo trace is not interleaved" >&2; exit 1; }
+for layout in major inter; do
+    (cd "$ingest_dir/$layout" && "$OLDPWD/$rep" --platform "$ingest_dir/major/halo16.txt.platform.json" \
+        --trace halo16.txt --ranks 16 --rate 2e9 --no-cache --manifest manifest.json >stdout 2>stderr)
+    sed '/"wall_time_s"/d' "$ingest_dir/$layout/manifest.json" >"$ingest_dir/$layout/manifest.nowall"
+done
+for f in stdout stderr manifest.nowall; do
+    cmp "$ingest_dir/major/$f" "$ingest_dir/inter/$f" \
+        || { echo "interleaved halo trace: $f differs from the rank-major replay" >&2; exit 1; }
+done
+echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the corrupt file, none panicked; interleaved text replays as rank-major)"
 
 # Re-run the replay-facing suites with parallel replay as the ambient
 # default, so every differential test also exercises the worker pool.

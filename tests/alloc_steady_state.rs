@@ -288,3 +288,49 @@ fn titb_streaming_memory_is_independent_of_trace_length() {
          {large} B at 160 steps ({large_file} B file): ratio {ratio:.2}"
     );
 }
+
+/// Streaming merged text holds its index buffer, the ranks' runs and one
+/// bounded window per rank, never the file or its decoded actions:
+/// opening LU S-16 text and draining every rank's cursor peaks at the
+/// same live heap (within 25 %) at 40 and 160 steps, though the file and
+/// the action count grow fourfold.
+#[test]
+fn text_streaming_memory_is_independent_of_trace_length() {
+    use tit_replay::titrace::{files, stream};
+
+    let dir = std::env::temp_dir().join(format!("titr-alloc-text-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let measure = |steps: u32| {
+        let lu = LuConfig::new(LuClass::S, 16).with_steps(steps);
+        let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+        let path = dir.join(format!("lu-s16-{steps}.txt"));
+        files::write_merged(&trace, &path).unwrap();
+        let expected = trace.len() as u64;
+        drop(trace);
+        let (drained, peak) = peak_live_bytes(|| {
+            let input = TraceInput::MergedText(path.clone());
+            let mut cursors = stream::open_sources(&input, 16).unwrap();
+            let mut n = 0u64;
+            for cursor in &mut cursors {
+                while cursor.next_action().unwrap().is_some() {
+                    n += 1;
+                }
+            }
+            n
+        });
+        assert_eq!(drained, expected);
+        (std::fs::metadata(&path).unwrap().len(), peak)
+    };
+    let ((small_file, small), (large_file, large)) = (measure(40), measure(160));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        large_file >= 3 * small_file,
+        "{small_file} B vs {large_file} B"
+    );
+    let ratio = large as f64 / small as f64;
+    assert!(
+        (0.8..=1.25).contains(&ratio),
+        "peak live heap {small} B at 40 steps ({small_file} B file), \
+         {large} B at 160 steps ({large_file} B file): ratio {ratio:.2}"
+    );
+}
