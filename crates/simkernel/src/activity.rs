@@ -1,10 +1,11 @@
 //! Activities: quantities of work progressing at a mutable rate.
 //!
-//! An activity models anything with measurable progress — a compute burst
-//! (work = instructions, rate = instructions/second) or a network transfer
-//! (work = bytes, rate = allotted bandwidth). Rates change whenever resource
-//! sharing changes; the kernel settles the remaining work before applying a
-//! new rate, so progress accounting is exact under arbitrary re-sharing.
+//! An activity models work whose rate can change while it runs: in a
+//! replay, a network transfer (work = bytes, rate = allotted bandwidth),
+//! re-rated whenever resource sharing changes. The kernel settles the
+//! remaining work before applying a new rate, so progress accounting is
+//! exact under arbitrary re-sharing. Work at a fixed rate, such as a
+//! rank's compute burst, needs no activity: it is a timer.
 //!
 //! Slots are recycled through a free list; stale completion events are
 //! detected with per-slot generation counters.

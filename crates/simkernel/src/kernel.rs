@@ -10,21 +10,23 @@ use std::collections::VecDeque;
 
 use crate::activity::{ActivityId, ActivityState, Slot};
 use crate::actor::{ActorId, Wake};
-use crate::queue::{EventKind, EventQueue, FelProfile};
+use crate::queue::{EventKind, EventQueue, FelProfile, Reserved};
 use crate::time::{Duration, Time};
 
 const NO_FREE: u32 = u32::MAX;
 
 /// Upper bound on concurrently in-flight activities per simulated rank
-/// during a trace replay: one compute or blocking transfer plus a bounded
-/// window of detached eager sends. Used by [`replay_sizing`].
+/// during a trace replay: one blocking transfer plus a bounded window of
+/// detached eager sends (compute bursts are timers, not activities).
+/// Used by [`replay_sizing`].
 pub const IN_FLIGHT_PER_RANK: usize = 8;
 
 /// The pre-sizing heuristic of the replay runner (`smpi::runner`): a
-/// `ranks`-process replay keeps at most
-/// [`IN_FLIGHT_PER_RANK`] activities in flight per rank, and each live
-/// activity accounts for at most two queued events (its scheduled
-/// completion plus one superseded predecessor awaiting its lazy skip).
+/// `ranks`-process replay keeps at most [`IN_FLIGHT_PER_RANK`] network
+/// flows in flight per rank (activity slots hold flows only), and each
+/// accounts for at most two queued events (its scheduled completion plus
+/// one superseded predecessor awaiting its lazy skip), which also leaves
+/// room for the ranks' compute and delay timers.
 /// Returns `(activities, events)` suitable for
 /// [`Kernel::with_capacity`], so the activity slab and event queue never
 /// regrow mid-replay.
@@ -300,6 +302,33 @@ impl Kernel {
                 key,
             },
         );
+    }
+
+    /// Reserves the place of a timer `delay` from now without queueing
+    /// it (see [`crate::queue`]): [`Kernel::arm_timer`] queues it there
+    /// later, and [`Kernel::timer_fired`] tells whether it would have
+    /// fired by now.
+    pub fn reserve_timer(&mut self, delay: Duration) -> Reserved {
+        self.queue.reserve(self.now + delay)
+    }
+
+    /// Queues the timer reserved as `r`, which must not have fired,
+    /// to wake `actor` with [`Wake::Timer`] carrying `key`: it fires
+    /// exactly where [`Kernel::set_timer`] at reserve time would have.
+    pub fn arm_timer(&mut self, r: Reserved, actor: ActorId, key: u64) {
+        self.queue.push_reserved(
+            r,
+            EventKind::Timer {
+                actor: actor.0,
+                key,
+            },
+        );
+    }
+
+    /// Whether the timer reserved as `r` would have fired by now, had
+    /// it been queued at reserve time.
+    pub fn timer_fired(&self, r: Reserved) -> bool {
+        self.queue.fired(r)
     }
 
     /// Immediately enqueues a wake for `actor` (delivered at the current

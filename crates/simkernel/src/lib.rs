@@ -41,6 +41,6 @@ pub mod time;
 pub use activity::{ActivityId, ActivityState};
 pub use actor::{ActorId, Wake};
 pub use kernel::{replay_sizing, Kernel, IN_FLIGHT_PER_RANK};
-pub use queue::FelProfile;
+pub use queue::{FelProfile, Reserved};
 pub use rng::DetRng;
 pub use time::{Duration, Time};

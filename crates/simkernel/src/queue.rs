@@ -16,9 +16,18 @@
 //! and purges them with [`EventQueue::compact`] once
 //! [`EventQueue::should_compact`] finds them a strict majority.
 //! Compaction never changes a survivor's key, so pop order is unchanged.
+//!
+//! An event nobody may ever need can be *reserved* instead of pushed:
+//! [`EventQueue::reserve`] takes its key (instant and sequence number)
+//! and queues nothing. [`EventQueue::push_reserved`] queues it later
+//! under that key, so it pops exactly where an immediate push would
+//! have; [`EventQueue::fired`] tells whether an immediate push would
+//! have popped by now. The owner arms a reservation only while it has
+//! not fired.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 use crate::time::Time;
 
@@ -71,6 +80,22 @@ impl Ord for Entry {
 /// would churn memory without a measurable win (DESIGN.md §4).
 pub const MIN_COMPACT_LEN: usize = 64;
 
+/// The key of an event taken by [`EventQueue::reserve`] and not (yet)
+/// queued; see the [module docs](self). Held as two words, the sequence
+/// number never zero, so that `Option<Reserved>` takes 16 bytes at
+/// 8-byte alignment: runtime records keep one per message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reserved {
+    bits: u64,
+    seq: NonZeroU64,
+}
+
+impl Reserved {
+    fn key(self) -> u128 {
+        (u128::from(self.bits) << 64) | u128::from(self.seq.get())
+    }
+}
+
 /// Hot-path counters of the event core ([`EventQueue::profile`]), reported
 /// in the run manifest's `fel_profile` object.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -95,15 +120,24 @@ impl FelProfile {
 }
 
 /// Deterministic future event list. See the [module docs](self).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventQueue {
     heap: BinaryHeap<Entry>,
-    next_seq: u64,
+    /// Sequence number of the next push or reservation; starts at 1.
+    next_seq: NonZeroU64,
     /// Entries still queued that the owner has reported superseded.
     stale: usize,
+    /// Key of the entry popped last; `None` before the first pop.
+    last_popped: Option<u128>,
     profile: FelProfile,
     #[cfg(test)]
     referee: Option<Vec<(Time, u64, EventKind)>>,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl EventQueue {
@@ -116,7 +150,12 @@ impl EventQueue {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
-            ..Self::default()
+            next_seq: NonZeroU64::MIN,
+            stale: 0,
+            last_popped: None,
+            profile: FelProfile::default(),
+            #[cfg(test)]
+            referee: None,
         }
     }
 
@@ -128,15 +167,41 @@ impl EventQueue {
     /// Schedules `kind` to fire at `at`. Events scheduled for the same
     /// instant fire in the order they were pushed.
     pub fn push(&mut self, at: Time, kind: EventKind) {
+        let r = self.reserve(at);
+        self.enqueue(r, kind);
+    }
+
+    /// Takes the key an event at `at` pushed now would get, and queues
+    /// nothing. Events pushed later at the same instant pop after it,
+    /// whether or not it is ever queued.
+    pub fn reserve(&mut self, at: Time) -> Reserved {
         debug_assert!(!at.is_never(), "cannot schedule an event at NEVER");
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = seq.saturating_add(1);
+        Reserved {
+            bits: (at.as_secs() + 0.0).to_bits(),
+            seq,
+        }
+    }
+
+    /// Queues `kind` under the reserved key `r`, which must not have
+    /// fired: it pops exactly where a push at reserve time would have.
+    pub fn push_reserved(&mut self, r: Reserved, kind: EventKind) {
+        debug_assert!(!self.fired(r), "arming a reservation that has fired");
+        self.enqueue(r, kind);
+    }
+
+    fn enqueue(&mut self, r: Reserved, kind: EventKind) {
         self.profile.scheduled += 1;
         #[cfg(test)]
-        self.referee_push(at, seq, kind);
-        let bits = (at.as_secs() + 0.0).to_bits();
-        let key = (u128::from(bits) << 64) | u128::from(seq);
-        self.heap.push(Entry { key, kind });
+        self.referee_push(key_time(r.key()), r.seq.get(), kind);
+        self.heap.push(Entry { key: r.key(), kind });
+    }
+
+    /// Whether an event pushed under `r` at reserve time would have popped
+    /// by now, that is, whether the last popped key is at or past `r`'s.
+    pub fn fired(&self, r: Reserved) -> bool {
+        self.last_popped.is_some_and(|last| r.key() <= last)
     }
 
     /// Removes and returns the earliest event. Stale entries come back like
@@ -147,8 +212,8 @@ impl EventQueue {
         self.referee_pop(e);
         let e = e?;
         self.profile.popped += 1;
-        let at = f64::from_bits((e.key >> 64) as u64);
-        Some((Time::from_secs(at), e.kind))
+        self.last_popped = Some(e.key);
+        Some((key_time(e.key), e.kind))
     }
 
     /// Number of pending entries, *including* superseded (stale) ones.
@@ -197,11 +262,17 @@ impl EventQueue {
     }
 }
 
+/// The instant a packed key encodes.
+fn key_time(key: u128) -> Time {
+    Time::from_secs(f64::from_bits((key >> 64) as u64))
+}
+
 #[cfg(test)]
 mod referee {
     //! The sorted `Vec` the heap is refereed against. A queue built with
-    //! [`EventQueue::refereed`] mirrors every push and compaction into a
-    //! `Vec` kept sorted by `(Time, seq)` — `Time`'s own order, not the
+    //! [`EventQueue::refereed`] mirrors every push (a reservation when it
+    //! is armed, under its reserved sequence number) and compaction into
+    //! a `Vec` kept sorted by `(Time, seq)` — `Time`'s own order, not the
     //! packed key — and asserts on every pop that the heap returned exactly
     //! the vector's head (time bits, sequence, payload) and that the
     //! lengths agree. The queue hands `-0.0` back as the equal `+0.0`, so
@@ -353,6 +424,32 @@ mod tests {
         assert_eq!(got, expect);
     }
 
+    /// A reservation armed after later pushes still pops at its reserved
+    /// place, ahead of same-instant events pushed after it; `fired` turns
+    /// true once the queue pops past its key.
+    #[test]
+    fn armed_reservation_pops_at_its_reserved_place() {
+        let mut q = EventQueue::refereed();
+        let t = Time::from_secs(1.0);
+        q.push(t, timer(0, 0));
+        let r = q.reserve(t);
+        let never = q.reserve(Time::from_secs(0.5));
+        q.push(t, timer(0, 2));
+        assert!(!q.fired(r) && !q.fired(never));
+        q.push_reserved(r, timer(0, 1));
+        assert_eq!(q.len(), 3);
+        let _ = q.pop();
+        assert!(q.fired(never), "popped past the unarmed key");
+        assert!(!q.fired(r));
+        assert_eq!(drain_keys(&mut q), vec![1, 2]);
+        assert!(q.fired(r));
+        assert_eq!(
+            q.profile().scheduled,
+            3,
+            "an unarmed reservation is not scheduled"
+        );
+    }
+
     #[test]
     fn stale_accounting_tracks_live_len() {
         let mut q = EventQueue::new();
@@ -485,7 +582,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     proptest! {
         /// Popping yields a non-decreasing sequence of times regardless of
@@ -615,6 +712,78 @@ mod proptests {
                 pop(&mut q, &mut pending, &mut dead);
             }
             prop_assert!(q.pop().is_none() && pending.is_empty());
+        }
+        /// Reservations are invisible until armed. Two refereed queues see
+        /// the same pushes and reservations at non-decreasing instants;
+        /// `eager` pushes every reservation at once, `lazy` reserves it and
+        /// arms it at a random later point before it fires, or never. On
+        /// every `lazy` pop, `eager` pops the same entry after popping the
+        /// never-armed ones ahead of it, and then `lazy.fired(r)` holds
+        /// for exactly the reservations `eager` has popped.
+        #[test]
+        fn reserved_entries_pop_where_immediate_pushes_would(
+            ops in proptest::collection::vec((0u8..12, 0u8..4, any::<u16>()), 1..400),
+        ) {
+            let mut eager = EventQueue::refereed();
+            let mut lazy = EventQueue::refereed();
+            let mut now = 0.0f64;
+            let mut next_key = 0u64;
+            // Every reservation by payload key; the ones not armed yet;
+            // the keys `eager` has popped.
+            let mut reserved: HashMap<u64, Reserved> = HashMap::new();
+            let mut unarmed: Vec<u64> = Vec::new();
+            let mut eager_popped: HashSet<u64> = HashSet::new();
+            let key_of = |kind: EventKind| match kind {
+                EventKind::Timer { key, .. } => key,
+                EventKind::ActivityComplete { .. } => unreachable!(),
+            };
+            for (op, delta, pick) in ops {
+                let at = Time::from_secs(now + f64::from(delta));
+                match op {
+                    0..=2 => {
+                        eager.push(at, EventKind::Timer { actor: 0, key: next_key });
+                        lazy.push(at, EventKind::Timer { actor: 0, key: next_key });
+                        next_key += 1;
+                    }
+                    3..=5 => {
+                        eager.push(at, EventKind::Timer { actor: 0, key: next_key });
+                        reserved.insert(next_key, lazy.reserve(at));
+                        unarmed.push(next_key);
+                        next_key += 1;
+                    }
+                    6..=7 if !unarmed.is_empty() => {
+                        let key = unarmed[usize::from(pick) % unarmed.len()];
+                        let r = reserved[&key];
+                        if !lazy.fired(r) {
+                            lazy.push_reserved(r, EventKind::Timer { actor: 0, key });
+                            unarmed.retain(|&k| k != key);
+                        }
+                    }
+                    _ => {
+                        let Some((t, kind)) = lazy.pop() else { continue };
+                        now = t.as_secs();
+                        loop {
+                            let (et, ekind) = eager.pop().expect("eager ran dry first");
+                            let key = key_of(ekind);
+                            eager_popped.insert(key);
+                            if !unarmed.contains(&key) {
+                                prop_assert_eq!((et, ekind), (t, kind));
+                                break;
+                            }
+                        }
+                        for (key, &r) in &reserved {
+                            prop_assert_eq!(lazy.fired(r), eager_popped.contains(key), "key {}", key);
+                        }
+                    }
+                }
+            }
+            while let Some((t, kind)) = lazy.pop() {
+                let (et, ekind) = std::iter::from_fn(|| eager.pop())
+                    .find(|(_, k)| !unarmed.contains(&key_of(*k)))
+                    .expect("eager ran dry first");
+                prop_assert_eq!((et, ekind), (t, kind));
+            }
+            prop_assert!(std::iter::from_fn(|| eager.pop()).all(|(_, k)| unarmed.contains(&key_of(k))));
         }
     }
 }

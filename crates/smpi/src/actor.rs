@@ -24,12 +24,15 @@ use crate::world::{
 /// Timer key used for pre-op delays (distinct per actor, so no global
 /// uniqueness needed).
 const DELAY_KEY: u64 = u64::MAX;
+/// Timer key ending a compute burst. Nothing re-rates a compute, so it
+/// is a timer at `now + work / rate`, not a kernel activity.
+const COMPUTE_KEY: u64 = u64::MAX - 2;
 
 #[derive(Debug)]
 enum Waiting {
     Ready,
     Delay,
-    Compute(simkernel::ActivityId),
+    Compute,
     Msg(MsgId),
     Post(PostId),
     Reqs(Vec<ReqId>),
@@ -41,6 +44,18 @@ struct Staged {
     op: MpiOp,
     channel: u8,
     plan: Option<ComputePlan>,
+}
+
+/// How long `work` units take at `rate` units per second; `None` at a
+/// zero rate, which never finishes.
+///
+/// # Panics
+/// Panics if `work` or `rate` is negative or non-finite, which
+/// [`Duration::for_work`] alone would map to a finite duration.
+fn compute_duration(work: f64, rate: f64) -> Option<Duration> {
+    assert!(work.is_finite() && work >= 0.0, "invalid work: {work}");
+    assert!(rate.is_finite() && rate >= 0.0, "invalid rate: {rate}");
+    Duration::for_work(work, rate)
 }
 
 /// Executes one rank's op stream.
@@ -130,7 +145,7 @@ impl RankActor {
 
     /// Re-evaluates the blocking condition after a wake-up, recording a
     /// span when one resolves.
-    fn absorb_wake(&mut self, world: &mut SmpiWorld, now: f64, wake: Wake) {
+    fn absorb_wake(&mut self, kernel: &Kernel, world: &mut SmpiWorld, wake: Wake) {
         let was_blocked = !matches!(self.waiting, Waiting::Ready);
         match (&mut self.waiting, wake) {
             (Waiting::Ready, _) => {}
@@ -138,11 +153,11 @@ impl RankActor {
             | (Waiting::Collective, Wake::Timer(COLL_RELEASE_KEY)) => {
                 self.waiting = Waiting::Ready;
             }
-            (Waiting::Compute(a), Wake::Activity(b)) if *a == b => {
+            (Waiting::Compute, Wake::Timer(COMPUTE_KEY)) => {
                 self.waiting = Waiting::Ready;
                 self.staged = None;
             }
-            (Waiting::Msg(id), _) if world.msg_arrived(*id) => {
+            (Waiting::Msg(id), _) if world.msg_arrived(kernel, *id) => {
                 self.waiting = Waiting::Ready;
                 self.staged = None;
             }
@@ -164,7 +179,7 @@ impl RankActor {
             world.record_span(
                 self.rank,
                 self.blocked_at,
-                now,
+                kernel.now().as_secs(),
                 self.block_kind,
                 self.block_peer,
             );
@@ -198,9 +213,12 @@ impl RankActor {
                 let plan = plan.expect("compute staged without plan");
                 world.account_compute(self.rank, plan.seconds());
                 if plan.work > 0.0 {
-                    let act = kernel.start_activity(plan.work, plan.rate);
-                    kernel.subscribe(act, self.me());
-                    self.waiting = Waiting::Compute(act);
+                    // A zero rate never ends: the rank stays blocked on
+                    // its compute, and a deadlock report names it.
+                    if let Some(d) = compute_duration(plan.work, plan.rate) {
+                        kernel.set_timer(self.me(), d, COMPUTE_KEY);
+                    }
+                    self.waiting = Waiting::Compute;
                     self.note_block(SpanKind::Compute, None);
                     self.staged = Some(Staged {
                         op,
@@ -310,7 +328,7 @@ impl RankActor {
         if !self.finish.is_never() {
             return;
         }
-        self.absorb_wake(world, kernel.now().as_secs(), wake);
+        self.absorb_wake(kernel, world, wake);
         loop {
             if !matches!(self.waiting, Waiting::Ready) {
                 self.blocked_at = kernel.now().as_secs();

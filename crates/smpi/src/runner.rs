@@ -638,10 +638,14 @@ mod tests {
         assert!(obs.metrics.recorder_counts.is_none());
     }
 
-    /// One replay of `progs` on a flat cluster; `eager_collectives`
-    /// flips the test-only switch that sends collective flows down the
-    /// per-flow path.
-    fn run_schedule(progs: &[Vec<MpiOp>], eager_collectives: bool) -> SmpiResult {
+    /// One replay of `progs` under `cfg` on a flat cluster, after `set`
+    /// flips the world's test-only switches (`eager_collectives`,
+    /// `eager_arrivals`).
+    fn run_switched(
+        progs: &[Vec<MpiOp>],
+        cfg: SmpiConfig,
+        set: impl FnOnce(&mut SmpiWorld),
+    ) -> SmpiResult {
         let n = progs.len() as u32;
         let sources = progs
             .iter()
@@ -649,10 +653,134 @@ mod tests {
             .collect();
         let hooks = Box::new(FixedRateHooks::uniform(1e9, n));
         let platform = tiny_platform(n);
-        let cfg = SmpiConfig::smpi_replay();
         let mut run = prepare_smpi(&platform, &hosts(n), sources, cfg, hooks, false);
-        run.world.eager_collectives = eager_collectives;
+        set(&mut run.world);
         run.run().expect("schedule deadlocked").0
+    }
+
+    /// [`run_switched`] under the replay configuration; with
+    /// `eager_collectives`, collective flows take the per-flow path.
+    fn run_schedule(progs: &[Vec<MpiOp>], eager_collectives: bool) -> SmpiResult {
+        run_switched(progs, SmpiConfig::smpi_replay(), |w| {
+            w.eager_collectives = eager_collectives;
+        })
+    }
+
+    fn time_bits(r: &SmpiResult) -> Vec<u64> {
+        r.rank_times.iter().map(|t| t.to_bits()).collect()
+    }
+
+    /// `(lazy, eager)`: `progs` with unobserved arrivals reserved, and
+    /// with every arrival timer queued at flow drain.
+    fn run_arrivals(progs: &[Vec<MpiOp>], cfg: SmpiConfig) -> (SmpiResult, SmpiResult) {
+        let lazy = run_switched(progs, cfg.clone(), |_| {});
+        let eager = run_switched(progs, cfg, |w| w.eager_arrivals = true);
+        (lazy, eager)
+    }
+
+    /// One 1000-byte eager message whose receiver computes `instr`
+    /// instructions (1 ns each) first. Raw factors: the flow drains at
+    /// 10 µs, the 20 µs tail latency ends at 30 µs. Both paths end on
+    /// the same bits, the receiver at `finish`, and the reserved path
+    /// saves `saved` events.
+    fn assert_late_receive(instr: f64, finish: f64, saved: u64) {
+        let progs = vec![
+            vec![MpiOp::Send {
+                dst: 1,
+                bytes: 1000,
+            }],
+            vec![
+                MpiOp::Compute(ComputeBlock::plain(instr)),
+                MpiOp::Recv {
+                    src: 0,
+                    bytes: 1000,
+                },
+            ],
+        ];
+        let (lazy, eager) = run_arrivals(&progs, cfg_no_copy());
+        assert_eq!(time_bits(&lazy), time_bits(&eager));
+        let got = lazy.rank_times[1];
+        assert!((got - finish).abs() < 1e-12, "{got} vs {finish}");
+        assert_eq!(eager.events - lazy.events, saved);
+    }
+
+    /// A receive posted before the flow drains makes the message
+    /// observed at drain: the arrival is queued as before.
+    #[test]
+    fn receive_before_drain_queues_the_arrival() {
+        assert_late_receive(5e3, 30e-6, 0);
+    }
+
+    /// A receive inside the tail latency arms the reserved arrival,
+    /// which fires where the queued one would have: no event saved.
+    #[test]
+    fn receive_inside_the_tail_latency_arms_the_arrival() {
+        assert_late_receive(20e3, 30e-6, 0);
+    }
+
+    /// A receive after the arrival instant finds the message arrived:
+    /// the reserved timer is never queued, one event saved.
+    #[test]
+    fn receive_after_arrival_saves_the_arrival_event() {
+        assert_late_receive(50e3, 50e-6, 1);
+    }
+
+    /// Hooks planning every compute as `work` units at `rate`.
+    struct PlanHooks(f64, f64);
+
+    impl ExecHooks for PlanHooks {
+        fn plan_compute(&mut self, _: u32, _: &ComputeBlock) -> crate::hooks::ComputePlan {
+            crate::hooks::ComputePlan {
+                work: self.0,
+                rate: self.1,
+                extra_delay: 0.0,
+            }
+        }
+
+        fn mpi_call_delay(&mut self, _: u32) -> f64 {
+            0.0
+        }
+    }
+
+    fn run_planned(work: f64, rate: f64) -> Result<SmpiResult, String> {
+        let p = tiny_platform(1);
+        let source = Box::new(VecSource::new(vec![MpiOp::Compute(ComputeBlock::plain(
+            1.0,
+        ))]));
+        run_smpi(
+            &p,
+            &hosts(1),
+            vec![source],
+            cfg_no_copy(),
+            Box::new(PlanHooks(work, rate)),
+            false,
+        )
+        .map(|(r, _)| r)
+    }
+
+    /// A compute burst is a timer, but its plan is checked as strictly
+    /// as a kernel activity's: positive work that is infinite, or a
+    /// rate that is negative or not finite, panics instead of becoming
+    /// some finite duration. A zero rate never finishes: no timer, and
+    /// the deadlock report names the compute.
+    #[test]
+    fn compute_plans_are_checked_and_a_zero_rate_blocks() {
+        for (work, rate, what) in [
+            (f64::INFINITY, 1e9, "invalid work"),
+            (1e9, f64::NAN, "invalid rate"),
+            (1e9, -1.0, "invalid rate"),
+            (1e9, f64::INFINITY, "invalid rate"),
+        ] {
+            let panic = std::panic::catch_unwind(|| run_planned(work, rate)).unwrap_err();
+            let text = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(text.starts_with(what), "({work}, {rate}): {text}");
+        }
+        let err = run_planned(1e9, 0.0).unwrap_err();
+        assert_eq!(
+            err,
+            "simulated execution deadlocked; blocked ranks: [0]; rank 0: compute"
+        );
+        assert_eq!(run_planned(2e9, 1e9).unwrap().rank_times, vec![2.0]);
     }
 
     proptest::proptest! {
@@ -693,9 +821,64 @@ mod tests {
                 .collect();
             let per_flow = run_schedule(&progs, true);
             let batched = run_schedule(&progs, false);
-            let bits = |r: &SmpiResult| r.rank_times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&per_flow), bits(&batched));
+            proptest::prop_assert_eq!(time_bits(&per_flow), time_bits(&batched));
             proptest::prop_assert_eq!(per_flow.stats, batched.stats);
+        }
+
+        /// Differential: random programs of eager point-to-point messages
+        /// between up to 8 ranks. Each send and each receive (blocking,
+        /// or an irecv waited for after more compute) follows
+        /// rank-skewed compute, so receives land before a flow drains,
+        /// inside its tail latency and after arrival. Reserving the
+        /// arrivals nobody observes ends on the bits and counters of
+        /// queueing every arrival, under both models, in no more events.
+        /// Under MSG a transfer starts at its match, so nothing goes
+        /// unobserved and the counts are equal.
+        #[test]
+        fn reserved_arrivals_match_queued_arrivals(
+            ranks in 2u32..9,
+            rounds in proptest::collection::vec(
+                (0u32..8, 0u32..7, 3u32..16, 0.0f64..1e5, 0.0f64..1e5, 0u8..4),
+                1..40,
+            ),
+        ) {
+            let mut progs: Vec<Vec<MpiOp>> = vec![vec![MpiOp::Init]; ranks as usize];
+            for &(src, hop, log_bytes, send_instr, recv_instr, kind) in &rounds {
+                let src = src % ranks;
+                let dst = (src + 1 + hop % (ranks - 1)) % ranks;
+                let bytes = 1u64 << log_bytes;
+                let send = &mut progs[src as usize];
+                send.push(MpiOp::Compute(ComputeBlock::plain(send_instr)));
+                if kind == 3 {
+                    send.extend([MpiOp::Isend { dst, bytes }, MpiOp::Wait]);
+                } else {
+                    send.push(MpiOp::Send { dst, bytes });
+                }
+                let recv = &mut progs[dst as usize];
+                recv.push(MpiOp::Compute(ComputeBlock::plain(recv_instr)));
+                if kind == 1 {
+                    recv.extend([
+                        MpiOp::Irecv { src, bytes },
+                        MpiOp::Compute(ComputeBlock::plain(send_instr)),
+                        MpiOp::Wait,
+                    ]);
+                } else {
+                    recv.push(MpiOp::Recv { src, bytes });
+                }
+            }
+            for prog in &mut progs {
+                prog.push(MpiOp::Finalize);
+            }
+            for cfg in [SmpiConfig::smpi_replay(), SmpiConfig::msg_legacy()] {
+                let msg = cfg.model == crate::Model::Msg;
+                let (lazy, eager) = run_arrivals(&progs, cfg);
+                proptest::prop_assert_eq!(time_bits(&lazy), time_bits(&eager));
+                proptest::prop_assert_eq!(lazy.stats, eager.stats);
+                proptest::prop_assert!(lazy.events <= eager.events);
+                if msg {
+                    proptest::prop_assert_eq!(lazy.events, eager.events);
+                }
+            }
         }
     }
 

@@ -6,7 +6,12 @@
 //! starts immediately, and the sender continues — *detached* semantics.
 //! When the flow drains, the route's protocol-corrected latency runs as a
 //! tail timer; the message then *arrives*: any blocked receiver, matched
-//! post, or linked request completes.
+//! post, or linked request completes. A message nobody observes when its
+//! flow drains (no waiter, request, matched post or committed receive:
+//! an eager send whose receive is not posted yet) only *reserves* its
+//! arrival timer. The receive that later takes it from the unexpected
+//! queue finds it arrived if the reserved instant has passed, and arms
+//! the timer otherwise, so it fires exactly where it would have.
 //!
 //! Message lifecycle (rendezvous): the sender publishes an envelope; the
 //! transfer starts only when a matching receive is posted; the sender (or
@@ -34,7 +39,7 @@ use std::collections::VecDeque;
 use netmodel::{FlowId, FlowNet, FLUSH_KEY};
 use platform::{HostId, Platform};
 use simkernel::obs::{Counter, SpanKind, SpanLog};
-use simkernel::{ActorId, Duration, Kernel, Wake};
+use simkernel::{ActorId, Duration, Kernel, Reserved, Wake};
 use workloads::MpiOp;
 
 use crate::collectives::{nominal_collective_model, CollectiveModel};
@@ -60,7 +65,12 @@ pub struct Msg {
     /// Slot of the `(src, dst)` pair in the world's [`PairTable`].
     pair: u32,
     bytes: u64,
+    /// The arrival timer fired. Read through [`Msg::has_arrived`].
     arrived: bool,
+    /// The arrival timer reserved, not queued, when the flow drained with
+    /// nobody observing the message; armed by the receive that takes it
+    /// before that instant.
+    unarmed_arrival: Option<Reserved>,
     /// Transfer started (eager always; rendezvous once matched).
     transferring: bool,
     /// Collective-internal traffic ([`CH_COLL`]): takes the network
@@ -74,6 +84,24 @@ pub struct Msg {
     sender_req: Option<ReqId>,
     recv_req: Option<ReqId>,
     waiters: Waiters,
+}
+
+impl Msg {
+    /// Whether the message has arrived: its arrival timer fired, or its
+    /// reserved, unarmed arrival instant has passed.
+    fn has_arrived(&self, kernel: &Kernel) -> bool {
+        self.arrived || self.unarmed_arrival.is_some_and(|r| kernel.timer_fired(r))
+    }
+
+    /// Whether anything completes when the message arrives: a waiter, a
+    /// request, a matched post or a committed receive.
+    fn observed(&self) -> bool {
+        !self.waiters.is_empty()
+            || self.sender_req.is_some()
+            || self.recv_req.is_some()
+            || self.matched_post.is_some()
+            || self.delivered
+    }
 }
 
 /// A posted receive not yet matched (or matched, awaiting arrival).
@@ -185,6 +213,11 @@ pub struct SmpiWorld<'p> {
     /// per-flow path, the reference the batched one must reproduce.
     #[cfg(test)]
     pub(crate) eager_collectives: bool,
+    /// Differential-test switch: every drained flow queues its arrival
+    /// timer, observed or not, the reference the reserved path must
+    /// reproduce.
+    #[cfg(test)]
+    pub(crate) eager_arrivals: bool,
 }
 
 /// Records a queue-depth high-water mark.
@@ -234,6 +267,8 @@ impl<'p> SmpiWorld<'p> {
             transport,
             #[cfg(test)]
             eager_collectives: false,
+            #[cfg(test)]
+            eager_arrivals: false,
         }
     }
 
@@ -283,6 +318,7 @@ impl<'p> SmpiWorld<'p> {
             pair,
             bytes,
             arrived: false,
+            unarmed_arrival: None,
             transferring: false,
             coll: ch == CH_COLL,
             flow: None,
@@ -368,7 +404,7 @@ impl<'p> SmpiWorld<'p> {
             let msg = self.msgs.expect_mut(msg_id);
             note_size_mismatch(&mut self.mismatch, src, dst, msg.bytes, bytes);
             msg.delivered = true;
-            if msg.arrived {
+            if msg.has_arrived(kernel) {
                 // Data already in memory: "the application only sees the
                 // duration of a memory copy".
                 self.retire_msg(msg_id);
@@ -379,6 +415,9 @@ impl<'p> SmpiWorld<'p> {
                     })
                 });
                 return (RecvResult::Done, req);
+            }
+            if let Some(r) = msg.unarmed_arrival.take() {
+                kernel.arm_timer(r, self.transport, msg_id.pack());
             }
             let needs_start = !msg.transferring;
             if blocking {
@@ -428,8 +467,8 @@ impl<'p> SmpiWorld<'p> {
     // ------------------------------------------------------------------
 
     /// Has this message arrived (or been retired)?
-    pub fn msg_arrived(&self, id: MsgId) -> bool {
-        self.msgs.get(id).is_none_or(|m| m.arrived)
+    pub fn msg_arrived(&self, kernel: &Kernel, id: MsgId) -> bool {
+        self.msgs.get(id).is_none_or(|m| m.has_arrived(kernel))
     }
 
     /// Has this post completed (matched message arrived)?
@@ -530,6 +569,7 @@ impl<'p> SmpiWorld<'p> {
                 let msg = self.msgs.expect_mut(msg_id);
                 let flow = msg.flow.take().expect("flow completion without flow");
                 let (pair, bytes, coll) = (msg.pair, msg.bytes, msg.coll);
+                let observed = msg.observed();
                 if self.defers(coll) {
                     self.net.close_deferred(kernel, flow);
                 } else {
@@ -543,7 +583,12 @@ impl<'p> SmpiWorld<'p> {
                     .cfg
                     .factors
                     .effective_latency(bytes, self.pairs[pair].latency);
-                kernel.set_timer(self.transport, Duration::from_secs(lat), msg_id.pack());
+                let lat = Duration::from_secs(lat);
+                if self.queues_arrival(observed) {
+                    kernel.set_timer(self.transport, lat, msg_id.pack());
+                } else {
+                    self.msgs.expect_mut(msg_id).unarmed_arrival = Some(kernel.reserve_timer(lat));
+                }
             }
             Wake::Timer(FLUSH_KEY) => {
                 self.net.flush(kernel);
@@ -567,6 +612,16 @@ impl<'p> SmpiWorld<'p> {
             return false;
         }
         coll
+    }
+
+    /// Whether a drained flow queues its message's arrival timer: when
+    /// anything observes the message, else it is only reserved.
+    fn queues_arrival(&self, observed: bool) -> bool {
+        #[cfg(test)]
+        if self.eager_arrivals {
+            return true;
+        }
+        observed
     }
 
     fn start_transfer(&mut self, kernel: &mut Kernel, msg_id: MsgId) {

@@ -205,6 +205,21 @@ a_msgs=$(ar_field messages)
     || { echo "allreduce P=128: $a_events events for $a_msgs messages" >&2; exit 1; }
 echo "AGG_SMOKE ok (simulated_time_s $a_time, $a_resolves re-solves = flushes, $a_examined examined = flows, $a_events events / $a_msgs messages)"
 
+# Point-to-point smoke: a compute burst is one rank timer, a message one
+# flow completion plus one arrival timer, and an eager message whose
+# receive comes after its arrival instant never queues that timer, so
+# the LU B-8 replay above processes fewer events than one per compute
+# plus two per message.
+"$rep" --platform "$plat" --trace "$ingest_dir/lu.trace" --ranks 8 --rate 2e9 --no-cache \
+    --metrics "$ingest_dir/lu.metrics.json" >/dev/null
+lu_field() { grep -oE "\"$1\": [0-9]+" "$ingest_dir/lu.metrics.json" | awk '{printf "%s", $2}'; }
+p_events=$(lu_field events_processed)
+p_msgs=$(lu_field messages)
+p_computes=$("$rep" inspect --trace "$ingest_dir/lu.trace" --ranks 8 | awk '$1 == "computes" {print $2}')
+[ -n "$p_computes" ] && [ "$p_msgs" -gt 0 ] && [ "$p_events" -lt $((p_computes + 2 * p_msgs)) ] \
+    || { echo "LU B-8: $p_events events for $p_computes computes and $p_msgs messages" >&2; exit 1; }
+echo "P2P_SMOKE ok ($p_events events < $p_computes computes + 2 x $p_msgs messages)"
+
 # Scale smoke: both runtimes build a rank pair's route and match queues
 # on the pair's first message, so a 2048-rank halo exchange replays in
 # under 1 GiB of address space (a table over all P² pairs needs ~1.6 GiB
