@@ -220,6 +220,25 @@ p_computes=$("$rep" inspect --trace "$ingest_dir/lu.trace" --ranks 8 | awk '$1 =
     || { echo "LU B-8: $p_events events for $p_computes computes and $p_msgs messages" >&2; exit 1; }
 echo "P2P_SMOKE ok ($p_events events < $p_computes computes + 2 x $p_msgs messages)"
 
+# Profile smoke: the release build inlines the kernel, the event list and
+# the network model into the replay loop across crates, so a profile by
+# symbol charges them to smpi. scripts/pcprofile.sh charges each sample
+# to its innermost workspace frame instead: on an LU C-64 replay (at
+# least 300 samples) the frames of simkernel/, smpi/ and netmodel/ must
+# each hold at least 5 % of all samples among the top 25 lines.
+"$gen" --class C --procs 64 --steps 12 --out "$ingest_dir/luc.trace" >/dev/null
+"$rep" trace pack "$ingest_dir/luc.trace" "$ingest_dir/luc.titb" --ranks 64 >/dev/null
+scripts/pcprofile.sh -r 8 -- "$rep" --platform "$ingest_dir/luc.trace.platform.json" \
+    --trace "$ingest_dir/luc.titb" --ranks 64 --rate 2e9 >"$ingest_dir/profile.txt"
+prof=$(awk 'BEGIN { s["simkernel"] = 0; s["smpi"] = 0; s["netmodel"] = 0 }
+    NR == 1 { n = $1; next }
+    { for (d in s) if (index($0, "(" d "/")) s[d] += $1 }
+    END { ok = n >= 300; for (d in s) { ok = ok && s[d] >= 5; out = out " " d " " s[d] "%" }
+          print (ok ? "ok" : "bad") " (" n " samples;" out ")" }' "$ingest_dir/profile.txt")
+[ "${prof%% *}" = ok ] \
+    || { echo "PROFILE_SMOKE: $prof" >&2; cat "$ingest_dir/profile.txt" >&2; exit 1; }
+echo "PROFILE_SMOKE $prof"
+
 # Scale smoke: both runtimes build a rank pair's route and match queues
 # on the pair's first message, so a 2048-rank halo exchange replays in
 # under 1 GiB of address space (a table over all P² pairs needs ~1.6 GiB

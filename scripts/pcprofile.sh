@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Sampled self-time profile of one command, for sandboxes without `perf`:
 # an LD_PRELOAD shim samples the program counter on SIGPROF (1 kHz of CPU
-# time), and the samples are attributed to the binary's symbols with `nm`.
+# time), and each sample is attributed with `addr2line -i` to the innermost
+# workspace function at that address, inlined or not (the release profile
+# keeps line tables, inline frames included).
 #
 #   scripts/pcprofile.sh [-n TOP] [-r RUNS] -- target/release/titreplay ...
 #
 # Runs the command RUNS times (default 1; the timer ticks at the kernel's
 # HZ, so a sub-second run yields a few hundred samples) and prints the TOP
-# (default 25) symbols by share of all samples. Needs gcc, nm and python3;
-# builds nothing of the workspace and writes only to a temporary directory.
+# (default 25) functions by share of all samples, each with its file under
+# crates/. Needs gcc, addr2line and python3; builds nothing of the
+# workspace and writes only to a temporary directory.
 set -euo pipefail
 top=25
 runs=1
@@ -77,29 +80,52 @@ gcc -shared -fPIC -O2 -o "$work/pcsample.so" "$work/pcsample.c"
 for _ in $(seq "$runs"); do
     PCSAMPLE_OUT="$work/pcs.txt" LD_PRELOAD="$work/pcsample.so" "$@" >/dev/null 2>&1
 done
-nm -C --defined-only -n "$(command -v "$1")" >"$work/syms.txt"
-python3 - "$work/pcs.txt" "$work/syms.txt" "$top" <<'PY'
-import bisect, collections, sys
-pcs_path, syms_path, top = sys.argv[1], sys.argv[2], int(sys.argv[3])
-syms = []
-for line in open(syms_path):
-    parts = line.rstrip("\n").split(" ", 2)
-    if len(parts) == 3 and parts[1] in "tTwW":
-        syms.append((int(parts[0], 16), parts[2]))
-addrs = [a for a, _ in syms]
-hits = collections.Counter()
-total = 0
+python3 - "$work/pcs.txt" "$(command -v "$1")" "$top" <<'PY'
+import collections, subprocess, sys
+pcs_path, exe, top = sys.argv[1], sys.argv[2], int(sys.argv[3])
+# PIE executables (ELF type 3) are linked at 0 and relocated to where
+# they were mapped; others run at their link address.
+with open(exe, "rb") as f:
+    pie = f.read(18)[16] == 3
+total, outside, pcs = 0, 0, collections.Counter()
 for line in open(pcs_path):
     if line.startswith("B "):
         base, end = (int(x, 16) for x in line.split()[1:])
-        # Non-PIE binaries are linked at their run address; PIE ones at 0.
-        shift = 0 if addrs and addrs[0] >= base else base
         continue
     pc = int(line, 16)
     total += 1
-    i = bisect.bisect_right(addrs, pc - shift) - 1
-    inside = base <= pc < end and i >= 0
-    hits[syms[i][1] if inside else "[shared libraries, kernel]"] += 1
+    if base <= pc < end:
+        pcs[pc - base if pie else pc] += 1
+    else:
+        outside += 1
+# addr2line -i lists the inlined frames innermost first, then the function
+# they were inlined into. A sample is charged to its innermost frame in a
+# workspace source file (crates/...), so a BinaryHeap sift inlined into
+# EventQueue::pop reads as pop; one with no workspace frame at all keeps
+# the name of the function it sits in.
+addrs = sorted(pcs)
+out = subprocess.run(
+    ["addr2line", "-e", exe, "-a", "-f", "-i", "-C"],
+    input="".join(f"{a:x}\n" for a in addrs), capture_output=True, text=True, check=True,
+).stdout.splitlines()
+blocks = []
+for line in out:
+    if line.startswith("0x"):
+        blocks.append([])
+    else:
+        blocks[-1].append(line)
+hits = collections.Counter()
+for pc, block in zip(addrs, blocks):
+    frames = list(zip(block[0::2], block[1::2]))
+    ours = next(((fn, src) for fn, src in frames if "crates/" in src), None)
+    if ours:
+        fn, src = ours
+        name = f"{fn}  ({src[src.rindex('crates/') + 7:].split(':')[0]})"
+    else:
+        name = frames[-1][0] if frames else "??"
+    hits[name] += pcs[pc]
+if outside:
+    hits["[shared libraries, kernel]"] = outside
 print(f"{total} samples")
 for name, count in hits.most_common(top):
     print(f"{100.0 * count / total:5.1f}%  {count:7d}  {name}")
