@@ -46,8 +46,10 @@ impl QueryKey {
     /// Builds a key from a decoded trace and the query's platform and
     /// configuration. `ranks` is taken from the trace itself.
     pub fn for_query(trace: &Trace, spec: &PlatformSpec, config: &ReplayConfig) -> Self {
+        let (checksum, _) = binfmt::content_checksum(binfmt::trace_sources(trace))
+            .expect("an in-memory action list never fails to read");
         Self {
-            trace: binfmt::content_checksum(trace),
+            trace: checksum,
             platform: spec.canonical_hash(),
             config: config.canonical_hash(),
             ranks: trace.ranks(),
@@ -151,12 +153,9 @@ mod tests {
         let spec = sample_spec();
         let cfg = ReplayConfig::improved(1e9);
         let whole = QueryKey::for_query(&t, &spec, &cfg);
-        let parts = QueryKey::from_parts(
-            titrace::binfmt::content_checksum(&t),
-            &spec,
-            &cfg,
-            t.ranks(),
-        );
+        let (checksum, _) =
+            titrace::binfmt::content_checksum(titrace::binfmt::trace_sources(&t)).unwrap();
+        let parts = QueryKey::from_parts(checksum, &spec, &cfg, t.ranks());
         assert_eq!(whole, parts);
     }
 }

@@ -19,7 +19,7 @@
 //! assert_eq!(platform.host_count(), 4);
 //! ```
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::topology::{
     cabinet_cluster, direct_cluster, flat_cluster, CabinetClusterSpec, DirectClusterSpec,
@@ -27,8 +27,11 @@ use crate::topology::{
 };
 use crate::Platform;
 
-/// Serializable description of a cluster platform.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+/// Serializable description of a cluster platform. Deserializing one
+/// ([`PlatformSpec::from_json`], `from_value`) also
+/// [validates](PlatformSpec::validate) it, so a spec read from a file or
+/// a request always builds.
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct PlatformSpec {
     /// Cluster name.
     pub name: String,
@@ -101,8 +104,123 @@ pub enum SpecKind {
     },
 }
 
+impl Deserialize for PlatformSpec {
+    fn from_value(v: &Value) -> Result<PlatformSpec, DeError> {
+        let spec = PlatformSpec {
+            name: Deserialize::from_value(serde::obj_field(v, "name", "PlatformSpec")?)?,
+            kind: Deserialize::from_value(serde::obj_field(v, "kind", "PlatformSpec")?)?,
+        };
+        spec.validate().map_err(DeError::custom)?;
+        Ok(spec)
+    }
+}
+
 impl PlatformSpec {
+    /// Checks that the spec describes a platform that can be built: every
+    /// count at least 1 (at most 65 535 cabinets, and their nodes within
+    /// `u32`), every speed and bandwidth positive and finite, every
+    /// latency finite and not negative.
+    ///
+    /// # Errors
+    /// The first offending field, by name, with its value.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, field: &str, want: &str, v: &dyn std::fmt::Display| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("`{field}` must be {want}, got {v}"))
+            }
+        };
+        let count = |field: &str, v: u32| check(v > 0, field, "at least 1", &v);
+        let rate =
+            |field: &str, v: f64| check(v > 0.0 && v.is_finite(), field, "positive and finite", &v);
+        let latency = |field: &str, v: f64| {
+            check(
+                v >= 0.0 && v.is_finite(),
+                field,
+                "finite and not negative",
+                &v,
+            )
+        };
+        match &self.kind {
+            SpecKind::Flat {
+                nodes,
+                host_speed,
+                cores,
+                cache_bytes: _,
+                link_bandwidth,
+                link_latency,
+                backbone_bandwidth,
+                backbone_latency,
+            } => {
+                count("nodes", *nodes)?;
+                rate("host_speed", *host_speed)?;
+                count("cores", *cores)?;
+                rate("link_bandwidth", *link_bandwidth)?;
+                latency("link_latency", *link_latency)?;
+                rate("backbone_bandwidth", *backbone_bandwidth)?;
+                latency("backbone_latency", *backbone_latency)
+            }
+            SpecKind::Direct {
+                nodes,
+                host_speed,
+                cores,
+                cache_bytes: _,
+                link_bandwidth,
+                link_latency,
+            } => {
+                count("nodes", *nodes)?;
+                rate("host_speed", *host_speed)?;
+                count("cores", *cores)?;
+                rate("link_bandwidth", *link_bandwidth)?;
+                latency("link_latency", *link_latency)
+            }
+            SpecKind::Cabinets {
+                cabinets,
+                nodes_per_cabinet,
+                host_speed,
+                cores,
+                cache_bytes: _,
+                link_bandwidth,
+                link_latency,
+                cabinet_bandwidth,
+                cabinet_latency,
+                backbone_bandwidth,
+                backbone_latency,
+            } => {
+                count("cabinets", *cabinets)?;
+                // The topology numbers cabinets in a `u16`.
+                if *cabinets > u32::from(u16::MAX) {
+                    return Err(format!(
+                        "`cabinets` must be at most {}, got {cabinets}",
+                        u16::MAX
+                    ));
+                }
+                count("nodes_per_cabinet", *nodes_per_cabinet)?;
+                if cabinets.checked_mul(*nodes_per_cabinet).is_none() {
+                    return Err(format!(
+                        "`cabinets` × `nodes_per_cabinet` ({cabinets} × {nodes_per_cabinet}) \
+                         exceeds {} nodes",
+                        u32::MAX
+                    ));
+                }
+                rate("host_speed", *host_speed)?;
+                count("cores", *cores)?;
+                rate("link_bandwidth", *link_bandwidth)?;
+                latency("link_latency", *link_latency)?;
+                rate("cabinet_bandwidth", *cabinet_bandwidth)?;
+                latency("cabinet_latency", *cabinet_latency)?;
+                rate("backbone_bandwidth", *backbone_bandwidth)?;
+                latency("backbone_latency", *backbone_latency)
+            }
+        }
+    }
+
     /// Instantiates the platform this spec describes.
+    ///
+    /// # Panics
+    /// On a spec [`PlatformSpec::validate`] refuses; a deserialized spec
+    /// has passed it.
     pub fn build(&self) -> Platform {
         match &self.kind {
             SpecKind::Flat {
@@ -185,7 +303,7 @@ impl PlatformSpec {
         h.digest()
     }
 
-    /// Parses a spec from JSON.
+    /// Parses a spec from JSON and [validates](PlatformSpec::validate) it.
     pub fn from_json(json: &str) -> Result<PlatformSpec, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -258,6 +376,119 @@ fn hash_value(h: &mut Fnv64, v: &serde::Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// How a spec field is checked.
+    #[derive(Clone, Copy)]
+    enum Field {
+        /// An integer count, at least 1.
+        Count,
+        /// A byte size (any `u64`).
+        Bytes,
+        /// A speed or bandwidth: positive and finite.
+        Rate,
+        /// A latency: finite and not negative.
+        Latency,
+    }
+
+    /// The fields of each spec kind, with a value that builds.
+    const FLAT: &[(&str, Field, &str)] = &[
+        ("nodes", Field::Count, "4"),
+        ("host_speed", Field::Rate, "1e9"),
+        ("cores", Field::Count, "2"),
+        ("cache_bytes", Field::Bytes, "1048576"),
+        ("link_bandwidth", Field::Rate, "1.25e8"),
+        ("link_latency", Field::Latency, "2.5e-5"),
+        ("backbone_bandwidth", Field::Rate, "1.25e9"),
+        ("backbone_latency", Field::Latency, "5e-6"),
+    ];
+    const DIRECT: &[(&str, Field, &str)] = &[
+        ("nodes", Field::Count, "8"),
+        ("host_speed", Field::Rate, "1e9"),
+        ("cores", Field::Count, "1"),
+        ("cache_bytes", Field::Bytes, "1048576"),
+        ("link_bandwidth", Field::Rate, "1.25e8"),
+        ("link_latency", Field::Latency, "1e-5"),
+    ];
+    const CABINETS: &[(&str, Field, &str)] = &[
+        ("cabinets", Field::Count, "2"),
+        ("nodes_per_cabinet", Field::Count, "4"),
+        ("host_speed", Field::Rate, "2e9"),
+        ("cores", Field::Count, "4"),
+        ("cache_bytes", Field::Bytes, "2097152"),
+        ("link_bandwidth", Field::Rate, "1.25e8"),
+        ("link_latency", Field::Latency, "2e-5"),
+        ("cabinet_bandwidth", Field::Rate, "1.25e9"),
+        ("cabinet_latency", Field::Latency, "2e-6"),
+        ("backbone_bandwidth", Field::Rate, "2.5e9"),
+        ("backbone_latency", Field::Latency, "2e-6"),
+    ];
+
+    /// The hostile draws; a draw past them is the field's own buildable
+    /// value, so about a quarter of the draws are hostile and many specs
+    /// hold none that a field refuses.
+    const DRAWS: [&str; 4] = ["0", "-1", "1e-300", "1e300"];
+
+    /// Whether `field` accepts `value`: `Some(false)` where validation
+    /// refuses it, `None` where it is no value of the field's type.
+    fn accepts(field: Field, value: &str) -> Option<bool> {
+        let integer = value == "0" || !DRAWS.contains(&value);
+        match field {
+            Field::Count => integer.then_some(value != "0"),
+            Field::Bytes => integer.then_some(true),
+            Field::Rate => Some(value != "0" && value != "-1"),
+            Field::Latency => Some(value != "-1"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every numeric field of every spec kind drawn from 0, −1,
+        /// 1e-300, 1e300 or a buildable value: parsing refuses exactly
+        /// the degenerate specs — naming the first refused field, or as a
+        /// number its integer field cannot hold — and every spec it
+        /// accepts builds without a panic.
+        #[test]
+        fn degenerate_specs_are_refused_and_accepted_ones_build(
+            kind in 0usize..3,
+            draws in proptest::collection::vec(0usize..16, 11),
+        ) {
+            let (name, fields) = [("Flat", FLAT), ("Direct", DIRECT), ("Cabinets", CABINETS)][kind];
+            let mut body = Vec::new();
+            let mut untyped = false;
+            let mut refused = None;
+            for (&(field, check, normal), &draw) in fields.iter().zip(&draws) {
+                let value = DRAWS.get(draw).copied().unwrap_or(normal);
+                match accepts(check, value) {
+                    None => untyped = true,
+                    Some(false) => {
+                        refused.get_or_insert(field);
+                    }
+                    Some(true) => {}
+                }
+                body.push(format!("\"{field}\": {value}"));
+            }
+            let json = format!(
+                "{{\"name\": \"p\", \"kind\": {{\"{name}\": {{{}}}}}}}",
+                body.join(", ")
+            );
+            match PlatformSpec::from_json(&json) {
+                Ok(spec) => {
+                    prop_assert!(!untyped && refused.is_none(), "accepted {json}");
+                    prop_assert!(spec.build().host_count() > 0);
+                }
+                Err(e) if untyped => {
+                    let e = e.to_string();
+                    prop_assert!(e.contains(" for u32") || e.contains(" for u64"), "{json}: {e}");
+                }
+                Err(e) => {
+                    let field = refused.unwrap_or_else(|| panic!("refused {json}: {e}"));
+                    prop_assert!(e.to_string().contains(&format!("`{field}`")), "{json}: {e}");
+                }
+            }
+        }
+    }
 
     fn flat_spec() -> PlatformSpec {
         PlatformSpec {

@@ -600,23 +600,36 @@ pub fn encode_with_source(trace: &Trace, sig: Option<(u64, u64)>) -> Vec<u8> {
     out
 }
 
-/// The FNV-1a digest of the trace's encoded action payload — exactly
-/// the checksum a `.titb` written from this trace carries in its
-/// header, computed without materialising the file image. This is the
-/// canonical *content* identity of a trace: independent of file path,
-/// mtime, text formatting, and storage form, so it is the trace
-/// component of a what-if memoization key (see `tit_replay::querykey`).
-pub fn content_checksum(trace: &Trace) -> u64 {
+/// The FNV-1a digest of the encoded action payload `sources` yield (one
+/// source per rank, in rank order), and the number of actions — exactly
+/// the checksum a `.titb` written from them carries in its header,
+/// computed in one streaming pass without materialising the file image.
+/// This is the canonical *content* identity of a trace: independent of
+/// file path, mtime, text formatting, and storage form, so it is the
+/// trace component of a what-if memoization key (see
+/// `tit_replay::querykey`). A decoded trace's sources are
+/// [`trace_sources`].
+///
+/// # Errors
+/// The first failure of a source.
+pub fn content_checksum<S: ActionSource>(sources: Vec<S>) -> Result<(u64, u64), SourceError> {
     let mut fnv = Fnv1a::new();
     let mut scratch = Vec::with_capacity(32);
-    for (_, actions) in trace.iter() {
-        for a in actions {
+    let mut actions = 0u64;
+    for mut source in sources {
+        while let Some(action) = source.next_action()? {
             scratch.clear();
-            encode_action(a, &mut scratch);
+            encode_action(&action, &mut scratch);
             fnv.update(&scratch);
+            actions += 1;
         }
     }
-    fnv.digest()
+    Ok((fnv.digest(), actions))
+}
+
+/// One [`ActionSource`] per rank over a decoded trace's own action lists.
+pub fn trace_sources(trace: &Trace) -> Vec<std::slice::Iter<'_, Action>> {
+    trace.iter().map(|(_, actions)| actions.iter()).collect()
 }
 
 /// Decodes a full `.titb` image into a [`Trace`], verifying the
@@ -663,8 +676,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, BinError> {
 /// # Errors
 /// Propagates I/O failures (with the path).
 pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result<(), FileError> {
-    let sources = trace.iter().map(|(_, actions)| actions.iter()).collect();
-    write_sources(sources, path, sig)?.map_err(|e| e.into_file_error(path))
+    write_sources(trace_sources(trace), path, sig)?.map_err(|e| e.into_file_error(path))
 }
 
 /// Writes the actions `sources` yield (one source per rank, in rank
@@ -874,8 +886,9 @@ impl TitbFile {
         Ok(self)
     }
 
-    /// The parsed header.
-    pub(crate) fn header(&self) -> &Header {
+    /// The parsed header: rank count, block table, source signature and
+    /// the verified payload checksum.
+    pub fn header(&self) -> &Header {
         &self.header
     }
 
@@ -1405,10 +1418,15 @@ mod tests {
         let t = sample();
         write_file(&t, &p, Some((11, 13))).unwrap();
         let header = read_header(&std::fs::read(&p).unwrap()).unwrap();
-        assert_eq!(content_checksum(&t), header.checksum);
+        let (checksum, actions) = content_checksum(trace_sources(&t)).unwrap();
+        assert_eq!(checksum, header.checksum);
+        assert_eq!(actions, t.len() as u64);
         // Independent of the source signature and of going through a file.
         let in_memory = read_header(&encode(&t)).unwrap();
-        assert_eq!(content_checksum(&t), in_memory.checksum);
+        assert_eq!(checksum, in_memory.checksum);
+        // The same digest streamed from the file's own cursors.
+        let streamed = content_checksum(open_cursors(&p, t.ranks()).unwrap()).unwrap();
+        assert_eq!(streamed, (checksum, actions));
     }
 
     #[test]

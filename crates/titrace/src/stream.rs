@@ -1024,6 +1024,24 @@ impl TraceInput {
         }
         Ok(TraceInput::MergedText(path.to_path_buf()))
     }
+
+    /// Heap bytes the input keeps between replays: an opened `.titb`'s
+    /// block table, an opened text file's run index, a decoded trace's
+    /// actions; nothing for a path not yet opened.
+    pub fn held_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let bytes = match self {
+            TraceInput::Memory(trace) => trace.len() * size_of::<Action>(),
+            TraceInput::OpenBinary(titb) => titb.header().blocks.len() * size_of::<binfmt::Block>(),
+            TraceInput::OpenText(text) => text
+                .runs
+                .iter()
+                .map(|runs| size_of::<Arc<[Run]>>() + runs.len() * size_of::<Run>())
+                .sum(),
+            TraceInput::MergedText(_) | TraceInput::Description(_) | TraceInput::Binary(_) => 0,
+        };
+        bytes as u64
+    }
 }
 
 /// Opens per-rank incremental cursors for `input`. Every on-disk layout

@@ -16,10 +16,10 @@
 //! * **in-flight dedup** — N concurrent identical queries run exactly
 //!   one replay; the other N−1 block on the first and receive the same
 //!   body;
-//! * **shared hot traces** — decoded traces live in a process-wide
-//!   [`query::TraceStore`] (`Arc<Trace>`), loaded through the `.titb`
-//!   side-car cache, so distinct questions about one trace decode it
-//!   once;
+//! * **shared opened traces** — a process-wide [`query::TraceStore`]
+//!   opens each trace once, as `titreplay` does (merged text through its
+//!   `.titb` side-car), and every question about it streams through
+//!   bounded per-rank windows, so memory does not grow with trace length;
 //! * **bounded workers** — independent queries fan out over a counting
 //!   semaphore; each execution reuses the parallel replay machinery
 //!   (`threads` in the query config).

@@ -20,15 +20,18 @@
 //! byte-identical to the manifest the CLI writes for the same inputs
 //! (modulo the wall-time field, the one non-deterministic entry).
 //!
-//! The [`TraceStore`] keeps hot decoded traces as `Arc<Trace>` shared
-//! across requests, keyed on the source path and invalidated by the
-//! same size+mtime signature the `.titb` side-car cache uses — a cold
-//! open still goes through [`stream::load_merged_cached`], so the
-//! on-disk side-car and the in-process store stay coherent.
+//! The [`TraceStore`] keeps each trace *opened*, as `titreplay` opens it
+//! — merged text through [`stream::open_merged_cached`], so the on-disk
+//! side-car and the store stay coherent; a `.titb` or description
+//! through [`stream::open_input`] — keyed on the source path and
+//! re-opened when the size+mtime signature the side-car cache uses
+//! changes. Every execution streams the opened input through bounded
+//! per-rank windows, like the CLI, so the server's memory does not grow
+//! with trace length. Each entry keeps one open file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Value};
 use tit_replay::prelude::*;
@@ -125,27 +128,99 @@ fn parse_config(v: &Value) -> Result<ReplayConfig, String> {
     Ok(config)
 }
 
-/// A trace resolved through the store: identity plus shared payload.
-#[derive(Clone)]
+/// A trace opened for replay, as `titreplay` opens it: the input every
+/// execution streams its per-rank cursors from (a `.titb` handle — a
+/// side-car hit included — an indexed text file, or a multi-fragment
+/// description), the rank count it was opened for, and its action count.
+/// Holds at most one open file and its block table or run index, never
+/// actions.
+#[derive(Debug, Clone)]
+pub struct OpenTrace {
+    input: TraceInput,
+    ranks: u32,
+    actions: u64,
+}
+
+impl OpenTrace {
+    /// The opened input, ready for [`replay_input_observed`].
+    pub fn input(&self) -> &TraceInput {
+        &self.input
+    }
+
+    /// The rank count the trace was opened for.
+    pub fn ranks(&self) -> u32 {
+        self.ranks
+    }
+
+    /// Total actions over all ranks.
+    pub fn len(&self) -> u64 {
+        self.actions
+    }
+
+    /// True when the trace holds no action.
+    pub fn is_empty(&self) -> bool {
+        self.actions == 0
+    }
+}
+
+/// A trace resolved through the store: identity plus the opened input.
+#[derive(Debug, Clone)]
 pub struct ResolvedTrace {
     /// The CLI-equivalent manifest signature (computed from the path
     /// input *before* any cache substitution, exactly as `titreplay`
     /// does, so manifests byte-match).
     pub signature: String,
-    /// The decoded trace, shared across all requests touching it.
-    pub trace: Arc<Trace>,
+    /// The opened trace, shared across all requests touching it.
+    pub trace: OpenTrace,
     /// Canonical content checksum (the `.titb` header checksum).
     pub checksum: u64,
 }
 
-struct StoreEntry {
-    source_sig: Option<(u64, u64)>,
-    trace: Arc<Trace>,
-    checksum: u64,
+impl ResolvedTrace {
+    /// Opens `path` for `ranks` ranks the way `titreplay` does: merged
+    /// text through its `.titb` side-car when `sidecar` is set (a hit, or
+    /// the side-car a miss writes, opens as a `.titb`; otherwise the text
+    /// is indexed), every other layout opened as given. The checksum of a
+    /// `.titb` is its header's; any other input is hashed in one
+    /// streaming pass over its cursors.
+    fn open(path: &Path, ranks: u32, sidecar: bool) -> Result<ResolvedTrace, String> {
+        let detected = TraceInput::detect(path).map_err(|e| e.to_string())?;
+        let signature = replay::trace_signature(&detected, ranks);
+        let input = match &detected {
+            TraceInput::MergedText(p) => stream::open_merged_cached(p, ranks, sidecar).map(|o| o.0),
+            other => stream::open_input(other, ranks),
+        }
+        .map_err(|e| e.to_string())?;
+        let (checksum, actions) = match &input {
+            TraceInput::OpenBinary(titb) => (titb.header().checksum, titb.header().total_actions()),
+            other => {
+                let sources = stream::open_sources(other, ranks).map_err(|e| e.to_string())?;
+                binfmt::content_checksum(sources)
+                    .map_err(|e| e.into_file_error(path).to_string())?
+            }
+        };
+        Ok(ResolvedTrace {
+            signature,
+            trace: OpenTrace {
+                input,
+                ranks,
+                actions,
+            },
+            checksum,
+        })
+    }
 }
 
-/// Shared cache of hot decoded traces, keyed on source path and
-/// invalidated by the side-car's size+mtime signature.
+struct StoreEntry {
+    source_sig: Option<(u64, u64)>,
+    resolved: ResolvedTrace,
+}
+
+/// Shared store of opened traces, keyed on source path and re-opened
+/// when the source's size+mtime signature (the side-car's) changes.
+/// Each entry keeps one open file and its block table or run index, so
+/// the store grows with the number of distinct traces asked about, not
+/// with their length.
 #[derive(Default)]
 pub struct TraceStore {
     entries: Mutex<HashMap<PathBuf, StoreEntry>>,
@@ -157,7 +232,7 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// Number of traces currently held hot.
+    /// Number of traces currently held open.
     pub fn len(&self) -> usize {
         self.entries.lock().unwrap().len()
     }
@@ -167,73 +242,47 @@ impl TraceStore {
         self.len() == 0
     }
 
-    /// Approximate resident bytes of the decoded traces held hot: the
-    /// per-entry action storage (`actions * sizeof(Action)`) plus the
-    /// per-rank index. Good enough to watch unbounded growth; not an
-    /// allocator-accurate figure.
-    pub fn approx_bytes(&self) -> u64 {
+    /// Heap bytes the open handles keep between requests: the `.titb`
+    /// block tables and text run indices
+    /// ([`TraceInput::held_bytes`]).
+    pub fn held_bytes(&self) -> u64 {
         let entries = self.entries.lock().unwrap();
         entries
             .values()
-            .map(|e| {
-                e.trace.len() as u64 * std::mem::size_of::<Action>() as u64
-                    + u64::from(e.trace.ranks()) * std::mem::size_of::<usize>() as u64
-            })
+            .map(|e| e.resolved.trace.input.held_bytes())
             .sum()
     }
 
-    /// Resolves `path` to a shared decoded trace, loading (and, for
-    /// merged text with `sidecar` set, side-car-caching) on first use.
+    /// Resolves `path` to a shared opened trace, opening it (and, for
+    /// merged text with `sidecar` set, side-car-caching it) on first use
+    /// and whenever its source signature changed.
     pub fn resolve(&self, path: &str, ranks: u32, sidecar: bool) -> Result<ResolvedTrace, String> {
         let path_buf = PathBuf::from(path);
-        let input = TraceInput::detect(&path_buf).map_err(|e| e.to_string())?;
-        let signature = replay::trace_signature(&input, ranks);
         let source_sig = stream::source_signature(&path_buf).ok();
-        {
-            let entries = self.entries.lock().unwrap();
-            if let Some(entry) = entries.get(&path_buf) {
-                if entry.source_sig == source_sig {
-                    if entry.trace.ranks() != ranks {
-                        return Err(format!(
-                            "trace {path} has {} ranks, query says {ranks}",
-                            entry.trace.ranks()
-                        ));
-                    }
-                    return Ok(ResolvedTrace {
-                        signature,
-                        trace: Arc::clone(&entry.trace),
-                        checksum: entry.checksum,
-                    });
+        if let Some(entry) = self.entries.lock().unwrap().get(&path_buf) {
+            if entry.source_sig == source_sig {
+                if entry.resolved.trace.ranks != ranks {
+                    return Err(format!(
+                        "trace {path} has {} ranks, query says {ranks}",
+                        entry.resolved.trace.ranks
+                    ));
                 }
+                return Ok(entry.resolved.clone());
             }
         }
-        // Load outside the lock: a slow decode must not serialize
-        // requests for *other* traces. Two racing loads of the same
-        // trace both succeed and the second insert wins — identical
+        // Open outside the lock: a slow index or checksum pass must not
+        // serialize requests for *other* traces. Two racing opens of the
+        // same trace both succeed and the second insert wins — identical
         // content either way.
-        let trace = match &input {
-            TraceInput::MergedText(p) => {
-                let (trace, _) =
-                    stream::load_merged_cached(p, ranks, sidecar).map_err(|e| e.to_string())?;
-                trace
-            }
-            other => stream::load_trace(other, ranks).map_err(|e| e.to_string())?,
-        };
-        let checksum = binfmt::content_checksum(&trace);
-        let trace = Arc::new(trace);
+        let resolved = ResolvedTrace::open(&path_buf, ranks, sidecar)?;
         self.entries.lock().unwrap().insert(
             path_buf,
             StoreEntry {
                 source_sig,
-                trace: Arc::clone(&trace),
-                checksum,
+                resolved: resolved.clone(),
             },
         );
-        Ok(ResolvedTrace {
-            signature,
-            trace,
-            checksum,
-        })
+        Ok(resolved)
     }
 }
 
@@ -243,21 +292,22 @@ pub fn query_key(q: &WhatIfQuery, resolved: &ResolvedTrace) -> QueryKey {
 }
 
 /// Executes one query and renders the manifest envelope — the exact
-/// flow of a `titreplay --manifest` run: replay the in-memory trace,
-/// measure wall time, assemble [`replay::manifest`], serialize with
-/// its deterministic writer.
+/// flow of a `titreplay --manifest` run: replay the opened trace through
+/// per-rank windows, measure wall time, assemble [`replay::manifest`],
+/// serialize with its deterministic writer.
 pub fn execute(q: &WhatIfQuery, resolved: &ResolvedTrace) -> Result<String, String> {
     let platform = q.spec.build();
-    let input = TraceInput::Memory(Arc::clone(&resolved.trace));
     let started = std::time::Instant::now();
-    let report = replay_input_observed(&platform, &input, q.ranks, &q.config, false)?;
+    let report =
+        replay_input_observed(&platform, resolved.trace.input(), q.ranks, &q.config, false)?;
     let wall = started.elapsed().as_secs_f64();
     let man = replay::manifest(&platform, &resolved.signature, &q.config, &report, wall);
     Ok(man.to_json())
 }
 
 /// Summarises a trace without replaying it (the `/inspect` endpoint):
-/// the CLI `titreplay inspect` counters as deterministic JSON.
+/// the CLI `titreplay inspect` counters as deterministic JSON, counted
+/// by draining the opened trace's cursors.
 pub fn inspect(
     path: &str,
     ranks: u32,
@@ -273,8 +323,8 @@ pub fn inspect(
     let mut waits = 0u64;
     let mut bytes = 0u64;
     let mut instructions = 0.0f64;
-    for r in 0..t.ranks() {
-        for a in t.actions(tit_replay::titrace::Rank(r)) {
+    for mut cursor in stream::open_sources(t.input(), t.ranks()).map_err(|e| e.to_string())? {
+        while let Some(a) = cursor.next_action().map_err(|e| e.to_string())? {
             match a {
                 Action::Send { bytes: b, .. } | Action::Isend { bytes: b, .. } => {
                     sends += 1;

@@ -3,7 +3,7 @@
 //! Request lifecycle for `/predict`:
 //!
 //! 1. parse the query, resolve the trace through the shared
-//!    [`TraceStore`] (hot `Arc<Trace>` or side-car-cached load);
+//!    [`TraceStore`] (the trace opened once, as `titreplay` opens it);
 //! 2. form the canonical [`QueryKey`] and consult the memo table:
 //!    * **Ready** — serve the stored body (`x-titserved-cache: hit`),
 //!      no replay runs;
@@ -12,16 +12,19 @@
 //!      identical queries cost exactly one execution;
 //!    * **vacant** — insert a Pending slot, take a worker permit from
 //!      the bounded pool, replay, publish the body (`miss`).
-//! 3. failed executions *remove* the Pending slot so a later retry is
-//!    possible; only successful bodies are memoized.
+//! 3. failed executions — a panicking one included — *remove* the
+//!    Pending slot so a later retry is possible; only successful bodies
+//!    are memoized.
 //!
 //! The memo stores the exact response bytes (`Arc<String>`), so a hit
 //! is byte-identical to the miss that populated it — pinned by the
 //! integration tests and the CI smoke.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -296,46 +299,71 @@ impl ServerState {
             }
             Role::Run(inflight) => {
                 self.telemetry.cache_miss.inc();
-                self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                self.pool.acquire();
-                self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.stats.workers_busy.fetch_add(1, Ordering::Relaxed);
-                self.stats.executions.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.executions.inc();
-                let result = query::execute(&q, &resolved).map(Arc::new);
-                if let Err(e) = &result {
-                    // Attribute the failure to the request that ran it —
-                    // the joined waiters see the same error body, but the
-                    // log names the execution's originator.
-                    eprintln!("titserved: rid={request_id} replay execution failed: {e}");
-                }
-                self.stats.workers_busy.fetch_sub(1, Ordering::Relaxed);
-                self.pool.release();
-                let mut memo = self.memo.lock().unwrap();
-                match &result {
-                    // Only successes are memoized; a failure clears the
-                    // slot so the query can be retried.
-                    Ok(body) => {
-                        memo.insert(key, MemoSlot::Ready(Arc::clone(body)));
-                    }
-                    Err(_) => {
-                        memo.remove(&key);
-                    }
-                }
-                drop(memo);
-                inflight.publish(result.clone());
-                match result {
-                    Ok(body) => (200, "miss", body.as_ref().clone()),
-                    Err(e) => (500, "miss", error_body(&e)),
-                }
+                self.execute_slot(key, &inflight, request_id, || query::execute(&q, &resolved))
             }
+        }
+    }
+
+    /// Runs the execution that owns the `Pending` memo slot `key` under a
+    /// worker permit, memoizes a success, and publishes the outcome to
+    /// the joiners of `inflight`. A panicking `run` fails like a replay
+    /// error, with 500: the permit and the busy count are released, the
+    /// slot removed and the error published, so a retry executes afresh
+    /// and the pool keeps serving.
+    fn execute_slot(
+        &self,
+        key: QueryKey,
+        inflight: &InFlight,
+        request_id: u64,
+        run: impl FnOnce() -> Result<String, String>,
+    ) -> (u16, &'static str, String) {
+        self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.pool.acquire();
+        self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.stats.workers_busy.fetch_add(1, Ordering::Relaxed);
+        self.stats.executions.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.executions.inc();
+        let result = panic::catch_unwind(AssertUnwindSafe(run))
+            .unwrap_or_else(|payload| {
+                Err(format!(
+                    "replay execution panicked: {}",
+                    panic_text(&*payload)
+                ))
+            })
+            .map(Arc::new);
+        if let Err(e) = &result {
+            // Attribute the failure to the request that ran it — the
+            // joined waiters see the same error body, but the log names
+            // the execution's originator.
+            eprintln!("titserved: rid={request_id} replay execution failed: {e}");
+        }
+        self.stats.workers_busy.fetch_sub(1, Ordering::Relaxed);
+        self.pool.release();
+        let mut memo = self.memo.lock().unwrap();
+        match &result {
+            // Only successes are memoized; a failure clears the slot so
+            // the query can be retried.
+            Ok(body) => {
+                memo.insert(key, MemoSlot::Ready(Arc::clone(body)));
+            }
+            Err(_) => {
+                memo.remove(&key);
+            }
+        }
+        drop(memo);
+        inflight.publish(result.clone());
+        match result {
+            Ok(body) => (200, "miss", body.as_ref().clone()),
+            Err(e) => (500, "miss", error_body(&e)),
         }
     }
 
     /// Renders `/stats` as JSON. The counter fields are deterministic
     /// under a deterministic request sequence; `uptime_s` and the
-    /// approximate cache byte sizes are the only wall-clock/host-side
-    /// figures (they make the two unbounded caches' growth visible).
+    /// two byte sizes are the only wall-clock/host-side figures: the
+    /// memo's bodies and what the trace store's open handles hold (their
+    /// block tables and run indices), which make the two unbounded
+    /// caches' growth visible.
     fn stats_body(&self) -> String {
         let queries = self.stats.queries.load(Ordering::Relaxed);
         let hits = self.stats.cache_hits.load(Ordering::Relaxed);
@@ -372,7 +400,7 @@ impl ServerState {
             self.stats.workers_busy.load(Ordering::Relaxed),
             self.store.len(),
             self.started.elapsed().as_secs_f64(),
-            self.store.approx_bytes(),
+            self.store.held_bytes(),
         )
     }
 
@@ -388,6 +416,15 @@ impl ServerState {
             .set(self.stats.workers_busy.load(Ordering::Relaxed) as i64);
         t.registry.render_prometheus()
     }
+}
+
+/// The message a panic was raised with, when it is text.
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text panic payload")
 }
 
 fn error_body(msg: &str) -> String {
@@ -561,4 +598,49 @@ fn inspect_request(body: &str) -> Result<(String, u32), String> {
         .filter(|r| *r >= 1.0 && r.fract() == 0.0)
         .ok_or("inspect needs an integer 'ranks' >= 1")? as u32;
     Ok((trace, ranks))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_execution_releases_its_permit_and_its_slot() {
+        let state = ServerState::new(ServerConfig {
+            workers: 1,
+            sidecar: false,
+            access_log: false,
+        });
+        let key = QueryKey {
+            trace: 1,
+            platform: 2,
+            config: 3,
+            ranks: 4,
+        };
+        let inflight = Arc::new(InFlight::default());
+        let slot = MemoSlot::Pending(Arc::clone(&inflight));
+        state.memo.lock().unwrap().insert(key, slot);
+        let joiner = {
+            let inflight = Arc::clone(&inflight);
+            std::thread::spawn(move || inflight.wait())
+        };
+        let (status, cache, body) = state.execute_slot(key, &inflight, 7, || panic!("boom"));
+        assert_eq!((status, cache), (500, "miss"));
+        assert!(body.contains("replay execution panicked: boom"), "{body}");
+        assert_eq!(*state.pool.permits.lock().unwrap(), 1);
+        assert_eq!(state.stats.workers_busy.load(Ordering::Relaxed), 0);
+        assert!(state.memo.lock().unwrap().is_empty());
+        let joined = joiner.join().unwrap().unwrap_err();
+        assert!(joined.contains("boom"), "{joined}");
+
+        // The retry takes the released permit and is memoized.
+        let retry = Arc::new(InFlight::default());
+        let (status, _, body) = state.execute_slot(key, &retry, 8, || Ok("{}".into()));
+        assert_eq!((status, body.as_str()), (200, "{}"));
+        assert!(matches!(
+            state.memo.lock().unwrap().get(&key),
+            Some(MemoSlot::Ready(_))
+        ));
+        assert_eq!(state.stats.executions.load(Ordering::Relaxed), 2);
+    }
 }

@@ -529,7 +529,34 @@ for f in stdout stderr manifest.nowall; do
     cmp "$ingest_dir/major/$f" "$ingest_dir/inter/$f" \
         || { echo "interleaved halo trace: $f differs from the rank-major replay" >&2; exit 1; }
 done
-echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the corrupt file, none panicked; interleaved text replays as rank-major)"
+# Degenerate platforms: no nodes, no speed, no cores, no or a negative
+# link bandwidth, a negative latency, no backbone bandwidth. Each must be
+# refused as a bad spec naming the field, before any replay.
+flat_spec() { # field value: a flat 2-node spec with one field replaced
+    local spec='{"name": "bad", "kind": {"Flat": {"nodes": 2, "host_speed": 1e9, "cores": 1,'
+    spec+=' "cache_bytes": 1048576, "link_bandwidth": 1.25e8, "link_latency": 2.5e-5,'
+    spec+=' "backbone_bandwidth": 1.25e9, "backbone_latency": 5e-6}}}'
+    echo "$spec" | sed -E "s/\"$1\": [^,}]+/\"$1\": $2/"
+}
+platform_runs=0
+for bad in nodes=0 host_speed=0 cores=0 link_bandwidth=0 link_bandwidth=-1 \
+    link_latency=-1 backbone_bandwidth=0; do
+    field=${bad%%=*}
+    flat_spec "$field" "${bad#*=}" >"$ingest_dir/bad-platform.json"
+    if "$rep" --platform "$ingest_dir/bad-platform.json" --ranks 2 --rate 2e9 \
+        --trace "$ingest_dir/s2.trace" --no-cache >/dev/null 2>"$ingest_dir/hostile.err"; then
+        echo "platform with $bad replayed successfully" >&2
+        exit 1
+    fi
+    if grep -q panicked "$ingest_dir/hostile.err" \
+        || ! grep -qF "bad platform spec: \`$field\`" "$ingest_dir/hostile.err"; then
+        echo "platform with $bad: wanted a bad platform spec naming $field, got:" >&2
+        cat "$ingest_dir/hostile.err" >&2
+        exit 1
+    fi
+    platform_runs=$((platform_runs + 1))
+done
+echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the corrupt file, and $platform_runs degenerate platforms naming the field; none panicked; interleaved text replays as rank-major)"
 
 # Re-run the replay-facing suites with parallel replay as the ambient
 # default, so every differential test also exercises the worker pool.
@@ -594,6 +621,24 @@ m_lat=$(metric 'titserved_request_duration_seconds_count{endpoint="/predict"}')
     || { echo "metrics counters wrong (predict=$m_predict exec=$m_exec hit=$m_hit)" >&2; exit 1; }
 [ "${m_lat:-0}" -eq 2 ] \
     || { echo "latency histogram not populated (count=$m_lat)" >&2; exit 1; }
+# A platform with no nodes is refused naming the field, and the service
+# goes on answering: a fresh question executes within 10 s.
+zero='{"trace": "'"$ingest_dir/lu.trace"'", "ranks": 8, "config": {"rate": 2e9}, "platform": '
+zero+='{"name": "zero", "kind": {"Flat": {"nodes": 0, "host_speed": 1e9, "cores": 1, '
+zero+='"cache_bytes": 1048576, "link_bandwidth": 1.25e8, "link_latency": 2.5e-5, '
+zero+='"backbone_bandwidth": 1.25e9, "backbone_latency": 5e-6}}}}'
+exec 3<>"/dev/tcp/127.0.0.1/${server##*:}"
+printf 'POST /predict HTTP/1.1\r\nhost: ci\r\ncontent-length: %s\r\nconnection: close\r\n\r\n%s' \
+    "${#zero}" "$zero" >&3
+cat <&3 >"$ingest_dir/serve.zero.txt"
+exec 3>&-
+head -1 "$ingest_dir/serve.zero.txt" | grep -q ' 400 ' \
+    && grep -qF '`nodes`' "$ingest_dir/serve.zero.txt" \
+    || { echo "zero-node platform not refused: $(cat "$ingest_dir/serve.zero.txt")" >&2; exit 1; }
+timeout 10 "$served" query --server "$server" --trace "$ingest_dir/lu.trace" \
+    --platform "$plat" --ranks 8 --rate 3e9 >/dev/null 2>"$ingest_dir/serve.3.log" \
+    && grep -q '^cache: miss$' "$ingest_dir/serve.3.log" \
+    || { echo "no fresh answer after the refused platform: $(cat "$ingest_dir/serve.3.log")" >&2; exit 1; }
 "$rep" --platform "$plat" --ranks 8 --rate 2e9 --trace "$ingest_dir/lu.trace" \
     --manifest "$ingest_dir/serve.cli.json" >/dev/null 2>&1
 norm_manifest() { sed '/"wall_time_s"/d' "$1"; }
@@ -614,4 +659,4 @@ head -1 "$ingest_dir/serve.stale.txt" | grep -q ' 400 ' \
 serve_http POST /shutdown >/dev/null
 wait "$serve_pid" \
     || { echo "titserved did not shut down cleanly" >&2; exit 1; }
-echo "SERVE_SMOKE ok (memoized second query byte-identical, manifest matches CLI, /metrics counters advanced, stale sharing field refused)"
+echo "SERVE_SMOKE ok (memoized second query byte-identical, manifest matches CLI, /metrics counters advanced, zero-node platform refused and a fresh query answered, stale sharing field refused)"

@@ -335,10 +335,6 @@ fn inspect_healthz_and_errors() {
 /// service keeps answering.
 #[test]
 fn hostile_traces_fail_every_time_and_the_service_keeps_answering() {
-    use std::io::Write;
-    use std::net::TcpStream;
-    use std::time::Duration;
-
     let dir = temp_dir("hostile");
     let wait = dir.join("wait.trace");
     std::fs::write(&wait, "p0 init\np0 wait\np1 init\np2 init\np3 init\n").unwrap();
@@ -346,21 +342,7 @@ fn hostile_traces_fail_every_time_and_the_service_keeps_answering() {
     std::fs::write(&size, "p0 send p1 8\np1 recv p0 16\np2 init\np3 init\n").unwrap();
     let good = trace_file(&dir);
     let (addr, handle) = start_server(1);
-    let predict = |trace: &Path| {
-        let mut stream = TcpStream::connect(&addr).unwrap();
-        // A hang surfaces as a read error instead of a stuck test.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let body = query_body(trace, &spec(1e9), 2e9);
-        write!(
-            stream,
-            "POST /predict HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        titserved::http::read_response(&stream).expect("no response within the read timeout")
-    };
+    let predict = |trace: &Path| predict_within(&addr, &query_body(trace, &spec(1e9), 2e9));
     for (hostile, want) in [
         (
             &wait,
@@ -379,6 +361,100 @@ fn hostile_traces_fail_every_time_and_the_service_keeps_answering() {
         }
     }
     assert_eq!(predict(&good).status, 200);
+    client::post(&addr, "/shutdown", "").unwrap();
+    handle.join().unwrap();
+}
+
+/// Posts `body` to `/predict`; a hang surfaces as a read error after 30 s
+/// instead of a stuck test.
+fn predict_within(addr: &str, body: &str) -> titserved::http::Response {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    write!(
+        stream,
+        "POST /predict HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    titserved::http::read_response(&stream).expect("no response within the read timeout")
+}
+
+/// Fail closed on platforms no cluster can be: a spec with no nodes, no
+/// cores, no speed, no or negative bandwidth, or a negative latency is
+/// refused with 400 naming the field, every time, before any replay runs
+/// — so even a one-worker service goes on answering a valid question.
+#[test]
+fn hostile_platforms_are_refused_and_the_service_keeps_answering() {
+    use tit_replay::platform::spec::SpecKind;
+
+    let dir = temp_dir("hostile-platform");
+    let trace = trace_file(&dir);
+    let (addr, handle) = start_server(1);
+    let hostile = |field: &str, value: f64| {
+        let mut spec = spec(1e9);
+        let SpecKind::Flat {
+            nodes,
+            host_speed,
+            cores,
+            link_bandwidth,
+            link_latency,
+            backbone_bandwidth,
+            ..
+        } = &mut spec.kind
+        else {
+            unreachable!()
+        };
+        match field {
+            "nodes" => *nodes = value as u32,
+            "host_speed" => *host_speed = value,
+            "cores" => *cores = value as u32,
+            "link_bandwidth" => *link_bandwidth = value,
+            "link_latency" => *link_latency = value,
+            "backbone_bandwidth" => *backbone_bandwidth = value,
+            other => unreachable!("{other}"),
+        }
+        spec
+    };
+    for (field, value) in [
+        ("nodes", 0.0),
+        ("host_speed", 0.0),
+        ("cores", 0.0),
+        ("link_bandwidth", 0.0),
+        ("link_bandwidth", -1.0),
+        ("link_latency", -1.0),
+        ("backbone_bandwidth", 0.0),
+    ] {
+        let body = query_body(&trace, &hostile(field, value), 2e9);
+        for attempt in 0..2 {
+            let refused = predict_within(&addr, &body);
+            let text = String::from_utf8(refused.body).unwrap();
+            assert_eq!(
+                refused.status, 400,
+                "{field} = {value}, attempt {attempt}: {text}"
+            );
+            assert!(
+                text.contains("bad platform spec") && text.contains(&format!("`{field}`")),
+                "{field} = {value}, attempt {attempt}: {text}"
+            );
+        }
+    }
+    let valid = predict_within(&addr, &query_body(&trace, &spec(1e9), 2e9));
+    assert_eq!(
+        valid.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&valid.body)
+    );
+    assert_eq!(
+        valid.headers.get("x-titserved-cache").map(String::as_str),
+        Some("miss")
+    );
     client::post(&addr, "/shutdown", "").unwrap();
     handle.join().unwrap();
 }
