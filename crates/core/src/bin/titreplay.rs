@@ -21,7 +21,9 @@
 //! Merged text replays keep a `.titb` side-car next to the source
 //! (keyed on its size+mtime) so repeat replays skip the text parse;
 //! `--no-cache` disables both reading and writing it. Prints the
-//! simulated execution time.
+//! simulated execution time. `trace pack` and `trace unpack` stream the
+//! input through the per-rank cursors a replay reads, one rank at a time,
+//! so they hold O(ranks · 16 KiB) of the trace whatever its length.
 //!
 //! Observability flags: `--trace-out` writes a Chrome-trace (Perfetto)
 //! JSON of per-rank simulated-time spans and network flows,
@@ -47,11 +49,10 @@
 //! bit-identical to the sequential replay at any thread count.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use tit_replay::prelude::*;
 use tit_replay::titrace::stream::{self, CacheOutcome};
-use tit_replay::titrace::{binfmt, files, TraceInput};
+use tit_replay::titrace::{binfmt, write, TraceInput, TraceStats};
 
 struct Args {
     platform: String,
@@ -79,7 +80,7 @@ fn usage() -> ! {
          \x20          [--metrics <metrics.json>] [--manifest <manifest.json>]\n\
          \x20          [--critical-path [path.json]]\n\
          \x20      titreplay inspect --trace <trace.txt|.desc|.titb> --ranks <N> \
-         [--platform <platform.json>] [--threads <N>] [--no-cache]\n\
+         [--platform <platform.json>] [--threads <N>]\n\
          \x20          [--profile] [--profile-json <out.json>] [--rate <instr/s>]\n\
          \x20      titreplay trace pack <in.txt|in.desc> <out.titb> --ranks <N>\n\
          \x20      titreplay trace unpack <in.titb> <out.txt>"
@@ -88,14 +89,15 @@ fn usage() -> ! {
 }
 
 /// `titreplay trace pack|unpack` — convert between the text and binary
-/// trace formats.
+/// trace formats. Both stream the input's per-rank cursors rank by rank,
+/// so they hold O(ranks · 16 KiB) of the trace, never all of it.
 fn trace_command(args: &[String]) -> ! {
     let sub = args.first().map(String::as_str);
+    let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
+        usage()
+    };
     match sub {
         Some("pack") => {
-            let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
             let mut ranks = None;
             let mut rest = args[3..].iter();
             while let Some(a) = rest.next() {
@@ -106,36 +108,55 @@ fn trace_command(args: &[String]) -> ! {
             }
             let Some(ranks) = ranks else { usage() };
             let src = TraceInput::detect(Path::new(input)).unwrap_or_else(|e| fail(&e.to_string()));
-            let trace = stream::load_trace(&src, ranks).unwrap_or_else(|e| fail(&e.to_string()));
+            let sources =
+                stream::open_sources(&src, ranks).unwrap_or_else(|e| fail(&e.to_string()));
             // Record the source signature so the output doubles as a
             // valid side-car when written next to the text file.
             let sig = stream::source_signature(Path::new(input)).ok();
-            binfmt::write_file(&trace, Path::new(output), sig)
-                .unwrap_or_else(|e| fail(&format!("cannot write {output}: {e}")));
+            let actions = binfmt::write_sources(sources, Path::new(output), sig)
+                .unwrap_or_else(|e| fail(&format!("cannot write {output}: {e}")))
+                .unwrap_or_else(|e| fail(&e.to_string()));
             let packed = std::fs::metadata(output).map_or(0, |m| m.len());
             eprintln!(
-                "packed {input} -> {output} ({} ranks, {} actions, {packed} bytes)",
-                trace.ranks(),
-                trace.len()
+                "packed {input} -> {output} ({ranks} ranks, {actions} actions, {packed} bytes)"
             );
             std::process::exit(0);
         }
         Some("unpack") => {
-            let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
-            let trace =
-                binfmt::read_file(Path::new(input)).unwrap_or_else(|e| fail(&e.to_string()));
-            files::write_merged(&trace, Path::new(output)).unwrap_or_else(|e| fail(&e.to_string()));
+            let titb = binfmt::TitbFile::open_any(Path::new(input))
+                .unwrap_or_else(|e| fail(&e.to_string()));
+            unpack(&titb, Path::new(output)).unwrap_or_else(|e| {
+                let _ = std::fs::remove_file(output);
+                fail(&e)
+            });
+            let header = titb.header();
             eprintln!(
                 "unpacked {input} -> {output} ({} ranks, {} actions)",
-                trace.ranks(),
-                trace.len()
+                header.ranks,
+                header.total_actions()
             );
             std::process::exit(0);
         }
         _ => usage(),
     }
+}
+
+/// Writes every rank of `titb` to `output` as merged text, one cursor at
+/// a time.
+fn unpack(titb: &binfmt::TitbFile, output: &Path) -> Result<(), String> {
+    use std::io::Write;
+    let io_err = |e: std::io::Error| format!("{}: {e}", output.display());
+    let mut out = std::io::BufWriter::new(std::fs::File::create(output).map_err(io_err)?);
+    let mut line = String::new();
+    for (r, mut cursor) in titb.cursors().into_iter().enumerate() {
+        let rank = tit_replay::titrace::Rank(r as u32);
+        while let Some(action) = cursor.next_action().map_err(|e| e.to_string())? {
+            write::format_action(rank, &action, &mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes()).map_err(io_err)?;
+        }
+    }
+    out.flush().map_err(io_err)
 }
 
 fn parse_args(argv: &[String]) -> Args {
@@ -242,7 +263,6 @@ fn inspect_command(args: &[String]) -> ! {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| fail("--rate expects a number"));
             }
-            "--no-cache" => {}
             _ => usage(),
         }
     }
@@ -254,44 +274,23 @@ fn inspect_command(args: &[String]) -> ! {
     }
     let input = TraceInput::detect(Path::new(&trace_path)).unwrap_or_else(|e| fail(&e.to_string()));
     let sig = tit_replay::replay::trace_signature(&input, ranks);
+    // Opened once: the summary, the partition scan and the profiled
+    // replay all stream from it.
+    let input = stream::open_input(&input, ranks).unwrap_or_else(|e| fail(&e.to_string()));
     let trace = stream::load_trace(&input, ranks).unwrap_or_else(|e| fail(&e.to_string()));
-    let mut sends = 0u64;
-    let mut recvs = 0u64;
-    let mut computes = 0u64;
-    let mut collectives = 0u64;
-    let mut waits = 0u64;
-    let mut bytes = 0u64;
-    let mut instructions = 0.0f64;
-    for r in 0..trace.ranks() {
-        for a in trace.actions(tit_replay::titrace::Rank(r)) {
-            use tit_replay::titrace::Action;
-            match a {
-                Action::Send { bytes: b, .. } | Action::Isend { bytes: b, .. } => {
-                    sends += 1;
-                    bytes += b;
-                }
-                Action::Recv { .. } | Action::Irecv { .. } => recvs += 1,
-                Action::Compute { amount } => {
-                    computes += 1;
-                    instructions += amount;
-                }
-                Action::Wait | Action::WaitAll => waits += 1,
-                Action::Init | Action::Finalize => {}
-                _ => collectives += 1,
-            }
-        }
-    }
+    let total = TraceStats::of(&trace).total();
     println!("trace_signature {sig}");
     println!("ranks {}", trace.ranks());
-    println!("actions {}", trace.len());
-    println!("sends {sends}");
-    println!("recvs {recvs}");
-    println!("waits {waits}");
-    println!("computes {computes}");
-    println!("collectives {collectives}");
-    println!("payload_bytes {bytes}");
-    println!("compute_instructions {instructions:.0}");
+    println!("actions {}", total.actions);
+    println!("sends {}", total.sends);
+    println!("recvs {}", total.recvs);
+    println!("waits {}", total.waits);
+    println!("computes {}", total.compute_actions);
+    println!("collectives {}", total.collectives);
+    println!("payload_bytes {}", total.bytes_sent);
+    println!("compute_instructions {:.0}", total.compute_instructions);
     let problems = tit_replay::titrace::validate::validate(&trace);
+    drop(trace);
     println!("validation_issues {}", problems.len());
     if let Some(platform_path) = platform_path {
         use tit_replay::replay::partition;
@@ -300,7 +299,6 @@ fn inspect_command(args: &[String]) -> ! {
         let platform = PlatformSpec::from_json(&spec_json)
             .unwrap_or_else(|e| fail(&format!("bad platform spec: {e}")))
             .build();
-        let input = TraceInput::Memory(Arc::new(trace));
         let sources = stream::open_sources(&input, ranks).unwrap_or_else(|e| fail(&e.to_string()));
         let scan = partition::scan_sources(sources).unwrap_or_else(|e| fail(&e));
         let hosts = Placement::OnePerNode

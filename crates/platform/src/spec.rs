@@ -46,7 +46,9 @@ pub enum SpecKind {
     Flat {
         /// Number of nodes.
         nodes: u32,
-        /// Peak per-core instruction rate (instructions/s).
+        /// Peak per-core instruction rate (instructions/s), read by the
+        /// emulated testbed (`hwmodel::cpu`). A replay's compute time
+        /// comes from its config `rate`, not from this field.
         host_speed: f64,
         /// Cores per node.
         cores: u32,
@@ -66,7 +68,9 @@ pub enum SpecKind {
     Direct {
         /// Number of nodes.
         nodes: u32,
-        /// Peak per-core instruction rate (instructions/s).
+        /// Peak per-core instruction rate (instructions/s), read by the
+        /// emulated testbed (`hwmodel::cpu`). A replay's compute time
+        /// comes from its config `rate`, not from this field.
         host_speed: f64,
         /// Cores per node.
         cores: u32,
@@ -83,7 +87,9 @@ pub enum SpecKind {
         cabinets: u32,
         /// Nodes per cabinet.
         nodes_per_cabinet: u32,
-        /// Peak per-core instruction rate (instructions/s).
+        /// Peak per-core instruction rate (instructions/s), read by the
+        /// emulated testbed (`hwmodel::cpu`). A replay's compute time
+        /// comes from its config `rate`, not from this field.
         host_speed: f64,
         /// Cores per node.
         cores: u32,

@@ -17,16 +17,19 @@
 //! decode each rank's block from a window of at most 16 KiB (the window
 //! type text cursors read through too), refilled with one seek and one
 //! read through the shared file handle whenever fewer bytes remain than
-//! the longest action encoding. A replay therefore holds O(ranks · 16
-//! KiB) of the trace whatever its length. [`read_file`] decodes through
-//! the same cursors, one rank at a time; [`decode`] is the in-memory
-//! codec over a whole image.
+//! the longest action encoding. Every read of a `.titb` goes through
+//! these cursors: a replay, a side-car hit, `trace unpack`, and a
+//! whole-trace load ([`crate::stream::load_trace`], which drains them
+//! rank by rank). A replay therefore holds O(ranks · 16 KiB) of the
+//! trace whatever its length, and a decode error reports the same file
+//! offset on every path.
 //!
 //! ## Writing
 //!
-//! One writer drains one action source per rank into a file, one rank at
-//! a time: a side-car is written from the text cursors this way, and
-//! [`write_file`] is the same writer over a decoded trace's lists.
+//! One writer, [`write_sources`], drains one action source per rank into
+//! a file, one rank at a time: a side-car and `trace pack` write from
+//! the input's own cursors this way, and [`write_file`] is the same
+//! writer over a decoded trace's lists.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -235,22 +238,20 @@ fn get_rank(bytes: &[u8], pos: &mut usize) -> Result<Rank, BinError> {
     u32::try_from(v).map(Rank).map_err(|_| BinError::BadRank(v))
 }
 
+/// The `N` bytes at `at`, or [`BinError::Truncated`] past the end.
+fn read_array<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], BinError> {
+    let slice = bytes.get(at..at.saturating_add(N));
+    slice
+        .and_then(|b| b.try_into().ok())
+        .ok_or(BinError::Truncated)
+}
+
 fn read_u32(bytes: &[u8], at: usize) -> Result<u32, BinError> {
-    let b: [u8; 4] = bytes
-        .get(at..at + 4)
-        .ok_or(BinError::Truncated)?
-        .try_into()
-        .expect("slice has length 4");
-    Ok(u32::from_le_bytes(b))
+    read_array(bytes, at).map(u32::from_le_bytes)
 }
 
 fn read_u64(bytes: &[u8], at: usize) -> Result<u64, BinError> {
-    let b: [u8; 8] = bytes
-        .get(at..at + 8)
-        .ok_or(BinError::Truncated)?
-        .try_into()
-        .expect("slice has length 8");
-    Ok(u64::from_le_bytes(b))
+    read_array(bytes, at).map(u64::from_le_bytes)
 }
 
 // ----------------------------------------------------------------------
@@ -338,13 +339,8 @@ pub fn decode_action(bytes: &[u8], pos: &mut usize) -> Result<Action, BinError> 
             amount: get_varint(bytes, pos)? as f64,
         },
         OP_COMPUTE_F64 => {
-            let b: [u8; 8] = bytes
-                .get(*pos..*pos + 8)
-                .ok_or(BinError::Truncated)?
-                .try_into()
-                .expect("slice has length 8");
+            let amount = f64::from_bits(read_u64(bytes, *pos)?);
             *pos += 8;
-            let amount = f64::from_bits(u64::from_le_bytes(b));
             if !amount.is_finite() || amount < 0.0 {
                 return Err(BinError::BadCompute);
             }
@@ -508,97 +504,9 @@ fn parse_table(table: &[u8], payload_len: u64) -> Result<Vec<Block>, BinError> {
     Ok(blocks)
 }
 
-/// Parses and sanity-checks the header of an in-memory `.titb` image.
-/// Does **not** hash the payload — call [`verify_checksum`] for that.
-///
-/// # Errors
-/// Structural failures ([`BinError`]).
-pub fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
-    let (ranks, source_signature, checksum) = parse_fixed(&bytes[..bytes.len().min(HEADER_FIXED)])?;
-    let start = payload_start(ranks, bytes.len() as u64)? as usize;
-    let blocks = parse_table(&bytes[HEADER_FIXED..start], (bytes.len() - start) as u64)?;
-    Ok(Header {
-        ranks,
-        blocks,
-        source_signature,
-        checksum,
-    })
-}
-
-/// Hashes the payload of an in-memory image and compares with the
-/// header checksum.
-///
-/// # Errors
-/// [`BinError::ChecksumMismatch`] on disagreement.
-pub fn verify_checksum(bytes: &[u8], header: &Header) -> Result<(), BinError> {
-    let mut fnv = Fnv1a::new();
-    fnv.update(&bytes[header.payload_start()..]);
-    check_digest(header, fnv.digest())
-}
-
-fn check_digest(header: &Header, actual: u64) -> Result<(), BinError> {
-    if actual != header.checksum {
-        return Err(BinError::ChecksumMismatch {
-            expected: header.checksum,
-            actual,
-        });
-    }
-    Ok(())
-}
-
 // ----------------------------------------------------------------------
-// Whole-trace encode / decode
+// Content identity
 // ----------------------------------------------------------------------
-
-fn header_bytes(
-    trace_ranks: u32,
-    blocks: &[Block],
-    sig: Option<(u64, u64)>,
-    checksum: u64,
-) -> Vec<u8> {
-    let (src_len, src_mtime) = sig.unwrap_or((0, 0));
-    let mut out = Vec::with_capacity(HEADER_FIXED + TABLE_ENTRY * blocks.len());
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&[0, 0, 0]);
-    out.extend_from_slice(&trace_ranks.to_le_bytes());
-    out.extend_from_slice(&src_len.to_le_bytes());
-    out.extend_from_slice(&src_mtime.to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
-    for b in blocks {
-        out.extend_from_slice(&b.offset.to_le_bytes());
-        out.extend_from_slice(&b.len.to_le_bytes());
-        out.extend_from_slice(&b.count.to_le_bytes());
-    }
-    out
-}
-
-/// Encodes a whole trace as an in-memory `.titb` image.
-pub fn encode(trace: &Trace) -> Vec<u8> {
-    encode_with_source(trace, None)
-}
-
-/// Like [`encode`], recording a side-car source signature in the header.
-pub fn encode_with_source(trace: &Trace, sig: Option<(u64, u64)>) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(trace.len() * 4);
-    let mut blocks = Vec::with_capacity(trace.ranks() as usize);
-    for (_, actions) in trace.iter() {
-        let offset = payload.len() as u64;
-        for a in actions {
-            encode_action(a, &mut payload);
-        }
-        blocks.push(Block {
-            offset,
-            len: payload.len() as u64 - offset,
-            count: actions.len() as u64,
-        });
-    }
-    let mut fnv = Fnv1a::new();
-    fnv.update(&payload);
-    let mut out = header_bytes(trace.ranks(), &blocks, sig, fnv.digest());
-    out.extend_from_slice(&payload);
-    out
-}
 
 /// The FNV-1a digest of the encoded action payload `sources` yield (one
 /// source per rank, in rank order), and the number of actions — exactly
@@ -632,58 +540,49 @@ pub fn trace_sources(trace: &Trace) -> Vec<std::slice::Iter<'_, Action>> {
     trace.iter().map(|(_, actions)| actions.iter()).collect()
 }
 
-/// Decodes a full `.titb` image into a [`Trace`], verifying the
-/// checksum and every block length.
-///
-/// # Errors
-/// Structural failures ([`BinError`]).
-pub fn decode(bytes: &[u8]) -> Result<Trace, BinError> {
-    let header = read_header(bytes)?;
-    verify_checksum(bytes, &header)?;
-    let payload = &bytes[header.payload_start()..];
-    let mut per_rank = Vec::with_capacity(header.blocks.len());
-    for (r, block) in header.blocks.iter().enumerate() {
-        let start = block.offset as usize;
-        let end = start + block.len as usize;
-        let slice = &payload[start..end]; // in range: read_header checked coverage
-        let mut pos = 0usize;
-        // Each action is at least one byte, so a (possibly corrupt)
-        // count can never justify more capacity than the block length.
-        let cap = usize::try_from(block.count.min(block.len)).unwrap_or(0);
-        let mut actions = Vec::with_capacity(cap);
-        for _ in 0..block.count {
-            let a = decode_action(slice, &mut pos).map_err(|e| match e {
-                BinError::Truncated => BinError::BlockLengthMismatch { rank: r as u32 },
-                other => other,
-            })?;
-            actions.push(a);
-        }
-        if pos != slice.len() {
-            return Err(BinError::BlockLengthMismatch { rank: r as u32 });
-        }
-        per_rank.push(actions);
+// ----------------------------------------------------------------------
+// Writing
+// ----------------------------------------------------------------------
+
+fn header_bytes(
+    trace_ranks: u32,
+    blocks: &[Block],
+    sig: Option<(u64, u64)>,
+    checksum: u64,
+) -> Vec<u8> {
+    let (src_len, src_mtime) = sig.unwrap_or((0, 0));
+    let mut out = Vec::with_capacity(HEADER_FIXED + TABLE_ENTRY * blocks.len());
+    out.extend_from_slice(MAGIC);
+    out.push(VERSION);
+    out.extend_from_slice(&[0, 0, 0]);
+    out.extend_from_slice(&trace_ranks.to_le_bytes());
+    out.extend_from_slice(&src_len.to_le_bytes());
+    out.extend_from_slice(&src_mtime.to_le_bytes());
+    out.extend_from_slice(&checksum.to_le_bytes());
+    for b in blocks {
+        out.extend_from_slice(&b.offset.to_le_bytes());
+        out.extend_from_slice(&b.len.to_le_bytes());
+        out.extend_from_slice(&b.count.to_le_bytes());
     }
-    Ok(Trace::from_actions(per_rank))
+    out
 }
 
-// ----------------------------------------------------------------------
-// File I/O
-// ----------------------------------------------------------------------
-
-/// Writes `trace` to `path` as `.titb`: `write_sources` over cursors of
+/// Writes `trace` to `path` as `.titb`: [`write_sources`] over cursors of
 /// the trace's own action lists.
 ///
 /// # Errors
 /// Propagates I/O failures (with the path).
 pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result<(), FileError> {
-    write_sources(trace_sources(trace), path, sig)?.map_err(|e| e.into_file_error(path))
+    write_sources(trace_sources(trace), path, sig)??;
+    Ok(())
 }
 
 /// Writes the actions `sources` yield (one source per rank, in rank
 /// order) to `path` as `.titb`, draining one rank at a time through a
 /// buffered writer (one small scratch buffer, not a whole-file image): a
 /// placeholder header is written first and patched once the payload
-/// lengths and checksum are known.
+/// lengths and checksum are known. Returns the number of actions
+/// written.
 ///
 /// The file is assembled in a uniquely named temp sibling and moved
 /// into place with `rename`, so concurrent readers of `path` only ever
@@ -694,11 +593,11 @@ pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result
 /// # Errors
 /// The outer error is the write's (with the path); the inner one is the
 /// first failure of a source, after which nothing is left at `path`.
-pub(crate) fn write_sources<S: ActionSource>(
+pub fn write_sources<S: ActionSource>(
     sources: Vec<S>,
     path: &Path,
     sig: Option<(u64, u64)>,
-) -> Result<Result<(), SourceError>, FileError> {
+) -> Result<Result<u64, SourceError>, FileError> {
     static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let tmp = path.with_extension(format!(
         "titb.tmp.{}.{}",
@@ -711,7 +610,7 @@ pub(crate) fn write_sources<S: ActionSource>(
         }
         Ok(written)
     });
-    if !matches!(result, Ok(Ok(()))) {
+    if !matches!(result, Ok(Ok(_))) {
         let _ = std::fs::remove_file(&tmp);
     }
     result
@@ -721,9 +620,12 @@ fn write_file_at<S: ActionSource>(
     sources: Vec<S>,
     path: &Path,
     sig: Option<(u64, u64)>,
-) -> Result<Result<(), SourceError>, FileError> {
+) -> Result<Result<u64, SourceError>, FileError> {
     let io_err = |e: io::Error| FileError::Io(path.to_path_buf(), e);
-    let ranks = u32::try_from(sources.len()).expect("rank count fits u32");
+    let ranks = u32::try_from(sources.len()).map_err(|_| {
+        let e = io::Error::new(io::ErrorKind::InvalidInput, "more than 2^32 ranks");
+        io_err(e)
+    })?;
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut out = io::BufWriter::new(file);
     out.write_all(&vec![0u8; HEADER_FIXED + TABLE_ENTRY * sources.len()])
@@ -732,6 +634,7 @@ fn write_file_at<S: ActionSource>(
     let mut fnv = Fnv1a::new();
     let mut offset = 0u64;
     let mut scratch = Vec::with_capacity(32);
+    let mut actions = 0u64;
     for mut source in sources {
         let block_start = offset;
         let mut count = 0u64;
@@ -753,6 +656,7 @@ fn write_file_at<S: ActionSource>(
             len: offset - block_start,
             count,
         });
+        actions += count;
     }
     out.flush().map_err(io_err)?;
     let mut file = out.into_inner().map_err(|e| io_err(e.into_error()))?;
@@ -760,18 +664,12 @@ fn write_file_at<S: ActionSource>(
     file.write_all(&header_bytes(ranks, &blocks, sig, fnv.digest()))
         .map_err(io_err)?;
     file.sync_data().ok();
-    Ok(Ok(()))
+    Ok(Ok(actions))
 }
 
-/// Reads and decodes a `.titb` file through the same windowed cursors a
-/// replay streams from: resident memory is the decoded [`Trace`] plus
-/// one window, never the file.
-///
-/// # Errors
-/// I/O failures or decode failures (both carrying the path).
-pub fn read_file(path: &Path) -> Result<Trace, FileError> {
-    TitbFile::open_unverified(path)?.verify()?.read_trace()
-}
+// ----------------------------------------------------------------------
+// Reading
+// ----------------------------------------------------------------------
 
 /// Opens one incremental [`ActionSource`] per rank over a `.titb` file:
 /// [`TitbFile::open`] then [`TitbFile::cursors`].
@@ -813,6 +711,16 @@ impl TitbFile {
         let titb = TitbFile::open_unverified(path)?;
         titb.expect_ranks(ranks)?;
         titb.verify()
+    }
+
+    /// Opens `path` with the rank count its header records (how `trace
+    /// unpack` reads a file it is given no rank count for) and verifies
+    /// its checksum.
+    ///
+    /// # Errors
+    /// I/O and decode failures.
+    pub fn open_any(path: &Path) -> Result<TitbFile, FileError> {
+        TitbFile::open_unverified(path)?.verify()
     }
 
     /// Fails unless the file holds exactly `ranks` ranks.
@@ -881,8 +789,12 @@ impl TitbFile {
                 left -= n as u64;
             }
         }
-        check_digest(&self.header, fnv.digest())
-            .map_err(|e| FileError::Bin(self.path().to_path_buf(), e))?;
+        let actual = fnv.digest();
+        if actual != self.header.checksum {
+            let expected = self.header.checksum;
+            let e = BinError::ChecksumMismatch { expected, actual };
+            return Err(FileError::Bin(self.path().to_path_buf(), e));
+        }
         Ok(self)
     }
 
@@ -905,57 +817,20 @@ impl TitbFile {
     }
 
     fn cursors_with_window(&self, window: usize) -> Vec<Box<dyn ActionSource>> {
-        (0..self.header.blocks.len())
-            .map(|r| Box::new(self.cursor(r, window, 0)) as Box<dyn ActionSource>)
-            .collect()
-    }
-
-    /// Decodes the whole trace, rank by rank, through one cursor at a
-    /// time.
-    ///
-    /// # Errors
-    /// I/O and decode failures (both carrying the path).
-    pub(crate) fn read_trace(&self) -> Result<Trace, FileError> {
-        self.read_trace_with_window(WINDOW)
-    }
-
-    fn read_trace_with_window(&self, window: usize) -> Result<Trace, FileError> {
-        let mut per_rank = Vec::with_capacity(self.header.blocks.len());
-        for (r, block) in self.header.blocks.iter().enumerate() {
-            // Decode errors count offsets from the block's first byte.
-            let origin = self.header.payload_start() as u64 + block.offset;
-            let mut cursor = self.cursor(r, window, origin);
-            // Each action is at least one byte, so a (possibly corrupt)
-            // count can never justify more capacity than the block length.
-            let cap = usize::try_from(block.count.min(block.len)).unwrap_or(0);
-            let mut actions = Vec::with_capacity(cap);
-            while let Some(a) = cursor
-                .next_action()
-                .map_err(|e| e.into_file_error(self.path()))?
-            {
-                actions.push(a);
-            }
-            per_rank.push(actions);
-        }
-        Ok(Trace::from_actions(per_rank))
-    }
-
-    /// A cursor over rank `r`'s block whose errors report varint offsets
-    /// counted from file offset `origin`.
-    fn cursor(&self, r: usize, window: usize, origin: u64) -> BlockCursor {
         assert!(
             window >= MAX_ACTION,
             "a window must hold the longest action"
         );
-        let block = self.header.blocks[r];
-        let start = self.header.payload_start() as u64 + block.offset;
-        let capacity = usize::try_from(block.len).map_or(window, |len| len.min(window));
-        BlockCursor {
-            window: Window::new(self.file.clone(), start, start + block.len, capacity),
-            rank: r as u32,
-            remaining: block.count,
-            origin,
-        }
+        let cursor = |(r, block): (usize, &Block)| {
+            let start = self.header.payload_start() as u64 + block.offset;
+            let capacity = usize::try_from(block.len).map_or(window, |len| len.min(window));
+            Box::new(BlockCursor {
+                window: Window::new(self.file.clone(), start, start + block.len, capacity),
+                rank: r as u32,
+                remaining: block.count,
+            }) as Box<dyn ActionSource>
+        };
+        self.header.blocks.iter().enumerate().map(cursor).collect()
     }
 }
 
@@ -965,22 +840,19 @@ struct BlockCursor {
     window: Window,
     rank: u32,
     remaining: u64,
-    /// Varint offsets in errors count from this file offset: 0 for
-    /// replay cursors, the block start for [`TitbFile::read_trace`].
-    origin: u64,
 }
 
 impl BlockCursor {
     /// A decode error in block terms: running out of window bytes means
     /// the block ended early (the window holds the rest of the block
     /// whenever a decode can run out), and a window position becomes a
-    /// file offset counted from `origin`.
+    /// file offset.
     #[cold]
     fn in_block(&self, e: BinError) -> BinError {
         match e {
             BinError::Truncated => BinError::BlockLengthMismatch { rank: self.rank },
             BinError::OverlongVarint { offset } => BinError::OverlongVarint {
-                offset: (self.window.file_offset(offset) - self.origin) as usize,
+                offset: self.window.file_offset(offset) as usize,
             },
             other => other,
         }
@@ -1015,7 +887,9 @@ impl ActionSource for BlockCursor {
     }
 
     fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining)
+        // Every action takes at least one byte, so a corrupt count cannot
+        // claim more actions than the block has bytes left.
+        Some(self.remaining.min(self.window.left()))
     }
 }
 
@@ -1050,11 +924,136 @@ mod tests {
         t
     }
 
+    /// The image [`write_file`] writes for `trace`: the test oracle of
+    /// the layout.
+    pub(super) fn encode(trace: &Trace, sig: Option<(u64, u64)>) -> Vec<u8> {
+        let mut payload = Vec::new();
+        let mut blocks = Vec::new();
+        for (_, actions) in trace.iter() {
+            let offset = payload.len() as u64;
+            for a in actions {
+                encode_action(a, &mut payload);
+            }
+            blocks.push(Block {
+                offset,
+                len: payload.len() as u64 - offset,
+                count: actions.len() as u64,
+            });
+        }
+        let mut fnv = Fnv1a::new();
+        fnv.update(&payload);
+        let mut out = header_bytes(trace.ranks(), &blocks, sig, fnv.digest());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// The header and block table of an in-memory image.
+    pub(super) fn read_header(bytes: &[u8]) -> Result<Header, BinError> {
+        let (ranks, source_signature, checksum) =
+            parse_fixed(&bytes[..bytes.len().min(HEADER_FIXED)])?;
+        let start = payload_start(ranks, bytes.len() as u64)? as usize;
+        let blocks = parse_table(&bytes[HEADER_FIXED..start], (bytes.len() - start) as u64)?;
+        Ok(Header {
+            ranks,
+            blocks,
+            source_signature,
+            checksum,
+        })
+    }
+
+    /// Decodes a whole in-memory image: the oracle the windowed cursors
+    /// are checked against. Varint offsets count from the image start,
+    /// which is the file start.
+    pub(super) fn decode(bytes: &[u8]) -> Result<Trace, BinError> {
+        let header = read_header(bytes)?;
+        let start = header.payload_start();
+        let mut fnv = Fnv1a::new();
+        fnv.update(&bytes[start..]);
+        if fnv.digest() != header.checksum {
+            return Err(BinError::ChecksumMismatch {
+                expected: header.checksum,
+                actual: fnv.digest(),
+            });
+        }
+        let mut per_rank = Vec::new();
+        for (r, block) in header.blocks.iter().enumerate() {
+            let rank = r as u32;
+            let mut pos = start + block.offset as usize;
+            let block_bytes = &bytes[..pos + block.len as usize];
+            let mut actions = Vec::new();
+            for _ in 0..block.count {
+                let a = decode_action(block_bytes, &mut pos).map_err(|e| match e {
+                    BinError::Truncated => BinError::BlockLengthMismatch { rank },
+                    other => other,
+                })?;
+                actions.push(a);
+            }
+            if pos != block_bytes.len() {
+                return Err(BinError::BlockLengthMismatch { rank });
+            }
+            per_rank.push(actions);
+        }
+        Ok(Trace::from_actions(per_rank))
+    }
+
+    /// Writes `bytes` to a per-process temp file named `name`.
+    pub(super) fn temp_titb(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let p = temp_path(name);
+        std::fs::write(&p, bytes).unwrap();
+        p
+    }
+
+    /// A per-process temp path named `name`.
+    pub(super) fn temp_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("titrace-binfmt-win-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}.titb"))
+    }
+
+    fn bin_error(e: FileError) -> BinError {
+        match e {
+            FileError::Bin(_, e) => e,
+            other => panic!("expected a decode error, got {other}"),
+        }
+    }
+
+    /// Every rank of the file at `path`, opened whatever its rank count,
+    /// drained in rank order through cursors with `window`-byte windows;
+    /// the first failure, as [`decode`] reports its first.
+    pub(super) fn drain_windowed(path: &Path, window: usize) -> Result<Trace, BinError> {
+        let titb = TitbFile::open_any(path).map_err(bin_error)?;
+        let mut ranks = Vec::new();
+        for mut cursor in titb.cursors_with_window(window) {
+            let mut got = Vec::new();
+            while let Some(a) = cursor.next_action().map_err(|e| match e {
+                SourceError::Bin(_, e) => e,
+                other => panic!("expected a decode error, got {other}"),
+            })? {
+                got.push(a);
+            }
+            ranks.push(got);
+        }
+        Ok(Trace::from_actions(ranks))
+    }
+
+    /// The file reader: what `trace unpack` and every whole-trace load
+    /// of a `.titb` decode, through the replay's windows.
+    pub(super) fn read(path: &Path) -> Result<Trace, BinError> {
+        drain_windowed(path, WINDOW)
+    }
+
+    /// `trace` written by [`write_file`] and read back by the file reader.
+    fn through_file(trace: &Trace, name: &str) -> Trace {
+        let p = temp_path(name);
+        write_file(trace, &p, None).unwrap();
+        read(&p).unwrap()
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let t = sample();
-        let bytes = encode(&t);
-        assert_eq!(decode(&bytes).unwrap(), t);
+        assert_eq!(through_file(&t, "roundtrip"), t);
+        assert_eq!(decode(&encode(&t, None)).unwrap(), t);
     }
 
     #[test]
@@ -1105,14 +1104,16 @@ mod tests {
         for a in &actions {
             t.push(Rank(0), *a);
         }
-        let back = decode(&encode(&t)).unwrap();
+        let back = through_file(&t, "all-kinds");
         assert_eq!(back.actions(Rank(0)), t.actions(Rank(0)));
     }
 
     #[test]
     fn compact_on_realistic_actions() {
         let t = sample();
-        let bin = encode(&t).len();
+        let p = temp_path("compact");
+        write_file(&t, &p, None).unwrap();
+        let bin = std::fs::metadata(&p).unwrap().len() as usize;
         let text = crate::write::to_string(&t).len();
         assert!(bin < text, "binary {bin}B should beat text {text}B");
     }
@@ -1120,23 +1121,24 @@ mod tests {
     #[test]
     fn header_reads_back() {
         let t = sample();
-        let bytes = encode_with_source(&t, Some((1234, 5678)));
-        let h = read_header(&bytes).unwrap();
+        let p = temp_path("header");
+        write_file(&t, &p, Some((1234, 5678))).unwrap();
+        let titb = TitbFile::open(&p, 3).unwrap();
+        let h = titb.header();
         assert_eq!(h.ranks, 3);
         assert_eq!(h.blocks.len(), 3);
         assert_eq!(h.total_actions(), t.len() as u64);
         assert_eq!(h.source_signature, Some((1234, 5678)));
-        verify_checksum(&bytes, &h).unwrap();
     }
 
     #[test]
     fn truncation_anywhere_is_an_error_never_a_panic() {
-        let bytes = encode(&sample());
+        let bytes = encode(&sample(), None);
         for cut in 0..bytes.len() {
-            let err = decode(&bytes[..cut]);
+            let path = temp_titb("cut", &bytes[..cut]);
             assert!(
-                err.is_err(),
-                "decode of {cut}/{} bytes must fail",
+                read(&path).is_err(),
+                "reading {cut}/{} bytes must fail",
                 bytes.len()
             );
         }
@@ -1145,25 +1147,27 @@ mod tests {
     #[test]
     fn corrupt_payload_byte_fails_checksum() {
         let t = sample();
-        let mut bytes = encode(&t);
+        let mut bytes = encode(&t, None);
         let payload_start = read_header(&bytes).unwrap().payload_start();
         let last = bytes.len() - 1;
         assert!(last >= payload_start);
         bytes[last] ^= 0xff;
+        let path = temp_titb("flip", &bytes);
         assert!(matches!(
-            decode(&bytes),
+            read(&path),
             Err(BinError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        let mut bytes = encode(&sample());
+        let mut bytes = encode(&sample(), None);
         let mut wrong = bytes.clone();
         wrong[0] = b'X';
-        assert_eq!(decode(&wrong), Err(BinError::BadMagic));
+        assert_eq!(read(&temp_titb("magic", &wrong)), Err(BinError::BadMagic));
         bytes[4] = 9;
-        assert_eq!(decode(&bytes), Err(BinError::BadVersion(9)));
+        let path = temp_titb("version", &bytes);
+        assert_eq!(read(&path), Err(BinError::BadVersion(9)));
     }
 
     #[test]
@@ -1206,25 +1210,21 @@ mod tests {
     #[test]
     fn block_count_and_length_must_agree() {
         let t = sample();
-        let mut bytes = encode(&t);
+        let mut bytes = encode(&t, None);
         // Inflate rank 0's action count without touching its bytes.
         let at = HEADER_FIXED + 16;
         let count = read_u64(&bytes, at).unwrap();
         bytes[at..at + 8].copy_from_slice(&(count + 1).to_le_bytes());
-        assert!(matches!(
-            decode(&bytes),
-            Err(BinError::BlockLengthMismatch { rank: 0 })
-        ));
+        let path = temp_titb("count", &bytes);
+        assert_eq!(read(&path), Err(BinError::BlockLengthMismatch { rank: 0 }));
     }
 
     #[test]
     fn file_roundtrip_and_cursors() {
-        let dir = std::env::temp_dir().join(format!("titrace-binfmt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("t.titb");
+        let p = temp_path("cursors");
         let t = sample();
         write_file(&t, &p, None).unwrap();
-        assert_eq!(read_file(&p).unwrap(), t);
+        assert_eq!(read(&p).unwrap(), t);
         let mut cursors = open_cursors(&p, 3).unwrap();
         for (r, c) in cursors.iter_mut().enumerate() {
             assert_eq!(
@@ -1238,55 +1238,6 @@ mod tests {
             assert_eq!(got.as_slice(), t.actions(Rank(r as u32)));
         }
         assert!(open_cursors(&p, 5).is_err(), "rank mismatch must fail");
-    }
-
-    /// Writes `bytes` to a per-process temp file named `name`.
-    pub(super) fn temp_titb(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("titrace-binfmt-win-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(format!("{name}.titb"));
-        std::fs::write(&p, bytes).unwrap();
-        p
-    }
-
-    fn bin_error(e: FileError) -> BinError {
-        match e {
-            FileError::Bin(_, e) => e,
-            other => panic!("expected a decode error, got {other}"),
-        }
-    }
-
-    /// Opens and verifies `path` with no rank-count expectation.
-    fn open_any(path: &Path) -> Result<TitbFile, BinError> {
-        TitbFile::open_unverified(path)
-            .and_then(TitbFile::verify)
-            .map_err(bin_error)
-    }
-
-    /// Every rank drained, in rank order, through replay cursors with
-    /// `window`-byte windows; the first failure, as [`decode`] reports
-    /// its first.
-    pub(super) fn drain_windowed(path: &Path, window: usize) -> Result<Vec<Vec<Action>>, BinError> {
-        let titb = open_any(path)?;
-        let mut ranks = Vec::new();
-        for mut cursor in titb.cursors_with_window(window) {
-            let mut got = Vec::new();
-            while let Some(a) = cursor.next_action().map_err(|e| match e {
-                SourceError::Bin(_, e) => e,
-                other => panic!("expected a decode error, got {other}"),
-            })? {
-                got.push(a);
-            }
-            ranks.push(got);
-        }
-        Ok(ranks)
-    }
-
-    /// [`TitbFile::read_trace`] with `window`-byte windows.
-    pub(super) fn read_windowed(path: &Path, window: usize) -> Result<Trace, BinError> {
-        open_any(path)?
-            .read_trace_with_window(window)
-            .map_err(bin_error)
     }
 
     fn set_u64(bytes: &mut [u8], at: usize, v: u64) {
@@ -1316,7 +1267,7 @@ mod tests {
         }
         t.push(Rank(1), Action::Init);
         t.push(Rank(1), Action::Finalize);
-        let clean = encode(&t);
+        let clean = encode(&t, None);
         let h = read_header(&clean).unwrap();
         let (b0, b1) = (HEADER_FIXED, HEADER_FIXED + TABLE_ENTRY);
         let mut variants = Vec::new();
@@ -1338,15 +1289,13 @@ mod tests {
             let path = temp_titb(&format!("edge-{i}"), bytes);
             for window in MAX_ACTION..=200 {
                 assert_eq!(drain_windowed(&path, window), Err(expected.clone()));
-                assert_eq!(read_windowed(&path, window), Err(expected.clone()));
             }
         }
     }
 
     /// A checksum-consistent block whose send carries an overlong varint
-    /// straddling the first window's edge reports the offset the
-    /// whole-buffer decode reports: counted from the block start by
-    /// `read_file`, from the file start by replay cursors.
+    /// straddling the first window's edge reports the file offset the
+    /// whole-buffer decode reports.
     #[test]
     fn overlong_varint_across_a_window_edge_keeps_its_offset() {
         for window in [MAX_ACTION, 47, 64, 100, 200] {
@@ -1365,16 +1314,15 @@ mod tests {
                 let mut bytes = header_bytes(1, &[block], None, fnv.digest());
                 bytes.extend_from_slice(&payload);
                 let expected = decode(&bytes).unwrap_err();
-                assert_eq!(expected, BinError::OverlongVarint { offset: lead + 1 });
-                let path = temp_titb(&format!("overlong-{window}-{lead}"), &bytes);
-                assert_eq!(read_windowed(&path, window), Err(expected));
                 let from_file_start = HEADER_FIXED + TABLE_ENTRY + lead + 1;
                 assert_eq!(
-                    drain_windowed(&path, window),
-                    Err(BinError::OverlongVarint {
+                    expected,
+                    BinError::OverlongVarint {
                         offset: from_file_start
-                    })
+                    }
                 );
+                let path = temp_titb(&format!("overlong-{window}-{lead}"), &bytes);
+                assert_eq!(drain_windowed(&path, window), Err(expected));
             }
         }
     }
@@ -1387,12 +1335,8 @@ mod tests {
         let mut bytes = header_bytes(u32::MAX, &[], None, 0);
         bytes.extend_from_slice(&[0; 4]);
         assert_eq!(bytes.len(), 40);
-        assert_eq!(read_header(&bytes), Err(BinError::Truncated));
         let path = temp_titb("huge-ranks", &bytes);
-        assert_eq!(
-            read_file(&path).map_err(bin_error),
-            Err(BinError::Truncated)
-        );
+        assert_eq!(read(&path), Err(BinError::Truncated));
         assert_eq!(
             TitbFile::open(&path, u32::MAX).map_err(bin_error).err(),
             Some(BinError::Truncated)
@@ -1401,28 +1345,24 @@ mod tests {
 
     #[test]
     fn streamed_file_matches_in_memory_encoding() {
-        let dir = std::env::temp_dir().join(format!("titrace-binfmt-eq-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("eq.titb");
+        let p = temp_path("eq");
         let t = sample();
         write_file(&t, &p, Some((7, 9))).unwrap();
         let streamed = std::fs::read(&p).unwrap();
-        assert_eq!(streamed, encode_with_source(&t, Some((7, 9))));
+        assert_eq!(streamed, encode(&t, Some((7, 9))));
     }
 
     #[test]
     fn content_checksum_matches_written_file_header() {
-        let dir = std::env::temp_dir().join(format!("titrace-binfmt-ck-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("ck.titb");
+        let p = temp_path("ck");
         let t = sample();
         write_file(&t, &p, Some((11, 13))).unwrap();
-        let header = read_header(&std::fs::read(&p).unwrap()).unwrap();
+        let header = TitbFile::open(&p, 3).unwrap().header().clone();
         let (checksum, actions) = content_checksum(trace_sources(&t)).unwrap();
         assert_eq!(checksum, header.checksum);
         assert_eq!(actions, t.len() as u64);
         // Independent of the source signature and of going through a file.
-        let in_memory = read_header(&encode(&t)).unwrap();
+        let in_memory = read_header(&encode(&t, None)).unwrap();
         assert_eq!(checksum, in_memory.checksum);
         // The same digest streamed from the file's own cursors.
         let streamed = content_checksum(open_cursors(&p, t.ranks()).unwrap()).unwrap();
@@ -1449,6 +1389,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{decode, drain_windowed, encode, read, temp_path, temp_titb};
     use super::*;
     use proptest::prelude::*;
 
@@ -1499,15 +1440,16 @@ mod proptests {
     }
 
     proptest! {
-        /// encode → decode is the identity on arbitrary traces.
+        /// write → read is the identity on arbitrary traces.
         #[test]
         fn binary_roundtrip(actions in proptest::collection::vec(arb_action(6), 0..300)) {
             let mut t = Trace::new(6);
             for (i, a) in actions.iter().enumerate() {
                 t.push(Rank((i % 6) as u32), *a);
             }
-            let back = decode(&encode(&t)).unwrap();
-            prop_assert_eq!(back, t);
+            let path = temp_path("binary-roundtrip");
+            write_file(&t, &path, None).unwrap();
+            prop_assert_eq!(read(&path).unwrap(), t);
         }
 
         /// text → Trace → binary → Trace → text is the identity: the two
@@ -1520,14 +1462,16 @@ mod proptests {
             }
             let text = crate::write::to_string(&t);
             let from_text = crate::parse::parse_merged(&text, 4).unwrap();
-            let from_bin = decode(&encode(&from_text)).unwrap();
+            let path = temp_path("text-binary-text");
+            write_file(&from_text, &path, None).unwrap();
+            let from_bin = read(&path).unwrap();
             prop_assert_eq!(&from_bin, &from_text);
             prop_assert_eq!(crate::write::to_string(&from_bin), text);
         }
 
-        /// Replay cursors and `read_file`, decoding through windows of 32
-        /// to 200 bytes, agree with the whole-buffer decode on traces of
-        /// every opcode, 9-byte f64 computes and ten-byte varints.
+        /// Cursors decoding through windows of 32 to 200 bytes agree with
+        /// the whole-buffer decode on traces of every opcode, 9-byte f64
+        /// computes and ten-byte varints.
         #[test]
         fn windowed_cursors_match_decode(
             actions in proptest::collection::vec(arb_action(u32::MAX), 0..400),
@@ -1537,17 +1481,13 @@ mod proptests {
             for (i, a) in actions.iter().enumerate() {
                 t.push(Rank((i % 4) as u32), *a);
             }
-            let path = super::tests::temp_titb("windowed", &encode(&t));
+            let path = temp_titb("windowed", &encode(&t, None));
             let decoded = decode(&std::fs::read(&path).unwrap()).unwrap();
-            let drained = super::tests::drain_windowed(&path, window).unwrap();
-            for (r, got) in drained.iter().enumerate() {
-                prop_assert_eq!(got.as_slice(), decoded.actions(Rank(r as u32)));
-            }
-            prop_assert_eq!(super::tests::read_windowed(&path, window).unwrap(), decoded);
+            prop_assert_eq!(drain_windowed(&path, window).unwrap(), decoded);
         }
 
-        /// `read_file` fails exactly as the whole-buffer decode does on a
-        /// truncated or byte-flipped image.
+        /// The file reader fails exactly as the whole-buffer decode does
+        /// on a truncated or byte-flipped file.
         #[test]
         fn read_file_errors_match_decode(
             actions in proptest::collection::vec(arb_action(3), 1..60),
@@ -1558,31 +1498,26 @@ mod proptests {
             for (i, a) in actions.iter().enumerate() {
                 t.push(Rank((i % 3) as u32), *a);
             }
-            let mut bytes = encode(&t);
+            let mut bytes = encode(&t, None);
             let i = at % bytes.len();
             if flip == 0 {
                 bytes.truncate(i);
             } else {
                 bytes[i] ^= flip;
             }
-            let path = super::tests::temp_titb("corrupt", &bytes);
-            let got = read_file(&path).map_err(|e| match e {
-                FileError::Bin(_, e) => e,
-                other => panic!("expected a decode error, got {other}"),
-            });
-            prop_assert_eq!(got, decode(&bytes));
+            let path = temp_titb("corrupt", &bytes);
+            prop_assert_eq!(read(&path), decode(&bytes));
         }
 
-        /// The decoder is total on arbitrary bytes: structured errors or
-        /// success, never a panic.
+        /// The file reader is total on arbitrary bytes: structured errors
+        /// or success, never a panic.
         #[test]
         fn decoder_is_total_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let _ = decode(&bytes);
-            let _ = read_header(&bytes);
+            let _ = read(&temp_titb("arbitrary", &bytes));
         }
 
-        /// Flipping any single byte of a valid image never panics, and
-        /// payload corruption specifically is always caught.
+        /// Flipping any single byte of a valid file never panics the file
+        /// reader, and payload corruption specifically is always caught.
         #[test]
         fn single_byte_corruption_is_caught(
             actions in proptest::collection::vec(arb_action(3), 1..60),
@@ -1593,11 +1528,10 @@ mod proptests {
             for (i, a) in actions.iter().enumerate() {
                 t.push(Rank((i % 3) as u32), *a);
             }
-            let clean = encode(&t);
-            let mut dirty = clean.clone();
+            let mut dirty = encode(&t, None);
             let i = at % dirty.len();
             dirty[i] ^= flip;
-            if let Ok(got) = decode(&dirty) {
+            if let Ok(got) = read(&temp_titb("flipped", &dirty)) {
                 // Only the reserved bytes and the side-car source
                 // signature are semantically inert; a flip anywhere
                 // else (magic, version, ranks, checksum, table,

@@ -16,16 +16,18 @@
 //! ranks 0, 1, …) or all *explicit* (`pK path` pins a file to rank K,
 //! in any order); the entries are validated — duplicate ranks,
 //! non-contiguous explicit assignments, and duplicate paths are
-//! rejected with the description file named in the error. Split files
-//! load in parallel over the ingest worker pool, and a parse failure
-//! names the fragment that failed, not the description file.
+//! rejected with the description file named in the error. Each split
+//! file is read by its own per-rank cursor
+//! ([`crate::stream::open_sources`]), which checks every line's rank, and
+//! a parse failure names the fragment that failed, not the description
+//! file.
 
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::stream::{self, parse_line_bytes};
-use crate::{binfmt, parse, write, Action, Rank, Trace};
+use crate::stream::SourceError;
+use crate::{binfmt, parse, write, Rank, Trace};
 
 /// Errors raised by file operations.
 #[derive(Debug)]
@@ -39,6 +41,9 @@ pub enum FileError {
     Bin(PathBuf, binfmt::BinError),
     /// The description file is malformed.
     Description(PathBuf, String),
+    /// A per-rank cursor failed other than on I/O or decoding: a split
+    /// fragment's line names another rank.
+    Stream(SourceError),
 }
 
 impl std::fmt::Display for FileError {
@@ -50,11 +55,23 @@ impl std::fmt::Display for FileError {
             FileError::Description(p, msg) => {
                 write!(f, "{}: trace description: {msg}", p.display())
             }
+            FileError::Stream(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for FileError {}
+
+impl From<SourceError> for FileError {
+    fn from(e: SourceError) -> FileError {
+        match e {
+            SourceError::Io(p, e) => FileError::Io(p, e),
+            SourceError::Parse(p, e) => FileError::Parse(p, e),
+            SourceError::Bin(p, e) => FileError::Bin(p, e),
+            other => FileError::Stream(other),
+        }
+    }
+}
 
 /// Writes the whole trace as one merged file, streaming through a
 /// buffered writer (no whole-trace `String`).
@@ -91,15 +108,6 @@ pub fn write_split(trace: &Trace, dir: &Path, stem: &str) -> Result<PathBuf, Fil
     Ok(desc_path)
 }
 
-/// Loads a merged trace file for `ranks` processes (the streaming
-/// decoder — see [`stream::load_merged`]).
-///
-/// # Errors
-/// Propagates I/O and parse failures.
-pub fn read_merged(path: &Path, ranks: u32) -> Result<Trace, FileError> {
-    stream::load_merged(path, ranks)
-}
-
 /// Parses and validates a description file into `(rank, path)` entries,
 /// sorted by rank. Relative paths resolve against the description
 /// file's directory.
@@ -125,9 +133,8 @@ pub fn description_entries(path: &Path, ranks: u32) -> Result<Vec<(Rank, PathBuf
         }
         // `pK <path>` pins the entry to rank K; a lone `pK` token stays
         // a (strange but legal) bare path.
-        let mut split = line.splitn(2, char::is_whitespace);
-        let first = split.next().expect("non-empty line has a first token");
-        let rest = split.next().map(str::trim).filter(|r| !r.is_empty());
+        let (first, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        let rest = Some(rest.trim()).filter(|r| !r.is_empty());
         match (parse_rank_token(first), rest) {
             (Some(rank), Some(p)) => explicit.push((rank, p)),
             _ => implicit.push(line),
@@ -207,77 +214,19 @@ fn parse_rank_token(tok: &str) -> Option<Rank> {
     tok.strip_prefix('p')?.parse::<u32>().ok().map(Rank)
 }
 
-/// Reads one rank's split fragment, checking every line's rank prefix.
-fn read_fragment(path: &Path, rank: Rank) -> Result<Vec<Action>, FileError> {
-    let bytes = fs::read(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-    let mut actions = Vec::new();
-    let mut line = 0usize;
-    for raw in bytes.split(|&b| b == b'\n') {
-        line += 1;
-        match parse_line_bytes(raw, line) {
-            Ok(None) => {}
-            Ok(Some((r, a))) => {
-                if r != rank {
-                    return Err(FileError::Parse(
-                        path.to_path_buf(),
-                        parse::ParseError {
-                            line,
-                            message: format!(
-                                "fragment for rank {rank} contains a line for rank {r}"
-                            ),
-                        },
-                    ));
-                }
-                actions.push(a);
-            }
-            Err(e) => return Err(FileError::Parse(path.to_path_buf(), e)),
-        }
-    }
-    Ok(actions)
-}
-
-/// Loads a trace through its description file. A single entry is
-/// interpreted as a merged trace serving all `ranks` processes, as in
-/// the paper; otherwise the per-rank fragments are read and parsed in
-/// parallel over the ingest worker pool.
-///
-/// # Errors
-/// Fails on I/O errors, parse errors (naming the offending fragment),
-/// or invalid descriptions (see [`description_entries`]).
-pub fn read_description(path: &Path, ranks: u32) -> Result<Trace, FileError> {
-    let entries = description_entries(path, ranks)?;
-    if entries.len() == 1 {
-        return read_merged(&entries[0].1, ranks);
-    }
-    let workers = stream::worker_count(entries.len());
-    let fragments: Vec<Result<Vec<Action>, FileError>> = if workers <= 1 {
-        entries
-            .iter()
-            .map(|(rank, p)| read_fragment(p, *rank))
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = entries
-                .iter()
-                .map(|(rank, p)| s.spawn(move || read_fragment(p, *rank)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fragment reader panicked"))
-                .collect()
-        })
-    };
-    let mut per_rank = Vec::with_capacity(fragments.len());
-    for f in fragments {
-        per_rank.push(f?);
-    }
-    Ok(Trace::from_actions(per_rank))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{load_trace, TraceInput};
     use crate::Action;
+
+    fn read_merged(path: &Path, ranks: u32) -> Result<Trace, FileError> {
+        load_trace(&TraceInput::MergedText(path.to_path_buf()), ranks)
+    }
+
+    fn read_description(path: &Path, ranks: u32) -> Result<Trace, FileError> {
+        load_trace(&TraceInput::Description(path.to_path_buf()), ranks)
+    }
 
     fn sample() -> Trace {
         let mut t = Trace::new(3);
@@ -473,11 +422,16 @@ mod tests {
         fs::write(&bad, "p0 init\n").unwrap();
         let err = read_description(&dir.join("app.desc"), 3).unwrap_err();
         match err {
-            FileError::Parse(p, e) => {
-                assert_eq!(p, bad);
-                assert!(e.message.contains("rank p1"), "{}", e.message);
+            FileError::Stream(SourceError::WrongRank {
+                path,
+                expected,
+                found,
+                line,
+            }) => {
+                assert_eq!(path, bad);
+                assert_eq!((expected, found, line), (Rank(1), Rank(0), 1));
             }
-            other => panic!("expected Parse, got {other}"),
+            other => panic!("expected WrongRank, got {other}"),
         }
     }
 }

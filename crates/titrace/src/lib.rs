@@ -14,9 +14,16 @@
 //! (or assembled from per-process fragments acquired on *different*
 //! machines) can be replayed against any simulated platform — the paper's
 //! core idea. This crate defines the action model ([`Action`]), the text
-//! format ([`parse`] / [`mod@write`]), the compact binary format and its
-//! side-car cache ([`binfmt`]), streaming/parallel ingestion ([`stream`]),
-//! structural validation ([`validate`]) and volume statistics ([`stats`]).
+//! format ([`parse`] / [`mod@write`]), the merged and split file layouts
+//! ([`files`]), the compact binary format ([`binfmt`]), ingestion
+//! ([`stream`]), structural validation ([`validate`]) and volume
+//! statistics ([`stats`]).
+//!
+//! Every on-disk trace is read one way: [`stream::open_sources`] opens one
+//! cursor per rank that decodes its actions through a window of at most
+//! 16 KiB, whatever the format. A replay pulls those cursors; a
+//! whole-trace load ([`stream::load_trace`]), `trace pack`, `trace unpack`
+//! and the statistics ([`TraceStats::from_sources`]) drain them.
 //!
 //! Receive actions carry the message size: this is the format extension
 //! introduced in Section 3.3 of the paper ("we had to add the message size

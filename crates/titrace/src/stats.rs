@@ -2,7 +2,7 @@
 //! the paper reasons about (instruction counts per process, message size
 //! distribution, fraction of eager-mode messages).
 
-use crate::{Action, Rank, Trace};
+use crate::{Action, ActionSource, Rank, SourceError, Trace};
 
 /// The eager/rendezvous protocol switch-over used by MPI runtimes of the
 /// paper's era ("when the message is smaller than 64KB, the eager mode is
@@ -39,25 +39,44 @@ pub struct RankStats {
 pub struct TraceStats {
     /// Per-rank counters.
     pub per_rank: Vec<RankStats>,
+    /// Instructions over all ranks, added one action at a time in rank
+    /// order: the one float total, so it is summed once, in the order
+    /// every reader of a trace meets the actions.
+    instructions: f64,
 }
 
 impl TraceStats {
-    /// Computes statistics for `trace`.
+    /// Computes statistics for `trace`: [`TraceStats::from_sources`] over
+    /// its own action lists.
     pub fn of(trace: &Trace) -> TraceStats {
-        let mut per_rank = vec![RankStats::default(); trace.ranks() as usize];
-        for (rank, actions) in trace.iter() {
-            let s = &mut per_rank[rank.as_usize()];
-            for a in actions {
+        match TraceStats::from_sources(crate::binfmt::trace_sources(trace)) {
+            Ok(stats) => stats,
+            Err(e) => unreachable!("an in-memory action list cannot fail: {e}"),
+        }
+    }
+
+    /// Computes statistics by draining one action source per rank, in
+    /// rank order: a trace is counted as it streams, never held.
+    ///
+    /// # Errors
+    /// The first failure of a source.
+    pub fn from_sources<S: ActionSource>(sources: Vec<S>) -> Result<TraceStats, SourceError> {
+        let mut per_rank = Vec::with_capacity(sources.len());
+        let mut instructions = 0.0;
+        for mut source in sources {
+            let mut s = RankStats::default();
+            while let Some(a) = source.next_action()? {
                 s.actions += 1;
                 match a {
                     Action::Compute { amount } => {
+                        instructions += amount;
                         s.compute_instructions += amount;
                         s.compute_actions += 1;
                     }
                     Action::Send { bytes, .. } | Action::Isend { bytes, .. } => {
                         s.sends += 1;
                         s.bytes_sent += bytes;
-                        if *bytes < EAGER_THRESHOLD {
+                        if bytes < EAGER_THRESHOLD {
                             s.eager_sends += 1;
                         }
                     }
@@ -70,8 +89,33 @@ impl TraceStats {
                     _ => {}
                 }
             }
+            per_rank.push(s);
         }
-        TraceStats { per_rank }
+        Ok(TraceStats {
+            per_rank,
+            instructions,
+        })
+    }
+
+    /// The counters of all ranks added up (what `titreplay inspect` and
+    /// `titserved`'s `/inspect` print).
+    pub fn total(&self) -> RankStats {
+        let mut t = RankStats {
+            compute_instructions: self.instructions,
+            ..RankStats::default()
+        };
+        for s in &self.per_rank {
+            t.compute_actions += s.compute_actions;
+            t.sends += s.sends;
+            t.recvs += s.recvs;
+            t.bytes_sent += s.bytes_sent;
+            t.bytes_received += s.bytes_received;
+            t.eager_sends += s.eager_sends;
+            t.collectives += s.collectives;
+            t.waits += s.waits;
+            t.actions += s.actions;
+        }
+        t
     }
 
     /// Stats of one rank.
@@ -81,7 +125,7 @@ impl TraceStats {
 
     /// Total instructions across ranks.
     pub fn total_instructions(&self) -> f64 {
-        self.per_rank.iter().map(|s| s.compute_instructions).sum()
+        self.instructions
     }
 
     /// Mean instructions per rank (the metric quoted in Section 2.2:
@@ -96,15 +140,14 @@ impl TraceStats {
 
     /// Total point-to-point messages.
     pub fn total_messages(&self) -> u64 {
-        self.per_rank.iter().map(|s| s.sends).sum()
+        self.total().sends
     }
 
     /// Fraction of sent messages using the eager protocol, in `[0, 1]`.
     /// Returns `None` when no message was sent.
     pub fn eager_fraction(&self) -> Option<f64> {
-        let sends: u64 = self.per_rank.iter().map(|s| s.sends).sum();
-        let eager: u64 = self.per_rank.iter().map(|s| s.eager_sends).sum();
-        (sends > 0).then(|| eager as f64 / sends as f64)
+        let t = self.total();
+        (t.sends > 0).then(|| t.eager_sends as f64 / t.sends as f64)
     }
 }
 
@@ -176,6 +219,12 @@ mod tests {
     fn aggregates() {
         let stats = TraceStats::of(&sample());
         assert_eq!(stats.total_instructions(), 4000.0);
+        let total = stats.total();
+        assert_eq!(total.actions, 14);
+        assert_eq!((total.sends, total.recvs, total.waits), (2, 2, 2));
+        assert_eq!((total.compute_actions, total.collectives), (2, 2));
+        assert_eq!(total.bytes_sent, 100 + 128 * 1024);
+        assert_eq!(total.compute_instructions, 4000.0);
         assert_eq!(stats.mean_instructions_per_rank(), 2000.0);
         assert_eq!(stats.total_messages(), 2);
         assert_eq!(stats.eager_fraction(), Some(0.5));

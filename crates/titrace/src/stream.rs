@@ -11,14 +11,16 @@
 //!   through a 1 MiB buffer that reads only each line's rank token and
 //!   records the byte runs each rank's lines occupy; its cursors read
 //!   those runs through windows of at most 16 KiB. A faulty line fails
-//!   exactly as [`load_merged`] reports it, text and line number.
-//! * **One whole-file decoder.** [`load_merged`] decodes a merged file in
-//!   a single pass through a fixed 1 MiB buffer into a [`Trace`] (*carry
-//!   invariant:* between refills the buffer holds only the unterminated
-//!   start of the next line); [`parse_merged_bytes`] is the same per-line
-//!   function looped over a slice. Decoding runs on the calling thread:
-//!   a chunk-parallel decoder was removed on measurement — read
-//!   DESIGN.md "Trace formats & ingestion" before adding one back.
+//!   with the first error of the file up to it, text and line number, as
+//!   one whole-file pass (`Demux`) finds it.
+//! * **One reader.** Every trace is read through its per-rank cursors
+//!   ([`open_sources`]): a replay pulls them, and [`load_trace`] drains
+//!   them rank by rank into a [`Trace`], so a whole-trace load, `trace
+//!   pack`/`unpack`, `inspect` and the replay meet the same errors.
+//!   [`parse_merged_bytes`] is the per-line function looped over an
+//!   in-memory slice. Decoding runs on the calling thread: a
+//!   chunk-parallel decoder was removed on measurement — read DESIGN.md
+//!   "Trace formats & ingestion" before adding one back.
 //! * an [`ActionSource`] **cursor abstraction** that lets the replay
 //!   engines pull actions per rank incrementally, bounding resident
 //!   memory to O(ranks · window) for merged and split text files and
@@ -168,7 +170,7 @@ fn too_long(line: usize) -> ParseError {
     err(line, format!("line exceeds {MAX_LINE} bytes"))
 }
 
-/// Read size of [`load_merged`].
+/// Read size of the index pass and of the whole-file pass.
 const READ_BUF: usize = 1 << 20;
 
 /// Digits the fast path converts itself: 18 cannot overflow a `u64`.
@@ -356,8 +358,8 @@ impl Demux {
     }
 }
 
-/// Parses a merged trace directly from bytes — the in-memory form of
-/// [`load_merged`], and what [`crate::parse::parse_merged`] delegates to.
+/// Parses a merged trace directly from bytes — what
+/// [`crate::parse::parse_merged`] delegates to.
 ///
 /// # Errors
 /// Returns the first line that fails to parse.
@@ -368,22 +370,7 @@ pub fn parse_merged_bytes(bytes: &[u8], ranks: u32) -> Result<Trace, ParseError>
     Ok(demux.into_trace())
 }
 
-/// Decodes a merged trace from `reader` through a buffer of `buf_len`
-/// bytes ([`Demux::read`]).
-///
-/// # Errors
-/// The outer error is the reader's; the inner one is the first line
-/// that fails to parse, exactly as [`parse_merged_bytes`] reports it.
-pub(crate) fn decode_reader(
-    reader: impl io::Read,
-    ranks: u32,
-    buf_len: usize,
-) -> io::Result<Result<Trace, ParseError>> {
-    let mut demux = Demux::new(ranks);
-    Ok(demux.read(reader, buf_len)?.map(|()| demux.into_trace()))
-}
-
-/// Decodes `path` up to byte `upto` as [`load_merged`] does, keeping no
+/// Decodes `path` up to byte `upto` in one whole-file pass, keeping no
 /// action: the first error there, or the number of lines read.
 fn first_error(path: &Path, ranks: u32, upto: u64) -> io::Result<Result<usize, ParseError>> {
     let mut demux = Demux::checking(ranks);
@@ -393,10 +380,10 @@ fn first_error(path: &Path, ranks: u32, upto: u64) -> io::Result<Result<usize, P
         .map(|()| demux.line))
 }
 
-/// Chooses the worker count for `items` independent work units (split
-/// per-rank files, sweep cells): `TITR_SWEEP_THREADS` when set (1 forces
-/// sequential), otherwise the machine's available parallelism, never
-/// more than `items`.
+/// Chooses the worker count for `items` independent sweep cells:
+/// `TITR_SWEEP_THREADS` when set (1 forces sequential), otherwise the
+/// machine's available parallelism, never more than `items`. Trace
+/// reading does not use it.
 pub fn worker_count(items: usize) -> usize {
     let workers = std::env::var("TITR_SWEEP_THREADS")
         .ok()
@@ -495,19 +482,6 @@ impl std::fmt::Display for SourceError {
 }
 
 impl std::error::Error for SourceError {}
-
-impl SourceError {
-    /// The error as a [`FileError`]; a failure that names no file is put
-    /// on `path`.
-    pub fn into_file_error(self, path: &Path) -> FileError {
-        match self {
-            SourceError::Io(p, e) => FileError::Io(p, e),
-            SourceError::Parse(p, e) => FileError::Parse(p, e),
-            SourceError::Bin(p, e) => FileError::Bin(p, e),
-            other => FileError::Description(path.to_path_buf(), other.to_string()),
-        }
-    }
-}
 
 /// An incremental cursor over one rank's action stream. Unlike a
 /// materialised [`Trace`], a source may be backed by a file and read
@@ -610,11 +584,12 @@ struct Run {
 /// resident memory is O(ranks · window) plus the runs, never the file or
 /// its decoded actions. Any number of cursor sets can be handed out.
 ///
-/// Errors are [`load_merged`]'s, text and line number: opening fails on
-/// the first unreadable rank token, out-of-range rank or overlong line,
-/// and a cursor on any other faulty line — each reporting the first
-/// error of the file up to that line, found by decoding it again (only
-/// on the error path; runs carry no line numbers).
+/// Errors carry the text and line number one whole-file pass finds:
+/// opening fails on the first unreadable rank token, out-of-range rank
+/// or overlong line, and a cursor on any other faulty line — each
+/// reporting the first error of the file up to that line, found by
+/// decoding it again (only on the error path; runs carry no line
+/// numbers).
 #[derive(Debug)]
 pub struct TextFile {
     file: SharedFile,
@@ -627,8 +602,8 @@ impl TextFile {
     /// its runs.
     ///
     /// # Errors
-    /// I/O failures, and a line [`load_merged`] would refuse for its rank
-    /// token or its length (or an earlier line it would refuse first).
+    /// I/O failures, and a line refused for its rank token or its length
+    /// (or an earlier line refused first).
     pub fn open(path: &Path, ranks: u32) -> Result<TextFile, FileError> {
         let io_err = |e| FileError::Io(path.to_path_buf(), e);
         let file = SharedFile::open(path).map_err(io_err)?;
@@ -694,6 +669,7 @@ fn newline_bits(block: &[u8; 64]) -> u64 {
     const GATHER: u64 = 0x0102_0408_1020_4080;
     let mut bits = 0;
     for (i, word) in block.chunks_exact(8).enumerate() {
+        // Invariant: `chunks_exact(8)` yields 8-byte words only.
         let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ NEWLINES;
         // A byte's top bit survives only where `x` has a zero byte: no
         // carry crosses bytes, so no other byte is flagged.
@@ -735,6 +711,7 @@ impl Indexer {
         if raw.len() > MAX_LINE {
             return Err(fault(too_long(self.line)));
         }
+        // Invariant: a `get` of an 8-byte range is 8 bytes when it is `Some`.
         let head = buf
             .get(start..start + 8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
@@ -795,6 +772,7 @@ fn index_runs(mut reader: impl io::Read, ranks: u32) -> io::Result<Result<Vec<Ve
         let mut start = 0;
         let mut blocks = buf[..end].chunks_exact(64);
         for (b, block) in blocks.by_ref().enumerate() {
+            // Invariant: `chunks_exact(64)` yields 64-byte blocks only.
             let mut bits = newline_bits(block.try_into().expect("64 bytes"));
             while bits != 0 {
                 let nl = 64 * b + bits.trailing_zeros() as usize;
@@ -846,8 +824,8 @@ fn line_rank(raw: &[u8], line: usize) -> Result<Option<Rank>, ParseError> {
 
 /// One rank's lines of a text trace, read through a [`Window`]: its runs
 /// of a merged file, or the whole of its split fragment. Every line is
-/// decoded by the fast path or [`parse_line_bytes`], as [`load_merged`]
-/// decodes it, and must name the cursor's rank. The window grows only to
+/// decoded by the fast path or [`parse_line_bytes`], and must name the
+/// cursor's rank. The window grows only to
 /// hold a line longer than itself, never past [`MAX_LINE`]` + 1` bytes.
 struct TextCursor {
     window: Window,
@@ -882,7 +860,7 @@ impl TextCursor {
     }
 
     /// The cursor's error for the line `len` bytes long at file offset
-    /// `start`: the first error [`load_merged`] meets in the file up to
+    /// `start`: the first error a whole-file pass meets in the file up to
     /// and including that line — the same whichever rank's cursor meets
     /// the damage first — or, if it meets none (a line of another rank),
     /// `own` given the line's number.
@@ -1106,33 +1084,35 @@ pub fn open_input(input: &TraceInput, ranks: u32) -> Result<TraceInput, FileErro
     }
 }
 
-/// Fully materialises `input` as a [`Trace`] (used by `trace pack` and
-/// the experiment drivers).
+/// Fully materialises `input` as a [`Trace`]: drains [`open_sources`]
+/// rank by rank, so a whole-trace load reads exactly what a replay
+/// streams and fails exactly where a replay fails.
 ///
 /// # Errors
-/// Propagates I/O, parse, and decode failures.
+/// Propagates I/O, parse, decode and layout failures.
 pub fn load_trace(input: &TraceInput, ranks: u32) -> Result<Trace, FileError> {
-    match input {
-        TraceInput::Memory(trace) => Ok(trace.as_ref().clone()),
-        TraceInput::MergedText(path) => load_merged(path, ranks),
-        TraceInput::OpenText(text) => load_merged(text.path(), ranks),
-        TraceInput::Binary(path) => binfmt::read_file(path),
-        TraceInput::OpenBinary(titb) => titb.read_trace(),
-        TraceInput::Description(path) => crate::files::read_description(path, ranks),
+    let mut per_rank = Vec::with_capacity(ranks as usize);
+    for mut source in open_sources(input, ranks)? {
+        // A hint never exceeds what the source can yield (a `.titb`
+        // cursor caps it by the bytes left in its block).
+        let hint = source.remaining_hint().unwrap_or(0);
+        let mut actions = Vec::with_capacity(usize::try_from(hint).unwrap_or(0));
+        while let Some(action) = source.next_action()? {
+            actions.push(action);
+        }
+        per_rank.push(actions);
     }
+    Ok(Trace::from_actions(per_rank))
 }
 
-/// Loads a merged text trace with the streaming decoder: the file is
-/// never held, only 1 MiB of it at a time.
+/// Loads a merged text trace: [`load_trace`] over
+/// [`TraceInput::MergedText`]. The file is never held, only one index
+/// buffer and then one window per rank at a time.
 ///
 /// # Errors
 /// Propagates I/O and parse failures.
 pub fn load_merged(path: &Path, ranks: u32) -> Result<Trace, FileError> {
-    let io_err = |e| FileError::Io(path.to_path_buf(), e);
-    let file = std::fs::File::open(path).map_err(io_err)?;
-    decode_reader(file, ranks, READ_BUF)
-        .map_err(io_err)?
-        .map_err(|e| FileError::Parse(path.to_path_buf(), e))
+    load_trace(&TraceInput::MergedText(path.to_path_buf()), ranks)
 }
 
 // ----------------------------------------------------------------------
@@ -1205,7 +1185,7 @@ pub fn open_merged_cached(
         // fails the open, as it would fail the replay.
         let sidecar = sidecar_path(path);
         if let Ok(written) = binfmt::write_sources(text.cursors(), &sidecar, Some(sig)) {
-            written.map_err(|e| e.into_file_error(path))?;
+            written?;
             if let Ok(titb) = binfmt::TitbFile::open(&sidecar, ranks) {
                 return Ok((
                     TraceInput::OpenBinary(Arc::new(titb)),
@@ -1220,10 +1200,8 @@ pub fn open_merged_cached(
     ))
 }
 
-/// Loads a merged text trace through its binary side-car cache, like
-/// [`open_merged_cached`], but always as a decoded [`Trace`]: a hit is
-/// decoded from the side-car instead of parsing the text, a miss decodes
-/// the text and, when `cache` is set, writes the side-car from it.
+/// Loads a merged text trace through its binary side-car cache:
+/// [`open_merged_cached`], then [`load_trace`] over what it opened.
 ///
 /// # Errors
 /// Propagates I/O and parse failures of the *source*; a corrupt or
@@ -1233,18 +1211,8 @@ pub fn load_merged_cached(
     ranks: u32,
     cache: bool,
 ) -> Result<(Trace, CacheOutcome), FileError> {
-    let sig = source_signature(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-    if let Some(Ok(trace)) = cached_sidecar(path, ranks, sig, cache).map(|t| t.read_trace()) {
-        return Ok((trace, CacheOutcome::Hit));
-    }
-    let trace = load_merged(path, ranks)?;
-    let stored = cache && binfmt::write_file(&trace, &sidecar_path(path), Some(sig)).is_ok();
-    let outcome = if stored {
-        CacheOutcome::MissStored
-    } else {
-        CacheOutcome::MissUncached
-    };
-    Ok((trace, outcome))
+    let (input, outcome) = open_merged_cached(path, ranks, cache)?;
+    Ok((load_trace(&input, ranks)?, outcome))
 }
 
 /// The verified side-car of `path` when caching is on and its header
@@ -1271,6 +1239,28 @@ fn cached_sidecar(
 mod tests {
     use super::*;
     use crate::parse;
+
+    /// Decodes a merged trace from `reader` in one whole-file pass
+    /// through a buffer of `buf_len` bytes ([`Demux::read`]): the oracle
+    /// the streamed cursors are checked against.
+    pub(super) fn decode_reader(
+        reader: impl io::Read,
+        ranks: u32,
+        buf_len: usize,
+    ) -> io::Result<Result<Trace, ParseError>> {
+        let mut demux = Demux::new(ranks);
+        Ok(demux.read(reader, buf_len)?.map(|()| demux.into_trace()))
+    }
+
+    /// [`decode_reader`] over the file at `path`, each rank's actions or
+    /// the error as a whole-trace load words it.
+    pub(super) fn decode_file(path: &Path, ranks: u32) -> Result<Vec<Vec<Action>>, String> {
+        let file = std::fs::File::open(path).unwrap();
+        let decoded = decode_reader(file, ranks, READ_BUF).unwrap();
+        decoded
+            .map(|t| t.iter().map(|(_, a)| a.to_vec()).collect())
+            .map_err(|e| FileError::Parse(path.to_path_buf(), e).to_string())
+    }
 
     fn sample_text(ranks: u32, per_rank: usize) -> String {
         let mut t = Trace::new(ranks);
@@ -1413,10 +1403,7 @@ mod tests {
                         };
                         t.cursors().into_iter().map(drain).collect()
                     });
-                let expected = load_merged(&path, 2)
-                    .map(|t| vec![t.actions(Rank(0)).to_vec(), t.actions(Rank(1)).to_vec()])
-                    .map_err(|e| e.to_string());
-                assert_eq!(drained, expected);
+                assert_eq!(drained, decode_file(&path, 2));
             }
         }
     }
@@ -1815,9 +1802,11 @@ mod fast_path_props {
     }
 }
 
-/// Differential test of the streamed text cursors against [`load_merged`].
+/// Differential test of the streamed text cursors against the whole-file
+/// decoder.
 #[cfg(test)]
 mod text_cursor_props {
+    use super::tests::decode_file;
     use super::*;
     use proptest::prelude::*;
 
@@ -1893,11 +1882,10 @@ mod text_cursor_props {
 
         /// Rank-major or interleaved, dressed with blank lines, comments,
         /// tabs, CRLF and a missing final newline, read through windows
-        /// of 32 to 200 bytes: a clean file drains to exactly what
-        /// `load_merged` decodes, and a file with one fault (cut short, a
-        /// byte changed, an overlong line, a rank out of range) fails
-        /// with exactly `load_merged`'s error, whichever rank is drained
-        /// first.
+        /// of 32 to 200 bytes: a clean file drains to exactly what the
+        /// whole-file pass decodes, and a file with one fault (cut short,
+        /// a byte changed, an overlong line, a rank out of range) fails
+        /// with exactly its error, whichever rank is drained first.
         #[test]
         fn text_cursors_match_load_merged(
             ranks in 1u32..=5,
@@ -1950,9 +1938,7 @@ mod text_cursor_props {
             let path = dir.join("case.trace");
             std::fs::write(&path, &bytes).unwrap();
 
-            let expected = load_merged(&path, ranks)
-                .map(|t| (0..ranks).map(|r| t.actions(Rank(r)).to_vec()).collect::<Vec<_>>())
-                .map_err(|e| e.to_string());
+            let expected = decode_file(&path, ranks);
             let forward: Vec<usize> = (0..ranks as usize).collect();
             let backward: Vec<usize> = forward.iter().rev().copied().collect();
             prop_assert_eq!(&drain(&path, ranks, window, &forward), &expected);

@@ -153,6 +153,8 @@ fn check_channels(trace: &Trace, ranks: u32, errors: &mut Vec<ValidationError>) 
                 detail: format!("{} sends vs {} receives", tx.len(), rx.len()),
             });
         } else if tx != rx {
+            // Invariant: equal lengths and unequal contents, so some
+            // position differs and `at` is `Some`.
             let at = tx.iter().zip(rx.iter()).position(|(a, b)| a != b);
             errors.push(ValidationError::ChannelMismatch {
                 src,

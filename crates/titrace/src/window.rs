@@ -103,6 +103,11 @@ impl Window {
         self.file_offset(self.pos)
     }
 
+    /// Bytes of the range not yet consumed, read or not.
+    pub(crate) fn left(&self) -> u64 {
+        self.end - self.offset()
+    }
+
     /// Whether the whole range has been read into the window.
     pub(crate) fn read_all(&self) -> bool {
         self.next_read == self.end

@@ -1,9 +1,10 @@
 //! Memory bound of trace ingest, counted at the allocator — no timing,
 //! no RSS sampling. `load_merged` must hold the decoded trace plus a
-//! fixed buffer, never the file: reading the file whole (what it did
-//! before the streaming decoder) fails the first test, and growing a
-//! buffer to fit a line without a newline fails the second. The third
-//! holds `binfmt::read_file` to the decoded trace plus its windows.
+//! fixed buffer, never the file: reading the file whole fails the first
+//! test, and growing a buffer to fit a line without a newline fails the
+//! second. The third holds a whole-trace load of a `.titb` to the
+//! decoded trace plus its windows, and the fourth holds `trace pack`'s
+//! writer to the same peak at two trace lengths.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -13,7 +14,7 @@ use std::sync::Mutex;
 
 use titrace::files::FileError;
 use titrace::{binfmt, stream};
-use titrace::{Action, Rank, Trace};
+use titrace::{Action, Rank, Trace, TraceInput};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -141,9 +142,9 @@ fn a_file_without_newlines_is_an_error_not_an_allocation() {
     assert!(peak < 2 * MIB, "peak live heap {peak}");
 }
 
-/// `binfmt::read_file` decodes through the replay's windowed cursors: it
-/// peaks at the decoded trace plus the checksum pass's 64 KiB buffer and
-/// one 16 KiB window, never the file.
+/// A whole-trace load of a `.titb` decodes through the replay's windowed
+/// cursors: it peaks at the decoded trace plus the checksum pass's 64 KiB
+/// buffer and one 16 KiB window, never the file.
 #[test]
 fn reading_a_titb_holds_the_trace_and_a_window_not_the_file() {
     let _alone = alone();
@@ -169,11 +170,69 @@ fn reading_a_titb_holds_the_trace_and_a_window_not_the_file() {
     let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
     assert!(file_bytes >= 2 * MIB, "the file is only {file_bytes} bytes");
 
-    let (read, peak, kept) = measured(|| binfmt::read_file(&path).unwrap());
+    let input = TraceInput::Binary(path.clone());
+    let (read, peak, kept) = measured(|| stream::load_trace(&input, RANKS).unwrap());
     std::fs::remove_file(&path).unwrap();
     assert_eq!(read, trace);
     assert!(
         peak <= kept + 128 * 1024,
         "peak {peak} exceeds trace {kept} + 128 KiB (file: {file_bytes} bytes)"
+    );
+}
+
+/// Writes a rank-major halo-like text trace of `iters` iterations per
+/// rank to `path`; returns its action count.
+fn write_halo_text(path: &std::path::Path, ranks: u32, iters: usize) -> u64 {
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
+    for r in 0..ranks {
+        let (left, right) = ((r + ranks - 1) % ranks, (r + 1) % ranks);
+        writeln!(out, "p{r} init").unwrap();
+        for i in 0..iters {
+            writeln!(out, "p{r} irecv p{left} {i}\np{r} irecv p{right} {i}").unwrap();
+            writeln!(out, "p{r} isend p{right} {i}\np{r} isend p{left} {i}").unwrap();
+            writeln!(out, "p{r} compute 100000\np{r} waitall").unwrap();
+        }
+        writeln!(out, "p{r} finalize").unwrap();
+    }
+    out.into_inner().unwrap().sync_all().unwrap();
+    u64::from(ranks) * (6 * iters as u64 + 2)
+}
+
+/// `trace pack` writes the `.titb` from the input's own per-rank cursors
+/// (`write_sources(open_sources(..))`), so packing merged text peaks at
+/// the same heap at two trace lengths 4x apart: the index pass's buffer,
+/// then one window per rank. Loading the trace before writing it grows
+/// with the trace.
+#[test]
+fn packing_a_text_trace_holds_windows_not_the_trace() {
+    let _alone = alone();
+    const RANKS: u32 = 8;
+    let peaks = |iters: usize| {
+        let text = temp_file(&format!("pack-{iters}.trace"));
+        let out = temp_file(&format!("pack-{iters}.titb"));
+        let actions = write_halo_text(&text, RANKS, iters);
+        let input = TraceInput::MergedText(text.clone());
+        let (written, streamed, _) = measured(|| {
+            let sources = stream::open_sources(&input, RANKS).unwrap();
+            binfmt::write_sources(sources, &out, None).unwrap().unwrap()
+        });
+        assert_eq!(written, actions);
+        let ((), whole, _) = measured(|| {
+            let trace = stream::load_trace(&input, RANKS).unwrap();
+            binfmt::write_file(&trace, &out, None).unwrap();
+        });
+        std::fs::remove_file(&text).unwrap();
+        std::fs::remove_file(&out).unwrap();
+        (streamed, whole)
+    };
+    let (short, short_whole) = peaks(2000);
+    let (long, long_whole) = peaks(8000);
+    assert_eq!(
+        short, long,
+        "packing peaks at {short} B, then at {long} B 4x longer"
+    );
+    assert!(
+        long_whole as f64 > 2.5 * short_whole as f64,
+        "a whole-trace pack peaks at {short_whole} B, then at {long_whole} B 4x longer"
     );
 }

@@ -37,7 +37,7 @@ use serde::{Deserialize, Value};
 use tit_replay::prelude::*;
 use tit_replay::querykey::QueryKey;
 use tit_replay::replay;
-use tit_replay::titrace::{binfmt, stream, TraceInput};
+use tit_replay::titrace::{binfmt, stream, TraceInput, TraceStats};
 
 /// One parsed what-if query.
 #[derive(Debug, Clone)]
@@ -195,8 +195,7 @@ impl ResolvedTrace {
             TraceInput::OpenBinary(titb) => (titb.header().checksum, titb.header().total_actions()),
             other => {
                 let sources = stream::open_sources(other, ranks).map_err(|e| e.to_string())?;
-                binfmt::content_checksum(sources)
-                    .map_err(|e| e.into_file_error(path).to_string())?
+                binfmt::content_checksum(sources).map_err(|e| e.to_string())?
             }
         };
         Ok(ResolvedTrace {
@@ -316,40 +315,26 @@ pub fn inspect(
 ) -> Result<String, String> {
     let resolved = store.resolve(path, ranks, sidecar)?;
     let t = &resolved.trace;
-    let mut sends = 0u64;
-    let mut recvs = 0u64;
-    let mut computes = 0u64;
-    let mut collectives = 0u64;
-    let mut waits = 0u64;
-    let mut bytes = 0u64;
-    let mut instructions = 0.0f64;
-    for mut cursor in stream::open_sources(t.input(), t.ranks()).map_err(|e| e.to_string())? {
-        while let Some(a) = cursor.next_action().map_err(|e| e.to_string())? {
-            match a {
-                Action::Send { bytes: b, .. } | Action::Isend { bytes: b, .. } => {
-                    sends += 1;
-                    bytes += b;
-                }
-                Action::Recv { .. } | Action::Irecv { .. } => recvs += 1,
-                Action::Compute { amount } => {
-                    computes += 1;
-                    instructions += amount;
-                }
-                Action::Wait | Action::WaitAll => waits += 1,
-                Action::Init | Action::Finalize => {}
-                _ => collectives += 1,
-            }
-        }
-    }
+    let sources = stream::open_sources(t.input(), t.ranks()).map_err(|e| e.to_string())?;
+    let total = TraceStats::from_sources(sources)
+        .map_err(|e| e.to_string())?
+        .total();
     Ok(format!(
         "{{\n  \"trace_signature\": \"{}\",\n  \"content_checksum\": \"{:016x}\",\n  \
-         \"ranks\": {},\n  \"actions\": {},\n  \"sends\": {sends},\n  \"recvs\": {recvs},\n  \
-         \"waits\": {waits},\n  \"computes\": {computes},\n  \"collectives\": {collectives},\n  \
-         \"payload_bytes\": {bytes},\n  \"compute_instructions\": {instructions:.0}\n}}",
+         \"ranks\": {},\n  \"actions\": {},\n  \"sends\": {},\n  \"recvs\": {},\n  \
+         \"waits\": {},\n  \"computes\": {},\n  \"collectives\": {},\n  \
+         \"payload_bytes\": {},\n  \"compute_instructions\": {:.0}\n}}",
         escape(&resolved.signature),
         resolved.checksum,
         t.ranks(),
         t.len(),
+        total.sends,
+        total.recvs,
+        total.waits,
+        total.compute_actions,
+        total.collectives,
+        total.bytes_sent,
+        total.compute_instructions,
     ))
 }
 

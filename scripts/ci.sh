@@ -467,6 +467,67 @@ for kind in cut flip ranks table; do
             hostile_runs=$((hostile_runs + 1))
         done
     done
+    # The other readers of a `.titb` refuse it with the replay's error.
+    for cmd in unpack inspect; do
+        case $cmd in
+            unpack) args=(trace unpack "$ingest_dir/bad-$kind.titb" "$ingest_dir/bad-$kind.txt") ;;
+            inspect) args=(inspect --trace "$ingest_dir/bad-$kind.titb" --ranks 2) ;;
+        esac
+        what="corrupt .titb ($kind) under $cmd"
+        if "$rep" "${args[@]}" >/dev/null 2>"$ingest_dir/hostile.err"; then
+            echo "$what succeeded" >&2
+            exit 1
+        fi
+        if grep -q panicked "$ingest_dir/hostile.err" \
+            || ! grep -qF "$ingest_dir/bad-$kind.titb: " "$ingest_dir/hostile.err" \
+            || ! grep -qE "$want" "$ingest_dir/hostile.err"; then
+            echo "$what: wanted an error naming the file and /$want/, got:" >&2
+            cat "$ingest_dir/hostile.err" >&2
+            exit 1
+        fi
+        hostile_runs=$((hostile_runs + 1))
+    done
+done
+# A split trace whose rank-1 fragment holds a 70 KiB line, or a line of
+# rank 0: the replay, `inspect` and `trace pack` read it through the same
+# cursors, so each refuses it naming the fragment, with one message.
+grep '^p0 ' "$ingest_dir/s2.trace" >"$ingest_dir/split.rank0.trace"
+s2_p1=$(grep '^p1 ' "$ingest_dir/s2.trace")
+for kind in long rank; do
+    frag="$ingest_dir/split-$kind.rank1.trace"
+    case $kind in
+        long)
+            fault=$(printf 'p1 compute 1%71680s' '')
+            want='trace parse error at line 2: line exceeds 65536 bytes'
+            ;;
+        rank)
+            fault='p0 init'
+            want='line 2 belongs to rank p0 but the file is assigned to rank p1'
+            ;;
+    esac
+    { printf '%s\n' "$s2_p1" | head -n 1; printf '%s\n' "$fault"; printf '%s\n' "$s2_p1" | tail -n +2; } >"$frag"
+    printf 'split.rank0.trace\nsplit-%s.rank1.trace\n' "$kind" >"$ingest_dir/split-$kind.desc"
+    for cmd in replay inspect pack; do
+        case $cmd in
+            replay) args=(--platform "$ingest_dir/s2.trace.platform.json" --ranks 2 --rate 2e9
+                --trace "$ingest_dir/split-$kind.desc") ;;
+            inspect) args=(inspect --trace "$ingest_dir/split-$kind.desc" --ranks 2) ;;
+            pack) args=(trace pack "$ingest_dir/split-$kind.desc" "$ingest_dir/split-$kind.titb" --ranks 2) ;;
+        esac
+        what="split trace ($kind) under $cmd"
+        if "$rep" "${args[@]}" >/dev/null 2>"$ingest_dir/hostile.err"; then
+            echo "$what succeeded" >&2
+            exit 1
+        fi
+        if grep -q panicked "$ingest_dir/hostile.err" \
+            || ! grep -qF "$frag: " "$ingest_dir/hostile.err" \
+            || ! grep -qF "$want" "$ingest_dir/hostile.err"; then
+            echo "$what: wanted an error naming $frag and '$want', got:" >&2
+            cat "$ingest_dir/hostile.err" >&2
+            exit 1
+        fi
+        hostile_runs=$((hostile_runs + 1))
+    done
 done
 # Faulty merged text, streamed (`--no-cache`): a rank out of range mid-file
 # and a 70 KiB line in rank 1 are refused by the index pass, before any
@@ -556,7 +617,7 @@ for bad in nodes=0 host_speed=0 cores=0 link_bandwidth=0 link_bandwidth=-1 \
     fi
     platform_runs=$((platform_runs + 1))
 done
-echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the corrupt file, and $platform_runs degenerate platforms naming the field; none panicked; interleaved text replays as rank-major)"
+echo "HOSTILE_SMOKE ok ($hostile_runs runs refused, each naming the rank or the faulty file, and $platform_runs degenerate platforms naming the field; none panicked; interleaved text replays as rank-major)"
 
 # Re-run the replay-facing suites with parallel replay as the ambient
 # default, so every differential test also exercises the worker pool.

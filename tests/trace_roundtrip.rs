@@ -2,6 +2,8 @@
 //! generator → acquisition → text/binary formats → parser → replay.
 
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
 use tit_replay::prelude::*;
@@ -34,7 +36,12 @@ proptest! {
     #[test]
     fn acquired_trace_survives_binary_ingestion(lu in arb_lu(), seed in 0u64..1000) {
         let acq = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, seed);
-        let from_bin = binfmt::decode(&binfmt::encode(&acq.trace)).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("titr-rt-bin-{}-{seed}-{}.titb", lu.label(), std::process::id()));
+        binfmt::write_file(&acq.trace, &path, None).unwrap();
+        let titb = binfmt::TitbFile::open(&path, lu.procs).unwrap();
+        let from_bin = stream::load_trace(&TraceInput::OpenBinary(Arc::new(titb)), lu.procs).unwrap();
+        std::fs::remove_file(&path).unwrap();
         prop_assert_eq!(&from_bin, &acq.trace);
         prop_assert_eq!(write::to_string(&from_bin), write::to_string(&acq.trace));
     }
@@ -145,4 +152,111 @@ fn lu_compute_amounts_survive_the_text_format_bit_for_bit() {
     assert!(amounts(&trace).len() > 1000);
     assert_eq!(amounts(&back), amounts(&trace));
     assert_eq!(back, trace);
+}
+
+/// Runs `titreplay` with `args`; returns whether it succeeded and its
+/// stderr.
+fn titreplay(args: &[&str]) -> (bool, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_titreplay"))
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn arg(path: &Path) -> &str {
+    path.to_str().unwrap()
+}
+
+/// Every trace is read one way. `load_trace` gives the same `Trace` for
+/// LU S-4 in each of the seven input kinds. And a split trace whose
+/// fragment holds an overlong line, or a line of another rank, is refused
+/// by `inspect`, `trace pack`, `--validate` and the replay alike, each
+/// with the replay's message and none with a panic.
+#[test]
+fn one_reader_one_set_of_errors() {
+    let dir = std::env::temp_dir().join(format!("titr-rt-one-reader-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let lu = LuConfig::new(LuClass::S, 4).with_steps(2);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+    let ranks = lu.procs;
+    let merged = dir.join("lu.trace");
+    files::write_merged(&trace, &merged).unwrap();
+    let one_entry = dir.join("one.desc");
+    std::fs::write(&one_entry, "lu.trace\n").unwrap();
+    let split = files::write_split(&trace, &dir, "lu").unwrap();
+    let bin = dir.join("lu.titb");
+    binfmt::write_file(&trace, &bin, None).unwrap();
+    let opened_text = stream::TextFile::open(&merged, ranks).unwrap();
+    let opened_bin = binfmt::TitbFile::open(&bin, ranks).unwrap();
+    for input in [
+        TraceInput::Memory(Arc::new(trace.clone())),
+        TraceInput::MergedText(merged.clone()),
+        TraceInput::OpenText(Arc::new(opened_text)),
+        TraceInput::Description(one_entry),
+        TraceInput::Description(split.clone()),
+        TraceInput::Binary(bin),
+        TraceInput::OpenBinary(Arc::new(opened_bin)),
+    ] {
+        assert_eq!(
+            stream::load_trace(&input, ranks).unwrap(),
+            trace,
+            "{input:?}"
+        );
+    }
+
+    let platform = dir.join("platform.json");
+    let spec = r#"{"name": "flat", "kind": {"Flat": {"nodes": 4, "host_speed": 1e9,
+        "cores": 1, "cache_bytes": 1048576, "link_bandwidth": 1.25e8,
+        "link_latency": 2.5e-5, "backbone_bandwidth": 1.25e9, "backbone_latency": 5e-6}}}"#;
+    std::fs::write(&platform, spec).unwrap();
+    let fragment = dir.join("lu.rank1.trace");
+    let clean = std::fs::read_to_string(&fragment).unwrap();
+    let (first, rest) = clean.split_once('\n').unwrap();
+    let long_line = format!("p1 compute 1{}", " ".repeat(70_000));
+    for (fault, want) in [
+        (
+            long_line.as_str(),
+            "line 2: line exceeds 65536 bytes".to_string(),
+        ),
+        (
+            "p0 init",
+            format!(
+                "{}: line 2 belongs to rank p0 but the file is assigned to rank p1",
+                fragment.display()
+            ),
+        ),
+    ] {
+        std::fs::write(&fragment, format!("{first}\n{fault}\n{rest}")).unwrap();
+        let ranks = ranks.to_string();
+        let out: PathBuf = dir.join("packed.titb");
+        let replay = [
+            "--platform",
+            arg(&platform),
+            "--trace",
+            arg(&split),
+            "--ranks",
+            &ranks,
+            "--rate",
+            "2e9",
+        ];
+        let validate = [&replay[..], &["--validate"]].concat();
+        let inspect = ["inspect", "--trace", arg(&split), "--ranks", &ranks];
+        let pack = ["trace", "pack", arg(&split), arg(&out), "--ranks", &ranks];
+        for args in [&replay[..], &validate, &inspect, &pack] {
+            let (ok, stderr) = titreplay(args);
+            assert!(!ok, "{args:?} succeeded on a faulty fragment");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&want),
+                "{args:?}: wanted {want:?}, got {stderr}"
+            );
+        }
+        assert!(!out.exists(), "a refused pack leaves no file");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
