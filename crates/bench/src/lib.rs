@@ -142,11 +142,14 @@ pub mod sweep {
     /// Chooses the worker count for `cells` work items: the
     /// `TITR_SWEEP_THREADS` environment variable when set (a value of 1
     /// forces sequential execution), otherwise the machine's available
-    /// parallelism, never more than the number of cells. One definition
-    /// serves both experiment sweeps and trace ingestion — this is the
-    /// same pool policy as [`tit_replay::titrace::stream::worker_count`].
+    /// parallelism, never more than the number of cells.
     pub fn worker_count(cells: usize) -> usize {
-        tit_replay::titrace::stream::worker_count(cells)
+        let workers = std::env::var("TITR_SWEEP_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        workers.min(cells).max(1)
     }
 
     /// Runs `f(i, &items[i])` for every item on [`worker_count`] workers

@@ -33,9 +33,7 @@
 //! optional JSON output path). `titreplay inspect` summarises a trace —
 //! ranks, action mix, volumes — without replaying it; with `--platform`
 //! it also reports the parallel-replay partition (coupling islands,
-//! lookahead bound, action balance) and, for one coupled component, the
-//! sub-shard certificate at `--threads` (the analysis behind DESIGN.md's
-//! negative result for windowed PDES; no engine consumes it).
+//! lookahead bound, action balance).
 //! `inspect --profile` additionally runs one parallel replay
 //! (`--threads`, default >= 2; `--rate`, default 2e9) and prints the
 //! wall-clock execution profile — per-worker work and wall time and the
@@ -229,11 +227,7 @@ fn parse_args(argv: &[String]) -> Args {
 /// `titreplay inspect` — summarise a trace without replaying it. With
 /// `--platform` it additionally reports the parallel-replay partition
 /// quality: coupling islands (with per-island rank/action counts), the
-/// conservative lookahead bound, action-count balance, and — for a
-/// single coupled component — the sub-shard certificate at `--threads`
-/// workers: the certified plan or the clause that fails. The certificate
-/// is the analysis behind DESIGN.md's negative result for windowed PDES;
-/// no engine replays the plan.
+/// conservative lookahead bound and action-count balance.
 fn inspect_command(args: &[String]) -> ! {
     let mut trace_path = None;
     let mut ranks = None;
@@ -323,30 +317,6 @@ fn inspect_command(args: &[String]) -> ! {
             .enumerate()
         {
             println!("island {i} ranks {r} actions {a}");
-        }
-        // One coupled component: report whether the sub-shard
-        // certificate would split it, and how (analysis only).
-        if report.islands == 1 {
-            let threads = threads.unwrap_or_else(|| ReplayConfig::default_threads().max(2));
-            let eager = tit_replay::smpi::SmpiConfig::smpi_replay();
-            match partition::plan_subshards(&scan, &platform, &hosts, threads, |b| {
-                eager.is_eager(b)
-            }) {
-                Ok(plan) => {
-                    println!("subshards {}", plan.shards.len());
-                    println!("subshard_lookahead_s {:.9}", plan.lookahead_s);
-                    println!("subshard_balance {:.3}", plan.balance_ratio());
-                    for (i, s) in plan.shards.iter().enumerate() {
-                        println!(
-                            "subshard {i} ranks {} actions {} links {}",
-                            s.ranks.len(),
-                            s.actions,
-                            s.links.len()
-                        );
-                    }
-                }
-                Err(reason) => println!("subshards none ({reason})"),
-            }
         }
         if profile {
             // One replay at the requested (or inferred) thread count;

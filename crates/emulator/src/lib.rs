@@ -342,28 +342,4 @@ mod more_tests {
         };
         assert!((row.overhead_percent() - 25.0).abs() < 1e-12);
     }
-
-    #[test]
-    fn workloads_other_than_lu_run_on_the_testbed() {
-        let tb = Testbed::graphene();
-        let ft = workloads::ft::FtConfig {
-            procs: 8,
-            n: 64,
-            iterations: 2,
-        };
-        let r = tb
-            .run(ft.sources(), Instrumentation::None, CompilerOpt::O3)
-            .unwrap();
-        assert!(r.time > 0.0);
-        let cg = workloads::cg::CgConfig {
-            procs: 8,
-            rows: 50_000,
-            nnz_per_row: 9,
-            iterations: 20,
-        };
-        let r = tb
-            .run(cg.sources(), Instrumentation::None, CompilerOpt::O3)
-            .unwrap();
-        assert!(r.time > 0.0);
-    }
 }

@@ -10,7 +10,7 @@
 //! default without cross-traffic). Exact max-min fairness was measured
 //! against it on every paper figure and moved no error by 0.5 percentage
 //! points (see EXPERIMENTS.md), so it survives only as the test referee
-//! [`sharing::maxmin_rates`], which bounds every bottleneck rate from
+//! `sharing::maxmin_rates`, which bounds every bottleneck rate from
 //! above. An open or close examines only the flows on links where some
 //! flow's rate can move (see `LinkState::hi`), and a flow remembers the
 //! last rate pushed to the kernel so only a bitwise different one is
@@ -199,11 +199,6 @@ impl FlowNet {
     /// Counters of the sharing work performed so far.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// Number of currently open flows.
-    pub fn live_flows(&self) -> usize {
-        self.live_count
     }
 
     /// Opens a flow of `bytes` over `route`, with a per-flow bandwidth
@@ -568,21 +563,6 @@ impl FlowNet {
         }
         rate
     }
-
-    /// The rate each live flow currently receives (diagnostics/tests).
-    pub fn current_rates(&self) -> Vec<(FlowId, f64)> {
-        let mut out = Vec::new();
-        for (idx, f) in self.flows.iter().enumerate() {
-            if f.live {
-                let id = FlowId {
-                    index: idx as u32,
-                    generation: f.generation,
-                };
-                out.push((id, f.rate));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -590,6 +570,28 @@ mod tests {
     use super::*;
     use platform::topology::{flat_cluster, FlatClusterSpec};
     use platform::HostId;
+
+    impl FlowNet {
+        /// Number of currently open flows.
+        pub(crate) fn live_flows(&self) -> usize {
+            self.live_count
+        }
+
+        /// The rate each live flow currently receives.
+        pub(crate) fn current_rates(&self) -> Vec<(FlowId, f64)> {
+            let mut out = Vec::new();
+            for (idx, f) in self.flows.iter().enumerate() {
+                if f.live {
+                    let id = FlowId {
+                        index: idx as u32,
+                        generation: f.generation,
+                    };
+                    out.push((id, f.rate));
+                }
+            }
+            out
+        }
+    }
 
     /// Test-only instrumentation carried by every [`FlowNet`].
     #[derive(Debug, Default)]
@@ -814,30 +816,28 @@ mod tests {
     /// of these fourteen visits would land the second 4 ulp late).
     #[test]
     fn cap_bound_bystander_is_untouched_by_passing_reshares() {
-        use simkernel::{ActorId, Time};
+        use simkernel::{ActorId, Duration};
         let (bytes, cap, passers) = (1234.5, 73.0, 7);
         for squeeze in [false, true] {
             let (p, mut net, mut k) = net();
             let bystander = net.open(&mut k, &route(&p, 0, 1), bytes, cap);
             k.subscribe(net.activity(bystander), ActorId(0));
+            let pause = |k: &mut Kernel, s: f64| {
+                k.set_timer(ActorId(9), Duration::from_secs(s), 0);
+                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+            };
             // One passer at a time: 150 / 2 = 75 >= 73 on the backbone.
-            let mut at = 0.0;
             for i in 0..passers {
-                at += 0.1 + 0.013 * f64::from(i);
-                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
-                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+                pause(&mut k, 0.1 + 0.013 * f64::from(i));
                 let passer = net.open(&mut k, &route(&p, 2, 3), 1e6, 1e9);
-                at += 0.07;
-                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
-                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+                pause(&mut k, 0.07);
                 net.close(&mut k, passer);
                 assert_eq!(rate_of(&net, bystander), cap);
             }
             let mut want = bytes / cap;
             if squeeze {
-                at += 0.3;
-                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
-                assert_eq!(k.next_wake().unwrap().0, ActorId(9));
+                pause(&mut k, 0.3);
+                let at = k.now().as_secs();
                 let _squeezer = net.open(&mut k, &route(&p, 0, 2), 1e6, 1e9);
                 assert_eq!(rate_of(&net, bystander), 50.0);
                 want = at + (bytes - at * cap) / 50.0;

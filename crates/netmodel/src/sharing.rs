@@ -1,13 +1,14 @@
 //! Bandwidth sharing: the policy type and the max-min test referee.
 //!
-//! [`maxmin_rates`] implements textbook progressive filling: repeatedly
+//! `maxmin_rates` implements textbook progressive filling: repeatedly
 //! find the most constrained link, give every unfixed flow crossing it the
 //! link's fair share, remove them, and continue. Flows additionally carry a
 //! per-flow ceiling (protocol cap); a flow whose ceiling is below the fair
 //! share saturates at its ceiling and returns its unused share to the pool.
-//! No replay runs it: the tests hold every bottleneck allotment of
-//! [`crate::FlowNet`] to at most its max-min rate.
+//! It is compiled for tests only: they hold every bottleneck allotment
+//! of [`crate::FlowNet`] to at most its max-min rate.
 
+#[cfg(test)]
 use platform::LinkId;
 
 /// The sharing algorithm [`crate::FlowNet`] applies. It has one variant
@@ -25,7 +26,8 @@ pub enum SharingPolicy {
 /// `flows[i]` is `Some((route, ceiling))` for live flows and `None` for
 /// dead slots (their output is `None` too). Link capacities are given in
 /// `capacities`, indexed by [`LinkId`].
-pub fn maxmin_rates(
+#[cfg(test)]
+pub(crate) fn maxmin_rates(
     capacities: Vec<f64>,
     flows: Vec<Option<(&[LinkId], f64)>>,
 ) -> Vec<Option<f64>> {

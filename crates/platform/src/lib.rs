@@ -147,7 +147,7 @@ impl Platform {
     }
 
     /// A link by id.
-    pub fn link(&self, id: LinkId) -> &Link {
+    pub(crate) fn link(&self, id: LinkId) -> &Link {
         &self.links[id.as_usize()]
     }
 
@@ -157,7 +157,8 @@ impl Platform {
     }
 
     /// The topology.
-    pub fn topology(&self) -> &Topology {
+    #[cfg(test)]
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
@@ -176,12 +177,6 @@ impl Platform {
     /// Total latency along the route from `src` to `dst`, in seconds.
     pub fn route_latency(&self, src: HostId, dst: HostId) -> f64 {
         self.path_latency(&self.route_links(src, dst))
-    }
-
-    /// Minimum bandwidth along the route (the nominal bottleneck), in
-    /// bytes/second. Returns `f64::INFINITY` for loopback.
-    pub fn route_bandwidth(&self, src: HostId, dst: HostId) -> f64 {
-        self.path_bandwidth(&self.route_links(src, dst))
     }
 
     /// Total latency of the links of `path` (a route from
@@ -229,7 +224,10 @@ mod tests {
         assert_eq!(route.len(), 3);
         let lat = p.route_latency(HostId(0), HostId(3));
         assert!((lat - 55e-6).abs() < 1e-12);
-        assert_eq!(p.route_bandwidth(HostId(0), HostId(3)), 1.25e8);
+        assert_eq!(
+            p.path_bandwidth(&p.route_links(HostId(0), HostId(3))),
+            1.25e8
+        );
     }
 
     #[test]
@@ -239,7 +237,10 @@ mod tests {
         p.route(HostId(5), HostId(5), &mut route);
         assert!(route.is_empty());
         assert_eq!(p.route_latency(HostId(5), HostId(5)), 0.0);
-        assert_eq!(p.route_bandwidth(HostId(5), HostId(5)), f64::INFINITY);
+        assert_eq!(
+            p.path_bandwidth(&p.route_links(HostId(5), HostId(5))),
+            f64::INFINITY
+        );
     }
 
     #[test]

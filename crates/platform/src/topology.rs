@@ -458,7 +458,7 @@ mod tests {
                 }
                 p.route(HostId(s), HostId(d), &mut r);
                 assert!(!r.is_empty(), "no route {s}->{d}");
-                assert!(p.route_bandwidth(HostId(s), HostId(d)) > 0.0);
+                assert!(p.path_bandwidth(&r) > 0.0);
             }
         }
     }

@@ -4,7 +4,7 @@
 //! one per coupling island — with the same configuration and the same
 //! input checks either way.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use platform::{HostId, Platform};
 use smpi::{SmpiConfig, SmpiRun};
@@ -20,7 +20,7 @@ pub(crate) type FaultSlot = Arc<Mutex<Option<(Rank, SourceError)>>>;
 /// engine's own outcome: a fault truncates its rank's stream, which the
 /// engine can only see as early termination or deadlock.
 pub(crate) fn check_fault(fault: &FaultSlot) -> Result<(), String> {
-    match fault.lock().expect("fault slot poisoned").take() {
+    match fault.lock().unwrap_or_else(PoisonError::into_inner).take() {
         Some((rank, e)) => Err(format!("rank {rank} trace stream failed: {e}")),
         None => Ok(()),
     }
@@ -155,6 +155,8 @@ impl ReplayOps {
             return op;
         };
         let local = |global: u32| {
+            // Invariant: `partition_ranks` puts both ends of every
+            // point-to-point edge in one island.
             island
                 .binary_search(&global)
                 .expect("peer rank outside its island — partitioning bug") as u32
@@ -198,7 +200,7 @@ impl OpSource for ReplayOps {
             },
             Err(e) => e,
         };
-        let mut slot = self.fault.lock().expect("fault slot poisoned");
+        let mut slot = self.fault.lock().unwrap_or_else(PoisonError::into_inner);
         slot.get_or_insert((self.rank, fault));
         None
     }

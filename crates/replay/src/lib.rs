@@ -30,7 +30,6 @@ pub mod profile;
 
 use std::time::Instant;
 
-use calibrate::Calibration;
 use platform::{HostId, Placement, Platform};
 use simkernel::obs::{CriticalPath, Manifest, Metrics, SpanLog};
 use titrace::{Action, ActionSource, Rank, TraceInput};
@@ -89,7 +88,7 @@ impl ReplayConfig {
     /// The thread count the constructors start from: the
     /// `TITR_REPLAY_THREADS` environment variable when set to a positive
     /// integer, else 1 (sequential). Mirrors the `TITR_SWEEP_THREADS`
-    /// convention of the sweep/ingest layers, and lets CI rerun the
+    /// convention of the experiment sweeps, and lets CI rerun the
     /// whole replay suite under the parallel engine without code
     /// changes.
     pub fn default_threads() -> usize {
@@ -156,29 +155,6 @@ impl ReplayConfig {
             placement: Placement::OnePerNode,
             copy_model: None,
             threads: ReplayConfig::default_threads(),
-        }
-    }
-
-    /// Config for the improved pipeline *with* the eager copy model (the
-    /// implemented future work). `copy` should come from a memcpy
-    /// calibration of the target platform.
-    pub fn improved_with_copy(rate: f64, copy: smpi::CopyCost) -> ReplayConfig {
-        ReplayConfig {
-            copy_model: Some(copy),
-            ..ReplayConfig::improved(rate)
-        }
-    }
-
-    /// Builds a config from a [`Calibration`] and the instance it will
-    /// replay (the calibration decides the rate per instance).
-    pub fn from_calibration(
-        engine: ReplayEngine,
-        calibration: &Calibration,
-        instance: &workloads::lu::LuConfig,
-    ) -> ReplayConfig {
-        ReplayConfig {
-            engine,
-            ..ReplayConfig::improved(calibration.rate_for(instance))
         }
     }
 }
@@ -355,7 +331,7 @@ fn file_signature(kind: &str, path: &std::path::Path, ranks: u32) -> String {
 }
 
 /// Flat key/value rendering of a [`ReplayConfig`] for the run manifest.
-pub fn config_fields(config: &ReplayConfig) -> Vec<(String, String)> {
+pub(crate) fn config_fields(config: &ReplayConfig) -> Vec<(String, String)> {
     vec![
         ("engine".into(), format!("{:?}", config.engine)),
         ("rate".into(), format!("{}", config.rate)),
@@ -685,7 +661,7 @@ mod tests {
         ];
         let p = platform::clusters::bordereau();
         for (text, want) in cases {
-            let trace = titrace::stream::parse_merged_bytes(text.as_bytes(), 2).unwrap();
+            let trace = titrace::parse::parse_merged(text, 2).unwrap();
             let input = TraceInput::Memory(Arc::new(trace));
             for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
                 for threads in [1, 2] {
@@ -707,7 +683,7 @@ mod tests {
     #[test]
     fn leak_report_names_the_lowest_destination_first() {
         let text = "p0 init\np1 init\np2 send p1 8\np3 send p0 8\n";
-        let trace = titrace::stream::parse_merged_bytes(text.as_bytes(), 4).unwrap();
+        let trace = titrace::parse::parse_merged(text, 4).unwrap();
         let input = TraceInput::Memory(Arc::new(trace));
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
@@ -1039,7 +1015,10 @@ mod copy_model_tests {
         let with_copy = replay_memory(
             &p,
             &trace,
-            &ReplayConfig::improved_with_copy(2e9, copy),
+            &ReplayConfig {
+                copy_model: Some(copy),
+                ..ReplayConfig::improved(2e9)
+            },
             false,
         )
         .unwrap()
@@ -1075,7 +1054,10 @@ mod copy_model_tests {
         };
         let without = err(&ReplayConfig::improved(rate));
         let copy = smpi::SmpiConfig::ground_truth().copy.unwrap();
-        let with = err(&ReplayConfig::improved_with_copy(rate, copy));
+        let with = err(&ReplayConfig {
+            copy_model: Some(copy),
+            ..ReplayConfig::improved(rate)
+        });
         assert!(
             with < without,
             "copy modeling should reduce |error|: {with:.2}% !< {without:.2}%"
@@ -1097,8 +1079,8 @@ mod copy_model_tests {
         .unwrap();
         let spilling = LuConfig::new(LuClass::B, 8);
         let resident = LuConfig::new(LuClass::B, 64);
-        let c_spill = ReplayConfig::from_calibration(ReplayEngine::Smpi, &cal, &spilling);
-        let c_res = ReplayConfig::from_calibration(ReplayEngine::Smpi, &cal, &resident);
+        let c_spill = ReplayConfig::improved(cal.rate_for(&spilling));
+        let c_res = ReplayConfig::improved(cal.rate_for(&resident));
         assert!(c_spill.rate < c_res.rate);
         assert!(c_spill.copy_model.is_none());
     }

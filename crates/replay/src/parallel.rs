@@ -23,7 +23,7 @@
 //! counts — and identical to the sequential path, which the differential
 //! tests assert.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use platform::{HostId, LinkId, Platform};
@@ -89,6 +89,8 @@ pub(crate) fn replay_islands(
     let mut load = vec![0u64; workers];
     for index in order {
         let island = &part.islands[index];
+        // Invariant: `workers` >= 1 (two islands or more, and
+        // `replay_input_observed` comes here only at `threads` >= 2).
         let w = (0..workers).min_by_key(|&w| (load[w], w)).unwrap();
         load[w] += island.actions.max(1);
         assignment[w].push(IslandJob {
@@ -96,6 +98,8 @@ pub(crate) fn replay_islands(
             ranks: Arc::new(island.ranks.clone()),
             hosts: island.ranks.iter().map(|&r| hosts[r as usize]).collect(),
             links: island_links(platform, &hosts, island),
+            // Invariant: the islands partition the ranks, so each cursor is
+            // taken once.
             cursors: island
                 .ranks
                 .iter()
@@ -138,10 +142,13 @@ pub(crate) fn replay_islands(
                     })
                     .collect();
                 let work_s = wall.elapsed().as_secs_f64();
-                results.lock().expect("results poisoned").extend(done);
+                results
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(done);
                 profiles
                     .lock()
-                    .expect("profiles poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .push(WorkerProfile {
                         worker,
                         islands,
@@ -154,14 +161,16 @@ pub(crate) fn replay_islands(
     });
 
     check_fault(&fault)?;
-    let mut done = results.into_inner().expect("results poisoned");
+    let mut done = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     done.sort_by_key(|(i, _)| *i);
     let done = done
         .into_iter()
         .map(|(_, outcome)| outcome)
         .collect::<Result<Vec<_>, String>>()?;
     let (result, metrics, spans) = merge_islands(config, ranks, &part.islands, done);
-    let mut workers = profiles.into_inner().expect("profiles poisoned");
+    let mut workers = profiles
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     workers.sort_by_key(|w| w.worker);
     Ok(ReplayReport {
         result,

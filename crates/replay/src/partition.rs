@@ -9,7 +9,7 @@
 //! common links), so the effective lookahead between them is unbounded
 //! and each island replays independently — the conservative-PDES null-
 //! message bound degenerates to "no synchronization needed". The
-//! [`crate::parallel`] engine schedules islands across worker threads;
+//! `crate::parallel` engine schedules islands across worker threads;
 //! this module computes the islands and the quality figures
 //! (`titreplay inspect` reports them) that predict parallel efficiency.
 //!
@@ -228,7 +228,7 @@ pub fn partition_ranks(scan: &CommScan, platform: &Platform, hosts: &[HostId]) -
 /// members. A superset of the links actually used (routes of observed
 /// edges), installed as the island's [`netmodel::FlowNet`] restriction
 /// so a partitioning bug fails loudly instead of silently diverging.
-pub fn island_links(platform: &Platform, hosts: &[HostId], island: &Island) -> Vec<LinkId> {
+pub(crate) fn island_links(platform: &Platform, hosts: &[HostId], island: &Island) -> Vec<LinkId> {
     let mut seen = vec![false; platform.links().len()];
     let mut links = Vec::new();
     let mut route = Vec::new();
@@ -355,6 +355,8 @@ pub fn plan_subshards(
     let mut bin_load = vec![0u64; bins];
     for g in groups {
         let w = weight(&g);
+        // Invariant: `shards` >= 2 (checked above) and a group exists,
+        // so `bins` >= 1.
         let lightest = (0..bins).min_by_key(|&b| (bin_load[b], b)).unwrap();
         bin_load[lightest] += w;
         bin_ranks[lightest].extend(g);

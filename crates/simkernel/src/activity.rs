@@ -38,7 +38,7 @@ impl ActivityId {
 
 /// Lifecycle state of an activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivityState {
+pub(crate) enum ActivityState {
     /// Progressing (possibly at rate zero, i.e. suspended).
     Running,
     /// All work done. The slot stays observable until recycled.
@@ -76,7 +76,7 @@ pub(crate) struct Slot {
 
 impl Slot {
     /// Settles `remaining` down to the current instant `now`.
-    pub fn settle(&mut self, now: Time) {
+    pub(crate) fn settle(&mut self, now: Time) {
         if self.state == ActivityState::Running {
             let elapsed = now.since(self.settled_at);
             self.remaining = (self.remaining - elapsed.work_at(self.rate)).max(0.0);
@@ -86,7 +86,7 @@ impl Slot {
 
     /// Time at which the activity will complete at the current rate, or
     /// `Time::NEVER` when suspended (rate == 0).
-    pub fn eta(&self) -> Time {
+    pub(crate) fn eta(&self) -> Time {
         match Duration::for_work(self.remaining, self.rate) {
             Some(d) => self.settled_at + d,
             None => Time::NEVER,

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use crate::activity::{ActivityId, ActivityState, Slot};
 use crate::actor::{ActorId, Wake};
-use crate::queue::{EventKind, EventQueue, FelProfile, Reserved};
+use crate::queue::{EventKind, EventQueue, Reserved};
 use crate::time::{Duration, Time};
 
 const NO_FREE: u32 = u32::MAX;
@@ -93,27 +93,11 @@ impl Kernel {
         self.events_processed
     }
 
-    /// Number of live (running) activities.
-    pub fn live_activities(&self) -> usize {
-        self.live_activities
-    }
-
-    /// Number of queued events that will actually fire (excludes entries
-    /// already superseded by rate changes or cancellations).
-    pub fn pending_events(&self) -> usize {
-        self.queue.live_len()
-    }
-
-    /// The event queue's hot-path counters.
-    pub fn queue_profile(&self) -> FelProfile {
-        self.queue.profile()
-    }
-
     /// Fills the kernel-owned fields of a metrics snapshot: events
     /// processed and the FEL profile.
     pub fn observe(&self, metrics: &mut crate::obs::Metrics) {
         metrics.events_processed = self.events_processed();
-        metrics.fel = self.queue_profile();
+        metrics.fel = self.queue.profile();
     }
 
     // ------------------------------------------------------------------
@@ -192,25 +176,6 @@ impl Kernel {
         self.schedule_completion(id);
     }
 
-    /// Adds `extra` work units to a running activity (used to model
-    /// perturbations injected while an activity is already in flight).
-    pub fn add_work(&mut self, id: ActivityId, extra: f64) {
-        assert!(extra.is_finite() && extra >= 0.0, "invalid work: {extra}");
-        if self.slot_mut(id).is_none() {
-            return;
-        }
-        let now = self.now;
-        let slot = &mut self.slots[id.index as usize];
-        if slot.state != ActivityState::Running {
-            return;
-        }
-        slot.settle(now);
-        slot.remaining += extra;
-        slot.sched = slot.sched.wrapping_add(1);
-        self.orphan_queued(id.index);
-        self.schedule_completion(id);
-    }
-
     /// Cancels a running activity; its waiters are *not* woken. No-op when
     /// already finished.
     pub fn cancel(&mut self, id: ActivityId) {
@@ -247,18 +212,6 @@ impl Kernel {
         }
     }
 
-    /// Current state of an activity, or `None` when the handle is stale
-    /// (slot recycled). A completed activity whose slot has been recycled
-    /// reports `None`, so callers that need completion notifications should
-    /// use [`Kernel::subscribe`].
-    pub fn activity_state(&self, id: ActivityId) -> Option<ActivityState> {
-        let slot = self.slots.get(id.index as usize)?;
-        if slot.next_free != NO_FREE || slot.generation != id.generation {
-            return None;
-        }
-        Some(slot.state)
-    }
-
     /// Remaining work units of a running activity, settled to "now".
     pub fn remaining_work(&self, id: ActivityId) -> Option<f64> {
         let slot = self.slots.get(id.index as usize)?;
@@ -280,23 +233,6 @@ impl Kernel {
     pub fn set_timer(&mut self, actor: ActorId, delay: Duration, key: u64) {
         self.queue.push(
             self.now + delay,
-            EventKind::Timer {
-                actor: actor.0,
-                key,
-            },
-        );
-    }
-
-    /// Wakes `actor` at the absolute instant `at` with [`Wake::Timer`]
-    /// carrying `key` (the float is taken as given, not re-derived from
-    /// `now + delay`).
-    ///
-    /// # Panics
-    /// Panics if `at` is before the current clock.
-    pub fn set_timer_at(&mut self, actor: ActorId, at: Time, key: u64) {
-        assert!(at >= self.now, "timer scheduled in the past");
-        self.queue.push(
-            at,
             EventKind::Timer {
                 actor: actor.0,
                 key,
@@ -487,6 +423,19 @@ impl Kernel {
 mod tests {
     use super::*;
 
+    impl Kernel {
+        /// Number of live (running) activities.
+        pub(crate) fn live_activities(&self) -> usize {
+            self.live_activities
+        }
+
+        /// Number of queued events that will actually fire (excludes
+        /// entries already superseded by rate changes or cancellations).
+        pub(crate) fn pending_events(&self) -> usize {
+            self.queue.live_len()
+        }
+    }
+
     #[test]
     fn activity_completes_at_expected_time() {
         let mut k = Kernel::new();
@@ -530,11 +479,12 @@ mod tests {
         assert_eq!(a, b);
         let mut at = 0.0;
         for i in 0..14u32 {
-            at += [0.1 + 0.013 * f64::from(i / 2), 0.07][i as usize % 2];
+            let step = [0.1 + 0.013 * f64::from(i / 2), 0.07][i as usize % 2];
             for k in [&mut plain, &mut visited] {
-                k.set_timer_at(ActorId(9), Time::from_secs(at), 0);
+                k.set_timer(ActorId(9), Duration::from_secs(step), 0);
                 assert_eq!(k.next_wake().unwrap().0, ActorId(9));
             }
+            at = plain.now().as_secs();
             for _ in 0..=i % 3 {
                 visited.set_rate(a, 73.0);
             }
@@ -611,22 +561,11 @@ mod tests {
         let b = k.start_activity(5.0, 1.0);
         assert_eq!(a.index, b.index, "slot should be recycled");
         assert_ne!(a.generation, b.generation);
-        assert!(k.activity_state(a).is_none() || a != b);
         k.subscribe(b, ActorId(1));
         let (actor, wake) = k.next_wake().unwrap();
         assert_eq!(actor, ActorId(1));
         assert_eq!(wake, Wake::Activity(b));
         assert_eq!(k.now(), Time::from_secs(5.0));
-    }
-
-    #[test]
-    fn add_work_extends_completion() {
-        let mut k = Kernel::new();
-        let a = k.start_activity(10.0, 1.0);
-        k.subscribe(a, ActorId(0));
-        k.add_work(a, 5.0);
-        let (_, _) = k.next_wake().unwrap();
-        assert_eq!(k.now(), Time::from_secs(15.0));
     }
 
     #[test]
@@ -675,7 +614,7 @@ mod tests {
         }
         assert_eq!(k.pending_events(), 64, "one live completion per activity");
         assert!(
-            k.queue_profile().compactions > 0,
+            k.queue.profile().compactions > 0,
             "sustained churn must trigger compaction"
         );
         assert!(
@@ -712,22 +651,6 @@ mod tests {
         assert!(!k.queue.is_empty(), "stale entries drain lazily");
         assert!(k.next_wake().is_none());
         assert_eq!(k.pending_events(), 0);
-    }
-
-    #[test]
-    fn absolute_timer_fires_at_exact_instant() {
-        let mut k = Kernel::new();
-        k.set_timer(ActorId(0), Duration::from_secs(1.0), 0);
-        let _ = k.next_wake().unwrap();
-        assert_eq!(k.now(), Time::from_secs(1.0));
-        // An absolute timer is delivered at precisely the shipped instant,
-        // not a re-derived now+delta.
-        let at = Time::from_secs(2.5);
-        k.set_timer_at(ActorId(1), at, 42);
-        let (actor, wake) = k.next_wake().unwrap();
-        assert_eq!(actor, ActorId(1));
-        assert_eq!(wake, Wake::Timer(42));
-        assert_eq!(k.now().as_secs().to_bits(), at.as_secs().to_bits());
     }
 
     #[test]
@@ -788,7 +711,7 @@ mod tests {
                 trace.push((actor.0, k.now().as_secs()));
             }
             assert!(
-                k.queue_profile().compactions > 0,
+                k.queue.profile().compactions > 0,
                 "churn must trigger compaction"
             );
             (trace, k.now().as_secs().to_bits(), k.events_processed())

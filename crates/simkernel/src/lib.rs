@@ -38,7 +38,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use activity::{ActivityId, ActivityState};
+pub use activity::ActivityId;
 pub use actor::{ActorId, Wake};
 pub use kernel::{replay_sizing, Kernel, IN_FLIGHT_PER_RANK};
 pub use queue::{FelProfile, Reserved};

@@ -46,7 +46,7 @@ pub enum SpanKind {
 }
 
 /// Number of [`SpanKind`] variants (array-indexing helper).
-pub const SPAN_KINDS: usize = 6;
+pub(crate) const SPAN_KINDS: usize = 6;
 
 impl SpanKind {
     /// Stable machine-readable label (used by every exporter).
@@ -118,7 +118,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTERS: usize = 3;
+pub(crate) const COUNTERS: usize = 3;
 
 impl Counter {
     /// Dense index.
@@ -141,7 +141,7 @@ impl Counter {
 }
 
 /// All counter variants in index order (for iteration in exporters).
-pub const COUNTER_LIST: [Counter; COUNTERS] = [
+pub(crate) const COUNTER_LIST: [Counter; COUNTERS] = [
     Counter::UnexpectedEnqueued,
     Counter::PostedEnqueued,
     Counter::LoopbackTransfers,

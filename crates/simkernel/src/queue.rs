@@ -14,14 +14,14 @@
 //! more often than activities complete can fill the queue with such dead
 //! entries, so the owner reports them ([`EventQueue::note_superseded`])
 //! and purges them with [`EventQueue::compact`] once
-//! [`EventQueue::should_compact`] finds them a strict majority.
+//! `EventQueue::should_compact` finds them a strict majority.
 //! Compaction never changes a survivor's key, so pop order is unchanged.
 //!
 //! An event nobody may ever need can be *reserved* instead of pushed:
-//! [`EventQueue::reserve`] takes its key (instant and sequence number)
-//! and queues nothing. [`EventQueue::push_reserved`] queues it later
+//! `EventQueue::reserve` takes its key (instant and sequence number)
+//! and queues nothing. `EventQueue::push_reserved` queues it later
 //! under that key, so it pops exactly where an immediate push would
-//! have; [`EventQueue::fired`] tells whether an immediate push would
+//! have; `EventQueue::fired` tells whether an immediate push would
 //! have popped by now. The owner arms a reservation only while it has
 //! not fired.
 
@@ -78,9 +78,9 @@ impl Ord for Entry {
 /// Once the queue holds at least this many entries, a *strict majority* of
 /// stale ones triggers [`EventQueue::should_compact`]; below it, compaction
 /// would churn memory without a measurable win (DESIGN.md §4).
-pub const MIN_COMPACT_LEN: usize = 64;
+pub(crate) const MIN_COMPACT_LEN: usize = 64;
 
-/// The key of an event taken by [`EventQueue::reserve`] and not (yet)
+/// The key of an event taken by `EventQueue::reserve` and not (yet)
 /// queued; see the [module docs](self). Held as two words, the sequence
 /// number never zero, so that `Option<Reserved>` takes 16 bytes at
 /// 8-byte alignment: runtime records keep one per message.
@@ -114,7 +114,7 @@ pub struct FelProfile {
 
 impl FelProfile {
     /// Events popped and actually delivered (popped minus stale skips).
-    pub fn fired(&self) -> u64 {
+    pub(crate) fn fired(&self) -> u64 {
         self.popped - self.stale_popped
     }
 }
@@ -174,7 +174,7 @@ impl EventQueue {
     /// Takes the key an event at `at` pushed now would get, and queues
     /// nothing. Events pushed later at the same instant pop after it,
     /// whether or not it is ever queued.
-    pub fn reserve(&mut self, at: Time) -> Reserved {
+    pub(crate) fn reserve(&mut self, at: Time) -> Reserved {
         debug_assert!(!at.is_never(), "cannot schedule an event at NEVER");
         let seq = self.next_seq;
         self.next_seq = seq.saturating_add(1);
@@ -186,7 +186,7 @@ impl EventQueue {
 
     /// Queues `kind` under the reserved key `r`, which must not have
     /// fired: it pops exactly where a push at reserve time would have.
-    pub fn push_reserved(&mut self, r: Reserved, kind: EventKind) {
+    pub(crate) fn push_reserved(&mut self, r: Reserved, kind: EventKind) {
         debug_assert!(!self.fired(r), "arming a reservation that has fired");
         self.enqueue(r, kind);
     }
@@ -200,7 +200,7 @@ impl EventQueue {
 
     /// Whether an event pushed under `r` at reserve time would have popped
     /// by now, that is, whether the last popped key is at or past `r`'s.
-    pub fn fired(&self, r: Reserved) -> bool {
+    pub(crate) fn fired(&self, r: Reserved) -> bool {
         self.last_popped.is_some_and(|last| r.key() <= last)
     }
 
@@ -222,7 +222,8 @@ impl EventQueue {
     }
 
     /// Number of pending entries that will fire (all superseded ones noted).
-    pub fn live_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_len(&self) -> usize {
         self.len() - self.stale
     }
 
@@ -247,7 +248,7 @@ impl EventQueue {
 
     /// `true` when stale entries are a strict majority of a queue at least
     /// [`MIN_COMPACT_LEN`] long, so [`EventQueue::compact`] would halve it.
-    pub fn should_compact(&self) -> bool {
+    pub(crate) fn should_compact(&self) -> bool {
         self.len() >= MIN_COMPACT_LEN && self.stale * 2 > self.len()
     }
 

@@ -45,7 +45,7 @@ impl DetRng {
 
     /// Next raw 64-bit value.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -64,15 +64,10 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform draw in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`. `n` must be positive.
     #[inline]
-    pub fn below(&mut self, n: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         // Multiply-shift rejection-free mapping; bias is negligible for the
         // n values used in simulation (≪ 2^32).
@@ -82,7 +77,7 @@ impl DetRng {
     /// Standard normal draw (Box–Muller; one value per call, the pair's
     /// second value is discarded to keep the call sequence simple and
     /// deterministic).
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         loop {
             let u1 = self.uniform();
             if u1 > 1e-300 {

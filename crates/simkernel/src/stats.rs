@@ -59,7 +59,7 @@ impl fmt::Display for Summary {
 }
 
 /// Linear-interpolation quantile of a **sorted** sample, `q` in `[0, 1]`.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty sample");
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     if sorted.len() == 1 {

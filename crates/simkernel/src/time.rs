@@ -56,7 +56,7 @@ impl Time {
     /// tiny negative residues can appear after long floating-point event
     /// chains.
     #[inline]
-    pub fn since(self, earlier: Time) -> Duration {
+    pub(crate) fn since(self, earlier: Time) -> Duration {
         debug_assert!(
             self.0 >= earlier.0 - 1e-9 * earlier.0.abs().max(1.0),
             "time went backwards: {} -> {}",
@@ -110,7 +110,7 @@ impl Duration {
     /// Amount of `work` units processed over this duration at `rate`
     /// units per second.
     #[inline]
-    pub fn work_at(self, rate: f64) -> f64 {
+    pub(crate) fn work_at(self, rate: f64) -> f64 {
         self.0 * rate
     }
 

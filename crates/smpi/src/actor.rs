@@ -1,6 +1,6 @@
 //! The per-rank executor.
 //!
-//! A [`RankActor`] walks its op stream run-to-block: each operation is
+//! A `RankActor` walks its op stream run-to-block: each operation is
 //! (1) optionally delayed by the hook-provided fixed cost (probe time,
 //! eager copy), then (2) performed against the world, then (3) awaited if
 //! it blocks. Collectives are expanded into point-to-point sub-programs
@@ -59,7 +59,7 @@ fn compute_duration(work: f64, rate: f64) -> Option<Duration> {
 }
 
 /// Executes one rank's op stream.
-pub struct RankActor {
+pub(crate) struct RankActor {
     rank: u32,
     /// Instant the op stream ran out; `Time::NEVER` while running.
     finish: Time,
@@ -210,6 +210,7 @@ impl RankActor {
         match op {
             MpiOp::Init | MpiOp::Finalize => {}
             MpiOp::Compute(_) => {
+                // Invariant: `fetch` plans every compute op it stages.
                 let plan = plan.expect("compute staged without plan");
                 world.account_compute(self.rank, plan.seconds());
                 if plan.work > 0.0 {
@@ -239,6 +240,7 @@ impl RankActor {
             }
             MpiOp::Isend { dst, bytes } => {
                 let (_, req) = world.send(kernel, self.rank, dst, bytes, channel, false, self.me());
+                // Invariant: a non-blocking `send` always returns its request.
                 self.pending[channel as usize]
                     .push_back(req.expect("non-blocking send yields a request"));
             }
@@ -258,6 +260,7 @@ impl RankActor {
             }
             MpiOp::Irecv { src, bytes } => {
                 let (_, req) = world.recv(kernel, self.rank, src, bytes, channel, false, self.me());
+                // Invariant: a non-blocking `recv` always returns its request.
                 self.pending[channel as usize]
                     .push_back(req.expect("non-blocking recv yields a request"));
             }

@@ -19,7 +19,7 @@
 //! * allgather — ring.
 //!
 //! Under [`crate::Model::Msg`] the runtime instead prices each collective
-//! with a [`CollectiveModel`] formula, as the old MSG-based replay did.
+//! with a `CollectiveModel` formula, as the old MSG-based replay did.
 
 use platform::{HostId, Platform};
 use workloads::MpiOp;
@@ -28,7 +28,7 @@ use workloads::MpiOp;
 /// the old MSG-based replay: log-tree formulas over a nominal
 /// latency/bandwidth pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectiveModel {
+pub(crate) struct CollectiveModel {
     /// Nominal point-to-point latency, seconds.
     pub latency: f64,
     /// Nominal point-to-point bandwidth, bytes/s.
@@ -49,43 +49,43 @@ impl CollectiveModel {
     }
 
     /// Duration of a barrier over `p` ranks.
-    pub fn barrier(&self, p: u32) -> f64 {
+    pub(crate) fn barrier(&self, p: u32) -> f64 {
         2.0 * Self::log2_ceil(p) * self.latency
     }
 
     /// Duration of a broadcast of `bytes`.
-    pub fn bcast(&self, p: u32, bytes: u64) -> f64 {
+    pub(crate) fn bcast(&self, p: u32, bytes: u64) -> f64 {
         Self::log2_ceil(p) * self.hop(bytes)
     }
 
     /// Duration of a reduce of `bytes`.
-    pub fn reduce(&self, p: u32, bytes: u64) -> f64 {
+    pub(crate) fn reduce(&self, p: u32, bytes: u64) -> f64 {
         Self::log2_ceil(p) * self.hop(bytes)
     }
 
     /// Duration of an allreduce of `bytes`.
-    pub fn allreduce(&self, p: u32, bytes: u64) -> f64 {
+    pub(crate) fn allreduce(&self, p: u32, bytes: u64) -> f64 {
         2.0 * Self::log2_ceil(p) * self.hop(bytes)
     }
 
     /// Duration of an all-to-all of `bytes` per pair.
-    pub fn alltoall(&self, p: u32, bytes: u64) -> f64 {
+    pub(crate) fn alltoall(&self, p: u32, bytes: u64) -> f64 {
         f64::from(p.saturating_sub(1)) * self.hop(bytes)
     }
 
     /// Duration of a gather of `bytes` per rank.
-    pub fn gather(&self, p: u32, bytes: u64) -> f64 {
+    pub(crate) fn gather(&self, p: u32, bytes: u64) -> f64 {
         f64::from(p.saturating_sub(1)) * self.hop(bytes)
     }
 
     /// Duration of an allgather of `bytes` per rank.
-    pub fn allgather(&self, p: u32, bytes: u64) -> f64 {
+    pub(crate) fn allgather(&self, p: u32, bytes: u64) -> f64 {
         f64::from(p.saturating_sub(1)) * self.hop(bytes)
     }
 
     /// Duration of the collective `op` over `p` ranks, or `None` for
     /// non-collective ops.
-    pub fn duration(&self, op: &MpiOp, p: u32) -> Option<f64> {
+    pub(crate) fn duration(&self, op: &MpiOp, p: u32) -> Option<f64> {
         Some(match *op {
             MpiOp::Barrier => self.barrier(p),
             MpiOp::Bcast { bytes, .. } => self.bcast(p, bytes),
@@ -103,7 +103,7 @@ impl CollectiveModel {
 /// tightest finite bandwidth over every ordered rank pair's route, folded
 /// source-major through one reused route buffer (what the old
 /// implementation read off the platform file).
-pub fn nominal_collective_model(platform: &Platform, hosts: &[HostId]) -> CollectiveModel {
+pub(crate) fn nominal_collective_model(platform: &Platform, hosts: &[HostId]) -> CollectiveModel {
     let mut route = Vec::new();
     let (mut latency, mut bandwidth) = (0.0, f64::INFINITY);
     for &s in hosts {
@@ -126,7 +126,7 @@ pub fn nominal_collective_model(platform: &Platform, hosts: &[HostId]) -> Collec
 /// Non-collective ops are returned unchanged as a singleton (callers
 /// should only pass collectives, but the total function keeps call sites
 /// simple).
-pub fn expand(op: &MpiOp, rank: u32, ranks: u32) -> Vec<MpiOp> {
+pub(crate) fn expand(op: &MpiOp, rank: u32, ranks: u32) -> Vec<MpiOp> {
     match *op {
         MpiOp::Barrier => barrier(rank, ranks),
         MpiOp::Bcast { bytes, root } => bcast(rank, ranks, root, bytes),
@@ -140,7 +140,7 @@ pub fn expand(op: &MpiOp, rank: u32, ranks: u32) -> Vec<MpiOp> {
 }
 
 /// `true` for ops [`expand`] decomposes.
-pub fn is_decomposable(op: &MpiOp) -> bool {
+pub(crate) fn is_decomposable(op: &MpiOp) -> bool {
     matches!(
         op,
         MpiOp::Barrier
@@ -155,7 +155,7 @@ pub fn is_decomposable(op: &MpiOp) -> bool {
 
 /// Binomial-tree broadcast. Ranks are renumbered relative to the root;
 /// in phase `mask`, ranks `< mask` forward to `rank + mask`.
-pub fn bcast(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn bcast(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
     assert!(root < ranks);
     let vrank = (rank + ranks - root) % ranks;
     let mut ops = Vec::new();
@@ -182,7 +182,7 @@ pub fn bcast(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
 
 /// Binomial-tree reduce: the mirror image of [`bcast`] — leaves send
 /// first, the root receives last.
-pub fn reduce(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn reduce(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
     assert!(root < ranks);
     if ranks == 1 {
         return Vec::new();
@@ -211,12 +211,12 @@ pub fn reduce(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
 /// Payload size above which allreduce switches from recursive doubling
 /// to the bandwidth-optimal ring algorithm, as real MPI runtimes do
 /// (latency-bound small reductions vs bandwidth-bound large ones).
-pub const ALLREDUCE_RING_THRESHOLD: u64 = 32 * 1024;
+pub(crate) const ALLREDUCE_RING_THRESHOLD: u64 = 32 * 1024;
 
 /// Allreduce: recursive doubling for small payloads on power-of-two rank
 /// counts, ring (reduce-scatter + allgather) for large payloads, and
 /// reduce-to-0 followed by broadcast otherwise.
-pub fn allreduce(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn allreduce(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
     if ranks == 1 {
         return Vec::new();
     }
@@ -247,7 +247,7 @@ pub fn allreduce(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
 /// `bytes/P` chunk to the right neighbour) followed by an allgather phase
 /// (`P-1` more steps). Total traffic per rank ≈ `2·bytes·(P-1)/P` —
 /// bandwidth-optimal, which is why runtimes pick it for large payloads.
-pub fn ring_allreduce(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn ring_allreduce(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
     debug_assert!(ranks > 1);
     let right = (rank + 1) % ranks;
     let left = (rank + ranks - 1) % ranks;
@@ -270,7 +270,7 @@ pub fn ring_allreduce(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
 }
 
 /// Dissemination barrier: `⌈log2 P⌉` rounds of 1-byte tokens.
-pub fn barrier(rank: u32, ranks: u32) -> Vec<MpiOp> {
+pub(crate) fn barrier(rank: u32, ranks: u32) -> Vec<MpiOp> {
     if ranks == 1 {
         return Vec::new();
     }
@@ -289,7 +289,7 @@ pub fn barrier(rank: u32, ranks: u32) -> Vec<MpiOp> {
 
 /// Pairwise-exchange all-to-all: `P-1` rounds, round `s` exchanging with
 /// `rank ± s`.
-pub fn alltoall(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn alltoall(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
     let mut ops = Vec::new();
     for s in 1..ranks {
         let dst = (rank + s) % ranks;
@@ -303,7 +303,7 @@ pub fn alltoall(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
 
 /// Linear gather: every non-root rank sends its contribution to the
 /// root, which receives them in rank order.
-pub fn gather(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn gather(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
     assert!(root < ranks);
     if ranks == 1 {
         return Vec::new();
@@ -320,7 +320,7 @@ pub fn gather(rank: u32, ranks: u32, root: u32, bytes: u64) -> Vec<MpiOp> {
 
 /// Ring allgather: `P-1` rounds, each rank forwarding the block received
 /// in the previous round to its right neighbour.
-pub fn allgather(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
+pub(crate) fn allgather(rank: u32, ranks: u32, bytes: u64) -> Vec<MpiOp> {
     if ranks == 1 {
         return Vec::new();
     }

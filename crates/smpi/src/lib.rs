@@ -35,9 +35,9 @@
 //!   `if (size<65536)` asynchronous path);
 //! * no per-size protocol factors, only a fitted 1.9 latency factor on
 //!   every transfer;
-//! * collectives as closed-form timers ([`CollectiveModel`]): every rank
-//!   blocks until all have entered, then all leave after a log-tree cost
-//!   formula.
+//! * collectives as closed-form timers (`collectives::CollectiveModel`):
+//!   every rank blocks until all have entered, then all leave after a
+//!   log-tree cost formula.
 //!
 //! The per-small-message overestimation accumulates with the message
 //! count — which in NPB-LU grows with the process count — so the MSG
@@ -53,13 +53,10 @@ pub mod hooks;
 pub mod pairs;
 pub mod runner;
 pub mod slab;
-pub mod timeline;
 pub mod world;
 
-pub use collectives::CollectiveModel;
 pub use hooks::{ComputePlan, ExecHooks, FixedRateHooks};
 pub use runner::{prepare_smpi, run_smpi, SmpiResult, SmpiRun};
-pub use timeline::{Segment, SegmentKind, Timeline};
 pub use world::{SmpiWorld, WorldStats};
 
 use netmodel::PiecewiseFactors;
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn collective_formulas() {
-        let m = CollectiveModel {
+        let m = crate::collectives::CollectiveModel {
             latency: 1e-5,
             bandwidth: 1e8,
         };
@@ -225,7 +222,7 @@ mod tests {
 
     #[test]
     fn duration_dispatch() {
-        let m = CollectiveModel {
+        let m = crate::collectives::CollectiveModel {
             latency: 1e-5,
             bandwidth: 1e8,
         };

@@ -4,13 +4,13 @@
 //! pair, the route between the two hosts, its nominal latency and
 //! bandwidth, and the protocol's FIFO match queues. Replayed traces talk
 //! to few peers per rank — O(1) for stencils and LU, O(log P) for tree
-//! collectives — so a [`PairTable`] builds a pair's state when its first
+//! collectives — so a `PairTable` builds a pair's state when its first
 //! message is sent or received, and building a world costs O(P), not
 //! O(P²).
 //!
 //! Layout: per destination, a dense `u32` slot index over source ranks,
 //! allocated on that destination's first message, into one arena of
-//! [`Pair`]s appended in first-use order. A message carries its pair's
+//! `Pair`s appended in first-use order. A message carries its pair's
 //! slot, so the transport side indexes the arena with no lookup.
 
 use std::ops::{Index, IndexMut};
@@ -22,7 +22,7 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// The state of one communicating `(source, destination)` rank pair.
 #[derive(Debug)]
-pub struct Pair<Q> {
+pub(crate) struct Pair<Q> {
     /// Links from the source's host to the destination's; empty when
     /// both ranks share a host (a loopback copy).
     pub route: Box<[LinkId]>,
@@ -36,7 +36,7 @@ pub struct Pair<Q> {
 
 /// The pairs of one world that have communicated so far. See the
 /// [module documentation](self).
-pub struct PairTable<'p, Q> {
+pub(crate) struct PairTable<'p, Q> {
     platform: &'p Platform,
     hosts: Vec<HostId>,
     /// `index[dst][src]`: slot of the pair in `pairs`, or [`NO_SLOT`].
@@ -71,6 +71,8 @@ impl<'p, Q: Default> PairTable<'p, Q> {
     #[cold]
     #[inline(never)]
     fn insert(&mut self, src: u32, dst: u32) -> u32 {
+        // Invariant: 2^32 pairs (each a route and two queues) exhaust
+        // memory long before the index does.
         let slot = u32::try_from(self.pairs.len()).expect("pair table overflow");
         let row = &mut self.index[dst as usize];
         if row.is_empty() {
@@ -103,7 +105,7 @@ impl<'p, Q> PairTable<'p, Q> {
 
     /// The lowest pair in `(dst, src)` order whose queues satisfy `pred`,
     /// as `(src, dst)`.
-    pub fn first_where(&self, pred: impl Fn(&Q) -> bool) -> Option<(u32, u32)> {
+    pub(crate) fn first_where(&self, pred: impl Fn(&Q) -> bool) -> Option<(u32, u32)> {
         self.index.iter().enumerate().find_map(|(dst, row)| {
             let src = row
                 .iter()
@@ -145,10 +147,9 @@ mod tests {
             t[a].latency.to_bits(),
             p.route_latency(hosts[0], hosts[1]).to_bits()
         );
-        assert_eq!(
-            t[b].bandwidth.to_bits(),
-            p.route_bandwidth(hosts[1], hosts[0]).to_bits()
-        );
+        let mut route = Vec::new();
+        p.route(hosts[1], hosts[0], &mut route);
+        assert_eq!(t[b].bandwidth.to_bits(), p.path_bandwidth(&route).to_bits());
         let local = t.slot(2, 0);
         assert!(t[local].route.is_empty(), "same host: loopback");
         assert_eq!(t[local].bandwidth, f64::INFINITY);

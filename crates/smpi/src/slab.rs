@@ -6,7 +6,7 @@
 
 use simkernel::{ActivityId, ActorId};
 
-/// Typed handle into a [`Slab`].
+/// Typed handle into a `Slab`.
 pub struct Id<T> {
     index: u32,
     generation: u32,
@@ -61,7 +61,7 @@ struct Entry<T> {
 const NO_FREE: u32 = u32::MAX;
 
 /// Generational slab.
-pub struct Slab<T> {
+pub(crate) struct Slab<T> {
     entries: Vec<Entry<T>>,
     free_head: u32,
     live: usize,
@@ -95,11 +95,6 @@ impl<T> Slab<T> {
         self.live
     }
 
-    /// `true` when no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Inserts a value, returning its handle.
     pub fn insert(&mut self, value: T) -> Id<T> {
         self.live += 1;
@@ -116,6 +111,7 @@ impl<T> Slab<T> {
                 _marker: std::marker::PhantomData,
             }
         } else {
+            // Invariant: 2^32 live records exhaust memory before the index.
             let index = u32::try_from(self.entries.len()).expect("slab overflow");
             self.entries.push(Entry {
                 value: Some(value),
@@ -149,12 +145,14 @@ impl<T> Slab<T> {
     }
 
     /// Shared access, panicking on a stale handle.
+    #[cfg(test)]
     pub fn expect(&self, id: Id<T>) -> &T {
         self.get(id).expect("stale slab id")
     }
 
     /// Mutable access, panicking on a stale handle.
-    pub fn expect_mut(&mut self, id: Id<T>) -> &mut T {
+    pub(crate) fn expect_mut(&mut self, id: Id<T>) -> &mut T {
+        // Invariant: callers pass only handles of records still alive.
         self.get_mut(id).expect("stale slab id")
     }
 
@@ -178,7 +176,7 @@ impl<T> Slab<T> {
 /// bounds check plus one generation compare, with no hashing and no
 /// rehash-driven allocation once the table has grown to the kernel's
 /// activity-slab width (which [`simkernel::replay_sizing`] pre-sizes).
-pub struct ActivityMap<T> {
+pub(crate) struct ActivityMap<T> {
     entries: Vec<Option<(u32, T)>>,
     live: usize,
 }
@@ -203,11 +201,13 @@ impl<T> ActivityMap<T> {
     }
 
     /// Number of live entries.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.live
     }
 
     /// `true` when no entries are live.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -244,6 +244,7 @@ impl<T> ActivityMap<T> {
     }
 
     /// Shared access; `None` when the handle is stale or absent.
+    #[cfg(test)]
     pub fn get(&self, id: ActivityId) -> Option<&T> {
         let (generation, value) = self.entries.get(id.index() as usize)?.as_ref()?;
         (*generation == id.generation()).then_some(value)
@@ -256,7 +257,7 @@ impl<T> ActivityMap<T> {
 /// state without heap allocation; any excess spills into a `Vec` so the
 /// type stays correct under unusual actor patterns.
 #[derive(Debug, Default)]
-pub struct Waiters {
+pub(crate) struct Waiters {
     inline: [Option<ActorId>; 2],
     spill: Vec<ActorId>,
 }
@@ -273,6 +274,7 @@ impl Waiters {
     }
 
     /// Number of waiting actors.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.inline.iter().filter(|s| s.is_some()).count() + self.spill.len()
     }

@@ -30,7 +30,7 @@
 //! swallowed by a collective's internal receive).
 //!
 //! Handle-staleness convention: records are recycled on completion, and
-//! every query (`msg_arrived`, `post_complete`, `req_done`) treats a
+//! every query (`msg_arrived`, `post_complete`, `take_req`) treats a
 //! stale handle as *complete* — a record that no longer exists has, by
 //! construction, finished its protocol.
 
@@ -49,12 +49,12 @@ use crate::slab::{ActivityMap, Id, Slab, Waiters};
 use crate::{Model, SmpiConfig};
 
 /// Timer key releasing a rank from a closed-form collective.
-pub const COLL_RELEASE_KEY: u64 = u64::MAX - 1;
+pub(crate) const COLL_RELEASE_KEY: u64 = u64::MAX - 1;
 
 /// Application point-to-point channel.
-pub const CH_APP: u8 = 0;
+pub(crate) const CH_APP: u8 = 0;
 /// Collective-internal channel.
-pub const CH_COLL: u8 = 1;
+pub(crate) const CH_COLL: u8 = 1;
 const CHANNELS: usize = 2;
 
 /// An in-flight or enveloped message.
@@ -121,11 +121,11 @@ pub struct Req {
 }
 
 /// Handle to a [`Msg`].
-pub type MsgId = Id<Msg>;
+pub(crate) type MsgId = Id<Msg>;
 /// Handle to a [`Post`].
-pub type PostId = Id<Post>;
+pub(crate) type PostId = Id<Post>;
 /// Handle to a [`Req`].
-pub type ReqId = Id<Req>;
+pub(crate) type ReqId = Id<Req>;
 
 /// Outcome of a blocking-send attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,23 +467,18 @@ impl<'p> SmpiWorld<'p> {
     // ------------------------------------------------------------------
 
     /// Has this message arrived (or been retired)?
-    pub fn msg_arrived(&self, kernel: &Kernel, id: MsgId) -> bool {
+    pub(crate) fn msg_arrived(&self, kernel: &Kernel, id: MsgId) -> bool {
         self.msgs.get(id).is_none_or(|m| m.has_arrived(kernel))
     }
 
     /// Has this post completed (matched message arrived)?
-    pub fn post_complete(&self, id: PostId) -> bool {
+    pub(crate) fn post_complete(&self, id: PostId) -> bool {
         self.posts.get(id).is_none()
-    }
-
-    /// Is this request complete? Does not consume the request.
-    pub fn req_done(&self, id: ReqId) -> bool {
-        self.reqs.get(id).is_none_or(|r| r.done)
     }
 
     /// Consumes a completed request; returns `false` (and registers
     /// `waiter`) when it is still pending.
-    pub fn take_req(&mut self, id: ReqId, waiter: ActorId) -> bool {
+    pub(crate) fn take_req(&mut self, id: ReqId, waiter: ActorId) -> bool {
         match self.reqs.get_mut(id) {
             None => true,
             Some(r) if r.done => {
@@ -498,12 +493,12 @@ impl<'p> SmpiWorld<'p> {
     }
 
     /// Records compute time for calibration accounting.
-    pub fn account_compute(&mut self, rank: u32, seconds: f64) {
+    pub(crate) fn account_compute(&mut self, rank: u32, seconds: f64) {
         self.compute_seconds[rank as usize] += seconds;
     }
 
     /// Records a per-rank span when recording is enabled.
-    pub fn record_span(
+    pub(crate) fn record_span(
         &mut self,
         rank: u32,
         start: f64,
@@ -524,7 +519,7 @@ impl<'p> SmpiWorld<'p> {
     // Kept out of the rank actor's hot loop: collectives are rare next to
     // point-to-point ops.
     #[inline(never)]
-    pub fn enter_collective(
+    pub(crate) fn enter_collective(
         &mut self,
         kernel: &mut Kernel,
         rank: u32,
@@ -544,6 +539,7 @@ impl<'p> SmpiWorld<'p> {
             let model = self
                 .coll_model
                 .get_or_insert_with(|| nominal_collective_model(pairs.platform(), pairs.hosts()));
+            // Invariant: only collective ops reach `enter_collective`.
             let duration = model
                 .duration(&op, self.ranks)
                 .expect("non-collective entered a collective");
@@ -560,13 +556,14 @@ impl<'p> SmpiWorld<'p> {
 
     /// Handles a transport wake: flow completion or arrival-latency
     /// expiry.
-    pub fn on_transport_wake(&mut self, kernel: &mut Kernel, wake: Wake) {
+    pub(crate) fn on_transport_wake(&mut self, kernel: &mut Kernel, wake: Wake) {
         match wake {
             Wake::Activity(act) => {
                 let Some(msg_id) = self.flow_msg.remove(act) else {
                     return; // flow of a retired message
                 };
                 let msg = self.msgs.expect_mut(msg_id);
+                // Invariant: `flow_msg` maps only messages whose flow is open.
                 let flow = msg.flow.take().expect("flow completion without flow");
                 let (pair, bytes, coll) = (msg.pair, msg.bytes, msg.coll);
                 let observed = msg.observed();
@@ -714,7 +711,7 @@ impl<'p> SmpiWorld<'p> {
     /// # Errors
     /// The recorded mismatch, else a report of the live records naming
     /// the first unreceived message's ranks.
-    pub fn check_drained(&self) -> Result<(), String> {
+    pub(crate) fn check_drained(&self) -> Result<(), String> {
         if let Some(mismatch) = &self.mismatch {
             return Err(mismatch.clone());
         }

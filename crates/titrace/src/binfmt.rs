@@ -63,16 +63,16 @@ use crate::window::{SharedFile, Window, WINDOW};
 use crate::{Action, Rank, Trace};
 
 /// The four magic bytes opening every `.titb` file.
-pub const MAGIC: &[u8; 4] = b"TITB";
+pub(crate) const MAGIC: &[u8; 4] = b"TITB";
 
 /// Current format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Fixed header bytes before the block table.
-pub const HEADER_FIXED: usize = 36;
+pub(crate) const HEADER_FIXED: usize = 36;
 
 /// Bytes per block-table entry.
-pub const TABLE_ENTRY: usize = 24;
+pub(crate) const TABLE_ENTRY: usize = 24;
 
 const OP_INIT: u8 = 0;
 const OP_FINALIZE: u8 = 1;
@@ -99,7 +99,7 @@ const COMPUTE_INT_MAX: f64 = 9.0e15;
 /// Decoding failures of a `.titb` buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BinError {
-    /// The buffer does not start with [`MAGIC`].
+    /// The buffer does not start with `MAGIC`.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u8),
@@ -114,7 +114,7 @@ pub enum BinError {
     },
     /// A varint ran past its maximal encoding.
     OverlongVarint {
-        /// Payload offset of the offending varint.
+        /// File offset of the offending varint.
         offset: usize,
     },
     /// Unknown action opcode.
@@ -145,7 +145,7 @@ impl std::fmt::Display for BinError {
                 "payload checksum mismatch (header {expected:#018x}, payload {actual:#018x})"
             ),
             BinError::OverlongVarint { offset } => {
-                write!(f, "overlong varint at payload offset {offset}")
+                write!(f, "overlong varint at file offset {offset}")
             }
             BinError::BadOpcode(op) => write!(f, "unknown action opcode {op}"),
             BinError::BadRank(v) => write!(f, "rank {v} does not fit 32 bits"),
@@ -259,7 +259,7 @@ fn read_u64(bytes: &[u8], at: usize) -> Result<u64, BinError> {
 // ----------------------------------------------------------------------
 
 /// Appends one encoded action to `out`.
-pub fn encode_action(action: &Action, out: &mut Vec<u8>) {
+pub(crate) fn encode_action(action: &Action, out: &mut Vec<u8>) {
     match *action {
         Action::Init => out.push(OP_INIT),
         Action::Finalize => out.push(OP_FINALIZE),
@@ -329,7 +329,7 @@ pub fn encode_action(action: &Action, out: &mut Vec<u8>) {
 ///
 /// # Errors
 /// Structural decode failures; `pos` is left wherever decoding stopped.
-pub fn decode_action(bytes: &[u8], pos: &mut usize) -> Result<Action, BinError> {
+pub(crate) fn decode_action(bytes: &[u8], pos: &mut usize) -> Result<Action, BinError> {
     let op = *bytes.get(*pos).ok_or(BinError::Truncated)?;
     *pos += 1;
     let action = match op {
@@ -421,7 +421,7 @@ pub struct Header {
 
 impl Header {
     /// First payload byte (= header length).
-    pub fn payload_start(&self) -> usize {
+    pub(crate) fn payload_start(&self) -> usize {
         HEADER_FIXED + TABLE_ENTRY * self.blocks.len()
     }
 
@@ -1325,6 +1325,45 @@ mod tests {
                 assert_eq!(drain_windowed(&path, window), Err(expected));
             }
         }
+    }
+
+    /// An overlong varint is reported at its offset in the file, by the
+    /// cursors and by the test oracle alike: rank 0 of a 4-rank file
+    /// holds six `init`s, then a `send` whose varint starts at payload
+    /// byte 7, which is file byte 36 + 4 × 24 + 7.
+    #[test]
+    fn overlong_varint_error_names_its_file_offset() {
+        let mut payload = vec![OP_INIT; 6];
+        payload.push(OP_SEND);
+        payload.extend_from_slice(&[0x80; 10]);
+        payload.push(0x02);
+        let end = payload.len() as u64;
+        let mut blocks = vec![Block {
+            offset: 0,
+            len: end,
+            count: 7,
+        }];
+        blocks.extend((1..4).map(|_| Block {
+            offset: end,
+            len: 0,
+            count: 0,
+        }));
+        let mut fnv = Fnv1a::new();
+        fnv.update(&payload);
+        let mut bytes = header_bytes(4, &blocks, None, fnv.digest());
+        bytes.extend_from_slice(&payload);
+        let want = "overlong varint at file offset 139";
+        assert_eq!(decode(&bytes).unwrap_err().to_string(), want);
+        let path = temp_titb("overlong-message", &bytes);
+        let mut rank0 = open_cursors(&path, 4).unwrap().swap_remove(0);
+        let err = loop {
+            match rank0.next_action() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("the overlong varint decoded"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.to_string(), format!("{}: {want}", path.display()));
     }
 
     /// A 40-byte file claiming `u32::MAX` ranks is truncated: the table

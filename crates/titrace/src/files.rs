@@ -120,7 +120,10 @@ pub fn write_split(trace: &Trace, dir: &Path, stem: &str) -> Result<PathBuf, Fil
 /// # Errors
 /// I/O failures, mixed styles, duplicate/out-of-range/non-contiguous
 /// rank assignments, duplicate paths, or an entry-count mismatch.
-pub fn description_entries(path: &Path, ranks: u32) -> Result<Vec<(Rank, PathBuf)>, FileError> {
+pub(crate) fn description_entries(
+    path: &Path,
+    ranks: u32,
+) -> Result<Vec<(Rank, PathBuf)>, FileError> {
     let desc_err = |msg: String| FileError::Description(path.to_path_buf(), msg);
     let text = fs::read_to_string(path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
     let base = path.parent().unwrap_or(Path::new("."));

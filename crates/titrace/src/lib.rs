@@ -156,7 +156,7 @@ pub enum Action {
 impl Action {
     /// `true` for the collective operations (executed by all ranks at the
     /// same logical point).
-    pub fn is_collective(&self) -> bool {
+    pub(crate) fn is_collective(&self) -> bool {
         matches!(
             self,
             Action::Barrier
@@ -170,13 +170,8 @@ impl Action {
     }
 
     /// `true` for point-to-point transmissions (blocking or not).
-    pub fn is_send(&self) -> bool {
+    pub(crate) fn is_send(&self) -> bool {
         matches!(self, Action::Send { .. } | Action::Isend { .. })
-    }
-
-    /// `true` for point-to-point receptions (blocking or not).
-    pub fn is_recv(&self) -> bool {
-        matches!(self, Action::Recv { .. } | Action::Irecv { .. })
     }
 }
 
@@ -195,7 +190,7 @@ impl Trace {
     }
 
     /// Builds a trace directly from per-rank action lists.
-    pub fn from_actions(per_rank: Vec<Vec<Action>>) -> Trace {
+    pub(crate) fn from_actions(per_rank: Vec<Vec<Action>>) -> Trace {
         Trace { per_rank }
     }
 
@@ -286,11 +281,6 @@ mod tests {
             bytes: 1
         }
         .is_send());
-        assert!(Action::Irecv {
-            src: Rank(0),
-            bytes: 1
-        }
-        .is_recv());
         assert!(!Action::Wait.is_send());
     }
 

@@ -5,11 +5,11 @@
 //! a merged file demultiplexes lines into per-rank streams by their rank
 //! prefix.
 //!
-//! The `&str` entry points here are thin wrappers over the zero-copy
-//! byte decoder in [`crate::stream`], so both paths accept exactly the
-//! same language by construction.
+//! [`parse_merged`] is a thin wrapper over the zero-copy byte decoder in
+//! [`crate::stream`], so both paths accept exactly the same language by
+//! construction.
 
-use crate::{stream, Action, Rank, Trace};
+use crate::{stream, Trace};
 
 /// A parse failure, with 1-based line number and explanation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,45 +32,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one trace line into `(rank, action)`. Returns `Ok(None)` for
-/// blank lines and comments.
-pub fn parse_line(text: &str, line: usize) -> Result<Option<(Rank, Action)>, ParseError> {
-    stream::parse_line_bytes(text.as_bytes(), line)
-}
-
 /// Parses a merged trace file containing the actions of `ranks` processes.
 /// Lines may appear in any order; each rank's relative order is preserved.
 pub fn parse_merged(text: &str, ranks: u32) -> Result<Trace, ParseError> {
     stream::parse_merged_bytes(text.as_bytes(), ranks)
 }
 
-/// Parses per-rank trace fragments (one string per rank, as produced by a
-/// distributed acquisition where each process writes its own file). The
-/// rank prefix on each line must match the fragment's position.
-pub fn parse_per_rank(fragments: &[&str]) -> Result<Trace, ParseError> {
-    let ranks = fragments.len() as u32;
-    let mut trace = Trace::new(ranks);
-    for (expect, text) in fragments.iter().enumerate() {
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
-            if let Some((rank, action)) = parse_line(raw, line)? {
-                if rank.as_usize() != expect {
-                    return Err(ParseError {
-                        line,
-                        message: format!("fragment {expect} contains a line for rank {rank}"),
-                    });
-                }
-                trace.push(rank, action);
-            }
-        }
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::write;
+    use crate::{Action, Rank};
 
     #[test]
     fn parses_paper_snippet() {
@@ -125,13 +97,30 @@ mod tests {
         assert!(e.message.contains("out of range") || e.message.contains("invalid"));
     }
 
+    /// Loads per-rank fragment files (one per rank, as a distributed
+    /// acquisition writes them) through a `.desc` description.
+    fn load_fragments(tag: &str, fragments: &[&str]) -> Result<Trace, crate::files::FileError> {
+        let dir = std::env::temp_dir().join(format!("titrace-parse-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut desc = String::new();
+        for (r, text) in fragments.iter().enumerate() {
+            std::fs::write(dir.join(format!("r{r}.trace")), text).unwrap();
+            desc.push_str(&format!("r{r}.trace\n"));
+        }
+        std::fs::write(dir.join("t.desc"), desc).unwrap();
+        let input = crate::TraceInput::Description(dir.join("t.desc"));
+        let loaded = stream::load_trace(&input, fragments.len() as u32);
+        std::fs::remove_dir_all(&dir).unwrap();
+        loaded
+    }
+
     #[test]
     fn per_rank_fragments() {
         let frags = [
             "p0 init\np0 send p1 8\np0 finalize\n",
             "p1 init\np1 recv p0 8\np1 finalize\n",
         ];
-        let t = parse_per_rank(&frags).unwrap();
+        let t = load_fragments("frags", &frags).unwrap();
         assert_eq!(t.ranks(), 2);
         assert_eq!(
             t.actions(Rank(1))[1],
@@ -144,8 +133,8 @@ mod tests {
 
     #[test]
     fn per_rank_fragment_with_wrong_rank_fails() {
-        let frags = ["p1 init\n"];
-        assert!(parse_per_rank(&frags).is_err());
+        let frags = ["p1 init\n", "p1 init\n"];
+        assert!(load_fragments("wrong-rank", &frags).is_err());
     }
 
     #[test]
@@ -203,6 +192,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::write;
+    use crate::{Action, Rank};
     use proptest::prelude::*;
 
     fn arb_action(ranks: u32) -> impl Strategy<Value = Action> {
@@ -282,7 +272,7 @@ mod fuzz {
             tokens in proptest::collection::vec("[a-z0-9p\\-\\.]{0,12}", 0..40),
         ) {
             let line = tokens.join(" ");
-            let _ = parse_line(&line, 1);
+            let _ = stream::parse_line_bytes(line.as_bytes(), 1);
         }
     }
 }

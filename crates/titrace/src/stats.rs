@@ -142,13 +142,6 @@ impl TraceStats {
     pub fn total_messages(&self) -> u64 {
         self.total().sends
     }
-
-    /// Fraction of sent messages using the eager protocol, in `[0, 1]`.
-    /// Returns `None` when no message was sent.
-    pub fn eager_fraction(&self) -> Option<f64> {
-        let t = self.total();
-        (t.sends > 0).then(|| t.eager_sends as f64 / t.sends as f64)
-    }
 }
 
 #[cfg(test)]
@@ -227,14 +220,14 @@ mod tests {
         assert_eq!(total.compute_instructions, 4000.0);
         assert_eq!(stats.mean_instructions_per_rank(), 2000.0);
         assert_eq!(stats.total_messages(), 2);
-        assert_eq!(stats.eager_fraction(), Some(0.5));
+        assert_eq!(total.eager_sends, 1);
     }
 
     #[test]
     fn empty_trace() {
         let stats = TraceStats::of(&Trace::new(4));
         assert_eq!(stats.total_instructions(), 0.0);
-        assert_eq!(stats.eager_fraction(), None);
+        assert_eq!(stats.total().sends, 0);
         assert_eq!(stats.mean_instructions_per_rank(), 0.0);
     }
 

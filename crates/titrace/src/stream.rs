@@ -1,11 +1,11 @@
 //! Streaming trace ingestion.
 //!
-//! * **One text grammar.** [`parse_line_bytes`] is the only definition of
+//! * **One text grammar.** `parse_line_bytes` is the only definition of
 //!   the format and of its errors (≈ 75–90 ns per line). Each line first
 //!   goes to `fast_line`, byte loops for the lines `write` emits (≈ 40 ns
 //!   per line, ≈ 60 when it carries a float); whatever it does not
 //!   recognise it rejects without building an error, and that one line
-//!   goes to [`parse_line_bytes`]. A line longer than [`MAX_LINE`] is an
+//!   goes to `parse_line_bytes`. A line longer than [`MAX_LINE`] is an
 //!   error, not an allocation.
 //! * **Merged text streams per rank.** [`TextFile::open`] makes one pass
 //!   through a 1 MiB buffer that reads only each line's rank token and
@@ -17,8 +17,8 @@
 //!   ([`open_sources`]): a replay pulls them, and [`load_trace`] drains
 //!   them rank by rank into a [`Trace`], so a whole-trace load, `trace
 //!   pack`/`unpack`, `inspect` and the replay meet the same errors.
-//!   [`parse_merged_bytes`] is the per-line function looped over an
-//!   in-memory slice. Decoding runs on the calling thread: a
+//!   [`crate::parse::parse_merged`] is the per-line function looped over
+//!   an in-memory string. Decoding runs on the calling thread: a
 //!   chunk-parallel decoder was removed on measurement — read DESIGN.md
 //!   "Trace formats & ingestion" before adding one back.
 //! * an [`ActionSource`] **cursor abstraction** that lets the replay
@@ -115,9 +115,11 @@ fn parse_amount_tok(tok: &[u8], line: usize) -> Result<f64, ParseError> {
 
 /// Parses one trace line from raw bytes into `(rank, action)`. Returns
 /// `Ok(None)` for blank lines and `#` comments. This is the canonical
-/// parser — [`crate::parse::parse_line`] delegates here — and it never
-/// allocates on the success path.
-pub fn parse_line_bytes(raw: &[u8], line: usize) -> Result<Option<(Rank, Action)>, ParseError> {
+/// parser, and it never allocates on the success path.
+pub(crate) fn parse_line_bytes(
+    raw: &[u8],
+    line: usize,
+) -> Result<Option<(Rank, Action)>, ParseError> {
     let mut toks = raw
         .split(u8::is_ascii_whitespace)
         .filter(|tok| !tok.is_empty());
@@ -363,7 +365,7 @@ impl Demux {
 ///
 /// # Errors
 /// Returns the first line that fails to parse.
-pub fn parse_merged_bytes(bytes: &[u8], ranks: u32) -> Result<Trace, ParseError> {
+pub(crate) fn parse_merged_bytes(bytes: &[u8], ranks: u32) -> Result<Trace, ParseError> {
     let mut demux = Demux::new(ranks);
     let rest = demux.push_lines(bytes)?;
     demux.push_last(&bytes[rest..])?;
@@ -378,19 +380,6 @@ fn first_error(path: &Path, ranks: u32, upto: u64) -> io::Result<Result<usize, P
     Ok(demux
         .read(io::Read::take(file, upto), READ_BUF)?
         .map(|()| demux.line))
-}
-
-/// Chooses the worker count for `items` independent sweep cells:
-/// `TITR_SWEEP_THREADS` when set (1 forces sequential), otherwise the
-/// machine's available parallelism, never more than `items`. Trace
-/// reading does not use it.
-pub fn worker_count(items: usize) -> usize {
-    let workers = std::env::var("TITR_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    workers.min(items).max(1)
 }
 
 // ----------------------------------------------------------------------
@@ -500,7 +489,7 @@ pub trait ActionSource: Send {
 }
 
 /// An [`ActionSource`] over one rank of a shared in-memory trace.
-pub struct MemorySource {
+pub(crate) struct MemorySource {
     trace: Arc<Trace>,
     rank: Rank,
     next: usize,
@@ -533,7 +522,7 @@ impl ActionSource for MemorySource {
 }
 
 /// Per-rank cursors over a shared in-memory trace.
-pub fn memory_sources(trace: &Arc<Trace>) -> Vec<Box<dyn ActionSource>> {
+pub(crate) fn memory_sources(trace: &Arc<Trace>) -> Vec<Box<dyn ActionSource>> {
     (0..trace.ranks())
         .map(|r| Box::new(MemorySource::new(Arc::clone(trace), Rank(r))) as Box<dyn ActionSource>)
         .collect()
@@ -577,7 +566,7 @@ struct Run {
 
 /// A merged text trace opened for streaming. Opening makes one pass
 /// through a 1 MiB buffer that reads only each line's rank token, checks
-/// it and the line's length, and records the byte [`Run`]s each rank's
+/// it and the line's length, and records the byte `Run`s each rank's
 /// lines occupy: one per rank for the rank-major files every writer here
 /// emits, one per rank switch for an interleaved file. [`TextFile::cursors`]
 /// then read each rank's runs through a window of at most 16 KiB, so
@@ -1105,16 +1094,6 @@ pub fn load_trace(input: &TraceInput, ranks: u32) -> Result<Trace, FileError> {
     Ok(Trace::from_actions(per_rank))
 }
 
-/// Loads a merged text trace: [`load_trace`] over
-/// [`TraceInput::MergedText`]. The file is never held, only one index
-/// buffer and then one window per rank at a time.
-///
-/// # Errors
-/// Propagates I/O and parse failures.
-pub fn load_merged(path: &Path, ranks: u32) -> Result<Trace, FileError> {
-    load_trace(&TraceInput::MergedText(path.to_path_buf()), ranks)
-}
-
 // ----------------------------------------------------------------------
 // Binary side-car cache
 // ----------------------------------------------------------------------
@@ -1540,7 +1519,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("app.trace");
         std::fs::write(&p, sample_text(3, 5)).unwrap();
-        let parsed = load_merged(&p, 3).unwrap();
+        let parsed = load_trace(&TraceInput::MergedText(p.clone()), 3).unwrap();
         let (input, outcome) = open_merged_cached(&p, 3, true).unwrap();
         assert_eq!(outcome, CacheOutcome::MissStored);
         assert!(
@@ -1588,7 +1567,12 @@ mod tests {
         std::fs::remove_dir_all(sidecar_path(&p)).unwrap();
         std::fs::write(&p, "p0 init\np1 teleport\np2 init\n").unwrap();
         let e = open_merged_cached(&p, 3, true).unwrap_err();
-        assert_eq!(e.to_string(), load_merged(&p, 3).unwrap_err().to_string());
+        assert_eq!(
+            e.to_string(),
+            load_trace(&TraceInput::MergedText(p.clone()), 3)
+                .unwrap_err()
+                .to_string()
+        );
         assert!(
             e.to_string()
                 .contains("line 2: unknown action verb `teleport`"),

@@ -100,11 +100,6 @@ pub fn validate(trace: &Trace) -> Vec<ValidationError> {
     errors
 }
 
-/// `true` when the trace has no structural defects.
-pub fn is_valid(trace: &Trace) -> bool {
-    validate(trace).is_empty()
-}
-
 fn check_references(trace: &Trace, ranks: u32, errors: &mut Vec<ValidationError>) {
     for (at, actions) in trace.iter() {
         for a in actions {
@@ -294,7 +289,7 @@ mod tests {
 
     #[test]
     fn valid_ping_pong() {
-        assert!(is_valid(&ping_pong()));
+        assert!(validate(&ping_pong()).is_empty());
     }
 
     #[test]
@@ -428,7 +423,7 @@ mod tests {
             },
         );
         t.push(Rank(1), Action::WaitAll);
-        assert!(is_valid(&t));
+        assert!(validate(&t).is_empty());
     }
 
     #[test]
@@ -493,7 +488,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        assert!(is_valid(&Trace::new(0)));
-        assert!(is_valid(&Trace::new(8)));
+        assert!(validate(&Trace::new(0)).is_empty());
+        assert!(validate(&Trace::new(8)).is_empty());
     }
 }

@@ -76,43 +76,14 @@ pub fn write_to<W: std::io::Write>(trace: &Trace, out: &mut W) -> std::io::Resul
     Ok(())
 }
 
-/// Writes one rank's action stream as text.
-pub fn rank_to_string(trace: &Trace, rank: Rank) -> String {
-    let mut out = String::new();
-    let mut line = String::new();
-    for a in trace.actions(rank) {
-        format_action(rank, a, &mut line);
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
 /// Writes the whole trace as a single merged text file, rank by rank (the
 /// single-trace-file deployment mode described in Section 3.3: "if this
 /// file contains a single entry, all the processes will look for the
 /// actions they have to perform into the same trace").
 pub fn to_string(trace: &Trace) -> String {
-    let mut out = String::new();
-    for (rank, _) in trace.iter() {
-        out.push_str(&rank_to_string(trace, rank));
-    }
-    out
-}
-
-/// Serializes the merged trace into a contiguous byte buffer (for
-/// in-memory transport or hashing).
-pub fn to_bytes(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(trace.len() * 24);
-    let mut line = String::new();
-    for (rank, actions) in trace.iter() {
-        for a in actions {
-            format_action(rank, a, &mut line);
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
-        }
-    }
-    buf
+    let mut out = Vec::with_capacity(trace.len() * 24);
+    write_to(trace, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("trace lines are ASCII")
 }
 
 #[cfg(test)]
@@ -180,7 +151,6 @@ mod tests {
         t.push(Rank(1), Action::Finalize);
         let s = to_string(&t);
         assert_eq!(s, "p0 init\np0 finalize\np1 init\np1 finalize\n");
-        assert_eq!(&to_bytes(&t)[..], s.as_bytes());
     }
 
     #[test]
@@ -192,9 +162,12 @@ mod tests {
         t.push(Rank(0), Action::Finalize);
         let mut streamed = Vec::new();
         write_to(&t, &mut streamed).unwrap();
-        assert_eq!(streamed, to_string(&t).into_bytes());
+        assert_eq!(
+            streamed,
+            b"p0 init\np0 compute 1.5e0\np0 finalize\np1 allreduce 40\n"
+        );
         let mut rank0 = Vec::new();
         write_rank_to(&t, Rank(0), &mut rank0).unwrap();
-        assert_eq!(rank0, rank_to_string(&t, Rank(0)).into_bytes());
+        assert_eq!(rank0, b"p0 init\np0 compute 1.5e0\np0 finalize\n");
     }
 }

@@ -1,7 +1,7 @@
 //! Memory bound of trace ingest, counted at the allocator — no timing,
-//! no RSS sampling. `load_merged` must hold the decoded trace plus a
-//! fixed buffer, never the file: reading the file whole fails the first
-//! test, and growing a buffer to fit a line without a newline fails the
+//! no RSS sampling. A merged-text `load_trace` must hold the decoded
+//! trace plus a fixed buffer, never the file: reading the file whole
+//! fails the first test, and growing a buffer to fit a line without a newline fails the
 //! second. The third holds a whole-trace load of a `.titb` to the
 //! decoded trace plus its windows, and the fourth holds `trace pack`'s
 //! writer to the same peak at two trace lengths.
@@ -105,7 +105,8 @@ fn loading_a_text_trace_holds_the_trace_and_a_buffer_not_the_file() {
     let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
     assert!(file_bytes >= 8 * MIB, "the file is only {file_bytes} bytes");
 
-    let (trace, peak, kept) = measured(|| stream::load_merged(&path, RANKS).unwrap());
+    let input = TraceInput::MergedText(path.clone());
+    let (trace, peak, kept) = measured(|| stream::load_trace(&input, RANKS).unwrap());
     std::fs::remove_file(&path).unwrap();
 
     let actions = trace.len();
@@ -130,7 +131,8 @@ fn a_file_without_newlines_is_an_error_not_an_allocation() {
     let _alone = alone();
     let path = temp_file("no-newline.trace");
     std::fs::write(&path, vec![b'A'; MIB]).unwrap();
-    let (result, peak, _) = measured(|| stream::load_merged(&path, 4));
+    let input = TraceInput::MergedText(path.clone());
+    let (result, peak, _) = measured(|| stream::load_trace(&input, 4));
     std::fs::remove_file(&path).unwrap();
     match result {
         Err(FileError::Parse(_, e)) => {

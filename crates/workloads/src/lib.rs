@@ -9,17 +9,12 @@
 //!
 //! The flagship generator is [`lu`], a structurally faithful model of the
 //! NAS Parallel Benchmarks LU solver (SSOR with 2D pipelined wavefront
-//! sweeps) that the paper evaluates. [`cg`] and [`stencil`] provide two
-//! further kernels with different communication signatures, used by the
-//! examples.
+//! sweeps) that the paper evaluates.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod cg;
-pub mod ft;
 pub mod lu;
-pub mod stencil;
 
 /// One compute burst between MPI calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,31 +150,6 @@ impl OpSource for VecSource {
     }
 }
 
-/// Drains an [`OpSource`] into a vector (tests, trace extraction).
-pub fn collect_ops(mut src: impl OpSource) -> Vec<MpiOp> {
-    let mut out = Vec::new();
-    while let Some(op) = src.next_op() {
-        out.push(op);
-    }
-    out
-}
-
-/// Converts a full workload (one source per rank) into a *ground-truth*
-/// time-independent trace: compute amounts are the exact instruction
-/// counts, uninflated by any instrumentation. Used by tests and as the
-/// "perfect acquisition" baseline.
-pub fn exact_trace(sources: Vec<Box<dyn OpSource>>) -> titrace::Trace {
-    let ranks = sources.len() as u32;
-    let mut trace = titrace::Trace::new(ranks);
-    for (r, mut src) in sources.into_iter().enumerate() {
-        let rank = titrace::Rank(r as u32);
-        while let Some(op) = src.next_op() {
-            trace.push(rank, op_to_action(&op));
-        }
-    }
-    trace
-}
-
 /// Maps one [`MpiOp`] to the equivalent trace [`titrace::Action`], using
 /// exact instruction counts for compute.
 pub fn op_to_action(op: &MpiOp) -> titrace::Action {
@@ -225,6 +195,33 @@ pub fn op_to_action(op: &MpiOp) -> titrace::Action {
         },
         MpiOp::Allgather { bytes } => Action::Allgather { bytes: *bytes },
     }
+}
+
+/// Drains an [`OpSource`] into a vector.
+#[cfg(test)]
+pub(crate) fn collect_ops(mut src: impl OpSource) -> Vec<MpiOp> {
+    let mut out = Vec::new();
+    while let Some(op) = src.next_op() {
+        out.push(op);
+    }
+    out
+}
+
+/// Converts a full workload (one source per rank) into a *ground-truth*
+/// time-independent trace: compute amounts are the exact instruction
+/// counts, uninflated by any instrumentation: the "perfect acquisition"
+/// baseline of the tests.
+#[cfg(test)]
+pub(crate) fn exact_trace(sources: Vec<Box<dyn OpSource>>) -> titrace::Trace {
+    let ranks = sources.len() as u32;
+    let mut trace = titrace::Trace::new(ranks);
+    for (r, mut src) in sources.into_iter().enumerate() {
+        let rank = titrace::Rank(r as u32);
+        while let Some(op) = src.next_op() {
+            trace.push(rank, op_to_action(&op));
+        }
+    }
+    trace
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub enum LuClass {
 
 impl LuClass {
     /// Grid extent `n` (the problem is `n × n × n`).
-    pub fn problem_size(self) -> u32 {
+    pub(crate) fn problem_size(self) -> u32 {
         match self {
             LuClass::S => 12,
             LuClass::W => 33,
@@ -59,7 +59,7 @@ impl LuClass {
     }
 
     /// Official time-step count of the class.
-    pub fn default_steps(self) -> u32 {
+    pub(crate) fn default_steps(self) -> u32 {
         match self {
             LuClass::S => 50,
             LuClass::W => 300,
@@ -103,7 +103,7 @@ pub struct LuConfig {
     pub class: LuClass,
     /// Number of MPI processes (must be a power of two).
     pub procs: u32,
-    /// Time steps to run. [`LuClass::default_steps`] for the official
+    /// Time steps to run. `LuClass::default_steps` for the official
     /// count; experiments may reduce it (all volumes scale linearly).
     pub steps: u32,
 }
@@ -137,7 +137,7 @@ impl LuConfig {
 
     /// The 2D process grid `(xdim, ydim)`, `xdim ≥ ydim`, both powers of
     /// two with `xdim·ydim = procs` (NPB's layout).
-    pub fn grid(&self) -> (u32, u32) {
+    pub(crate) fn grid(&self) -> (u32, u32) {
         let k = self.procs.trailing_zeros();
         let ydim = 1u32 << (k / 2);
         let xdim = self.procs / ydim;
@@ -145,13 +145,13 @@ impl LuConfig {
     }
 
     /// Grid coordinates `(row, col)` of `rank` (row-major).
-    pub fn coords(&self, rank: u32) -> (u32, u32) {
+    pub(crate) fn coords(&self, rank: u32) -> (u32, u32) {
         let (xdim, _) = self.grid();
         (rank / xdim, rank % xdim)
     }
 
     /// Rank at grid coordinates.
-    pub fn rank_at(&self, row: u32, col: u32) -> u32 {
+    pub(crate) fn rank_at(&self, row: u32, col: u32) -> u32 {
         let (xdim, _) = self.grid();
         row * xdim + col
     }
@@ -186,7 +186,7 @@ impl LuConfig {
 
     /// Neighbour rank in each direction, if any: `(north, south, west,
     /// east)`. North = row-1 (upstream in the lower sweep).
-    pub fn neighbors(&self, rank: u32) -> LuNeighbors {
+    pub(crate) fn neighbors(&self, rank: u32) -> LuNeighbors {
         let (xdim, ydim) = self.grid();
         let (row, col) = self.coords(rank);
         LuNeighbors {
@@ -198,13 +198,13 @@ impl LuConfig {
     }
 
     /// The generator for one rank's op stream.
-    pub fn rank_source(&self, rank: u32) -> LuRankGen {
+    pub(crate) fn rank_source(&self, rank: u32) -> LuRankGen {
         assert!(rank < self.procs);
         LuRankGen::new(*self, rank)
     }
 
-    /// All per-rank sources, boxed for [`crate::exact_trace`] and the
-    /// emulator.
+    /// All per-rank sources, boxed for the emulator and the acquisition
+    /// layer.
     pub fn sources(&self) -> Vec<Box<dyn OpSource>> {
         (0..self.procs)
             .map(|r| Box::new(self.rank_source(r)) as Box<dyn OpSource>)
@@ -221,7 +221,7 @@ impl LuConfig {
 
 /// The four mesh neighbours of a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LuNeighbors {
+pub(crate) struct LuNeighbors {
     /// Row-1 neighbour (upstream in the lower sweep).
     pub north: Option<u32>,
     /// Row+1 neighbour.

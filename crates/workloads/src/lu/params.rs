@@ -12,51 +12,51 @@
 
 /// Instructions per grid point per time step spent in the right-hand-side
 /// computation (`rhs`, `erhs`).
-pub const INSTR_RHS_PER_POINT: f64 = 1540.0;
+pub(crate) const INSTR_RHS_PER_POINT: f64 = 1540.0;
 
 /// Instructions per grid point per time step for one triangular-solve
 /// sweep (`jacld`+`blts`, or `jacu`+`buts`). Two sweeps run per step.
-pub const INSTR_SOLVE_PER_POINT: f64 = 1230.0;
+pub(crate) const INSTR_SOLVE_PER_POINT: f64 = 1230.0;
 
 /// Instructions per grid point per time step for the SSOR update and
 /// miscellaneous per-step work.
-pub const INSTR_UPDATE_PER_POINT: f64 = 1130.0;
+pub(crate) const INSTR_UPDATE_PER_POINT: f64 = 1130.0;
 
 /// Total instructions per grid point per time step (the ≈5000 anchor).
-pub const fn instr_per_point_per_step() -> f64 {
+pub(crate) const fn instr_per_point_per_step() -> f64 {
     INSTR_RHS_PER_POINT + 2.0 * INSTR_SOLVE_PER_POINT + INSTR_UPDATE_PER_POINT
 }
 
 /// Bytes per boundary grid point in a pipeline exchange message: five
 /// solution components in doubles (`5 × 8`).
-pub const BYTES_PER_BOUNDARY_POINT: u64 = 40;
+pub(crate) const BYTES_PER_BOUNDARY_POINT: u64 = 40;
 
 /// Active working set per grid point of a solve plane: the four 5×5
 /// jacobian blocks in doubles (`4 × 25 × 8`). The per-rank plane footprint
 /// `nx·ny·800` is what spills (or not) out of L2 and drives the
 /// cache-aware calibration story.
-pub const WS_BYTES_PER_POINT: u64 = 800;
+pub(crate) const WS_BYTES_PER_POINT: u64 = 800;
 
 /// Fine-grain-instrumentable function calls per grid point per solve
 /// plane (TAU+PDT auto-instrumentation reaches into per-point helper
 /// routines of the Fortran source).
-pub const FINE_CALLS_PER_POINT: f64 = 0.5;
+pub(crate) const FINE_CALLS_PER_POINT: f64 = 0.5;
 
 /// Additional fine-grain calls per boundary row of a solve plane
 /// (per-row routines: `jacld`/`blts` bookkeeping). This term makes the
 /// relative instrumentation inflation grow as blocks shrink (more rows
 /// per point), matching the paper's Figures 1-2 trend with process count.
-pub const FINE_CALLS_PER_ROW: f64 = 2.5;
+pub(crate) const FINE_CALLS_PER_ROW: f64 = 2.5;
 
 /// Fine-grain calls per grid point in rhs/update phases (loop nests with
 /// few function calls).
-pub const FINE_CALLS_PER_POINT_RHS: f64 = 0.08;
+pub(crate) const FINE_CALLS_PER_POINT_RHS: f64 = 0.08;
 
 /// Payload of one l2norm allreduce: five residual components in doubles.
-pub const NORM_BYTES: u64 = 40;
+pub(crate) const NORM_BYTES: u64 = 40;
 
 /// Payload of the initial parameter broadcast.
-pub const BCAST_BYTES: u64 = 40;
+pub(crate) const BCAST_BYTES: u64 = 40;
 
 #[cfg(test)]
 mod tests {

@@ -41,14 +41,16 @@ fn main() {
     );
     let stats = titrace::TraceStats::of(&acq.trace);
     println!(
-        "trace: {} actions, {} messages ({:.0}% eager), {:.2e} instructions/rank",
+        "trace: {} actions, {} messages ({} eager), {:.2e} instructions/rank",
         acq.trace.len(),
         stats.total_messages(),
-        stats.eager_fraction().unwrap_or(0.0) * 100.0,
+        stats.total().eager_sends,
         stats.mean_instructions_per_rank(),
     );
     // A snippet in the paper's own format:
-    let text = titrace::write::rank_to_string(&acq.trace, Rank(0));
+    let mut text = Vec::new();
+    titrace::write::write_rank_to(&acq.trace, Rank(0), &mut text).expect("write to memory");
+    let text = String::from_utf8(text).expect("trace text is ASCII");
     println!("trace head (rank 0):");
     for line in text.lines().take(5) {
         println!("  {line}");

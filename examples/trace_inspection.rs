@@ -45,10 +45,10 @@ p2 finalize
     // Summarize.
     let stats = TraceStats::of(&trace);
     println!(
-        "volumes: {:.2e} instructions total, {} messages, eager fraction {:.0}%",
+        "volumes: {:.2e} instructions total, {} messages, {} eager",
         stats.total_instructions(),
         stats.total_messages(),
-        stats.eager_fraction().unwrap_or(0.0) * 100.0
+        stats.total().eager_sends
     );
 
     // Round-trip: write and re-parse.

@@ -64,7 +64,7 @@ fn acquired_traces_are_structurally_valid_across_modes_and_sizes() {
             let lu = small(LuClass::S, procs);
             let acq = acquire(lu.sources(), mode, CompilerOpt::O3, 77);
             assert!(
-                tit_replay::titrace::validate::is_valid(&acq.trace),
+                tit_replay::titrace::validate::validate(&acq.trace).is_empty(),
                 "invalid trace for {} under {mode:?}",
                 lu.label()
             );
@@ -98,11 +98,11 @@ fn per_rank_fragments_reassemble() {
     // merged trace replays identically.
     let lu = small(LuClass::S, 4);
     let acq = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 8);
-    let fragments: Vec<String> = (0..4)
-        .map(|r| tit_replay::titrace::write::rank_to_string(&acq.trace, Rank(r)))
-        .collect();
-    let refs: Vec<&str> = fragments.iter().map(String::as_str).collect();
-    let reassembled = tit_replay::titrace::parse::parse_per_rank(&refs).unwrap();
+    let dir = std::env::temp_dir().join(format!("titr-e2e-frag-{}", std::process::id()));
+    let desc = tit_replay::titrace::files::write_split(&acq.trace, &dir, "lu").unwrap();
+    let input = TraceInput::Description(desc);
+    let reassembled = tit_replay::titrace::stream::load_trace(&input, 4).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(reassembled, acq.trace);
 }
 

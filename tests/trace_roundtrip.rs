@@ -25,7 +25,7 @@ proptest! {
     #[test]
     fn acquired_trace_roundtrips(lu in arb_lu(), seed in 0u64..1000) {
         let acq = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, seed);
-        prop_assert!(validate::is_valid(&acq.trace));
+        prop_assert!(validate::validate(&acq.trace).is_empty());
         let text = write::to_string(&acq.trace);
         let back = parse::parse_merged(&text, lu.procs).unwrap();
         prop_assert_eq!(back, acq.trace);
@@ -138,7 +138,7 @@ fn lu_compute_amounts_survive_the_text_format_bit_for_bit() {
     let mut file = std::fs::File::create(&path).unwrap();
     write::write_to(&trace, &mut file).unwrap();
     drop(file);
-    let back = stream::load_merged(&path, lu.procs).unwrap();
+    let back = stream::load_trace(&TraceInput::MergedText(path.clone()), lu.procs).unwrap();
     std::fs::remove_file(&path).unwrap();
     let amounts = |t: &Trace| -> Vec<u64> {
         t.iter()
