@@ -70,15 +70,31 @@ fn write_trace(trace: &Trace, out: &str, binary: bool) {
         tit_replay::titrace::files::write_merged(trace, path)
     };
     result.unwrap_or_else(|e| {
-        eprintln!("titrace-gen: cannot write {out}: {e}");
-        std::process::exit(1);
+        // Leave no partial trace behind (the binary writer never leaves one).
+        if !binary {
+            let _ = std::fs::remove_file(path);
+        }
+        fail(&format!("cannot write {out}: {e}"))
     });
 }
 
 fn write_platform(out: &str, spec: &tit_replay::platform::PlatformSpec) {
     let spec_path = format!("{out}.platform.json");
-    std::fs::write(&spec_path, spec.to_json()).ok();
+    std::fs::write(&spec_path, spec.to_json())
+        .unwrap_or_else(|e| fail(&format!("cannot write {spec_path}: {e}")));
     eprintln!("wrote {spec_path}");
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("titrace-gen: {msg}");
+    std::process::exit(1);
+}
+
+/// The value after a flag, parsed, or a usage error.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 fn usage() -> ! {
@@ -111,10 +127,16 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--binary" => binary = true,
-            "--class" => class = args.next().and_then(|v| LuClass::parse(&v)),
-            "--procs" => procs = args.next().and_then(|v| v.parse().ok()),
-            "--steps" => steps = args.next().and_then(|v| v.parse().ok()),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(42),
+            "--class" => {
+                class = Some(
+                    args.next()
+                        .and_then(|v| LuClass::parse(&v))
+                        .unwrap_or_else(|| usage()),
+                );
+            }
+            "--procs" => procs = Some(value(&mut args)),
+            "--steps" => steps = Some(value(&mut args)),
+            "--seed" => seed = value(&mut args),
             "--mode" => {
                 mode = match args.next().as_deref() {
                     Some("minimal") => Instrumentation::Minimal,
@@ -137,12 +159,7 @@ fn main() {
                 Some("allreduce") => workload = "allreduce".into(),
                 _ => usage(),
             },
-            "--bytes" => {
-                bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--bytes" => bytes = value(&mut args),
             _ => usage(),
         }
     }

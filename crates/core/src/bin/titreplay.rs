@@ -10,8 +10,8 @@
 //!           [--metrics <out.json>] [--manifest <out.json>] \
 //!           [--critical-path [out.json]]
 //! titreplay inspect --trace <trace.txt|.desc|.titb> --ranks 8 \
-//!           [--platform platform.json] [--threads N] \
-//!           [--profile] [--profile-json <out.json>] [--rate <instr/s>]
+//!           [--platform platform.json] \
+//!           [--profile [--threads N]] [--profile-json <out.json>] [--rate <instr/s>]
 //! titreplay trace pack <trace.txt|trace.desc> <out.titb> --ranks 8
 //! titreplay trace unpack <in.titb> <out.txt>
 //! ```
@@ -78,8 +78,8 @@ fn usage() -> ! {
          \x20          [--metrics <metrics.json>] [--manifest <manifest.json>]\n\
          \x20          [--critical-path [path.json]]\n\
          \x20      titreplay inspect --trace <trace.txt|.desc|.titb> --ranks <N> \
-         [--platform <platform.json>] [--threads <N>]\n\
-         \x20          [--profile] [--profile-json <out.json>] [--rate <instr/s>]\n\
+         [--platform <platform.json>]\n\
+         \x20          [--profile [--threads <N>]] [--profile-json <out.json>] [--rate <instr/s>]\n\
          \x20      titreplay trace pack <in.txt|in.desc> <out.titb> --ranks <N>\n\
          \x20      titreplay trace unpack <in.titb> <out.txt>"
     );
@@ -142,19 +142,12 @@ fn trace_command(args: &[String]) -> ! {
 /// Writes every rank of `titb` to `output` as merged text, one cursor at
 /// a time.
 fn unpack(titb: &binfmt::TitbFile, output: &Path) -> Result<(), String> {
-    use std::io::Write;
     let io_err = |e: std::io::Error| format!("{}: {e}", output.display());
-    let mut out = std::io::BufWriter::new(std::fs::File::create(output).map_err(io_err)?);
-    let mut line = String::new();
-    for (r, mut cursor) in titb.cursors().into_iter().enumerate() {
-        let rank = tit_replay::titrace::Rank(r as u32);
-        while let Some(action) = cursor.next_action().map_err(|e| e.to_string())? {
-            write::format_action(rank, &action, &mut line);
-            line.push('\n');
-            out.write_all(line.as_bytes()).map_err(io_err)?;
-        }
-    }
-    out.flush().map_err(io_err)
+    let mut out = std::fs::File::create(output).map_err(io_err)?;
+    write::write_sources(titb.cursors(), &mut out)
+        .map_err(io_err)?
+        .map_err(|e| e.to_string())?;
+    Ok(())
 }
 
 fn parse_args(argv: &[String]) -> Args {
@@ -242,7 +235,13 @@ fn inspect_command(args: &[String]) -> ! {
             "--trace" => trace_path = it.next().cloned(),
             "--ranks" => ranks = it.next().and_then(|v| v.parse().ok()),
             "--platform" => platform_path = it.next().cloned(),
-            "--threads" => threads = it.next().and_then(|v| v.parse().ok()),
+            "--threads" => {
+                threads = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| fail("--threads expects a thread count")),
+                );
+            }
             "--profile" => profile = true,
             "--profile-json" => {
                 profile = true;
@@ -265,6 +264,9 @@ fn inspect_command(args: &[String]) -> ! {
     };
     if profile && platform_path.is_none() {
         fail("inspect --profile needs --platform (profiling runs one replay)");
+    }
+    if threads.is_some() && !profile {
+        fail("inspect --threads needs --profile (only the profiled replay runs on threads)");
     }
     let input = TraceInput::detect(Path::new(&trace_path)).unwrap_or_else(|e| fail(&e.to_string()));
     let sig = tit_replay::replay::trace_signature(&input, ranks);

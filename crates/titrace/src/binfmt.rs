@@ -591,8 +591,10 @@ pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result
 /// interleaving.
 ///
 /// # Errors
-/// The outer error is the write's (with the path); the inner one is the
-/// first failure of a source, after which nothing is left at `path`.
+/// The outer error is the write's (with the path; `InvalidData` for a
+/// compute amount the readers refuse, naming its rank and index); the
+/// inner one is the first failure of a source. Nothing is left at `path`
+/// after either.
 pub fn write_sources<S: ActionSource>(
     sources: Vec<S>,
     path: &Path,
@@ -604,12 +606,15 @@ pub fn write_sources<S: ActionSource>(
         std::process::id(),
         TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
-    let result = write_file_at(sources, &tmp, sig).and_then(|written| {
-        if written.is_ok() {
-            std::fs::rename(&tmp, path).map_err(|e| FileError::Io(path.to_path_buf(), e))?;
-        }
-        Ok(written)
-    });
+    let result = match write_file_at(sources, &tmp, sig) {
+        // Name the file asked for, not its temp sibling.
+        Err(FileError::Io(_, e)) => Err(FileError::Io(path.to_path_buf(), e)),
+        Err(e) => Err(e),
+        Ok(Ok(actions)) => std::fs::rename(&tmp, path)
+            .map(|()| Ok(actions))
+            .map_err(|e| FileError::Io(path.to_path_buf(), e)),
+        Ok(Err(e)) => Ok(Err(e)),
+    };
     if !matches!(result, Ok(Ok(_))) {
         let _ = std::fs::remove_file(&tmp);
     }
@@ -644,6 +649,8 @@ fn write_file_at<S: ActionSource>(
                 Ok(None) => break,
                 Err(e) => return Ok(Err(e)),
             };
+            crate::write::check_writable(Rank(blocks.len() as u32), count, &action)
+                .map_err(io_err)?;
             scratch.clear();
             encode_action(&action, &mut scratch);
             fnv.update(&scratch);

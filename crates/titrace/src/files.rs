@@ -73,25 +73,25 @@ impl From<SourceError> for FileError {
     }
 }
 
-/// Writes the whole trace as one merged file, streaming through a
-/// buffered writer (no whole-trace `String`).
+/// Writes the whole trace as one merged file, streaming through the
+/// text writer's chunked line buffer (no whole-trace `String`).
 ///
 /// # Errors
-/// Propagates I/O failures.
+/// Propagates I/O failures, and the writer's refusal of an amount the
+/// readers would not read back.
 pub fn write_merged(trace: &Trace, path: &Path) -> Result<(), FileError> {
     let io_err = |e: io::Error| FileError::Io(path.to_path_buf(), e);
-    let mut out = io::BufWriter::new(fs::File::create(path).map_err(io_err)?);
-    write::write_to(trace, &mut out).map_err(io_err)?;
-    out.flush().map_err(io_err)
+    let mut out = fs::File::create(path).map_err(io_err)?;
+    write::write_to(trace, &mut out).map_err(io_err)
 }
 
 /// Writes one file per rank under `dir` (`<stem>.rank<k>.trace`) plus a
 /// description file `<stem>.desc` listing them in rank order. Returns
-/// the description file's path. Each rank streams through its own
-/// buffered writer.
+/// the description file's path.
 ///
 /// # Errors
-/// Propagates I/O failures.
+/// Propagates I/O failures, and the writer's refusal of an amount the
+/// readers would not read back.
 pub fn write_split(trace: &Trace, dir: &Path, stem: &str) -> Result<PathBuf, FileError> {
     fs::create_dir_all(dir).map_err(|e| FileError::Io(dir.to_path_buf(), e))?;
     let desc_path = dir.join(format!("{stem}.desc"));
@@ -100,9 +100,8 @@ pub fn write_split(trace: &Trace, dir: &Path, stem: &str) -> Result<PathBuf, Fil
         let name = format!("{stem}.rank{r}.trace");
         let path = dir.join(&name);
         let io_err = |e: io::Error| FileError::Io(path.clone(), e);
-        let mut out = io::BufWriter::new(fs::File::create(&path).map_err(io_err)?);
+        let mut out = fs::File::create(&path).map_err(io_err)?;
         write::write_rank_to(trace, Rank(r), &mut out).map_err(io_err)?;
-        out.flush().map_err(io_err)?;
         writeln!(desc, "{name}").map_err(|e| FileError::Io(desc_path.clone(), e))?;
     }
     Ok(desc_path)

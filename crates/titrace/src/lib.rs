@@ -37,6 +37,7 @@
 pub mod binfmt;
 pub mod files;
 pub mod parse;
+mod shortest;
 pub mod stats;
 pub mod stream;
 pub mod validate;

@@ -1678,8 +1678,10 @@ mod fast_path_props {
             14 => Action::Gather { bytes, root: peer },
             _ => Action::Allgather { bytes },
         };
-        let mut line = String::new();
-        crate::write::format_action(Rank(rank), &action, &mut line);
+        let mut t = Trace::new(rank + 1);
+        t.push(Rank(rank), action);
+        let mut line = crate::write::to_string(&t);
+        line.pop();
         line
     }
 

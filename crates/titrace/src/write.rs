@@ -9,137 +9,335 @@
 //! p0 allreduce 40
 //! ```
 //!
-//! Compute amounts are written as integers when exact (hardware counters
-//! count whole instructions) and in scientific notation otherwise.
+//! Compute amounts are written as integers when they are whole and below
+//! 9·10^15 (hardware counters count whole instructions; `-0.0` writes as
+//! `0`), and otherwise as the shortest decimal that reads back as the
+//! same `f64`, byte for byte what `format!("{v:e}")` writes: the digits,
+//! a `.` after the first only when there are more, then `e` and the
+//! exponent. Where two shortest decimals are equally near, the larger is
+//! written, as std does.
+//!
+//! Lines are encoded byte by byte into one reusable buffer that goes to
+//! the writer in chunks of at least 32 KiB; nothing on the way goes
+//! through `core::fmt`. An amount the readers would refuse — negative,
+//! NaN or infinite — is not written: the writers stop with
+//! [`io::ErrorKind::InvalidData`] naming the rank and the action's index.
 
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
+use crate::shortest;
+use crate::stream::{ActionSource, SourceError};
 use crate::{Action, Rank, Trace};
 
-/// Formats one action as a trace line (without trailing newline).
-pub fn format_action(rank: Rank, action: &Action, out: &mut String) {
-    out.clear();
-    let _ = match action {
-        Action::Init => write!(out, "{rank} init"),
-        Action::Finalize => write!(out, "{rank} finalize"),
-        Action::Compute { amount } => {
-            if amount.fract() == 0.0 && *amount < 9.0e15 {
-                write!(out, "{rank} compute {}", *amount as u64)
-            } else {
-                write!(out, "{rank} compute {amount:e}")
-            }
-        }
-        Action::Send { dst, bytes } => write!(out, "{rank} send {dst} {bytes}"),
-        Action::Isend { dst, bytes } => write!(out, "{rank} isend {dst} {bytes}"),
-        Action::Recv { src, bytes } => write!(out, "{rank} recv {src} {bytes}"),
-        Action::Irecv { src, bytes } => write!(out, "{rank} irecv {src} {bytes}"),
-        Action::Wait => write!(out, "{rank} wait"),
-        Action::WaitAll => write!(out, "{rank} waitall"),
-        Action::Barrier => write!(out, "{rank} barrier"),
-        Action::Bcast { bytes, root } => write!(out, "{rank} bcast {bytes} {root}"),
-        Action::Reduce { bytes, root } => write!(out, "{rank} reduce {bytes} {root}"),
-        Action::Allreduce { bytes } => write!(out, "{rank} allreduce {bytes}"),
-        Action::Alltoall { bytes } => write!(out, "{rank} alltoall {bytes}"),
-        Action::Gather { bytes, root } => write!(out, "{rank} gather {bytes} {root}"),
-        Action::Allgather { bytes } => write!(out, "{rank} allgather {bytes}"),
-    };
-}
+/// The buffer goes to the writer once it holds this many bytes.
+const CHUNK: usize = 32 * 1024;
 
-/// Streams one rank's action stream as text into an `io::Write` — one
-/// reusable line buffer, no whole-trace `String`.
+/// Whole compute amounts below this are written as integers.
+const INT_BELOW: f64 = 9.0e15;
+
+/// Streams one rank's action stream as text into an `io::Write`.
 ///
 /// # Errors
-/// Propagates write failures.
-pub fn write_rank_to<W: std::io::Write>(
-    trace: &Trace,
-    rank: Rank,
-    out: &mut W,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    for a in trace.actions(rank) {
-        format_action(rank, a, &mut line);
-        line.push('\n');
-        out.write_all(line.as_bytes())?;
-    }
-    Ok(())
+/// Write failures, and `InvalidData` for an amount the readers refuse.
+pub fn write_rank_to<W: Write>(trace: &Trace, rank: Rank, out: &mut W) -> io::Result<()> {
+    let mut lines = LineEncoder::new(out);
+    lines.actions(rank, trace.actions(rank))?;
+    lines.finish()
 }
 
 /// Streams the whole trace as merged text into an `io::Write`, rank by
 /// rank, without materialising the full text.
 ///
 /// # Errors
-/// Propagates write failures.
-pub fn write_to<W: std::io::Write>(trace: &Trace, out: &mut W) -> std::io::Result<()> {
-    for (rank, _) in trace.iter() {
-        write_rank_to(trace, rank, out)?;
+/// Write failures, and `InvalidData` for an amount the readers refuse.
+pub fn write_to<W: Write>(trace: &Trace, out: &mut W) -> io::Result<()> {
+    let mut lines = LineEncoder::new(out);
+    for (rank, actions) in trace.iter() {
+        lines.actions(rank, actions)?;
     }
-    Ok(())
+    lines.finish()
+}
+
+/// Writes the actions `sources` yield (one source per rank, in rank
+/// order) as merged text, draining one rank at a time. Returns the number
+/// of actions written.
+///
+/// # Errors
+/// The outer error is the write's (`InvalidData` for an amount the
+/// readers refuse); the inner one is the first failure of a source.
+pub fn write_sources<S: ActionSource, W: Write>(
+    sources: Vec<S>,
+    out: &mut W,
+) -> io::Result<Result<u64, SourceError>> {
+    let mut lines = LineEncoder::new(out);
+    let mut total = 0;
+    for (r, mut source) in sources.into_iter().enumerate() {
+        let rank = Rank(r as u32);
+        let mut index = 0;
+        loop {
+            match source.next_action() {
+                Ok(Some(action)) => lines.action(rank, index, &action)?,
+                Ok(None) => break,
+                Err(e) => return Ok(Err(e)),
+            }
+            index += 1;
+        }
+        total += index;
+    }
+    lines.finish()?;
+    Ok(Ok(total))
 }
 
 /// Writes the whole trace as a single merged text file, rank by rank (the
 /// single-trace-file deployment mode described in Section 3.3: "if this
 /// file contains a single entry, all the processes will look for the
 /// actions they have to perform into the same trace").
+///
+/// # Panics
+/// On an amount the readers refuse (see [`write_to`]).
 pub fn to_string(trace: &Trace) -> String {
     let mut out = Vec::with_capacity(trace.len() * 24);
-    write_to(trace, &mut out).expect("writing to a Vec cannot fail");
+    write_to(trace, &mut out).expect("trace amounts are finite and >= 0");
     String::from_utf8(out).expect("trace lines are ASCII")
+}
+
+/// Refuses action `index` of `rank` when it is a compute amount the
+/// readers would not read back: negative, NaN or infinite.
+pub(crate) fn check_writable(rank: Rank, index: u64, action: &Action) -> io::Result<()> {
+    match *action {
+        Action::Compute { amount } if !(amount.is_finite() && amount >= 0.0) => {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{rank} action {index}: compute amount {amount} cannot be written \
+                     (trace readers accept only finite amounts >= 0)"
+                ),
+            ))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Appends lines to one reusable buffer and hands it to `out` in chunks.
+struct LineEncoder<'w, W: Write> {
+    out: &'w mut W,
+    buf: Vec<u8>,
+}
+
+impl<'w, W: Write> LineEncoder<'w, W> {
+    fn new(out: &'w mut W) -> Self {
+        LineEncoder {
+            out,
+            buf: Vec::with_capacity(CHUNK + 128),
+        }
+    }
+
+    fn actions(&mut self, rank: Rank, actions: &[Action]) -> io::Result<()> {
+        for (index, action) in actions.iter().enumerate() {
+            self.action(rank, index as u64, action)?;
+        }
+        Ok(())
+    }
+
+    /// Appends the line of action `index` (0-based, in its rank's
+    /// stream) of `rank`.
+    fn action(&mut self, rank: Rank, index: u64, action: &Action) -> io::Result<()> {
+        check_writable(rank, index, action)?;
+        let buf = &mut self.buf;
+        push_rank(buf, rank);
+        match *action {
+            Action::Init => buf.extend_from_slice(b" init"),
+            Action::Finalize => buf.extend_from_slice(b" finalize"),
+            Action::Compute { amount } => {
+                buf.extend_from_slice(b" compute ");
+                // `fract` would be a libm `trunc` call per amount.
+                if amount < INT_BELOW && (amount as u64) as f64 == amount {
+                    push_u64(buf, amount as u64);
+                } else {
+                    shortest::push_exp(buf, amount);
+                }
+            }
+            Action::Send { dst, bytes } => peer_bytes(buf, b" send ", dst, bytes),
+            Action::Isend { dst, bytes } => peer_bytes(buf, b" isend ", dst, bytes),
+            Action::Recv { src, bytes } => peer_bytes(buf, b" recv ", src, bytes),
+            Action::Irecv { src, bytes } => peer_bytes(buf, b" irecv ", src, bytes),
+            Action::Wait => buf.extend_from_slice(b" wait"),
+            Action::WaitAll => buf.extend_from_slice(b" waitall"),
+            Action::Barrier => buf.extend_from_slice(b" barrier"),
+            Action::Bcast { bytes, root } => bytes_root(buf, b" bcast ", bytes, root),
+            Action::Reduce { bytes, root } => bytes_root(buf, b" reduce ", bytes, root),
+            Action::Allreduce { bytes } => verb_bytes(buf, b" allreduce ", bytes),
+            Action::Alltoall { bytes } => verb_bytes(buf, b" alltoall ", bytes),
+            Action::Gather { bytes, root } => bytes_root(buf, b" gather ", bytes, root),
+            Action::Allgather { bytes } => verb_bytes(buf, b" allgather ", bytes),
+        }
+        buf.push(b'\n');
+        if buf.len() >= CHUNK {
+            self.out.write_all(buf)?;
+            buf.clear();
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> io::Result<()> {
+        self.out.write_all(&self.buf)
+    }
+}
+
+fn push_u64(buf: &mut Vec<u8>, v: u64) {
+    let mut digits = [0u8; 20];
+    let first = shortest::digits(v, &mut digits);
+    buf.extend_from_slice(&digits[first..]);
+}
+
+fn push_rank(buf: &mut Vec<u8>, rank: Rank) {
+    buf.push(b'p');
+    push_u64(buf, u64::from(rank.0));
+}
+
+fn verb_bytes(buf: &mut Vec<u8>, verb: &[u8], bytes: u64) {
+    buf.extend_from_slice(verb);
+    push_u64(buf, bytes);
+}
+
+fn peer_bytes(buf: &mut Vec<u8>, verb: &[u8], peer: Rank, bytes: u64) {
+    buf.extend_from_slice(verb);
+    push_rank(buf, peer);
+    buf.push(b' ');
+    push_u64(buf, bytes);
+}
+
+fn bytes_root(buf: &mut Vec<u8>, verb: &[u8], bytes: u64, root: Rank) {
+    verb_bytes(buf, verb, bytes);
+    buf.push(b' ');
+    push_rank(buf, root);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The line `action` encodes to for `rank`, without its newline.
+    fn line(rank: Rank, action: Action) -> String {
+        let mut t = Trace::new(rank.0 + 1);
+        t.push(rank, action);
+        let mut out = Vec::new();
+        write_rank_to(&t, rank, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        text.strip_suffix('\n').unwrap().to_string()
+    }
+
     #[test]
     fn formats_match_paper_examples() {
-        let mut line = String::new();
-        format_action(Rank(0), &Action::Compute { amount: 956140.0 }, &mut line);
-        assert_eq!(line, "p0 compute 956140");
-        format_action(
-            Rank(0),
-            &Action::Send {
-                dst: Rank(1),
-                bytes: 1240,
-            },
-            &mut line,
+        assert_eq!(
+            line(Rank(0), Action::Compute { amount: 956140.0 }),
+            "p0 compute 956140"
         );
-        assert_eq!(line, "p0 send p1 1240");
-        format_action(
-            Rank(3),
-            &Action::Recv {
-                src: Rank(0),
-                bytes: 64,
-            },
-            &mut line,
-        );
-        assert_eq!(line, "p3 recv p0 64");
+        let send = Action::Send {
+            dst: Rank(1),
+            bytes: 1240,
+        };
+        assert_eq!(line(Rank(0), send), "p0 send p1 1240");
+        let recv = Action::Recv {
+            src: Rank(0),
+            bytes: 64,
+        };
+        assert_eq!(line(Rank(3), recv), "p3 recv p0 64");
     }
 
     #[test]
     fn collective_formats() {
-        let mut line = String::new();
-        format_action(Rank(2), &Action::Allreduce { bytes: 40 }, &mut line);
-        assert_eq!(line, "p2 allreduce 40");
-        format_action(
-            Rank(2),
-            &Action::Bcast {
-                bytes: 8,
-                root: Rank(0),
-            },
-            &mut line,
+        assert_eq!(
+            line(Rank(2), Action::Allreduce { bytes: 40 }),
+            "p2 allreduce 40"
         );
-        assert_eq!(line, "p2 bcast 8 p0");
-        format_action(Rank(1), &Action::Barrier, &mut line);
-        assert_eq!(line, "p1 barrier");
-        format_action(Rank(1), &Action::WaitAll, &mut line);
-        assert_eq!(line, "p1 waitall");
+        let bcast = Action::Bcast {
+            bytes: 8,
+            root: Rank(0),
+        };
+        assert_eq!(line(Rank(2), bcast), "p2 bcast 8 p0");
+        assert_eq!(line(Rank(1), Action::Barrier), "p1 barrier");
+        assert_eq!(line(Rank(1), Action::WaitAll), "p1 waitall");
     }
 
     #[test]
     fn fractional_compute_uses_scientific() {
-        let mut line = String::new();
-        format_action(Rank(0), &Action::Compute { amount: 1.5 }, &mut line);
-        assert_eq!(line, "p0 compute 1.5e0");
+        assert_eq!(
+            line(Rank(0), Action::Compute { amount: 1.5 }),
+            "p0 compute 1.5e0"
+        );
+        assert_eq!(
+            line(Rank(0), Action::Compute { amount: 9.0e15 }),
+            "p0 compute 9e15"
+        );
+        assert_eq!(
+            line(
+                Rank(0),
+                Action::Compute {
+                    amount: 9.0e15 - 1.0
+                }
+            ),
+            "p0 compute 8999999999999999"
+        );
+        assert_eq!(
+            line(Rank(0), Action::Compute { amount: -0.0 }),
+            "p0 compute 0"
+        );
+    }
+
+    /// Every action kind at its largest fields encodes as the old
+    /// `core::fmt` line did.
+    #[test]
+    fn every_kind_matches_display_formatting() {
+        let (r, p, b) = (Rank(u32::MAX), Rank(7), u64::MAX);
+        for (action, want) in [
+            (Action::Init, format!("{r} init")),
+            (Action::Finalize, format!("{r} finalize")),
+            (
+                Action::Compute { amount: 0.1 },
+                format!("{r} compute {:e}", 0.1),
+            ),
+            (
+                Action::Send { dst: p, bytes: b },
+                format!("{r} send {p} {b}"),
+            ),
+            (
+                Action::Isend { dst: p, bytes: b },
+                format!("{r} isend {p} {b}"),
+            ),
+            (
+                Action::Recv { src: p, bytes: b },
+                format!("{r} recv {p} {b}"),
+            ),
+            (
+                Action::Irecv { src: p, bytes: b },
+                format!("{r} irecv {p} {b}"),
+            ),
+            (Action::Wait, format!("{r} wait")),
+            (Action::WaitAll, format!("{r} waitall")),
+            (Action::Barrier, format!("{r} barrier")),
+            (
+                Action::Bcast { bytes: b, root: p },
+                format!("{r} bcast {b} {p}"),
+            ),
+            (
+                Action::Reduce { bytes: b, root: p },
+                format!("{r} reduce {b} {p}"),
+            ),
+            (Action::Allreduce { bytes: b }, format!("{r} allreduce {b}")),
+            (Action::Alltoall { bytes: b }, format!("{r} alltoall {b}")),
+            (
+                Action::Gather { bytes: b, root: p },
+                format!("{r} gather {b} {p}"),
+            ),
+            (Action::Allgather { bytes: b }, format!("{r} allgather {b}")),
+        ] {
+            let mut out = Vec::new();
+            let mut lines = LineEncoder::new(&mut out);
+            lines.action(r, 0, &action).unwrap();
+            lines.finish().unwrap();
+            assert_eq!(out, format!("{want}\n").into_bytes());
+        }
     }
 
     #[test]
@@ -166,8 +364,57 @@ mod tests {
             streamed,
             b"p0 init\np0 compute 1.5e0\np0 finalize\np1 allreduce 40\n"
         );
+        assert_eq!(streamed, to_string(&t).into_bytes());
         let mut rank0 = Vec::new();
         write_rank_to(&t, Rank(0), &mut rank0).unwrap();
         assert_eq!(rank0, b"p0 init\np0 compute 1.5e0\np0 finalize\n");
+        let mut drained = Vec::new();
+        let written = write_sources(crate::binfmt::trace_sources(&t), &mut drained)
+            .unwrap()
+            .unwrap();
+        assert_eq!((written, drained), (4, streamed));
+    }
+
+    /// Output larger than one chunk arrives whole and in order.
+    #[test]
+    fn output_spanning_many_chunks_is_whole() {
+        let mut t = Trace::new(1);
+        for i in 0..20_000u64 {
+            t.push(Rank(0), Action::Allreduce { bytes: i });
+        }
+        let mut out = Vec::new();
+        write_to(&t, &mut out).unwrap();
+        let want: String = (0..20_000).map(|i| format!("p0 allreduce {i}\n")).collect();
+        assert!(want.len() > 3 * CHUNK);
+        assert_eq!(out, want.into_bytes());
+    }
+
+    /// A compute amount the readers refuse is not written: the writer
+    /// fails with `InvalidData` naming the rank and the action's index.
+    #[test]
+    fn amounts_the_readers_refuse_are_not_written() {
+        for bad in [-5.0, -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut t = Trace::new(2);
+            t.push(Rank(1), Action::Init);
+            t.push(Rank(1), Action::Compute { amount: bad });
+            let mut out = Vec::new();
+            let e = write_to(&t, &mut out).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{bad}");
+            assert!(e.to_string().contains("p1 action 1"), "{bad}: {e}");
+            let path = std::env::temp_dir().join(format!(
+                "titrace-write-bad-{}-{}.titb",
+                bad.to_bits(),
+                std::process::id()
+            ));
+            match crate::binfmt::write_file(&t, &path, None) {
+                Err(crate::files::FileError::Io(p, e)) => {
+                    assert_eq!(p, path);
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{bad}");
+                    assert!(e.to_string().contains("p1 action 1"), "{bad}: {e}");
+                }
+                other => panic!("{bad}: binary writer gave {other:?}"),
+            }
+            assert!(!path.exists(), "{bad}: a refused write leaves no file");
+        }
     }
 }

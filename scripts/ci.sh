@@ -47,6 +47,33 @@ for t in "$t_crlf" "$t_bin" "$t_store" "$t_cache"; do
         exit 1
     }
 done
+# Every generator's text round-trips through pack -> unpack.
+"$gen" --workload halo --procs 16 --steps 20 --bytes 4096 --out "$ingest_dir/rt-halo.trace" 2>/dev/null
+"$gen" --workload allreduce --procs 8 --steps 5 --bytes 4096 --out "$ingest_dir/rt-ar.trace" 2>/dev/null
+for w in halo:16 ar:8; do
+    f="$ingest_dir/rt-${w%%:*}"
+    "$rep" trace pack "$f.trace" "$f.titb" --ranks "${w##*:}" 2>/dev/null
+    "$rep" trace unpack "$f.titb" "$f.unpacked.trace" 2>/dev/null
+    cmp "$f.trace" "$f.unpacked.trace"
+done
+# Bad arguments fail closed: unparsable values are usage errors (2), a
+# platform spec that cannot be written and an `inspect --threads`
+# without `--profile` are errors (1).
+expect_exit() {
+    want=$1
+    shift
+    set +e
+    "$@" >/dev/null 2>&1
+    got=$?
+    set -e
+    [ "$got" = "$want" ] || { echo "exit $got (want $want): $*" >&2; exit 1; }
+}
+expect_exit 2 "$gen" --class S --procs 2 --steps abc --out "$ingest_dir/bad.trace"
+expect_exit 2 "$gen" --class S --procs 2 --seed xyz --out "$ingest_dir/bad.trace"
+mkdir "$ingest_dir/bad.trace.platform.json"
+expect_exit 1 "$gen" --class S --procs 2 --steps 2 --out "$ingest_dir/bad.trace"
+expect_exit 1 "$rep" inspect --trace "$ingest_dir/bad.trace" --ranks 2 --threads abc
+expect_exit 1 "$rep" inspect --trace "$ingest_dir/bad.trace" --ranks 2 --threads 2
 echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache)"
 
 # Observability smoke: replay an LU class-S trace with the recorder

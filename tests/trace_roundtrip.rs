@@ -260,3 +260,125 @@ fn one_reader_one_set_of_errors() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Length and FNV-1a of `bytes`.
+fn fingerprint(bytes: &[u8]) -> (usize, u64) {
+    let mut fnv = binfmt::Fnv1a::new();
+    fnv.update(bytes);
+    (bytes.len(), fnv.digest())
+}
+
+/// The text writer's output is pinned byte for byte: the whole line
+/// grammar (rank prefixes, keywords, integers, shortest floats) of LU
+/// B-8 and of a `titrace-gen` halo trace hash to what the `core::fmt`
+/// writer this encoder replaced produced.
+#[test]
+fn written_text_is_pinned() {
+    let lu = LuConfig::new(LuClass::B, 8).with_steps(10);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+    assert_eq!(
+        fingerprint(write::to_string(&trace).as_bytes()),
+        (1_975_363, 0x1b35_1767_bcea_11ce)
+    );
+
+    let dir = std::env::temp_dir().join(format!("titr-rt-pinned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let halo = dir.join("halo16.trace");
+    let (code, stderr) = run_bin(
+        env!("CARGO_BIN_EXE_titrace-gen"),
+        &[
+            "--workload",
+            "halo",
+            "--procs",
+            "16",
+            "--steps",
+            "20",
+            "--bytes",
+            "4096",
+            "--out",
+            arg(&halo),
+        ],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        fingerprint(&std::fs::read(&halo).unwrap()),
+        (32_572, 0xea5c_b0fa_51db_506b)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs the binary at `bin` with `args`; returns its exit code and
+/// stderr.
+fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Bad arguments fail closed: an unparsable value is a usage error
+/// (exit 2), and a platform spec that cannot be written, or an `inspect
+/// --threads` nothing would read, is an error naming its cause (exit 1).
+#[test]
+fn bad_arguments_fail_closed() {
+    let dir = std::env::temp_dir().join(format!("titr-rt-bad-args-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let gen = env!("CARGO_BIN_EXE_titrace-gen");
+    let out = dir.join("lu.trace");
+    let lu = ["--class", "S", "--procs", "2", "--out", arg(&out)];
+    for bad in [
+        &["--steps", "abc"][..],
+        &["--seed", "xyz"],
+        &["--steps", "abc", "--seed", "xyz"],
+        &["--procs", "two"],
+        &["--class", "Z"],
+        &["--bytes", "-1"],
+    ] {
+        let args = [&lu[..], bad].concat();
+        let (code, stderr) = run_bin(gen, &args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!out.exists(), "{args:?} wrote a trace");
+    }
+
+    // The platform spec's path is a directory: the trace is written, the
+    // spec is not, and the run says so.
+    let spec = dir.join("lu.trace.platform.json");
+    std::fs::create_dir_all(&spec).unwrap();
+    let (code, stderr) = run_bin(gen, &[&lu[..], &["--steps", "2"]].concat());
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot write {}", spec.display())),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains(&format!("wrote {}", spec.display())),
+        "{stderr}"
+    );
+
+    // The trace's own path is a directory.
+    let (code, stderr) = run_bin(gen, &["--class", "S", "--procs", "2", "--out", arg(&dir)]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+
+    let rep = env!("CARGO_BIN_EXE_titreplay");
+    let inspect = ["inspect", "--trace", arg(&out), "--ranks", "2"];
+    let (code, stderr) = run_bin(rep, &inspect);
+    assert_eq!(code, Some(0), "{stderr}");
+    for (bad, want) in [
+        (
+            &["--threads", "abc"][..],
+            "--threads expects a thread count",
+        ),
+        (&["--threads", "2"], "inspect --threads needs --profile"),
+    ] {
+        let args = [&inspect[..], bad].concat();
+        let (code, stderr) = run_bin(rep, &args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
