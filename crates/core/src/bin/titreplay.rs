@@ -23,7 +23,8 @@
 //! `--no-cache` disables both reading and writing it. Prints the
 //! simulated execution time. `trace pack` and `trace unpack` stream the
 //! input through the per-rank cursors a replay reads, one rank at a time,
-//! so they hold O(ranks · 16 KiB) of the trace whatever its length.
+//! so they hold O(ranks · window) of the trace whatever its length
+//! (16 KiB windows, less past 4 096 ranks).
 //!
 //! Observability flags: `--trace-out` writes a Chrome-trace (Perfetto)
 //! JSON of per-rank simulated-time spans and network flows,
@@ -86,9 +87,37 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `flag`'s `value` parsed, if it parses and passes `valid`.
+fn parse_flag<T: std::str::FromStr>(
+    value: Option<&String>,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    value.and_then(|v| v.parse().ok()).filter(valid)
+}
+
+/// `flag`'s `value` parsed and passing `valid`, else a usage error
+/// (exit 2) that names the flag and what it `expects`.
+fn flag_or_usage<T: std::str::FromStr>(
+    flag: &str,
+    expects: &str,
+    value: Option<&String>,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    parse_flag(value, valid).unwrap_or_else(|| {
+        let got = value.map_or("nothing", String::as_str);
+        eprintln!("titreplay: {flag} expects {expects}, got '{got}'");
+        usage()
+    })
+}
+
+/// Whether `rate` can time a compute: positive and finite.
+fn valid_rate(rate: &f64) -> bool {
+    rate.is_finite() && *rate > 0.0
+}
+
 /// `titreplay trace pack|unpack` — convert between the text and binary
 /// trace formats. Both stream the input's per-rank cursors rank by rank,
-/// so they hold O(ranks · 16 KiB) of the trace, never all of it.
+/// so they hold O(ranks · window) of the trace, never all of it.
 fn trace_command(args: &[String]) -> ! {
     let sub = args.first().map(String::as_str);
     let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
@@ -170,14 +199,35 @@ fn parse_args(argv: &[String]) -> Args {
         match a.as_str() {
             "--platform" => platform = args.next().cloned(),
             "--trace" => trace = args.next().cloned(),
-            "--ranks" => ranks = args.next().and_then(|v| v.parse().ok()),
-            "--rate" => rate = args.next().and_then(|v| v.parse().ok()),
+            "--ranks" => {
+                ranks = Some(flag_or_usage(
+                    "--ranks",
+                    "a rank count",
+                    args.next(),
+                    |_| true,
+                ))
+            }
+            "--rate" => {
+                rate = Some(flag_or_usage(
+                    "--rate",
+                    "a positive finite rate",
+                    args.next(),
+                    valid_rate,
+                ));
+            }
             "--engine" => match args.next().map(String::as_str) {
                 Some("smpi") => engine = ReplayEngine::Smpi,
                 Some("msg") => engine = ReplayEngine::Msg,
                 _ => usage(),
             },
-            "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
+            "--threads" => {
+                threads = Some(flag_or_usage(
+                    "--threads",
+                    "a thread count",
+                    args.next(),
+                    |_| true,
+                ));
+            }
             "--validate" => validate = true,
             "--no-cache" => cache = false,
             "--trace-out" => trace_out = args.next().cloned(),
@@ -228,7 +278,7 @@ fn inspect_command(args: &[String]) -> ! {
     let mut threads = None;
     let mut profile = false;
     let mut profile_json = None;
-    let mut rate = 2e9f64;
+    let mut rate = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -251,10 +301,10 @@ fn inspect_command(args: &[String]) -> ! {
                 }
             }
             "--rate" => {
-                rate = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--rate expects a number"));
+                rate = Some(
+                    parse_flag(it.next(), valid_rate)
+                        .unwrap_or_else(|| fail("--rate expects a positive finite rate")),
+                );
             }
             _ => usage(),
         }
@@ -267,6 +317,9 @@ fn inspect_command(args: &[String]) -> ! {
     }
     if threads.is_some() && !profile {
         fail("inspect --threads needs --profile (only the profiled replay runs on threads)");
+    }
+    if rate.is_some() && !profile {
+        fail("inspect --rate needs --profile (only the profiled replay uses a rate)");
     }
     let input = TraceInput::detect(Path::new(&trace_path)).unwrap_or_else(|e| fail(&e.to_string()));
     let sig = tit_replay::replay::trace_signature(&input, ranks);
@@ -327,7 +380,7 @@ fn inspect_command(args: &[String]) -> ! {
             let run_threads = threads.unwrap_or_else(|| ReplayConfig::default_threads().max(2));
             let config = ReplayConfig {
                 threads: run_threads,
-                ..ReplayConfig::improved(rate)
+                ..ReplayConfig::improved(rate.unwrap_or(2e9))
             };
             let report = replay_input_observed(&platform, &input, ranks, &config, false)
                 .unwrap_or_else(|e| fail(&e));

@@ -3,10 +3,11 @@
 //! A `RankActor` walks its op stream run-to-block: each operation is
 //! (1) optionally delayed by the hook-provided fixed cost (probe time,
 //! eager copy), then (2) performed against the world, then (3) awaited if
-//! it blocks. Collectives are expanded into point-to-point sub-programs
-//! executed on the collective channel before the main stream resumes —
-//! or, under [`crate::Model::Msg`], block the rank until the world's
-//! release timer fires. The event loop in [`crate::runner`] resumes it
+//! it blocks. A collective runs as a point-to-point sub-program on the
+//! collective channel, pulled an op at a time from an O(1)
+//! `collectives::Schedule`, before the main stream resumes — or, under
+//! [`crate::Model::Msg`], blocks the rank until the world's release
+//! timer fires. The event loop in [`crate::runner`] resumes it
 //! on every wake addressed to `ActorId(rank)`.
 
 use std::collections::VecDeque;
@@ -15,7 +16,7 @@ use simkernel::obs::SpanKind;
 use simkernel::{ActorId, Duration, Kernel, Time, Wake};
 use workloads::{MpiOp, OpSource};
 
-use crate::collectives;
+use crate::collectives::Schedule;
 use crate::hooks::ComputePlan;
 use crate::world::{
     MsgId, PostId, RecvResult, ReqId, SendResult, SmpiWorld, CH_APP, CH_COLL, COLL_RELEASE_KEY,
@@ -64,7 +65,8 @@ pub(crate) struct RankActor {
     /// Instant the op stream ran out; `Time::NEVER` while running.
     finish: Time,
     source: Box<dyn OpSource>,
-    subops: VecDeque<MpiOp>,
+    /// The collective sub-program running, if any.
+    subops: Option<Schedule>,
     pending: [VecDeque<ReqId>; 2],
     waiting: Waiting,
     staged: Option<Staged>,
@@ -88,7 +90,7 @@ impl RankActor {
             rank,
             finish: Time::NEVER,
             source,
-            subops: VecDeque::new(),
+            subops: None,
             pending: [VecDeque::new(), VecDeque::new()],
             waiting: Waiting::Ready,
             staged: None,
@@ -287,16 +289,15 @@ impl RankActor {
                 }
             }
             collective => {
-                debug_assert!(collectives::is_decomposable(&collective));
                 debug_assert!(
-                    self.subops.is_empty(),
+                    self.subops.is_none(),
                     "collective while a sub-program is active"
                 );
                 let op = world.enter_collective(kernel, self.rank, self.coll_index, collective);
                 self.coll_index += 1;
                 if let Some(op) = op {
-                    self.subops
-                        .extend(collectives::expand(&op, self.rank, world.ranks()));
+                    self.subops = Schedule::new(&op, self.rank, world.ranks());
+                    debug_assert!(self.subops.is_some(), "{op:?} has no schedule");
                 } else {
                     self.waiting = Waiting::Collective;
                     self.note_block(SpanKind::Collective, None);
@@ -306,12 +307,15 @@ impl RankActor {
     }
 
     fn fetch(&mut self, world: &mut SmpiWorld) -> Option<Staged> {
-        if let Some(op) = self.subops.pop_front() {
-            return Some(Staged {
-                op,
-                channel: CH_COLL,
-                plan: None,
-            });
+        if let Some(schedule) = &mut self.subops {
+            if let Some(op) = schedule.next() {
+                return Some(Staged {
+                    op,
+                    channel: CH_COLL,
+                    plan: None,
+                });
+            }
+            self.subops = None;
         }
         let op = self.source.next_op()?;
         let plan = match &op {

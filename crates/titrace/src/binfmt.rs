@@ -14,13 +14,14 @@
 //! checking that the table fits in the file, so a hostile rank count
 //! allocates nothing) and verifies the payload checksum in one
 //! sequential pass through a 64 KiB buffer. Its [`TitbFile::cursors`]
-//! decode each rank's block from a window of at most 16 KiB (the window
-//! type text cursors read through too), refilled with one seek and one
+//! decode each rank's block from a window of at most 16 KiB, less past
+//! 4 096 ranks (the window type text cursors read through too, sized
+//! from the same 64 MiB budget), refilled with one seek and one
 //! read through the shared file handle whenever fewer bytes remain than
 //! the longest action encoding. Every read of a `.titb` goes through
 //! these cursors: a replay, a side-car hit, `trace unpack`, and a
 //! whole-trace load ([`crate::stream::load_trace`], which drains them
-//! rank by rank). A replay therefore holds O(ranks · 16 KiB) of the
+//! rank by rank). A replay therefore holds O(ranks · window) of the
 //! trace whatever its length, and a decode error reports the same file
 //! offset on every path.
 //!
@@ -59,7 +60,7 @@ use std::path::Path;
 
 use crate::files::FileError;
 use crate::stream::{ActionSource, SourceError};
-use crate::window::{SharedFile, Window, WINDOW};
+use crate::window::{window_for, SharedFile, Window};
 use crate::{Action, Rank, Trace};
 
 /// The four magic bytes opening every `.titb` file.
@@ -820,7 +821,7 @@ impl TitbFile {
     /// its block. Actions decode on the fly as the replay pulls them, so
     /// no `Vec<Vec<Action>>` is ever materialised.
     pub fn cursors(&self) -> Vec<Box<dyn ActionSource>> {
-        self.cursors_with_window(WINDOW)
+        self.cursors_with_window(window_for(self.header.blocks.len()))
     }
 
     fn cursors_with_window(&self, window: usize) -> Vec<Box<dyn ActionSource>> {
@@ -903,6 +904,7 @@ impl ActionSource for BlockCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WINDOW;
 
     fn sample() -> Trace {
         let mut t = Trace::new(3);

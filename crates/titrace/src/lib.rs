@@ -21,7 +21,8 @@
 //!
 //! Every on-disk trace is read one way: [`stream::open_sources`] opens one
 //! cursor per rank that decodes its actions through a window of at most
-//! 16 KiB, whatever the format. A replay pulls those cursors; a
+//! 16 KiB, whatever the format (less past 4 096 ranks: the windows over
+//! one trace share a 64 MiB budget). A replay pulls those cursors; a
 //! whole-trace load ([`stream::load_trace`]), `trace pack`, `trace unpack`
 //! and the statistics ([`TraceStats::from_sources`]) drain them.
 //!

@@ -10,7 +10,8 @@
 //! * **Merged text streams per rank.** [`TextFile::open`] makes one pass
 //!   through a 1 MiB buffer that reads only each line's rank token and
 //!   records the byte runs each rank's lines occupy; its cursors read
-//!   those runs through windows of at most 16 KiB. A faulty line fails
+//!   those runs through windows of at most 16 KiB (less past 4 096
+//!   ranks: one trace's windows share a 64 MiB budget). A faulty line fails
 //!   with the first error of the file up to it, text and line number, as
 //!   one whole-file pass (`Demux`) finds it.
 //! * **One reader.** Every trace is read through its per-rank cursors
@@ -36,7 +37,7 @@ use std::sync::Arc;
 
 use crate::files::FileError;
 use crate::parse::ParseError;
-use crate::window::{SharedFile, Window, WINDOW};
+use crate::window::{window_for, SharedFile, Window};
 use crate::{binfmt, Action, Rank, Trace};
 
 // ----------------------------------------------------------------------
@@ -636,7 +637,7 @@ impl TextFile {
     /// One incremental [`ActionSource`] per rank, each at the start of
     /// its first run.
     pub fn cursors(&self) -> Vec<Box<dyn ActionSource>> {
-        self.cursors_with_window(WINDOW)
+        self.cursors_with_window(window_for(self.ranks as usize))
     }
 
     fn cursors_with_window(&self, window: usize) -> Vec<Box<dyn ActionSource>> {
@@ -929,9 +930,9 @@ impl ActionSource for TextCursor {
     }
 }
 
-/// A cursor over the split fragment `path` of `rank`: one run, the whole
-/// file, every line checked for the rank.
-fn open_fragment(path: &Path, rank: Rank) -> Result<Box<dyn ActionSource>, FileError> {
+/// A cursor over the split fragment `path` of `rank` of `ranks`: one
+/// run, the whole file, every line checked for the rank.
+fn open_fragment(path: &Path, rank: Rank, ranks: u32) -> Result<Box<dyn ActionSource>, FileError> {
     let io_err = |e| FileError::Io(path.to_path_buf(), e);
     let file = SharedFile::open(path).map_err(io_err)?;
     let len = file.lock().metadata().map_err(io_err)?.len();
@@ -941,7 +942,7 @@ fn open_fragment(path: &Path, rank: Rank) -> Result<Box<dyn ActionSource>, FileE
         runs,
         rank,
         u32::MAX,
-        WINDOW,
+        window_for(ranks as usize),
     )))
 }
 
@@ -1042,7 +1043,7 @@ pub fn open_sources(
             }
             entries
                 .iter()
-                .map(|(rank, p)| open_fragment(p, *rank))
+                .map(|(rank, p)| open_fragment(p, *rank, ranks))
                 .collect()
         }
     }
@@ -1426,7 +1427,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("r1.trace");
         std::fs::write(&p, "# comment\np1 init\np1 compute 10\np1 finalize\n").unwrap();
-        let mut src = open_fragment(&p, Rank(1)).unwrap();
+        let mut src = open_fragment(&p, Rank(1), 2).unwrap();
         assert_eq!(src.next_action().unwrap(), Some(Action::Init));
         assert_eq!(
             src.next_action().unwrap(),
@@ -1437,7 +1438,7 @@ mod tests {
 
         let bad = dir.join("bad.trace");
         std::fs::write(&bad, "p0 init\n").unwrap();
-        let mut src = open_fragment(&bad, Rank(1)).unwrap();
+        let mut src = open_fragment(&bad, Rank(1), 2).unwrap();
         let e = src.next_action().unwrap_err();
         assert!(matches!(
             e,
@@ -1471,7 +1472,7 @@ mod tests {
             ),
         ] {
             std::fs::write(&p, text).unwrap();
-            let mut src = open_fragment(&p, Rank(1)).unwrap();
+            let mut src = open_fragment(&p, Rank(1), 2).unwrap();
             assert_eq!(src.next_action().unwrap(), Some(Action::Init));
             match (src.next_action(), expect) {
                 (Ok(None), None) => {}

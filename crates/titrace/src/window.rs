@@ -4,15 +4,31 @@
 //! byte range of a file through a [`Window`]: at most `capacity` bytes of
 //! the range, refilled with one seek and one read through a [`SharedFile`]
 //! handle that every cursor over the same file shares. Resident memory is
-//! one window per rank, whatever the file's length.
+//! one window per rank, whatever the file's length, and the windows of
+//! one trace's cursors share a budget ([`window_for`]), so it stays
+//! bounded at large rank counts too.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Bytes a cursor decodes from between two reads of the file.
+/// Bytes a cursor decodes from between two reads of the file, at most.
 pub(crate) const WINDOW: usize = 16 * 1024;
+
+/// Bytes the windows of all the cursors over one trace may hold together.
+const BUDGET: usize = 64 << 20;
+
+/// The smallest window, however many ranks share the budget, so that a
+/// refill's seek and read still bring dozens of actions.
+const FLOOR: usize = 1024;
+
+/// The window of each of `ranks` cursors over one trace: an even share of
+/// the budget, clamped to `[FLOOR, WINDOW]`. Up to 4 096 ranks every
+/// cursor gets the full [`WINDOW`].
+pub(crate) fn window_for(ranks: usize) -> usize {
+    (BUDGET / ranks.max(1)).clamp(FLOOR, WINDOW)
+}
 
 /// An open file shared by the cursors that read it, with its path for
 /// their errors. Every read seeks first, so the cursors need not agree on
@@ -154,5 +170,24 @@ impl Window {
         read?;
         self.next_read += n as u64;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn windows_share_one_budget_between_a_floor_and_the_cap() {
+        for ranks in [0, 1, 2, 64, 1024, 4096] {
+            assert_eq!(window_for(ranks), WINDOW, "{ranks} ranks");
+        }
+        assert_eq!(window_for(4097), BUDGET / 4097);
+        assert_eq!(window_for(16_384), 4096);
+        assert_eq!(window_for(65_536), FLOOR);
+        assert_eq!(window_for(1 << 20), FLOOR);
+        for ranks in [4097, 10_000, 30_000, 65_536] {
+            assert!(ranks * window_for(ranks) <= BUDGET, "{ranks} ranks");
+        }
     }
 }

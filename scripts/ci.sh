@@ -56,9 +56,9 @@ for w in halo:16 ar:8; do
     "$rep" trace unpack "$f.titb" "$f.unpacked.trace" 2>/dev/null
     cmp "$f.trace" "$f.unpacked.trace"
 done
-# Bad arguments fail closed: unparsable values are usage errors (2), a
-# platform spec that cannot be written and an `inspect --threads`
-# without `--profile` are errors (1).
+# Bad arguments fail closed: unparsable or unusable values are usage
+# errors (2), a platform spec that cannot be written and an `inspect
+# --threads` or `--rate` without `--profile` are errors (1).
 expect_exit() {
     want=$1
     shift
@@ -74,6 +74,11 @@ mkdir "$ingest_dir/bad.trace.platform.json"
 expect_exit 1 "$gen" --class S --procs 2 --steps 2 --out "$ingest_dir/bad.trace"
 expect_exit 1 "$rep" inspect --trace "$ingest_dir/bad.trace" --ranks 2 --threads abc
 expect_exit 1 "$rep" inspect --trace "$ingest_dir/bad.trace" --ranks 2 --threads 2
+expect_exit 1 "$rep" inspect --trace "$ingest_dir/bad.trace" --ranks 2 --rate 3e9
+for bad in "--threads abc" "--rate nan" "--rate inf" "--rate 0" "--rate -1"; do
+    # shellcheck disable=SC2086 # each case is a flag and its value
+    expect_exit 2 "$rep" --platform "$plat" --trace "$ingest_dir/lu.titb" --ranks 8 --rate 2e9 $bad
+done
 echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache)"
 
 # Observability smoke: replay an LU class-S trace with the recorder
@@ -269,28 +274,53 @@ prof=$(awk 'BEGIN { s["simkernel"] = 0; s["smpi"] = 0; s["netmodel"] = 0 }
     || { echo "PROFILE_SMOKE: $prof" >&2; cat "$ingest_dir/profile.txt" >&2; exit 1; }
 echo "PROFILE_SMOKE $prof"
 
-# Scale smoke: both runtimes build a rank pair's route and match queues
-# on the pair's first message, so a 2048-rank halo exchange replays in
-# under 1 GiB of address space (a table over all P² pairs needs ~1.6 GiB
-# here), sequentially and on the island path, to the same simulated time.
+# Scale smoke: a replay's state is linear in ranks and in the pairs
+# that talk. Both runtimes build a rank pair's route and match queues on
+# the pair's first message and index a destination's sources in a short
+# list (a dense row only past max(16, P/16) sources), the file windows
+# share one 64 MiB budget, and a rank runs a collective from an O(1)
+# schedule, never its expanded op list. So a 2048- and a 65536-rank halo
+# exchange replay in under 1 GiB of address space (a dense row per
+# destination alone needs 16 GiB at P = 65536), sequentially and on the
+# island path, to the same simulated time, and a 1024-rank ring
+# allreduce in under 64 MiB (expanded sub-programs need over 192 MiB).
 "$gen" --workload halo --procs 2048 --steps 20 --out "$ingest_dir/halo2k.trace" >/dev/null
 "$rep" trace pack "$ingest_dir/halo2k.trace" "$ingest_dir/halo2k.titb" --ranks 2048 >/dev/null
+"$gen" --workload halo --procs 65536 --steps 1 --binary --out "$ingest_dir/halo64k.titb" >/dev/null
+# scale_replay NAME PLATFORM RANKS THREADS replays $ingest_dir/NAME.titb.
 scale_replay() {
     (
         ulimit -v 1048576
-        "$rep" --platform "$ingest_dir/halo2k.trace.platform.json" \
-            --trace "$ingest_dir/halo2k.titb" --ranks 2048 --rate 2e9 --threads "$1" \
-            2>"$ingest_dir/scale.$1.err"
+        "$rep" --platform "$ingest_dir/$2" --trace "$ingest_dir/$1.titb" --ranks "$3" \
+            --rate 2e9 --threads "$4" 2>"$ingest_dir/scale.$1.$4.err"
     ) | awk '$1 == "simulated_time_s" {print $2}'
 }
-s_seq=$(scale_replay 1 || true)
-s_par=$(scale_replay 2 || true)
-[ -n "$s_seq" ] && [ "$s_seq" = "$s_par" ] || {
-    echo "halo P=2048 under 1 GiB: '$s_seq' at --threads 1, '$s_par' at --threads 2" >&2
-    tail -n 3 "$ingest_dir"/scale.*.err >&2
+for run in halo2k:halo2k.trace.platform.json:2048 halo64k:halo64k.titb.platform.json:65536; do
+    IFS=: read -r name spec ranks <<<"$run"
+    s_seq=$(scale_replay "$name" "$spec" "$ranks" 1 || true)
+    s_par=$(scale_replay "$name" "$spec" "$ranks" 2 || true)
+    [ -n "$s_seq" ] && [ "$s_seq" = "$s_par" ] || {
+        echo "halo P=$ranks under 1 GiB: '$s_seq' at --threads 1, '$s_par' at --threads 2" >&2
+        tail -n 3 "$ingest_dir"/scale.*.err >&2
+        exit 1
+    }
+    echo "SCALE_SMOKE ok (halo P=$ranks under ulimit -v 1 GiB, simulated_time_s $s_seq at --threads 1 and 2)"
+done
+"$gen" --workload allreduce --procs 1024 --steps 1 --bytes 70000 \
+    --out "$ingest_dir/ar1k.trace" >/dev/null
+s_ar=$(
+    (
+        ulimit -v 65536
+        "$rep" --platform "$ingest_dir/ar1k.trace.platform.json" --trace "$ingest_dir/ar1k.trace" \
+            --ranks 1024 --rate 2e9 --no-cache 2>"$ingest_dir/scale.ar1k.err"
+    ) | awk '$1 == "simulated_time_s" {print $2}'
+) || true
+[ -n "$s_ar" ] || {
+    echo "ring allreduce P=1024 under 64 MiB failed" >&2
+    tail -n 3 "$ingest_dir/scale.ar1k.err" >&2
     exit 1
 }
-echo "SCALE_SMOKE ok (halo P=2048 under ulimit -v 1 GiB, simulated_time_s $s_seq at --threads 1 and 2)"
+echo "SCALE_SMOKE ok (ring allreduce P=1024 under ulimit -v 64 MiB, simulated_time_s $s_ar)"
 
 # One build: the workspace build above and the package build the
 # benchmark makes write the same target/release/titreplay, so they must

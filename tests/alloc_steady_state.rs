@@ -1,10 +1,10 @@
 //! Allocation gates: the two zero-steady-state-allocation claims of the
 //! event core and the observability layer, the O(P) cost of building a
-//! runtime world, and the trace-length-independent memory of streaming a
-//! `.titb`, measured with a counting global allocator this test binary
-//! owns. The counts are per thread, so the tests do not disturb
-//! each other or the harness; everything measured runs on the calling
-//! thread.
+//! runtime world and of a whole replay's peak heap, and the
+//! trace-length-independent memory of streaming a `.titb`, measured with
+//! a counting global allocator this test binary owns. The counts are per
+//! thread, so the tests do not disturb each other or the harness;
+//! everything measured runs on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -203,22 +203,11 @@ fn disabled_recorder_allocation_overhead_is_a_per_run_constant() {
 /// linear growth gives a byte ratio of 4, a P² table 16.
 #[test]
 fn world_build_allocates_linearly_in_the_rank_count() {
-    use tit_replay::platform::topology::{flat_cluster, FlatClusterSpec};
     use tit_replay::platform::HostId;
     use tit_replay::smpi::{prepare_smpi, FixedRateHooks, SmpiConfig};
     use tit_replay::workloads::{OpSource, VecSource};
 
-    let platform = flat_cluster(&FlatClusterSpec {
-        name: "wide".into(),
-        nodes: 4096,
-        host_speed: 1e9,
-        cores: 1,
-        cache_bytes: 1 << 20,
-        link_bandwidth: 1e8,
-        link_latency: 10e-6,
-        backbone_bandwidth: 1e10,
-        backbone_latency: 1e-6,
-    });
+    let platform = wide_cluster();
     let build = |ranks: u32| {
         let hosts: Vec<HostId> = (0..ranks).map(HostId).collect();
         let sources = || -> Vec<Box<dyn OpSource>> {
@@ -241,6 +230,97 @@ fn world_build_allocates_linearly_in_the_rank_count() {
         assert!(
             ratio <= 5.0,
             "{engine} world build: {small} B at P = 1024, {large} B at P = 4096 (ratio {ratio:.2})"
+        );
+    }
+}
+
+/// A 4096-host flat cluster for the rank-count scaling tests.
+fn wide_cluster() -> tit_replay::platform::Platform {
+    use tit_replay::platform::topology::{flat_cluster, FlatClusterSpec};
+    flat_cluster(&FlatClusterSpec {
+        name: "wide".into(),
+        nodes: 4096,
+        host_speed: 1e9,
+        cores: 1,
+        cache_bytes: 1 << 20,
+        link_bandwidth: 1e8,
+        link_latency: 10e-6,
+        backbone_bandwidth: 1e10,
+        backbone_latency: 1e-6,
+    })
+}
+
+/// A replay's run, not only its world build, is linear in the rank count:
+/// the heap it adds over the built world peaks at O(P + pairs that talk).
+/// A rank's collective sub-program is an O(1) schedule, never its
+/// expanded op list (a ring allreduce's is 6(P − 1) ops), and the pair
+/// index grows with the pairs that talk, never a dense row over all P
+/// sources per destination. Two programs, each at P and 4P on one
+/// 4096-host cluster: a ring allreduce (P = 64 vs 256) and an
+/// isend/irecv ring shift (P = 256 vs 1024). Linear growth gives a peak
+/// ratio of about 4, quadratic state about 16.
+#[test]
+fn replay_peak_heap_is_linear_in_the_rank_count() {
+    use tit_replay::platform::HostId;
+    use tit_replay::smpi::{prepare_smpi, FixedRateHooks, SmpiConfig};
+    use tit_replay::workloads::{MpiOp, OpSource, VecSource};
+
+    let platform = wide_cluster();
+    let allreduce = |_: u32, _: u32| {
+        vec![
+            MpiOp::Init,
+            MpiOp::Allreduce { bytes: 1 << 20 },
+            MpiOp::Finalize,
+        ]
+    };
+    let ring_shift = |r: u32, p: u32| {
+        vec![
+            MpiOp::Init,
+            MpiOp::Irecv {
+                src: (r + p - 1) % p,
+                bytes: 4096,
+            },
+            MpiOp::Isend {
+                dst: (r + 1) % p,
+                bytes: 4096,
+            },
+            MpiOp::WaitAll,
+            MpiOp::Finalize,
+        ]
+    };
+    let peak = |ranks: u32, program: &dyn Fn(u32, u32) -> Vec<MpiOp>| {
+        let hosts: Vec<HostId> = (0..ranks).map(HostId).collect();
+        let sources: Vec<Box<dyn OpSource>> = (0..ranks)
+            .map(|r| Box::new(VecSource::new(program(r, ranks))) as Box<dyn OpSource>)
+            .collect();
+        let hooks = Box::new(FixedRateHooks::uniform(1e9, ranks));
+        let sim = prepare_smpi(
+            &platform,
+            &hosts,
+            sources,
+            SmpiConfig::smpi_replay(),
+            hooks,
+            false,
+        );
+        let ((result, _), peak) = peak_live_bytes(|| sim.run().unwrap());
+        assert!(result.total_time > 0.0);
+        peak
+    };
+    for (name, small_p, program) in [
+        (
+            "ring allreduce",
+            64,
+            &allreduce as &dyn Fn(u32, u32) -> Vec<MpiOp>,
+        ),
+        ("isend/irecv ring", 256, &ring_shift),
+    ] {
+        let (small, large) = (peak(small_p, program), peak(4 * small_p, program));
+        let ratio = large as f64 / small as f64;
+        assert!(
+            ratio <= 6.0,
+            "{name}: a run's peak heap over its world {small} B at P = {small_p}, \
+             {large} B at P = {} (ratio {ratio:.2})",
+            4 * small_p
         );
     }
 }

@@ -374,11 +374,42 @@ fn bad_arguments_fail_closed() {
             "--threads expects a thread count",
         ),
         (&["--threads", "2"], "inspect --threads needs --profile"),
+        (&["--rate", "3e9"], "inspect --rate needs --profile"),
+        (
+            &["--rate", "nan", "--profile"],
+            "--rate expects a positive finite rate",
+        ),
     ] {
         let args = [&inspect[..], bad].concat();
         let (code, stderr) = run_bin(rep, &args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+
+    // A replay's unparsable or unusable flag value is a usage error that
+    // names the flag, before any file is read.
+    for (flag, value) in [
+        ("--threads", "abc"),
+        ("--threads", "-1"),
+        ("--ranks", "two"),
+        ("--rate", "nan"),
+        ("--rate", "inf"),
+        ("--rate", "0"),
+        ("--rate", "-1"),
+        ("--rate", "fast"),
+    ] {
+        let mut args = vec!["--platform", arg(&spec), "--trace", arg(&out)];
+        for (f, v) in [("--ranks", "2"), ("--rate", "2e9")] {
+            if f != flag {
+                args.extend([f, v]);
+            }
+        }
+        args.extend([flag, value]);
+        let (code, stderr) = run_bin(rep, &args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let named = format!("titreplay: {flag} expects");
+        assert!(stderr.contains(&named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
