@@ -273,8 +273,17 @@ pub fn replay_input_observed(
     if config.threads > 1 {
         return parallel::replay_islands(platform, input, ranks, config, record_spans, started);
     }
-    let sources = titrace::stream::open_sources(input, ranks).map_err(|e| e.to_string())?;
-    replay_sequential(platform, sources, config, record_spans, started)
+    // Text decoding is a third of a text replay: a helper thread does it
+    // ahead of the replay (`titrace::ahead`), joined before the report
+    // leaves, on success or error.
+    let (sources, ahead) = titrace::ahead::open(input, ranks).map_err(|e| e.to_string())?;
+    let report = replay_sequential(platform, sources, config, record_spans, started);
+    let decode = ahead.finish();
+    report.map(|mut report| {
+        report.profile.decode_wait_s = decode.wait_s;
+        report.profile.decode_parks = decode.parks;
+        report
+    })
 }
 
 /// The sequential replay: one engine over every rank, prepared and run

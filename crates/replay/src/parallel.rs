@@ -180,6 +180,8 @@ pub(crate) fn replay_islands(
             mode: "islands",
             wall_s: started.elapsed().as_secs_f64(),
             workers,
+            decode_wait_s: 0.0,
+            decode_parks: 0,
         },
     })
 }

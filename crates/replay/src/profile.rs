@@ -37,6 +37,12 @@ pub struct ReplayProfile {
     pub wall_s: f64,
     /// Per-worker breakdowns, in worker-index order.
     pub workers: Vec<WorkerProfile>,
+    /// Seconds the replay waited for the thread decoding its text ahead
+    /// of it (0 when no such thread ran: `.titb` and in-memory inputs,
+    /// the island engine).
+    pub decode_wait_s: f64,
+    /// Times that thread parked with every rank's next batch decoded.
+    pub decode_parks: u64,
 }
 
 impl ReplayProfile {
@@ -53,6 +59,8 @@ impl ReplayProfile {
                 work_s: wall_s,
                 wall_s,
             }],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
         }
     }
 
@@ -83,6 +91,11 @@ impl ReplayProfile {
             "  \"imbalance\": {},\n",
             json_f64(self.imbalance())
         ));
+        out.push_str(&format!(
+            "  \"decode_wait_s\": {},\n",
+            json_f64(self.decode_wait_s)
+        ));
+        out.push_str(&format!("  \"decode_parks\": {},\n", self.decode_parks));
         out.push_str("  \"workers\": [\n");
         for (i, w) in self.workers.iter().enumerate() {
             out.push_str(&format!(
@@ -103,10 +116,12 @@ impl ReplayProfile {
     pub fn render_text(&self) -> String {
         let mut out = String::with_capacity(256 + self.workers.len() * 96);
         out.push_str(&format!(
-            "replay profile: mode={} wall={:.3}ms imbalance={:.2}\n",
+            "replay profile: mode={} wall={:.3}ms imbalance={:.2} decode_wait={:.3}ms decode_parks={}\n",
             self.mode,
             self.wall_s * 1e3,
-            self.imbalance()
+            self.imbalance(),
+            self.decode_wait_s * 1e3,
+            self.decode_parks
         ));
         out.push_str("  worker  islands  ranks     work_ms     wall_ms\n");
         for w in &self.workers {
@@ -143,6 +158,8 @@ mod tests {
             mode: "islands",
             wall_s: 0.4,
             workers: vec![worker(0, 0.3), worker(1, 0.1)],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
         };
         assert!((p.imbalance() - 1.5).abs() < 1e-12);
         assert_eq!(ReplayProfile::sequential(0.0, 2).imbalance(), 1.0);
@@ -154,6 +171,8 @@ mod tests {
             mode: "islands",
             wall_s: 0.25,
             workers: vec![worker(0, 0.2), worker(1, 0.21)],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
         };
         let j = p.to_json();
         assert!(j.contains("\"mode\": \"islands\""));
@@ -161,6 +180,8 @@ mod tests {
         assert!(j.contains("\"worker\": 0"));
         assert!(j.contains("\"worker\": 1"));
         assert!(j.contains("\"imbalance\":"));
+        assert!(j.contains("\"decode_wait_s\": 0,"));
+        assert!(j.contains("\"decode_parks\": 0,"));
         assert!(j.ends_with("]\n}\n"));
     }
 
@@ -170,6 +191,8 @@ mod tests {
             mode: "islands",
             wall_s: 0.4,
             workers: vec![worker(0, 0.3), worker(1, 0.1)],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
         };
         let t = p.render_text();
         assert!(t.contains("mode=islands"));

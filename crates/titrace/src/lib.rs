@@ -22,9 +22,11 @@
 //! Every on-disk trace is read one way: [`stream::open_sources`] opens one
 //! cursor per rank that decodes its actions through a window of at most
 //! 16 KiB, whatever the format (less past 4 096 ranks: the windows over
-//! one trace share a 64 MiB budget). A replay pulls those cursors; a
-//! whole-trace load ([`stream::load_trace`]), `trace pack`, `trace unpack`
-//! and the statistics ([`TraceStats::from_sources`]) drain them.
+//! one trace share a 64 MiB budget). A replay pulls those cursors — a
+//! sequential replay of text through [`ahead`], whose helper thread
+//! decodes them, through windows half that size; a whole-trace load
+//! ([`stream::load_trace`]), `trace pack`, `trace unpack` and the
+//! statistics ([`TraceStats::from_sources`]) drain them.
 //!
 //! Receive actions carry the message size: this is the format extension
 //! introduced in Section 3.3 of the paper ("we had to add the message size
@@ -35,6 +37,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod ahead;
 pub mod binfmt;
 pub mod files;
 pub mod parse;

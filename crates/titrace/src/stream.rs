@@ -10,18 +10,21 @@
 //! * **Merged text streams per rank.** [`TextFile::open`] makes one pass
 //!   through a 1 MiB buffer that reads only each line's rank token and
 //!   records the byte runs each rank's lines occupy; its cursors read
-//!   those runs through windows of at most 16 KiB (less past 4 096
-//!   ranks: one trace's windows share a 64 MiB budget). A faulty line fails
-//!   with the first error of the file up to it, text and line number, as
-//!   one whole-file pass (`Demux`) finds it.
+//!   those runs through windows of at most 16 KiB (8 KiB for the cursors
+//!   a replay decodes ahead; less past 4 096 ranks: one trace's windows
+//!   share a 64 MiB budget). A faulty line fails with the first error of
+//!   the file up to it, text and line number, as one whole-file pass
+//!   (`Demux`) finds it.
 //! * **One reader.** Every trace is read through its per-rank cursors
 //!   ([`open_sources`]): a replay pulls them, and [`load_trace`] drains
 //!   them rank by rank into a [`Trace`], so a whole-trace load, `trace
 //!   pack`/`unpack`, `inspect` and the replay meet the same errors.
 //!   [`crate::parse::parse_merged`] is the per-line function looped over
-//!   an in-memory string. Decoding runs on the calling thread: a
-//!   chunk-parallel decoder was removed on measurement — read DESIGN.md
-//!   "Trace formats & ingestion" before adding one back.
+//!   an in-memory string. Each rank is decoded on one thread, in file
+//!   order: the calling thread, or for a sequential replay of text the
+//!   helper of [`crate::ahead`]. A chunk-parallel decoder was removed on
+//!   measurement — read DESIGN.md "Trace formats & ingestion" before
+//!   adding one back.
 //! * an [`ActionSource`] **cursor abstraction** that lets the replay
 //!   engines pull actions per rank incrementally, bounding resident
 //!   memory to O(ranks · window) for merged and split text files and
@@ -37,7 +40,7 @@ use std::sync::Arc;
 
 use crate::files::FileError;
 use crate::parse::ParseError;
-use crate::window::{window_for, SharedFile, Window};
+use crate::window::{text_window_for, window_for, SharedFile, Window};
 use crate::{binfmt, Action, Rank, Trace};
 
 // ----------------------------------------------------------------------
@@ -436,6 +439,12 @@ pub enum SourceError {
         /// Requests left outstanding.
         pending: u64,
     },
+    /// The cursor panicked on the thread decoding ahead of the replay
+    /// (`crate::ahead`), with the panic's message.
+    Panicked(String),
+    /// The thread decoding ahead of the replay stopped before the stream
+    /// ended.
+    Stopped,
 }
 
 impl std::fmt::Display for SourceError {
@@ -467,6 +476,10 @@ impl std::fmt::Display for SourceError {
                 f,
                 "stream ends after {actions} actions with {pending} request(s) never waited for"
             ),
+            SourceError::Panicked(message) => write!(f, "the decoder panicked: {message}"),
+            SourceError::Stopped => {
+                write!(f, "the decoding thread stopped before the stream ended")
+            }
         }
     }
 }
@@ -637,14 +650,20 @@ impl TextFile {
     /// One incremental [`ActionSource`] per rank, each at the start of
     /// its first run.
     pub fn cursors(&self) -> Vec<Box<dyn ActionSource>> {
-        self.cursors_with_window(window_for(self.ranks as usize))
+        self.cursors_in(Windows::Drain)
     }
 
-    fn cursors_with_window(&self, window: usize) -> Vec<Box<dyn ActionSource>> {
+    /// [`TextFile::cursors`] with windows held as `windows` says.
+    fn cursors_in(&self, windows: Windows) -> Vec<Box<dyn ActionSource>> {
+        let (window, now) = windows.of(self.ranks);
+        self.cursors_with_window(window, now)
+    }
+
+    fn cursors_with_window(&self, window: usize, now: bool) -> Vec<Box<dyn ActionSource>> {
         let cursor = |(r, runs): (usize, &Arc<[Run]>)| {
             let runs = Arc::clone(runs);
-            let cursor =
-                TextCursor::new(self.file.clone(), runs, Rank(r as u32), self.ranks, window);
+            let rank = Rank(r as u32);
+            let cursor = TextCursor::new(self.file.clone(), runs, rank, self.ranks, window, now);
             Box::new(cursor) as Box<dyn ActionSource>
         };
         self.runs.iter().enumerate().map(cursor).collect()
@@ -829,19 +848,23 @@ struct TextCursor {
 }
 
 impl TextCursor {
+    /// A cursor over `runs` with a window of at most `window` bytes,
+    /// allocated `now` or by the first refill.
     fn new(
         file: SharedFile,
         runs: Arc<[Run]>,
         rank: Rank,
         ranks: u32,
         window: usize,
+        now: bool,
     ) -> TextCursor {
         let bytes: u64 = runs.iter().map(|run| run.end - run.start).sum();
         let capacity = usize::try_from(bytes)
             .map_or(window, |b| b.min(window))
             .max(1);
+        let window = Window::new(file, 0, 0, capacity);
         TextCursor {
-            window: Window::new(file, 0, 0, capacity),
+            window: if now { window.allocated() } else { window },
             runs,
             next_run: 0,
             rank,
@@ -932,18 +955,42 @@ impl ActionSource for TextCursor {
 
 /// A cursor over the split fragment `path` of `rank` of `ranks`: one
 /// run, the whole file, every line checked for the rank.
-fn open_fragment(path: &Path, rank: Rank, ranks: u32) -> Result<Box<dyn ActionSource>, FileError> {
+fn open_fragment(
+    path: &Path,
+    rank: Rank,
+    ranks: u32,
+    windows: Windows,
+) -> Result<Box<dyn ActionSource>, FileError> {
     let io_err = |e| FileError::Io(path.to_path_buf(), e);
     let file = SharedFile::open(path).map_err(io_err)?;
     let len = file.lock().metadata().map_err(io_err)?.len();
     let runs = Arc::from([Run { start: 0, end: len }]);
-    Ok(Box::new(TextCursor::new(
-        file,
-        runs,
-        rank,
-        u32::MAX,
-        window_for(ranks as usize),
-    )))
+    let (window, now) = windows.of(ranks);
+    let cursor = TextCursor::new(file, runs, rank, u32::MAX, window, now);
+    Ok(Box::new(cursor))
+}
+
+/// How the text cursors of an open hold their read windows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Windows {
+    /// `window::window_for`'s size, allocated by the first refill: a
+    /// drain reads one rank at a time, so it holds one window.
+    Drain,
+    /// Half that, allocated now: a replay holds every rank's window at
+    /// once, and the thread decoding ahead of it (`crate::ahead`) refills
+    /// them without allocating.
+    Ahead,
+}
+
+impl Windows {
+    /// The window of each of `ranks` cursors, and whether it is
+    /// allocated now.
+    fn of(self, ranks: u32) -> (usize, bool) {
+        match self {
+            Windows::Drain => (window_for(ranks as usize), false),
+            Windows::Ahead => (text_window_for(ranks as usize), true),
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1024,26 +1071,35 @@ pub fn open_sources(
     input: &TraceInput,
     ranks: u32,
 ) -> Result<Vec<Box<dyn ActionSource>>, FileError> {
+    open_sources_in(input, ranks, Windows::Drain)
+}
+
+/// [`open_sources`] with text cursors' windows held as `windows` says.
+pub(crate) fn open_sources_in(
+    input: &TraceInput,
+    ranks: u32,
+    windows: Windows,
+) -> Result<Vec<Box<dyn ActionSource>>, FileError> {
     match input {
         TraceInput::Memory(trace) => Ok(memory_sources(trace)),
         TraceInput::OpenText(text) => {
             text.expect_ranks(ranks)?;
-            Ok(text.cursors())
+            Ok(text.cursors_in(windows))
         }
         TraceInput::OpenBinary(titb) => {
             titb.expect_ranks(ranks)?;
             Ok(titb.cursors())
         }
         TraceInput::Binary(path) => binfmt::open_cursors(path, ranks),
-        TraceInput::MergedText(path) => Ok(TextFile::open(path, ranks)?.cursors()),
+        TraceInput::MergedText(path) => Ok(TextFile::open(path, ranks)?.cursors_in(windows)),
         TraceInput::Description(path) => {
             let entries = crate::files::description_entries(path, ranks)?;
             if let [(_, merged)] = entries.as_slice() {
-                return Ok(TextFile::open(merged, ranks)?.cursors());
+                return Ok(TextFile::open(merged, ranks)?.cursors_in(windows));
             }
             entries
                 .iter()
-                .map(|(rank, p)| open_fragment(p, *rank, ranks))
+                .map(|(rank, p)| open_fragment(p, *rank, ranks, windows))
                 .collect()
         }
     }
@@ -1427,7 +1483,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("r1.trace");
         std::fs::write(&p, "# comment\np1 init\np1 compute 10\np1 finalize\n").unwrap();
-        let mut src = open_fragment(&p, Rank(1), 2).unwrap();
+        let mut src = open_fragment(&p, Rank(1), 2, Windows::Drain).unwrap();
         assert_eq!(src.next_action().unwrap(), Some(Action::Init));
         assert_eq!(
             src.next_action().unwrap(),
@@ -1438,7 +1494,7 @@ mod tests {
 
         let bad = dir.join("bad.trace");
         std::fs::write(&bad, "p0 init\n").unwrap();
-        let mut src = open_fragment(&bad, Rank(1), 2).unwrap();
+        let mut src = open_fragment(&bad, Rank(1), 2, Windows::Drain).unwrap();
         let e = src.next_action().unwrap_err();
         assert!(matches!(
             e,
@@ -1472,7 +1528,7 @@ mod tests {
             ),
         ] {
             std::fs::write(&p, text).unwrap();
-            let mut src = open_fragment(&p, Rank(1), 2).unwrap();
+            let mut src = open_fragment(&p, Rank(1), 2, Windows::Drain).unwrap();
             assert_eq!(src.next_action().unwrap(), Some(Action::Init));
             match (src.next_action(), expect) {
                 (Ok(None), None) => {}
@@ -1845,7 +1901,7 @@ mod text_cursor_props {
         order: &[usize],
     ) -> Result<Vec<Vec<Action>>, String> {
         let text = TextFile::open(path, ranks).map_err(|e| e.to_string())?;
-        let mut cursors = text.cursors_with_window(window);
+        let mut cursors = text.cursors_with_window(window, false);
         let mut got = vec![Vec::new(); ranks as usize];
         for &r in order {
             while let Some(a) = cursors[r].next_action().map_err(|e| e.to_string())? {

@@ -7,6 +7,15 @@
 //! one window per rank, whatever the file's length, and the windows of
 //! one trace's cursors share a budget ([`window_for`]), so it stays
 //! bounded at large rank counts too.
+//!
+//! A replay's text cursors, which a helper thread refills
+//! (`crate::ahead`), get half that window ([`text_window_for`]),
+//! allocated when they are made ([`Window::allocated`]): the helper then
+//! only reads, so the windows do not land in its thread's glibc arena,
+//! and since it, not the replay, pays for the extra refills, the smaller
+//! windows cost the replay nothing. Every other cursor allocates its
+//! window on the first refill, so a rank-by-rank drain holds one window
+//! at a time.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -28,6 +37,13 @@ const FLOOR: usize = 1024;
 /// cursor gets the full [`WINDOW`].
 pub(crate) fn window_for(ranks: usize) -> usize {
     (BUDGET / ranks.max(1)).clamp(FLOOR, WINDOW)
+}
+
+/// The window of each of `ranks` text cursors a helper thread refills:
+/// half of [`window_for`] (8 KiB up to 4 096 ranks), never under the
+/// floor.
+pub(crate) fn text_window_for(ranks: usize) -> usize {
+    (window_for(ranks) / 2).max(FLOOR)
 }
 
 /// An open file shared by the cursors that read it, with its path for
@@ -60,7 +76,8 @@ impl SharedFile {
 /// A cursor's view of the byte range `next_read..end` of a file still to
 /// be read, preceded by `bytes`: the file bytes `next_read - bytes.len()
 /// .. next_read`, of which `pos..` are not yet consumed. `bytes` is
-/// allocated on the first refill and never grows past `capacity`.
+/// allocated on the first refill (or by [`Window::allocated`]) and never
+/// grows past `capacity`.
 #[derive(Debug)]
 pub(crate) struct Window {
     file: SharedFile,
@@ -83,6 +100,13 @@ impl Window {
             end,
             capacity,
         }
+    }
+
+    /// The window with its buffer allocated now, on this thread, rather
+    /// than by the first refill.
+    pub(crate) fn allocated(mut self) -> Window {
+        self.bytes.reserve_exact(self.capacity);
+        self
     }
 
     pub(crate) fn path(&self) -> &Path {
@@ -189,5 +213,13 @@ mod tests {
         for ranks in [4097, 10_000, 30_000, 65_536] {
             assert!(ranks * window_for(ranks) <= BUDGET, "{ranks} ranks");
         }
+    }
+
+    #[test]
+    fn text_windows_are_half_of_a_binary_window_above_the_floor() {
+        assert_eq!(text_window_for(64), WINDOW / 2);
+        assert_eq!(text_window_for(4096), 8 * 1024);
+        assert_eq!(text_window_for(16_384), 2048);
+        assert_eq!(text_window_for(65_536), FLOOR);
     }
 }

@@ -79,7 +79,18 @@ for bad in "--threads abc" "--rate nan" "--rate inf" "--rate 0" "--rate -1"; do
     # shellcheck disable=SC2086 # each case is a flag and its value
     expect_exit 2 "$rep" --platform "$plat" --trace "$ingest_dir/lu.titb" --ranks 8 --rate 2e9 $bad
 done
-echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache)"
+# A sequential replay decodes text on a helper thread and a `.titb`
+# inline: halo P=128 gives the same --metrics both ways.
+"$gen" --workload halo --procs 128 --steps 20 --out "$ingest_dir/halo128.trace" >/dev/null 2>&1
+"$rep" trace pack "$ingest_dir/halo128.trace" "$ingest_dir/halo128.titb" --ranks 128 2>/dev/null
+for form in trace titb; do
+    "$rep" --platform "$ingest_dir/halo128.trace.platform.json" --ranks 128 --rate 2e9 \
+        --trace "$ingest_dir/halo128.$form" --no-cache --threads 1 \
+        --metrics "$ingest_dir/halo128.$form.metrics.json" >/dev/null 2>&1
+done
+cmp "$ingest_dir/halo128.trace.metrics.json" "$ingest_dir/halo128.titb.metrics.json" \
+    || { echo "halo P=128: text and .titb --metrics differ at --threads 1" >&2; exit 1; }
+echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache; halo P=128 text and .titb --metrics equal)"
 
 # Observability smoke: replay an LU class-S trace with the recorder
 # enabled, check that the exported artifacts are valid JSON, and that
@@ -629,6 +640,27 @@ for kind in rank long verb; do
             hostile_runs=$((hostile_runs + 1))
         done
     done
+done
+# A damaged line three quarters into rank 1 of a longer trace, far past
+# what the thread decoding ahead of a sequential replay reads first: the
+# replay exits 1 within 10 s, naming the rank, the file and the line.
+"$gen" --class S --procs 4 --steps 60 --out "$ingest_dir/s4long.trace"
+late=$(grep -n '^p1 ' "$ingest_dir/s4long.trace" | cut -d: -f1 | awk '{ l[NR] = $1 } END { print l[int(NR * 3 / 4)] }')
+sed "${late}s/.*/p1 teleport 5/" "$ingest_dir/s4long.trace" >"$ingest_dir/bad-late.trace"
+want="rank p1 trace stream failed: $ingest_dir/bad-late.trace: trace parse error at line $late: unknown action verb \`teleport\`"
+for threads in 1 2; do
+    set +e
+    timeout 10 "$rep" --platform "$ingest_dir/s4long.trace.platform.json" --ranks 4 --rate 2e9 \
+        --no-cache --trace "$ingest_dir/bad-late.trace" --threads "$threads" \
+        >/dev/null 2>"$ingest_dir/hostile.err"
+    got=$?
+    set -e
+    if [ "$got" != 1 ] || ! grep -qF "$want" "$ingest_dir/hostile.err"; then
+        echo "late damaged line at --threads $threads: exit $got (want 1 and '$want'), got:" >&2
+        cat "$ingest_dir/hostile.err" >&2
+        exit 1
+    fi
+    hostile_runs=$((hostile_runs + 1))
 done
 # An interleaved file (one line of each rank in turn, as SimGrid action
 # lists may be) streams one run per rank switch and replays exactly as

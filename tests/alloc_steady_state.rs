@@ -4,10 +4,13 @@
 //! trace-length-independent memory of streaming a `.titb`, measured with
 //! a counting global allocator this test binary owns. The counts are per
 //! thread, so the tests do not disturb each other or the harness;
-//! everything measured runs on the calling thread.
+//! everything measured runs on the calling thread, but for the thread
+//! that decodes text ahead of a replay, whose allocations are counted
+//! apart by its name.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tit_replay::prelude::*;
@@ -25,6 +28,42 @@ thread_local! {
 fn count(size: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
     BYTES.with(|b| b.set(b.get() + size as u64));
+    if WATCH_AHEAD.load(Ordering::Relaxed) && on_ahead_thread() {
+        AHEAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The name `titrace::ahead` gives its helper thread.
+const AHEAD_THREAD: &str = "titrace-ahead";
+
+/// Whether allocations on the helper thread are counted.
+static WATCH_AHEAD: AtomicBool = AtomicBool::new(false);
+
+/// Allocations (and reallocations) on the helper thread while watched.
+static AHEAD_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+const ROLE_UNKNOWN: u8 = 0;
+const ROLE_RESOLVING: u8 = 1;
+const ROLE_AHEAD: u8 = 2;
+const ROLE_OTHER: u8 = 3;
+
+thread_local! {
+    /// Whether this thread is the helper, found from its name at its
+    /// first watched allocation.
+    static ROLE: Cell<u8> = const { Cell::new(ROLE_UNKNOWN) };
+}
+
+fn on_ahead_thread() -> bool {
+    ROLE.with(|role| {
+        if role.get() == ROLE_UNKNOWN {
+            // An allocation made while asking for the name counts as
+            // not the helper's.
+            role.set(ROLE_RESOLVING);
+            let ahead = std::thread::current().name() == Some(AHEAD_THREAD);
+            role.set(if ahead { ROLE_AHEAD } else { ROLE_OTHER });
+        }
+        role.get() == ROLE_AHEAD
+    })
 }
 
 /// Moves this thread's live heap bytes by `delta`, keeping the peak.
@@ -412,5 +451,56 @@ fn text_streaming_memory_is_independent_of_trace_length() {
         (0.8..=1.25).contains(&ratio),
         "peak live heap {small} B at 40 steps ({small_file} B file), \
          {large} B at 160 steps ({large_file} B file): ratio {ratio:.2}"
+    );
+}
+
+/// The thread decoding text ahead of a replay allocates nothing once it
+/// has delivered its first batch: windows and hand-off batches are
+/// allocated on the opening thread and recycled, so none of them lands
+/// in that thread's glibc arena. LU S-16 text is drained a few actions
+/// per rank in turn, as a replay pulls it, so every batch is refilled
+/// many times over.
+#[test]
+fn the_decoding_thread_does_not_allocate_after_its_first_batch() {
+    use tit_replay::titrace::{ahead, files};
+
+    let dir = std::env::temp_dir().join(format!("titr-alloc-ahead-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let lu = LuConfig::new(LuClass::S, 16).with_steps(40);
+    let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
+    let path = dir.join("lu-s16.txt");
+    files::write_merged(&trace, &path).unwrap();
+    let expected = trace.len() as u64;
+    drop(trace);
+
+    WATCH_AHEAD.store(true, Ordering::Relaxed);
+    let (mut cursors, helper) = ahead::open(&TraceInput::MergedText(path), 16).unwrap();
+    let mut drained = u64::from(cursors[0].next_action().unwrap().is_some());
+    let first_batch = AHEAD_ALLOCS.load(Ordering::Relaxed);
+    let mut open = vec![true; cursors.len()];
+    while open.contains(&true) {
+        for (r, cursor) in cursors.iter_mut().enumerate() {
+            for _ in 0..5 {
+                if !open[r] {
+                    break;
+                }
+                match cursor.next_action().unwrap() {
+                    Some(_) => drained += 1,
+                    None => open[r] = false,
+                }
+            }
+        }
+    }
+    drop(cursors);
+    helper.finish();
+    let after = AHEAD_ALLOCS.load(Ordering::Relaxed);
+    WATCH_AHEAD.store(false, Ordering::Relaxed);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(drained, expected);
+    assert_eq!(
+        after - first_batch,
+        0,
+        "the decoding thread allocated {} times after its first batch ({first_batch} before)",
+        after - first_batch
     );
 }
