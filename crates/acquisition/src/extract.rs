@@ -10,10 +10,22 @@
 //! acquired with fine-grain instrumentation "will likely simulate
 //! something closer to the instrumented version than the original
 //! application".
+//!
+//! There is one extraction loop, [`RankAcquisition`]: an
+//! [`ActionSource`] over one rank's op stream and its counter (seeded
+//! with `DetRng::new(seed).derive(rank)`). It holds one action back, so
+//! the MPI wrapper's instructions measured at the next event can still
+//! fold into the compute action before it. A trace writer drains these
+//! sources rank by rank, on as many threads as it likes, without the
+//! trace ever being built ([`action_sources`], what `titrace-gen`
+//! writes); [`acquire`] drains them into a [`Trace`] for the paper's
+//! experiments.
+
+use std::collections::VecDeque;
 
 use hwmodel::{CounterModel, ProbeCosts};
 use simkernel::DetRng;
-use titrace::{Action, Rank, Trace};
+use titrace::{Action, ActionSource, Rank, SourceError, Trace};
 use workloads::{op_to_action, MpiOp, OpSource};
 
 use crate::compiler::CompilerOpt;
@@ -34,59 +46,135 @@ pub struct Acquisition {
     pub compiler: CompilerOpt,
 }
 
-/// Acquires a trace from `sources` under `mode`/`compiler`. `seed`
-/// determines the counter jitter (one "run"); the paper averages several
-/// runs, see [`mean_rank_counters`].
+/// One rank's trace as it is acquired: the actions an instrumented run
+/// of its op stream records, measured by its own counter.
+pub struct RankAcquisition {
+    ops: Box<dyn OpSource>,
+    counter: CounterModel,
+    costs: ProbeCosts,
+    mode: Instrumentation,
+    compiler: CompilerOpt,
+    /// The last action recorded: a compute amount may still grow by the
+    /// wrapper instructions of the MPI event after it.
+    last: Option<Action>,
+    /// Actions recorded before `last`, not yet yielded (at most two).
+    ready: VecDeque<Action>,
+}
+
+impl RankAcquisition {
+    /// Total instructions the counter has measured so far: once the
+    /// stream has ended, the rank's total.
+    pub fn counter_total(&self) -> f64 {
+        self.counter.total()
+    }
+
+    /// Records `action` after the ones before it.
+    fn record(&mut self, action: Action) {
+        if let Some(before) = self.last.replace(action) {
+            self.ready.push_back(before);
+        }
+    }
+
+    /// Walks one op of the stream through the counter model.
+    fn step(&mut self, op: MpiOp) {
+        match op {
+            MpiOp::Compute(block) => {
+                let work = block.instructions * self.compiler.instruction_factor();
+                let probes = self
+                    .mode
+                    .counted_instr_in_block(&self.costs, &block, self.compiler);
+                let measured = self.counter.measure(work, probes);
+                self.record(Action::Compute { amount: measured });
+            }
+            other => {
+                // The MPI wrapper's own instructions land in the
+                // counter (attributed to the preceding section; the
+                // trace stores totals, so attribution is immaterial).
+                // Init/Finalize sit outside the measured section.
+                let framing = matches!(other, MpiOp::Init | MpiOp::Finalize);
+                let wrapper = if framing {
+                    0.0
+                } else {
+                    self.mode.counted_instr_per_mpi_event(&self.costs)
+                };
+                if wrapper > 0.0 {
+                    let measured = self.counter.measure(0.0, wrapper);
+                    // Fold the wrapper instructions into the previous
+                    // compute action when one exists, mirroring how
+                    // the real extraction scripts aggregate sections.
+                    if let Some(Action::Compute { amount }) = &mut self.last {
+                        *amount += measured;
+                    } else {
+                        self.record(Action::Compute { amount: measured });
+                    }
+                }
+                self.record(op_to_action(&other));
+            }
+        }
+    }
+}
+
+impl ActionSource for RankAcquisition {
+    fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
+        loop {
+            if let Some(action) = self.ready.pop_front() {
+                return Ok(Some(action));
+            }
+            match self.ops.next_op() {
+                Some(op) => self.step(op),
+                None => return Ok(self.last.take()),
+            }
+        }
+    }
+}
+
+/// One [`RankAcquisition`] per source, in rank order, under
+/// `mode`/`compiler`. `seed` determines the counter jitter (one "run");
+/// rank `r`'s counter is seeded with `DetRng::new(seed).derive(r)`.
+pub fn action_sources(
+    sources: Vec<Box<dyn OpSource>>,
+    mode: Instrumentation,
+    compiler: CompilerOpt,
+    seed: u64,
+) -> Vec<RankAcquisition> {
+    let root = DetRng::new(seed);
+    sources
+        .into_iter()
+        .enumerate()
+        .map(|(r, ops)| RankAcquisition {
+            ops,
+            counter: CounterModel::new(root.derive(r as u64)),
+            costs: ProbeCosts::default(),
+            mode,
+            compiler,
+            last: None,
+            ready: VecDeque::with_capacity(2),
+        })
+        .collect()
+}
+
+/// Acquires a trace from `sources` under `mode`/`compiler`: every
+/// [`action_sources`] stream drained into a [`Trace`]. `seed` determines
+/// the counter jitter (one "run"); the paper averages several runs, see
+/// [`mean_rank_counters`].
 pub fn acquire(
     sources: Vec<Box<dyn OpSource>>,
     mode: Instrumentation,
     compiler: CompilerOpt,
     seed: u64,
 ) -> Acquisition {
-    let costs = ProbeCosts::default();
     let ranks = sources.len() as u32;
     let mut trace = Trace::new(ranks);
     let mut rank_counters = Vec::with_capacity(ranks as usize);
-    let root = DetRng::new(seed);
-    for (r, mut src) in sources.into_iter().enumerate() {
-        let rank = Rank(r as u32);
-        let mut counter = CounterModel::new(root.derive(r as u64));
-        while let Some(op) = src.next_op() {
-            match op {
-                MpiOp::Compute(block) => {
-                    let work = block.instructions * compiler.instruction_factor();
-                    let probes = mode.counted_instr_in_block(&costs, &block, compiler);
-                    let measured = counter.measure(work, probes);
-                    trace.push(rank, Action::Compute { amount: measured });
-                }
-                other => {
-                    // The MPI wrapper's own instructions land in the
-                    // counter (attributed to the preceding section; the
-                    // trace stores totals, so attribution is immaterial).
-                    // Init/Finalize sit outside the measured section.
-                    let framing = matches!(other, MpiOp::Init | MpiOp::Finalize);
-                    let wrapper = if framing {
-                        0.0
-                    } else {
-                        mode.counted_instr_per_mpi_event(&costs)
-                    };
-                    if wrapper > 0.0 {
-                        let measured = counter.measure(0.0, wrapper);
-                        // Fold the wrapper instructions into the previous
-                        // compute action when one exists, mirroring how
-                        // the real extraction scripts aggregate sections.
-                        let actions = trace.actions_mut(rank);
-                        if let Some(Action::Compute { amount }) = actions.last_mut() {
-                            *amount += measured;
-                        } else {
-                            actions.push(Action::Compute { amount: measured });
-                        }
-                    }
-                    trace.push(rank, op_to_action(&other));
-                }
-            }
+    for (r, mut rank) in action_sources(sources, mode, compiler, seed)
+        .into_iter()
+        .enumerate()
+    {
+        let actions = trace.actions_mut(Rank(r as u32));
+        while let Some(action) = rank.next_action().expect("acquisition cannot fail") {
+            actions.push(action);
         }
-        rank_counters.push(counter.total());
+        rank_counters.push(rank.counter_total());
     }
     Acquisition {
         trace,

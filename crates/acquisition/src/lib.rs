@@ -32,6 +32,6 @@ pub mod modes;
 pub mod params;
 
 pub use compiler::CompilerOpt;
-pub use extract::{acquire, mean_rank_counters, Acquisition};
+pub use extract::{acquire, action_sources, mean_rank_counters, Acquisition, RankAcquisition};
 pub use hooks::InstrumentedHooks;
 pub use modes::Instrumentation;

@@ -12,70 +12,160 @@
 //! cabinet, no collectives) on a cabinet-cluster platform: the ranks
 //! decompose into one coupling island per cabinet, which is the shape
 //! `titreplay --threads N` parallelises over.
+//!
+//! No trace is built in memory: every rank is a source that generates
+//! its actions as they are written, and the writers encode the ranks on
+//! every core (`titrace::write::write_sources`,
+//! `titrace::binfmt::write_sources`), so generation holds O(ranks) small
+//! generators and a few chunks, whatever `--steps` is.
 
+use std::sync::OnceLock;
+
+use tit_replay::acquisition::action_sources;
 use tit_replay::prelude::*;
+use tit_replay::titrace::{binfmt, files};
 
 /// Ranks per cabinet of the halo workload and its companion platform.
 const HALO_PER_CABINET: u32 = 8;
+
+/// The repeated part of a synthetic rank's program.
+#[derive(Clone, Copy)]
+enum Body {
+    /// An intra-cabinet ring exchange: swap `bytes` with both ring
+    /// neighbours, wait for all four requests, compute.
+    Halo { left: Rank, right: Rank, bytes: u64 },
+    /// A compute block, then an `MPI_Allreduce` of `bytes`.
+    Allreduce { bytes: u64 },
+}
+
+impl Body {
+    fn len(self) -> u64 {
+        match self {
+            Body::Halo { .. } => 6,
+            Body::Allreduce { .. } => 2,
+        }
+    }
+
+    fn action(self, i: u64) -> Action {
+        let compute = Action::Compute { amount: 1e5 };
+        match self {
+            Body::Halo { left, right, bytes } => match i {
+                0 => Action::Irecv { src: left, bytes },
+                1 => Action::Irecv { src: right, bytes },
+                2 => Action::Isend { dst: right, bytes },
+                3 => Action::Isend { dst: left, bytes },
+                4 => Action::WaitAll,
+                _ => compute,
+            },
+            Body::Allreduce { bytes } => match i {
+                0 => compute,
+                _ => Action::Allreduce { bytes },
+            },
+        }
+    }
+}
+
+/// One rank of a synthetic workload: `init`, `iters` passes of its body,
+/// then `finalize`.
+struct Looped {
+    body: Body,
+    /// Actions in the whole stream.
+    len: u64,
+    next: u64,
+}
+
+impl Looped {
+    fn new(body: Body, iters: u32) -> Looped {
+        Looped {
+            body,
+            len: 2 + body.len() * u64::from(iters),
+            next: 0,
+        }
+    }
+}
+
+impl ActionSource for Looped {
+    fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
+        let i = self.next;
+        if i == self.len {
+            return Ok(None);
+        }
+        self.next += 1;
+        Ok(Some(match i {
+            0 => Action::Init,
+            i if i + 1 == self.len => Action::Finalize,
+            i => self.body.action((i - 1) % self.body.len()),
+        }))
+    }
+}
 
 /// An intra-cabinet ring exchange: every rank swaps `bytes` with both
 /// ring neighbours inside its own cabinet each iteration, then computes.
 /// No collectives and no inter-cabinet messages, so the trace decomposes
 /// into one coupling island per cabinet.
-fn halo_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
+fn halo_sources(ranks: u32, iters: u32, bytes: u64) -> Vec<Looped> {
     let per = HALO_PER_CABINET;
-    let mut trace = Trace::new(ranks);
-    for r in 0..ranks {
-        let cab = r / per;
-        let right = Rank(cab * per + (r % per + 1) % per);
-        let left = Rank(cab * per + (r % per + per - 1) % per);
-        let rank = Rank(r);
-        trace.push(rank, Action::Init);
-        for _ in 0..iters {
-            trace.push(rank, Action::Irecv { src: left, bytes });
-            trace.push(rank, Action::Irecv { src: right, bytes });
-            trace.push(rank, Action::Isend { dst: right, bytes });
-            trace.push(rank, Action::Isend { dst: left, bytes });
-            trace.push(rank, Action::WaitAll);
-            trace.push(rank, Action::Compute { amount: 1e5 });
-        }
-        trace.push(rank, Action::Finalize);
-    }
-    trace
+    (0..ranks)
+        .map(|r| {
+            let cab = r / per;
+            let right = Rank(cab * per + (r % per + 1) % per);
+            let left = Rank(cab * per + (r % per + per - 1) % per);
+            Looped::new(Body::Halo { left, right, bytes }, iters)
+        })
+        .collect()
 }
 
 /// A collective-dense synthetic workload: every rank alternates a
 /// compute block with an `MPI_Allreduce` of `bytes`, the shape that
 /// stresses the network model with P simultaneous uniform flows per
 /// phase — the worst case collective batching re-solves once per phase.
-fn allreduce_trace(ranks: u32, iters: u32, bytes: u64) -> Trace {
-    let mut trace = Trace::new(ranks);
-    for r in 0..ranks {
-        let rank = Rank(r);
-        trace.push(rank, Action::Init);
-        for _ in 0..iters {
-            trace.push(rank, Action::Compute { amount: 1e5 });
-            trace.push(rank, Action::Allreduce { bytes });
-        }
-        trace.push(rank, Action::Finalize);
-    }
-    trace
+fn allreduce_sources(ranks: u32, iters: u32, bytes: u64) -> Vec<Looped> {
+    (0..ranks)
+        .map(|_| Looped::new(Body::Allreduce { bytes }, iters))
+        .collect()
 }
 
-fn write_trace(trace: &Trace, out: &str, binary: bool) {
-    let path = std::path::Path::new(out);
-    let result = if binary {
-        tit_replay::titrace::binfmt::write_file(trace, path, None)
-    } else {
-        tit_replay::titrace::files::write_merged(trace, path)
-    };
-    result.unwrap_or_else(|e| {
-        // Leave no partial trace behind (the binary writer never leaves one).
-        if !binary {
-            let _ = std::fs::remove_file(path);
+/// What one rank's stream held: instructions, added in stream order, and
+/// point-to-point sends.
+type Tally = (f64, u64);
+
+/// A rank's source that tallies what it yields into `slot` once it
+/// ends, for the summary line.
+struct Tallied<'a, S> {
+    inner: S,
+    tally: Tally,
+    slot: &'a OnceLock<Tally>,
+}
+
+impl<S: ActionSource> ActionSource for Tallied<'_, S> {
+    fn next_action(&mut self) -> Result<Option<Action>, SourceError> {
+        let next = self.inner.next_action()?;
+        match next {
+            Some(Action::Compute { amount }) => self.tally.0 += amount,
+            Some(Action::Send { .. } | Action::Isend { .. }) => self.tally.1 += 1,
+            Some(_) => {}
+            None => {
+                let _ = self.slot.set(self.tally);
+            }
         }
-        fail(&format!("cannot write {out}: {e}"))
-    });
+        Ok(next)
+    }
+}
+
+/// Writes one source per rank to `out` as text or `.titb`; returns the
+/// number of actions written. Nothing is left at `out` on failure.
+fn write_trace<S: ActionSource>(sources: Vec<S>, out: &str, binary: bool) -> u64 {
+    let path = std::path::Path::new(out);
+    let written = if binary {
+        binfmt::write_sources(sources, path, None)
+    } else {
+        files::write_merged_sources(sources, path)
+    };
+    match written {
+        Ok(Ok(actions)) => actions,
+        Ok(Err(e)) => fail(&format!("cannot write {out}: {e}")),
+        Err(e) => fail(&format!("cannot write {out}: {e}")),
+    }
 }
 
 fn write_platform(out: &str, spec: &tit_replay::platform::PlatformSpec) {
@@ -174,8 +264,7 @@ fn main() {
             std::process::exit(2);
         }
         let iters = steps.unwrap_or(50);
-        let trace = halo_trace(procs, iters, bytes);
-        write_trace(&trace, &out, binary);
+        write_trace(halo_sources(procs, iters, bytes), &out, binary);
         eprintln!(
             "wrote {} (halo exchange, {} ranks, {} iterations, {} B/message)",
             out, procs, iters, bytes
@@ -205,8 +294,7 @@ fn main() {
             usage()
         };
         let iters = steps.unwrap_or(50);
-        let trace = allreduce_trace(procs, iters, bytes);
-        write_trace(&trace, &out, binary);
+        write_trace(allreduce_sources(procs, iters, bytes), &out, binary);
         eprintln!(
             "wrote {} (allreduce loop, {} ranks, {} iterations, {} B/allreduce)",
             out, procs, iters, bytes
@@ -243,15 +331,28 @@ fn main() {
         mode.label(),
         opt
     );
-    let acq = acquire(lu.sources(), mode, opt, seed);
-    write_trace(&acq.trace, &out, binary);
-    let stats = tit_replay::titrace::TraceStats::of(&acq.trace);
+    let slots: Vec<OnceLock<Tally>> = (0..procs).map(|_| OnceLock::new()).collect();
+    let sources = action_sources(lu.sources(), mode, opt, seed)
+        .into_iter()
+        .zip(&slots)
+        .map(|(inner, slot)| Tallied {
+            inner,
+            tally: (0.0, 0),
+            slot,
+        })
+        .collect();
+    let actions = write_trace(sources, &out, binary);
+    // Folded per rank, in rank order.
+    let (instructions, messages) = slots
+        .iter()
+        .filter_map(OnceLock::get)
+        .fold((0.0, 0), |(i, m), &(ri, rm)| (i + ri, m + rm));
     eprintln!(
         "wrote {} ({} actions, {} messages, {:.3e} instr/rank)",
         out,
-        acq.trace.len(),
-        stats.total_messages(),
-        stats.mean_instructions_per_rank()
+        actions,
+        messages,
+        instructions / f64::from(procs)
     );
     // A companion platform spec so titreplay can run immediately.
     let spec = tit_replay::platform::PlatformSpec {

@@ -51,7 +51,7 @@ use std::path::Path;
 
 use tit_replay::prelude::*;
 use tit_replay::titrace::stream::{self, CacheOutcome};
-use tit_replay::titrace::{binfmt, write, TraceInput, TraceStats};
+use tit_replay::titrace::{binfmt, files, TraceInput, TraceStats};
 
 struct Args {
     platform: String,
@@ -116,8 +116,10 @@ fn valid_rate(rate: &f64) -> bool {
 }
 
 /// `titreplay trace pack|unpack` — convert between the text and binary
-/// trace formats. Both stream the input's per-rank cursors rank by rank,
-/// so they hold O(ranks · window) of the trace, never all of it.
+/// trace formats. Both stream the input's per-rank cursors through the
+/// writers' ordered per-rank pipeline (decoding and encoding on every
+/// core, written in rank order), so they hold O(ranks · window) of the
+/// trace plus a few chunks per core, never all of it.
 fn trace_command(args: &[String]) -> ! {
     let sub = args.first().map(String::as_str);
     let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
@@ -152,10 +154,9 @@ fn trace_command(args: &[String]) -> ! {
         Some("unpack") => {
             let titb = binfmt::TitbFile::open_any(Path::new(input))
                 .unwrap_or_else(|e| fail(&e.to_string()));
-            unpack(&titb, Path::new(output)).unwrap_or_else(|e| {
-                let _ = std::fs::remove_file(output);
-                fail(&e)
-            });
+            files::write_merged_sources(titb.cursors(), Path::new(output))
+                .unwrap_or_else(|e| fail(&e.to_string()))
+                .unwrap_or_else(|e| fail(&e.to_string()));
             let header = titb.header();
             eprintln!(
                 "unpacked {input} -> {output} ({} ranks, {} actions)",
@@ -166,17 +167,6 @@ fn trace_command(args: &[String]) -> ! {
         }
         _ => usage(),
     }
-}
-
-/// Writes every rank of `titb` to `output` as merged text, one cursor at
-/// a time.
-fn unpack(titb: &binfmt::TitbFile, output: &Path) -> Result<(), String> {
-    let io_err = |e: std::io::Error| format!("{}: {e}", output.display());
-    let mut out = std::fs::File::create(output).map_err(io_err)?;
-    write::write_sources(titb.cursors(), &mut out)
-        .map_err(io_err)?
-        .map_err(|e| e.to_string())?;
-    Ok(())
 }
 
 fn parse_args(argv: &[String]) -> Args {

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use platform::{Placement, Platform, PlatformSpec};
     pub use replay::{replay_input_observed, ReplayConfig, ReplayEngine, ReplayReport};
     pub use simkernel::obs::{chrome_trace, critical_path, state_csv, CriticalPath, Metrics};
-    pub use simkernel::stats::{relative_percent, Summary};
+    pub use simkernel::stats::Summary;
     pub use titrace::{Action, ActionSource, Rank, SourceError, Trace, TraceInput};
     pub use workloads::lu::{LuClass, LuConfig};
 }

@@ -550,7 +550,10 @@ impl FlowNet {
         }
         self.stats.rate_updates += 1;
         #[cfg(test)]
-        self.probe.rate_log.push((f.activity, f.rate));
+        {
+            self.probe.rate_log.push((f.activity, f.rate));
+            self.probe.told.insert(f.activity, f.rate);
+        }
         kernel.set_rate(f.activity, f.rate);
     }
 
@@ -603,6 +606,9 @@ mod tests {
         pub fallback_sorts: usize,
         /// Every `(activity, rate)` pushed to the kernel, in push order.
         pub rate_log: Vec<(ActivityId, f64)>,
+        /// The rate the kernel was last told for each activity (it
+        /// starts every flow's activity at rate 0).
+        pub told: std::collections::HashMap<ActivityId, f64>,
         /// Routes `collect_neighbors` through the reference below.
         pub reference_collect: bool,
     }
@@ -1255,20 +1261,22 @@ mod proptests {
                 );
             }
             assert_eq!(seq.live_flows(), def.live_flows());
-            // The kernels must have been told the same rates: let a
-            // second pass and compare what each flow has left (no flow
-            // can drain 1e6 bytes within the schedule).
+            // The kernels must have been told the same rates: what each
+            // kernel was last told for a flow is the flow's rate, which
+            // is equal in both, so between two instants both drain
+            // every flow alike.
+            for (fs, fd, _) in &open {
+                for (net, f) in [(&seq, fs), (&def, fd)] {
+                    let told = net.probe.told.get(&net.activity(*f)).copied();
+                    let rate = net.flows[f.index as usize].rate;
+                    assert_eq!(told.unwrap_or(0.0).to_bits(), rate.to_bits());
+                }
+            }
+            // Let a second pass (no flow can drain 1e6 bytes within the
+            // schedule).
             for k in [&mut k_seq, &mut k_def, &mut k_ref] {
                 k.set_timer(ActorId(0), Duration::from_secs(1.0), 0);
                 assert!(k.next_wake().is_some());
-            }
-            for (fs, fd, _) in &open {
-                let ws = k_seq.remaining_work(seq.activity(*fs)).unwrap();
-                let wd = k_def.remaining_work(def.activity(*fd)).unwrap();
-                assert!(
-                    (ws - wd).abs() <= 1e-12 * ws,
-                    "sequential has {ws} bytes left, mixed {wd}"
-                );
             }
         }
         let mixed: Vec<FlowId> = open.iter().map(|o| o.1).collect();

@@ -213,7 +213,8 @@ impl Kernel {
     }
 
     /// Remaining work units of a running activity, settled to "now".
-    pub fn remaining_work(&self, id: ActivityId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn remaining_work(&self, id: ActivityId) -> Option<f64> {
         let slot = self.slots.get(id.index as usize)?;
         if slot.next_free != NO_FREE
             || slot.generation != id.generation

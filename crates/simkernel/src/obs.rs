@@ -186,7 +186,8 @@ impl SpanLog {
     }
 
     /// Flows opened but never closed (must be 0 after a clean run).
-    pub fn open_flows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn open_flows(&self) -> usize {
         self.open.len()
     }
 

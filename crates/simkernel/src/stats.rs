@@ -72,14 +72,6 @@ pub(crate) fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Relative difference `(a - b) / b`, in percent — the metric the paper
-/// plots in every figure (instruction-count discrepancy, simulated-time
-/// error).
-pub fn relative_percent(a: f64, b: f64) -> f64 {
-    assert!(b != 0.0, "relative difference against zero baseline");
-    (a - b) / b * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,13 +110,6 @@ mod tests {
         assert_eq!(quantile(&sorted, 1.0), 40.0);
         assert_eq!(quantile(&sorted, 0.5), 25.0);
         assert!((quantile(&sorted, 1.0 / 3.0) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relative_percent_signs() {
-        assert_eq!(relative_percent(110.0, 100.0), 10.0);
-        assert_eq!(relative_percent(90.0, 100.0), -10.0);
-        assert_eq!(relative_percent(100.0, 100.0), 0.0);
     }
 }
 

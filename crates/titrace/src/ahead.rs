@@ -106,17 +106,7 @@ impl Batch {
             }
             Tail::More
         }));
-        self.tail = read.unwrap_or_else(|payload| {
-            let message = match (
-                payload.downcast_ref::<&str>(),
-                payload.downcast_ref::<String>(),
-            ) {
-                (Some(s), _) => s.to_string(),
-                (_, Some(s)) => s.clone(),
-                _ => "no message".to_string(),
-            };
-            Tail::Failed(SourceError::Panicked(message))
-        });
+        self.tail = read.unwrap_or_else(|payload| Tail::Failed(SourceError::panicked(payload)));
     }
 }
 

@@ -28,9 +28,15 @@
 //! ## Writing
 //!
 //! One writer, [`write_sources`], drains one action source per rank into
-//! a file, one rank at a time: a side-car and `trace pack` write from
-//! the input's own cursors this way, and [`write_file`] is the same
-//! writer over a decoded trace's lists.
+//! a file: a side-car and `trace pack` write from the input's own
+//! cursors this way, `titrace-gen --binary` from its generators, and
+//! [`write_file`] is the same writer over a decoded trace's lists. The
+//! ranks are encoded in parallel through the crate's ordered per-rank
+//! pipeline (`crate::pipeline`); the calling thread hashes and writes
+//! the encoded chunks in rank order and records each rank's block, so
+//! the file is byte for byte the one a rank-by-rank writer makes. It is
+//! assembled in a temp sibling, synced, and renamed into place only
+//! whole: on any failure nothing is left at the path.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -59,6 +65,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::files::FileError;
+use crate::pipeline;
 use crate::stream::{ActionSource, SourceError};
 use crate::window::{window_for, SharedFile, Window};
 use crate::{Action, Rank, Trace};
@@ -579,23 +586,24 @@ pub fn write_file(trace: &Trace, path: &Path, sig: Option<(u64, u64)>) -> Result
 }
 
 /// Writes the actions `sources` yield (one source per rank, in rank
-/// order) to `path` as `.titb`, draining one rank at a time through a
-/// buffered writer (one small scratch buffer, not a whole-file image): a
-/// placeholder header is written first and patched once the payload
-/// lengths and checksum are known. Returns the number of actions
-/// written.
+/// order) to `path` as `.titb`, encoding the ranks in parallel and
+/// writing them in rank order through a buffered writer (chunks, not a
+/// whole-file image): a placeholder header is written first and patched
+/// once the payload lengths and checksum are known. Returns the number
+/// of actions written.
 ///
-/// The file is assembled in a uniquely named temp sibling and moved
-/// into place with `rename`, so concurrent readers of `path` only ever
-/// observe a complete image — never a half-written header — and two
-/// simultaneous writers race to an identical result instead of
+/// The file is assembled in a uniquely named temp sibling, synced, and
+/// moved into place with `rename`, so concurrent readers of `path` only
+/// ever observe a complete image — never a half-written header — and
+/// two simultaneous writers race to an identical result instead of
 /// interleaving.
 ///
 /// # Errors
 /// The outer error is the write's (with the path; `InvalidData` for a
-/// compute amount the readers refuse, naming its rank and index); the
-/// inner one is the first failure of a source. Nothing is left at `path`
-/// after either.
+/// compute amount the readers refuse, naming its rank and index, or a
+/// failed sync); the inner one is the first failure of a source. Of a
+/// source's failure and a refused amount, the one met first in rank
+/// order is reported. Nothing is left at `path` after either.
 pub fn write_sources<S: ActionSource>(
     sources: Vec<S>,
     path: &Path,
@@ -609,8 +617,7 @@ pub fn write_sources<S: ActionSource>(
     ));
     let result = match write_file_at(sources, &tmp, sig) {
         // Name the file asked for, not its temp sibling.
-        Err(FileError::Io(_, e)) => Err(FileError::Io(path.to_path_buf(), e)),
-        Err(e) => Err(e),
+        Err(e) => Err(FileError::Io(path.to_path_buf(), e)),
         Ok(Ok(actions)) => std::fs::rename(&tmp, path)
             .map(|()| Ok(actions))
             .map_err(|e| FileError::Io(path.to_path_buf(), e)),
@@ -622,56 +629,69 @@ pub fn write_sources<S: ActionSource>(
     result
 }
 
+/// The `.titb` writer's sink: the payload goes to the file and through
+/// the checksum, and each rank's block is recorded as it ends.
+struct Payload {
+    out: io::BufWriter<std::fs::File>,
+    fnv: Fnv1a,
+    blocks: Vec<Block>,
+    offset: u64,
+}
+
+impl pipeline::Sink for Payload {
+    fn bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.fnv.update(bytes);
+        self.out.write_all(bytes)
+    }
+
+    fn rank_end(&mut self, actions: u64, len: u64) {
+        self.blocks.push(Block {
+            offset: self.offset,
+            len,
+            count: actions,
+        });
+        self.offset += len;
+    }
+}
+
+/// Appends the encoding of action `index` of `rank`, or refuses an
+/// amount the readers would not read back.
+fn encode_checked(rank: Rank, index: u64, action: &Action, out: &mut Vec<u8>) -> io::Result<()> {
+    crate::write::check_writable(rank, index, action)?;
+    encode_action(action, out);
+    Ok(())
+}
+
 fn write_file_at<S: ActionSource>(
     sources: Vec<S>,
     path: &Path,
     sig: Option<(u64, u64)>,
-) -> Result<Result<u64, SourceError>, FileError> {
-    let io_err = |e: io::Error| FileError::Io(path.to_path_buf(), e);
-    let ranks = u32::try_from(sources.len()).map_err(|_| {
-        let e = io::Error::new(io::ErrorKind::InvalidInput, "more than 2^32 ranks");
-        io_err(e)
-    })?;
-    let file = std::fs::File::create(path).map_err(io_err)?;
-    let mut out = io::BufWriter::new(file);
-    out.write_all(&vec![0u8; HEADER_FIXED + TABLE_ENTRY * sources.len()])
-        .map_err(io_err)?;
-    let mut blocks = Vec::with_capacity(sources.len());
-    let mut fnv = Fnv1a::new();
-    let mut offset = 0u64;
-    let mut scratch = Vec::with_capacity(32);
-    let mut actions = 0u64;
-    for mut source in sources {
-        let block_start = offset;
-        let mut count = 0u64;
-        loop {
-            let action = match source.next_action() {
-                Ok(Some(action)) => action,
-                Ok(None) => break,
-                Err(e) => return Ok(Err(e)),
-            };
-            crate::write::check_writable(Rank(blocks.len() as u32), count, &action)
-                .map_err(io_err)?;
-            scratch.clear();
-            encode_action(&action, &mut scratch);
-            fnv.update(&scratch);
-            out.write_all(&scratch).map_err(io_err)?;
-            offset += scratch.len() as u64;
-            count += 1;
-        }
-        blocks.push(Block {
-            offset: block_start,
-            len: offset - block_start,
-            count,
-        });
-        actions += count;
-    }
-    out.flush().map_err(io_err)?;
-    let mut file = out.into_inner().map_err(|e| io_err(e.into_error()))?;
-    file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-    file.write_all(&header_bytes(ranks, &blocks, sig, fnv.digest()))
-        .map_err(io_err)?;
-    file.sync_data().ok();
+) -> io::Result<Result<u64, SourceError>> {
+    let ranks = u32::try_from(sources.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "more than 2^32 ranks"))?;
+    let file = std::fs::File::create(path)?;
+    let mut payload = Payload {
+        out: io::BufWriter::with_capacity(pipeline::CHUNK, file),
+        fnv: Fnv1a::new(),
+        blocks: Vec::with_capacity(sources.len()),
+        offset: 0,
+    };
+    payload
+        .out
+        .write_all(&vec![0u8; HEADER_FIXED + TABLE_ENTRY * sources.len()])?;
+    let actions = match pipeline::write(sources, encode_checked, &mut payload)? {
+        Ok(actions) => actions,
+        Err(e) => return Ok(Err(e)),
+    };
+    let mut file = payload.out.into_inner().map_err(|e| e.into_error())?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&header_bytes(
+        ranks,
+        &payload.blocks,
+        sig,
+        payload.fnv.digest(),
+    ))?;
+    file.sync_data()?;
     Ok(Ok(actions))
 }
 

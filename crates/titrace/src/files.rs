@@ -26,7 +26,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::stream::SourceError;
+use crate::stream::{ActionSource, SourceError};
 use crate::{binfmt, parse, write, Rank, Trace};
 
 /// Errors raised by file operations.
@@ -73,16 +73,38 @@ impl From<SourceError> for FileError {
     }
 }
 
-/// Writes the whole trace as one merged file, streaming through the
-/// text writer's chunked line buffer (no whole-trace `String`).
+/// Writes the whole trace as one merged file: [`write_merged_sources`]
+/// over the trace's own action lists.
 ///
 /// # Errors
 /// Propagates I/O failures, and the writer's refusal of an amount the
 /// readers would not read back.
 pub fn write_merged(trace: &Trace, path: &Path) -> Result<(), FileError> {
+    match write_merged_sources(binfmt::trace_sources(trace), path)? {
+        Ok(_) => Ok(()),
+        Err(e) => unreachable!("an in-memory action list cannot fail: {e}"),
+    }
+}
+
+/// Writes the actions `sources` yield (one source per rank, in rank
+/// order) as one merged file through [`write::write_sources`]. Returns
+/// the number of actions written.
+///
+/// # Errors
+/// The outer error is the write's (with the path; `InvalidData` for an
+/// amount the readers refuse); the inner one is the first failure of a
+/// source. The file is removed after either.
+pub fn write_merged_sources<S: ActionSource>(
+    sources: Vec<S>,
+    path: &Path,
+) -> Result<Result<u64, SourceError>, FileError> {
     let io_err = |e: io::Error| FileError::Io(path.to_path_buf(), e);
     let mut out = fs::File::create(path).map_err(io_err)?;
-    write::write_to(trace, &mut out).map_err(io_err)
+    let written = write::write_sources(sources, &mut out);
+    if !matches!(written, Ok(Ok(_))) {
+        let _ = fs::remove_file(path);
+    }
+    written.map_err(io_err)
 }
 
 /// Writes one file per rank under `dir` (`<stem>.rank<k>.trace`) plus a

@@ -25,8 +25,11 @@
 //! one trace share a 64 MiB budget). A replay pulls those cursors — a
 //! sequential replay of text through [`ahead`], whose helper thread
 //! decodes them, through windows half that size; a whole-trace load
-//! ([`stream::load_trace`]), `trace pack`, `trace unpack` and the
-//! statistics ([`TraceStats::from_sources`]) drain them.
+//! ([`stream::load_trace`]) and the statistics
+//! ([`TraceStats::from_sources`]) drain them rank by rank, and the
+//! writers behind `trace pack` and `trace unpack`
+//! ([`write::write_sources`], [`binfmt::write_sources`]) drain them on
+//! every core, writing the ranks in order.
 //!
 //! Receive actions carry the message size: this is the format extension
 //! introduced in Section 3.3 of the paper ("we had to add the message size
@@ -41,6 +44,7 @@ pub mod ahead;
 pub mod binfmt;
 pub mod files;
 pub mod parse;
+mod pipeline;
 mod shortest;
 pub mod stats;
 pub mod stream;

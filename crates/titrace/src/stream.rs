@@ -439,8 +439,9 @@ pub enum SourceError {
         /// Requests left outstanding.
         pending: u64,
     },
-    /// The cursor panicked on the thread decoding ahead of the replay
-    /// (`crate::ahead`), with the panic's message.
+    /// The cursor panicked on a thread decoding ahead of the replay
+    /// (`crate::ahead`) or encoding for a writer (`crate::pipeline`),
+    /// with the panic's message.
     Panicked(String),
     /// The thread decoding ahead of the replay stopped before the stream
     /// ended.
@@ -485,6 +486,21 @@ impl std::fmt::Display for SourceError {
 }
 
 impl std::error::Error for SourceError {}
+
+impl SourceError {
+    /// The failure of a stream whose cursor panicked with `payload`.
+    pub(crate) fn panicked(payload: Box<dyn std::any::Any + Send>) -> SourceError {
+        let message = match (
+            payload.downcast_ref::<&str>(),
+            payload.downcast_ref::<String>(),
+        ) {
+            (Some(s), _) => s.to_string(),
+            (_, Some(s)) => s.clone(),
+            _ => "no message".to_string(),
+        };
+        SourceError::Panicked(message)
+    }
+}
 
 /// An incremental cursor over one rank's action stream. Unlike a
 /// materialised [`Trace`], a source may be backed by a file and read

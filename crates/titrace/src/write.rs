@@ -17,20 +17,24 @@
 //! exponent. Where two shortest decimals are equally near, the larger is
 //! written, as std does.
 //!
-//! Lines are encoded byte by byte into one reusable buffer that goes to
-//! the writer in chunks of at least 32 KiB; nothing on the way goes
-//! through `core::fmt`. An amount the readers would refuse — negative,
-//! NaN or infinite — is not written: the writers stop with
+//! Lines are encoded byte by byte into reusable buffers; nothing on the
+//! way goes through `core::fmt`. An amount the readers would refuse —
+//! negative, NaN or infinite — is not written: the writers stop with
 //! [`io::ErrorKind::InvalidData`] naming the rank and the action's index.
+//!
+//! [`write_sources`] encodes the ranks on every core through the crate's
+//! ordered per-rank pipeline (`crate::pipeline`): workers encode whole
+//! ranks into 64 KiB chunks, and the calling thread writes the chunks in
+//! rank order through one 64 KiB `BufWriter`, so the output, and the
+//! first error in rank order, are those of a rank-by-rank writer.
+//! [`write_to`] and [`to_string`] are that writer over a decoded trace.
 
 use std::io::{self, Write};
 
+use crate::pipeline::{self, Sink};
 use crate::shortest;
 use crate::stream::{ActionSource, SourceError};
 use crate::{Action, Rank, Trace};
-
-/// The buffer goes to the writer once it holds this many bytes.
-const CHUNK: usize = 32 * 1024;
 
 /// Whole compute amounts below this are written as integers.
 const INT_BELOW: f64 = 9.0e15;
@@ -40,52 +44,56 @@ const INT_BELOW: f64 = 9.0e15;
 /// # Errors
 /// Write failures, and `InvalidData` for an amount the readers refuse.
 pub fn write_rank_to<W: Write>(trace: &Trace, rank: Rank, out: &mut W) -> io::Result<()> {
-    let mut lines = LineEncoder::new(out);
-    lines.actions(rank, trace.actions(rank))?;
-    lines.finish()
+    let mut buf = Vec::with_capacity(pipeline::CHUNK);
+    for (index, action) in trace.actions(rank).iter().enumerate() {
+        push_line(rank, index as u64, action, &mut buf)?;
+        if buf.len() >= pipeline::FULL {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    out.write_all(&buf)
 }
 
 /// Streams the whole trace as merged text into an `io::Write`, rank by
-/// rank, without materialising the full text.
+/// rank, without materialising the full text: [`write_sources`] over the
+/// trace's own action lists.
 ///
 /// # Errors
 /// Write failures, and `InvalidData` for an amount the readers refuse.
 pub fn write_to<W: Write>(trace: &Trace, out: &mut W) -> io::Result<()> {
-    let mut lines = LineEncoder::new(out);
-    for (rank, actions) in trace.iter() {
-        lines.actions(rank, actions)?;
+    match write_sources(crate::binfmt::trace_sources(trace), out)? {
+        Ok(_) => Ok(()),
+        Err(e) => unreachable!("an in-memory action list cannot fail: {e}"),
     }
-    lines.finish()
 }
 
 /// Writes the actions `sources` yield (one source per rank, in rank
-/// order) as merged text, draining one rank at a time. Returns the number
-/// of actions written.
+/// order) as merged text, encoding the ranks in parallel and writing
+/// them in rank order. Returns the number of actions written.
 ///
 /// # Errors
 /// The outer error is the write's (`InvalidData` for an amount the
-/// readers refuse); the inner one is the first failure of a source.
+/// readers refuse); the inner one is the first failure of a source. Of
+/// the two, the one met first in rank order is reported.
 pub fn write_sources<S: ActionSource, W: Write>(
     sources: Vec<S>,
     out: &mut W,
 ) -> io::Result<Result<u64, SourceError>> {
-    let mut lines = LineEncoder::new(out);
-    let mut total = 0;
-    for (r, mut source) in sources.into_iter().enumerate() {
-        let rank = Rank(r as u32);
-        let mut index = 0;
-        loop {
-            match source.next_action() {
-                Ok(Some(action)) => lines.action(rank, index, &action)?,
-                Ok(None) => break,
-                Err(e) => return Ok(Err(e)),
-            }
-            index += 1;
-        }
-        total += index;
+    let mut sink = Text(io::BufWriter::with_capacity(pipeline::CHUNK, out));
+    let written = pipeline::write(sources, push_line, &mut sink)?;
+    sink.0.flush()?;
+    Ok(written)
+}
+
+/// The text writer's sink: the output, behind one buffer that gathers
+/// the short last chunks of small ranks into full writes.
+struct Text<'w, W: Write>(io::BufWriter<&'w mut W>);
+
+impl<W: Write> Sink for Text<'_, W> {
+    fn bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.0.write_all(bytes)
     }
-    lines.finish()?;
-    Ok(Ok(total))
 }
 
 /// Writes the whole trace as a single merged text file, rank by rank (the
@@ -118,70 +126,44 @@ pub(crate) fn check_writable(rank: Rank, index: u64, action: &Action) -> io::Res
     }
 }
 
-/// Appends lines to one reusable buffer and hands it to `out` in chunks.
-struct LineEncoder<'w, W: Write> {
-    out: &'w mut W,
-    buf: Vec<u8>,
-}
-
-impl<'w, W: Write> LineEncoder<'w, W> {
-    fn new(out: &'w mut W) -> Self {
-        LineEncoder {
-            out,
-            buf: Vec::with_capacity(CHUNK + 128),
-        }
-    }
-
-    fn actions(&mut self, rank: Rank, actions: &[Action]) -> io::Result<()> {
-        for (index, action) in actions.iter().enumerate() {
-            self.action(rank, index as u64, action)?;
-        }
-        Ok(())
-    }
-
-    /// Appends the line of action `index` (0-based, in its rank's
-    /// stream) of `rank`.
-    fn action(&mut self, rank: Rank, index: u64, action: &Action) -> io::Result<()> {
-        check_writable(rank, index, action)?;
-        let buf = &mut self.buf;
-        push_rank(buf, rank);
-        match *action {
-            Action::Init => buf.extend_from_slice(b" init"),
-            Action::Finalize => buf.extend_from_slice(b" finalize"),
-            Action::Compute { amount } => {
-                buf.extend_from_slice(b" compute ");
-                // `fract` would be a libm `trunc` call per amount.
-                if amount < INT_BELOW && (amount as u64) as f64 == amount {
-                    push_u64(buf, amount as u64);
-                } else {
-                    shortest::push_exp(buf, amount);
-                }
+/// Appends the line of action `index` (0-based, in its rank's stream) of
+/// `rank` to `buf`, or refuses the action.
+pub(crate) fn push_line(
+    rank: Rank,
+    index: u64,
+    action: &Action,
+    buf: &mut Vec<u8>,
+) -> io::Result<()> {
+    check_writable(rank, index, action)?;
+    push_rank(buf, rank);
+    match *action {
+        Action::Init => buf.extend_from_slice(b" init"),
+        Action::Finalize => buf.extend_from_slice(b" finalize"),
+        Action::Compute { amount } => {
+            buf.extend_from_slice(b" compute ");
+            // `fract` would be a libm `trunc` call per amount.
+            if amount < INT_BELOW && (amount as u64) as f64 == amount {
+                push_u64(buf, amount as u64);
+            } else {
+                shortest::push_exp(buf, amount);
             }
-            Action::Send { dst, bytes } => peer_bytes(buf, b" send ", dst, bytes),
-            Action::Isend { dst, bytes } => peer_bytes(buf, b" isend ", dst, bytes),
-            Action::Recv { src, bytes } => peer_bytes(buf, b" recv ", src, bytes),
-            Action::Irecv { src, bytes } => peer_bytes(buf, b" irecv ", src, bytes),
-            Action::Wait => buf.extend_from_slice(b" wait"),
-            Action::WaitAll => buf.extend_from_slice(b" waitall"),
-            Action::Barrier => buf.extend_from_slice(b" barrier"),
-            Action::Bcast { bytes, root } => bytes_root(buf, b" bcast ", bytes, root),
-            Action::Reduce { bytes, root } => bytes_root(buf, b" reduce ", bytes, root),
-            Action::Allreduce { bytes } => verb_bytes(buf, b" allreduce ", bytes),
-            Action::Alltoall { bytes } => verb_bytes(buf, b" alltoall ", bytes),
-            Action::Gather { bytes, root } => bytes_root(buf, b" gather ", bytes, root),
-            Action::Allgather { bytes } => verb_bytes(buf, b" allgather ", bytes),
         }
-        buf.push(b'\n');
-        if buf.len() >= CHUNK {
-            self.out.write_all(buf)?;
-            buf.clear();
-        }
-        Ok(())
+        Action::Send { dst, bytes } => peer_bytes(buf, b" send ", dst, bytes),
+        Action::Isend { dst, bytes } => peer_bytes(buf, b" isend ", dst, bytes),
+        Action::Recv { src, bytes } => peer_bytes(buf, b" recv ", src, bytes),
+        Action::Irecv { src, bytes } => peer_bytes(buf, b" irecv ", src, bytes),
+        Action::Wait => buf.extend_from_slice(b" wait"),
+        Action::WaitAll => buf.extend_from_slice(b" waitall"),
+        Action::Barrier => buf.extend_from_slice(b" barrier"),
+        Action::Bcast { bytes, root } => bytes_root(buf, b" bcast ", bytes, root),
+        Action::Reduce { bytes, root } => bytes_root(buf, b" reduce ", bytes, root),
+        Action::Allreduce { bytes } => verb_bytes(buf, b" allreduce ", bytes),
+        Action::Alltoall { bytes } => verb_bytes(buf, b" alltoall ", bytes),
+        Action::Gather { bytes, root } => bytes_root(buf, b" gather ", bytes, root),
+        Action::Allgather { bytes } => verb_bytes(buf, b" allgather ", bytes),
     }
-
-    fn finish(self) -> io::Result<()> {
-        self.out.write_all(&self.buf)
-    }
+    buf.push(b'\n');
+    Ok(())
 }
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
@@ -333,9 +315,7 @@ mod tests {
             (Action::Allgather { bytes: b }, format!("{r} allgather {b}")),
         ] {
             let mut out = Vec::new();
-            let mut lines = LineEncoder::new(&mut out);
-            lines.action(r, 0, &action).unwrap();
-            lines.finish().unwrap();
+            push_line(r, 0, &action, &mut out).unwrap();
             assert_eq!(out, format!("{want}\n").into_bytes());
         }
     }
@@ -385,7 +365,7 @@ mod tests {
         let mut out = Vec::new();
         write_to(&t, &mut out).unwrap();
         let want: String = (0..20_000).map(|i| format!("p0 allreduce {i}\n")).collect();
-        assert!(want.len() > 3 * CHUNK);
+        assert!(want.len() > 3 * pipeline::CHUNK);
         assert_eq!(out, want.into_bytes());
     }
 

@@ -122,8 +122,9 @@ pub enum MpiOp {
     },
 }
 
-/// A lazy per-rank operation stream.
-pub trait OpSource {
+/// A lazy per-rank operation stream. Sources are `Send`, so a trace
+/// writer can acquire each rank on a worker thread.
+pub trait OpSource: Send {
     /// The next operation, or `None` when the rank's program ends.
     fn next_op(&mut self) -> Option<MpiOp>;
 }

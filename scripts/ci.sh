@@ -90,7 +90,13 @@ for form in trace titb; do
 done
 cmp "$ingest_dir/halo128.trace.metrics.json" "$ingest_dir/halo128.titb.metrics.json" \
     || { echo "halo P=128: text and .titb --metrics differ at --threads 1" >&2; exit 1; }
-echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache; halo P=128 text and .titb --metrics equal)"
+# The writers encode ranks on every core and write them in rank order:
+# LU C-64, ranks far longer than a worker may run ahead, round-trips.
+"$gen" --class C --procs 64 --steps 2 --seed 1 --out "$ingest_dir/c64.trace" 2>/dev/null
+"$rep" trace pack "$ingest_dir/c64.trace" "$ingest_dir/c64.titb" --ranks 64 2>/dev/null
+"$rep" trace unpack "$ingest_dir/c64.titb" "$ingest_dir/c64.unpacked.trace" 2>/dev/null
+cmp "$ingest_dir/c64.trace" "$ingest_dir/c64.unpacked.trace"
+echo "INGEST_SMOKE ok (simulated_time_s $t_text across text/crlf/titb/cache; halo P=128 text and .titb --metrics equal; LU C-64 pack/unpack round-trips)"
 
 # Observability smoke: replay an LU class-S trace with the recorder
 # enabled, check that the exported artifacts are valid JSON, and that
@@ -662,6 +668,28 @@ for threads in 1 2; do
     fi
     hostile_runs=$((hostile_runs + 1))
 done
+# The same damage three quarters into the last rank, under `trace pack`:
+# its workers meet it while the earlier ranks are still being written,
+# and the pack exits 1 with the file, line and message a rank-by-rank
+# pack gives, leaving no output and no temp file.
+late=$(grep -n '^p3 ' "$ingest_dir/s4long.trace" | cut -d: -f1 | awk '{ l[NR] = $1 } END { print l[int(NR * 3 / 4)] }')
+sed "${late}s/.*/p3 teleport 5/" "$ingest_dir/s4long.trace" >"$ingest_dir/bad-last.trace"
+want="titreplay: $ingest_dir/bad-last.trace: trace parse error at line $late: unknown action verb \`teleport\`"
+set +e
+"$rep" trace pack "$ingest_dir/bad-last.trace" "$ingest_dir/bad-last.titb" --ranks 4 \
+    >/dev/null 2>"$ingest_dir/hostile.err"
+got=$?
+set -e
+if [ "$got" != 1 ] || [ "$(cat "$ingest_dir/hostile.err")" != "$want" ]; then
+    echo "pack of a late damaged line: exit $got (want 1 and '$want'), got:" >&2
+    cat "$ingest_dir/hostile.err" >&2
+    exit 1
+fi
+if compgen -G "$ingest_dir/bad-last.titb*" >/dev/null; then
+    echo "pack of a late damaged line left $(ls "$ingest_dir"/bad-last.titb*)" >&2
+    exit 1
+fi
+hostile_runs=$((hostile_runs + 1))
 # An interleaved file (one line of each rank in turn, as SimGrid action
 # lists may be) streams one run per rank switch and replays exactly as
 # its rank-major form: same stdout and stderr, same manifest but for the

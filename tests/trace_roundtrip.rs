@@ -268,43 +268,60 @@ fn fingerprint(bytes: &[u8]) -> (usize, u64) {
     (bytes.len(), fnv.digest())
 }
 
-/// The text writer's output is pinned byte for byte: the whole line
-/// grammar (rank prefixes, keywords, integers, shortest floats) of LU
-/// B-8 and of a `titrace-gen` halo trace hash to what the `core::fmt`
-/// writer this encoder replaced produced.
+/// The writers' output is pinned byte for byte: the whole line grammar
+/// (rank prefixes, keywords, integers, shortest floats) of LU B-8 and of
+/// a `titrace-gen` halo trace hash to what the `core::fmt` writer this
+/// encoder replaced produced, and their `titrace-gen --binary` payloads
+/// (from byte 28 on: the header's checksum, block table and the
+/// payload) to what the rank-by-rank `.titb` writer produced. `trace
+/// unpack` of the LU `.titb` gives back the LU text.
 #[test]
 fn written_text_is_pinned() {
+    const LU_TEXT: (usize, u64) = (1_975_363, 0x1b35_1767_bcea_11ce);
     let lu = LuConfig::new(LuClass::B, 8).with_steps(10);
     let trace = acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace;
-    assert_eq!(
-        fingerprint(write::to_string(&trace).as_bytes()),
-        (1_975_363, 0x1b35_1767_bcea_11ce)
-    );
+    assert_eq!(fingerprint(write::to_string(&trace).as_bytes()), LU_TEXT);
 
     let dir = std::env::temp_dir().join(format!("titr-rt-pinned-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let halo = dir.join("halo16.trace");
-    let (code, stderr) = run_bin(
-        env!("CARGO_BIN_EXE_titrace-gen"),
-        &[
-            "--workload",
-            "halo",
-            "--procs",
-            "16",
-            "--steps",
-            "20",
-            "--bytes",
-            "4096",
-            "--out",
-            arg(&halo),
-        ],
-    );
-    assert_eq!(code, Some(0), "{stderr}");
+    let gen = |out: &Path, args: &[&str]| {
+        let (code, stderr) = run_bin(
+            env!("CARGO_BIN_EXE_titrace-gen"),
+            &[args, &["--out", arg(out)]].concat(),
+        );
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        std::fs::read(out).unwrap()
+    };
+    let halo = ["--workload", "halo", "--procs", "16"];
+    let halo = [&halo[..], &["--steps", "20", "--bytes", "4096"]].concat();
+    let lu = [
+        "--class", "B", "--procs", "8", "--steps", "10", "--seed", "1",
+    ];
     assert_eq!(
-        fingerprint(&std::fs::read(&halo).unwrap()),
+        fingerprint(&gen(&dir.join("halo16.trace"), &halo)),
         (32_572, 0xea5c_b0fa_51db_506b)
     );
+    fn binary<'a>(args: &[&'a str]) -> Vec<&'a str> {
+        [args, &["--binary"]].concat()
+    }
+    assert_eq!(
+        fingerprint(&gen(&dir.join("halo16.titb"), &binary(&halo))[28..]),
+        (7_144, 0xb6c4_a07a_35f6_f99e)
+    );
+    let lu_titb = dir.join("lu-b8.titb");
+    assert_eq!(
+        fingerprint(&gen(&lu_titb, &binary(&lu))[28..]),
+        (537_646, 0x8c20_8faf_54f1_b59d)
+    );
+    assert_eq!(fingerprint(&gen(&dir.join("lu-b8.trace"), &lu)), LU_TEXT);
+    let unpacked = dir.join("lu-b8.unpacked.trace");
+    let (code, stderr) = run_bin(
+        env!("CARGO_BIN_EXE_titreplay"),
+        &["trace", "unpack", arg(&lu_titb), arg(&unpacked)],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(fingerprint(&std::fs::read(&unpacked).unwrap()), LU_TEXT);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
