@@ -259,3 +259,125 @@ fn prelude_exposes_observed_replay() {
     assert!(state_csv(log).lines().count() > 1);
     assert!(report.metrics.to_json().contains("\"simulated_time_s\""));
 }
+
+/// Replaces every number in a JSON document with `0`: what is left is
+/// the key set, its order and every non-numeric value.
+fn zero_numbers(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut in_number = false;
+    for c in json.chars() {
+        let numeric = c.is_ascii_digit() || matches!(c, '-' | '.' | 'e' | 'E' | '+');
+        if in_number && numeric {
+            continue;
+        }
+        in_number = false;
+        if c.is_ascii_digit() || c == '-' {
+            let prev = out.trim_end().chars().last();
+            if matches!(prev, Some(':' | '[' | ',')) {
+                out.push('0');
+                in_number = true;
+                continue;
+            }
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// Compares `actual` with the fixture `tests/golden/<name>`. On a
+/// mismatch the actual bytes are left in `dir` for inspection.
+fn assert_golden(dir: &std::path::Path, name: &str, actual: &str) {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    let expected = std::fs::read_to_string(&fixture).unwrap_or_default();
+    if actual != expected {
+        let keep = dir.join(name);
+        std::fs::write(&keep, actual).unwrap();
+        panic!(
+            "{name} differs from {}; actual output kept at {}",
+            fixture.display(),
+            keep.display()
+        );
+    }
+}
+
+/// Pins, byte for byte, what one replay writes through `--metrics` and
+/// `--manifest` (wall time zeroed, the scratch directory replaced by
+/// `<dir>`) and the key set of `inspect --profile-json`, for the
+/// sequential path (LU S-4 from text, `--threads 1`) and the island path
+/// (a 16-rank halo, two cabinets, `--threads 2`).
+#[test]
+fn cli_outputs_match_the_goldens() {
+    let dir = workdir("golden");
+    let gen = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_titrace-gen"))
+            .args(args)
+            .output()
+            .expect("titrace-gen failed to launch");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+    let lu = dir.join("lu.txt");
+    let halo = dir.join("halo.txt");
+    gen(&["--class", "S", "--procs", "4", "--steps", "5", "--out", lu.to_str().unwrap()]);
+    gen(&[
+        "--workload",
+        "halo",
+        "--procs",
+        "16",
+        "--steps",
+        "5",
+        "--out",
+        halo.to_str().unwrap(),
+    ]);
+    let prefix = dir.to_str().unwrap();
+    for (name, trace, ranks, threads) in [("lu-s4", &lu, "4", "1"), ("halo-p16", &halo, "16", "2")] {
+        let plat = format!("{}.platform.json", trace.display());
+        let metrics = dir.join(format!("{name}.metrics.out"));
+        let manifest = dir.join(format!("{name}.manifest.out"));
+        let profile = dir.join(format!("{name}.profile.out"));
+        let common = [
+            "--platform",
+            &plat,
+            "--trace",
+            trace.to_str().unwrap(),
+            "--ranks",
+            ranks,
+            "--threads",
+            threads,
+        ];
+        let replay = titreplay()
+            .args(common)
+            .args(["--rate", "2e9", "--no-cache", "--metrics"])
+            .arg(&metrics)
+            .arg("--manifest")
+            .arg(&manifest)
+            .output()
+            .expect("titreplay failed to launch");
+        assert!(replay.status.success(), "{}", String::from_utf8_lossy(&replay.stderr));
+        let inspect = titreplay()
+            .arg("inspect")
+            .args(common)
+            .arg("--profile-json")
+            .arg(&profile)
+            .output()
+            .expect("titreplay failed to launch");
+        assert!(inspect.status.success(), "{}", String::from_utf8_lossy(&inspect.stderr));
+
+        let metrics = std::fs::read_to_string(&metrics).unwrap();
+        assert_golden(&dir, &format!("{name}.metrics.json"), &metrics);
+        let manifest: String = std::fs::read_to_string(&manifest)
+            .unwrap()
+            .replace(prefix, "<dir>")
+            .lines()
+            .map(|l| match l.strip_prefix("  \"wall_time_s\": ") {
+                Some(_) => "  \"wall_time_s\": 0,\n".to_string(),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_golden(&dir, &format!("{name}.manifest.json"), &manifest);
+        let profile = zero_numbers(&std::fs::read_to_string(&profile).unwrap());
+        assert_golden(&dir, &format!("{name}.profile.json"), &profile);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
