@@ -113,7 +113,7 @@ fn ping_pong_seconds(testbed: &Testbed, bytes: u64) -> Result<f64, String> {
         vec![Box::new(VecSource::new(r0)), Box::new(VecSource::new(r1))];
     let run = testbed.run(sources, Instrumentation::None, CompilerOpt::O3)?;
     // Each rep is a full round trip: two one-way transfers.
-    Ok(run.time / (2.0 * f64::from(REPS)))
+    Ok(run.time() / (2.0 * f64::from(REPS)))
 }
 
 /// Ordinary least squares for `t = a + b·s`, returned as

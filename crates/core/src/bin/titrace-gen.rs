@@ -180,11 +180,25 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The value after a flag, parsed, or a usage error.
-fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage())
+/// A usage error (exit 2) that names `flag`, what it `expects`, and the
+/// value it `got`.
+fn bad_flag(flag: &str, expects: &str, got: Option<&str>) -> ! {
+    let got = got.unwrap_or("nothing");
+    eprintln!("titrace-gen: {flag} expects {expects}, got '{got}'");
+    usage()
+}
+
+/// The value after `flag`, parsed, or a usage error naming the flag.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    expects: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> T {
+    let v = args.next();
+    match v.as_deref().map(str::parse) {
+        Some(Ok(parsed)) => parsed,
+        _ => bad_flag(flag, expects, v.as_deref()),
+    }
 }
 
 fn usage() -> ! {
@@ -218,15 +232,14 @@ fn main() {
         match a.as_str() {
             "--binary" => binary = true,
             "--class" => {
-                class = Some(
-                    args.next()
-                        .and_then(|v| LuClass::parse(&v))
-                        .unwrap_or_else(|| usage()),
-                );
+                let v = args.next();
+                let parsed = v.as_deref().and_then(LuClass::parse);
+                let expects = "S, W, A, B, C or D";
+                class = Some(parsed.unwrap_or_else(|| bad_flag("--class", expects, v.as_deref())));
             }
-            "--procs" => procs = Some(value(&mut args)),
-            "--steps" => steps = Some(value(&mut args)),
-            "--seed" => seed = value(&mut args),
+            "--procs" => procs = Some(value("--procs", "a rank count", &mut args)),
+            "--steps" => steps = Some(value("--steps", "a step count", &mut args)),
+            "--seed" => seed = value("--seed", "a seed", &mut args),
             "--mode" => {
                 mode = match args.next().as_deref() {
                     Some("minimal") => Instrumentation::Minimal,
@@ -249,9 +262,14 @@ fn main() {
                 Some("allreduce") => workload = "allreduce".into(),
                 _ => usage(),
             },
-            "--bytes" => bytes = value(&mut args),
+            "--bytes" => bytes = value("--bytes", "a byte count", &mut args),
             _ => usage(),
         }
+    }
+    // A trace no replay accepts is refused before anything is written:
+    // no ranks, or an LU instance `LuConfig` cannot build.
+    if procs == Some(0) {
+        bad_flag("--procs", "at least one rank", Some("0"));
     }
     if workload == "halo" {
         let (Some(procs), Some(out)) = (procs, out) else {
@@ -320,6 +338,12 @@ fn main() {
     let (Some(class), Some(procs), Some(out)) = (class, procs, out) else {
         usage()
     };
+    if !procs.is_power_of_two() {
+        bad_flag("--procs", "a power of two for LU", Some(&procs.to_string()));
+    }
+    if let Some(steps @ 0..=1) = steps {
+        bad_flag("--steps", "at least 2 for LU", Some(&steps.to_string()));
+    }
     let mut lu = LuConfig::new(class, procs);
     if let Some(steps) = steps {
         lu = lu.with_steps(steps);

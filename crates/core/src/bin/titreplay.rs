@@ -374,12 +374,11 @@ fn inspect_command(args: &[String]) -> ! {
             };
             let report = replay_input_observed(&platform, &input, ranks, &config, false)
                 .unwrap_or_else(|e| fail(&e));
-            let prof = report.profile;
             println!("profile_threads {run_threads}");
-            println!("profile_simulated_time_s {:.9}", report.result.time);
-            print!("{}", prof.render_text());
+            println!("profile_simulated_time_s {:.9}", report.time());
+            print!("{}", report.profile.render_text());
             if let Some(path) = &profile_json {
-                write_or_fail(path, &prof.to_json());
+                write_or_fail(path, &report.profile.to_json());
             }
         }
     }
@@ -457,13 +456,12 @@ fn main() {
         Err(e) => fail(&e),
     };
     let wall = started.elapsed().as_secs_f64();
-    let result = &report.result;
-    println!("simulated_time_s {:.9}", result.time);
+    println!("simulated_time_s {:.9}", report.time());
     eprintln!(
         "({} messages, {} simulation events, makespan over {} ranks)",
-        result.messages,
-        result.events,
-        result.rank_times.len()
+        report.metrics.messages,
+        report.metrics.events_processed,
+        report.rank_times.len()
     );
     if let Some(log) = report.spans.as_ref() {
         if let Some(path) = &args.trace_out {

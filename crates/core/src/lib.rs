@@ -83,8 +83,10 @@ pub mod prelude {
     pub use calibrate::{calibrate, Calibration, CalibrationMethod};
     pub use emulator::Testbed;
     pub use platform::{Placement, Platform, PlatformSpec};
-    pub use replay::{replay_input_observed, ReplayConfig, ReplayEngine, ReplayReport};
-    pub use simkernel::obs::{chrome_trace, critical_path, state_csv, CriticalPath, Metrics};
+    pub use replay::{replay_input_observed, ReplayConfig, ReplayEngine};
+    pub use simkernel::obs::{
+        chrome_trace, critical_path, state_csv, CriticalPath, Metrics, RunReport,
+    };
     pub use simkernel::stats::Summary;
     pub use titrace::{Action, ActionSource, Rank, SourceError, Trace, TraceInput};
     pub use workloads::lu::{LuClass, LuConfig};

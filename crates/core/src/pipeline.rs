@@ -7,7 +7,6 @@
 //! simulated time with the testbed's "real" (uninstrumented) time. This
 //! is exactly the experiment of Figures 3, 6 and 7.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use acquisition::{acquire, CompilerOpt, Instrumentation};
@@ -167,7 +166,6 @@ pub struct Predictor<'a> {
     testbed: &'a Testbed,
     pipeline: Pipeline,
     calibration: Calibration,
-    trace_cache: Option<PathBuf>,
 }
 
 impl<'a> Predictor<'a> {
@@ -190,18 +188,7 @@ impl<'a> Predictor<'a> {
             testbed,
             pipeline,
             calibration,
-            trace_cache: None,
         })
-    }
-
-    /// Caches acquired traces as `.titb` files under `dir`, keyed on
-    /// instance, instrumentation, compiler, and seed. Repeated
-    /// predictions of the same instance (parameter sweeps, ablations)
-    /// then skip re-acquisition and stream the binary trace instead.
-    #[must_use]
-    pub fn with_trace_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.trace_cache = Some(dir.into());
-        self
     }
 
     /// The pipeline configuration.
@@ -237,59 +224,27 @@ impl<'a> Predictor<'a> {
             }),
             ..ReplayConfig::improved(rate)
         };
-        let input = match self.cached_trace_path(instance, seed) {
-            // Streamed straight from the binary cache: the trace is never
-            // materialised whole (replay results are bit-identical across
-            // ingestion paths).
-            Some(path) if path.is_file() => TraceInput::Binary(path),
-            cache_path => {
-                let acq = acquire(
-                    instance.sources(),
-                    self.pipeline.instrumentation,
-                    self.pipeline.compiler,
-                    seed,
-                );
-                let trace = Arc::new(acq.trace);
-                if let Some(path) = cache_path {
-                    // Best-effort: a full cache directory or read-only
-                    // disk must not fail the prediction.
-                    if let Some(parent) = path.parent() {
-                        let _ = std::fs::create_dir_all(parent);
-                    }
-                    let _ = titrace::binfmt::write_file(&trace, &path, None);
-                }
-                TraceInput::Memory(trace)
-            }
-        };
+        let acq = acquire(
+            instance.sources(),
+            self.pipeline.instrumentation,
+            self.pipeline.compiler,
+            seed,
+        );
+        let input = TraceInput::Memory(Arc::new(acq.trace));
         let sim = replay_input_observed(
             &self.testbed.platform,
             &input,
             instance.procs,
             &config,
             false,
-        )?
-        .result;
+        )?;
         Ok(Prediction {
             instance: instance.label(),
-            real_seconds: real.time,
-            simulated_seconds: sim.time,
+            real_seconds: real.time(),
+            simulated_seconds: sim.time(),
             calibrated_rate: rate,
-            replay_messages: sim.messages,
+            replay_messages: sim.metrics.messages,
         })
-    }
-
-    /// The cache file for one acquisition, or `None` when caching is
-    /// off. The key covers everything that shapes the trace: instance,
-    /// instrumentation, compiler, and acquisition seed.
-    fn cached_trace_path(&self, instance: &LuConfig, seed: u64) -> Option<PathBuf> {
-        let dir = self.trace_cache.as_ref()?;
-        Some(dir.join(format!(
-            "{}-x{}-{:?}-{:?}-s{seed}.titb",
-            instance.label(),
-            instance.steps,
-            self.pipeline.instrumentation,
-            self.pipeline.compiler,
-        )))
     }
 }
 
@@ -351,37 +306,6 @@ mod tests {
             improved.relative_error_percent(),
             legacy.relative_error_percent()
         );
-    }
-
-    #[test]
-    fn trace_cache_hits_reproduce_cold_predictions_exactly() {
-        let dir = std::env::temp_dir().join(format!("titr-pcache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let testbed = Testbed::bordereau();
-        let instance = LuConfig::new(LuClass::S, 4).with_steps(3);
-        let cold = Predictor::new(&testbed, Pipeline::improved(), 1)
-            .unwrap()
-            .predict(&instance, 2)
-            .unwrap();
-        let cached = Predictor::new(&testbed, Pipeline::improved(), 1)
-            .unwrap()
-            .with_trace_cache(&dir);
-        // First call populates the cache, second replays from .titb.
-        let miss = cached.predict(&instance, 2).unwrap();
-        let entries = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(entries, 1, "miss must store one .titb entry");
-        let hit = cached.predict(&instance, 2).unwrap();
-        assert_eq!(miss, cold, "caching must not change the prediction");
-        assert_eq!(
-            hit.simulated_seconds.to_bits(),
-            cold.simulated_seconds.to_bits(),
-            "cache hit must be bit-identical"
-        );
-        assert_eq!(hit, cold);
-        // A different seed is a different key, not a stale hit.
-        let other = cached.predict(&instance, 3).unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
-        assert_eq!(other.instance, cold.instance);
     }
 
     #[test]

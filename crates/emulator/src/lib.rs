@@ -20,7 +20,8 @@
 
 use acquisition::{CompilerOpt, Instrumentation, InstrumentedHooks};
 use platform::{HostId, Placement, Platform};
-use smpi::{run_smpi, SmpiConfig, SmpiResult};
+use simkernel::obs::RunReport;
+use smpi::{prepare_smpi, SmpiConfig};
 use workloads::lu::LuConfig;
 use workloads::OpSource;
 
@@ -30,25 +31,6 @@ pub struct Testbed {
     pub platform: Platform,
     /// Where ranks go.
     pub placement: Placement,
-}
-
-/// The outcome of one emulated execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmulationResult {
-    /// Wall-clock makespan of the run, seconds.
-    pub time: f64,
-    /// Per-rank finish times.
-    pub rank_times: Vec<f64>,
-    /// Per-rank time spent computing (calibration input).
-    pub compute_seconds: Vec<f64>,
-    /// Runtime message statistics.
-    pub stats: smpi::WorldStats,
-    /// Simulation events processed.
-    pub events: u64,
-    /// Instrumentation mode of the run.
-    pub mode: Instrumentation,
-    /// Compiler setting of the run.
-    pub compiler: CompilerOpt,
 }
 
 /// An instrumented-vs-original overhead measurement (one row of
@@ -112,27 +94,11 @@ impl Testbed {
         sources: Vec<Box<dyn OpSource>>,
         mode: Instrumentation,
         compiler: CompilerOpt,
-    ) -> Result<EmulationResult, String> {
+    ) -> Result<RunReport, String> {
         let hosts = self.hosts(sources.len() as u32)?;
         let hooks = InstrumentedHooks::new(&self.platform, &hosts, mode, compiler);
-        let result: SmpiResult = run_smpi(
-            &self.platform,
-            &hosts,
-            sources,
-            SmpiConfig::ground_truth(),
-            Box::new(hooks),
-            false,
-        )?
-        .0;
-        Ok(EmulationResult {
-            time: result.total_time,
-            rank_times: result.rank_times,
-            compute_seconds: result.compute_seconds,
-            stats: result.stats,
-            events: result.events,
-            mode,
-            compiler,
-        })
+        let cfg = SmpiConfig::ground_truth();
+        prepare_smpi(&self.platform, &hosts, sources, cfg, Box::new(hooks), false).run()
     }
 
     /// Executes an LU instance.
@@ -144,7 +110,7 @@ impl Testbed {
         lu: &LuConfig,
         mode: Instrumentation,
         compiler: CompilerOpt,
-    ) -> Result<EmulationResult, String> {
+    ) -> Result<RunReport, String> {
         self.run(lu.sources(), mode, compiler)
     }
 
@@ -162,8 +128,8 @@ impl Testbed {
         let original = self.run_lu(lu, Instrumentation::None, compiler)?;
         let instrumented = self.run_lu(lu, mode, compiler)?;
         Ok(OverheadRow {
-            original: original.time,
-            instrumented: instrumented.time,
+            original: original.time(),
+            instrumented: instrumented.time(),
         })
     }
 }
@@ -183,7 +149,7 @@ mod tests {
         let r = tb
             .run_lu(&small_lu(), Instrumentation::None, CompilerOpt::O0)
             .unwrap();
-        assert!(r.time > 0.0);
+        assert!(r.time() > 0.0);
         assert_eq!(r.rank_times.len(), 4);
         assert!(r.compute_seconds.iter().all(|c| *c > 0.0));
     }
@@ -233,7 +199,7 @@ mod tests {
         let o3 = tb
             .run_lu(&lu, Instrumentation::None, CompilerOpt::O3)
             .unwrap();
-        assert!(o3.time < o0.time);
+        assert!(o3.time() < o0.time());
     }
 
     #[test]
@@ -246,7 +212,7 @@ mod tests {
         let b = tb
             .run_lu(&lu, Instrumentation::Minimal, CompilerOpt::O3)
             .unwrap();
-        assert_eq!(a.time, b.time);
+        assert_eq!(a.time(), b.time());
         assert_eq!(a.rank_times, b.rank_times);
     }
 
@@ -272,7 +238,7 @@ mod tests {
                 CompilerOpt::O0,
             )
             .unwrap()
-            .time;
+            .time();
         let t16 = tb
             .run_lu(
                 &LuConfig::new(LuClass::W, 16).with_steps(3),
@@ -280,7 +246,7 @@ mod tests {
                 CompilerOpt::O0,
             )
             .unwrap()
-            .time;
+            .time();
         assert!(t16 < t4, "W-16 {t16} !< W-4 {t4}");
     }
 }
@@ -308,7 +274,7 @@ mod more_tests {
         let packed = tb
             .run_lu(&lu, Instrumentation::None, CompilerOpt::O3)
             .unwrap();
-        assert!(packed.time > 0.0);
+        assert!(packed.time() > 0.0);
         // All 8 ranks fit on the 2 quad-core nodes.
         assert_eq!(tb.hosts(8).unwrap().iter().filter(|h| h.0 == 0).count(), 4);
     }
@@ -330,8 +296,8 @@ mod more_tests {
                 CompilerOpt::O0,
             )
             .unwrap();
-        assert!(long.stats.messages > short.stats.messages);
-        assert!(long.time > short.time);
+        assert!(long.metrics.messages > short.metrics.messages);
+        assert!(long.time() > short.time());
     }
 
     #[test]

@@ -26,17 +26,15 @@
 mod engine;
 mod parallel;
 pub mod partition;
-pub mod profile;
 
 use std::time::Instant;
 
 use platform::{HostId, Placement, Platform};
-use simkernel::obs::{CriticalPath, Manifest, Metrics, SpanLog};
+use simkernel::obs::{Manifest, ReplayProfile, RunReport};
 use titrace::{Action, ActionSource, Rank, TraceInput};
 use workloads::{ComputeBlock, MpiOp};
 
 use engine::{check_fault, FaultSlot, ReplayOps};
-use profile::ReplayProfile;
 
 /// Which simulation back-end executes the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,47 +157,6 @@ impl ReplayConfig {
     }
 }
 
-/// Outcome of a replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayResult {
-    /// Simulated execution time, seconds.
-    pub time: f64,
-    /// Per-rank simulated finish times.
-    pub rank_times: Vec<f64>,
-    /// Messages simulated.
-    pub messages: u64,
-    /// Simulation events processed (performance metric).
-    pub events: u64,
-}
-
-/// Outcome of a replay: the engine result plus the unified
-/// observability payload (see [`simkernel::obs`]) and the wall-clock
-/// profile.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Simulated times and counts.
-    pub result: ReplayResult,
-    /// Unified counter snapshot.
-    pub metrics: Metrics,
-    /// Recorded simulated-time spans (present iff span recording was
-    /// requested).
-    pub spans: Option<SpanLog>,
-    /// Where the host spent wall-clock time. Purely diagnostic: it never
-    /// enters the metrics or the manifest, and no simulated output
-    /// depends on it.
-    pub profile: ReplayProfile,
-}
-
-impl ReplayReport {
-    /// The makespan-determining chain through the recorded spans.
-    /// `None` when spans were not recorded.
-    pub fn critical_path(&self) -> Option<CriticalPath> {
-        self.spans
-            .as_ref()
-            .map(|log| simkernel::obs::critical_path(log, &self.result.rank_times))
-    }
-}
-
 /// Maps one trace action to the equivalent runtime op.
 pub fn action_to_op(action: &Action) -> MpiOp {
     match *action {
@@ -241,9 +198,9 @@ pub fn action_to_op(action: &Action) -> MpiOp {
 /// its ranks' blocks — so resident memory stays bounded by the cursors'
 /// read windows; an in-memory trace must have exactly `ranks` ranks.
 /// `config.threads >= 2` replays coupling islands concurrently
-/// (bit-identical results). The report carries the metrics
+/// (bit-identical results). The [`RunReport`] carries the metrics
 /// always, the spans when `record_spans` is set, and the wall-clock
-/// profile.
+/// profile of the whole replay.
 ///
 /// # Errors
 /// Fails on I/O, parse, or decode errors, an action the runtimes cannot
@@ -257,7 +214,7 @@ pub fn replay_input_observed(
     ranks: u32,
     config: &ReplayConfig,
     record_spans: bool,
-) -> Result<ReplayReport, String> {
+) -> Result<RunReport, String> {
     let started = Instant::now();
     if ranks == 0 {
         return Err("a replay needs at least one rank".into());
@@ -294,25 +251,16 @@ fn replay_sequential(
     config: &ReplayConfig,
     record_spans: bool,
     started: Instant,
-) -> Result<ReplayReport, String> {
+) -> Result<RunReport, String> {
     let ranks = cursors.len() as u32;
     let hosts: Vec<HostId> = config.placement.assign(platform, ranks)?;
     let fault = FaultSlot::default();
     let sources = ReplayOps::wrap(cursors, 0..ranks, ranks, None, &fault);
     let outcome = engine::prepare(platform, &hosts, sources, config, record_spans).run();
     check_fault(&fault)?;
-    let (r, obs) = outcome?;
-    Ok(ReplayReport {
-        result: ReplayResult {
-            time: r.total_time,
-            rank_times: r.rank_times,
-            messages: r.stats.messages,
-            events: r.events,
-        },
-        metrics: obs.metrics,
-        spans: obs.spans,
-        profile: ReplayProfile::sequential(started.elapsed().as_secs_f64(), ranks as usize),
-    })
+    let mut report = outcome?;
+    report.profile = ReplayProfile::sequential(started.elapsed().as_secs_f64(), ranks as usize);
+    Ok(report)
 }
 
 /// A compact, deterministic identity string for a trace input: its
@@ -366,16 +314,14 @@ pub fn manifest(
     platform: &Platform,
     signature: &str,
     config: &ReplayConfig,
-    report: &ReplayReport,
+    report: &RunReport,
     wall_time_s: f64,
 ) -> Manifest {
     Manifest {
         tool: concat!("titreplay ", env!("CARGO_PKG_VERSION")).to_string(),
         platform: platform.name.clone(),
-        ranks: report.metrics.ranks,
         trace_signature: signature.to_string(),
         config: config_fields(config),
-        simulated_time_s: report.result.time,
         wall_time_s,
         metrics: report.metrics.clone(),
     }
@@ -388,7 +334,7 @@ fn replay_memory(
     trace: &std::sync::Arc<titrace::Trace>,
     config: &ReplayConfig,
     record_spans: bool,
-) -> Result<ReplayReport, String> {
+) -> Result<RunReport, String> {
     let input = TraceInput::Memory(std::sync::Arc::clone(trace));
     replay_input_observed(platform, &input, trace.ranks(), config, record_spans)
 }
@@ -401,6 +347,18 @@ mod tests {
     use std::sync::Arc;
     use titrace::Trace;
     use workloads::lu::{LuClass, LuConfig};
+
+    /// What two replays are compared on: the makespan, the per-rank
+    /// finish times, the messages and the kernel events.
+    fn outcome(r: &RunReport) -> (f64, Vec<f64>, u64, u64) {
+        let m = &r.metrics;
+        (
+            r.time(),
+            r.rank_times.clone(),
+            m.messages,
+            m.events_processed,
+        )
+    }
 
     fn small_trace() -> Arc<Trace> {
         let lu = LuConfig::new(LuClass::S, 4).with_steps(3);
@@ -417,11 +375,10 @@ mod tests {
                 ..ReplayConfig::improved(2e9)
             };
             let r = replay_memory(&p, &trace, &cfg, false)
-                .unwrap_or_else(|e| panic!("{engine:?}: {e}"))
-                .result;
-            assert!(r.time > 0.0, "{engine:?}");
+                .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+            assert!(r.time() > 0.0, "{engine:?}");
             assert_eq!(r.rank_times.len(), 4);
-            assert!(r.messages > 0);
+            assert!(r.metrics.messages > 0);
         }
     }
 
@@ -429,17 +386,13 @@ mod tests {
     fn msg_replay_is_slower_on_small_message_floods() {
         let trace = small_trace();
         let p = platform::clusters::bordereau();
-        let msg = replay_memory(&p, &trace, &ReplayConfig::legacy(2e9), false)
-            .unwrap()
-            .result;
-        let smpi = replay_memory(&p, &trace, &ReplayConfig::improved(2e9), false)
-            .unwrap()
-            .result;
+        let msg = replay_memory(&p, &trace, &ReplayConfig::legacy(2e9), false).unwrap();
+        let smpi = replay_memory(&p, &trace, &ReplayConfig::improved(2e9), false).unwrap();
         assert!(
-            msg.time > smpi.time,
+            msg.time() > smpi.time(),
             "MSG {} !> SMPI {}",
-            msg.time,
-            smpi.time
+            msg.time(),
+            smpi.time()
         );
     }
 
@@ -447,13 +400,9 @@ mod tests {
     fn higher_rate_is_never_slower() {
         let trace = small_trace();
         let p = platform::clusters::graphene();
-        let slow = replay_memory(&p, &trace, &ReplayConfig::improved(1e9), false)
-            .unwrap()
-            .result;
-        let fast = replay_memory(&p, &trace, &ReplayConfig::improved(4e9), false)
-            .unwrap()
-            .result;
-        assert!(fast.time <= slow.time);
+        let slow = replay_memory(&p, &trace, &ReplayConfig::improved(1e9), false).unwrap();
+        let fast = replay_memory(&p, &trace, &ReplayConfig::improved(4e9), false).unwrap();
+        assert!(fast.time() <= slow.time());
     }
 
     #[test]
@@ -461,9 +410,9 @@ mod tests {
         let trace = small_trace();
         let p = platform::clusters::bordereau();
         let cfg = ReplayConfig::improved(2e9);
-        let a = replay_memory(&p, &trace, &cfg, false).unwrap().result;
-        let b = replay_memory(&p, &trace, &cfg, false).unwrap().result;
-        assert_eq!(a, b);
+        let a = replay_memory(&p, &trace, &cfg, false).unwrap();
+        let b = replay_memory(&p, &trace, &cfg, false).unwrap();
+        assert_eq!(outcome(&a), outcome(&b));
     }
 
     #[test]
@@ -474,14 +423,10 @@ mod tests {
         let bordereau = platform::clusters::bordereau();
         let graphene = platform::clusters::graphene();
         let cfg = ReplayConfig::improved(2e9);
-        let tb = replay_memory(&bordereau, &trace, &cfg, false)
-            .unwrap()
-            .result;
-        let tg = replay_memory(&graphene, &trace, &cfg, false)
-            .unwrap()
-            .result;
-        assert!(tb.time > 0.0 && tg.time > 0.0);
-        assert_ne!(tb.time, tg.time, "different networks, different times");
+        let tb = replay_memory(&bordereau, &trace, &cfg, false).unwrap();
+        let tg = replay_memory(&graphene, &trace, &cfg, false).unwrap();
+        assert!(tb.time() > 0.0 && tg.time() > 0.0);
+        assert_ne!(tb.time(), tg.time(), "different networks, different times");
     }
 
     #[test]
@@ -500,15 +445,14 @@ mod tests {
         // S-4 blocks are tiny: cache-resident, so the true rate is the
         // base speed.
         let rate = platform::clusters::BORDEREAU_SPEED;
-        let sim = replay_memory(&tb.platform, &trace, &ReplayConfig::improved(rate), false)
-            .unwrap()
-            .result;
-        let err = (sim.time - truth.time) / truth.time * 100.0;
+        let sim =
+            replay_memory(&tb.platform, &trace, &ReplayConfig::improved(rate), false).unwrap();
+        let err = (sim.time() - truth.time()) / truth.time() * 100.0;
         assert!(
             err.abs() < 15.0,
             "replay error {err}% (sim {} truth {})",
-            sim.time,
-            truth.time
+            sim.time(),
+            truth.time()
         );
     }
 
@@ -532,7 +476,7 @@ mod tests {
                 engine,
                 ..ReplayConfig::improved(2e9)
             };
-            let base = replay_memory(&p, &trace, &cfg, false).unwrap().result;
+            let base = replay_memory(&p, &trace, &cfg, false).unwrap();
             let inputs = [
                 TraceInput::Memory(Arc::clone(&trace)),
                 TraceInput::MergedText(merged.clone()),
@@ -541,16 +485,15 @@ mod tests {
             ];
             for input in &inputs {
                 let r = replay_input_observed(&p, input, trace.ranks(), &cfg, false)
-                    .unwrap_or_else(|e| panic!("{engine:?} {input:?}: {e}"))
-                    .result;
+                    .unwrap_or_else(|e| panic!("{engine:?} {input:?}: {e}"));
                 assert_eq!(
-                    r.time.to_bits(),
-                    base.time.to_bits(),
+                    r.time().to_bits(),
+                    base.time().to_bits(),
                     "{engine:?} {input:?}: {} != {}",
-                    r.time,
-                    base.time
+                    r.time(),
+                    base.time()
                 );
-                assert_eq!(r, base, "{engine:?} {input:?}");
+                assert_eq!(outcome(&r), outcome(&base), "{engine:?} {input:?}");
             }
         }
     }
@@ -877,7 +820,7 @@ mod observability_tests {
             );
             assert!(log.total_spans() > 0, "{engine:?}: nothing recorded");
             for rank in 0..log.rank_count() {
-                let finish = report.result.rank_times[rank as usize];
+                let finish = report.rank_times[rank as usize];
                 let mut cursor = 0.0;
                 let mut tracked = 0.0;
                 for s in log.rank(rank) {
@@ -914,10 +857,10 @@ mod observability_tests {
             let path = report.critical_path().expect("spans recorded");
             assert_eq!(
                 path.end_s.to_bits(),
-                report.result.time.to_bits(),
+                report.time().to_bits(),
                 "{engine:?}: critical-path end {} != simulated time {}",
                 path.end_s,
-                report.result.time
+                report.time()
             );
             assert!(!path.steps.is_empty());
             // Steps tile [0, end] back-to-back.
@@ -938,15 +881,18 @@ mod observability_tests {
         let p = platform::clusters::bordereau();
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let c = cfg(engine);
-            let plain = replay_memory(&p, &trace, &c, false).unwrap().result;
+            let plain = replay_memory(&p, &trace, &c, false).unwrap();
             let observed = replay_memory(&p, &trace, &c, true).unwrap();
             assert_eq!(
-                plain.time.to_bits(),
-                observed.result.time.to_bits(),
+                plain.time().to_bits(),
+                observed.time().to_bits(),
                 "{engine:?}"
             );
-            assert_eq!(plain.rank_times, observed.result.rank_times);
-            assert_eq!(plain.events, observed.result.events);
+            assert_eq!(plain.rank_times, observed.rank_times);
+            assert_eq!(
+                plain.metrics.events_processed,
+                observed.metrics.events_processed
+            );
         }
     }
 
@@ -958,9 +904,9 @@ mod observability_tests {
         let m = &report.metrics;
         assert_eq!(m.engine, "smpi");
         assert_eq!(m.ranks, 8);
-        assert_eq!(m.messages, report.result.messages);
+        assert!(m.messages > 0);
         assert_eq!(m.messages, m.eager_messages + m.rendezvous_messages);
-        assert_eq!(m.events_processed, report.result.events);
+        assert_eq!(m.events_processed, m.fel.popped);
         assert!(m.net.flows_opened > 0);
         assert_eq!(m.net.flows_opened, m.net.flows_closed);
         assert!(m.net.resolves > 0);
@@ -1022,9 +968,7 @@ mod copy_model_tests {
             acquire(lu.sources(), Instrumentation::Minimal, CompilerOpt::O3, 1).trace,
         );
         let p = platform::clusters::graphene();
-        let plain = replay_memory(&p, &trace, &ReplayConfig::improved(2e9), false)
-            .unwrap()
-            .result;
+        let plain = replay_memory(&p, &trace, &ReplayConfig::improved(2e9), false).unwrap();
         let copy = smpi::SmpiConfig::ground_truth().copy.unwrap();
         let with_copy = replay_memory(
             &p,
@@ -1035,13 +979,12 @@ mod copy_model_tests {
             },
             false,
         )
-        .unwrap()
-        .result;
+        .unwrap();
         assert!(
-            with_copy.time > plain.time,
+            with_copy.time() > plain.time(),
             "copy model must add time: {} !> {}",
-            with_copy.time,
-            plain.time
+            with_copy.time(),
+            plain.time()
         );
     }
 
@@ -1061,10 +1004,8 @@ mod copy_model_tests {
         );
         let rate = platform::clusters::GRAPHENE_SPEED;
         let err = |config: &ReplayConfig| {
-            let sim = replay_memory(&tb.platform, &trace, config, false)
-                .unwrap()
-                .result;
-            ((sim.time - real.time) / real.time * 100.0).abs()
+            let sim = replay_memory(&tb.platform, &trace, config, false).unwrap();
+            ((sim.time() - real.time()) / real.time() * 100.0).abs()
         };
         let without = err(&ReplayConfig::improved(rate));
         let copy = smpi::SmpiConfig::ground_truth().copy.unwrap();

@@ -27,14 +27,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use platform::{HostId, LinkId, Platform};
-use simkernel::obs::{Metrics, RunObservation, SpanLog};
-use smpi::SmpiResult;
+use simkernel::obs::{Metrics, ReplayProfile, RunReport, SpanLog, WorkerProfile};
 use titrace::{ActionSource, TraceInput};
 
 use crate::engine::{self, check_fault, FaultSlot, ReplayOps};
 use crate::partition::{island_links, partition_ranks, scan_until_collective, Island};
-use crate::profile::{ReplayProfile, WorkerProfile};
-use crate::{ReplayConfig, ReplayReport, ReplayResult};
+use crate::ReplayConfig;
 
 /// One island's share of the work, handed to a worker thread. `dyn
 /// OpSource` is not `Send`, so a job carries the raw `ActionSource`
@@ -66,7 +64,7 @@ pub(crate) fn replay_islands(
     config: &ReplayConfig,
     record_spans: bool,
     started: Instant,
-) -> Result<ReplayReport, String> {
+) -> Result<RunReport, String> {
     // Open the input once (index merged text, open and verify a `.titb`):
     // the scan and the replay then take cursor sets from the one handle.
     let input = titrace::stream::open_input(input, ranks).map_err(|e| e.to_string())?;
@@ -109,7 +107,7 @@ pub(crate) fn replay_islands(
     }
 
     let fault = FaultSlot::default();
-    type Finished = Result<(SmpiResult, RunObservation), String>;
+    type Finished = Result<RunReport, String>;
     let results: Mutex<Vec<(usize, Finished)>> = Mutex::new(Vec::with_capacity(part.islands.len()));
     let profiles: Mutex<Vec<WorkerProfile>> = Mutex::new(Vec::with_capacity(workers));
     std::thread::scope(|s| {
@@ -167,63 +165,49 @@ pub(crate) fn replay_islands(
         .into_iter()
         .map(|(_, outcome)| outcome)
         .collect::<Result<Vec<_>, String>>()?;
-    let (result, metrics, spans) = merge_islands(config, ranks, &part.islands, done);
     let mut workers = profiles
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     workers.sort_by_key(|w| w.worker);
-    Ok(ReplayReport {
-        result,
-        metrics,
-        spans,
-        profile: ReplayProfile {
-            mode: "islands",
-            wall_s: started.elapsed().as_secs_f64(),
-            workers,
-            decode_wait_s: 0.0,
-            decode_parks: 0,
-        },
-    })
+    let profile = ReplayProfile {
+        mode: "islands",
+        wall_s: started.elapsed().as_secs_f64(),
+        workers,
+        decode_wait_s: 0.0,
+        decode_parks: 0,
+    };
+    Ok(merge_islands(ranks, &part.islands, done, profile))
 }
 
-/// Merges per-island outcomes — always in island-index order, never
-/// worker or completion order — into the exact result, metrics and spans
-/// the sequential path produces: island-local ranks map back through
-/// `island.ranks`. High-water marks fold per-island maxima (see
-/// [`Metrics::merge`]), which legitimately differ from a sequential
-/// replay's, where one network model sees every island's flows.
+/// Merges per-island reports — always in island-index order, never
+/// worker or completion order — into the exact report the sequential
+/// path produces: island-local ranks map back through `island.ranks`.
+/// High-water marks fold per-island maxima (see [`Metrics::merge`]),
+/// which legitimately differ from a sequential replay's, where one
+/// network model sees every island's flows.
 fn merge_islands(
-    config: &ReplayConfig,
     ranks: u32,
     islands: &[Island],
-    done: Vec<(SmpiResult, RunObservation)>,
-) -> (ReplayResult, Metrics, Option<SpanLog>) {
-    let mut metrics = Metrics::new(config.engine.name(), ranks);
+    done: Vec<RunReport>,
+    profile: ReplayProfile,
+) -> RunReport {
+    let mut metrics = Metrics {
+        ranks,
+        ..Metrics::default()
+    };
     let mut spans: Option<SpanLog> = None;
     let mut rank_times = vec![0.0f64; ranks as usize];
-    let (mut messages, mut events) = (0, 0);
-    for (island, (d, obs)) in islands.iter().zip(done) {
-        for (&r, &t) in island.ranks.iter().zip(&d.rank_times) {
-            rank_times[r as usize] = t;
+    let mut compute_seconds = vec![0.0f64; ranks as usize];
+    for (island, part) in islands.iter().zip(done) {
+        for (i, &r) in island.ranks.iter().enumerate() {
+            rank_times[r as usize] = part.rank_times[i];
+            compute_seconds[r as usize] = part.compute_seconds[i];
         }
-        messages += d.stats.messages;
-        events += d.events;
-        metrics.merge(&obs.metrics);
-        if let Some(part) = obs.spans {
-            let log = spans.get_or_insert_with(|| SpanLog::new(ranks));
-            log.place(part, &island.ranks);
+        metrics.merge(&part.metrics);
+        if let Some(log) = part.spans {
+            let whole = spans.get_or_insert_with(|| SpanLog::new(ranks));
+            whole.place(log, &island.ranks);
         }
     }
-    // Same fold, in the same global rank order, as the sequential
-    // runners — bit-identical total.
-    let total_time = rank_times.iter().copied().fold(0.0, f64::max);
-    metrics.simulated_time_s = total_time;
-    metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
-    let result = ReplayResult {
-        time: total_time,
-        rank_times,
-        messages,
-        events,
-    };
-    (result, metrics, spans)
+    RunReport::new(metrics, rank_times, compute_seconds, spans, profile)
 }

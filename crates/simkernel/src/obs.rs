@@ -1,5 +1,6 @@
-//! Cross-engine observability: simulated-time span recording, a unified
-//! metrics snapshot, trace exporters, and critical-path analysis.
+//! Cross-engine observability: the one report of a simulated run, its
+//! span recording, metrics snapshot, trace exporters, critical-path
+//! analysis and wall-clock profile.
 //!
 //! The paper validates its replay fixes by *looking at* executions —
 //! Gantt charts, per-process distributions — not just end-to-end times.
@@ -14,8 +15,11 @@
 //! * [`critical_path`], a backward walk over the recorded spans that
 //!   reports the chain of actions determining the makespan plus a
 //!   per-rank compute/communication breakdown;
-//! * [`Metrics`], the unified counter snapshot (kernel, FEL profile,
-//!   protocol, and the network model's [`NetStats`]) every runner fills;
+//! * [`RunReport`], the outcome of every run — runtime, emulator and
+//!   replay alike: [`Metrics`], the unified counter snapshot (kernel, FEL
+//!   profile, protocol, and the network model's [`NetStats`]), per-rank
+//!   times, the spans when recorded, and the [`ReplayProfile`] of where
+//!   the host spent wall time;
 //! * [`Manifest`], the per-run provenance record.
 //!
 //! Everything here is dependency-free: JSON is emitted by hand through
@@ -291,15 +295,61 @@ impl SpanLog {
     }
 }
 
-/// What an observed run yields besides its engine result: the unified
-/// metrics snapshot and, when span recording was requested, the span
-/// log itself.
-#[derive(Debug, Clone, Default)]
-pub struct RunObservation {
-    /// Unified counter snapshot.
+/// The outcome of one simulated run, and the only one: what the runtime
+/// returns, what the emulator and a replay return, and what the
+/// manifest, `--metrics`, the critical path and the profile render from.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Unified counter snapshot; `simulated_time_s` is the makespan.
     pub metrics: Metrics,
+    /// Per-rank finish times, seconds.
+    pub rank_times: Vec<f64>,
+    /// Per-rank seconds spent computing (planned durations; calibration
+    /// input).
+    pub compute_seconds: Vec<f64>,
     /// Recorded spans (present iff span recording was on).
     pub spans: Option<SpanLog>,
+    /// Where the host spent wall-clock time. Purely diagnostic: it never
+    /// enters the metrics or the manifest, and no simulated output
+    /// depends on it.
+    pub profile: ReplayProfile,
+}
+
+impl RunReport {
+    /// Assembles a report, filling the metrics fields that follow from
+    /// the rest: the makespan, folded over `rank_times` in rank order
+    /// (so every way of running a trace reports the same bits), and the
+    /// span log's counters.
+    pub fn new(
+        mut metrics: Metrics,
+        rank_times: Vec<f64>,
+        compute_seconds: Vec<f64>,
+        spans: Option<SpanLog>,
+        profile: ReplayProfile,
+    ) -> RunReport {
+        metrics.simulated_time_s = rank_times.iter().copied().fold(0.0, f64::max);
+        metrics.recorder_counts = spans.as_ref().map(SpanLog::counts);
+        RunReport {
+            metrics,
+            rank_times,
+            compute_seconds,
+            spans,
+            profile,
+        }
+    }
+
+    /// Application makespan: the latest rank finish time, seconds.
+    pub fn time(&self) -> f64 {
+        self.metrics.simulated_time_s
+    }
+
+    /// The makespan-determining chain through the recorded spans.
+    /// `None` when spans were not recorded.
+    pub fn critical_path(&self) -> Option<CriticalPath> {
+        self.spans
+            .as_ref()
+            .map(|log| critical_path(log, &self.rank_times))
+    }
 }
 
 /// Always-on counters of the network model's sharing work, kept by
@@ -336,8 +386,8 @@ pub struct NetStats {
 /// [`Metrics::to_json`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    /// Back-end name (`"smpi"` or `"msg"`).
-    pub engine: String,
+    /// Back-end name (`"smpi"` or `"msg"`), the runtime model's own.
+    pub engine: &'static str,
     /// Number of ranks simulated.
     pub ranks: u32,
     /// Application makespan, seconds.
@@ -369,9 +419,9 @@ pub struct Metrics {
 
 impl Metrics {
     /// Empty snapshot for `engine`/`ranks`.
-    pub fn new(engine: &str, ranks: u32) -> Metrics {
+    pub fn new(engine: &'static str, ranks: u32) -> Metrics {
         Metrics {
-            engine: engine.to_string(),
+            engine,
             ranks,
             ..Metrics::default()
         }
@@ -379,9 +429,11 @@ impl Metrics {
 
     /// Folds in the counters of a run over other ranks of the same
     /// replay (an island): counts add, high-water marks take the larger —
-    /// each island runs its own network model and match queues. Identity
-    /// fields and `recorder_counts` are left to the caller.
+    /// each island runs its own network model and match queues. The
+    /// engine is the island's; `ranks`, `simulated_time_s` and
+    /// `recorder_counts` are left to the caller.
     pub fn merge(&mut self, other: &Metrics) {
+        self.engine = other.engine;
         let (fel, net) = (&other.fel, &other.net);
         for (sum, add) in [
             (&mut self.events_processed, other.events_processed),
@@ -417,7 +469,7 @@ impl Metrics {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!("  \"engine\": {},\n", json_string(&self.engine)));
+        out.push_str(&format!("  \"engine\": {},\n", json_string(self.engine)));
         out.push_str(&format!("  \"ranks\": {},\n", self.ranks));
         out.push_str(&format!(
             "  \"simulated_time_s\": {},\n",
@@ -793,17 +845,13 @@ pub struct Manifest {
     pub tool: String,
     /// Platform description name.
     pub platform: String,
-    /// Number of ranks replayed.
-    pub ranks: u32,
     /// Input trace identity (path/size or shape).
     pub trace_signature: String,
     /// Flat key/value rendering of the replay configuration.
     pub config: Vec<(String, String)>,
-    /// Reported simulated time, seconds.
-    pub simulated_time_s: f64,
     /// Wall-clock seconds the replay took.
     pub wall_time_s: f64,
-    /// Full counter snapshot.
+    /// Full counter snapshot; the ranks and the simulated time are its.
     pub metrics: Metrics,
 }
 
@@ -817,7 +865,7 @@ impl Manifest {
             "  \"platform\": {},\n",
             json_string(&self.platform)
         ));
-        out.push_str(&format!("  \"ranks\": {},\n", self.ranks));
+        out.push_str(&format!("  \"ranks\": {},\n", self.metrics.ranks));
         out.push_str(&format!(
             "  \"trace_signature\": {},\n",
             json_string(&self.trace_signature)
@@ -832,7 +880,7 @@ impl Manifest {
         out.push_str("},\n");
         out.push_str(&format!(
             "  \"simulated_time_s\": {},\n",
-            json_f64(self.simulated_time_s)
+            json_f64(self.metrics.simulated_time_s)
         ));
         out.push_str(&format!(
             "  \"wall_time_s\": {},\n",
@@ -847,6 +895,145 @@ impl Manifest {
             out.push_str(line);
         }
         out.push_str("\n}");
+        out
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wall-clock profile
+// ---------------------------------------------------------------------
+//
+// Where the rest of this module answers "what did the *simulated*
+// machine do", the profile answers "where did the *host* spend wall time
+// while computing that answer": per-worker work time and the
+// load-imbalance ratio across workers. None of it feeds back into
+// simulated times, metrics, manifests, or exports.
+
+/// Wall-time breakdown of one replay worker thread.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerProfile {
+    /// Worker index (stable across runs; workers are spawned in
+    /// assignment order).
+    pub worker: usize,
+    /// Islands this worker executed. The sequential path reports one
+    /// pseudo-island.
+    pub islands: usize,
+    /// Global ranks this worker simulated.
+    pub ranks: usize,
+    /// Seconds spent doing simulation work: preparing engines and
+    /// running them to their results.
+    pub work_s: f64,
+    /// Wall-clock seconds from worker start to worker exit.
+    pub wall_s: f64,
+}
+
+/// Wall-clock profile of one run ([`RunReport::profile`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayProfile {
+    /// Which execution path ran: `"sequential"` or `"islands"`.
+    pub mode: &'static str,
+    /// Wall-clock seconds of the whole run; for a replay, of the whole
+    /// replay section (scan, partition, worker execution, merge).
+    pub wall_s: f64,
+    /// Per-worker breakdowns, in worker-index order.
+    pub workers: Vec<WorkerProfile>,
+    /// Seconds the replay waited for the thread decoding its text ahead
+    /// of it (0 when no such thread ran: `.titb` and in-memory inputs,
+    /// the island engine).
+    pub decode_wait_s: f64,
+    /// Times that thread parked with every rank's next batch decoded.
+    pub decode_parks: u64,
+}
+
+impl ReplayProfile {
+    /// A single-worker profile for the sequential path, where all wall
+    /// time is work time.
+    pub fn sequential(wall_s: f64, ranks: usize) -> Self {
+        ReplayProfile {
+            mode: "sequential",
+            wall_s,
+            workers: vec![WorkerProfile {
+                worker: 0,
+                islands: 1,
+                ranks,
+                work_s: wall_s,
+                wall_s,
+            }],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
+        }
+    }
+
+    /// Load-imbalance ratio: max worker work time over mean worker work
+    /// time (1.0 = perfectly balanced; 1.0 for empty/idle runs).
+    pub fn imbalance(&self) -> f64 {
+        let n = self.workers.len();
+        if n == 0 {
+            return 1.0;
+        }
+        let total: f64 = self.workers.iter().map(|w| w.work_s).sum();
+        let mean = total / n as f64;
+        if mean <= 0.0 {
+            return 1.0;
+        }
+        let max = self.workers.iter().map(|w| w.work_s).fold(0.0, f64::max);
+        max / mean
+    }
+
+    /// Deterministic-shape JSON rendering (field set and order are
+    /// fixed; the wall-clock *values* are inherently run-dependent).
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(256 + self.workers.len() * 160);
+        out.push_str("{\n");
+        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
+        out.push_str(&format!("  \"wall_s\": {},\n", json_f64(self.wall_s)));
+        out.push_str(&format!(
+            "  \"imbalance\": {},\n",
+            json_f64(self.imbalance())
+        ));
+        out.push_str(&format!(
+            "  \"decode_wait_s\": {},\n",
+            json_f64(self.decode_wait_s)
+        ));
+        out.push_str(&format!("  \"decode_parks\": {},\n", self.decode_parks));
+        out.push_str("  \"workers\": [\n");
+        for (i, w) in self.workers.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"worker\": {}, \"islands\": {}, \"ranks\": {}, \"work_s\": {}, \"wall_s\": {}}}{}\n",
+                w.worker,
+                w.islands,
+                w.ranks,
+                json_f64(w.work_s),
+                json_f64(w.wall_s),
+                if i + 1 < self.workers.len() { "," } else { "" }
+            ));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+
+    /// Human-readable table for `titreplay inspect --profile`.
+    pub fn render_text(&self) -> String {
+        let mut out = String::with_capacity(256 + self.workers.len() * 96);
+        out.push_str(&format!(
+            "replay profile: mode={} wall={:.3}ms imbalance={:.2} decode_wait={:.3}ms decode_parks={}\n",
+            self.mode,
+            self.wall_s * 1e3,
+            self.imbalance(),
+            self.decode_wait_s * 1e3,
+            self.decode_parks
+        ));
+        out.push_str("  worker  islands  ranks     work_ms     wall_ms\n");
+        for w in &self.workers {
+            out.push_str(&format!(
+                "  {:>6}  {:>7}  {:>5}  {:>10.3}  {:>10.3}\n",
+                w.worker,
+                w.islands,
+                w.ranks,
+                w.work_s * 1e3,
+                w.wall_s * 1e3,
+            ));
+        }
         out
     }
 }
@@ -1131,12 +1318,13 @@ mod tests {
         let man = Manifest {
             tool: "titreplay".into(),
             platform: "griffon \"test\"".into(),
-            ranks: 8,
             trace_signature: "ranks=8 actions=100".into(),
             config: vec![("engine".into(), "smpi".into())],
-            simulated_time_s: 1.5,
             wall_time_s: 0.01,
-            metrics: Metrics::new("smpi", 8),
+            metrics: Metrics {
+                simulated_time_s: 1.5,
+                ..Metrics::new("smpi", 8)
+            },
         };
         let json = man.to_json();
         assert!(json.contains("\\\"test\\\""), "escaping: {json}");
@@ -1171,5 +1359,63 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
+    }
+
+    fn worker(i: usize, work: f64) -> WorkerProfile {
+        WorkerProfile {
+            worker: i,
+            islands: 1,
+            ranks: 4,
+            work_s: work,
+            wall_s: work + 0.001,
+        }
+    }
+
+    #[test]
+    fn imbalance_is_max_over_mean() {
+        let p = ReplayProfile {
+            mode: "islands",
+            wall_s: 0.4,
+            workers: vec![worker(0, 0.3), worker(1, 0.1)],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
+        };
+        assert!((p.imbalance() - 1.5).abs() < 1e-12);
+        assert_eq!(ReplayProfile::sequential(0.0, 2).imbalance(), 1.0);
+    }
+
+    #[test]
+    fn json_shape_is_fixed() {
+        let p = ReplayProfile {
+            mode: "islands",
+            wall_s: 0.25,
+            workers: vec![worker(0, 0.2), worker(1, 0.21)],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
+        };
+        let j = p.to_json();
+        assert!(j.contains("\"mode\": \"islands\""));
+        assert!(j.contains("\"wall_s\": 0.25"));
+        assert!(j.contains("\"worker\": 0"));
+        assert!(j.contains("\"worker\": 1"));
+        assert!(j.contains("\"imbalance\":"));
+        assert!(j.contains("\"decode_wait_s\": 0,"));
+        assert!(j.contains("\"decode_parks\": 0,"));
+        assert!(j.ends_with("]\n}\n"));
+    }
+
+    #[test]
+    fn text_table_lists_every_worker() {
+        let p = ReplayProfile {
+            mode: "islands",
+            wall_s: 0.4,
+            workers: vec![worker(0, 0.3), worker(1, 0.1)],
+            decode_wait_s: 0.0,
+            decode_parks: 0,
+        };
+        let t = p.render_text();
+        assert!(t.contains("mode=islands"));
+        assert!(t.contains("work_ms"));
+        assert_eq!(t.lines().count(), 4);
     }
 }

@@ -56,8 +56,8 @@ pub mod slab;
 pub mod world;
 
 pub use hooks::{ComputePlan, ExecHooks, FixedRateHooks};
-pub use runner::{prepare_smpi, run_smpi, SmpiResult, SmpiRun};
-pub use world::{SmpiWorld, WorldStats};
+pub use runner::{prepare_smpi, SmpiRun};
+pub use world::SmpiWorld;
 
 use netmodel::PiecewiseFactors;
 

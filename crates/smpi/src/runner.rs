@@ -1,64 +1,33 @@
 //! Assembling and running a complete SMPI simulation.
 
+use std::time::Instant;
+
 use platform::{HostId, Platform};
-use simkernel::obs::{Metrics, RunObservation, SpanLog};
+use simkernel::obs::{ReplayProfile, RunReport, SpanLog};
 use simkernel::{Kernel, Wake};
 use workloads::OpSource;
 
 use crate::actor::RankActor;
 use crate::hooks::ExecHooks;
-use crate::world::{SmpiWorld, WorldStats};
+use crate::world::SmpiWorld;
 use crate::SmpiConfig;
-
-/// Outcome of one simulated execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SmpiResult {
-    /// Application makespan: the latest rank finish time, in seconds.
-    pub total_time: f64,
-    /// Per-rank finish times, seconds.
-    pub rank_times: Vec<f64>,
-    /// Per-rank seconds spent in compute (planned durations; calibration
-    /// input).
-    pub compute_seconds: Vec<f64>,
-    /// Message/volume counters.
-    pub stats: WorldStats,
-    /// Kernel events processed (simulator performance metric).
-    pub events: u64,
-}
-
-/// Runs `sources` (one op stream per rank) placed on `hosts` of
-/// `platform`, under protocol `cfg` and local-cost `hooks`. Returns the
-/// result with the unified observation: the [`Metrics`] snapshot
-/// always, and the recorded [`SpanLog`] when `record_spans` is set
-/// (`simkernel::obs::chrome_trace` and `state_csv` export it).
-///
-/// # Errors
-/// See [`SmpiRun::run`].
-pub fn run_smpi(
-    platform: &Platform,
-    hosts: &[HostId],
-    sources: Vec<Box<dyn OpSource>>,
-    cfg: SmpiConfig,
-    hooks: Box<dyn ExecHooks>,
-    record_spans: bool,
-) -> Result<(SmpiResult, RunObservation), String> {
-    prepare_smpi(platform, hosts, sources, cfg, hooks, record_spans).run()
-}
 
 /// A fully assembled SMPI simulation that has not run yet: the kernel,
 /// the world and one `RankActor` per rank. Produced by
-/// [`prepare_smpi`]; `prepare` then [`SmpiRun::run`] is exactly
-/// [`run_smpi`]. The island-parallel replay engine restricts each
-/// island's links before the run.
+/// [`prepare_smpi`] and run by [`SmpiRun::run`]. The island-parallel
+/// replay engine restricts each island's links before the run.
 pub struct SmpiRun<'p> {
     kernel: Kernel,
     world: SmpiWorld<'p>,
     ranks: Vec<RankActor>,
 }
 
-/// Assembles an SMPI simulation: world, pre-sized kernel and one
-/// `RankActor` per source. With `record_spans`, the run records a
-/// [`SpanLog`] over its own rank ids `0..sources.len()`.
+/// Assembles an SMPI simulation of `sources` (one op stream per rank)
+/// placed on `hosts` of `platform`, under protocol `cfg` and local-cost
+/// `hooks`: world, pre-sized kernel and one `RankActor` per source.
+/// With `record_spans`, the run records a [`SpanLog`] over its own rank
+/// ids `0..sources.len()` (`simkernel::obs::chrome_trace` and
+/// `state_csv` export it).
 pub fn prepare_smpi<'p>(
     platform: &'p Platform,
     hosts: &[HostId],
@@ -93,8 +62,9 @@ impl SmpiRun<'_> {
         self.world.net.restrict_links(links);
     }
 
-    /// Runs the simulation to quiescence and extracts the result and
-    /// observation. Every rank starts at t = 0, in rank order; then each
+    /// Runs the simulation to quiescence and reports it: metrics always,
+    /// spans when recording is on, and a one-worker profile of the run's
+    /// wall time. Every rank starts at t = 0, in rank order; then each
     /// kernel wake goes to the transport or to the rank it names.
     ///
     /// # Errors
@@ -102,7 +72,8 @@ impl SmpiRun<'_> {
     /// run that finished with protocol records alive — a message nobody
     /// received, a receive nobody matched, a request nobody waited for
     /// (see `SmpiWorld::check_drained`).
-    pub fn run(self) -> Result<(SmpiResult, RunObservation), String> {
+    pub fn run(self) -> Result<RunReport, String> {
+        let started = Instant::now();
         let SmpiRun {
             mut kernel,
             mut world,
@@ -130,31 +101,15 @@ impl SmpiRun<'_> {
             ));
         }
         world.check_drained()?;
-        let rank_times: Vec<f64> = ranks.iter().map(|r| r.finish_time().as_secs()).collect();
-        let total_time = rank_times.iter().copied().fold(0.0, f64::max);
-        let stats = world.stats;
-        let mut metrics = Metrics::new(world.cfg.model.name(), ranks.len() as u32);
-        metrics.simulated_time_s = total_time;
+        let mut metrics = world.metrics;
         kernel.observe(&mut metrics);
-        metrics.messages = stats.messages;
-        metrics.eager_messages = stats.eager_messages;
-        metrics.rendezvous_messages = stats.messages - stats.eager_messages;
-        metrics.bytes = stats.bytes;
-        metrics.collectives = stats.collective_participations;
-        metrics.max_unexpected_depth = stats.max_unexpected_depth;
-        metrics.max_posted_depth = stats.max_posted_depth;
         metrics.net = world.net.stats();
-        let spans = world.spans.take();
-        metrics.recorder_counts = spans.as_ref().map(|l| l.counts());
-        Ok((
-            SmpiResult {
-                total_time,
-                rank_times,
-                compute_seconds: world.compute_seconds,
-                stats,
-                events: kernel.events_processed(),
-            },
-            RunObservation { metrics, spans },
+        Ok(RunReport::new(
+            metrics,
+            ranks.iter().map(|r| r.finish_time().as_secs()).collect(),
+            world.compute_seconds,
+            world.spans,
+            ReplayProfile::sequential(started.elapsed().as_secs_f64(), ranks.len()),
         ))
     }
 }
@@ -165,6 +120,22 @@ mod tests {
     use crate::hooks::FixedRateHooks;
     use platform::topology::{flat_cluster, FlatClusterSpec};
     use workloads::{ComputeBlock, MpiOp, VecSource};
+
+    /// What the runtime itself counts (as opposed to the kernel and the
+    /// network model): messages, eager messages, bytes, collective
+    /// participations and the match queues' high-water marks.
+    pub(super) fn world_counts(r: &RunReport) -> [u64; 6] {
+        let m = &r.metrics;
+        let queues = [m.max_unexpected_depth, m.max_posted_depth];
+        [
+            m.messages,
+            m.eager_messages,
+            m.bytes,
+            m.collectives,
+            queues[0],
+            queues[1],
+        ]
+    }
 
     pub(super) fn tiny_platform(nodes: u32) -> Platform {
         flat_cluster(&FlatClusterSpec {
@@ -184,14 +155,14 @@ mod tests {
         (0..n).map(HostId).collect()
     }
 
-    pub(super) fn run(nodes: u32, progs: Vec<Vec<MpiOp>>, cfg: SmpiConfig) -> SmpiResult {
+    pub(super) fn run(nodes: u32, progs: Vec<Vec<MpiOp>>, cfg: SmpiConfig) -> RunReport {
         let p = tiny_platform(nodes);
         let n = progs.len() as u32;
         let sources: Vec<Box<dyn workloads::OpSource>> = progs
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        run_smpi(
+        prepare_smpi(
             &p,
             &hosts(n),
             sources,
@@ -199,8 +170,8 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, n)),
             false,
         )
+        .run()
         .expect("run failed")
-        .0
     }
 
     fn cfg_no_copy() -> SmpiConfig {
@@ -222,7 +193,7 @@ mod tests {
             ]],
             cfg_no_copy(),
         );
-        assert!((r.total_time - 2.0).abs() < 1e-9, "{}", r.total_time);
+        assert!((r.time() - 2.0).abs() < 1e-9, "{}", r.time());
         assert!((r.compute_seconds[0] - 2.0).abs() < 1e-9);
     }
 
@@ -249,8 +220,8 @@ mod tests {
         );
         // Detached: the sender finished immediately (no copy cost here).
         assert!(r.rank_times[0] < 1e-12);
-        assert_eq!(r.stats.messages, 1);
-        assert_eq!(r.stats.eager_messages, 1);
+        assert_eq!(r.metrics.messages, 1);
+        assert_eq!(r.metrics.eager_messages, 1);
     }
 
     #[test]
@@ -316,7 +287,7 @@ mod tests {
             r.rank_times[0],
             1.0 + transfer
         );
-        assert_eq!(r.stats.eager_messages, 0);
+        assert_eq!(r.metrics.eager_messages, 0);
     }
 
     #[test]
@@ -366,11 +337,7 @@ mod tests {
         for t in &r.rank_times {
             assert!(*t >= 2.0, "rank finished at {t} before barrier release");
         }
-        assert!(
-            r.total_time < 2.01,
-            "barrier cost too high: {}",
-            r.total_time
-        );
+        assert!(r.time() < 2.01, "barrier cost too high: {}", r.time());
     }
 
     #[test]
@@ -385,7 +352,7 @@ mod tests {
             ]
         };
         let r = run(8, (0..8).map(prog).collect(), cfg_no_copy());
-        assert_eq!(r.stats.collective_participations, 16);
+        assert_eq!(r.metrics.collectives, 16);
         // All ranks leave the allreduce together (within latency slack).
         let min = r.rank_times.iter().copied().fold(f64::INFINITY, f64::min);
         let max = r.rank_times.iter().copied().fold(0.0, f64::max);
@@ -403,7 +370,7 @@ mod tests {
         let a = run(8, (0..8).map(prog).collect(), cfg_no_copy());
         let b = run(8, (0..8).map(prog).collect(), cfg_no_copy());
         assert_eq!(a.rank_times, b.rank_times);
-        assert_eq!(a.events, b.events);
+        assert_eq!(a.metrics.events_processed, b.metrics.events_processed);
     }
 
     #[test]
@@ -411,7 +378,7 @@ mod tests {
         use workloads::lu::{LuClass, LuConfig};
         let cfg = LuConfig::new(LuClass::S, 4).with_steps(3);
         let p = tiny_platform(4);
-        let r = run_smpi(
+        let r = prepare_smpi(
             &p,
             &hosts(4),
             cfg.sources(),
@@ -419,11 +386,11 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 4)),
             false,
         )
-        .expect("LU S-4 failed")
-        .0;
-        assert!(r.total_time > 0.0);
-        assert!(r.stats.messages > 100);
-        assert!(r.stats.eager_messages > 0);
+        .run()
+        .expect("LU S-4 failed");
+        assert!(r.time() > 0.0);
+        assert!(r.metrics.messages > 100);
+        assert!(r.metrics.eager_messages > 0);
     }
 
     #[test]
@@ -432,7 +399,7 @@ mod tests {
         for procs in [2u32, 8, 16] {
             let cfg = LuConfig::new(LuClass::S, procs).with_steps(2);
             let p = tiny_platform(procs);
-            let r = run_smpi(
+            let r = prepare_smpi(
                 &p,
                 &hosts(procs),
                 cfg.sources(),
@@ -440,9 +407,9 @@ mod tests {
                 Box::new(FixedRateHooks::uniform(1e9, procs)),
                 false,
             )
-            .unwrap_or_else(|e| panic!("LU S-{procs}: {e}"))
-            .0;
-            assert!(r.total_time > 0.0);
+            .run()
+            .unwrap_or_else(|e| panic!("LU S-{procs}: {e}"));
+            assert!(r.time() > 0.0);
         }
     }
 
@@ -452,7 +419,7 @@ mod tests {
         let cfg = LuConfig::new(LuClass::S, 4).with_steps(3);
         let p = tiny_platform(4);
         let run_at = |rate: f64| {
-            run_smpi(
+            prepare_smpi(
                 &p,
                 &hosts(4),
                 cfg.sources(),
@@ -460,9 +427,9 @@ mod tests {
                 Box::new(FixedRateHooks::uniform(rate, 4)),
                 false,
             )
+            .run()
             .unwrap()
-            .0
-            .total_time
+            .time()
         };
         assert!(run_at(2e9) <= run_at(1e9));
     }
@@ -485,7 +452,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let (r, obs) = run_smpi(
+        let r = prepare_smpi(
             &p,
             &[HostId(0), HostId(0)],
             sources,
@@ -493,8 +460,9 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             false,
         )
+        .run()
         .unwrap();
-        assert_eq!(obs.metrics.net.flows_opened, 0);
+        assert_eq!(r.metrics.net.flows_opened, 0);
         assert!(r.rank_times[1] < 1e-5, "{}", r.rank_times[1]);
     }
 
@@ -519,7 +487,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let (r, obs) = run_smpi(
+        let r = prepare_smpi(
             &p,
             &hosts(2),
             sources,
@@ -527,12 +495,13 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             true,
         )
+        .run()
         .unwrap();
-        let spans = obs.spans.expect("spans recorded");
+        let spans = r.spans.as_ref().expect("spans recorded");
         // Rank 0 computed ~1s; rank 1 waited ~1s for the message.
         assert!((spans.total(0, SpanKind::Compute) - 1.0).abs() < 1e-9);
         assert!(spans.total(1, SpanKind::Recv) > 0.99);
-        assert!(r.total_time >= 1.0);
+        assert!(r.time() >= 1.0);
     }
 
     #[test]
@@ -555,7 +524,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let (r, obs) = run_smpi(
+        let r = prepare_smpi(
             &p,
             &hosts(2),
             sources,
@@ -563,26 +532,25 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             true,
         )
+        .run()
         .unwrap();
-        assert_eq!(obs.metrics.engine, "smpi");
-        assert_eq!(obs.metrics.ranks, 2);
-        assert_eq!(
-            obs.metrics.simulated_time_s.to_bits(),
-            r.total_time.to_bits()
-        );
-        assert_eq!(obs.metrics.events_processed, r.events);
-        assert_eq!(obs.metrics.messages, 1);
-        assert_eq!(obs.metrics.eager_messages, 1);
-        assert_eq!(obs.metrics.rendezvous_messages, 0);
-        assert_eq!(obs.metrics.net.flows_opened, 1);
-        assert_eq!(obs.metrics.net.flows_closed, 1);
-        let log = obs.spans.expect("spans recorded");
+        assert_eq!(r.metrics.engine, "smpi");
+        assert_eq!(r.metrics.ranks, 2);
+        let makespan = r.rank_times.iter().copied().fold(0.0, f64::max);
+        assert_eq!(r.metrics.simulated_time_s.to_bits(), makespan.to_bits());
+        assert_eq!(r.metrics.events_processed, r.metrics.fel.popped);
+        assert_eq!(r.metrics.messages, 1);
+        assert_eq!(r.metrics.eager_messages, 1);
+        assert_eq!(r.metrics.rendezvous_messages, 0);
+        assert_eq!(r.metrics.net.flows_opened, 1);
+        assert_eq!(r.metrics.net.flows_closed, 1);
+        let log = r.spans.as_ref().expect("spans recorded");
         assert_eq!(log.flows().len(), 1);
         // Closed: a flow's span ends where it opened until it closes.
         assert!(log.flows()[0].end > log.flows()[0].start);
         assert!(log.total(0, simkernel::obs::SpanKind::Compute) > 0.99);
         assert!(log.total(1, simkernel::obs::SpanKind::Recv) > 0.99);
-        assert_eq!(obs.metrics.recorder_counts.unwrap(), log.counts());
+        assert_eq!(r.metrics.recorder_counts.unwrap(), log.counts());
     }
 
     #[test]
@@ -605,7 +573,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         // The recorder must not perturb the run.
-        let recorded = run_smpi(
+        let recorded = prepare_smpi(
             &p,
             &hosts(2),
             mk(),
@@ -613,9 +581,9 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             true,
         )
-        .unwrap()
-        .0;
-        let (r, obs) = run_smpi(
+        .run()
+        .unwrap();
+        let r = prepare_smpi(
             &p,
             &hosts(2),
             mk(),
@@ -623,11 +591,15 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             false,
         )
+        .run()
         .unwrap();
         assert_eq!(recorded.rank_times, r.rank_times);
-        assert_eq!(recorded.events, r.events);
-        assert!(obs.spans.is_none());
-        assert!(obs.metrics.recorder_counts.is_none());
+        assert_eq!(
+            recorded.metrics.events_processed,
+            r.metrics.events_processed
+        );
+        assert!(r.spans.is_none());
+        assert!(r.metrics.recorder_counts.is_none());
     }
 
     /// One replay of `progs` under `cfg` on a flat cluster, after `set`
@@ -637,7 +609,7 @@ mod tests {
         progs: &[Vec<MpiOp>],
         cfg: SmpiConfig,
         set: impl FnOnce(&mut SmpiWorld),
-    ) -> SmpiResult {
+    ) -> RunReport {
         let n = progs.len() as u32;
         let sources = progs
             .iter()
@@ -647,24 +619,24 @@ mod tests {
         let platform = tiny_platform(n);
         let mut run = prepare_smpi(&platform, &hosts(n), sources, cfg, hooks, false);
         set(&mut run.world);
-        run.run().expect("schedule deadlocked").0
+        run.run().expect("schedule deadlocked")
     }
 
     /// [`run_switched`] under the replay configuration; with
     /// `eager_collectives`, collective flows take the per-flow path.
-    fn run_schedule(progs: &[Vec<MpiOp>], eager_collectives: bool) -> SmpiResult {
+    fn run_schedule(progs: &[Vec<MpiOp>], eager_collectives: bool) -> RunReport {
         run_switched(progs, SmpiConfig::smpi_replay(), |w| {
             w.eager_collectives = eager_collectives;
         })
     }
 
-    fn time_bits(r: &SmpiResult) -> Vec<u64> {
+    fn time_bits(r: &RunReport) -> Vec<u64> {
         r.rank_times.iter().map(|t| t.to_bits()).collect()
     }
 
     /// `(lazy, eager)`: `progs` with unobserved arrivals reserved, and
     /// with every arrival timer queued at flow drain.
-    fn run_arrivals(progs: &[Vec<MpiOp>], cfg: SmpiConfig) -> (SmpiResult, SmpiResult) {
+    fn run_arrivals(progs: &[Vec<MpiOp>], cfg: SmpiConfig) -> (RunReport, RunReport) {
         let lazy = run_switched(progs, cfg.clone(), |_| {});
         let eager = run_switched(progs, cfg, |w| w.eager_arrivals = true);
         (lazy, eager)
@@ -693,7 +665,10 @@ mod tests {
         assert_eq!(time_bits(&lazy), time_bits(&eager));
         let got = lazy.rank_times[1];
         assert!((got - finish).abs() < 1e-12, "{got} vs {finish}");
-        assert_eq!(eager.events - lazy.events, saved);
+        assert_eq!(
+            eager.metrics.events_processed - lazy.metrics.events_processed,
+            saved
+        );
     }
 
     /// A receive posted before the flow drains makes the message
@@ -734,12 +709,12 @@ mod tests {
         }
     }
 
-    fn run_planned(work: f64, rate: f64) -> Result<SmpiResult, String> {
+    fn run_planned(work: f64, rate: f64) -> Result<RunReport, String> {
         let p = tiny_platform(1);
         let source = Box::new(VecSource::new(vec![MpiOp::Compute(ComputeBlock::plain(
             1.0,
         ))]));
-        run_smpi(
+        prepare_smpi(
             &p,
             &hosts(1),
             vec![source],
@@ -747,7 +722,7 @@ mod tests {
             Box::new(PlanHooks(work, rate)),
             false,
         )
-        .map(|(r, _)| r)
+        .run()
     }
 
     /// A compute burst is a timer, but its plan is checked as strictly
@@ -814,7 +789,7 @@ mod tests {
             let per_flow = run_schedule(&progs, true);
             let batched = run_schedule(&progs, false);
             proptest::prop_assert_eq!(time_bits(&per_flow), time_bits(&batched));
-            proptest::prop_assert_eq!(per_flow.stats, batched.stats);
+            proptest::prop_assert_eq!(world_counts(&per_flow), world_counts(&batched));
         }
 
         /// Differential: random programs of eager point-to-point messages
@@ -865,10 +840,10 @@ mod tests {
                 let msg = cfg.model == crate::Model::Msg;
                 let (lazy, eager) = run_arrivals(&progs, cfg);
                 proptest::prop_assert_eq!(time_bits(&lazy), time_bits(&eager));
-                proptest::prop_assert_eq!(lazy.stats, eager.stats);
-                proptest::prop_assert!(lazy.events <= eager.events);
+                proptest::prop_assert_eq!(world_counts(&lazy), world_counts(&eager));
+                proptest::prop_assert!(lazy.metrics.events_processed <= eager.metrics.events_processed);
                 if msg {
-                    proptest::prop_assert_eq!(lazy.events, eager.events);
+                    proptest::prop_assert_eq!(lazy.metrics.events_processed, eager.metrics.events_processed);
                 }
             }
         }
@@ -885,7 +860,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let err = run_smpi(
+        let err = prepare_smpi(
             &p,
             &hosts(2),
             sources,
@@ -893,6 +868,7 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             false,
         )
+        .run()
         .unwrap_err();
         assert!(err.contains("deadlock"), "{err}");
         assert!(err.contains('0'), "{err}");
@@ -905,7 +881,7 @@ mod tests {
         let prog = |instr: f64| vec![MpiOp::Compute(ComputeBlock::plain(instr))];
         let r = run(3, vec![prog(3e9), prog(1e9), prog(2e9)], cfg_no_copy());
         assert_eq!(r.rank_times, vec![3.0, 1.0, 2.0]);
-        assert_eq!(r.total_time, 3.0);
+        assert_eq!(r.time(), 3.0);
     }
 
     /// A wake addressed to a rank whose op stream has run out is
@@ -942,7 +918,9 @@ mod tests {
                 .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
                 .collect();
             let hooks = Box::new(FixedRateHooks::uniform(1e9, 2));
-            let err = run_smpi(&p, &hosts(2), sources, cfg, hooks, false).unwrap_err();
+            let err = prepare_smpi(&p, &hosts(2), sources, cfg, hooks, false)
+                .run()
+                .unwrap_err();
             assert!(
                 err.starts_with(
                     "simulated execution deadlocked; blocked ranks: [0]; rank 0: collective #1"
@@ -966,7 +944,7 @@ mod tests {
             .into_iter()
             .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn workloads::OpSource>)
             .collect();
-        let err = run_smpi(
+        let err = prepare_smpi(
             &p,
             &hosts(3),
             sources,
@@ -974,6 +952,7 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 3)),
             false,
         )
+        .run()
         .unwrap_err();
         assert_eq!(
             err,
@@ -1010,7 +989,7 @@ mod tests {
         );
         // The asynchronous sender left immediately.
         assert!(r.rank_times[0] < 1e-12);
-        assert_eq!(r.stats.eager_messages, 1);
+        assert_eq!(r.metrics.eager_messages, 1);
     }
 
     #[test]
@@ -1050,7 +1029,7 @@ mod tests {
             "{}",
             r.rank_times[0]
         );
-        assert_eq!(r.stats.eager_messages, 0);
+        assert_eq!(r.metrics.eager_messages, 0);
     }
 
     #[test]
@@ -1076,7 +1055,7 @@ mod tests {
             assert!((t - expect).abs() < 1e-9, "{t} vs {expect}");
         }
         // One collective, entered by four ranks.
-        assert_eq!(r.stats.collective_participations, 4);
+        assert_eq!(r.metrics.collectives, 4);
     }
 
     #[test]
@@ -1128,7 +1107,7 @@ mod tests {
         use workloads::lu::{LuClass, LuConfig};
         let cfg = LuConfig::new(LuClass::S, 4).with_steps(3);
         let p = tiny_platform(4);
-        let r = run_smpi(
+        let r = prepare_smpi(
             &p,
             &hosts(4),
             cfg.sources(),
@@ -1136,10 +1115,10 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 4)),
             false,
         )
-        .expect("LU under MSG failed")
-        .0;
-        assert!(r.total_time > 0.0);
-        assert!(r.stats.messages > 100);
+        .run()
+        .expect("LU under MSG failed");
+        assert!(r.time() > 0.0);
+        assert!(r.metrics.messages > 100);
     }
 
     #[test]
@@ -1150,7 +1129,7 @@ mod tests {
         use workloads::lu::{LuClass, LuConfig};
         let cfg = LuConfig::new(LuClass::S, 8).with_steps(4);
         let p = tiny_platform(8);
-        let msg = run_smpi(
+        let msg = prepare_smpi(
             &p,
             &hosts(8),
             cfg.sources(),
@@ -1158,12 +1137,12 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 8)),
             false,
         )
-        .unwrap()
-        .0;
+        .run()
+        .unwrap();
         let mut smpi_cfg = SmpiConfig::ground_truth();
         smpi_cfg.factors = netmodel::PiecewiseFactors::raw();
         smpi_cfg.copy = None;
-        let sm = run_smpi(
+        let sm = prepare_smpi(
             &p,
             &hosts(8),
             cfg.sources(),
@@ -1171,13 +1150,13 @@ mod tests {
             Box::new(FixedRateHooks::uniform(1e9, 8)),
             false,
         )
-        .unwrap()
-        .0;
+        .run()
+        .unwrap();
         assert!(
-            msg.total_time > sm.total_time,
+            msg.time() > sm.time(),
             "MSG {} should exceed SMPI {}",
-            msg.total_time,
-            sm.total_time
+            msg.time(),
+            sm.time()
         );
     }
 }
@@ -1191,7 +1170,7 @@ mod more_tests {
     use crate::hooks::FixedRateHooks;
     use workloads::{ComputeBlock, MpiOp, VecSource};
 
-    fn run_legacy(nodes: u32, progs: Vec<Vec<MpiOp>>) -> Result<SmpiResult, String> {
+    fn run_legacy(nodes: u32, progs: Vec<Vec<MpiOp>>) -> Result<RunReport, String> {
         let n = progs.len() as u32;
         let sources: Vec<Box<dyn OpSource>> = progs
             .into_iter()
@@ -1199,7 +1178,7 @@ mod more_tests {
             .collect();
         let platform = tiny_platform(nodes);
         let hosts: Vec<HostId> = (0..n).map(|r| HostId(r % nodes)).collect();
-        run_smpi(
+        prepare_smpi(
             &platform,
             &hosts,
             sources,
@@ -1207,7 +1186,7 @@ mod more_tests {
             Box::new(FixedRateHooks::uniform(1e9, n)),
             false,
         )
-        .map(|(r, _)| r)
+        .run()
     }
 
     #[test]
@@ -1222,8 +1201,11 @@ mod more_tests {
         let a = run_legacy(6, (0..6).map(prog).collect()).expect("run failed");
         let b = run_legacy(6, (0..6).map(prog).collect()).expect("run failed");
         assert_eq!(a.rank_times, b.rank_times);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.metrics.events_processed, b.metrics.events_processed);
+        assert_eq!(
+            super::tests::world_counts(&a),
+            super::tests::world_counts(&b)
+        );
     }
 
     #[test]
@@ -1243,7 +1225,7 @@ mod more_tests {
         let p = tiny_platform(2);
         let hosts: Vec<HostId> = (0..2).map(HostId).collect();
         // The recorder must not perturb the run.
-        let recorded = run_smpi(
+        let recorded = prepare_smpi(
             &p,
             &hosts,
             mk(),
@@ -1251,9 +1233,9 @@ mod more_tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             true,
         )
-        .unwrap()
-        .0;
-        let (r, obs) = run_smpi(
+        .run()
+        .unwrap();
+        let r = prepare_smpi(
             &p,
             &hosts,
             mk(),
@@ -1261,11 +1243,15 @@ mod more_tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             false,
         )
+        .run()
         .unwrap();
         assert_eq!(recorded.rank_times, r.rank_times);
-        assert_eq!(recorded.events, r.events);
-        assert!(obs.spans.is_none());
-        assert!(obs.metrics.recorder_counts.is_none());
+        assert_eq!(
+            recorded.metrics.events_processed,
+            r.metrics.events_processed
+        );
+        assert!(r.spans.is_none());
+        assert!(r.metrics.recorder_counts.is_none());
     }
 
     #[test]
@@ -1286,7 +1272,7 @@ mod more_tests {
                 bytes: 1000,
             }])),
         ];
-        let (r, obs) = run_smpi(
+        let r = prepare_smpi(
             &p,
             &hosts,
             sources,
@@ -1294,18 +1280,17 @@ mod more_tests {
             Box::new(FixedRateHooks::uniform(1e9, 2)),
             true,
         )
+        .run()
         .unwrap();
-        assert_eq!(obs.metrics.engine, "msg");
-        assert_eq!(obs.metrics.ranks, 2);
-        assert_eq!(
-            obs.metrics.simulated_time_s.to_bits(),
-            r.total_time.to_bits()
-        );
-        assert_eq!(obs.metrics.messages, 1);
-        assert_eq!(obs.metrics.eager_messages, 1);
-        assert_eq!(obs.metrics.net.flows_opened, 1);
-        assert_eq!(obs.metrics.net.flows_closed, 1);
-        let log = obs.spans.expect("spans recorded");
+        assert_eq!(r.metrics.engine, "msg");
+        assert_eq!(r.metrics.ranks, 2);
+        let makespan = r.rank_times.iter().copied().fold(0.0, f64::max);
+        assert_eq!(r.metrics.simulated_time_s.to_bits(), makespan.to_bits());
+        assert_eq!(r.metrics.messages, 1);
+        assert_eq!(r.metrics.eager_messages, 1);
+        assert_eq!(r.metrics.net.flows_opened, 1);
+        assert_eq!(r.metrics.net.flows_closed, 1);
+        let log = r.spans.as_ref().expect("spans recorded");
         assert_eq!(log.flows().len(), 1);
         // Closed: a flow's span ends where it opened until it closes.
         assert!(log.flows()[0].end > log.flows()[0].start);
@@ -1338,8 +1323,8 @@ mod more_tests {
         let prog = |_r: u32| coll_ops.to_vec();
         let r = run(4, (0..4).map(prog).collect(), SmpiConfig::msg_legacy());
         // Participations: every collective, entered by four ranks.
-        assert_eq!(r.stats.collective_participations, 4 * coll_ops.len() as u64);
-        assert!(r.total_time > 0.0);
+        assert_eq!(r.metrics.collectives, 4 * coll_ops.len() as u64);
+        assert!(r.time() > 0.0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 
 use netmodel::{FlowId, FlowNet, FLUSH_KEY};
 use platform::{HostId, Platform};
-use simkernel::obs::{Counter, SpanKind, SpanLog};
+use simkernel::obs::{Counter, Metrics, SpanKind, SpanLog};
 use simkernel::{ActorId, Duration, Kernel, Reserved, Wake};
 use workloads::MpiOp;
 
@@ -147,24 +147,6 @@ pub enum RecvResult {
     WaitPost(PostId),
 }
 
-/// Aggregate counters of one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorldStats {
-    /// Point-to-point messages created (including collective-internal).
-    pub messages: u64,
-    /// Messages below the eager threshold: eager under SMPI,
-    /// asynchronous under MSG.
-    pub eager_messages: u64,
-    /// Point-to-point payload bytes.
-    pub bytes: u64,
-    /// Collective operations executed (counted once per rank).
-    pub collective_participations: u64,
-    /// High-water depth of any per-channel unexpected-message queue.
-    pub max_unexpected_depth: u64,
-    /// High-water depth of any per-channel posted-receive queue.
-    pub max_posted_depth: u64,
-}
-
 /// The match queues of one `(src, dst)` pair, per channel.
 #[derive(Debug, Default)]
 struct MatchQueues {
@@ -183,8 +165,10 @@ pub struct SmpiWorld<'p> {
     pub cfg: SmpiConfig,
     /// Local-cost hooks.
     pub hooks: Box<dyn ExecHooks>,
-    /// Run counters.
-    pub stats: WorldStats,
+    /// The run's counters, counted where they happen: messages, bytes,
+    /// collective participations and match-queue high-water marks (the
+    /// runner adds the kernel's and the network's at the end).
+    pub metrics: Metrics,
     /// Seconds each rank spent computing (planned durations; used by
     /// calibration).
     pub compute_seconds: Vec<f64>,
@@ -246,9 +230,9 @@ impl<'p> SmpiWorld<'p> {
         net.set_flush_actor(transport);
         SmpiWorld {
             net,
+            metrics: Metrics::new(cfg.model.name(), ranks),
             cfg,
             hooks,
-            stats: WorldStats::default(),
             compute_seconds: vec![0.0; n],
             spans: None,
             mismatch: None,
@@ -306,10 +290,12 @@ impl<'p> SmpiWorld<'p> {
         assert_ne!(src, dst, "self-send reached the runtime");
         let eager = self.cfg.is_eager(bytes);
         let detached = self.cfg.is_detached(bytes);
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
+        self.metrics.messages += 1;
+        self.metrics.bytes += bytes;
         if detached {
-            self.stats.eager_messages += 1;
+            self.metrics.eager_messages += 1;
+        } else {
+            self.metrics.rendezvous_messages += 1;
         }
         let pair = self.pairs.slot(src, dst);
         let msg_id = self.msgs.insert(Msg {
@@ -349,7 +335,7 @@ impl<'p> SmpiWorld<'p> {
         } else {
             let unexpected = &mut queues.unexpected[ch as usize];
             unexpected.push_back(msg_id);
-            track_depth(&mut self.stats.max_unexpected_depth, unexpected.len());
+            track_depth(&mut self.metrics.max_unexpected_depth, unexpected.len());
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::UnexpectedEnqueued, 1);
             }
@@ -445,7 +431,7 @@ impl<'p> SmpiWorld<'p> {
             });
             let posted = &mut queues.posted[ch as usize];
             posted.push_back(post_id);
-            track_depth(&mut self.stats.max_posted_depth, posted.len());
+            track_depth(&mut self.metrics.max_posted_depth, posted.len());
             if let Some(log) = self.spans.as_mut() {
                 log.count(Counter::PostedEnqueued, 1);
             }
@@ -526,7 +512,7 @@ impl<'p> SmpiWorld<'p> {
         index: usize,
         op: MpiOp,
     ) -> Option<MpiOp> {
-        self.stats.collective_participations += 1;
+        self.metrics.collectives += 1;
         let (op, last) = self
             .collectives
             .enter(index, rank, op, self.ranks, &mut self.mismatch);

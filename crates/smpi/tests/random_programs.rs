@@ -14,7 +14,8 @@ use proptest::prelude::*;
 
 use platform::topology::{flat_cluster, FlatClusterSpec};
 use platform::HostId;
-use smpi::{run_smpi, FixedRateHooks, SmpiConfig};
+use simkernel::obs::RunReport;
+use smpi::{prepare_smpi, FixedRateHooks, SmpiConfig};
 use workloads::{ComputeBlock, MpiOp, OpSource, VecSource};
 
 #[derive(Debug, Clone)]
@@ -118,18 +119,14 @@ fn mk_platform(n: u32, bw: f64, lat: f64) -> platform::Platform {
     })
 }
 
-fn run_on(
-    platform: &platform::Platform,
-    progs: Vec<Vec<MpiOp>>,
-    cfg: SmpiConfig,
-) -> smpi::SmpiResult {
+fn run_on(platform: &platform::Platform, progs: Vec<Vec<MpiOp>>, cfg: SmpiConfig) -> RunReport {
     let n = progs.len() as u32;
     let hosts: Vec<HostId> = (0..n).map(HostId).collect();
     let sources: Vec<Box<dyn OpSource>> = progs
         .into_iter()
         .map(|ops| Box::new(VecSource::new(ops)) as Box<dyn OpSource>)
         .collect();
-    run_smpi(
+    prepare_smpi(
         platform,
         &hosts,
         sources,
@@ -137,8 +134,8 @@ fn run_on(
         Box::new(FixedRateHooks::uniform(1e9, n)),
         false,
     )
+    .run()
     .expect("random program deadlocked")
-    .0
 }
 
 fn clamp_events(ranks: u8, events: Vec<Event>) -> Vec<Event> {
@@ -188,9 +185,9 @@ proptest! {
         for cfg in [SmpiConfig::ground_truth(), SmpiConfig::msg_legacy()] {
             let a = run_on(&platform, progs.clone(), cfg.clone());
             let b = run_on(&platform, progs.clone(), cfg);
-            prop_assert!(a.total_time.is_finite() && a.total_time >= 0.0);
+            prop_assert!(a.time().is_finite() && a.time() >= 0.0);
             prop_assert_eq!(a.rank_times.clone(), b.rank_times, "nondeterministic");
-            prop_assert!(a.total_time >= max_compute * 0.999);
+            prop_assert!(a.time() >= max_compute * 0.999);
         }
     }
 
@@ -205,8 +202,8 @@ proptest! {
         let progs = build_programs(ranks, &events);
         let n = u32::from(ranks);
         let truth = SmpiConfig::ground_truth;
-        let slow = run_on(&mk_platform(n, 1e8, 1e-5), progs.clone(), truth()).total_time;
-        let fast = run_on(&mk_platform(n, 1e9, 1e-6), progs, truth()).total_time;
+        let slow = run_on(&mk_platform(n, 1e8, 1e-5), progs.clone(), truth()).time();
+        let fast = run_on(&mk_platform(n, 1e9, 1e-6), progs, truth()).time();
         prop_assert!(fast <= slow * (1.0 + 1e-9), "fast {fast} > slow {slow}");
     }
 }

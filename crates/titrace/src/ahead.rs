@@ -560,7 +560,7 @@ mod tests {
         let (mut cursors, ahead) = wrap(sources);
         let (actions, end) = drain(&mut *cursors[1]);
         assert_eq!(actions, computes(40));
-        assert_eq!(end, Err("the decoder panicked: decoder bug".into()));
+        assert_eq!(end, Err("the action source panicked: decoder bug".into()));
         assert_eq!(drain(&mut *cursors[0]), (computes(3), Ok(())));
         assert_eq!(drain(&mut *cursors[2]), (computes(50), Ok(())));
         ahead.finish();

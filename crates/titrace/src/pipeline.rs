@@ -630,7 +630,7 @@ pub(crate) mod tests {
                 }
                 Some((at, Fault::Panic)) => {
                     return Err(format!(
-                        "the decoder panicked: injected at p{} action {at}",
+                        "the action source panicked: injected at p{} action {at}",
                         s.rank
                     ))
                 }

@@ -443,8 +443,8 @@ pub enum SourceError {
     /// (`crate::ahead`) or encoding for a writer (`crate::pipeline`),
     /// with the panic's message.
     Panicked(String),
-    /// The thread decoding ahead of the replay stopped before the stream
-    /// ended.
+    /// The thread pulling the cursor — decoding ahead of the replay or
+    /// encoding for a writer — stopped before the stream ended.
     Stopped,
 }
 
@@ -477,10 +477,11 @@ impl std::fmt::Display for SourceError {
                 f,
                 "stream ends after {actions} actions with {pending} request(s) never waited for"
             ),
-            SourceError::Panicked(message) => write!(f, "the decoder panicked: {message}"),
-            SourceError::Stopped => {
-                write!(f, "the decoding thread stopped before the stream ended")
-            }
+            SourceError::Panicked(message) => write!(f, "the action source panicked: {message}"),
+            SourceError::Stopped => write!(
+                f,
+                "the thread reading the action source stopped before the stream ended"
+            ),
         }
     }
 }

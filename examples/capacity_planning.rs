@@ -61,19 +61,18 @@ fn main() {
             // what-if study, exactly how the paper frames this use).
             let config = ReplayConfig::improved(cpu);
             let sim = replay_input_observed(&platform, &input, instance.procs, &config, false)
-                .expect("replay failed")
-                .result;
+                .expect("replay failed");
             let price = 64.0 * (cpu_price + nic_price);
-            let ok = sim.time <= target_seconds;
+            let ok = sim.time() <= target_seconds;
             println!(
                 "{:<26}{:>12.0}{:>14.3}{:>12}",
                 spec.name,
                 price,
-                sim.time,
+                sim.time(),
                 if ok { "yes" } else { "no" }
             );
             if ok && best.as_ref().is_none_or(|(p, _, _)| price < *p) {
-                best = Some((price, spec.name.clone(), sim.time));
+                best = Some((price, spec.name.clone(), sim.time()));
             }
         }
     }

@@ -30,7 +30,6 @@ fn main() {
     let predict = |platform: &Platform, config: &ReplayConfig| {
         replay_input_observed(platform, &input, instance.procs, config, false)
             .expect("replay failed")
-            .result
     };
 
     // ...predicts any platform.
@@ -49,10 +48,13 @@ fn main() {
         let real = testbed
             .run_lu(&instance, Instrumentation::None, CompilerOpt::O3)
             .expect("emulation failed");
-        let err = (sim.time - real.time) / real.time * 100.0;
+        let err = (sim.time() - real.time()) / real.time() * 100.0;
         println!(
             "{:<12} predicted {:>7.3}s   real {:>7.3}s   error {:>+6.2}%",
-            testbed.platform.name, sim.time, real.time, err
+            testbed.platform.name,
+            sim.time(),
+            real.time(),
+            err
         );
         assert!(err.abs() < 20.0);
     }
@@ -79,5 +81,5 @@ fn main() {
     let config = ReplayConfig::improved(tit_replay::platform::clusters::GRAPHENE_SPEED);
     let sim_fast = predict(&fast, &config);
     spec.name = "graphene-10g".into();
-    println!("  predicted: {:.3}s", sim_fast.time);
+    println!("  predicted: {:.3}s", sim_fast.time());
 }

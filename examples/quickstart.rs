@@ -80,11 +80,11 @@ fn main() {
     let input = TraceInput::Memory(Arc::new(acq.trace));
     let config = ReplayConfig::improved(calibration.rate_for(&instance));
     let sim = replay_input_observed(&testbed.platform, &input, instance.procs, &config, false)
-        .expect("replay failed")
-        .result;
+        .expect("replay failed");
     println!(
         "simulated time: {:.3}s ({} messages replayed)",
-        sim.time, sim.messages
+        sim.time(),
+        sim.metrics.messages
     );
 
     // ------------------------------------------------------------------
@@ -93,8 +93,8 @@ fn main() {
     let real = testbed
         .run_lu(&instance, Instrumentation::None, CompilerOpt::O3)
         .expect("emulation failed");
-    let err = (sim.time - real.time) / real.time * 100.0;
-    println!("real time:      {:.3}s", real.time);
+    let err = (sim.time() - real.time()) / real.time() * 100.0;
+    println!("real time:      {:.3}s", real.time());
     println!("relative error: {err:+.2}%");
     assert!(err.abs() < 20.0, "prediction drifted: {err}%");
 }

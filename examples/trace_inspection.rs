@@ -76,11 +76,12 @@ p2 finalize
     let platform = spec.build();
     let input = TraceInput::Memory(Arc::new(trace));
     let sim = replay_input_observed(&platform, &input, 3, &ReplayConfig::improved(1e9), false)
-        .expect("replay failed")
-        .result;
+        .expect("replay failed");
     println!(
         "simulated on `{}`: {:.6}s ({} events)",
-        platform.name, sim.time, sim.events
+        platform.name,
+        sim.time(),
+        sim.metrics.events_processed
     );
 
     // ------------------------------------------------------------------

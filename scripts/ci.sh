@@ -365,12 +365,20 @@ echo "BENCH_SMOKE ok (titbench allreduce-p128, lu-c64.titb, halo-p128.text and l
 # Paper contract: the accuracy results are a correctness contract too.
 # Regenerate every table and figure of the paper at the recorded length
 # and the future-work evaluation at the recorded length and fail on any
-# byte that differs from results/ (~4 min on 2 vCPUs).
+# byte that differs from results/ (~4 min on 2 vCPUs). Each binary's
+# wall seconds and the total are printed, so the contract's cost is on
+# record.
+contract_start=$EPOCHREALTIME
 for exp in fig1 fig2 fig3 fig4 fig5 fig6 fig7 table1 table2 ablation futurework; do
+    exp_start=$EPOCHREALTIME
     "target/release/$exp" --steps 50 >"$ingest_dir/$exp.txt" 2>/dev/null
     cmp "$ingest_dir/$exp.txt" "results/$exp.txt" \
         || { echo "PAPER_CONTRACT: $exp differs from results/$exp.txt" >&2; exit 1; }
+    awk -v e="$exp" -v a="$exp_start" -v b="$EPOCHREALTIME" \
+        'BEGIN { printf "PAPER_CONTRACT %-10s %7.1f s\n", e, b - a }'
 done
+awk -v a="$contract_start" -v b="$EPOCHREALTIME" \
+    'BEGIN { printf "PAPER_CONTRACT total      %7.1f s\n", b - a }'
 echo "PAPER_CONTRACT ok (fig1..7, table1..2, ablation, futurework byte-identical to results/ at --steps 50)"
 
 # Coupled smoke, two halves: a trace that forms one coupled component

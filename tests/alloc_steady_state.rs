@@ -193,7 +193,7 @@ fn fel_steady_state_does_not_allocate() {
 /// would mean the op source or the disabled recorder allocates per event.
 #[test]
 fn disabled_recorder_allocation_overhead_is_a_per_run_constant() {
-    use tit_replay::smpi::{run_smpi, FixedRateHooks, SmpiConfig};
+    use tit_replay::smpi::{prepare_smpi, FixedRateHooks, SmpiConfig};
     use tit_replay::workloads::{OpSource, VecSource};
 
     let platform = tit_replay::platform::clusters::bordereau();
@@ -218,14 +218,16 @@ fn disabled_recorder_allocation_overhead_is_a_per_run_constant() {
             let input = TraceInput::Memory(Arc::new(trace));
             // Warm-up so the counted runs see steady-state behaviour only.
             replay_input_observed(&platform, &input, 8, &cfg, false).unwrap();
-            let ((bare, _), bare_allocs) = allocations(|| {
+            let (bare, bare_allocs) = allocations(|| {
                 let smpi_cfg = SmpiConfig::smpi_replay();
-                run_smpi(&platform, &hosts, sources, smpi_cfg, hooks, false).unwrap()
+                prepare_smpi(&platform, &hosts, sources, smpi_cfg, hooks, false)
+                    .run()
+                    .unwrap()
             });
             let (report, entry_allocs) =
                 allocations(|| replay_input_observed(&platform, &input, 8, &cfg, false).unwrap());
             assert!(report.spans.is_none(), "disabled recorder produced spans");
-            assert_eq!(bare.total_time.to_bits(), report.result.time.to_bits());
+            assert_eq!(bare.time().to_bits(), report.time().to_bits());
             entry_allocs as i64 - bare_allocs as i64
         })
         .collect();
@@ -341,8 +343,8 @@ fn replay_peak_heap_is_linear_in_the_rank_count() {
             hooks,
             false,
         );
-        let ((result, _), peak) = peak_live_bytes(|| sim.run().unwrap());
-        assert!(result.total_time > 0.0);
+        let (result, peak) = peak_live_bytes(|| sim.run().unwrap());
+        assert!(result.time() > 0.0);
         peak
     };
     for (name, small_p, program) in [

@@ -85,11 +85,9 @@ fn trace_file_roundtrip_preserves_replay_time() {
     let cfg = ReplayConfig::improved(2e9);
     let [a, b] = [acq.trace, parsed].map(|trace| {
         let input = TraceInput::Memory(Arc::new(trace));
-        replay_input_observed(&platform, &input, 8, &cfg, false)
-            .unwrap()
-            .result
+        replay_input_observed(&platform, &input, 8, &cfg, false).unwrap()
     });
-    assert_eq!(a.time, b.time);
+    assert_eq!(a.time(), b.time());
 }
 
 #[test]
@@ -146,5 +144,5 @@ fn platform_spec_json_drives_a_replay() {
     let input = TraceInput::Memory(Arc::new(trace));
     let config = ReplayConfig::improved(2.0e9);
     let sim = replay_input_observed(&platform, &input, 8, &config, false).unwrap();
-    assert!(sim.result.time > 0.0);
+    assert!(sim.time() > 0.0);
 }

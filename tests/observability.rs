@@ -250,10 +250,10 @@ fn prelude_exposes_observed_replay() {
     let input = TraceInput::Memory(Arc::new(trace));
     let p = tit_replay::platform::clusters::bordereau();
     let cfg = ReplayConfig::improved(2e9);
-    let report: ReplayReport = replay_input_observed(&p, &input, 4, &cfg, true).unwrap();
+    let report: RunReport = replay_input_observed(&p, &input, 4, &cfg, true).unwrap();
     assert_eq!(report.metrics.engine, "smpi");
     let path: CriticalPath = report.critical_path().unwrap();
-    assert_eq!(path.end_s.to_bits(), report.result.time.to_bits());
+    assert_eq!(path.end_s.to_bits(), report.time().to_bits());
     let log = report.spans.as_ref().unwrap();
     assert!(!chrome_trace(log).is_empty());
     assert!(state_csv(log).lines().count() > 1);
@@ -315,11 +315,24 @@ fn cli_outputs_match_the_goldens() {
             .args(args)
             .output()
             .expect("titrace-gen failed to launch");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     };
     let lu = dir.join("lu.txt");
     let halo = dir.join("halo.txt");
-    gen(&["--class", "S", "--procs", "4", "--steps", "5", "--out", lu.to_str().unwrap()]);
+    gen(&[
+        "--class",
+        "S",
+        "--procs",
+        "4",
+        "--steps",
+        "5",
+        "--out",
+        lu.to_str().unwrap(),
+    ]);
     gen(&[
         "--workload",
         "halo",
@@ -331,7 +344,8 @@ fn cli_outputs_match_the_goldens() {
         halo.to_str().unwrap(),
     ]);
     let prefix = dir.to_str().unwrap();
-    for (name, trace, ranks, threads) in [("lu-s4", &lu, "4", "1"), ("halo-p16", &halo, "16", "2")] {
+    for (name, trace, ranks, threads) in [("lu-s4", &lu, "4", "1"), ("halo-p16", &halo, "16", "2")]
+    {
         let plat = format!("{}.platform.json", trace.display());
         let metrics = dir.join(format!("{name}.metrics.out"));
         let manifest = dir.join(format!("{name}.manifest.out"));
@@ -354,7 +368,11 @@ fn cli_outputs_match_the_goldens() {
             .arg(&manifest)
             .output()
             .expect("titreplay failed to launch");
-        assert!(replay.status.success(), "{}", String::from_utf8_lossy(&replay.stderr));
+        assert!(
+            replay.status.success(),
+            "{}",
+            String::from_utf8_lossy(&replay.stderr)
+        );
         let inspect = titreplay()
             .arg("inspect")
             .args(common)
@@ -362,7 +380,11 @@ fn cli_outputs_match_the_goldens() {
             .arg(&profile)
             .output()
             .expect("titreplay failed to launch");
-        assert!(inspect.status.success(), "{}", String::from_utf8_lossy(&inspect.stderr));
+        assert!(
+            inspect.status.success(),
+            "{}",
+            String::from_utf8_lossy(&inspect.stderr)
+        );
 
         let metrics = std::fs::read_to_string(&metrics).unwrap();
         assert_golden(&dir, &format!("{name}.metrics.json"), &metrics);

@@ -120,7 +120,7 @@ fn replay_memory(
     trace: &Arc<Trace>,
     config: &ReplayConfig,
     record_spans: bool,
-) -> Result<ReplayReport, String> {
+) -> Result<RunReport, String> {
     let input = TraceInput::Memory(Arc::clone(trace));
     replay_input_observed(platform, &input, trace.ranks(), config, record_spans)
 }
@@ -131,21 +131,17 @@ fn replay_memory(
 /// metric must agree; when `other` ran the island engine, the live-flow
 /// high-water mark, which measures one network model's occupancy rather
 /// than the simulation, is exempt.
-fn assert_identical(base: &ReplayReport, other: &ReplayReport, what: &str) {
+fn assert_identical(base: &RunReport, other: &RunReport, what: &str) {
     assert_eq!(
-        base.result.time.to_bits(),
-        other.result.time.to_bits(),
+        base.time().to_bits(),
+        other.time().to_bits(),
         "{what}: simulated time differs"
     );
-    let base_bits: Vec<u64> = base.result.rank_times.iter().map(|t| t.to_bits()).collect();
-    let other_bits: Vec<u64> = other
-        .result
-        .rank_times
-        .iter()
-        .map(|t| t.to_bits())
-        .collect();
+    let base_bits: Vec<u64> = base.rank_times.iter().map(|t| t.to_bits()).collect();
+    let other_bits: Vec<u64> = other.rank_times.iter().map(|t| t.to_bits()).collect();
     assert_eq!(base_bits, other_bits, "{what}: rank times differ");
-    assert_eq!(base.result, other.result, "{what}: results differ");
+    let counts = |r: &RunReport| (r.metrics.messages, r.metrics.events_processed);
+    assert_eq!(counts(base), counts(other), "{what}: results differ");
     let mut other_metrics = other.metrics.clone();
     if other.profile.mode == "islands" {
         // Live-flow high-water marks are per-network-model figures: the
@@ -178,7 +174,7 @@ fn parallel_replay_is_bit_identical_across_thread_counts() {
     let trace = Arc::new(halo_trace(4, 4, 20, 1 << 10));
     for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
         let base = replay_memory(&platform, &trace, &cfg(engine, 1), true).unwrap();
-        assert!(base.result.time > 0.0);
+        assert!(base.time() > 0.0);
         for threads in [2, 4, 7] {
             let par = replay_memory(&platform, &trace, &cfg(engine, threads), true).unwrap();
             assert_identical(&base, &par, &format!("{engine:?} threads={threads}"));
@@ -309,7 +305,7 @@ fn coupled_ring_is_bit_identical_across_thread_counts() {
     let platform = direct(8);
     let trace = Arc::new(ring_trace(8, 12, 1 << 10));
     let base = replay_memory(&platform, &trace, &cfg(ReplayEngine::Smpi, 1), false).unwrap();
-    assert!(base.result.time > 0.0);
+    assert!(base.time() > 0.0);
     for threads in [2, 4, 7] {
         let par =
             replay_memory(&platform, &trace, &cfg(ReplayEngine::Smpi, threads), false).unwrap();

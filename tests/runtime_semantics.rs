@@ -25,17 +25,17 @@ fn replay_on(
     platform: &Platform,
     trace: Trace,
     config: &ReplayConfig,
-) -> Result<replay::ReplayResult, String> {
+) -> Result<RunReport, String> {
     let ranks = trace.ranks();
     let input = TraceInput::Memory(Arc::new(trace));
-    replay_input_observed(platform, &input, ranks, config, false).map(|r| r.result)
+    replay_input_observed(platform, &input, ranks, config, false)
 }
 
-fn run_on(platform: &Platform, trace: Trace, config: ReplayConfig) -> replay::ReplayResult {
+fn run_on(platform: &Platform, trace: Trace, config: ReplayConfig) -> RunReport {
     replay_on(platform, trace, &config).expect("replay failed")
 }
 
-fn run(trace: Trace, engine: ReplayEngine) -> replay::ReplayResult {
+fn run(trace: Trace, engine: ReplayEngine) -> RunReport {
     let config = ReplayConfig {
         engine,
         ..ReplayConfig::improved(1e9)
@@ -69,17 +69,17 @@ fn late_receiver_semantics_differ_between_engines() {
     let msg = run(t, ReplayEngine::Msg);
     // SMPI: the recv returns essentially at t=1.
     assert!(
-        smpi.time < 1.0 + 1e-4,
+        smpi.time() < 1.0 + 1e-4,
         "SMPI late recv cost {}",
-        smpi.time - 1.0
+        smpi.time() - 1.0
     );
     // MSG: the transfer starts at t=1 and costs latency + size/bandwidth.
     assert!(
-        msg.time > 1.0 + 1e-5,
+        msg.time() > 1.0 + 1e-5,
         "MSG late recv too cheap: {}",
-        msg.time - 1.0
+        msg.time() - 1.0
     );
-    assert!(msg.time > smpi.time);
+    assert!(msg.time() > smpi.time());
 }
 
 /// Rendezvous: both engines must serialize a large transfer after the
@@ -192,7 +192,7 @@ fn wait_resolves_oldest_request() {
     );
     for engine in [ReplayEngine::Smpi, ReplayEngine::Msg] {
         let r = run(t.clone(), engine);
-        assert!(r.time > 0.0, "{engine:?} completed");
+        assert!(r.time() > 0.0, "{engine:?} completed");
     }
 }
 
@@ -234,9 +234,9 @@ fn incast_contention_is_modeled() {
     let r = run(t, ReplayEngine::Smpi);
     let single = bytes as f64 / 1e8;
     assert!(
-        r.time > 1.7 * single,
+        r.time() > 1.7 * single,
         "incast not contended: {} vs single {}",
-        r.time,
+        r.time(),
         single
     );
 }
@@ -342,10 +342,10 @@ fn packed_placement_uses_loopback() {
         },
     );
     assert!(
-        packed.time < spread.time,
+        packed.time() < spread.time(),
         "loopback {} should beat network {}",
-        packed.time,
-        spread.time
+        packed.time(),
+        spread.time()
     );
 }
 
@@ -449,7 +449,7 @@ fn boundary_sizes() -> Vec<u64> {
 /// the request arrives (`t1`) and lands at `t2`; a sender that blocks
 /// until delivery (rendezvous / MSG task-send) finishes with its
 /// message, a detached one as soon as it has sent.
-fn assert_ping_pong(r: &replay::ReplayResult, what: &str, x: f64, l: f64, blocking: bool) {
+fn assert_ping_pong(r: &RunReport, what: &str, x: f64, l: f64, blocking: bool) {
     let t1 = x + l;
     let t2 = (t1 + x) + l;
     let reply_sender = if blocking { t2 } else { t1 };
@@ -465,7 +465,7 @@ fn assert_ping_pong(r: &replay::ReplayResult, what: &str, x: f64, l: f64, blocki
         "{what}: rank 1 {} vs {reply_sender}",
         r.rank_times[1]
     );
-    assert_eq!(r.time.to_bits(), t2.to_bits(), "{what}");
+    assert_eq!(r.time().to_bits(), t2.to_bits(), "{what}");
 }
 
 /// Golden 1: SMPI ping-pong at every factor-row boundary and across the
@@ -597,10 +597,10 @@ fn binomial_bcast_takes_ceil_log2_p_hops() {
         let r = run_on(&crossbar(ranks), t, ReplayConfig::improved(1e9));
         let chained = (0..levels).fold(0.0, |t: f64, _| (t + x) + l);
         assert_eq!(
-            r.time.to_bits(),
+            r.time().to_bits(),
             chained.to_bits(),
             "P={ranks}: {} vs {chained}",
-            r.time
+            r.time()
         );
         // The root sends once per level, so it is on the critical path.
         assert_eq!(
@@ -610,9 +610,9 @@ fn binomial_bcast_takes_ceil_log2_p_hops() {
         );
         let closed = f64::from(levels) * (x + l);
         assert!(
-            ulps(r.time, closed) <= 4,
+            ulps(r.time(), closed) <= 4,
             "P={ranks}: {} vs {levels} × hop = {closed}",
-            r.time
+            r.time()
         );
     }
 }

@@ -66,7 +66,7 @@ proptest! {
         let cfg = ReplayConfig::improved(2e9);
         let ranks = trace.ranks();
         let run = |input: &TraceInput| {
-            replay_input_observed(&platform, input, ranks, &cfg, false).unwrap().result
+            replay_input_observed(&platform, input, ranks, &cfg, false).unwrap()
         };
         let base = run(&TraceInput::Memory(Arc::clone(&trace)));
         for input in [
@@ -75,8 +75,8 @@ proptest! {
             TraceInput::Binary(bin),
         ] {
             let r = run(&input);
-            prop_assert_eq!(r.time.to_bits(), base.time.to_bits(),
-                "{:?}: {} != {}", input, r.time, base.time);
+            prop_assert_eq!(r.time().to_bits(), base.time().to_bits(),
+                "{:?}: {} != {}", input, r.time(), base.time());
             prop_assert_eq!(&r.rank_times, &base.rank_times, "{:?}", input);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -92,12 +92,12 @@ proptest! {
         for engine in [ReplayEngine::Msg, ReplayEngine::Smpi] {
             let at = |rate| {
                 let config = ReplayConfig { engine, ..ReplayConfig::improved(rate) };
-                replay_input_observed(&platform, &input, lu.procs, &config, false).unwrap().result
+                replay_input_observed(&platform, &input, lu.procs, &config, false).unwrap()
             };
             let (slow, fast) = (at(1e9), at(4e9));
-            prop_assert!(slow.time > 0.0);
-            prop_assert!(fast.time <= slow.time * (1.0 + 1e-9),
-                "{engine:?}: rate 4e9 slower ({} vs {})", fast.time, slow.time);
+            prop_assert!(slow.time() > 0.0);
+            prop_assert!(fast.time() <= slow.time() * (1.0 + 1e-9),
+                "{engine:?}: rate 4e9 slower ({} vs {})", fast.time(), slow.time());
         }
     }
 
@@ -121,8 +121,8 @@ proptest! {
         let tb = Testbed::graphene();
         let a = tb.run_lu(&lu, Instrumentation::None, CompilerOpt::O3).unwrap();
         let b = tb.run_lu(&lu, Instrumentation::None, CompilerOpt::O3).unwrap();
-        prop_assert!(a.time > 0.0);
-        prop_assert_eq!(a.time, b.time);
+        prop_assert!(a.time() > 0.0);
+        prop_assert_eq!(a.time(), b.time());
         prop_assert_eq!(a.rank_times, b.rank_times);
     }
 }
@@ -335,9 +335,10 @@ fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-/// Bad arguments fail closed: an unparsable value is a usage error
-/// (exit 2), and a platform spec that cannot be written, or an `inspect
-/// --threads` nothing would read, is an error naming its cause (exit 1).
+/// Bad arguments fail closed: an unparsable or unusable value is a
+/// usage error (exit 2) naming the flag, and a platform spec that
+/// cannot be written, or an `inspect --threads` nothing would read, is
+/// an error naming its cause (exit 1).
 #[test]
 fn bad_arguments_fail_closed() {
     let dir = std::env::temp_dir().join(format!("titr-rt-bad-args-{}", std::process::id()));
@@ -346,19 +347,31 @@ fn bad_arguments_fail_closed() {
     let gen = env!("CARGO_BIN_EXE_titrace-gen");
     let out = dir.join("lu.trace");
     let lu = ["--class", "S", "--procs", "2", "--out", arg(&out)];
-    for bad in [
-        &["--steps", "abc"][..],
-        &["--seed", "xyz"],
-        &["--steps", "abc", "--seed", "xyz"],
-        &["--procs", "two"],
-        &["--class", "Z"],
-        &["--bytes", "-1"],
+    // Each bad input, with the flag its usage error names. A value that
+    // parses but makes a trace no replay accepts (no ranks, an LU
+    // instance that cannot exist) is refused the same way.
+    for (bad, flag) in [
+        (&["--steps", "abc"][..], "--steps"),
+        (&["--seed", "xyz"], "--seed"),
+        (&["--steps", "abc", "--seed", "xyz"], "--steps"),
+        (&["--procs", "two"], "--procs"),
+        (&["--class", "Z"], "--class"),
+        (&["--bytes", "-1"], "--bytes"),
+        (&["--procs", "3"], "--procs"),
+        (&["--procs", "0"], "--procs"),
+        (&["--steps", "0"], "--steps"),
+        (&["--steps", "1"], "--steps"),
+        (&["--workload", "halo", "--procs", "0"], "--procs"),
+        (&["--workload", "allreduce", "--procs", "0"], "--procs"),
     ] {
         let args = [&lu[..], bad].concat();
         let (code, stderr) = run_bin(gen, &args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(!out.exists(), "{args:?} wrote a trace");
+        let spec = dir.join("lu.trace.platform.json");
+        assert!(!spec.exists(), "{args:?} wrote a platform spec");
     }
 
     // The platform spec's path is a directory: the trace is written, the

@@ -62,7 +62,7 @@ fn a_failed_write_leaves_no_thread_behind() {
     for _ in 0..5 {
         for panics in [false, true] {
             let want = if panics {
-                "the decoder panicked: rank 1 cannot go on"
+                "the action source panicked: rank 1 cannot go on"
             } else {
                 "action 999 waits with no outstanding request"
             };
