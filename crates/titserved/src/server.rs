@@ -643,4 +643,59 @@ mod tests {
         ));
         assert_eq!(state.stats.executions.load(Ordering::Relaxed), 2);
     }
+
+    /// `/metrics` renders a fixed sequence of events byte for byte as
+    /// `tests/golden/metrics.prom`: every route, error statuses, each
+    /// cache disposition, non-zero gauges, and latencies below the first
+    /// bucket, on a bound (buckets are `le`), past the last one and
+    /// negative (clamped to zero).
+    #[test]
+    fn metrics_body_is_pinned() {
+        let state = ServerState::new(ServerConfig::default());
+        let t = &state.telemetry;
+        let s = &state.stats;
+        for (route, status, elapsed_s) in [
+            (("POST", "/predict"), 200, 0.0001),
+            (("POST", "/predict"), 200, 0.005),
+            (("POST", "/predict"), 500, 12.5),
+            (("POST", "/predict"), 400, -1.0),
+            (("POST", "/inspect"), 200, 0.03),
+            (("POST", "/inspect"), 422, 0.25),
+            (("GET", "/stats"), 200, 0.0005),
+            (("GET", "/metrics"), 200, 0.002),
+            (("GET", "/healthz"), 200, 0.001),
+            (("GET", "/nope"), 404, 0.001),
+            (("PUT", "/predict"), 405, 0.001),
+            (("POST", "/shutdown"), 200, 0.001),
+        ] {
+            match route {
+                ("POST", "/predict") => t.req_predict.inc(),
+                ("POST", "/inspect") => t.req_inspect.inc(),
+                ("GET", "/stats") => t.req_stats.inc(),
+                ("GET", "/metrics") => t.req_metrics.inc(),
+                ("GET", "/healthz") => t.req_healthz.inc(),
+                _ => t.req_other.inc(),
+            }
+            match route {
+                ("POST", "/predict") => t.lat_predict.observe(elapsed_s),
+                ("POST", "/inspect") => t.lat_inspect.observe(elapsed_s),
+                ("GET", "/stats") => t.lat_stats.observe(elapsed_s),
+                _ => {}
+            }
+            if status >= 400 {
+                t.errors.inc();
+            }
+        }
+        t.cache_miss.inc();
+        t.cache_miss.inc();
+        t.executions.inc();
+        t.cache_hit.inc();
+        t.cache_hit.inc();
+        t.cache_joined.inc();
+        s.in_flight.store(3, Ordering::Relaxed);
+        s.queue_depth.store(2, Ordering::Relaxed);
+        s.workers_busy.store(1, Ordering::Relaxed);
+        let golden = include_str!("../../../tests/golden/metrics.prom");
+        assert_eq!(state.metrics_body(), golden);
+    }
 }
