@@ -15,6 +15,7 @@
 
 use std::io::Write;
 
+use tit_replay::simkernel::obs::json_string;
 use titserved::client;
 use titserved::server::{Server, ServerConfig};
 
@@ -99,14 +100,14 @@ fn query(args: &[String]) -> ! {
         .unwrap_or_else(|e| fail(&format!("cannot read {platform}: {e}")));
     let mut config = format!("\"rate\": {rate}");
     if let Some(e) = engine {
-        config.push_str(&format!(", \"engine\": \"{e}\""));
+        config.push_str(&format!(", \"engine\": {}", json_string(&e)));
     }
     if let Some(t) = threads {
         config.push_str(&format!(", \"threads\": {t}"));
     }
     let body = format!(
-        "{{\"trace\": \"{}\", \"ranks\": {ranks}, \"platform\": {}, \"config\": {{{config}}}}}",
-        trace.replace('\\', "\\\\").replace('"', "\\\""),
+        "{{\"trace\": {}, \"ranks\": {ranks}, \"platform\": {}, \"config\": {{{config}}}}}",
+        json_string(&trace),
         spec.trim_end(),
     );
     let resp = client::predict(&server, &body)

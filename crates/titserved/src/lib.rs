@@ -29,8 +29,10 @@
 //! inputs modulo wall time; the `x-titserved-cache` response header
 //! says `miss`, `hit`, or `joined`), `POST /inspect` (trace summary
 //! without replay), `GET /healthz`, `GET /stats` (counters including
-//! cache hit rate, in-flight, queue depth, worker utilization), and
-//! `POST /shutdown` (clean stop).
+//! cache hit rate, in-flight, queue depth, worker utilization),
+//! `GET /metrics` (the same counters, with per-endpoint request counts
+//! and latency histograms, in Prometheus text format), and
+//! `POST /shutdown` (clean stop, answered before the server returns).
 //!
 //! ```no_run
 //! use titserved::server::{Server, ServerConfig};
@@ -43,7 +45,6 @@ pub mod client;
 pub mod http;
 pub mod query;
 pub mod server;
-mod telemetry;
 
 pub use query::{TraceStore, WhatIfQuery};
 pub use server::{Server, ServerConfig};

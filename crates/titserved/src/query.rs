@@ -31,12 +31,13 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Value};
 use tit_replay::prelude::*;
 use tit_replay::querykey::QueryKey;
 use tit_replay::replay;
+use tit_replay::simkernel::obs::json_string;
 use tit_replay::titrace::{binfmt, stream, TraceInput, TraceStats};
 
 /// One parsed what-if query.
@@ -231,9 +232,15 @@ impl TraceStore {
         TraceStore::default()
     }
 
+    /// The entries; a poisoned lock is recovered, since every critical
+    /// section leaves the map whole.
+    fn entries(&self) -> MutexGuard<'_, HashMap<PathBuf, StoreEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of traces currently held open.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.entries().len()
     }
 
     /// True when no trace is held.
@@ -245,7 +252,7 @@ impl TraceStore {
     /// block tables and text run indices
     /// ([`TraceInput::held_bytes`]).
     pub fn held_bytes(&self) -> u64 {
-        let entries = self.entries.lock().unwrap();
+        let entries = self.entries();
         entries
             .values()
             .map(|e| e.resolved.trace.input.held_bytes())
@@ -258,7 +265,7 @@ impl TraceStore {
     pub fn resolve(&self, path: &str, ranks: u32, sidecar: bool) -> Result<ResolvedTrace, String> {
         let path_buf = PathBuf::from(path);
         let source_sig = stream::source_signature(&path_buf).ok();
-        if let Some(entry) = self.entries.lock().unwrap().get(&path_buf) {
+        if let Some(entry) = self.entries().get(&path_buf) {
             if entry.source_sig == source_sig {
                 if entry.resolved.trace.ranks != ranks {
                     return Err(format!(
@@ -274,7 +281,7 @@ impl TraceStore {
         // same trace both succeed and the second insert wins — identical
         // content either way.
         let resolved = ResolvedTrace::open(&path_buf, ranks, sidecar)?;
-        self.entries.lock().unwrap().insert(
+        self.entries().insert(
             path_buf,
             StoreEntry {
                 source_sig,
@@ -320,11 +327,11 @@ pub fn inspect(
         .map_err(|e| e.to_string())?
         .total();
     Ok(format!(
-        "{{\n  \"trace_signature\": \"{}\",\n  \"content_checksum\": \"{:016x}\",\n  \
+        "{{\n  \"trace_signature\": {},\n  \"content_checksum\": \"{:016x}\",\n  \
          \"ranks\": {},\n  \"actions\": {},\n  \"sends\": {},\n  \"recvs\": {},\n  \
          \"waits\": {},\n  \"computes\": {},\n  \"collectives\": {},\n  \
          \"payload_bytes\": {},\n  \"compute_instructions\": {:.0}\n}}",
-        escape(&resolved.signature),
+        json_string(&resolved.signature),
         resolved.checksum,
         t.ranks(),
         t.len(),
@@ -336,10 +343,6 @@ pub fn inspect(
         total.bytes_sent,
         total.compute_instructions,
     ))
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Convenience used by the binary and tests: detect-and-signature for

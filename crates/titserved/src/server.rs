@@ -25,15 +25,15 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tit_replay::querykey::QueryKey;
+use tit_replay::simkernel::obs::{json_f64, json_string};
 
 use crate::http;
 use crate::query::{self, TraceStore, WhatIfQuery};
-use crate::telemetry::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S};
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -42,10 +42,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Whether merged-text loads may read/write `.titb` side-cars.
     pub sidecar: bool,
-    /// Whether to emit the structured single-line access log on stderr
-    /// (one line per request: id, method, path, status, cache
-    /// disposition, bytes, wall duration).
-    pub access_log: bool,
 }
 
 impl Default for ServerConfig {
@@ -53,9 +49,15 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
             sidecar: true,
-            access_log: true,
         }
     }
+}
+
+/// Locks `m`, recovering the data of a lock whose holder panicked: every
+/// critical section here leaves its data consistent, and an execution's
+/// panic is caught and answered like any replay error.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 enum MemoSlot {
@@ -71,16 +73,18 @@ struct InFlight {
 
 impl InFlight {
     fn publish(&self, result: Result<Arc<String>, String>) {
-        *self.done.lock().unwrap() = Some(result);
+        *lock(&self.done) = Some(result);
         self.cv.notify_all();
     }
 
     fn wait(&self) -> Result<Arc<String>, String> {
-        let mut done = self.done.lock().unwrap();
-        while done.is_none() {
-            done = self.cv.wait(done).unwrap();
+        let mut done = lock(&self.done);
+        loop {
+            if let Some(result) = done.as_ref() {
+                return result.clone();
+            }
+            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
         }
-        done.clone().unwrap()
     }
 }
 
@@ -99,135 +103,134 @@ impl Pool {
     }
 
     fn acquire(&self) {
-        let mut p = self.permits.lock().unwrap();
+        let mut p = lock(&self.permits);
         while *p == 0 {
-            p = self.cv.wait(p).unwrap();
+            p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
         }
         *p -= 1;
     }
 
     fn release(&self) {
-        *self.permits.lock().unwrap() += 1;
+        *lock(&self.permits) += 1;
         self.cv.notify_one();
     }
 }
 
-/// Monotonic service counters, all lock-free.
-#[derive(Default)]
-pub struct Stats {
-    /// `/predict` requests accepted (parse errors included).
-    pub queries: AtomicU64,
-    /// Served from the memo table without waiting.
-    pub cache_hits: AtomicU64,
-    /// Deduplicated onto an identical in-flight execution.
-    pub joined: AtomicU64,
-    /// Replay executions actually run.
-    pub executions: AtomicU64,
-    /// Requests answered with an error status.
-    pub errors: AtomicU64,
-    /// Predict requests currently inside the handler.
-    pub in_flight: AtomicUsize,
-    /// Executions waiting for a worker permit.
-    pub queue_depth: AtomicUsize,
-    /// Workers currently replaying.
-    pub workers_busy: AtomicUsize,
+/// The routes counted apart, in `/metrics` order; the first three also
+/// time their requests.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    Predict,
+    Inspect,
+    Stats,
+    Metrics,
+    Healthz,
+    Other,
 }
 
-/// Wall-clock telemetry of the running service: per-endpoint request
-/// counters and latency histograms, cache-disposition counters, and
-/// pool-level gauges, all registered in one Prometheus-text
-/// [`Registry`]. Counters are advanced at the same sites as the
-/// matching [`Stats`] fields; gauges are snapshot from [`Stats`] at
-/// scrape time so the hot path pays no double bookkeeping.
-struct Telemetry {
-    registry: Registry,
-    req_predict: Arc<Counter>,
-    req_inspect: Arc<Counter>,
-    req_stats: Arc<Counter>,
-    req_metrics: Arc<Counter>,
-    req_healthz: Arc<Counter>,
-    req_other: Arc<Counter>,
-    lat_predict: Arc<Histogram>,
-    lat_inspect: Arc<Histogram>,
-    lat_stats: Arc<Histogram>,
-    cache_hit: Arc<Counter>,
-    cache_miss: Arc<Counter>,
-    cache_joined: Arc<Counter>,
-    executions: Arc<Counter>,
-    errors: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    in_flight: Arc<Gauge>,
-    workers_busy: Arc<Gauge>,
-}
+/// The `endpoint` label of each [`Endpoint`], in declaration order.
+const ENDPOINTS: [&str; 6] = [
+    "/predict", "/inspect", "/stats", "/metrics", "/healthz", "other",
+];
 
-impl Telemetry {
-    fn new() -> Telemetry {
-        let mut r = Registry::new();
-        const REQ: &str = "titserved_requests_total";
-        const REQ_HELP: &str = "Requests received, by endpoint.";
-        const LAT: &str = "titserved_request_duration_seconds";
-        const LAT_HELP: &str = "Wall-clock request latency, by endpoint.";
-        const CACHE: &str = "titserved_cache_total";
-        const CACHE_HELP: &str = "Predict cache dispositions (miss = replay executed).";
-        Telemetry {
-            req_predict: r.counter_with(REQ, Some("endpoint=\"/predict\""), REQ_HELP),
-            req_inspect: r.counter_with(REQ, Some("endpoint=\"/inspect\""), REQ_HELP),
-            req_stats: r.counter_with(REQ, Some("endpoint=\"/stats\""), REQ_HELP),
-            req_metrics: r.counter_with(REQ, Some("endpoint=\"/metrics\""), REQ_HELP),
-            req_healthz: r.counter_with(REQ, Some("endpoint=\"/healthz\""), REQ_HELP),
-            req_other: r.counter_with(REQ, Some("endpoint=\"other\""), REQ_HELP),
-            lat_predict: r.histogram_with(
-                LAT,
-                Some("endpoint=\"/predict\""),
-                LAT_HELP,
-                &LATENCY_BUCKETS_S,
-            ),
-            lat_inspect: r.histogram_with(
-                LAT,
-                Some("endpoint=\"/inspect\""),
-                LAT_HELP,
-                &LATENCY_BUCKETS_S,
-            ),
-            lat_stats: r.histogram_with(
-                LAT,
-                Some("endpoint=\"/stats\""),
-                LAT_HELP,
-                &LATENCY_BUCKETS_S,
-            ),
-            cache_hit: r.counter_with(CACHE, Some("disposition=\"hit\""), CACHE_HELP),
-            cache_miss: r.counter_with(CACHE, Some("disposition=\"miss\""), CACHE_HELP),
-            cache_joined: r.counter_with(CACHE, Some("disposition=\"joined\""), CACHE_HELP),
-            executions: r.counter(
-                "titserved_executions_total",
-                "Replay executions actually run.",
-            ),
-            errors: r.counter(
-                "titserved_errors_total",
-                "Requests answered with status >= 400.",
-            ),
-            queue_depth: r.gauge(
-                "titserved_queue_depth",
-                "Executions waiting for a worker permit.",
-            ),
-            in_flight: r.gauge(
-                "titserved_in_flight",
-                "Predict requests currently inside the handler.",
-            ),
-            workers_busy: r.gauge("titserved_workers_busy", "Workers currently replaying."),
-            registry: r,
+impl Endpoint {
+    fn of(method: &str, path: &str) -> Endpoint {
+        match (method, path) {
+            ("POST", "/predict") => Endpoint::Predict,
+            ("POST", "/inspect") => Endpoint::Inspect,
+            ("GET", "/stats") => Endpoint::Stats,
+            ("GET", "/metrics") => Endpoint::Metrics,
+            ("GET", "/healthz") => Endpoint::Healthz,
+            _ => Endpoint::Other,
         }
     }
 }
 
+/// Latency bucket upper bounds in seconds: 500 µs .. 10 s, roughly
+/// geometric, so that both a memo hit (~1 ms) and a cold replay of a
+/// large trace (seconds) land inside the range.
+const LATENCY_BUCKETS_S: [f64; 14] = [
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+];
+
+/// A fixed-bucket histogram of request wall times: one count per bound
+/// plus the `+Inf` overflow, and the sum in integer nanoseconds (there
+/// is no atomic f64 add). The count is the buckets' total.
+#[derive(Default)]
+struct Latency {
+    buckets: [AtomicU64; LATENCY_BUCKETS_S.len() + 1],
+    sum_ns: AtomicU64,
+}
+
+impl Latency {
+    /// Records one request of `seconds`; a negative or non-finite value
+    /// counts as zero. A value on a bound falls in that bound's bucket.
+    fn observe(&self, seconds: f64) {
+        let s = if seconds.is_finite() && seconds > 0.0 {
+            seconds
+        } else {
+            0.0
+        };
+        let idx = LATENCY_BUCKETS_S.partition_point(|b| *b < s);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add((s * 1e9) as u64, Ordering::Relaxed);
+    }
+}
+
+/// The service's counters, all lock-free. Each event advances exactly
+/// one of them, and `/stats` and `/metrics` both render from here.
+#[derive(Default)]
+struct Stats {
+    /// Requests received, by [`Endpoint`]; `/predict`'s is the `/stats`
+    /// `queries` count (parse errors included).
+    requests: [AtomicU64; ENDPOINTS.len()],
+    /// Served from the memo table without waiting.
+    cache_hits: AtomicU64,
+    /// Deduplicated onto an identical in-flight execution.
+    joined: AtomicU64,
+    /// Queries that took a vacant memo slot and so will execute.
+    misses: AtomicU64,
+    /// Replay executions actually run (a miss once it holds a permit).
+    executions: AtomicU64,
+    /// Requests answered with an error status.
+    errors: AtomicU64,
+    /// Predict requests currently inside the handler.
+    in_flight: AtomicU64,
+    /// Executions waiting for a worker permit.
+    queue_depth: AtomicU64,
+    /// Workers currently replaying.
+    workers_busy: AtomicU64,
+    /// Wall time of the first three endpoints' requests.
+    latency: [Latency; 3],
+}
+
+impl Stats {
+    fn request(&self, endpoint: Endpoint) {
+        self.requests[endpoint as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a request's answer: its latency and, from 400 on, an error.
+    fn answered(&self, endpoint: Endpoint, status: u16, elapsed_s: f64) {
+        if let Some(latency) = self.latency.get(endpoint as usize) {
+            latency.observe(elapsed_s);
+        }
+        if status >= 400 {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
 /// Shared server state: memo table, trace store, pool, stats.
-pub struct ServerState {
+struct ServerState {
     config: ServerConfig,
     store: TraceStore,
     memo: Mutex<HashMap<QueryKey, MemoSlot>>,
     pool: Pool,
-    /// Public so callers embedding the server can export the counters.
-    pub stats: Stats,
-    telemetry: Telemetry,
+    stats: Stats,
     started: Instant,
     next_request_id: AtomicU64,
     shutdown: AtomicBool,
@@ -242,7 +245,6 @@ impl ServerState {
             memo: Mutex::new(HashMap::new()),
             pool,
             stats: Stats::default(),
-            telemetry: Telemetry::new(),
             started: Instant::now(),
             next_request_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -253,7 +255,6 @@ impl ServerState {
     /// response body). `request_id` travels into worker-pool execution
     /// so a replay failure is logged with the request that triggered it.
     fn predict(&self, body: &[u8], request_id: u64) -> (u16, &'static str, String) {
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
         let parsed = std::str::from_utf8(body)
             .map_err(|_| "body is not UTF-8".to_string())
             .and_then(WhatIfQuery::parse);
@@ -272,7 +273,7 @@ impl ServerState {
             Run(Arc<InFlight>),
         }
         let role = {
-            let mut memo = self.memo.lock().unwrap();
+            let mut memo = lock(&self.memo);
             match memo.get(&key) {
                 Some(MemoSlot::Ready(body)) => Role::Hit(Arc::clone(body)),
                 Some(MemoSlot::Pending(inflight)) => Role::Join(Arc::clone(inflight)),
@@ -286,19 +287,17 @@ impl ServerState {
         match role {
             Role::Hit(body) => {
                 self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.cache_hit.inc();
                 (200, "hit", body.as_ref().clone())
             }
             Role::Join(inflight) => {
                 self.stats.joined.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.cache_joined.inc();
                 match inflight.wait() {
                     Ok(body) => (200, "joined", body.as_ref().clone()),
                     Err(e) => (500, "joined", error_body(&e)),
                 }
             }
             Role::Run(inflight) => {
-                self.telemetry.cache_miss.inc();
+                self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 self.execute_slot(key, &inflight, request_id, || query::execute(&q, &resolved))
             }
         }
@@ -322,7 +321,6 @@ impl ServerState {
         self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
         self.stats.workers_busy.fetch_add(1, Ordering::Relaxed);
         self.stats.executions.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.executions.inc();
         let result = panic::catch_unwind(AssertUnwindSafe(run))
             .unwrap_or_else(|payload| {
                 Err(format!(
@@ -339,7 +337,7 @@ impl ServerState {
         }
         self.stats.workers_busy.fetch_sub(1, Ordering::Relaxed);
         self.pool.release();
-        let mut memo = self.memo.lock().unwrap();
+        let mut memo = lock(&self.memo);
         match &result {
             // Only successes are memoized; a failure clears the slot so
             // the query can be retried.
@@ -365,9 +363,10 @@ impl ServerState {
     /// block tables and run indices), which make the two unbounded
     /// caches' growth visible.
     fn stats_body(&self) -> String {
-        let queries = self.stats.queries.load(Ordering::Relaxed);
-        let hits = self.stats.cache_hits.load(Ordering::Relaxed);
-        let joined = self.stats.joined.load(Ordering::Relaxed);
+        let s = &self.stats;
+        let queries = load(&s.requests[Endpoint::Predict as usize]);
+        let hits = load(&s.cache_hits);
+        let joined = load(&s.joined);
         let served_without_replay = hits + joined;
         let hit_rate = if queries == 0 {
             0.0
@@ -375,7 +374,7 @@ impl ServerState {
             served_without_replay as f64 / queries as f64
         };
         let (memo_entries, memo_bytes) = {
-            let memo = self.memo.lock().unwrap();
+            let memo = lock(&self.memo);
             let bytes: u64 = memo
                 .values()
                 .map(|slot| match slot {
@@ -392,29 +391,98 @@ impl ServerState {
              \"workers_busy\": {},\n  \"memo_entries\": {memo_entries},\n  \
              \"trace_cache_entries\": {},\n  \"uptime_s\": {:.3},\n  \
              \"memo_bytes\": {memo_bytes},\n  \"trace_cache_bytes\": {}\n}}",
-            self.stats.executions.load(Ordering::Relaxed),
-            self.stats.errors.load(Ordering::Relaxed),
-            self.stats.in_flight.load(Ordering::Relaxed),
-            self.stats.queue_depth.load(Ordering::Relaxed),
+            load(&s.executions),
+            load(&s.errors),
+            load(&s.in_flight),
+            load(&s.queue_depth),
             self.config.workers,
-            self.stats.workers_busy.load(Ordering::Relaxed),
+            load(&s.workers_busy),
             self.store.len(),
             self.started.elapsed().as_secs_f64(),
             self.store.held_bytes(),
         )
     }
 
-    /// Renders `/metrics` in the Prometheus text exposition format.
-    /// Gauges are snapshot from [`Stats`] here, at scrape time.
+    /// Renders `/metrics` in the Prometheus text exposition format
+    /// (version 0.0.4) from the same [`Stats`] as `/stats`: `# HELP` and
+    /// `# TYPE` once per family, and for each histogram cumulative
+    /// `_bucket` series with an `le` label, then `_sum` and `_count`.
     fn metrics_body(&self) -> String {
-        let t = &self.telemetry;
-        t.queue_depth
-            .set(self.stats.queue_depth.load(Ordering::Relaxed) as i64);
-        t.in_flight
-            .set(self.stats.in_flight.load(Ordering::Relaxed) as i64);
-        t.workers_busy
-            .set(self.stats.workers_busy.load(Ordering::Relaxed) as i64);
-        t.registry.render_prometheus()
+        fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        }
+        let s = &self.stats;
+        let mut out = String::with_capacity(8192);
+        const REQ: &str = "titserved_requests_total";
+        family(&mut out, REQ, "counter", "Requests received, by endpoint.");
+        for (endpoint, n) in ENDPOINTS.iter().zip(&s.requests) {
+            out.push_str(&format!("{REQ}{{endpoint=\"{endpoint}\"}} {}\n", load(n)));
+        }
+        const LAT: &str = "titserved_request_duration_seconds";
+        let help = "Wall-clock request latency, by endpoint.";
+        family(&mut out, LAT, "histogram", help);
+        for (endpoint, latency) in ENDPOINTS.iter().zip(&s.latency) {
+            let bounds = LATENCY_BUCKETS_S.iter().map(|b| json_f64(*b));
+            let mut count = 0;
+            for (le, n) in bounds.chain(["+Inf".into()]).zip(&latency.buckets) {
+                count += load(n);
+                out.push_str(&format!(
+                    "{LAT}_bucket{{endpoint=\"{endpoint}\",le=\"{le}\"}} {count}\n"
+                ));
+            }
+            let sum_s = json_f64(load(&latency.sum_ns) as f64 / 1e9);
+            out.push_str(&format!("{LAT}_sum{{endpoint=\"{endpoint}\"}} {sum_s}\n"));
+            out.push_str(&format!("{LAT}_count{{endpoint=\"{endpoint}\"}} {count}\n"));
+        }
+        const CACHE: &str = "titserved_cache_total";
+        let help = "Predict cache dispositions (miss = replay executed).";
+        family(&mut out, CACHE, "counter", help);
+        for (disposition, n) in [
+            ("hit", &s.cache_hits),
+            ("miss", &s.misses),
+            ("joined", &s.joined),
+        ] {
+            out.push_str(&format!(
+                "{CACHE}{{disposition=\"{disposition}\"}} {}\n",
+                load(n)
+            ));
+        }
+        for (name, kind, help, value) in [
+            (
+                "titserved_executions_total",
+                "counter",
+                "Replay executions actually run.",
+                load(&s.executions),
+            ),
+            (
+                "titserved_errors_total",
+                "counter",
+                "Requests answered with status >= 400.",
+                load(&s.errors),
+            ),
+            (
+                "titserved_queue_depth",
+                "gauge",
+                "Executions waiting for a worker permit.",
+                load(&s.queue_depth),
+            ),
+            (
+                "titserved_in_flight",
+                "gauge",
+                "Predict requests currently inside the handler.",
+                load(&s.in_flight),
+            ),
+            (
+                "titserved_workers_busy",
+                "gauge",
+                "Workers currently replaying.",
+                load(&s.workers_busy),
+            ),
+        ] {
+            family(&mut out, name, kind, help);
+            out.push_str(&format!("{name} {value}\n"));
+        }
+        out
     }
 }
 
@@ -428,45 +496,36 @@ fn panic_text(payload: &(dyn Any + Send)) -> &str {
 }
 
 fn error_body(msg: &str) -> String {
-    format!(
-        "{{\n  \"error\": \"{}\"\n}}",
-        msg.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', " ")
-    )
+    format!("{{\n  \"error\": {}\n}}", json_string(msg))
 }
 
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
+    addr: SocketAddr,
     state: Arc<ServerState>,
 }
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
         Ok(Server {
-            listener: TcpListener::bind(addr)?,
+            addr: listener.local_addr()?,
+            listener,
             state: Arc::new(ServerState::new(config)),
         })
     }
 
     /// The bound address (read the ephemeral port from here).
     pub fn addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("bound listener has an address")
-    }
-
-    /// Shared state handle (stats inspection from embedding code).
-    pub fn state(&self) -> Arc<ServerState> {
-        Arc::clone(&self.state)
+        self.addr
     }
 
     /// Accept loop: one thread per connection, until `/shutdown`.
     /// Blocks the calling thread; returns after a clean shutdown.
     pub fn run(self) -> io::Result<()> {
-        let addr = self.addr();
+        let addr = self.addr;
         for conn in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -505,27 +564,21 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, addr: Sock
     };
     let rid = state.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let started = Instant::now();
-    let t = &state.telemetry;
-    let route = (request.method.as_str(), request.path.as_str());
-    match route {
-        ("POST", "/predict") => t.req_predict.inc(),
-        ("POST", "/inspect") => t.req_inspect.inc(),
-        ("GET", "/stats") => t.req_stats.inc(),
-        ("GET", "/metrics") => t.req_metrics.inc(),
-        ("GET", "/healthz") => t.req_healthz.inc(),
-        _ => t.req_other.inc(),
-    }
-    let (status, cache, body): (u16, &str, String) = match route {
-        ("GET", "/healthz") => (200, "none", "ok\n".to_string()),
-        ("GET", "/stats") => (200, "none", state.stats_body()),
-        ("GET", "/metrics") => (200, "none", state.metrics_body()),
-        ("POST", "/predict") => {
+    let (method, path) = (request.method.as_str(), request.path.as_str());
+    let endpoint = Endpoint::of(method, path);
+    state.stats.request(endpoint);
+    let shutdown = matches!((method, path), ("POST" | "GET", "/shutdown"));
+    let (status, cache, body): (u16, &str, String) = match endpoint {
+        Endpoint::Healthz => (200, "none", "ok\n".to_string()),
+        Endpoint::Stats => (200, "none", state.stats_body()),
+        Endpoint::Metrics => (200, "none", state.metrics_body()),
+        Endpoint::Predict => {
             state.stats.in_flight.fetch_add(1, Ordering::Relaxed);
             let out = state.predict(&request.body, rid);
             state.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
             out
         }
-        ("POST", "/inspect") => {
+        Endpoint::Inspect => {
             let parsed = std::str::from_utf8(&request.body)
                 .map_err(|_| "body is not UTF-8".to_string())
                 .and_then(inspect_request);
@@ -539,47 +592,38 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, addr: Sock
                 Err(e) => (400, "none", error_body(&e)),
             }
         }
-        ("POST", "/shutdown") | ("GET", "/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop with a self-connection so `run`
-            // observes the flag and returns.
-            let _ = TcpStream::connect(addr);
-            (200, "none", "shutting down\n".to_string())
+        Endpoint::Other if shutdown => (200, "none", "shutting down\n".to_string()),
+        Endpoint::Other if matches!(method, "POST" | "GET") => {
+            (404, "none", error_body("no such endpoint"))
         }
-        ("POST" | "GET", _) => (404, "none", error_body("no such endpoint")),
-        _ => (405, "none", error_body("method not allowed")),
+        Endpoint::Other => (405, "none", error_body("method not allowed")),
     };
     let elapsed_s = started.elapsed().as_secs_f64();
-    match route {
-        ("POST", "/predict") => t.lat_predict.observe(elapsed_s),
-        ("POST", "/inspect") => t.lat_inspect.observe(elapsed_s),
-        ("GET", "/stats") => t.lat_stats.observe(elapsed_s),
-        _ => {}
-    }
-    if status >= 400 {
-        state.stats.errors.fetch_add(1, Ordering::Relaxed);
-        t.errors.inc();
-    }
+    state.stats.answered(endpoint, status, elapsed_s);
     let rid_header = rid.to_string();
     let mut headers: Vec<(&str, &str)> = vec![("x-titserved-request-id", rid_header.as_str())];
     if cache != "none" {
         headers.push(("x-titserved-cache", cache));
     }
-    let content_type = if request.path == "/metrics" {
+    let content_type = if path == "/metrics" {
         "text/plain; version=0.0.4"
     } else {
         "application/json"
     };
     let _ = http::write_response(&mut stream, status, content_type, &headers, body.as_bytes());
-    if state.config.access_log {
-        // Structured single-line access log: one line per request.
-        eprintln!(
-            "titserved: rid={rid} method={} path={} status={status} cache={cache} bytes={} dur_ms={:.3}",
-            request.method,
-            request.path,
-            body.len(),
-            elapsed_s * 1e3
-        );
+    // Structured single-line access log: one line per request.
+    eprintln!(
+        "titserved: rid={rid} method={method} path={path} status={status} cache={cache} bytes={} dur_ms={:.3}",
+        body.len(),
+        elapsed_s * 1e3
+    );
+    if shutdown {
+        // Only now, with the reply written, wake the accept loop with a
+        // self-connection so `run` observes the flag and returns: the
+        // binary exits as soon as it does.
+        state.shutdown.store(true, Ordering::SeqCst);
+        drop(stream);
+        let _ = TcpStream::connect(addr);
     }
 }
 
@@ -609,7 +653,6 @@ mod tests {
         let state = ServerState::new(ServerConfig {
             workers: 1,
             sidecar: false,
-            access_log: false,
         });
         let key = QueryKey {
             trace: 1,
@@ -619,7 +662,7 @@ mod tests {
         };
         let inflight = Arc::new(InFlight::default());
         let slot = MemoSlot::Pending(Arc::clone(&inflight));
-        state.memo.lock().unwrap().insert(key, slot);
+        lock(&state.memo).insert(key, slot);
         let joiner = {
             let inflight = Arc::clone(&inflight);
             std::thread::spawn(move || inflight.wait())
@@ -652,7 +695,6 @@ mod tests {
     #[test]
     fn metrics_body_is_pinned() {
         let state = ServerState::new(ServerConfig::default());
-        let t = &state.telemetry;
         let s = &state.stats;
         for (route, status, elapsed_s) in [
             (("POST", "/predict"), 200, 0.0001),
@@ -668,30 +710,14 @@ mod tests {
             (("PUT", "/predict"), 405, 0.001),
             (("POST", "/shutdown"), 200, 0.001),
         ] {
-            match route {
-                ("POST", "/predict") => t.req_predict.inc(),
-                ("POST", "/inspect") => t.req_inspect.inc(),
-                ("GET", "/stats") => t.req_stats.inc(),
-                ("GET", "/metrics") => t.req_metrics.inc(),
-                ("GET", "/healthz") => t.req_healthz.inc(),
-                _ => t.req_other.inc(),
-            }
-            match route {
-                ("POST", "/predict") => t.lat_predict.observe(elapsed_s),
-                ("POST", "/inspect") => t.lat_inspect.observe(elapsed_s),
-                ("GET", "/stats") => t.lat_stats.observe(elapsed_s),
-                _ => {}
-            }
-            if status >= 400 {
-                t.errors.inc();
-            }
+            let endpoint = Endpoint::of(route.0, route.1);
+            s.request(endpoint);
+            s.answered(endpoint, status, elapsed_s);
         }
-        t.cache_miss.inc();
-        t.cache_miss.inc();
-        t.executions.inc();
-        t.cache_hit.inc();
-        t.cache_hit.inc();
-        t.cache_joined.inc();
+        s.misses.fetch_add(2, Ordering::Relaxed);
+        s.executions.fetch_add(1, Ordering::Relaxed);
+        s.cache_hits.fetch_add(2, Ordering::Relaxed);
+        s.joined.fetch_add(1, Ordering::Relaxed);
         s.in_flight.store(3, Ordering::Relaxed);
         s.queue_depth.store(2, Ordering::Relaxed);
         s.workers_busy.store(1, Ordering::Relaxed);

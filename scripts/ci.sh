@@ -811,6 +811,10 @@ m_lat=$(metric 'titserved_request_duration_seconds_count{endpoint="/predict"}')
     || { echo "metrics counters wrong (predict=$m_predict exec=$m_exec hit=$m_hit)" >&2; exit 1; }
 [ "${m_lat:-0}" -eq 2 ] \
     || { echo "latency histogram not populated (count=$m_lat)" >&2; exit 1; }
+# /stats and /metrics render one counter set, so they agree.
+s_exec=$(sed -n 's/^ *"executions": \([0-9]*\),$/\1/p' "$ingest_dir/serve.stats.json")
+[ -n "$s_exec" ] && [ "$s_exec" = "$m_exec" ] \
+    || { echo "/stats executions=$s_exec but /metrics says $m_exec" >&2; exit 1; }
 # A platform with no nodes is refused naming the field, and the service
 # goes on answering: a fresh question executes within 10 s.
 zero='{"trace": "'"$ingest_dir/lu.trace"'", "ranks": 8, "config": {"rate": 2e9}, "platform": '
@@ -846,7 +850,9 @@ exec 3>&-
 head -1 "$ingest_dir/serve.stale.txt" | grep -q ' 400 ' \
     && grep -q "unknown config field 'sharing'" "$ingest_dir/serve.stale.txt" \
     || { echo "stale sharing field not refused: $(cat "$ingest_dir/serve.stale.txt")" >&2; exit 1; }
-serve_http POST /shutdown >/dev/null
+serve_http POST /shutdown >"$ingest_dir/serve.shutdown.txt"
+grep -qx 'shutting down' "$ingest_dir/serve.shutdown.txt" \
+    || { echo "no reply to /shutdown: $(cat "$ingest_dir/serve.shutdown.txt")" >&2; exit 1; }
 wait "$serve_pid" \
     || { echo "titserved did not shut down cleanly" >&2; exit 1; }
-echo "SERVE_SMOKE ok (memoized second query byte-identical, manifest matches CLI, /metrics counters advanced, zero-node platform refused and a fresh query answered, stale sharing field refused)"
+echo "SERVE_SMOKE ok (memoized second query byte-identical, manifest matches CLI, /metrics counters advanced and agree with /stats, /shutdown answered, zero-node platform refused and a fresh query answered, stale sharing field refused)"

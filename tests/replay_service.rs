@@ -44,7 +44,6 @@ fn start_server(workers: usize) -> (String, std::thread::JoinHandle<()>) {
         ServerConfig {
             workers,
             sidecar: true,
-            access_log: false,
         },
     )
     .unwrap();
@@ -101,6 +100,28 @@ fn metric_value(metrics: &str, series: &str) -> f64 {
         .unwrap_or_else(|| panic!("metrics missing series {series}:\n{metrics}"))
 }
 
+/// Asserts that `/stats` and `/metrics` report the same executions,
+/// errors, memo hits and joins.
+fn assert_stats_agree_with_metrics(addr: &str) {
+    use serde::Value;
+    let stats = String::from_utf8(client::get(addr, "/stats").unwrap().body).unwrap();
+    let stats: Value = serde_json::from_str(&stats).unwrap();
+    let metrics = String::from_utf8(client::get(addr, "/metrics").unwrap().body).unwrap();
+    for (field, series) in [
+        ("executions", "titserved_executions_total"),
+        ("errors", "titserved_errors_total"),
+        ("cache_hits", "titserved_cache_total{disposition=\"hit\"}"),
+        ("joined", "titserved_cache_total{disposition=\"joined\"}"),
+    ] {
+        let counted = stats.get(field).and_then(Value::as_f64);
+        assert_eq!(
+            counted,
+            Some(metric_value(&metrics, series)),
+            "/stats {field} against /metrics {series}"
+        );
+    }
+}
+
 #[test]
 fn concurrent_identical_queries_execute_once_and_byte_match_the_cli() {
     let dir = temp_dir("dedup");
@@ -125,6 +146,7 @@ fn concurrent_identical_queries_execute_once_and_byte_match_the_cli() {
     for r in &responses[1..] {
         assert_eq!(&r.body, first);
     }
+    assert_stats_agree_with_metrics(&addr);
     // Exactly one replay ran; the other N-1 joined or hit.
     let stats = client::get(&addr, "/stats").unwrap();
     let stats = String::from_utf8(stats.body).unwrap();
@@ -506,4 +528,86 @@ fn endless_heads_and_idle_clients_are_cut_off() {
     assert_eq!(health.status, 200);
     client::post(&addr, "/shutdown", "").unwrap();
     handle.join().unwrap();
+}
+
+/// A trace path holding a control character, a quote or a backslash is
+/// answered 422 by `/predict` and by `/inspect` with a valid JSON body
+/// whose error names that exact path.
+#[test]
+fn error_bodies_are_json_naming_the_exact_path() {
+    use serde::Value;
+    use tit_replay::simkernel::obs::json_string;
+
+    let (addr, handle) = start_server(1);
+    let platform = spec(1e9).to_json();
+    for path in [
+        "/no/such\tdir.txt",
+        "/no/such\ndir.txt",
+        "/no/\"such\\dir.txt",
+    ] {
+        let trace = json_string(path);
+        let predict = format!(
+            "{{\"trace\": {trace}, \"ranks\": 4, \"platform\": {platform}, \
+             \"config\": {{\"rate\": 2e9}}}}"
+        );
+        let inspect = format!("{{\"trace\": {trace}, \"ranks\": 4}}");
+        for (endpoint, body) in [("/predict", predict), ("/inspect", inspect)] {
+            let refused = client::post(&addr, endpoint, &body).unwrap();
+            let text = String::from_utf8(refused.body).unwrap();
+            assert_eq!(refused.status, 422, "{endpoint} {path:?}: {text:?}");
+            // JSON allows no raw control character inside a string; the
+            // only ones in the body are the three lines' breaks.
+            assert!(
+                text.lines().count() == 3 && !text.bytes().any(|b| b < 0x20 && b != b'\n'),
+                "{endpoint} {path:?}: {text:?}"
+            );
+            let parsed: Value = serde_json::from_str(&text)
+                .unwrap_or_else(|e| panic!("{endpoint} {path:?}: {e}: {text:?}"));
+            let error = parsed.get("error").and_then(Value::as_str).unwrap();
+            assert!(error.contains(path), "{endpoint} {path:?}: {error:?}");
+        }
+    }
+    client::post(&addr, "/shutdown", "").unwrap();
+    handle.join().unwrap();
+}
+
+/// `POST /shutdown` is answered before the binary exits: twenty fresh
+/// servers, one at a time, each reply `200 shutting down` and exit 0.
+#[test]
+fn the_binary_answers_shutdown_before_it_exits() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    for attempt in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_titserved"))
+            .args(["serve", "--port", "0", "--workers", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        let addr = line
+            .trim()
+            .strip_prefix("listening http://")
+            .map(str::to_string);
+        let reply = addr.as_deref().map(|addr| {
+            assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+            client::post(addr, "/shutdown", "")
+        });
+        if !matches!(reply, Some(Ok(_))) {
+            let _ = child.kill();
+        }
+        let exit = child.wait().unwrap();
+        let reply = reply
+            .unwrap_or_else(|| panic!("attempt {attempt}: no address in {line:?}"))
+            .unwrap_or_else(|e| panic!("attempt {attempt}: no reply to /shutdown: {e}"));
+        assert_eq!(
+            (reply.status, String::from_utf8_lossy(&reply.body).as_ref()),
+            (200, "shutting down\n"),
+            "attempt {attempt}"
+        );
+        assert!(exit.success(), "attempt {attempt}: {exit}");
+    }
 }
